@@ -42,10 +42,11 @@ func BenchmarkEmbedTheorem1(b *testing.B) {
 				var lastLen int
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					res, err := core.Embed(n, fs, core.Config{})
+					plan, err := core.Embed(n, fs, core.Config{})
 					if err != nil {
 						b.Fatal(err)
 					}
+					res := plan.Result()
 					lastLen = res.Len()
 				}
 				b.ReportMetric(float64(lastLen), "ringlen")
@@ -80,10 +81,11 @@ func BenchmarkEmbedVsTseng(b *testing.B) {
 		b.Run(fmt.Sprintf("paper/n=%d/Fv=%d", n, k), func(b *testing.B) {
 			var l int
 			for i := 0; i < b.N; i++ {
-				res, err := core.Embed(n, fs, core.Config{})
+				plan, err := core.Embed(n, fs, core.Config{})
 				if err != nil {
 					b.Fatal(err)
 				}
+				res := plan.Result()
 				l = res.Len()
 			}
 			b.ReportMetric(float64(l), "ringlen")
@@ -117,10 +119,11 @@ func BenchmarkEmbedClustered(b *testing.B) {
 		b.Run(fmt.Sprintf("paper/m=%d/Fv=%d", tc.m, tc.k), func(b *testing.B) {
 			var l int
 			for i := 0; i < b.N; i++ {
-				res, err := core.Embed(n, fs, core.Config{})
+				plan, err := core.Embed(n, fs, core.Config{})
 				if err != nil {
 					b.Fatal(err)
 				}
+				res := plan.Result()
 				l = res.Len()
 			}
 			b.ReportMetric(float64(l), "ringlen")
@@ -149,10 +152,11 @@ func BenchmarkEmbedEdgeFaults(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d/Fe=%d", n, k), func(b *testing.B) {
 			var l int
 			for i := 0; i < b.N; i++ {
-				res, err := core.Embed(n, fs, core.Config{})
+				plan, err := core.Embed(n, fs, core.Config{})
 				if err != nil {
 					b.Fatal(err)
 				}
+				res := plan.Result()
 				l = res.Len()
 			}
 			if l != perm.Factorial(n) {
@@ -175,10 +179,11 @@ func BenchmarkEmbedMixed(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d/Fv=%d/Fe=%d", n, kv, ke), func(b *testing.B) {
 			var l int
 			for i := 0; i < b.N; i++ {
-				res, err := core.Embed(n, fs, core.Config{})
+				plan, err := core.Embed(n, fs, core.Config{})
 				if err != nil {
 					b.Fatal(err)
 				}
+				res := plan.Result()
 				l = res.Len()
 			}
 			b.ReportMetric(float64(l), "ringlen")
@@ -197,10 +202,11 @@ func BenchmarkSeriesLengthVsFaults(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d/Fv=%d", n, k), func(b *testing.B) {
 			var l int
 			for i := 0; i < b.N; i++ {
-				res, err := core.Embed(n, fs, core.Config{})
+				plan, err := core.Embed(n, fs, core.Config{})
 				if err != nil {
 					b.Fatal(err)
 				}
+				res := plan.Result()
 				l = res.Len()
 			}
 			b.ReportMetric(float64(l), "ringlen")
@@ -220,10 +226,11 @@ func BenchmarkEmbedScaling(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			var l int
 			for i := 0; i < b.N; i++ {
-				res, err := core.Embed(n, fs, core.Config{})
+				plan, err := core.Embed(n, fs, core.Config{})
 				if err != nil {
 					b.Fatal(err)
 				}
+				res := plan.Result()
 				l = res.Len()
 			}
 			b.ReportMetric(float64(l), "ringlen")
@@ -255,10 +262,11 @@ func BenchmarkParityMix(b *testing.B) {
 		b.Run(fmt.Sprintf("even=%d/odd=%d", j, k-j), func(b *testing.B) {
 			var l int
 			for i := 0; i < b.N; i++ {
-				res, err := core.Embed(n, fs, core.Config{})
+				plan, err := core.Embed(n, fs, core.Config{})
 				if err != nil {
 					b.Fatal(err)
 				}
+				res := plan.Result()
 				l = res.Len()
 			}
 			b.ReportMetric(float64(l), "ringlen")
@@ -271,18 +279,19 @@ func BenchmarkParityMix(b *testing.B) {
 // since every embedding pays for one verification pass.
 func BenchmarkVerify(b *testing.B) {
 	n := 8
-	res, err := core.Embed(n, nil, core.Config{})
+	plan, err := core.Embed(n, nil, core.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
+	ring := plan.Ring()
 	g := repro.NewGraph(n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := check.Ring(g, res.Ring, nil, res.Len()); err != nil {
+		if err := check.Ring(g, ring, nil, len(ring)); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(res.Len()), "ringlen")
+	b.ReportMetric(float64(len(ring)), "ringlen")
 }
 
 // BenchmarkEmbedPath (F4): the longest s-t path extension across
@@ -400,10 +409,11 @@ func BenchmarkRepair(b *testing.B) {
 			var l int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := core.Embed(n, fs, core.Config{})
+				plan, err := core.Embed(n, fs, core.Config{})
 				if err != nil {
 					b.Fatal(err)
 				}
+				res := plan.Result()
 				l = res.Len()
 			}
 			b.ReportMetric(float64(l), "ringlen")

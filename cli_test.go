@@ -164,8 +164,8 @@ func TestCLIStarverify(t *testing.T) {
 
 // TestCLIStarringMetrics exercises the observability flags end to end:
 // -metrics-json must leave a parseable dump with the phase, cache,
-// backtrack and utilization metrics, and -debug-addr must announce a
-// live expvar/pprof endpoint.
+// backtrack and block metrics, and -debug-addr must announce a live
+// expvar/pprof endpoint.
 func TestCLIStarringMetrics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns the go tool")
@@ -194,19 +194,24 @@ func TestCLIStarringMetrics(t *testing.T) {
 		t.Fatalf("metrics file is not valid JSON: %v\n%s", err, raw)
 	}
 	for _, h := range []string{"core.phase.total", "core.phase.separation", "core.phase.build_r4",
-		"core.phase.junction", "core.phase.route", "core.phase.verify"} {
+		"core.phase.junction", "core.phase.verify", "core.phase.stream_emit"} {
 		if _, ok := snap.Histograms[h]; !ok {
 			t.Errorf("missing phase histogram %s", h)
 		}
 	}
 	for _, c := range []string{"core.s4.cache_hits", "core.s4.cache_misses",
-		"core.junction.backtracks", "core.route.blocks"} {
+		"core.junction.backtracks", "core.route.blocks", "core.stream.blocks"} {
 		if _, ok := snap.Counters[c]; !ok {
 			t.Errorf("missing counter %s", c)
 		}
 	}
-	if _, ok := snap.Gauges["core.route.utilization_pct"]; !ok {
-		t.Error("missing gauge core.route.utilization_pct")
+	// S_6 has 720/24 = 30 blocks: routed once, replayed once by the
+	// self-verification cursor and once by the CLI's own re-check.
+	if got := snap.Counters["core.route.blocks"]; got != 30 {
+		t.Errorf("core.route.blocks = %d, want 30", got)
+	}
+	if got := snap.Counters["core.stream.blocks"]; got != 60 {
+		t.Errorf("core.stream.blocks = %d, want 60", got)
 	}
 	if len(snap.Events) == 0 {
 		t.Error("no span events recorded")

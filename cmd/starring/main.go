@@ -7,13 +7,19 @@
 //	starring -n 6 -fe "123456-213456"               # an edge fault
 //	starring -n 6 -random 3 -algo tseng             # run a baseline
 //	starring -n 6 -random 3 -print                  # dump the ring
+//	starring -n 10 -random 7 -save ring.srs         # persist the ring
 //	starring -n 7 -faults 4 -metrics-json m.json    # dump run telemetry
+//
+// The paper algorithm keeps its ring in skeleton form at O(#blocks)
+// memory: verification, -print and -save all stream it through a
+// block cursor, so n >= 10 (3.6M+ vertices) never materializes. -save
+// writes the chunked ringio stream format that starverify reads.
 //
 // -debug-addr serves expvar (/debug/vars, registry "starring"),
 // pprof (/debug/pprof/) and an OpenMetrics endpoint (/metrics) while
 // the run lasts; -metrics-json leaves a machine-readable record of
-// per-phase durations, S4 cache activity, junction backtracks and
-// worker utilization (see the README's Observability section).
+// per-phase durations, S4 cache activity and junction backtracks (see
+// the README's Observability section).
 // -trace-out writes the run's phase spans as a Chrome trace_event
 // JSON file loadable in Perfetto; -events-out streams structured
 // NDJSON events (core.embed, core.repair) to a file; -hold keeps the
@@ -71,10 +77,8 @@ func main() {
 		pathSrc = flag.String("path-from", "", "embed a longest s-t path instead of a ring: source vertex")
 		pathDst = flag.String("path-to", "", "path mode: target vertex")
 		print   = flag.Bool("print", false, "print the full ring, one vertex per line")
-		save    = flag.String("save", "", "write the ring to this file (binary ringio format)")
+		save    = flag.String("save", "", "write the ring to this file (chunked binary ringio stream format)")
 		best    = flag.Bool("best-effort", false, "accept fault sets beyond the n-3 budget (no guarantee)")
-		stream  = flag.Bool("stream", false, "paper algo only: never materialize the ring — embed, verify, -print and -save through the block cursor at O(#blocks) memory (required for n >= 10)")
-		workers = flag.Int("workers", 0, "parallel block-routing workers (0 = GOMAXPROCS)")
 
 		debugAddr   = flag.String("debug-addr", "", "serve expvar, pprof and /metrics on this address (e.g. localhost:6060)")
 		metricsJSON = flag.String("metrics-json", "", "write the run's metrics as JSON to this file")
@@ -123,20 +127,15 @@ func main() {
 
 	tel := startTelemetry(*debugAddr, *metricsJSON, *traceOut, *eventsOut, *cpuProfile, *memProfile, *flightDump, *hold)
 
-	cfg := core.Config{Workers: *workers, BestEffort: *best, Streaming: *stream, Obs: tel.reg}
+	cfg := core.Config{BestEffort: *best, Obs: tel.reg}
 
 	if *pathSrc != "" || *pathDst != "" {
 		runPathMode(*n, fs, *pathSrc, *pathDst, cfg, *print)
 		tel.finish()
 		return
 	}
-	if *stream && *algo != "paper" {
-		fatal(fmt.Errorf("-stream supports only -algo paper"))
-	}
-
 	var (
-		plan      *core.Plan
-		ring      []perm.Code
+		ring      ringSource
 		ringLen   int
 		guarantee int
 		extra     string
@@ -147,12 +146,12 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		plan, err = eng.Embed(fs)
+		plan, err := eng.Embed(fs)
 		if err != nil {
 			fatal(err)
 		}
 		res := plan.Result()
-		ring, ringLen, guarantee = res.Ring, res.Len(), res.Guarantee
+		ring, ringLen, guarantee = func() func() (perm.Code, bool) { return plan.Cursor().Next }, res.Len(), res.Guarantee
 		extra = fmt.Sprintf("blocks=%d faulty-blocks=%d positions=%v upper-bound=%d",
 			res.Blocks, res.FaultyBlocks, res.Positions, res.UpperBound)
 	case "tseng":
@@ -160,43 +159,36 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		ring, ringLen, guarantee = res.Ring, len(res.Ring), res.Guarantee
+		ring, ringLen, guarantee = sliceSource(res.Ring), len(res.Ring), res.Guarantee
 	case "latifi":
 		res, err := baseline.Latifi(*n, fs, cfg)
 		if err != nil {
 			fatal(err)
 		}
-		ring, ringLen, guarantee = res.Ring, len(res.Ring), res.Guarantee
+		ring, ringLen, guarantee = sliceSource(res.Ring), len(res.Ring), res.Guarantee
 		extra = fmt.Sprintf("cluster=%v m=%d", res.Cluster, res.M)
 	default:
 		fatal(fmt.Errorf("unknown -algo %q", *algo))
 	}
-	streaming := plan != nil && plan.Streaming()
-
+	// Re-verify independently of the embedder, one vertex at a time: the
+	// paper algorithm's ring is replayed from its skeleton, never held.
 	g := star.New(*n)
-	if streaming {
-		// Never materialize: re-verify through a fresh cursor at
-		// O(#blocks) memory, the same path the embedder's own
-		// self-verification took.
-		if _, err := check.RingStream(g, plan.Cursor().Next, fs, 0); err != nil {
-			fatal(fmt.Errorf("verification failed: %w", err))
-		}
-	} else if err := check.Ring(g, ring, fs, 0); err != nil {
+	count, err := check.RingStream(g, ring(), fs, 0)
+	if err == nil && count != ringLen {
+		err = fmt.Errorf("emitted %d vertices, embedding reports %d", count, ringLen)
+	}
+	if err != nil {
 		fatal(fmt.Errorf("verification failed: %w", err))
 	}
 
 	fmt.Printf("S_%d: %d vertices, |Fv|=%d, |Fe|=%d\n", *n, g.Order(), fs.NumVertices(), fs.NumEdges())
-	mode := ""
-	if streaming {
-		mode = " mode=stream"
-	}
-	fmt.Printf("algorithm=%s ring length=%d guarantee=%d verified=ok%s\n", *algo, ringLen, guarantee, mode)
+	fmt.Printf("algorithm=%s ring length=%d guarantee=%d verified=ok\n", *algo, ringLen, guarantee)
 	if extra != "" {
 		fmt.Println(extra)
 	}
 	if *print {
 		w := bufio.NewWriter(os.Stdout)
-		for next := ringNext(plan, ring, streaming); ; {
+		for next := ring(); ; {
 			v, ok := next()
 			if !ok {
 				break
@@ -212,15 +204,10 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if streaming {
-			// Chunked stream format: the ring goes to disk one block at a
-			// time, so an n=10 save holds 3.6M vertices on disk but never
-			// in memory.
-			err = ringio.WriteBinaryStream(f, *n, ringLen, plan.Cursor().Next)
-		} else {
-			err = ringio.WriteBinary(f, *n, ring)
-		}
-		if err != nil {
+		// Chunked stream format: the ring goes to disk one block at a
+		// time, so an n=10 save holds 3.6M vertices on disk but never in
+		// memory.
+		if err := ringio.WriteBinaryStream(f, *n, ringLen, ring()); err != nil {
 			f.Close()
 			fatal(err)
 		}
@@ -232,21 +219,20 @@ func main() {
 	tel.finish()
 }
 
-// ringNext returns an iterator over the embedded ring: a fresh cursor
-// in streaming mode, a slice walk otherwise.
-func ringNext(plan *core.Plan, ring []perm.Code, streaming bool) func() (perm.Code, bool) {
-	if streaming {
-		return plan.Cursor().Next
-	}
-	i := 0
-	return func() (perm.Code, bool) {
-		if i >= len(ring) {
-			var zero perm.Code
-			return zero, false
+// ringSource opens a fresh pass over the embedded ring: a plan cursor
+// for the paper algorithm, a slice walk for the baselines.
+type ringSource func() func() (perm.Code, bool)
+
+func sliceSource(ring []perm.Code) ringSource {
+	return func() func() (perm.Code, bool) {
+		i := 0
+		return func() (perm.Code, bool) {
+			if i >= len(ring) {
+				return 0, false
+			}
+			i++
+			return ring[i-1], true
 		}
-		v := ring[i]
-		i++
-		return v, true
 	}
 }
 

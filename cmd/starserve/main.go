@@ -64,7 +64,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		poolSize    = fs.Int("pool", 2, "embedder engines per dimension")
 		maxInflight = fs.Int("max-inflight", 0, "admission limit across routes; beyond it requests shed with 429 (0 = off)")
 		maxQueue    = fs.Int("max-queue", 0, "callers queued per engine pool; beyond it requests shed with 429 (0 = off)")
-		workers     = fs.Int("workers", 0, "parallel block-routing workers per engine (0 = GOMAXPROCS)")
 		bestEffort  = fs.Bool("best-effort", false, "serve fault sets beyond the n-3 budget by default")
 		verify      = fs.Bool("verify-repairs", false, "re-verify the ring after every /repair")
 		chaos       = fs.Bool("chaos", false, "expose /chaos, a deterministic 500 for overload drills")
@@ -90,8 +89,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg := serve.Config{
 		MinN: *minN, MaxN: *maxN, PoolSize: *poolSize,
 		MaxInflight: *maxInflight, MaxQueue: *maxQueue,
-		BestEffort: *bestEffort, Workers: *workers,
-		VerifyRepairs: *verify, Chaos: *chaos,
+		BestEffort: *bestEffort, VerifyRepairs: *verify, Chaos: *chaos,
 	}
 	if *load {
 		return runLoad(stdout, stderr, cfg, loadOpts{

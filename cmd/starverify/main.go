@@ -6,15 +6,14 @@
 //
 // Usage:
 //
-//	starring -n 6 -random 3 -save ring.srg
-//	starverify -ring ring.srg -fv <faults> [-minlen 714]
-//	starverify -ring big.srs -stream -minlen 3628800
+//	starring -n 6 -random 3 -save ring.srs
+//	starverify -ring ring.srs -fv <faults> [-minlen 714]
 //
-// -stream verifies through check.RingStream at constant memory: the
-// ring is decoded and checked one vertex at a time (distinctness via a
-// rank bitset), so a multi-million-vertex file from `starring -stream
-// -save` never has to fit in RAM. It accepts both the chunked stream
-// format and the flat legacy format.
+// The ring is decoded and checked one vertex at a time through
+// check.RingStream (distinctness via a rank bitset), so a
+// multi-million-vertex file never has to fit in RAM. Both the chunked
+// stream format starring -save writes and the flat legacy format are
+// accepted.
 //
 // Exit status 0 means the embedding is safe to use, 1 that the ring was
 // rejected, and 2 that the ring could not be loaded (missing/corrupt
@@ -30,7 +29,6 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/faults"
-	"repro/internal/perm"
 	"repro/internal/ringio"
 	"repro/internal/star"
 )
@@ -46,10 +44,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fset := flag.NewFlagSet("starverify", flag.ContinueOnError)
 	fset.SetOutput(stderr)
 	var (
-		ringPath = fset.String("ring", "", "ring file written by starring -save (binary ringio format)")
+		ringPath = fset.String("ring", "", "ring file written by starring -save (binary ringio format, stream or legacy)")
 		fv       = fset.String("fv", "", "comma-separated faulty vertices to verify against")
 		minLen   = fset.Int("minlen", 0, "required minimum ring length (0 = structure only)")
-		stream   = fset.Bool("stream", false, "verify via check.RingStream at constant memory (accepts stream and legacy formats)")
 		quiet    = fset.Bool("q", false, "suppress output; report via exit status only")
 	)
 	if err := fset.Parse(args); err != nil {
@@ -69,25 +66,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	defer f.Close()
 
-	var (
-		n       int
-		ring    []perm.Code // materialized mode only
-		sr      *ringio.StreamReader
-		ringLen int
-	)
-	if *stream {
-		sr, err = ringio.ReadBinaryStream(f)
-		if err != nil {
-			return fail(err)
-		}
-		n, ringLen = sr.N(), sr.Len()
-	} else {
-		n, ring, err = ringio.ReadBinary(f)
-		if err != nil {
-			return fail(err)
-		}
-		ringLen = len(ring)
+	sr, err := ringio.ReadBinaryStream(f)
+	if err != nil {
+		return fail(err)
 	}
+	n := sr.N()
 
 	fs := faults.NewSet(n)
 	if *fv != "" {
@@ -98,20 +81,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	var verr error
-	if *stream {
-		// Decode and check fused vertex-by-vertex: the file is rejected
-		// on the first structural or format error without ever holding
-		// the cycle.
-		_, verr = check.RingStream(star.New(n), sr.Next, fs, *minLen)
-		if rerr := sr.Err(); rerr != nil {
-			// A decode failure surfaces to the stream checker as a short
-			// ring, but the root cause (truncation, bad rank) is the
-			// loader's verdict: exit 2 like any other corrupt file.
-			return fail(rerr)
-		}
-	} else {
-		verr = check.Ring(star.New(n), ring, fs, *minLen)
+	// Decode and check fused vertex-by-vertex: the file is rejected on
+	// the first structural or format error without ever holding the
+	// cycle.
+	_, verr := check.RingStream(star.New(n), sr.Next, fs, *minLen)
+	if rerr := sr.Err(); rerr != nil {
+		// A decode failure surfaces to the stream checker as a short
+		// ring, but the root cause (truncation, bad rank) is the loader's
+		// verdict: exit 2 like any other corrupt file.
+		return fail(rerr)
 	}
 	if verr != nil {
 		if !*quiet {
@@ -120,12 +98,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	if !*quiet {
-		mode := ""
-		if *stream {
-			mode = " (streamed)"
-		}
-		fmt.Fprintf(stdout, "starverify: ok — S_%d ring of %d vertices, %d faults avoided, min length %d satisfied%s\n",
-			n, ringLen, fs.NumVertices(), *minLen, mode)
+		fmt.Fprintf(stdout, "starverify: ok — S_%d ring of %d vertices, %d faults avoided, min length %d satisfied\n",
+			n, sr.Len(), fs.NumVertices(), *minLen)
 	}
 	return 0
 }

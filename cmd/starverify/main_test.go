@@ -8,14 +8,14 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/perm"
 	"repro/internal/ringio"
 )
 
-// writeRing embeds a fault-free S_n ring and persists it for the CLI.
+// writeRing embeds a fault-free S_n ring and persists it in the flat
+// legacy format, which starverify still decodes.
 func writeRing(t *testing.T, n int) string {
 	t.Helper()
-	res, err := core.Embed(n, faults.NewSet(n), core.Config{})
+	plan, err := core.Embed(n, faults.NewSet(n), core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func writeRing(t *testing.T, n int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ringio.WriteBinary(f, n, res.Ring); err != nil {
+	if err := ringio.WriteBinary(f, n, plan.Ring()); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -34,10 +34,10 @@ func writeRing(t *testing.T, n int) string {
 }
 
 // writeStreamRing persists the same fault-free S_n ring in the chunked
-// stream format, exercising the -stream decode path end to end.
+// stream format starring -save writes, straight from the plan's cursor.
 func writeStreamRing(t *testing.T, n int) string {
 	t.Helper()
-	res, err := core.Embed(n, faults.NewSet(n), core.Config{})
+	plan, err := core.Embed(n, faults.NewSet(n), core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,17 +46,7 @@ func writeStreamRing(t *testing.T, n int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	i := 0
-	next := func() (perm.Code, bool) {
-		if i >= len(res.Ring) {
-			var zero perm.Code
-			return zero, false
-		}
-		v := res.Ring[i]
-		i++
-		return v, true
-	}
-	if err := ringio.WriteBinaryStream(f, n, len(res.Ring), next); err != nil {
+	if err := ringio.WriteBinaryStream(f, n, plan.RingLen(), plan.Cursor().Next); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -95,13 +85,13 @@ func TestRunVerdicts(t *testing.T) {
 		{"rejected: fault on ring", []string{"-ring", ring, "-fv", "1234"}, 1, "", "REJECTED"},
 		{"rejected quiet", []string{"-ring", ring, "-fv", "1234", "-q"}, 1, "", ""},
 		{"rejected: minlen too high", []string{"-ring", ring, "-minlen", "25"}, 1, "", "REJECTED"},
-		{"stream ok", []string{"-ring", sring, "-stream"}, 0, "(streamed)", ""},
-		{"stream ok legacy format", []string{"-ring", ring, "-stream"}, 0, "starverify: ok", ""},
-		{"stream minlen satisfied", []string{"-ring", sring, "-stream", "-minlen", "24"}, 0, "min length 24 satisfied", ""},
-		{"stream rejected: fault on ring", []string{"-ring", sring, "-stream", "-fv", "1234"}, 1, "", "REJECTED"},
-		{"stream rejected: minlen too high", []string{"-ring", sring, "-stream", "-minlen", "25"}, 1, "", "REJECTED"},
-		{"stream truncated file", []string{"-ring", truncated, "-stream"}, 2, "", "starverify:"},
-		{"stream corrupt file", []string{"-ring", garbage, "-stream"}, 2, "", "starverify:"},
+		{"stream ok", []string{"-ring", sring}, 0, "starverify: ok", ""},
+		{"stream ok legacy format", []string{"-ring", ring}, 0, "S_4 ring of 24 vertices", ""},
+		{"stream minlen satisfied", []string{"-ring", sring, "-minlen", "24"}, 0, "min length 24 satisfied", ""},
+		{"stream rejected: fault on ring", []string{"-ring", sring, "-fv", "1234"}, 1, "", "REJECTED"},
+		{"stream rejected: minlen too high", []string{"-ring", sring, "-minlen", "25"}, 1, "", "REJECTED"},
+		{"stream truncated file", []string{"-ring", truncated}, 2, "", "starverify:"},
+		{"stream corrupt file", []string{"-ring", garbage}, 2, "", "starverify:"},
 		{"missing -ring", nil, 2, "", "need -ring"},
 		{"missing file", []string{"-ring", filepath.Join(t.TempDir(), "nope.srg")}, 2, "", "starverify:"},
 		{"corrupt file", []string{"-ring", garbage}, 2, "", "starverify:"},

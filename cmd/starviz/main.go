@@ -135,10 +135,10 @@ func emitBlock(n int, fs *faults.Set) {
 		fmt.Fprintln(os.Stderr, "starviz:", err)
 		os.Exit(1)
 	}
-	res := plan.Result()
+	res, ring := plan.Result(), plan.Ring()
 	// Reconstruct the block containing the first fault (or the block of
 	// the first ring vertex when fault-free).
-	anchor := res.Ring[0]
+	anchor := ring[0]
 	if fs.NumVertices() > 0 {
 		anchor = fs.Vertices()[0]
 	}
@@ -146,7 +146,7 @@ func emitBlock(n int, fs *faults.Set) {
 	g := star.New(n)
 
 	onRing := map[perm.Code]int{}
-	for i, v := range res.Ring {
+	for i, v := range ring {
 		onRing[v] = i
 	}
 	fmt.Println("graph Block {")
@@ -175,7 +175,7 @@ func emitBlock(n int, fs *faults.Set) {
 					if d < 0 {
 						d = -d
 					}
-					if d == 1 || d == len(res.Ring)-1 {
+					if d == 1 || d == len(ring)-1 {
 						style = "bold"
 					}
 				}

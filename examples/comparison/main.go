@@ -48,10 +48,11 @@ func main() {
 	}
 
 	for _, sc := range scenarios {
-		p, err := repro.EmbedRing(n, sc.fs, repro.Options{})
+		plan, err := repro.EmbedRing(n, sc.fs, repro.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
+		p := plan.Result()
 		t, err := repro.EmbedRingTseng(n, sc.fs, repro.Options{})
 		if err != nil {
 			log.Fatal(err)

@@ -35,10 +35,11 @@ func main() {
 			opts.BestEffort = true
 			mode = "best-effort"
 		}
-		res, err := repro.EmbedRing(n, fs, opts)
+		plan, err := repro.EmbedRing(n, fs, opts)
 		if err != nil {
 			log.Fatalf("%s: %v", label, err)
 		}
+		res := plan.Result()
 		guar := "-"
 		if res.Guaranteed {
 			guar = fmt.Sprint(res.Guarantee)

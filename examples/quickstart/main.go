@@ -21,23 +21,24 @@ func main() {
 	}
 
 	// Embed: the ring is guaranteed to have n! - 2|Fv| = 714 vertices.
-	res, err := repro.EmbedRing(n, fs, repro.Options{})
+	plan, err := repro.EmbedRing(n, fs, repro.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	res, ring := plan.Result(), plan.Ring()
 
 	fmt.Printf("S_%d with %d faulty vertices\n", n, fs.NumVertices())
 	fmt.Printf("ring length: %d (guarantee %d, bipartite ceiling %d)\n",
 		res.Len(), res.Guarantee, res.UpperBound)
 	fmt.Printf("first five hops: ")
 	for i := 0; i < 5; i++ {
-		fmt.Printf("%s ", repro.FormatVertex(res.Ring[i], n))
+		fmt.Printf("%s ", repro.FormatVertex(ring[i], n))
 	}
 	fmt.Println("...")
 
 	// The result was already verified internally; verify once more by
 	// hand to show the checker API.
-	if err := repro.VerifyRing(repro.NewGraph(n), res.Ring, fs, res.Guarantee); err != nil {
+	if err := repro.VerifyRing(repro.NewGraph(n), ring, fs, res.Guarantee); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("independent verification: ok")

@@ -23,12 +23,13 @@ func main() {
 	}
 
 	// Compute and persist.
-	res, err := repro.EmbedRing(n, fs, repro.Options{})
+	plan, err := repro.EmbedRing(n, fs, repro.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	res := plan.Result()
 	var store bytes.Buffer // stands in for a file or an RPC payload
-	if err := repro.SaveRing(&store, n, res.Ring); err != nil {
+	if err := repro.SaveRing(&store, n, plan.Ring()); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("computed ring of %d vertices; serialized to %d bytes (%.2f B/vertex)\n",
@@ -54,9 +55,10 @@ func main() {
 	} else {
 		log.Fatal("stale embedding was not rejected")
 	}
-	fresh, err := repro.EmbedRing(n, fs, repro.Options{})
+	freshPlan, err := repro.EmbedRing(n, fs, repro.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	fresh := freshPlan.Result()
 	fmt.Printf("recomputed ring: %d vertices (was %d)\n", fresh.Len(), res.Len())
 }

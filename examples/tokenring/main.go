@@ -36,17 +36,18 @@ func main() {
 		}
 	}
 
-	res, err := repro.EmbedRing(n, fs, repro.Options{})
+	plan, err := repro.EmbedRing(n, fs, repro.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	res, ring := plan.Result(), plan.Ring()
 	fmt.Printf("virtual ring over S_%d: %d of %d processors participate (%d failed)\n",
 		n, res.Len(), g.Order(), fs.NumVertices())
 
 	// Give every participating processor a random datum.
 	nodes := make(map[repro.Vertex]*processor, res.Len())
 	expected := 0
-	for _, v := range res.Ring {
+	for _, v := range ring {
 		d := rng.Intn(1000)
 		nodes[v] = &processor{datum: d}
 		expected += d
@@ -56,9 +57,9 @@ func main() {
 	// hop is validated against the physical topology.
 	hops := 0
 	token := 0
-	for i, v := range res.Ring {
+	for i, v := range ring {
 		token += nodes[v].datum
-		next := res.Ring[(i+1)%res.Len()]
+		next := ring[(i+1)%len(ring)]
 		if !g.Adjacent(v, next) {
 			log.Fatalf("hop %d: %s -> %s is not a physical link",
 				i, repro.FormatVertex(v, n), repro.FormatVertex(next, n))
@@ -70,7 +71,7 @@ func main() {
 	}
 
 	// Pass 2: broadcast the total.
-	for _, v := range res.Ring {
+	for _, v := range ring {
 		nodes[v].sum = token
 		hops++
 	}

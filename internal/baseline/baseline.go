@@ -65,11 +65,11 @@ func Tseng(n int, fs *faults.Set, cfg core.Config) (*TsengResult, error) {
 	if n == 4 {
 		// Delegate the base case: with at most one fault the direct
 		// search already meets the weaker bound.
-		r, err := core.Embed(n, fs, cfg)
+		plan, err := core.Embed(n, fs, cfg)
 		if err != nil {
 			return nil, err
 		}
-		res.Ring = r.Ring
+		res.Ring = plan.Ring()
 		return res, nil
 	}
 

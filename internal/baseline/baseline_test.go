@@ -40,10 +40,11 @@ func TestTsengDominatedByPaper(t *testing.T) {
 		for seed := int64(0); seed < 5; seed++ {
 			rng := rand.New(rand.NewSource(1000*int64(n) + seed))
 			fs := faults.RandomVertices(n, k, rng)
-			hch, err := core.Embed(n, fs, core.Config{})
+			hchPlan, err := core.Embed(n, fs, core.Config{})
 			if err != nil {
 				t.Fatalf("Embed: %v", err)
 			}
+			hch := hchPlan.Result()
 			old, err := Tseng(n, fs, core.Config{})
 			if err != nil {
 				t.Fatalf("Tseng: %v", err)
@@ -85,10 +86,11 @@ func TestLatifiClustered(t *testing.T) {
 				if len(res.Ring) < wantAtLeast {
 					t.Fatalf("Latifi(n=%d, m=%d): len %d < %d", n, m, len(res.Ring), wantAtLeast)
 				}
-				hch, err := core.Embed(n, fs, core.Config{})
+				hchPlan, err := core.Embed(n, fs, core.Config{})
 				if err != nil {
 					t.Fatalf("Embed: %v", err)
 				}
+				hch := hchPlan.Result()
 				// The guarantees differ by exactly m! - 2|Fv| (the
 				// paper's advantage; negative when faults pack into a
 				// tiny cluster, which is the crossover the evaluation

@@ -19,40 +19,19 @@ var ErrInvalidRing = errors.New("check: invalid ring")
 // Ring verifies that cycle is a healthy simple cycle of S_n of length at
 // least minLen: consecutive vertices (including the wraparound) must be
 // adjacent, no vertex may repeat, no vertex may be faulty, and no used
-// edge may be faulty. fs may be nil for the fault-free case.
+// edge may be faulty. fs may be nil for the fault-free case. A slice is
+// just a stream: this is RingStream over the slice, so every caller
+// runs the one verifier.
 func Ring(g star.Graph, cycle []perm.Code, fs *faults.Set, minLen int) error {
-	n := g.N()
-	if len(cycle) < minLen {
-		return fmt.Errorf("%w: length %d < required %d", ErrInvalidRing, len(cycle), minLen)
-	}
-	if len(cycle) < 3 {
-		return fmt.Errorf("%w: a cycle needs >= 3 vertices, got %d", ErrInvalidRing, len(cycle))
-	}
-	seen := make(map[perm.Code]int, len(cycle))
-	for i, v := range cycle {
-		if !v.Valid(n) {
-			return fmt.Errorf("%w: entry %d (%#v) is not a vertex of S_%d", ErrInvalidRing, i, v, n)
+	i := 0
+	_, err := RingStream(g, func() (perm.Code, bool) {
+		if i == len(cycle) {
+			return 0, false
 		}
-		if j, dup := seen[v]; dup {
-			return fmt.Errorf("%w: vertex %s repeats at positions %d and %d", ErrInvalidRing, v.StringN(n), j, i)
-		}
-		seen[v] = i
-		if fs != nil && fs.HasVertex(v) {
-			return fmt.Errorf("%w: faulty vertex %s at position %d", ErrInvalidRing, v.StringN(n), i)
-		}
-	}
-	for i, v := range cycle {
-		w := cycle[(i+1)%len(cycle)]
-		if !g.Adjacent(v, w) {
-			return fmt.Errorf("%w: %s and %s (positions %d, %d) are not adjacent",
-				ErrInvalidRing, v.StringN(n), w.StringN(n), i, (i+1)%len(cycle))
-		}
-		if fs != nil && fs.HasEdge(v, w) {
-			return fmt.Errorf("%w: faulty edge {%s, %s} used at position %d",
-				ErrInvalidRing, v.StringN(n), w.StringN(n), i)
-		}
-	}
-	return nil
+		i++
+		return cycle[i-1], true
+	}, fs, minLen)
+	return err
 }
 
 // Path verifies that path is a healthy simple path of S_n: consecutive

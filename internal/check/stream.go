@@ -12,16 +12,17 @@ import (
 // without ever holding the cycle: Feed checks each vertex as it
 // arrives (validity, healthiness, adjacency to its predecessor, and
 // distinctness), Close checks the wraparound edge and the length
-// bounds. It is the constant-memory counterpart of Ring for rings too
-// large to materialize — n = 10 is 3.6M vertices, n = 12 is 479M.
+// bounds. It is the package's one ring verifier: Ring feeds it from a
+// slice, RingStream from any iterator, so rings too large to
+// materialize — n = 10 is 3.6M vertices, n = 12 is 479M — are checked
+// by the same code as small ones.
 //
-// Distinctness is tracked by Lehmer rank in a lazily paged bitset:
-// n!/8 bytes fully touched, the same order as the O(#blocks) skeleton
-// the streaming embedder keeps (24 ring vertices ≈ 3 bitset bytes per
-// block) and far below the O(n!) words of a materialized ring plus the
-// hash map Ring builds. Practical through n = 12 (60 MB of bits);
-// beyond that exact distinctness outgrows memory whatever the
-// representation.
+// Distinctness is tracked by Lehmer rank in a lazily paged bitset
+// sized to S_n: n!/8 bytes fully touched (79 words at n = 7), the same
+// order as the O(#blocks) skeleton the embedder keeps (24 ring
+// vertices ≈ 3 bitset bytes per block). Practical through n = 12
+// (60 MB of bits); beyond that exact distinctness outgrows memory
+// whatever the representation.
 //
 // A StreamVerifier is single-use: after Close (or the first error) it
 // rejects further Feeds. Not safe for concurrent use.
@@ -121,10 +122,7 @@ func (s *StreamVerifier) Close(minLen int) error {
 // RingStream verifies a ring delivered by an iterator: next returns
 // consecutive cycle vertices and false when the cycle is complete. The
 // verdict and the number of vertices consumed are returned; memory
-// stays bounded by the rank bitset regardless of ring length. It
-// agrees with Ring on every materializable cycle (the equivalence is
-// locked by tests in this package and a randomized campaign in
-// internal/core).
+// stays bounded by the rank bitset regardless of ring length.
 func RingStream(g star.Graph, next func() (perm.Code, bool), fs *faults.Set, minLen int) (int, error) {
 	sv := NewStreamVerifier(g, fs)
 	for {
@@ -141,8 +139,11 @@ func RingStream(g star.Graph, next func() (perm.Code, bool), fs *faults.Set, min
 
 // pagedBits is a bitset over [0, size) whose backing pages are
 // allocated on first touch, so sparse probes (short rings in a huge
-// S_n) stay cheap while dense ones converge to size/8 bytes.
+// S_n) stay cheap while dense ones converge to size/8 bytes. The last
+// page is clamped to the rank space, so a small S_n never pays for a
+// full page.
 type pagedBits struct {
+	size  int
 	pages [][]uint64
 }
 
@@ -150,7 +151,17 @@ type pagedBits struct {
 const pageBits = 1 << 19
 
 func newPagedBits(size int) pagedBits {
-	return pagedBits{pages: make([][]uint64, (size+pageBits-1)/pageBits)}
+	return pagedBits{size: size, pages: make([][]uint64, (size+pageBits-1)/pageBits)}
+}
+
+// pageWords returns the number of words backing page p: a full page,
+// or for the last one just enough to cover the rest of [0, size).
+func (b *pagedBits) pageWords(p int) int {
+	bits := b.size - p*pageBits
+	if bits > pageBits {
+		bits = pageBits
+	}
+	return (bits + 63) / 64
 }
 
 // testAndSet sets bit i and reports whether it was already set.
@@ -158,7 +169,7 @@ func (b *pagedBits) testAndSet(i int) bool {
 	p := i / pageBits
 	page := b.pages[p]
 	if page == nil {
-		page = make([]uint64, pageBits/64)
+		page = make([]uint64, b.pageWords(p))
 		b.pages[p] = page
 	}
 	off := i % pageBits

@@ -35,9 +35,8 @@ func TestRingStreamAcceptsValidCycle(t *testing.T) {
 }
 
 // TestRingStreamMatchesRing feeds the same cycles (valid and broken)
-// through both verifiers and demands identical verdicts — RingStream
-// is only trustworthy at unmaterializable scale if it provably agrees
-// wherever Ring can run.
+// through both entry points — Ring over a slice and RingStream over an
+// iterator — and demands the expected verdict from each.
 func TestRingStreamMatchesRing(t *testing.T) {
 	g := star.New(3)
 	hex := hexagon()
@@ -47,42 +46,44 @@ func TestRingStreamMatchesRing(t *testing.T) {
 		cycle []perm.Code
 		fs    func() *faults.Set
 		min   int
+		ok    bool
 	}{
-		{"valid", hex, nil, 6},
-		{"too short vs bound", hex, nil, 7},
-		{"under three vertices", hex[:2], nil, 0},
-		{"duplicate vertex", append(append([]perm.Code{}, hex...), hex[0]), nil, 0},
-		{"non-adjacent hop", []perm.Code{hex[0], hex[2], hex[4]}, nil, 0},
-		{"open wraparound", hex[:4], nil, 0},
+		{"valid", hex, nil, 6, true},
+		{"too short vs bound", hex, nil, 7, false},
+		{"under three vertices", hex[:2], nil, 0, false},
+		{"duplicate vertex", append(append([]perm.Code{}, hex...), hex[0]), nil, 0, false},
+		{"non-adjacent hop", []perm.Code{hex[0], hex[2], hex[4]}, nil, 0, false},
+		{"open wraparound", hex[:4], nil, 0, false},
 		{"faulty vertex", hex, func() *faults.Set {
 			fs := faults.NewSet(3)
 			fs.AddVertex(hex[2])
 			return fs
-		}, 0},
+		}, 0, false},
 		{"faulty edge", hex, func() *faults.Set {
 			fs := faults.NewSet(3)
 			fs.AddEdge(hex[1], hex[2])
 			return fs
-		}, 0},
+		}, 0, false},
 		{"faulty closing edge", hex, func() *faults.Set {
 			fs := faults.NewSet(3)
 			fs.AddEdge(hex[5], hex[0])
 			return fs
-		}, 0},
+		}, 0, false},
 	}
 	for _, c := range cases {
 		var fs *faults.Set
 		if c.fs != nil {
 			fs = c.fs()
 		}
-		want := Ring(g, c.cycle, fs, c.min)
-		_, got := RingStream(g, sliceNext(c.cycle), fs, c.min)
-		if (want == nil) != (got == nil) {
-			t.Errorf("%s: Ring=%v, RingStream=%v", c.name, want, got)
-			continue
-		}
-		if got != nil && !errors.Is(got, ErrInvalidRing) {
-			t.Errorf("%s: stream error not wrapping ErrInvalidRing: %v", c.name, got)
+		ring := Ring(g, c.cycle, fs, c.min)
+		_, stream := RingStream(g, sliceNext(c.cycle), fs, c.min)
+		for _, got := range []error{ring, stream} {
+			if (got == nil) != c.ok {
+				t.Errorf("%s: Ring=%v, RingStream=%v, want ok=%v", c.name, ring, stream, c.ok)
+			}
+			if got != nil && !errors.Is(got, ErrInvalidRing) {
+				t.Errorf("%s: error not wrapping ErrInvalidRing: %v", c.name, got)
+			}
 		}
 	}
 }
@@ -155,5 +156,34 @@ func TestPagedBitsDistinctness(t *testing.T) {
 	}
 	if b.testAndSet(2) {
 		t.Fatal("untouched bit reads set")
+	}
+}
+
+// TestPagedBitsSizedToSn pins the bitset's footprint to the rank space
+// of S_n: S_5's 120 ranks take 2 words, S_9's 362880 one page clamped
+// to 5670 words instead of a full 8192, and S_10 six full pages plus a
+// clamped seventh.
+func TestPagedBitsSizedToSn(t *testing.T) {
+	for _, c := range []struct{ n, pages, lastWords int }{
+		{5, 1, 2},
+		{9, 1, 5670},
+		{10, 7, 7548},
+	} {
+		size := perm.Factorial(c.n)
+		b := newPagedBits(size)
+		if len(b.pages) != c.pages {
+			t.Fatalf("n=%d: %d pages, want %d", c.n, len(b.pages), c.pages)
+		}
+		for _, i := range []int{0, size - 1} {
+			if b.testAndSet(i) {
+				t.Fatalf("n=%d: bit %d set before first touch", c.n, i)
+			}
+		}
+		if got := len(b.pages[0]); c.pages > 1 && got != pageBits/64 {
+			t.Fatalf("n=%d: first page %d words, want a full %d", c.n, got, pageBits/64)
+		}
+		if got := len(b.pages[c.pages-1]); got != c.lastWords {
+			t.Fatalf("n=%d: last page %d words, want %d", c.n, got, c.lastWords)
+		}
 	}
 }

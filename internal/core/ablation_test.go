@@ -68,7 +68,7 @@ func embedWithPositions(b testing.TB, n int, fs *faults.Set, positions []int) in
 			ts = append(ts, t)
 		}
 		return ts
-	}, nil, Config{}, nil)
+	}, nil, nil)
 	if err != nil {
 		return 0 // routing can fail outright without (P1)
 	}

@@ -17,14 +17,15 @@ func TestBestEffortRelaxedDiscipline(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	for seed := 0; seed < 10; seed++ {
 		fs := faults.RandomVertices(5, 4, rng)
-		res, err := Embed(5, fs, Config{BestEffort: true})
+		plan, err := Embed(5, fs, Config{BestEffort: true})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
+		res := plan.Result()
 		if res.Guaranteed {
 			t.Fatal("over-budget result guaranteed")
 		}
-		if err := check.Ring(star.New(5), res.Ring, fs, 0); err != nil {
+		if err := check.Ring(star.New(5), plan.Ring(), fs, 0); err != nil {
 			t.Fatal(err)
 		}
 		// The bipartite ceiling still binds.

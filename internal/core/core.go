@@ -25,20 +25,21 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 
 	"repro/internal/faults"
 	"repro/internal/obs"
-	"repro/internal/perm"
 	"repro/internal/substar"
 	"repro/internal/superring"
 )
 
 // Config tunes an embedding run. The zero value asks for the strict
-// paper algorithm with automatic parallelism.
+// paper algorithm.
 type Config struct {
-	// Workers bounds the number of goroutines materializing block paths;
-	// 0 means GOMAXPROCS.
+	// Workers is ignored: block paths are replayed on demand from the
+	// routed skeleton, so there is no parallel materialization left to
+	// size.
+	//
+	// Deprecated: the ring is only ever held in skeleton form.
 	Workers int
 	// BestEffort permits fault sets beyond the paper's budget
 	// (|Fv|+|Fe| > n-3): separation and per-block routing then fall back
@@ -53,42 +54,30 @@ type Config struct {
 	// guarantee is unchanged; only the achieved length grows. See
 	// planUpgrades for the parity-alternation limit.
 	Opportunistic bool
-	// VerifyRepairs re-runs the full check.Ring after every successful
-	// Plan.Repair splice. By default only the spliced segment is
-	// verified (the point of the fast path); tests and paranoid callers
-	// set this to keep the one-shot self-verification discipline.
+	// VerifyRepairs re-runs the full check.RingStream after every
+	// successful Plan.Repair splice. By default only the spliced segment
+	// is verified (the point of the fast path); tests and paranoid
+	// callers set this to keep the one-shot self-verification
+	// discipline.
 	VerifyRepairs bool
-	// Streaming keeps the embedding in skeleton form: the ring is never
-	// materialized as a []perm.Code (Result.Ring stays nil for n >= 5)
-	// and is consumed through Plan.Cursor / Plan.Ring instead, holding
-	// peak memory at O(#blocks) rather than O(n!). Self-verification
-	// switches to check.RingStream. This is what makes n >= 10 (3.6M+
-	// vertices) embeddable on bounded memory; for n <= 4 the <= 24-vertex
-	// ring is materialized regardless.
+	// Streaming is ignored: every plan keeps its ring in skeleton form
+	// at O(#blocks) memory and emits it through Plan.Cursor.
+	//
+	// Deprecated: skeleton form is the only ring representation.
 	Streaming bool
 	// Obs receives the run's telemetry: phase spans (core.phase.*), S4
-	// cache activity, junction backtracks and worker utilization — see
-	// the README's Observability section for the glossary. nil disables
+	// cache activity and junction backtracks — see the README's
+	// Observability section for the glossary. nil disables
 	// instrumentation at a cost of a few nanoseconds per hook.
 	Obs *obs.Registry
 }
 
-func (c Config) workers() int {
-	if c.Workers > 0 {
-		return c.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// Result is a verified ring embedding.
+// Result describes a verified ring embedding. The cycle itself lives in
+// the owning Plan's skeleton and is emitted through Plan.Cursor (or
+// copied out by Plan.Ring); Result carries its length and metadata.
 type Result struct {
-	N    int
-	Ring []perm.Code // the healthy cycle, consecutive entries adjacent; nil in streaming mode
-	// Length is the ring length. It always equals len(Ring) when Ring is
-	// materialized; in streaming mode (Config.Streaming, Ring nil) it is
-	// the only record of the achieved length — the cycle itself lives in
-	// the Plan's skeleton and is emitted through Plan.Cursor.
-	Length int
+	N      int
+	Length int // the ring length
 
 	VertexFaults int
 	EdgeFaults   int
@@ -112,14 +101,8 @@ type Result struct {
 	Positions []int
 }
 
-// Len returns the ring length (valid in both materialized and
-// streaming modes).
-func (r *Result) Len() int {
-	if r.Ring != nil {
-		return len(r.Ring)
-	}
-	return r.Length
-}
+// Len returns the ring length.
+func (r *Result) Len() int { return r.Length }
 
 // ErrBudget reports a fault set exceeding the paper's tolerance.
 var ErrBudget = errors.New("core: fault set exceeds the paper's budget |Fv|+|Fe| <= n-3")
@@ -134,25 +117,22 @@ var ErrNoRing = errors.New("core: no healthy ring exists")
 // fails unless cfg.BestEffort is set.
 //
 // Embed is the one-shot convenience wrapper over the session-oriented
-// engine: it builds a throwaway Embedder, runs one Plan and returns its
-// Result. Callers embedding repeatedly in the same dimension — or who
-// want incremental Repair — should hold an Embedder instead.
-func Embed(n int, fs *faults.Set, cfg Config) (*Result, error) {
+// engine: it builds a throwaway Embedder and returns the Plan of one
+// run. Callers embedding repeatedly in the same dimension should hold
+// an Embedder instead.
+func Embed(n int, fs *faults.Set, cfg Config) (*Plan, error) {
 	e, err := NewEmbedder(n, cfg)
 	if err != nil {
 		return nil, err
 	}
-	p, err := e.Embed(fs)
-	if err != nil {
-		return nil, err
-	}
-	return p.Result(), nil
+	return e.Embed(fs)
 }
 
 // embedLarge handles n >= 5: Lemma 2 separation, Lemma 3 construction
 // of the R4 with (P1)(P2)(P3), and Lemma 7 block routing. Beyond
 // filling res it returns the skeleton — the R4 plus the per-block
-// routing state — that Plan.Repair re-uses for incremental splices.
+// routing state — which is the ring: Plan replays it block by block
+// and Plan.Repair re-routes single blocks of it.
 func embedLarge(res *Result, fs *faults.Set, cfg Config, in *instr) (*skeleton, error) {
 	n := res.N
 	sspan := in.span("core.phase.separation")
@@ -179,14 +159,14 @@ func embedLarge(res *Result, fs *faults.Set, cfg Config, in *instr) (*skeleton, 
 	if cfg.Opportunistic && !cfg.BestEffort && fs.NumVertices() >= 2 && fs.NumEdges() == 0 {
 		upgraded, exitParity := planUpgrades(r4, fs)
 		if exitParity != nil {
-			rt, err := routeR4x(r4, fs, opportunisticTargets(upgraded), exitParity, cfg, in)
+			rt, err := routeR4x(r4, fs, opportunisticTargets(upgraded), exitParity, in)
 			if err == nil {
 				for _, u := range upgraded {
 					if u {
 						res.Upgrades++
 					}
 				}
-				return finishLarge(res, r4, rt, cfg, in)
+				return &skeleton{r4: r4, rt: rt}, nil
 			}
 			// Fall through to the plain paper routing: the guarantee
 			// never depends on the upgrade pass succeeding.
@@ -194,25 +174,9 @@ func embedLarge(res *Result, fs *faults.Set, cfg Config, in *instr) (*skeleton, 
 	}
 
 	targetsFor := paperTargets(cfg.BestEffort)
-	rt, err := routeR4x(r4, fs, func(_, vf int) []int { return targetsFor(vf) }, nil, cfg, in)
+	rt, err := routeR4x(r4, fs, func(_, vf int) []int { return targetsFor(vf) }, nil, in)
 	if err != nil {
 		return nil, err
-	}
-	return finishLarge(res, r4, rt, cfg, in)
-}
-
-// finishLarge turns a routed skeleton into the embedding outcome: in
-// the default mode the ring is materialized through the parallel
-// assembler; in streaming mode only the length is recorded and the
-// cycle stays implicit in the skeleton, to be emitted by Plan.Cursor.
-func finishLarge(res *Result, r4 *superring.Ring, rt *routed, cfg Config, in *instr) (*skeleton, error) {
-	res.Length = rt.ringLen()
-	if !cfg.Streaming {
-		ring, _, err := assemble(rt.plans, cfg, in)
-		if err != nil {
-			return nil, err
-		}
-		res.Ring = ring
 	}
 	return &skeleton{r4: r4, rt: rt}, nil
 }

@@ -32,23 +32,25 @@ func TestEmbedBudgetEnforced(t *testing.T) {
 		t.Fatalf("want ErrBudget, got %v", err)
 	}
 	// Best effort proceeds and the result is verified but unguaranteed.
-	res, err := Embed(6, fs, Config{BestEffort: true})
+	plan, err := Embed(6, fs, Config{BestEffort: true})
 	if err != nil {
 		t.Fatalf("best effort failed: %v", err)
 	}
+	res := plan.Result()
 	if res.Guaranteed {
 		t.Fatal("over-budget result claims a guarantee")
 	}
-	if err := check.Ring(star.New(6), res.Ring, fs, 0); err != nil {
+	if err := check.Ring(star.New(6), plan.Ring(), fs, 0); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestEmbedS3(t *testing.T) {
-	res, err := Embed(3, nil, Config{})
+	plan, err := Embed(3, nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := plan.Result()
 	if res.Len() != 6 {
 		t.Fatalf("S_3 ring length %d", res.Len())
 	}
@@ -66,14 +68,15 @@ func TestEmbedS4Exhaustive(t *testing.T) {
 	for r := 0; r < 24; r++ {
 		fs := faults.NewSet(4)
 		fs.AddVertex(perm.Pack(perm.Unrank(4, r)))
-		res, err := Embed(4, fs, Config{})
+		plan, err := Embed(4, fs, Config{})
 		if err != nil {
 			t.Fatalf("fault %d: %v", r, err)
 		}
+		res := plan.Result()
 		if res.Len() != 22 {
 			t.Fatalf("fault %d: length %d", r, res.Len())
 		}
-		if err := check.Ring(g, res.Ring, fs, 22); err != nil {
+		if err := check.Ring(g, plan.Ring(), fs, 22); err != nil {
 			t.Fatalf("fault %d: %v", r, err)
 		}
 	}
@@ -90,14 +93,15 @@ func TestEmbedS4EdgeFaultExhaustive(t *testing.T) {
 			}
 			fs := faults.NewSet(4)
 			fs.AddEdge(u, w)
-			res, err := Embed(4, fs, Config{})
+			plan, err := Embed(4, fs, Config{})
 			if err != nil {
 				t.Fatalf("edge %s-%s: %v", u.StringN(4), w.StringN(4), err)
 			}
+			res := plan.Result()
 			if res.Len() != 24 {
 				t.Fatalf("edge %s-%s: length %d", u.StringN(4), w.StringN(4), res.Len())
 			}
-			if err := check.Ring(g, res.Ring, fs, 24); err != nil {
+			if err := check.Ring(g, plan.Ring(), fs, 24); err != nil {
 				t.Fatal(err)
 			}
 			return true
@@ -113,14 +117,15 @@ func TestEmbedS5ExhaustiveSingles(t *testing.T) {
 	for r := 0; r < 120; r++ {
 		fs := faults.NewSet(5)
 		fs.AddVertex(perm.Pack(perm.Unrank(5, r)))
-		res, err := Embed(5, fs, Config{})
+		plan, err := Embed(5, fs, Config{})
 		if err != nil {
 			t.Fatalf("fault %d: %v", r, err)
 		}
+		res := plan.Result()
 		if res.Len() < 118 {
 			t.Fatalf("fault %d: length %d", r, res.Len())
 		}
-		if err := check.Ring(g, res.Ring, fs, 118); err != nil {
+		if err := check.Ring(g, plan.Ring(), fs, 118); err != nil {
 			t.Fatalf("fault %d: %v", r, err)
 		}
 	}
@@ -139,10 +144,11 @@ func TestEmbedS5ExhaustivePairs(t *testing.T) {
 			fs := faults.NewSet(5)
 			fs.AddVertex(va)
 			fs.AddVertex(perm.Pack(perm.Unrank(5, b)))
-			res, err := Embed(5, fs, Config{})
+			plan, err := Embed(5, fs, Config{})
 			if err != nil {
 				t.Fatalf("faults (%d,%d): %v", a, b, err)
 			}
+			res := plan.Result()
 			if res.Len() < 116 {
 				t.Fatalf("faults (%d,%d): length %d", a, b, res.Len())
 			}
@@ -153,48 +159,32 @@ func TestEmbedS5ExhaustivePairs(t *testing.T) {
 func TestEmbedDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	fs := faults.RandomVertices(7, 4, rng)
-	a, err := Embed(7, fs, Config{})
+	aPlan, err := Embed(7, fs, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Embed(7, fs, Config{})
+	bPlan, err := Embed(7, fs, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Ring) != len(b.Ring) {
+	a, b := aPlan.Ring(), bPlan.Ring()
+	if len(a) != len(b) {
 		t.Fatal("non-deterministic length")
 	}
-	for i := range a.Ring {
-		if a.Ring[i] != b.Ring[i] {
+	for i := range a {
+		if a[i] != b[i] {
 			t.Fatalf("rings diverge at %d", i)
-		}
-	}
-}
-
-func TestEmbedWorkersAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	fs := faults.RandomVertices(7, 4, rng)
-	a, err := Embed(7, fs, Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Embed(7, fs, Config{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Ring {
-		if a.Ring[i] != b.Ring[i] {
-			t.Fatalf("worker counts disagree at %d", i)
 		}
 	}
 }
 
 func TestEmbedFaultFreeIsHamiltonian(t *testing.T) {
 	for n := 3; n <= 8; n++ {
-		res, err := Embed(n, nil, Config{})
+		plan, err := Embed(n, nil, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		res := plan.Result()
 		if res.Len() != perm.Factorial(n) {
 			t.Fatalf("S_%d: length %d", n, res.Len())
 		}
@@ -204,10 +194,11 @@ func TestEmbedFaultFreeIsHamiltonian(t *testing.T) {
 func TestEmbedResultMetadata(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	fs := faults.RandomVertices(7, 3, rng)
-	res, err := Embed(7, fs, Config{})
+	plan, err := Embed(7, fs, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := plan.Result()
 	if res.N != 7 || res.VertexFaults != 3 || res.EdgeFaults != 0 {
 		t.Fatal("metadata wrong")
 	}
@@ -232,10 +223,11 @@ func TestWorstCaseMatchesCeiling(t *testing.T) {
 	for n := 5; n <= 8; n++ {
 		for parity := 0; parity <= 1; parity++ {
 			fs := faults.SamePartiteVertices(n, faults.MaxTolerated(n), parity, rng)
-			res, err := Embed(n, fs, Config{})
+			plan, err := Embed(n, fs, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
+			res := plan.Result()
 			if res.Len() != res.UpperBound {
 				t.Fatalf("S_%d parity %d: len %d != ceiling %d", n, parity, res.Len(), res.UpperBound)
 			}
@@ -267,10 +259,11 @@ func TestEmbedS6ExhaustiveSingles(t *testing.T) {
 	for r := 0; r < 720; r++ {
 		fs := faults.NewSet(6)
 		fs.AddVertex(perm.Pack(perm.Unrank(6, r)))
-		res, err := Embed(6, fs, Config{})
+		plan, err := Embed(6, fs, Config{})
 		if err != nil {
 			t.Fatalf("fault %d: %v", r, err)
 		}
+		res := plan.Result()
 		if res.Len() < 718 {
 			t.Fatalf("fault %d: length %d", r, res.Len())
 		}

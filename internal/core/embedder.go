@@ -48,8 +48,8 @@ func (e *Embedder) Config() Config { return e.cfg }
 // Reuse returns an engine for the same dimension under a different
 // configuration, sharing the immutable substrate (the graph). Pools
 // that keep one warmed Embedder per dimension use it to serve the
-// occasional request with divergent options (best-effort, streaming)
-// without paying NewEmbedder validation or holding a second pool.
+// occasional request with divergent options (best-effort) without
+// paying NewEmbedder validation or holding a second pool.
 func (e *Embedder) Reuse(cfg Config) *Embedder {
 	return &Embedder{n: e.n, g: e.g, cfg: cfg}
 }
@@ -125,36 +125,21 @@ func (e *Embedder) EmbedOp(op *obs.Op, fs *faults.Set) (*Plan, error) {
 	var err error
 	prof.Do("embed", func() {
 		var sk *skeleton
-		switch {
-		case n == 3:
-			err = embedS3(res, fs)
-		case n == 4:
-			err = embedS4(res, fs)
-		default:
+		if n <= 4 {
+			sk, err = embedSmall(n, fs)
+		} else {
 			sk, err = embedLarge(res, fs, e.cfg, in)
 		}
 		if err != nil {
 			return
 		}
-		if res.Ring != nil {
-			res.Length = len(res.Ring)
-		}
-		// The plan exists before self-verification so that streaming mode
-		// can verify through its cursor: check.RingStream re-derives every
-		// block path from the skeleton instead of touching a materialized
-		// ring (which does not exist in that mode).
+		res.Length = sk.rt.ringLen()
+		// Self-verification reads the ring the way every consumer does:
+		// through a cursor replaying the skeleton block by block, into the
+		// independent stream verifier.
 		p = newPlan(e, res, fs, sk)
-		minLen := 0
-		if res.Guaranteed {
-			minLen = res.Guarantee
-		}
 		vspan := in.span("core.phase.verify")
-		var verr error
-		if res.Ring != nil {
-			verr = check.Ring(e.g, res.Ring, fs, minLen)
-		} else {
-			_, verr = check.RingStream(e.g, p.Cursor().Next, fs, minLen)
-		}
+		verr := p.verify()
 		vspan.End()
 		if verr != nil {
 			err = fmt.Errorf("core: self-verification failed: %w", verr)
@@ -176,10 +161,10 @@ func (e *Embedder) EmbedOp(op *obs.Op, fs *faults.Set) (*Plan, error) {
 	return p, nil
 }
 
-// skeleton is the pipeline state embedLarge leaves behind beyond the
-// ring itself: the R4 super-ring and the routing outcome (per-block
-// plans with their chosen junctions, plus segment offsets). The small-n
-// direct embeddings have none.
+// skeleton is the ring as the pipeline leaves it: the R4 super-ring and
+// the routing outcome (per-block plans with their chosen junctions,
+// plus segment offsets). The small-n direct embeddings have no R4; their
+// routed state is one stored segment.
 type skeleton struct {
 	r4 *superring.Ring
 	rt *routed
@@ -188,29 +173,32 @@ type skeleton struct {
 // Plan is a live embedding: the verified Result plus the skeleton that
 // produced it — separating positions, the R4 ring, per-block plans with
 // their chosen junctions, and the block-to-ring-segment offsets. The
-// skeleton is what makes Repair incremental: a new fault that lands in
-// a previously healthy block invalidates exactly one 24-vertex segment,
-// which can be re-routed and spliced without touching the other n!/24-1
-// blocks.
+// skeleton is the ring's only representation: every view of the cycle
+// (Cursor, Ring, RingAt, OnRing) replays block segments from it on
+// demand, so a plan holds O(#blocks) memory whatever n is. It is also
+// what makes Repair incremental: a new fault that lands in a previously
+// healthy block invalidates exactly one 24-vertex segment, which is
+// re-routed and spliced by shifting the downstream offsets, without
+// touching the other n!/24-1 blocks.
 type Plan struct {
 	e   *Embedder
 	res *Result
 	fs  *faults.Set // owned; Repair mutates it
 
-	// nil r4 marks the small-n direct embeddings (n <= 4): no skeleton,
-	// every repair is a rebuild.
+	// nil r4 marks the small-n direct embeddings (n <= 4): one stored
+	// segment, no block index, every repair is a rebuild.
 	r4       *superring.Ring
 	blocks   []*blockPlan
-	offsets  []int // block k occupies Ring[offsets[k]:offsets[k+1]]
+	offsets  []int // block k occupies ring positions [offsets[k], offsets[k+1])
 	blockIdx map[substar.Pattern]int
 
 	// gen counts ring mutations (splices and rebuilds). Cursors snapshot
 	// it at creation and refuse to refill once it moves on, so a stale
 	// iterator fails loudly instead of emitting a pre-repair cycle.
 	gen int
-	// seg/segBlock cache the most recently re-derived block segment for
-	// the random-access paths (RingAt, OnRing) in streaming mode;
-	// segBlock is -1 when the cache is empty or invalidated.
+	// seg/segBlock cache the most recently replayed block segment for
+	// the random-access paths (RingAt, OnRing); segBlock is -1 when the
+	// cache is empty or invalidated.
 	seg      []perm.Code
 	segBlock int
 
@@ -218,11 +206,9 @@ type Plan struct {
 }
 
 func newPlan(e *Embedder, res *Result, fs *faults.Set, sk *skeleton) *Plan {
-	p := &Plan{e: e, res: res, fs: fs, segBlock: -1}
-	if sk != nil {
-		p.r4 = sk.r4
-		p.blocks = sk.rt.plans
-		p.offsets = sk.rt.offsets
+	p := &Plan{e: e, res: res, fs: fs, segBlock: -1,
+		r4: sk.r4, blocks: sk.rt.plans, offsets: sk.rt.offsets}
+	if sk.r4 != nil {
 		p.blockIdx = make(map[substar.Pattern]int, sk.r4.Len())
 		for k, pat := range sk.r4.Vertices() {
 			p.blockIdx[pat] = k
@@ -231,11 +217,16 @@ func newPlan(e *Embedder, res *Result, fs *faults.Set, sk *skeleton) *Plan {
 	return p
 }
 
-// Streaming reports whether the plan holds its ring in skeleton form
-// only (Config.Streaming with n >= 5): Result().Ring is nil and the
-// cycle is consumed through Cursor, Ring, or the random-access
-// accessors, all of which re-derive block segments on demand.
-func (p *Plan) Streaming() bool { return p.res.Ring == nil }
+// verify runs the independent stream verifier over a fresh cursor,
+// against the paper bound when the plan is within budget.
+func (p *Plan) verify() error {
+	minLen := 0
+	if p.res.Guaranteed {
+		minLen = p.res.Guarantee
+	}
+	_, err := check.RingStream(p.e.g, p.Cursor().Next, p.fs, minLen)
+	return err
+}
 
 // Result returns the plan's current verified embedding. The pointer is
 // live: Repair updates it in place.
@@ -247,24 +238,19 @@ func (p *Plan) N() int { return p.e.n }
 // RingLen returns the current ring length.
 func (p *Plan) RingLen() int { return p.res.Len() }
 
-// RingAt returns the i-th ring vertex (0 <= i < RingLen). Materialized
-// plans index the ring directly; streaming plans locate the owning
-// block by binary search over the segment offsets and re-derive just
-// that block's <= 24-vertex path (cached, so sequential or
+// RingAt returns the i-th ring vertex (0 <= i < RingLen): the owning
+// block is found by binary search over the segment offsets and just
+// that block's <= 24-vertex path is replayed (cached, so sequential or
 // block-local access patterns stay cheap).
 func (p *Plan) RingAt(i int) perm.Code {
-	if p.res.Ring != nil {
-		return p.res.Ring[i]
-	}
 	k := sort.Search(len(p.offsets)-1, func(k int) bool { return p.offsets[k+1] > i })
 	return p.segment(k)[i-p.offsets[k]]
 }
 
 // Ring returns a copy of the current ring, built by draining a fresh
-// cursor; mutating it cannot corrupt the plan. In streaming mode this
-// materializes the full cycle — callers there should normally stay on
-// Cursor, but small-n tooling and the cross-check tests want the flat
-// slice.
+// cursor; mutating it cannot corrupt the plan. This materializes the
+// full cycle — large-n callers should stay on Cursor, but small-n
+// tooling and the baselines' comparisons want the flat slice.
 func (p *Plan) Ring() []perm.Code {
 	out := make([]perm.Code, 0, p.RingLen())
 	c := p.Cursor()
@@ -293,32 +279,16 @@ func mustf(cond bool, format string, args ...interface{}) {
 	}
 }
 
-// segment returns block k's current path in ring order, re-deriving it
-// from the skeleton via the memoized canonical search (one-entry
-// cache). Only valid on streaming plans.
+// segment returns block k's current path in ring order, replayed from
+// the skeleton (one-entry cache).
 func (p *Plan) segment(k int) []perm.Code {
 	if p.segBlock == k {
 		return p.seg
 	}
-	pb := p.blocks[k]
-	seg, ok := pb.block.PathAppend(p.seg[:0], pathsearch.PathSpec{
-		From: pb.entry, To: pb.exit,
-		AvoidV: pb.avoidV, AvoidE: pb.avoidE,
-		Target: pb.length,
-	})
+	seg, ok := p.blocks[k].appendPath(p.seg[:0])
 	mustf(ok, "core: block %d path vanished on replay", k)
 	p.seg, p.segBlock = seg, k
 	return seg
-}
-
-// ringSegment returns block k's segment of the current ring without
-// copying: a subslice in materialized mode, the replay cache in
-// streaming mode.
-func (p *Plan) ringSegment(k int) []perm.Code {
-	if p.res.Ring != nil {
-		return p.res.Ring[p.offsets[k]:p.offsets[k+1]]
-	}
-	return p.segment(k)
 }
 
 // Faulty reports whether v is a known-faulty vertex.
@@ -328,22 +298,20 @@ func (p *Plan) Faulty(v perm.Code) bool { return p.fs.HasVertex(v) }
 func (p *Plan) Faults() *faults.Set { return p.fs.Clone() }
 
 // Blocks returns the number of R4 blocks (zero for n <= 4).
-func (p *Plan) Blocks() int { return len(p.blocks) }
+func (p *Plan) Blocks() int { return p.res.Blocks }
 
-// OnRing reports whether v currently sits on the ring. With a skeleton
-// this is an O(1) block lookup plus a scan of one <= 24-vertex segment
-// (re-derived from the skeleton in streaming mode); without one
-// (n <= 4) the whole <= 24-vertex ring is scanned.
+// OnRing reports whether v currently sits on the ring: an O(1) block
+// lookup plus a scan of that block's replayed <= 24-vertex segment
+// (for n <= 4, the one stored segment is the whole ring).
 func (p *Plan) OnRing(v perm.Code) bool {
-	seg := p.res.Ring
+	k := 0
 	if p.r4 != nil {
-		k, ok := p.blockOf(v)
-		if !ok {
+		var ok bool
+		if k, ok = p.blockOf(v); !ok {
 			return false
 		}
-		seg = p.ringSegment(k)
 	}
-	for _, u := range seg {
+	for _, u := range p.segment(k) {
 		if u == v {
 			return true
 		}
@@ -421,7 +389,7 @@ var ErrPlanBroken = errors.New("core: plan is broken (a previous rebuild failed)
 // O(24-vertex search + splice) instead of a full O(n!) re-embedding.
 // Only the spliced segment is re-verified (the junction edges and every
 // other block are untouched); set Config.VerifyRepairs to re-run the
-// full check.Ring after every successful splice.
+// full stream verification after every successful splice.
 //
 // When the fast path does not apply — off-skeleton dimensions, a second
 // fault in the same block, a junction vertex, an adjacent faulty block,
@@ -613,23 +581,13 @@ func (p *Plan) splice(k int, v perm.Code) error {
 		return fmt.Errorf("core: repair splice self-check: %w", err)
 	}
 
-	p.applySplice(k, path)
 	pb.avoidV = append(pb.avoidV, v)
 	pb.length = target
+	p.applySplice(k, target)
 	p.res.FaultyBlocks++
 
 	if p.e.cfg.VerifyRepairs {
-		minLen := 0
-		if p.res.Guaranteed {
-			minLen = p.res.Guarantee
-		}
-		var err error
-		if p.res.Ring != nil {
-			err = check.Ring(p.e.g, p.res.Ring, p.fs, minLen)
-		} else {
-			_, err = check.RingStream(p.e.g, p.Cursor().Next, p.fs, minLen)
-		}
-		if err != nil {
+		if err := p.verify(); err != nil {
 			// The splice is already applied; the rebuild fallback replaces
 			// the whole plan, so the inconsistent state cannot leak.
 			return fmt.Errorf("core: repair verification failed: %w", err)
@@ -638,46 +596,24 @@ func (p *Plan) splice(k int, v perm.Code) error {
 	return nil
 }
 
-// applySplice commits block k's replacement path to the plan's ring
-// representation and invalidates every derived view: materialized
-// plans rewrite the segment in place, streaming plans only shift the
-// downstream offsets (the path itself is implicit — the skeleton's
-// updated avoid/length tuple re-derives it on the next read). Either
-// way the generation counter advances, expiring open cursors, and the
-// one-entry segment cache is dropped.
-func (p *Plan) applySplice(k int, path []perm.Code) {
-	if p.res.Ring != nil {
-		p.spliceSegment(k, path)
-	} else {
-		delta := (p.offsets[k+1] - p.offsets[k]) - len(path)
-		for j := k + 1; j < len(p.offsets); j++ {
-			p.offsets[j] -= delta
-		}
-		p.res.Length -= delta
-	}
-	p.gen++
-	p.segBlock = -1
-}
-
-// spliceSegment overwrites block k's segment of the ring with the
-// replacement path in place and shifts the downstream block offsets.
-// This is the O(1)-extra-space ring surgery behind the repair fast
-// path's per-step cost: two copies bounded by the block width plus the
-// ring tail, and no allocation — hotalloc enforces that invariant
+// applySplice commits block k's re-routed path, already recorded in
+// its blockPlan as a new (avoid, length) tuple, by shifting the
+// downstream segment offsets and the ring length; the path itself stays
+// implicit and is replayed on the next read. The generation counter
+// advances, expiring open cursors, and the one-entry segment cache is
+// dropped. This is the repair fast path's whole per-step ring surgery —
+// O(#blocks) integer shifts and no allocation, which hotalloc enforces
 // against refactors.
 //
 //starlint:hotpath
-func (p *Plan) spliceSegment(k int, path []perm.Code) {
-	ring := p.res.Ring
-	start, oldEnd := p.offsets[k], p.offsets[k+1]
-	delta := (oldEnd - start) - len(path)
-	copy(ring[start:], path)
-	copy(ring[start+len(path):], ring[oldEnd:])
-	p.res.Ring = ring[:len(ring)-delta]
-	p.res.Length = len(p.res.Ring)
+func (p *Plan) applySplice(k, newLen int) {
+	delta := (p.offsets[k+1] - p.offsets[k]) - newLen
 	for j := k + 1; j < len(p.offsets); j++ {
 		p.offsets[j] -= delta
 	}
+	p.res.Length -= delta
+	p.gen++
+	p.segBlock = -1
 }
 
 // rebuild replaces the plan with a cold embedding of the accumulated

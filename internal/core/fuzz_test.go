@@ -38,20 +38,21 @@ func FuzzEmbedRing(f *testing.F) {
 			}
 		}
 
-		res, err := core.Embed(n, fs, core.Config{})
+		plan, err := core.Embed(n, fs, core.Config{})
 		if err != nil {
 			t.Fatalf("Embed(n=%d, |Fv|=%d, seed=%d): %v", n, k, seed, err)
 		}
+		res := plan.Result()
 		if !res.Guaranteed {
 			t.Fatalf("n=%d |Fv|=%d is within budget but Guaranteed=false", n, k)
 		}
 		if want := order - 2*k; res.Guarantee != want {
 			t.Fatalf("guarantee = %d, want n!-2|Fv| = %d", res.Guarantee, want)
 		}
-		if len(res.Ring) < res.Guarantee {
-			t.Fatalf("ring length %d below guarantee %d", len(res.Ring), res.Guarantee)
+		if len(plan.Ring()) < res.Guarantee {
+			t.Fatalf("ring length %d below guarantee %d", len(plan.Ring()), res.Guarantee)
 		}
-		if err := check.Ring(star.New(n), res.Ring, fs, res.Guarantee); err != nil {
+		if err := check.Ring(star.New(n), plan.Ring(), fs, res.Guarantee); err != nil {
 			t.Fatalf("independent verification failed (n=%d |Fv|=%d seed=%d): %v", n, k, seed, err)
 		}
 	})

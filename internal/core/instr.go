@@ -2,8 +2,6 @@ package core
 
 import (
 	"strconv"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/pathsearch"
@@ -20,9 +18,6 @@ type instr struct {
 
 	backtracks *obs.Counter
 	blocks     *obs.Counter
-	workerBusy *obs.Histogram
-	workers    *obs.Gauge
-	utilPct    *obs.Gauge
 
 	// Labeled families: per-n degradation curves come out of snapshots
 	// as labeled series instead of one aggregate (ISSUE 9). nLabel is
@@ -44,9 +39,6 @@ func newInstr(r *obs.Registry, n int) *instr {
 		reg:        r,
 		backtracks: r.Counter("core.junction.backtracks"),
 		blocks:     r.Counter("core.route.blocks"),
-		workerBusy: r.Histogram("core.route.worker_busy"),
-		workers:    r.Gauge("core.route.workers"),
-		utilPct:    r.Gauge("core.route.utilization_pct"),
 		nLabel:     strconv.Itoa(n),
 		embeds:     r.CounterVec("core.embed.completed", "n", "mode"),
 		repairs:    r.CounterVec("core.repair.outcome", "n", "outcome"),
@@ -158,9 +150,9 @@ func (in *instr) embedCompleted(guaranteed bool) {
 	in.embeds.With("n", in.nLabel, "mode", mode).Inc()
 }
 
-// junctionBacktrack and blockRouted sit inside the routing loop, so
-// both the disabled (nil receiver) and enabled (atomic add) paths must
-// stay allocation-free; hotalloc enforces it.
+// junctionBacktrack sits inside the junction search loop, so both the
+// disabled (nil receiver) and enabled (atomic add) paths must stay
+// allocation-free; hotalloc enforces it.
 //
 //starlint:hotpath
 func (in *instr) junctionBacktrack() {
@@ -170,45 +162,11 @@ func (in *instr) junctionBacktrack() {
 	in.backtracks.Inc()
 }
 
-//starlint:hotpath
-func (in *instr) blockRouted() {
+// blocksRouted counts the blocks of one finished routing run
+// (core.route.blocks).
+func (in *instr) blocksRouted(m int) {
 	if in == nil {
 		return
 	}
-	in.blocks.Inc()
-}
-
-// now reads the registry clock; the zero time when disabled.
-func (in *instr) now() time.Time {
-	if in == nil {
-		return time.Time{}
-	}
-	return in.reg.Clock().Now()
-}
-
-// workerDone records one routing worker's busy time and accumulates it
-// into the shared total for the utilization gauge.
-func (in *instr) workerDone(start time.Time, busyNS *int64) {
-	if in == nil {
-		return
-	}
-	busy := obs.Since(in.reg.Clock(), start)
-	in.workerBusy.Observe(busy)
-	atomic.AddInt64(busyNS, int64(busy))
-}
-
-// routeDone publishes the pool size and its utilization: total worker
-// busy time over workers x wall time, in percent.
-func (in *instr) routeDone(workers int, busyNS int64, wall time.Duration) {
-	if in == nil {
-		return
-	}
-	in.workers.Set(int64(workers))
-	if wall > 0 && workers > 0 {
-		pct := 100 * busyNS / (int64(workers) * int64(wall))
-		if pct > 100 {
-			pct = 100
-		}
-		in.utilPct.Set(pct)
-	}
+	in.blocks.Add(int64(m))
 }

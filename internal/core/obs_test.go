@@ -12,23 +12,23 @@ import (
 
 // TestEmbedMetrics embeds with a live registry and checks that every
 // advertised metric materializes: per-phase durations, S4 cache
-// activity, the junction backtrack counter, and worker-pool accounting.
+// activity, the junction backtrack counter and the routed-block count.
 func TestEmbedMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.SetSink(obs.NewRecorder(64))
 	rng := rand.New(rand.NewSource(7))
 	fs := faults.RandomVertices(6, 3, rng)
-	res, err := Embed(6, fs, Config{Obs: reg})
+	plan, err := Embed(6, fs, Config{Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := plan.Result()
 
 	snap := reg.Snapshot()
 	for _, phase := range []string{
 		"core.phase.total", "core.phase.separation", "core.phase.build_r4",
-		"core.phase.junction", "core.phase.route", "core.phase.verify",
+		"core.phase.junction", "core.phase.verify", "core.phase.stream_emit",
 		"superring.phase.initial", "superring.phase.refine",
-		"core.route.worker_busy",
 	} {
 		if snap.Histograms[phase].Count == 0 {
 			t.Errorf("phase %s not recorded; snapshot %+v", phase, snap.Histograms)
@@ -48,12 +48,6 @@ func TestEmbedMetrics(t *testing.T) {
 	}
 	if snap.Counters["core.s4.cache_hits"]+snap.Counters["core.s4.cache_misses"] == 0 {
 		t.Error("no S4 cache activity recorded")
-	}
-	if w := snap.Gauges["core.route.workers"]; w < 1 {
-		t.Errorf("core.route.workers = %d", w)
-	}
-	if u, ok := snap.Gauges["core.route.utilization_pct"]; !ok || u < 0 || u > 100 {
-		t.Errorf("core.route.utilization_pct = %d (present %v)", u, ok)
 	}
 	if len(snap.Events) == 0 {
 		t.Error("no span events reached the sink")
@@ -125,19 +119,16 @@ func TestEmbedMetricsConcurrent(t *testing.T) {
 	}
 }
 
-// TestObsDisabledAllocs proves the disabled instrumentation path on the
-// block-routing loop allocates nothing: with a nil instr every hook is
-// a nil test, and a nil CounterVec resolves label sets for free.
+// TestObsDisabledAllocs proves the disabled instrumentation path of the
+// routing run allocates nothing: with a nil instr every hook is a nil
+// test, and a nil CounterVec resolves label sets for free.
 func TestObsDisabledAllocs(t *testing.T) {
 	var in *instr
 	var vec *obs.CounterVec
-	var busy int64
 	if allocs := testing.AllocsPerRun(1000, func() {
-		start := in.now()
-		in.blockRouted()
 		in.junctionBacktrack()
-		in.workerDone(start, &busy)
-		in.span("core.phase.route").End()
+		in.blocksRouted(1)
+		in.span("core.phase.junction").End()
 		in.repair("splices")
 		in.embedCompleted(true)
 		vec.With("n", "6", "mode", "guaranteed").Inc()
@@ -146,9 +137,9 @@ func TestObsDisabledAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkObsDisabled measures the per-block cost of the disabled
-// instrumentation path — the exact hook sequence the assemble worker
-// loop executes per routed block, plus a disabled runtime sampler (the
+// BenchmarkObsDisabled measures the per-step cost of the disabled
+// instrumentation path — the hook the junction search executes per
+// backtrack, plus a disabled runtime sampler (the
 // state every uninstrumented run carries now that prof.RuntimeSampler
 // exists) and a disabled labeled-family lookup (CounterVec.With on a
 // nil vec must not heap-allocate its key/value pairs). Expect
@@ -157,12 +148,9 @@ func BenchmarkObsDisabled(b *testing.B) {
 	var in *instr
 	var vec *obs.CounterVec
 	rt := prof.NewRuntimeSampler(nil)
-	var busy int64
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		start := in.now()
-		in.blockRouted()
-		in.workerDone(start, &busy)
+		in.junctionBacktrack()
 		vec.With("n", "6", "mode", "guaranteed").Inc()
 		rt.Sample()
 	}
@@ -172,12 +160,9 @@ func BenchmarkObsDisabled(b *testing.B) {
 // registry, for comparison.
 func BenchmarkObsEnabled(b *testing.B) {
 	in := newInstr(obs.NewRegistry(), 6)
-	var busy int64
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		start := in.now()
-		in.blockRouted()
-		in.workerDone(start, &busy)
+		in.junctionBacktrack()
 	}
 }
 

@@ -32,10 +32,11 @@ func TestOpportunisticBeatsGuarantee(t *testing.T) {
 					fs.AddVertex(v)
 				}
 			}
-			res, err := Embed(n, fs, Config{Opportunistic: true})
+			plan, err := Embed(n, fs, Config{Opportunistic: true})
 			if err != nil {
 				t.Fatalf("n=%d seed=%d: %v", n, seed, err)
 			}
+			res := plan.Result()
 			if res.Len() != res.Guarantee+res.Upgrades {
 				t.Fatalf("n=%d: len %d != guarantee %d + upgrades %d",
 					n, res.Len(), res.Guarantee, res.Upgrades)
@@ -46,7 +47,7 @@ func TestOpportunisticBeatsGuarantee(t *testing.T) {
 			if res.Len() > res.UpperBound {
 				t.Fatalf("n=%d: len %d exceeds ceiling %d", n, res.Len(), res.UpperBound)
 			}
-			if err := check.Ring(star.New(n), res.Ring, fs, res.Guarantee+res.Upgrades); err != nil {
+			if err := check.Ring(star.New(n), plan.Ring(), fs, res.Guarantee+res.Upgrades); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -60,10 +61,11 @@ func TestOpportunisticSamePartiteNoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	n := 7
 	fs := faults.SamePartiteVertices(n, faults.MaxTolerated(n), 0, rng)
-	res, err := Embed(n, fs, Config{Opportunistic: true})
+	plan, err := Embed(n, fs, Config{Opportunistic: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := plan.Result()
 	if res.Upgrades != 0 {
 		t.Fatalf("same-partite upgrades = %d", res.Upgrades)
 	}
@@ -88,10 +90,11 @@ func TestOpportunisticUpgradeAccounting(t *testing.T) {
 				f0++
 			}
 		}
-		res, err := Embed(n, fs, Config{Opportunistic: true})
+		plan, err := Embed(n, fs, Config{Opportunistic: true})
 		if err != nil {
 			t.Fatal(err)
 		}
+		res := plan.Result()
 		maxUp := 2 * min(f0, 4-f0)
 		if res.Upgrades > maxUp {
 			t.Fatalf("upgrades %d exceed 2*min(f0,f1) = %d", res.Upgrades, maxUp)
@@ -110,10 +113,11 @@ func TestOpportunisticUpgradeAccounting(t *testing.T) {
 func TestOpportunisticDisabledByDefault(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	fs := faults.RandomVertices(7, 4, rng)
-	res, err := Embed(7, fs, Config{})
+	plan, err := Embed(7, fs, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := plan.Result()
 	if res.Upgrades != 0 || res.Len() != res.Guarantee {
 		t.Fatalf("plain mode deviated: len %d, upgrades %d", res.Len(), res.Upgrades)
 	}

@@ -121,12 +121,13 @@ func embedPathSmall(res *PathResult, fs *faults.Set) error {
 		if fs.NumVertices() > 0 || fs.NumEdges() > 0 {
 			return fmt.Errorf("%w: S_3 tolerates no faults", ErrNoRing)
 		}
-		ring, err := Embed(3, nil, Config{})
+		plan, err := Embed(3, nil, Config{})
 		if err != nil {
 			return err
 		}
+		ring := plan.Ring()
 		var si, ti int
-		for i, v := range ring.Ring {
+		for i, v := range ring {
 			if v == res.S {
 				si = i
 			}
@@ -135,16 +136,16 @@ func embedPathSmall(res *PathResult, fs *faults.Set) error {
 			}
 		}
 		// Two arcs; take the longer.
-		m := len(ring.Ring)
+		m := len(ring)
 		fwd := (ti - si + m) % m
 		var path []perm.Code
 		if fwd >= m-fwd {
 			for i := 0; i <= fwd; i++ {
-				path = append(path, ring.Ring[(si+i)%m])
+				path = append(path, ring[(si+i)%m])
 			}
 		} else {
 			for i := 0; i <= m-fwd; i++ {
-				path = append(path, ring.Ring[(si-i+2*m)%m])
+				path = append(path, ring[(si-i+2*m)%m])
 			}
 		}
 		res.Path = path

@@ -30,7 +30,7 @@ func planOn(t *testing.T, n int, cfg Config) *Plan {
 func interiorOf(t *testing.T, p *Plan, k int) perm.Code {
 	t.Helper()
 	pb := p.blocks[k]
-	for _, v := range p.res.Ring[p.offsets[k]:p.offsets[k+1]] {
+	for _, v := range p.segment(k) {
 		if v != pb.entry && v != pb.exit {
 			return v
 		}
@@ -47,7 +47,7 @@ func verifyPlan(t *testing.T, p *Plan) {
 	if res.Guaranteed {
 		minLen = res.Guarantee
 	}
-	if err := check.Ring(star.New(p.N()), res.Ring, p.fs, minLen); err != nil {
+	if _, err := check.RingStream(star.New(p.N()), p.Cursor().Next, p.fs, minLen); err != nil {
 		t.Fatalf("plan fails full verification: %v", err)
 	}
 }
@@ -270,7 +270,7 @@ func TestPlanRingIsDefensiveCopy(t *testing.T) {
 
 // TestRepairEquivalence is the acceptance criterion: over randomized
 // fault campaigns, Repair-maintained rings satisfy exactly the bounds a
-// cold embedding of the same fault set does — full check.Ring health
+// cold embedding of the same fault set does — full stream-verified health
 // with minLen = n! - 2|Fv| — and the splice fast path is actually
 // exercised.
 func TestRepairEquivalence(t *testing.T) {
@@ -303,13 +303,14 @@ func TestRepairEquivalence(t *testing.T) {
 				if !res.Guaranteed {
 					t.Fatalf("n=%d: guarantee lost within budget", n)
 				}
-				if err := check.Ring(star.New(n), res.Ring, p.fs, res.Guarantee); err != nil {
+				if _, err := check.RingStream(star.New(n), p.Cursor().Next, p.fs, res.Guarantee); err != nil {
 					t.Fatalf("n=%d seed=%d after fault %d (%v): %v", n, seed, i, rep.Outcome, err)
 				}
-				cold, err := Embed(n, p.fs, Config{})
+				coldPlan, err := Embed(n, p.fs, Config{})
 				if err != nil {
 					t.Fatalf("n=%d seed=%d: cold embed: %v", n, seed, err)
 				}
+				cold := coldPlan.Result()
 				if cold.Guarantee != res.Guarantee {
 					t.Fatalf("guarantee diverged: repair %d, cold %d", res.Guarantee, cold.Guarantee)
 				}

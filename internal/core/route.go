@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/faults"
 	"repro/internal/pathsearch"
@@ -23,6 +22,30 @@ type blockPlan struct {
 	// Chosen by the junction search:
 	entry, exit perm.Code
 	length      int // the target that succeeded
+
+	// fixed, when set, is the whole cycle of an n <= 4 direct embedding,
+	// which has no block structure to replay: the plan's single stored
+	// segment. It is nil on every routed block; a pointer rather than a
+	// slice keeps blockPlan in its 112-byte allocation class, which
+	// matters at one blockPlan per 24 ring vertices.
+	fixed *[]perm.Code
+}
+
+// appendPath appends the block's current path, in ring order, to dst.
+// Once the junctions are fixed the path is a deterministic function of
+// the block's (entry, exit, avoid, length) tuple — the memoized
+// canonical-S4 search replays it bit-identically — so this one replay
+// is how every view of the ring reads a block: the cursor, the
+// random-access accessors, and RouteR4's flat slice.
+func (pb *blockPlan) appendPath(dst []perm.Code) ([]perm.Code, bool) {
+	if pb.fixed != nil {
+		return append(dst, *pb.fixed...), true
+	}
+	return pb.block.PathAppend(dst, pathsearch.PathSpec{
+		From: pb.entry, To: pb.exit,
+		AvoidV: pb.avoidV, AvoidE: pb.avoidE,
+		Target: pb.length,
+	})
 }
 
 // junction is one candidate crossing edge between consecutive blocks:
@@ -31,24 +54,41 @@ type junction struct {
 	u, w perm.Code
 }
 
-// routed is the skeleton-level outcome of one RouteR4 run: the
+// routed is the skeleton-level outcome of one routing run: the
 // per-block state (entry/exit junctions, achieved lengths) and the
-// block-to-ring-segment offsets. It deliberately does NOT hold the
-// ring: once every junction is fixed, each block's path is a
-// deterministic function of its (entry, exit, avoid, length) tuple —
-// the memoized canonical-S4 search replays it bit-identically — so the
-// cycle can be re-materialized block by block on demand. Plan keeps
-// the routed alive so Repair can re-route a single block and splice
-// its segment in place, and so RingCursor can stream the ring at
-// O(#blocks) memory. Callers that want the flat []perm.Code run
-// assemble over it.
+// block-to-ring-segment offsets. It is the ring — block k's segment is
+// blockPlan.appendPath of plans[k] — without holding a single vertex of
+// it, so a Plan keeps it at O(#blocks) memory, Repair re-routes one
+// block and shifts the offsets, and RingCursor streams the cycle.
 type routed struct {
 	plans   []*blockPlan
 	offsets []int // block k occupies ring[offsets[k]:offsets[k+1]]
 }
 
+// newRouted computes the segment offsets of routed block plans.
+func newRouted(plans []*blockPlan) *routed {
+	offsets := make([]int, len(plans)+1)
+	for k, p := range plans {
+		offsets[k+1] = offsets[k] + p.length
+	}
+	return &routed{plans: plans, offsets: offsets}
+}
+
 // ringLen returns the total ring length implied by the block lengths.
 func (rt *routed) ringLen() int { return rt.offsets[len(rt.offsets)-1] }
+
+// drain replays every block into one flat slice: the ring (or, for a
+// chain, the path) in order.
+func (rt *routed) drain() ([]perm.Code, error) {
+	out := make([]perm.Code, 0, rt.ringLen())
+	for k, p := range rt.plans {
+		var ok bool
+		if out, ok = p.appendPath(out); !ok {
+			return nil, fmt.Errorf("core: internal: block %d path vanished on replay", k)
+		}
+	}
+	return out, nil
+}
 
 // RouteR4 is the executable Lemma 7: given an R4 with (P1)(P2)(P3), it
 // selects a healthy junction edge across every superedge and threads a
@@ -60,16 +100,15 @@ func (rt *routed) ringLen() int { return rt.offsets[len(rt.offsets)-1] }
 //
 // targetsFor maps a block's vertex-fault count to the acceptable path
 // lengths, best first. RouteR4 is exported for internal/baseline, which
-// routes its own R4 variants through the same engine; library users
-// should call Embed.
+// routes its own R4 variants through the same engine and wants the flat
+// ring; library users should call Embed.
 func RouteR4(r4 *superring.Ring, fs *faults.Set, targetsFor func(int) []int, cfg Config) ([]perm.Code, error) {
 	in := newInstr(cfg.Obs, fs.N())
-	rt, err := routeR4x(r4, fs, func(_, vf int) []int { return targetsFor(vf) }, nil, cfg, in)
+	rt, err := routeR4x(r4, fs, func(_, vf int) []int { return targetsFor(vf) }, nil, in)
 	if err != nil {
 		return nil, err
 	}
-	ring, _, err := assemble(rt.plans, cfg, in)
-	return ring, err
+	return rt.drain()
 }
 
 // routeR4x is RouteR4 with two extra degrees of freedom used by the
@@ -77,7 +116,7 @@ func RouteR4(r4 *superring.Ring, fs *faults.Set, targetsFor func(int) []int, cfg
 // exitParity is non-nil, a forced partite side for every block's exit
 // vertex (which pins the global parity chain that odd-length block
 // paths require).
-func routeR4x(r4 *superring.Ring, fs *faults.Set, targetsFor func(blockIdx, vf int) []int, exitParity []int, cfg Config, in *instr) (*routed, error) {
+func routeR4x(r4 *superring.Ring, fs *faults.Set, targetsFor func(blockIdx, vf int) []int, exitParity []int, in *instr) (*routed, error) {
 	m := r4.Len()
 	plans := make([]*blockPlan, m)
 	for k := 0; k < m; k++ {
@@ -124,11 +163,8 @@ func routeR4x(r4 *superring.Ring, fs *faults.Set, targetsFor func(blockIdx, vf i
 	if err != nil {
 		return nil, err
 	}
-	offsets := make([]int, m+1)
-	for k, p := range plans {
-		offsets[k+1] = offsets[k] + p.length
-	}
-	return &routed{plans: plans, offsets: offsets}, nil
+	in.blocksRouted(m)
+	return newRouted(plans), nil
 }
 
 // chooseJunctions assigns one junction per superedge such that every
@@ -209,75 +245,4 @@ func chooseJunctions(plans []*blockPlan, cands [][]junction, in *instr) error {
 		}
 	}
 	return nil
-}
-
-// assemble materializes every block path and concatenates them into the
-// ring, returning the ring and the per-block segment offsets. Path
-// extraction per block is independent given the junctions, so it is
-// fanned out over a worker pool; results land directly in their
-// precomputed segment of the output slice.
-func assemble(plans []*blockPlan, cfg Config, in *instr) ([]perm.Code, []int, error) {
-	m := len(plans)
-	offsets := make([]int, m+1)
-	for k, p := range plans {
-		offsets[k+1] = offsets[k] + p.length
-	}
-	ring := make([]perm.Code, offsets[m])
-
-	workers := cfg.workers()
-	if workers > m {
-		workers = m
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var (
-		wg     sync.WaitGroup
-		mu     sync.Mutex
-		outErr error
-		busyNS int64
-	)
-	rspan := in.span("core.phase.route")
-	next := make(chan int, m)
-	for k := 0; k < m; k++ {
-		next <- k
-	}
-	close(next)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Each worker spans its whole drain of the block queue as a
-			// child of the route phase, so the trace shows the pool's
-			// per-worker extents, not just the aggregate.
-			wspan := rspan.Span("core.route.worker")
-			defer wspan.End()
-			wstart := in.now()
-			for k := range next {
-				p := plans[k]
-				path, ok := p.block.Path(pathsearch.PathSpec{
-					From: p.entry, To: p.exit,
-					AvoidV: p.avoidV, AvoidE: p.avoidE,
-					Target: p.length,
-				})
-				if !ok {
-					mu.Lock()
-					if outErr == nil {
-						outErr = fmt.Errorf("core: internal: block %d path vanished", k)
-					}
-					mu.Unlock()
-					continue
-				}
-				copy(ring[offsets[k]:offsets[k+1]], path)
-				in.blockRouted()
-			}
-			in.workerDone(wstart, &busyNS)
-		}()
-	}
-	wg.Wait()
-	in.routeDone(workers, busyNS, rspan.End())
-	if outErr != nil {
-		return nil, nil, outErr
-	}
-	return ring, offsets, nil
 }

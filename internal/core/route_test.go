@@ -90,11 +90,11 @@ func TestRouteR4ParityFilter(t *testing.T) {
 	// Derive a consistent plan: pick exits all parity 0; then entries
 	// are parity 1, and 24-vertex blocks connect parity-1 entries to
 	// parity-0 exits — consistent.
-	rt, err := routeR4x(r4, fs, func(_, vf int) []int { return []int{blockOrder - 2*vf} }, exitParity, Config{}, nil)
+	rt, err := routeR4x(r4, fs, func(_, vf int) []int { return []int{blockOrder - 2*vf} }, exitParity, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring, _, err := assemble(rt.plans, Config{}, nil)
+	ring, err := rt.drain()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,10 +146,11 @@ func TestMetamorphicAutomorphism(t *testing.T) {
 	n := 6
 	for trial := 0; trial < 10; trial++ {
 		fs := faults.RandomVertices(n, 3, rng)
-		base, err := Embed(n, fs, Config{})
+		basePlan, err := Embed(n, fs, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		base := basePlan.Result()
 		// Random symbol relabeling (vertex-transitive family).
 		sigma := perm.Unrank(n, rng.Intn(perm.Factorial(n)))
 		a := star.Automorphism{Sigma: sigma, Tau: perm.Identity(n)}
@@ -159,17 +160,19 @@ func TestMetamorphicAutomorphism(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		img, err := Embed(n, mapped, Config{})
+		imgPlan, err := Embed(n, mapped, Config{})
 		if err != nil {
 			t.Fatalf("trial %d: image instance failed: %v", trial, err)
 		}
+		img := imgPlan.Result()
 		if img.Len() != base.Len() {
 			t.Fatalf("trial %d: automorphic image length %d != %d", trial, img.Len(), base.Len())
 		}
 		// The base ring mapped through the automorphism is a valid ring
 		// for the image instance.
-		mappedRing := make([]perm.Code, len(base.Ring))
-		for i, v := range base.Ring {
+		baseRing := basePlan.Ring()
+		mappedRing := make([]perm.Code, len(baseRing))
+		for i, v := range baseRing {
 			mappedRing[i] = a.Apply(v)
 		}
 		g := star.New(n)
@@ -255,7 +258,7 @@ func TestSuperRingReuseAcrossRouters(t *testing.T) {
 	if exitParity == nil {
 		t.Fatal("balanced faults produced no upgrade plan")
 	}
-	opp, err := routeR4x(r4, fs, opportunisticTargets(upgraded), exitParity, Config{}, nil)
+	opp, err := routeR4x(r4, fs, opportunisticTargets(upgraded), exitParity, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

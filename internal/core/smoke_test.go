@@ -14,10 +14,11 @@ func TestSmokeEmbed(t *testing.T) {
 		for k := 0; k <= faults.MaxTolerated(n); k++ {
 			rng := rand.New(rand.NewSource(int64(100*n + k)))
 			fs := faults.RandomVertices(n, k, rng)
-			res, err := Embed(n, fs, Config{})
+			plan, err := Embed(n, fs, Config{})
 			if err != nil {
 				t.Fatalf("Embed(n=%d, |Fv|=%d): %v", n, k, err)
 			}
+			res := plan.Result()
 			if res.Len() < res.Guarantee {
 				t.Fatalf("Embed(n=%d, |Fv|=%d): length %d < guarantee %d", n, k, res.Len(), res.Guarantee)
 			}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/obs"
-	"repro/internal/pathsearch"
 	"repro/internal/perm"
 )
 
@@ -16,14 +15,12 @@ import (
 var ErrStaleCursor = errors.New("core: ring cursor invalidated by a plan mutation")
 
 // RingCursor emits the plan's ring one vertex at a time in cycle
-// order. On a streaming plan it is the only full view of the ring:
-// block segments are re-derived from the skeleton on demand — the
-// junction assignment pins every block's (entry, exit, avoid, length)
-// tuple and the memoized canonical-S4 search replays each path
-// deterministically — so the cursor's live state is one <= 24-vertex
-// buffer regardless of ring length. On a materialized plan it walks
-// the stored ring, which keeps Plan.Ring and every consumer mode-
-// agnostic.
+// order. It is the full view of the ring: block segments are replayed
+// from the skeleton on demand — the junction assignment pins every
+// block's (entry, exit, avoid, length) tuple and the memoized
+// canonical-S4 search replays each path deterministically — so the
+// cursor's live state is one <= 24-vertex buffer regardless of ring
+// length.
 //
 // The cursor is a snapshot of one generation of the ring: Repair
 // invalidates it (Next returns false and Err reports ErrStaleCursor at
@@ -36,8 +33,7 @@ type RingCursor struct {
 
 	seg []perm.Code // current segment; emitted up to position i
 	i   int
-	k   int         // next block to re-derive (streaming mode)
-	buf []perm.Code // reusable replay buffer (streaming mode)
+	k   int // next block to replay
 
 	err  error
 	done bool
@@ -49,13 +45,8 @@ type RingCursor struct {
 // traversal is spanned as core.phase.stream_emit from open to
 // exhaustion when the embedder's registry is attached.
 func (p *Plan) Cursor() *RingCursor {
-	c := &RingCursor{p: p, gen: p.gen, span: newInstr(p.e.cfg.Obs, p.e.n).span("core.phase.stream_emit")}
-	if p.res.Ring != nil {
-		c.seg = p.res.Ring
-	} else {
-		c.buf = make([]perm.Code, 0, blockOrder)
-	}
-	return c
+	return &RingCursor{p: p, gen: p.gen, seg: make([]perm.Code, 0, blockOrder),
+		span: newInstr(p.e.cfg.Obs, p.e.n).span("core.phase.stream_emit")}
 }
 
 // Next returns the next ring vertex, or ok=false when the cycle has
@@ -70,7 +61,7 @@ func (c *RingCursor) Next() (perm.Code, bool) {
 }
 
 // nextFast is the per-vertex emit step: a bounds-checked read out of
-// the current segment buffer. It sits inside every streaming consumer's
+// the current segment buffer. It sits inside every ring consumer's
 // innermost loop (3.6M iterations at n = 10), so it must stay
 // allocation-free; the .starlint hotpath entry has hotalloc enforce
 // that against refactors.
@@ -80,9 +71,9 @@ func (c *RingCursor) nextFast() perm.Code {
 	return v
 }
 
-// refill advances to the next block segment (the cold path, hit once
-// per <= 24 vertices). It is also where exhaustion, staleness and
-// replay failure are decided.
+// refill replays the next block segment (the cold path, hit once per
+// <= 24 vertices). It is also where exhaustion, staleness and replay
+// failure are decided.
 func (c *RingCursor) refill() (perm.Code, bool) {
 	var zero perm.Code
 	if c.done || c.err != nil {
@@ -93,28 +84,19 @@ func (c *RingCursor) refill() (perm.Code, bool) {
 		c.fail(ErrStaleCursor)
 		return zero, false
 	}
-	if p.res.Ring != nil || c.k >= len(p.blocks) {
-		// Materialized rings are a single segment; streaming rings end
-		// after the last block.
+	if c.k >= len(p.blocks) {
 		c.finish()
 		return zero, false
 	}
-	pb := p.blocks[c.k]
-	seg, ok := pb.block.PathAppend(c.buf[:0], pathsearch.PathSpec{
-		From: pb.entry, To: pb.exit,
-		AvoidV: pb.avoidV, AvoidE: pb.avoidE,
-		Target: pb.length,
-	})
+	seg, ok := p.blocks[c.k].appendPath(c.seg[:0])
 	if !ok {
-		c.fail(fmt.Errorf("core: block %d path vanished on streaming replay", c.k))
+		c.fail(fmt.Errorf("core: block %d path vanished on replay", c.k))
 		return zero, false
 	}
 	if r := p.e.cfg.Obs; r != nil {
-		// Lazy like the repair counters: materialized-only runs never
-		// carry the streaming metrics in their snapshots.
 		r.Counter("core.stream.blocks").Inc()
 	}
-	c.buf, c.seg, c.i = seg, seg, 0
+	c.seg, c.i = seg, 0
 	c.k++
 	return c.nextFast(), true
 }

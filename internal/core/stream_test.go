@@ -29,154 +29,41 @@ func drain(t *testing.T, c *RingCursor) []perm.Code {
 	return out
 }
 
-// TestCursorMatchesMaterializedCampaign is the cross-check campaign:
-// for n = 6..8 across randomized fault sets, the streaming embedding's
-// cursor output must be byte-identical to the materialized embedding
-// of the same fault set — the two modes share the deterministic
-// skeleton, so any divergence is a replay bug, not a tolerance.
-func TestCursorMatchesMaterializedCampaign(t *testing.T) {
-	seeds := 4
-	if testing.Short() {
-		seeds = 2
-	}
-	for n := 6; n <= 8; n++ {
-		if n == 8 && testing.Short() {
-			break
-		}
-		for seed := 0; seed < seeds; seed++ {
-			rng := rand.New(rand.NewSource(int64(1000*n + seed)))
-			fs := faults.RandomVertices(n, rng.Intn(faults.MaxTolerated(n)+1), rng)
-
-			mat, err := Embed(n, fs, Config{})
-			if err != nil {
-				t.Fatalf("n=%d seed=%d materialized: %v", n, seed, err)
-			}
-			e, err := NewEmbedder(n, Config{Streaming: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sp, err := e.Embed(fs)
-			if err != nil {
-				t.Fatalf("n=%d seed=%d streaming: %v", n, seed, err)
-			}
-			if sp.Result().Ring != nil {
-				t.Fatalf("n=%d seed=%d: streaming plan materialized its ring", n, seed)
-			}
-			if !sp.Streaming() {
-				t.Fatalf("n=%d seed=%d: plan does not report streaming", n, seed)
-			}
-			got := drain(t, sp.Cursor())
-			if len(got) != len(mat.Ring) {
-				t.Fatalf("n=%d seed=%d: stream %d vertices, materialized %d", n, seed, len(got), len(mat.Ring))
-			}
-			for i := range got {
-				if got[i] != mat.Ring[i] {
-					t.Fatalf("n=%d seed=%d: divergence at position %d: %s vs %s",
-						n, seed, i, got[i].StringN(n), mat.Ring[i].StringN(n))
-				}
-			}
-			// The random-access path must agree with the sequential one.
-			for probe := 0; probe < 16; probe++ {
-				i := rng.Intn(len(got))
-				if sp.RingAt(i) != got[i] {
-					t.Fatalf("n=%d seed=%d: RingAt(%d) diverges from cursor", n, seed, i)
-				}
-			}
-			// And check.RingStream must pass exactly where check.Ring does.
-			g := star.New(n)
-			minLen := sp.Result().Guarantee
-			if _, err := check.RingStream(g, sp.Cursor().Next, fs, minLen); err != nil {
-				t.Fatalf("n=%d seed=%d: RingStream: %v", n, seed, err)
-			}
-			if err := check.Ring(g, got, fs, minLen); err != nil {
-				t.Fatalf("n=%d seed=%d: Ring on drained stream: %v", n, seed, err)
-			}
-		}
-	}
-}
-
-// TestCursorOverMaterializedPlan locks the mode-agnostic contract:
-// on a default (materialized) plan the cursor walks the stored ring.
-func TestCursorOverMaterializedPlan(t *testing.T) {
-	p := planOn(t, 6, Config{})
-	got := drain(t, p.Cursor())
-	if len(got) != len(p.res.Ring) {
-		t.Fatalf("cursor %d vertices, ring %d", len(got), len(p.res.Ring))
-	}
-	for i := range got {
-		if got[i] != p.res.Ring[i] {
-			t.Fatalf("divergence at %d", i)
-		}
-	}
-}
-
 // TestRepairThenStream proves splices are visible through the cursor:
-// after a splice fast-path repair on a streaming plan, a fresh cursor
-// emits the post-repair cycle (two vertices shorter, avoiding the new
-// fault) byte-identically to a materialized plan repaired the same way.
+// after a splice fast-path repair, a fresh cursor emits the post-repair
+// cycle — two vertices shorter, without the new fault, and healthy
+// under the stream verifier.
 func TestRepairThenStream(t *testing.T) {
 	n := 6
-	e, err := NewEmbedder(n, Config{Streaming: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp, err := e.Embed(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mp := planOn(t, n, Config{})
-
-	// A streaming plan exposes no materialized segment, so find an
-	// interior victim through the skeleton instead.
-	var victim perm.Code
-	found := false
-	pb := sp.blocks[0]
-	for _, v := range sp.ringSegment(0) {
-		if v != pb.entry && v != pb.exit {
-			victim, found = v, true
-			break
-		}
-	}
-	if !found {
-		t.Fatal("block 0 has no interior vertex")
-	}
-	if !sp.CanSplice(victim) {
+	p := planOn(t, n, Config{})
+	victim := interiorOf(t, p, 0)
+	if !p.CanSplice(victim) {
 		t.Fatal("interior vertex of a healthy block must be spliceable")
 	}
 
-	before := sp.RingLen()
-	rep, err := sp.Repair(victim)
+	before := p.RingLen()
+	rep, err := p.Repair(victim)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Outcome != RepairSplice {
 		t.Fatalf("outcome %v, want splice", rep.Outcome)
 	}
-	if sp.RingLen() != before-2 {
-		t.Fatalf("length %d after splice, want %d", sp.RingLen(), before-2)
+	if p.RingLen() != before-2 {
+		t.Fatalf("length %d after splice, want %d", p.RingLen(), before-2)
 	}
 
-	if rep2, err := mp.Repair(victim); err != nil {
-		t.Fatal(err)
-	} else if rep2.Outcome != RepairSplice {
-		t.Fatalf("materialized twin outcome %v", rep2.Outcome)
+	got := drain(t, p.Cursor())
+	if len(got) != p.RingLen() {
+		t.Fatalf("cursor emitted %d vertices, plan holds %d", len(got), p.RingLen())
 	}
-
-	got := drain(t, sp.Cursor())
-	want := mp.Ring()
-	if len(got) != len(want) {
-		t.Fatalf("stream %d vertices, materialized twin %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("post-repair divergence at %d", i)
-		}
-		if got[i] == victim {
+	for i, v := range got {
+		if v == victim {
 			t.Fatalf("spliced-out vertex still emitted at %d", i)
 		}
 	}
 	g := star.New(n)
-	if _, err := check.RingStream(g, sp.Cursor().Next, sp.Faults(), sp.Result().Guarantee); err != nil {
+	if _, err := check.RingStream(g, p.Cursor().Next, p.Faults(), p.Result().Guarantee); err != nil {
 		t.Fatalf("post-repair stream verification: %v", err)
 	}
 }
@@ -184,21 +71,14 @@ func TestRepairThenStream(t *testing.T) {
 // TestCursorStaleAfterRepair pins the failure mode: a cursor opened
 // before a repair must refuse to keep emitting the dead cycle.
 func TestCursorStaleAfterRepair(t *testing.T) {
-	e, err := NewEmbedder(6, Config{Streaming: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := e.Embed(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := planOn(t, 6, Config{})
 	c := p.Cursor()
 	for i := 0; i < 5; i++ { // start emitting mid-block
 		if _, ok := c.Next(); !ok {
 			t.Fatal("cursor ended early")
 		}
 	}
-	victim := interiorStreamVertex(t, p, 1)
+	victim := interiorOf(t, p, 1)
 	if _, err := p.Repair(victim); err != nil {
 		t.Fatal(err)
 	}
@@ -216,50 +96,31 @@ func TestCursorStaleAfterRepair(t *testing.T) {
 	}
 }
 
-// interiorStreamVertex returns a non-junction vertex of block k on a
-// streaming plan.
-func interiorStreamVertex(t *testing.T, p *Plan, k int) perm.Code {
-	t.Helper()
-	pb := p.blocks[k]
-	for _, v := range p.ringSegment(k) {
-		if v != pb.entry && v != pb.exit {
-			return v
-		}
-	}
-	t.Fatalf("block %d has no interior vertex", k)
-	return 0
-}
-
-// TestStreamingRepairEquivalence drives both plan modes through the
-// same random repair sequence and demands identical rings after every
-// step — splices and rebuilds both.
+// TestStreamingRepairEquivalence drives two independent plans — one
+// re-verifying every splice in full, one trusting the segment check —
+// through the same random repair sequence and demands identical
+// outcomes and rings after every step, splices and rebuilds both; the
+// random-access path must agree with the cursor at every position.
 func TestStreamingRepairEquivalence(t *testing.T) {
 	n := 6
 	rng := rand.New(rand.NewSource(77))
-	e, err := NewEmbedder(n, Config{Streaming: true, VerifyRepairs: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp, err := e.Embed(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mp := planOn(t, n, Config{VerifyRepairs: true})
+	vp := planOn(t, n, Config{VerifyRepairs: true})
+	p := planOn(t, n, Config{})
 
 	for step := 0; step < faults.MaxTolerated(n); step++ {
-		victim := sp.RingAt(rng.Intn(sp.RingLen()))
-		rs, err := sp.Repair(victim)
+		victim := p.RingAt(rng.Intn(p.RingLen()))
+		rv, err := vp.Repair(victim)
 		if err != nil {
-			t.Fatalf("step %d streaming repair: %v", step, err)
+			t.Fatalf("step %d verified repair: %v", step, err)
 		}
-		rm, err := mp.Repair(victim)
+		r, err := p.Repair(victim)
 		if err != nil {
-			t.Fatalf("step %d materialized repair: %v", step, err)
+			t.Fatalf("step %d repair: %v", step, err)
 		}
-		if rs.Outcome != rm.Outcome {
-			t.Fatalf("step %d: outcomes diverge: %v vs %v", step, rs.Outcome, rm.Outcome)
+		if rv.Outcome != r.Outcome {
+			t.Fatalf("step %d: outcomes diverge: %v vs %v", step, rv.Outcome, r.Outcome)
 		}
-		got, want := sp.Ring(), mp.Ring()
+		got, want := p.Ring(), vp.Ring()
 		if len(got) != len(want) {
 			t.Fatalf("step %d: lengths diverge: %d vs %d", step, len(got), len(want))
 		}
@@ -267,15 +128,18 @@ func TestStreamingRepairEquivalence(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("step %d: rings diverge at %d", step, i)
 			}
+			if p.RingAt(i) != got[i] {
+				t.Fatalf("step %d: RingAt(%d) diverges from the cursor", step, i)
+			}
 		}
 	}
 }
 
-// BenchmarkRingCursor measures the streaming emit rate: one op is a
+// BenchmarkRingCursor measures the cursor's emit rate: one op is a
 // full drain of the S_7 ring (5040 vertices, 210 block replays through
 // the memo cache).
 func BenchmarkRingCursor(b *testing.B) {
-	e, err := NewEmbedder(7, Config{Streaming: true})
+	e, err := NewEmbedder(7, Config{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -23,10 +23,11 @@ func TestStressVertexFaults(t *testing.T) {
 				"uniform":     faults.RandomVertices(n, k, rng),
 				"samePartite": faults.SamePartiteVertices(n, k, int(seed)%2, rng),
 			} {
-				res, err := Embed(n, fs, Config{})
+				plan, err := Embed(n, fs, Config{})
 				if err != nil {
 					t.Fatalf("n=%d seed=%d %s: %v", n, seed, name, err)
 				}
+				res := plan.Result()
 				if res.Len() < res.Guarantee {
 					t.Fatalf("n=%d seed=%d %s: len %d < %d", n, seed, name, res.Len(), res.Guarantee)
 				}
@@ -48,10 +49,11 @@ func TestStressEdgeAndMixedFaults(t *testing.T) {
 			for kv := 0; kv <= budget; kv++ {
 				ke := budget - kv
 				fs := faults.Mixed(n, kv, ke, rng)
-				res, err := Embed(n, fs, Config{})
+				plan, err := Embed(n, fs, Config{})
 				if err != nil {
 					t.Fatalf("n=%d seed=%d kv=%d ke=%d: %v", n, seed, kv, ke, err)
 				}
+				res := plan.Result()
 				want := perm.Factorial(n) - 2*kv
 				if res.Len() < want {
 					t.Fatalf("n=%d seed=%d kv=%d ke=%d: len %d < %d", n, seed, kv, ke, res.Len(), want)
@@ -69,10 +71,11 @@ func TestEmbedLargeN(t *testing.T) {
 	n := 9
 	rng := rand.New(rand.NewSource(7))
 	fs := faults.RandomVertices(n, faults.MaxTolerated(n), rng)
-	res, err := Embed(n, fs, Config{})
+	plan, err := Embed(n, fs, Config{})
 	if err != nil {
 		t.Fatalf("n=9: %v", err)
 	}
+	res := plan.Result()
 	if res.Len() < res.Guarantee {
 		t.Fatalf("n=9: len %d < %d", res.Len(), res.Guarantee)
 	}
@@ -89,10 +92,11 @@ func TestEmbedScaleN10(t *testing.T) {
 	n := 10
 	rng := rand.New(rand.NewSource(10))
 	fs := faults.RandomVertices(n, faults.MaxTolerated(n), rng)
-	res, err := Embed(n, fs, Config{})
+	plan, err := Embed(n, fs, Config{})
 	if err != nil {
 		t.Fatalf("n=10: %v", err)
 	}
+	res := plan.Result()
 	if res.Len() < res.Guarantee {
 		t.Fatalf("n=10: len %d < %d", res.Len(), res.Guarantee)
 	}

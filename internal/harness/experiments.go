@@ -81,10 +81,11 @@ func T1(cfg SweepConfig) ([]*Table, error) {
 					if err != nil {
 						return nil, fmt.Errorf("n=%d k=%d %s: %w", n, k, d.name, err)
 					}
-					res, err := core.Embed(n, fs, core.Config{Obs: cfg.Obs})
+					plan, err := core.Embed(n, fs, core.Config{Obs: cfg.Obs})
 					if err != nil {
 						return nil, fmt.Errorf("n=%d k=%d %s: %w", n, k, d.name, err)
 					}
+					res := plan.Result()
 					if res.Len() < want {
 						return nil, fmt.Errorf("n=%d k=%d %s: len %d < %d", n, k, d.name, res.Len(), want)
 					}
@@ -117,10 +118,11 @@ func t1Exhaustive(t *Table, n, k int, reg *obs.Registry) error {
 					return err
 				}
 			}
-			res, err := core.Embed(n, fs, core.Config{Obs: reg})
+			plan, err := core.Embed(n, fs, core.Config{Obs: reg})
 			if err != nil {
 				return fmt.Errorf("exhaustive n=%d %v: %w", n, picked, err)
 			}
+			res := plan.Result()
 			if res.Len() < want {
 				return fmt.Errorf("exhaustive n=%d %v: len %d < %d", n, picked, res.Len(), want)
 			}
@@ -182,10 +184,11 @@ func T2(cfg SweepConfig) ([]*Table, error) {
 		k := faults.MaxTolerated(n)
 		rng := rand.New(rand.NewSource(int64(n)))
 		fs := faults.SamePartiteVertices(n, k, 0, rng)
-		res, err := core.Embed(n, fs, core.Config{Obs: cfg.Obs})
+		plan, err := core.Embed(n, fs, core.Config{Obs: cfg.Obs})
 		if err != nil {
 			return nil, err
 		}
+		res := plan.Result()
 		ceiling := check.BipartiteUpperBound(n, fs)
 		eq := "yes"
 		if res.Len() != ceiling {
@@ -212,10 +215,11 @@ func T3(cfg SweepConfig) ([]*Table, error) {
 			for seed := 0; seed < cfg.Seeds; seed++ {
 				rng := rand.New(rand.NewSource(int64(31*seed + n*1000 + k)))
 				fs := faults.RandomVertices(n, k, rng)
-				p, err := core.Embed(n, fs, core.Config{Obs: cfg.Obs})
+				plan, err := core.Embed(n, fs, core.Config{Obs: cfg.Obs})
 				if err != nil {
 					return nil, err
 				}
+				p := plan.Result()
 				q, err := baseline.Tseng(n, fs, core.Config{Obs: cfg.Obs})
 				if err != nil {
 					return nil, err
@@ -263,10 +267,11 @@ func T4(cfg SweepConfig) ([]*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			p, err := core.Embed(n, fs, core.Config{Obs: cfg.Obs})
+			plan, err := core.Embed(n, fs, core.Config{Obs: cfg.Obs})
 			if err != nil {
 				return nil, err
 			}
+			p := plan.Result()
 			q, err := baseline.Latifi(n, fs, core.Config{Obs: cfg.Obs})
 			if err != nil {
 				return nil, err
@@ -299,10 +304,11 @@ func T5(cfg SweepConfig) ([]*Table, error) {
 			for seed := 0; seed < cfg.Seeds; seed++ {
 				rng := rand.New(rand.NewSource(int64(17*seed + n*100 + k)))
 				fs := faults.RandomEdges(n, k, rng)
-				res, err := core.Embed(n, fs, core.Config{Obs: cfg.Obs})
+				plan, err := core.Embed(n, fs, core.Config{Obs: cfg.Obs})
 				if err != nil {
 					return nil, fmt.Errorf("T5 n=%d k=%d: %w", n, k, err)
 				}
+				res := plan.Result()
 				if res.Len() < minLen {
 					minLen = res.Len()
 				}
@@ -334,10 +340,11 @@ func T6(cfg SweepConfig) ([]*Table, error) {
 			for seed := 0; seed < cfg.Seeds; seed++ {
 				rng := rand.New(rand.NewSource(int64(13*seed + n*50 + kv)))
 				fs := faults.Mixed(n, kv, ke, rng)
-				res, err := core.Embed(n, fs, core.Config{Obs: cfg.Obs})
+				plan, err := core.Embed(n, fs, core.Config{Obs: cfg.Obs})
 				if err != nil {
 					return nil, fmt.Errorf("T6 n=%d kv=%d ke=%d: %w", n, kv, ke, err)
 				}
+				res := plan.Result()
 				if res.Len() < minLen {
 					minLen = res.Len()
 				}
@@ -376,10 +383,11 @@ func F1(cfg SweepConfig) ([]*Table, error) {
 		for seed := 0; seed < cfg.Seeds; seed++ {
 			rng := rand.New(rand.NewSource(int64(97*seed + k)))
 			fs := faults.RandomVertices(n, k, rng)
-			p, err := core.Embed(n, fs, core.Config{Obs: cfg.Obs})
+			plan, err := core.Embed(n, fs, core.Config{Obs: cfg.Obs})
 			if err != nil {
 				return nil, err
 			}
+			p := plan.Result()
 			sumP += float64(p.Len())
 			q, err := baseline.Tseng(n, fs, core.Config{Obs: cfg.Obs})
 			if err != nil {
@@ -422,10 +430,11 @@ func F2(cfg SweepConfig) ([]*Table, error) {
 		rng := rand.New(rand.NewSource(int64(n)))
 		fs := faults.RandomVertices(n, k, rng)
 		start := clock.Now()
-		res, err := core.Embed(n, fs, core.Config{Obs: cfg.Obs})
+		plan, err := core.Embed(n, fs, core.Config{Obs: cfg.Obs})
 		if err != nil {
 			return nil, err
 		}
+		res := plan.Result()
 		elapsed := obs.Since(clock, start).Round(10 * time.Microsecond)
 		t.AddRow(n, k, res.Len(), res.Blocks, elapsed,
 			float64(res.Len()*8)/(1<<20))
@@ -472,14 +481,16 @@ func F3(cfg SweepConfig) ([]*Table, error) {
 				}
 			}
 		}
-		res, err := core.Embed(n, fs, core.Config{Obs: cfg.Obs})
+		plan, err := core.Embed(n, fs, core.Config{Obs: cfg.Obs})
 		if err != nil {
 			return nil, err
 		}
-		opp, err := core.Embed(n, fs, core.Config{Opportunistic: true, Obs: cfg.Obs})
+		res := plan.Result()
+		oppPlan, err := core.Embed(n, fs, core.Config{Opportunistic: true, Obs: cfg.Obs})
 		if err != nil {
 			return nil, err
 		}
+		opp := oppPlan.Result()
 		ceiling := check.BipartiteUpperBound(n, fs)
 		t.AddRow(j, k-j, res.Len(), opp.Len(), res.Guarantee, ceiling)
 	}
@@ -724,10 +735,11 @@ func F6(cfg SweepConfig) ([]*Table, error) {
 			for seed := 0; seed < cfg.Seeds; seed++ {
 				rng := rand.New(rand.NewSource(int64(7*seed + 100*n + ke)))
 				fs := faults.RandomEdges(n, ke, rng)
-				res, err := core.Embed(n, fs, core.Config{BestEffort: true, Obs: cfg.Obs})
+				plan, err := core.Embed(n, fs, core.Config{BestEffort: true, Obs: cfg.Obs})
 				if err != nil {
 					return nil, fmt.Errorf("F6 n=%d ke=%d seed=%d: %w", n, ke, seed, err)
 				}
+				res := plan.Result()
 				if res.Len() == perm.Factorial(n) {
 					ham++
 				}
@@ -742,23 +754,23 @@ func F6(cfg SweepConfig) ([]*Table, error) {
 	return []*Table{t}, nil
 }
 
-// F8 measures the streaming pipeline the ring-cursor refactor enables:
-// Config.Streaming leaves the embedding in skeleton form (O(#blocks)
-// memory; the ring is re-derived block by block on demand) and
-// verification runs through check.RingStream one vertex at a time. The
-// table contrasts the bytes a materialized ring would occupy against
-// the live-heap growth observed across a streaming embed plus a full
-// stream verification — the gap is the memory the cursor saves.
+// F8 measures the skeleton-form pipeline: every embedding keeps its
+// ring as the routed block skeleton (O(#blocks) memory; the ring is
+// replayed block by block on demand) and verification runs through
+// check.RingStream one vertex at a time. The table contrasts the bytes
+// a flat []perm.Code ring would occupy against the live-heap growth
+// observed across an embed plus a full stream verification — the gap
+// is the memory the skeleton saves.
 func F8(cfg SweepConfig) ([]*Table, error) {
 	t := &Table{
 		ID:    "F8",
-		Title: "Streaming scaling: skeleton-form embed + stream verify vs materialized ring size",
-		Caption: "Each row embeds with Config.Streaming (ring never materialized) and verifies " +
-			"through check.RingStream via a fresh block cursor. 'ring MiB' is what the " +
-			"materialized cycle would occupy (8 bytes/vertex); 'heap delta MiB' is live-heap " +
-			"growth across embed+verify measured by prof.HeapLiveBytes (GC noise makes it an " +
+		Title: "Streaming scaling: skeleton-form embed + stream verify vs flat ring size",
+		Caption: "Each row embeds (the ring stays in skeleton form, never materialized) and " +
+			"verifies through check.RingStream via a fresh block cursor. 'ring MiB' is what a " +
+			"flat cycle would occupy (8 bytes/vertex); 'heap delta MiB' is live-heap growth " +
+			"across embed+verify measured by prof.HeapLiveBytes (GC noise makes it an " +
 			"estimate, so it is reported, not asserted). Larger dimensions (the n=10 run in " +
-			"EXPERIMENTS.md) go through `starring -n 10 -stream` with the runtime sampler.",
+			"EXPERIMENTS.md) go through `starring -n 10` with the runtime sampler.",
 		Headers: []string{"n", "|Fv|", "ring len", "blocks", "embed", "stream verify", "ring MiB", "heap delta MiB"},
 	}
 	clock := cfg.clock()
@@ -772,7 +784,7 @@ func F8(cfg SweepConfig) ([]*Table, error) {
 		fs := faults.RandomVertices(n, k, rng)
 		heap0 := prof.HeapLiveBytes()
 		start := clock.Now()
-		e, err := core.NewEmbedder(n, core.Config{Streaming: true, Obs: cfg.Obs})
+		e, err := core.NewEmbedder(n, core.Config{Obs: cfg.Obs})
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,9 @@
 package perm
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Code is a permutation packed into a single machine word: position i
 // (0-based) occupies bits [4i, 4i+4) and stores symbol-1. It supports
@@ -122,18 +125,18 @@ func IdentityCode(n int) Code {
 	return c
 }
 
-// RankCode returns the lexicographic rank of c among permutations of
-// 1..n, equivalent to c.Unpack(n).Rank() without allocating.
+// Rank returns the lexicographic rank of c among permutations of
+// 1..n, equivalent to c.Unpack(n).Rank() without allocating. It is one
+// pass over a used-symbol mask: the Lehmer digit at position i counts
+// the later symbols smaller than symbol s, which are the s smaller
+// symbols minus those already used at earlier positions.
 func (c Code) Rank(n int) int {
 	rank := 0
+	var used uint32
 	for i := 0; i < n; i++ {
-		si := c >> (4 * uint(i)) & 0xF
-		smaller := 0
-		for j := i + 1; j < n; j++ {
-			if c>>(4*uint(j))&0xF < si {
-				smaller++
-			}
-		}
+		s := uint(c>>(4*uint(i))) & 0xF
+		smaller := int(s) - bits.OnesCount32(used&(1<<s-1))
+		used |= 1 << s
 		rank = rank*(n-i) + smaller
 	}
 	return rank

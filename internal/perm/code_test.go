@@ -88,11 +88,21 @@ func TestCodeParityMatchesPerm(t *testing.T) {
 }
 
 func TestCodeRankMatchesPerm(t *testing.T) {
-	for n := 1; n <= 6; n++ {
+	for n := 1; n <= 8; n++ {
 		for r := 0; r < Factorial(n); r++ {
 			p := Unrank(n, r)
 			if Pack(p).Rank(n) != r {
 				t.Fatalf("Code.Rank mismatch at %s", p)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for n := 9; n <= MaxN; n++ {
+		for i := 0; i < 2000; i++ {
+			p := Identity(n)
+			rng.Shuffle(n, func(a, b int) { p[a], p[b] = p[b], p[a] })
+			if got, want := Pack(p).Rank(n), p.Rank(); got != want {
+				t.Fatalf("Code.Rank(%s) = %d, Perm.Rank = %d", p, got, want)
 			}
 		}
 	}

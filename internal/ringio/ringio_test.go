@@ -17,11 +17,11 @@ func sampleRing(t *testing.T, n, k int) []perm.Code {
 	if k > 0 {
 		fs.AddVertexString("213456"[:n])
 	}
-	res, err := core.Embed(n, fs, core.Config{})
+	plan, err := core.Embed(n, fs, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Ring
+	return plan.Ring()
 }
 
 func TestBinaryRoundtrip(t *testing.T) {
@@ -163,9 +163,9 @@ func BenchmarkReadBinary(b *testing.B) {
 
 func benchRing(b *testing.B) []perm.Code {
 	b.Helper()
-	res, err := core.Embed(6, nil, core.Config{})
+	plan, err := core.Embed(6, nil, core.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	return res.Ring
+	return plan.Ring()
 }

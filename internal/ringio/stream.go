@@ -107,7 +107,7 @@ func WriteBinaryStream(w io.Writer, n int, length int, next func() (perm.Code, b
 // Next until it returns false, then Err for the verdict. It accepts
 // both the chunked SRS1 format and the flat SRG1 format (a legacy file
 // is just a single implicit chunk), so constant-memory consumers like
-// `starverify -stream` work on either. Memory is O(1) in ring length.
+// `starverify` work on either. Memory is O(1) in ring length.
 type StreamReader struct {
 	br      *bufio.Reader
 	n       int

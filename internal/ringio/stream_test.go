@@ -91,7 +91,7 @@ func TestStreamSpansChunks(t *testing.T) {
 
 // TestStreamReaderAcceptsLegacyBinary locks the compatibility bridge:
 // an SRG1 file written by WriteBinary decodes through the streaming
-// reader, so starverify -stream works on pre-stream archives.
+// reader, so starverify works on pre-stream archives.
 func TestStreamReaderAcceptsLegacyBinary(t *testing.T) {
 	n := 5
 	ring := sampleRing(t, n, 1)

@@ -35,12 +35,16 @@ type Config struct {
 	// MaxQueue caps callers queued per pool shard waiting for an engine;
 	// beyond it requests are shed with 429. <= 0 disables the cap.
 	MaxQueue int
-	// BestEffort, Workers, VerifyRepairs seed the pooled engines'
-	// core.Config (a request's best_effort flag can still override per
-	// call via Embedder.Reuse).
+	// BestEffort and VerifyRepairs seed the pooled engines' core.Config
+	// (a request's best_effort flag can still override per call via
+	// Embedder.Reuse).
 	BestEffort    bool
-	Workers       int
 	VerifyRepairs bool
+	// Workers is ignored: engines replay rings from their skeletons and
+	// have no routing pool to size.
+	//
+	// Deprecated: see core.Config.Workers.
+	Workers int
 	// Chaos enables the /chaos route, which fails with a deterministic
 	// 500 — the overload drill's 5xx source for flight-dump coverage.
 	Chaos bool
@@ -109,7 +113,6 @@ func New(cfg Config) (*Server, error) {
 	s.warming = cfg.Obs.Gauge("serve.warming")
 	depth := s.reg.GaugeVec("serve.queue_depth", "n")
 	ecfg := core.Config{
-		Workers:       cfg.Workers,
 		BestEffort:    cfg.BestEffort,
 		VerifyRepairs: cfg.VerifyRepairs,
 		Obs:           cfg.Obs,
@@ -290,7 +293,6 @@ type embedResponse struct {
 	VertexFaults int    `json:"vertex_faults"`
 	EdgeFaults   int    `json:"edge_faults"`
 	Blocks       int    `json:"blocks"`
-	Streaming    bool   `json:"streaming,omitempty"`
 	Repair       string `json:"repair,omitempty"`
 	OldLength    int    `json:"old_length,omitempty"`
 	Rerouted     int    `json:"blocks_rerouted,omitempty"`
@@ -320,7 +322,7 @@ func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request, op *obs.Op)
 			N: req.N, Length: res.Len(),
 			Guarantee: res.Guarantee, Guaranteed: res.Guaranteed,
 			VertexFaults: res.VertexFaults, EdgeFaults: res.EdgeFaults,
-			Blocks: res.Blocks, Streaming: plan.Streaming(),
+			Blocks: res.Blocks,
 		})
 	})
 }
@@ -350,7 +352,7 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request, op *obs.Op
 			N: req.N, Length: res.Len(),
 			Guarantee: res.Guarantee, Guaranteed: res.Guaranteed,
 			VertexFaults: res.VertexFaults, EdgeFaults: res.EdgeFaults,
-			Blocks: res.Blocks, Streaming: plan.Streaming(),
+			Blocks: res.Blocks,
 			Repair: rep.Outcome.String(), OldLength: old, Rerouted: rep.BlocksRerouted,
 		})
 	})

@@ -361,39 +361,6 @@ func TestRunCampaign(t *testing.T) {
 	}
 }
 
-// TestRunCampaignStreamingEquivalence pins that a machine on a
-// streaming (skeleton-only) plan behaves tick-for-tick like the
-// materialized one: every hop, repair, and victim draw goes through
-// RingAt/RingLen, so the campaign trajectory must be identical.
-func TestRunCampaignStreamingEquivalence(t *testing.T) {
-	campaign := func(streaming bool) *CampaignReport {
-		rep, err := RunCampaign(CampaignConfig{
-			Machine:     Config{N: 6, HopCost: 1, ReembedCostPerBlock: 4, Embed: core.Config{Streaming: streaming}},
-			Failures:    3,
-			LapsBetween: 2,
-			Seed:        5,
-		})
-		if err != nil {
-			t.Fatalf("streaming=%v: %v", streaming, err)
-		}
-		return rep
-	}
-	mat, str := campaign(false), campaign(true)
-	if mat.Clock != str.Clock || mat.FinalRing != str.FinalRing ||
-		mat.Laps != str.Laps || mat.Splices != str.Splices ||
-		mat.Reembeds != str.Reembeds || mat.TokenLost != str.TokenLost {
-		t.Fatalf("streaming campaign diverged:\nmaterialized %+v\nstreaming    %+v", mat, str)
-	}
-	if len(mat.RingLengths) != len(str.RingLengths) {
-		t.Fatalf("ring-length histories differ in length")
-	}
-	for i := range mat.RingLengths {
-		if mat.RingLengths[i] != str.RingLengths[i] {
-			t.Fatalf("ring-length history diverged at %d: %d vs %d", i, mat.RingLengths[i], str.RingLengths[i])
-		}
-	}
-}
-
 func TestRunCampaignBeyondBudgetNeedsBestEffort(t *testing.T) {
 	_, err := RunCampaign(CampaignConfig{
 		Machine:  Config{N: 5},

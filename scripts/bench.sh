@@ -5,7 +5,7 @@
 # Writes into BENCH_OUT (default: repo root):
 #   BENCH_embed.txt    go test -bench output: BenchmarkEmbedTheorem1,
 #                      BenchmarkEmbedScaling, BenchmarkRingCursor (the
-#                      streaming emit path, vertices/s), the
+#                      ring cursor emit path, vertices/s), the
 #                      BenchmarkObs* instrumentation-overhead suite
 #                      (disabled path must stay 0 allocs/op), and the
 #                      BenchmarkFamilyWith* labeled-lookup suite next
@@ -19,7 +19,7 @@
 #                      table; its "splice speedup" column at n=8 is the
 #                      acceptance claim (>= 10x over cold embedding)
 #   BENCH_obs.json     the F2 sweep's registry dump (phase histograms,
-#                      cache counters, worker utilization), for
+#                      cache counters, junction backtracks), for
 #                      run-over-run comparison of instrumentation data
 #   BENCH_serve.json   starserve -load against a self-hosted server:
 #                      per-route (embed/repair/ring) client-observed

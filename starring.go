@@ -17,21 +17,22 @@
 //
 //	fs := repro.NewFaultSet(7)
 //	fs.AddVertexString("2134567")
-//	res, err := repro.EmbedRing(7, fs, repro.Options{})
-//	// res.Ring is a healthy cycle of 7! - 2 = 5038 vertices.
+//	plan, err := repro.EmbedRing(7, fs, repro.Options{})
+//	// plan.RingLen() == 7! - 2 = 5038; plan.Ring() copies the cycle out.
+//
+// An embedding is a Plan, which holds its ring in skeleton form — the
+// routed block structure of the paper's construction, O(#blocks)
+// memory — rather than as n! vertices. Plan.Cursor streams the ring
+// vertex by vertex (n >= 10 is 3.6M vertices), Plan.Ring copies it into
+// a slice, VerifyRingStream checks it without materializing, and
+// SaveRingStream/LoadRingStream persist it in a chunked format. See
+// README.md "Scaling past memory".
 //
 // For online use — faults arriving while the ring is in service — build
-// an engine once with NewEmbedder and keep the Plan it returns:
+// an engine once with NewEmbedder and keep the Plans it returns:
 // Plan.Repair absorbs most new faults by re-routing one 24-vertex block
 // and splicing it in place, orders of magnitude cheaper than a fresh
 // embedding.
-//
-// For dimensions whose rings no longer fit comfortably in memory
-// (n >= 10 is 3.6M vertices), set Options.Streaming: the embedding is
-// kept in skeleton form at O(#blocks) memory, Plan.Cursor streams the
-// ring vertex by vertex, VerifyRingStream checks it without
-// materializing, and SaveRingStream/LoadRingStream persist it in a
-// chunked format. See README.md "Scaling past memory".
 //
 // The heavy lifting lives in the internal packages (documented in
 // DESIGN.md): internal/core implements Lemmas 2, 3, 7 and Theorem 1;
@@ -63,10 +64,13 @@ type Vertex = perm.Code
 type FaultSet = faults.Set
 
 // Options tunes an embedding; the zero value runs the strict paper
-// algorithm with automatic parallelism.
+// algorithm. Its Streaming and Workers fields are deprecated and
+// ignored: every embedding is held in skeleton form.
 type Options = core.Config
 
-// Embedding is a verified ring embedding (see core.Result).
+// Embedding describes a verified ring embedding — length, guarantee,
+// fault counts and block decomposition (see core.Result); obtain it
+// with Plan.Result.
 type Embedding = core.Result
 
 // Graph is the n-dimensional star graph substrate.
@@ -93,9 +97,10 @@ func FormatVertex(v Vertex, n int) string { return v.StringN(n) }
 
 // EmbedRing constructs a healthy ring in S_n avoiding the given faults,
 // of length at least n! - 2|Fv| whenever |Fv| + |Fe| <= n - 3 (the
-// paper's Theorem 1 plus its concluding-remark extensions). The result
-// has been re-verified against the fault set before it is returned.
-func EmbedRing(n int, fs *FaultSet, opts Options) (*Embedding, error) {
+// paper's Theorem 1 plus its concluding-remark extensions). The ring
+// has been re-verified against the fault set before the Plan holding
+// it is returned.
+func EmbedRing(n int, fs *FaultSet, opts Options) (*Plan, error) {
 	return core.Embed(n, fs, opts)
 }
 
@@ -104,10 +109,11 @@ func EmbedRing(n int, fs *FaultSet, opts Options) (*Embedding, error) {
 // share their setup cost (see core.Embedder).
 type Embedder = core.Embedder
 
-// Plan is a live embedding produced by an Embedder. Beyond the ring
-// itself it retains the construction skeleton, so Plan.Repair can
-// absorb a new vertex fault by re-routing a single 24-vertex block and
-// splicing it in place instead of re-running the whole pipeline.
+// Plan is a live embedding produced by EmbedRing or an Embedder. It
+// holds the ring as the construction skeleton, which Plan.Cursor and
+// Plan.Ring replay, and which lets Plan.Repair absorb a new vertex
+// fault by re-routing a single 24-vertex block and splicing it in place
+// instead of re-running the whole pipeline.
 type Plan = core.Plan
 
 // RepairOutcome classifies what Plan.Repair did: RepairNoop,
@@ -176,8 +182,8 @@ func VerifyRing(g Graph, cycle []Vertex, fs *FaultSet, minLen int) error {
 
 // VerifyRingStream is VerifyRing for rings too large to materialize:
 // next yields consecutive cycle vertices (false at the end — the shape
-// RingCursor.Next has), and the verdict is identical to VerifyRing's
-// on any materializable input. Returns the number of vertices checked.
+// RingCursor.Next has). VerifyRing runs this same verifier over its
+// slice. Returns the number of vertices checked.
 func VerifyRingStream(g Graph, next func() (Vertex, bool), fs *FaultSet, minLen int) (int, error) {
 	return check.RingStream(g, next, fs, minLen)
 }

@@ -12,14 +12,15 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if err := fs.AddVertexString("2134567"); err != nil {
 		t.Fatal(err)
 	}
-	res, err := repro.EmbedRing(7, fs, repro.Options{})
+	plan, err := repro.EmbedRing(7, fs, repro.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := plan.Result()
 	if res.Len() != repro.Factorial(7)-2 {
 		t.Fatalf("ring length %d", res.Len())
 	}
-	if err := repro.VerifyRing(repro.NewGraph(7), res.Ring, fs, res.Len()); err != nil {
+	if err := repro.VerifyRing(repro.NewGraph(7), plan.Ring(), fs, res.Len()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -42,10 +43,11 @@ func TestPublicAPIBaselines(t *testing.T) {
 	fs.AddVertexString("214356")
 	fs.AddVertexString("215346")
 
-	p, err := repro.EmbedRing(6, fs, repro.Options{})
+	pPlan, err := repro.EmbedRing(6, fs, repro.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	p := pPlan.Result()
 	q, err := repro.EmbedRingTseng(6, fs, repro.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -83,10 +85,11 @@ func TestPublicAPIBudgetError(t *testing.T) {
 	if err == nil {
 		t.Fatal("over-budget embedding accepted")
 	}
-	res, err := repro.EmbedRing(5, fs, repro.Options{BestEffort: true})
+	plan, err := repro.EmbedRing(5, fs, repro.Options{BestEffort: true})
 	if err != nil {
 		t.Fatalf("best effort failed: %v", err)
 	}
+	res := plan.Result()
 	if res.Guaranteed {
 		t.Fatal("best-effort result claims guarantee")
 	}
