@@ -14,7 +14,7 @@
 //	starmon -check-metrics http://host:6060/metrics
 //	starmon -check-metrics metrics.txt             # or a saved scrape
 //	starmon -check-trace trace.json                # Perfetto trace_event
-//	starmon -check-events events.ndjson -trace trace.json
+//	starmon -check-events events.ndjson            # NDJSON event log
 //	starmon -postmortem flight/                    # render a flight bundle
 //	starmon -watch -attach localhost:6060 -rules slo.json -frames 10
 //	starmon -watch -series series.json -rules slo.json
@@ -22,12 +22,12 @@
 // -attach retries transient scrape failures with bounded exponential
 // backoff (-retries, -retry-backoff) instead of dying on the first
 // hiccup, so a monitor outlives its target's restarts. -check-events
-// validates an NDJSON event log and, with -trace, resolves every traced
-// record's trace id against the trace's spans — the causal-correlation
-// gate CI runs on flight dumps. -postmortem loads a flight-recorder
-// bundle (the directory written by -flight-dump, or a tar saved from
-// /debug/flight) and reconstructs the per-trace timeline: spans and
-// events of each operation, interleaved in time order.
+// validates an NDJSON event log (every line must parse as a record).
+// -postmortem loads a flight-recorder bundle (the directory written by
+// -flight-dump, or a tar saved from /debug/flight) and reconstructs the
+// per-trace timeline: the spans and then the events of each operation,
+// all read from the one ring the recorder keeps, so a trace's spans and
+// events are retained or evicted together by age.
 package main
 
 import (
@@ -63,8 +63,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		replay       = fs.String("replay", "", "summarize an NDJSON event log file")
 		checkMetrics = fs.String("check-metrics", "", "validate an OpenMetrics exposition (URL or file) and exit")
 		checkTrace   = fs.String("check-trace", "", "validate a Chrome trace_event JSON file and exit")
-		checkEvents  = fs.String("check-events", "", "validate an NDJSON event log file and exit (see -trace)")
-		traceFile    = fs.String("trace", "", "with -check-events: resolve every traced record against this trace_event JSON file")
+		checkEvents  = fs.String("check-events", "", "validate an NDJSON event log file and exit")
 		postmortem   = fs.String("postmortem", "", "render a flight-recorder bundle (directory or tar) as per-trace timelines")
 		watch        = fs.Bool("watch", false, "evaluate -rules against -attach (live) or -series (replay); exit 0 ok, 1 SLO violated, 2 unreachable")
 		rules        = fs.String("rules", "", "with -watch: SLO policy file (JSON; see internal/obs/slo)")
@@ -112,7 +111,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *checkTrace != "":
 		err = runCheckTrace(stdout, *checkTrace)
 	case *checkEvents != "":
-		err = runCheckEvents(stdout, *checkEvents, *traceFile)
+		err = runCheckEvents(stdout, *checkEvents)
 	case *postmortem != "":
 		err = runPostmortem(stdout, *postmortem)
 	case *replay != "":
@@ -174,12 +173,9 @@ func runCheckMetrics(w io.Writer, src, wantLabel string) error {
 }
 
 // runCheckEvents validates an NDJSON event log: every line must parse
-// as an obs.Record. With a companion trace file it additionally
-// enforces causal correlation — every record stamped with a trace id
-// must resolve to at least one span of that trace in the trace file,
-// and at least one traced record must exist (an all-untraced log would
-// make the cross-check vacuously true).
-func runCheckEvents(w io.Writer, path, tracePath string) error {
+// as an obs.Record. It reports how many records carry a trace id and
+// across how many traces.
+func runCheckEvents(w io.Writer, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -195,25 +191,6 @@ func runCheckEvents(w io.Writer, path, tracePath string) error {
 		if r.Trace != 0 {
 			traced++
 			traces[r.Trace] = true
-		}
-	}
-	if tracePath != "" {
-		data, err := fetch(tracePath)
-		if err != nil {
-			return err
-		}
-		_, known, err := export.TraceSpanIDs(data)
-		if err != nil {
-			return fmt.Errorf("%s: %w", tracePath, err)
-		}
-		if traced == 0 {
-			return fmt.Errorf("%s: no traced records to resolve against %s", path, tracePath)
-		}
-		for _, r := range recs {
-			if r.Trace != 0 && !known[r.Trace.String()] {
-				return fmt.Errorf("%s: record %q trace_id %s has no spans in %s",
-					path, r.Event, r.Trace, tracePath)
-			}
 		}
 	}
 	fmt.Fprintf(w, "events ok: %d records, %d traced across %d traces\n",

@@ -68,14 +68,13 @@ func TestRunCheckTrace(t *testing.T) {
 	clock := obs.NewManual(time.Unix(10, 0))
 	reg := obs.NewRegistry()
 	reg.SetClock(clock)
-	rec := obs.NewRecorder(8)
-	reg.SetSink(rec)
+	rec := obs.NewFlightRecorder(reg, 8, nil, obs.LevelDebug)
 	sp := reg.Span("t.phase.total")
 	clock.Advance(time.Millisecond)
 	sp.End()
 
 	path := filepath.Join(t.TempDir(), "trace.json")
-	if err := export.WriteTraceFile(path, rec.Events()); err != nil {
+	if err := export.WriteTraceFile(path, rec.SpanEvents()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -100,11 +99,13 @@ func TestRunCheckTrace(t *testing.T) {
 
 func TestRunReplay(t *testing.T) {
 	var log strings.Builder
-	lg := obs.NewEventLog(&log, obs.LevelDebug, obs.NewManual(time.Unix(1, 0)))
-	lg.Log(obs.LevelInfo, "sim.fault", obs.F("vertex", "21345"))
-	lg.Log(obs.LevelInfo, "sim.repair", obs.F("outcome", "splice"))
-	lg.Log(obs.LevelInfo, "sim.repair", obs.F("outcome", "rebuild"))
-	lg.Log(obs.LevelDebug, "sim.token_move", obs.F("pos", 3))
+	reg := obs.NewRegistry()
+	reg.SetClock(obs.NewManual(time.Unix(1, 0)))
+	obs.NewFlightRecorder(reg, 8, &log, obs.LevelDebug)
+	reg.Log(obs.LevelInfo, "sim.fault", obs.F("vertex", "21345"))
+	reg.Log(obs.LevelInfo, "sim.repair", obs.F("outcome", "splice"))
+	reg.Log(obs.LevelInfo, "sim.repair", obs.F("outcome", "rebuild"))
+	reg.Log(obs.LevelDebug, "sim.token_move", obs.F("pos", 3))
 
 	path := filepath.Join(t.TempDir(), "events.ndjson")
 	if err := os.WriteFile(path, []byte(log.String()), 0o644); err != nil {
@@ -330,17 +331,17 @@ func TestRunModeValidation(t *testing.T) {
 	}
 }
 
-// tracedRegistry builds a registry that ran one traced operation, so
-// /metrics carries an exemplar and spans/events carry identity.
-func tracedRegistry(t *testing.T) (*obs.Registry, *obs.Recorder, *strings.Builder, obs.TraceID) {
+// tracedRegistry builds a registry with a flight recorder (streaming
+// its log lines to the returned builder) that ran one traced
+// operation, so /metrics carries an exemplar and spans/events carry
+// identity.
+func tracedRegistry(t *testing.T) (*obs.Registry, *obs.FlightRecorder, *strings.Builder, obs.TraceID) {
 	t.Helper()
 	clock := obs.NewManual(time.Unix(100, 0))
 	reg := obs.NewRegistry()
 	reg.SetClock(clock)
-	rec := obs.NewRecorder(16)
-	reg.SetSink(rec)
 	var log strings.Builder
-	reg.SetEventLog(obs.NewEventLog(&log, obs.LevelDebug, clock))
+	rec := obs.NewFlightRecorder(reg, 32, &log, obs.LevelDebug)
 
 	op := reg.StartOp("t.op.run")
 	sp := op.Span("t.phase.step")
@@ -443,14 +444,10 @@ func TestParseExpositionExemplar(t *testing.T) {
 }
 
 func TestRunCheckEvents(t *testing.T) {
-	_, rec, log, _ := tracedRegistry(t)
+	_, _, log, _ := tracedRegistry(t)
 	dir := t.TempDir()
 	events := filepath.Join(dir, "events.ndjson")
 	if err := os.WriteFile(events, []byte(log.String()), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	tracePath := filepath.Join(dir, "trace.json")
-	if err := export.WriteTraceFile(tracePath, rec.Events()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -461,40 +458,28 @@ func TestRunCheckEvents(t *testing.T) {
 	if !strings.Contains(out.String(), "1 traced across 1 traces") {
 		t.Errorf("output %q", out.String())
 	}
-	out.Reset()
-	if code := run([]string{"-check-events", events, "-trace", tracePath}, &out, &errOut); code != 0 {
-		t.Fatalf("cross-check: exit %d, stderr: %s", code, errOut.String())
-	}
 
-	// A record whose trace id has no spans in the trace must fail.
-	orphan := filepath.Join(dir, "orphan.ndjson")
-	line := `{"t_unix_ns":1,"level":"info","event":"t.orphan","trace_id":"00000000000000aa","span_id":"00000000000000ab"}` + "\n"
-	if err := os.WriteFile(orphan, []byte(line), 0o644); err != nil {
+	// A malformed line fails the check, naming its line.
+	bad := filepath.Join(dir, "bad.ndjson")
+	if err := os.WriteFile(bad, []byte(log.String()+"not json\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	errOut.Reset()
-	if code := run([]string{"-check-events", orphan, "-trace", tracePath}, &out, &errOut); code != 1 {
-		t.Fatalf("orphan trace: exit %d, want 1", code)
+	if code := run([]string{"-check-events", bad}, &out, &errOut); code != 1 {
+		t.Fatalf("malformed log: exit %d, want 1", code)
 	}
-	if !strings.Contains(errOut.String(), "has no spans in") {
-		t.Errorf("stderr %q", errOut.String())
+	if !strings.Contains(errOut.String(), "line 2") {
+		t.Errorf("stderr %q does not name the bad line", errOut.String())
 	}
 
-	// An all-untraced log makes the cross-check vacuous: also a failure.
-	untraced := filepath.Join(dir, "untraced.ndjson")
-	if err := os.WriteFile(untraced, []byte(`{"t_unix_ns":1,"level":"info","event":"t.plain"}`+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if code := run([]string{"-check-events", untraced, "-trace", tracePath}, &out, &errOut); code != 1 {
-		t.Errorf("untraced log cross-check: exit %d, want 1", code)
+	// The events-vs-trace cross-check is gone with its flag.
+	if code := run([]string{"-check-events", events, "-trace", "trace.json"}, &out, &errOut); code != 2 {
+		t.Errorf("-trace: exit %d, want 2 (unknown flag)", code)
 	}
 }
 
 func TestRunPostmortem(t *testing.T) {
-	reg, _, _, _ := tracedRegistry(t)
-	flight := obs.NewFlightRecorder(reg, 32)
-	// The recorder was installed after the op ran, so replay one more
-	// traced operation into the black box.
+	reg, flight, _, first := tracedRegistry(t)
 	op := reg.StartOp("t.op.again")
 	op.Log(obs.LevelInfo, "t.milestone", obs.F("k", 2))
 	op.Done()
@@ -511,6 +496,9 @@ func TestRunPostmortem(t *testing.T) {
 	text := out.String()
 	for _, want := range []string{
 		"flight bundle",
+		"trace " + first.String() + ":",
+		"span  t.op.run",
+		"span  t.phase.step",
 		"trace " + op.Trace().String() + ":",
 		"span  t.op.again",
 		"t.milestone",

@@ -20,17 +20,19 @@
 // the run lasts; -metrics-json leaves a machine-readable record of
 // per-phase durations, S4 cache activity and junction backtracks (see
 // the README's Observability section).
-// -trace-out writes the run's phase spans as a Chrome trace_event
-// JSON file loadable in Perfetto; -events-out streams structured
-// NDJSON events (core.embed, core.repair) to a file; -hold keeps the
-// process (and its debug server) alive for the given duration after
-// the run so an external scraper can pull /metrics.
+// Spans and log lines go to one flight recorder, a ring of the most
+// recent 1024 entries: -trace-out writes its spans as a Chrome
+// trace_event JSON file loadable in Perfetto, the -metrics-json events
+// are its spans too, and -events-out streams every log line (core.embed,
+// core.repair, ...) to a file as NDJSON the moment it is recorded;
+// -hold keeps the process (and its debug server) alive for the given
+// duration after the run so an external scraper can pull /metrics.
 //
-// -flight-dump keeps the always-on flight recorder's bundle: recent
-// events, completed spans and a metrics snapshot land in the given
-// directory at exit — and immediately on an embed error, so a failed
-// run still leaves its post-mortem (render it with starmon
-// -postmortem; the live form is served at /debug/flight as a tar).
+// -flight-dump keeps the flight recorder's bundle: the ring's log
+// lines and spans and a metrics snapshot land in the given directory
+// at exit — and immediately on an embed error, so a failed run still
+// leaves its post-mortem (render it with starmon -postmortem; the live
+// form is served at /debug/flight as a tar).
 //
 // -cpuprofile captures a CPU profile whose samples carry phase labels
 // (phase=embed, phase=splice, ...) — `go tool pprof -tagfocus
@@ -237,11 +239,10 @@ func sliceSource(ring []perm.Code) ringSource {
 }
 
 // telemetry bundles the run's optional instrumentation: the registry
-// wired into the embedder, the span recorder behind -trace-out, the
-// NDJSON event stream and the debug server.
+// wired into the embedder, the flight recorder whose ring backs
+// -trace-out, -events-out and -flight-dump, and the debug server.
 type telemetry struct {
 	reg    *obs.Registry
-	rec    *obs.Recorder
 	flight *obs.FlightRecorder
 	events *os.File
 	srv    *obs.DebugServer
@@ -272,30 +273,25 @@ func startTelemetry(debugAddr, metricsJSON, traceOut, eventsOut, cpuProfile, mem
 		return t
 	}
 	t.reg = obs.NewRegistry()
-	t.rec = obs.NewRecorder(256)
-	t.reg.SetSink(t.rec)
 	t.reg.PublishExpvar("starring")
 	// Runtime health (heap, GC, scheduler) sampled alongside the
 	// algorithm metrics, so /metrics scrapes and the -metrics-json dump
 	// carry the runtime_* gauges too.
 	t.rtStop = prof.NewRuntimeSampler(t.reg).Start(time.Second)
+	var w io.Writer
 	if eventsOut != "" {
 		f, err := os.Create(eventsOut)
 		if err != nil {
 			fatal(err)
 		}
 		t.events = f
-		t.reg.SetEventLog(obs.NewEventLog(f, obs.LevelDebug, t.reg.Clock()))
-	} else {
-		// The flight recorder tees off the event log, so keep one running
-		// even with no -events-out destination: records go only to the
-		// black box.
-		t.reg.SetEventLog(obs.NewEventLog(io.Discard, obs.LevelDebug, t.reg.Clock()))
+		w = f
 	}
-	// The black box is always on once telemetry is: recent events and
-	// spans stay available for /debug/flight, and an embed/repair error
+	// The flight recorder is always on once telemetry is: its ring of
+	// recent spans and log lines backs -trace-out and /debug/flight, it
+	// streams log lines to -events-out, and an embed/repair error
 	// auto-dumps the post-mortem bundle when -flight-dump is set.
-	t.flight = obs.NewFlightRecorder(t.reg, 512)
+	t.flight = obs.NewFlightRecorder(t.reg, 1024, w, obs.LevelDebug)
 	if flightDump != "" {
 		t.flight.SetAutoDump(flightDump, export.FlightBundleWriter(t.flight))
 	}
@@ -342,7 +338,7 @@ func (t *telemetry) finish() {
 			fmt.Printf("metrics written to %s\n", t.metricsJSON)
 		}
 		if t.traceOut != "" {
-			if err := export.WriteTraceFile(t.traceOut, t.rec.Events()); err != nil {
+			if err := export.WriteTraceFile(t.traceOut, t.flight.SpanEvents()); err != nil {
 				fatal(err)
 			}
 			fmt.Printf("trace written to %s\n", t.traceOut)

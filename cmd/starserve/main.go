@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"sync"
@@ -101,9 +100,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return runServe(stdout, stderr, cfg, *addr, *dur, *eventsOut, *flightDump)
 }
 
-// telemetry is the service registry with its sink, event log, flight
-// recorder and runtime sampler attached — everything serve.New expects
-// to find pre-wired on Config.Obs.
+// telemetry is the service registry with its flight recorder and
+// runtime sampler attached — everything serve.New expects to find
+// pre-wired on Config.Obs.
 type telemetry struct {
 	reg    *obs.Registry
 	flight *obs.FlightRecorder
@@ -121,19 +120,17 @@ var publishOnce sync.Once
 func startTelemetry(eventsOut, flightDump string) (*telemetry, error) {
 	t := &telemetry{flightDump: flightDump}
 	t.reg = obs.NewRegistry()
-	t.reg.SetSink(obs.NewRecorder(256))
 	publishOnce.Do(func() { t.reg.PublishExpvar("starserve") })
-	logDst := io.Writer(io.Discard)
+	var w io.Writer
 	if eventsOut != "" {
 		f, err := os.Create(eventsOut)
 		if err != nil {
 			return nil, err
 		}
 		t.events = f
-		logDst = f
+		w = f
 	}
-	t.reg.SetEventLog(obs.NewEventLog(logDst, obs.LevelDebug, t.reg.Clock()))
-	t.flight = obs.NewFlightRecorder(t.reg, 512)
+	t.flight = obs.NewFlightRecorder(t.reg, 1024, w, obs.LevelDebug)
 	if flightDump != "" {
 		t.flight.SetAutoDump(flightDump, export.FlightBundleWriter(t.flight))
 	}
@@ -181,7 +178,7 @@ func runServe(stdout, stderr io.Writer, cfg serve.Config, addr string, dur time.
 	// Serve immediately — /readyz says 503 until the warm-up below
 	// finishes, which is exactly what a balancer should see.
 	fmt.Fprintf(stdout, "starserve listening on http://%s\n", ln.Addr())
-	srv := &http.Server{Handler: s.Handler()}
+	srv := s.HTTPServer()
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 
@@ -261,7 +258,7 @@ func runLoad(stdout, stderr io.Writer, cfg serve.Config, o loadOpts) int {
 			fmt.Fprintln(stderr, "starserve:", err)
 			return 1
 		}
-		srv := &http.Server{Handler: s.Handler()}
+		srv := s.HTTPServer()
 		go srv.Serve(ln)
 		defer srv.Close()
 		if err := s.Warm(); err != nil {

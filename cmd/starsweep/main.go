@@ -18,15 +18,15 @@
 // and the embedder's phase metrics when the sweep finishes.
 // -series-json samples the registry every -series-period (default 1s)
 // into ring-buffered time series and dumps them as JSON; -trace-out
-// writes the sweep's spans as a Chrome trace_event JSON file loadable
-// in Perfetto.
+// writes the sweep's most recent spans — those in the flight
+// recorder's ring of the last 1024 spans and log lines — as a Chrome
+// trace_event JSON file loadable in Perfetto.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"time"
 
@@ -83,23 +83,20 @@ func main() {
 
 	var (
 		reg    *obs.Registry
-		rec    *obs.Recorder
 		flight *obs.FlightRecorder
 		rtStop func()
 	)
 	if *debugAddr != "" || *metricsJSON != "" || *seriesJSON != "" || *traceOut != "" || *flightDump != "" {
 		reg = obs.NewRegistry()
-		rec = obs.NewRecorder(256)
-		reg.SetSink(rec)
 		reg.PublishExpvar("starsweep")
 		// Runtime health gauges (runtime_*) ride along with the sweep
 		// metrics on /metrics, -metrics-json and -series-json.
 		rtStop = prof.NewRuntimeSampler(reg).Start(time.Second)
-		// The black box: an event log feeding only the flight recorder
-		// (starsweep has no -events-out), so a mid-sweep embed error
-		// leaves its recent telemetry behind when -flight-dump is set.
-		reg.SetEventLog(obs.NewEventLog(io.Discard, obs.LevelDebug, reg.Clock()))
-		flight = obs.NewFlightRecorder(reg, 512)
+		// The flight recorder's ring backs -trace-out and the bundle
+		// (starsweep has no -events-out, so no writer): a mid-sweep embed
+		// error leaves its recent telemetry behind when -flight-dump is
+		// set.
+		flight = obs.NewFlightRecorder(reg, 1024, nil, obs.LevelDebug)
 		if *flightDump != "" {
 			flight.SetAutoDump(*flightDump, export.FlightBundleWriter(flight))
 		}
@@ -174,7 +171,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "series written to %s\n", *seriesJSON)
 	}
 	if reg != nil && *traceOut != "" {
-		if err := export.WriteTraceFile(*traceOut, rec.Events()); err != nil {
+		if err := export.WriteTraceFile(*traceOut, flight.SpanEvents()); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "trace written to %s\n", *traceOut)

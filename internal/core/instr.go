@@ -86,7 +86,7 @@ func (in *instr) fail(op *obs.Op, owned bool, source string, err error) {
 		op.Fail(source, err)
 		return
 	}
-	in.reg.Flight().NoteError(op.Trace(), op.SpanID(), source, err)
+	in.reg.NoteError(op.Trace(), op.SpanID(), source, err)
 }
 
 // done ends a successful owned operation; caller-owned ops pass through.
@@ -109,16 +109,6 @@ func (in *instr) finish() {
 	in.reg.Counter("core.s4.cache_misses").Add(m - in.misses0)
 	in.reg.Counter("core.s4.cache_bypasses").Add(b - in.bypasses0)
 	in.hits0, in.misses0, in.bypasses0 = h, m, b
-}
-
-// eventLog returns the registry's structured event log, nil when
-// disabled. Call sites guard on the result before building fields so
-// the disabled path constructs nothing.
-func (in *instr) eventLog() *obs.EventLog {
-	if in == nil {
-		return nil
-	}
-	return in.reg.EventLog()
 }
 
 // repair bumps one of the repair-outcome counters

@@ -15,7 +15,7 @@ import (
 // activity, the junction backtrack counter and the routed-block count.
 func TestEmbedMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
-	reg.SetSink(obs.NewRecorder(64))
+	obs.NewFlightRecorder(reg, 64, nil, obs.LevelDebug)
 	rng := rand.New(rand.NewSource(7))
 	fs := faults.RandomVertices(6, 3, rng)
 	plan, err := Embed(6, fs, Config{Obs: reg})
@@ -50,7 +50,7 @@ func TestEmbedMetrics(t *testing.T) {
 		t.Error("no S4 cache activity recorded")
 	}
 	if len(snap.Events) == 0 {
-		t.Error("no span events reached the sink")
+		t.Error("no span events reached the flight recorder")
 	}
 	// The labeled families materialize with the run's dimension: three
 	// vertex faults on S_6 is exactly the paper's budget, so the embed
@@ -96,7 +96,7 @@ func TestRepairMetricsLabeled(t *testing.T) {
 // instrumentation is data-race free end to end.
 func TestEmbedMetricsConcurrent(t *testing.T) {
 	reg := obs.NewRegistry()
-	reg.SetSink(obs.NewRecorder(256))
+	obs.NewFlightRecorder(reg, 256, nil, obs.LevelDebug)
 	var wg sync.WaitGroup
 	errs := make([]error, 4)
 	for i := range errs {

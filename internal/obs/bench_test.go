@@ -58,6 +58,17 @@ func BenchmarkSpanEnabled(b *testing.B) {
 	}
 }
 
+// BenchmarkSpanRecorded prices span End with a flight recorder
+// installed: the histogram observation plus the ring append.
+func BenchmarkSpanRecorded(b *testing.B) {
+	r := NewRegistry()
+	NewFlightRecorder(r, 1024, nil, LevelDebug)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r.Span("phase").End()
+	}
+}
+
 // BenchmarkSpanEnabledWithOp prices the traced path: a child span off a
 // live operation, whose End also feeds the slowest-K exemplar reservoir.
 func BenchmarkSpanEnabledWithOp(b *testing.B) {
@@ -106,12 +117,14 @@ func BenchmarkFamilyWithDisabled(b *testing.B) {
 	}
 }
 
-// BenchmarkEventLogRecord prices one structured record through the
-// marshal-and-single-Write path (no flight recorder attached).
+// BenchmarkEventLogRecord prices one structured log line through the
+// flight recorder's NDJSON writer: the field map, the marshal, the
+// single Write and the ring append.
 func BenchmarkEventLogRecord(b *testing.B) {
-	lg := NewEventLog(io.Discard, LevelInfo, nil)
+	r := NewRegistry()
+	NewFlightRecorder(r, 1024, io.Discard, LevelInfo)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		lg.Log(LevelInfo, "bench.event", F("i", i))
+		r.Log(LevelInfo, "bench.event", F("i", i))
 	}
 }

@@ -6,7 +6,13 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"time"
 )
+
+// readHeaderTimeout bounds how long a debug-server client may take to
+// send its request headers, so a stalled connection cannot pin a
+// goroutine and a file descriptor forever.
+const readHeaderTimeout = 10 * time.Second
 
 // PublishExpvar exposes the registry's live snapshot as the named
 // expvar, for the /debug/vars endpoint. expvar names are process-global
@@ -47,7 +53,7 @@ func StartDebugServer(addr string) (*DebugServer, error) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	srv := &http.Server{Handler: mux}
+	srv := &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
 	s := &DebugServer{ln: ln, srv: srv, mux: mux}
 	//starlint:ignore goroleak Serve returns when Close closes the listener; the join is the accept loop's own error path
 	go func() { _ = srv.Serve(ln) }()

@@ -129,3 +129,16 @@ func TestDebugServerHandle(t *testing.T) {
 		t.Fatalf("extra handler not served: %v %q", err, body)
 	}
 }
+
+// A client that never finishes its headers must not hold a debug
+// connection forever: the server bounds header reads.
+func TestDebugServerBoundsHeaderReads(t *testing.T) {
+	srv, err := StartDebugServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if got := srv.srv.ReadHeaderTimeout; got != readHeaderTimeout || got <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want %v", got, readHeaderTimeout)
+	}
+}

@@ -3,7 +3,6 @@ package export
 import (
 	"archive/tar"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -13,11 +12,11 @@ import (
 	"repro/internal/obs"
 )
 
-// The post-mortem bundle: the flight recorder's black box serialized as
+// The post-mortem bundle: the flight recorder's ring serialized as
 // three artifacts that every existing checker already understands —
 //
-//	flight-events.ndjson  the retained event-log records (obs.ReadLog)
-//	flight-trace.json     the retained spans as a Perfetto trace
+//	flight-events.ndjson  the ring's log lines (obs.ReadLog)
+//	flight-trace.json     the ring's spans as a Perfetto trace
 //	flight-metrics.txt    an OpenMetrics snapshot at dump time
 //
 // WriteFlightBundle lays them out in a directory (the -flight-dump flag
@@ -37,12 +36,8 @@ const (
 // serialized artifacts.
 func flightArtifacts(f *obs.FlightRecorder) (events, trace, metrics []byte, err error) {
 	var ev bytes.Buffer
-	for _, rec := range f.Events() {
-		line, err := json.Marshal(rec)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("export: flight record: %w", err)
-		}
-		ev.Write(append(line, '\n')) //starlint:ignore uncheckederr bytes.Buffer.Write cannot fail
+	if err := obs.WriteLog(&ev, f.Events()); err != nil {
+		return nil, nil, nil, err
 	}
 	var tr bytes.Buffer
 	if err := WriteTrace(&tr, f.SpanEvents()); err != nil {

@@ -1,6 +1,8 @@
 package export
 
 import (
+	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -20,8 +22,7 @@ func flightFixture(t *testing.T) (*obs.FlightRecorder, obs.TraceID) {
 	clock := obs.NewManual(time.Unix(100, 0))
 	reg := obs.NewRegistry()
 	reg.SetClock(clock)
-	reg.SetEventLog(obs.NewEventLog(io.Discard, obs.LevelDebug, clock))
-	f := obs.NewFlightRecorder(reg, 32)
+	f := obs.NewFlightRecorder(reg, 32, nil, obs.LevelDebug)
 
 	op := reg.StartOp("t.op.run")
 	sp := op.Span("t.phase.step")
@@ -31,6 +32,23 @@ func flightFixture(t *testing.T) (*obs.FlightRecorder, obs.TraceID) {
 	clock.Advance(time.Millisecond)
 	op.Done()
 	return f, op.Trace()
+}
+
+// traceSpans returns the names of the complete events a bundle's trace
+// files under the given trace id.
+func traceSpans(t *testing.T, data []byte, trace obs.TraceID) map[string]bool {
+	t.Helper()
+	var tr Trace
+	if err := json.Unmarshal(data, &tr); err != nil {
+		t.Fatalf("bundle trace: %v", err)
+	}
+	names := map[string]bool{}
+	for _, e := range tr.TraceEvents {
+		if e.Ph == "X" && e.Args["trace_id"] == trace.String() {
+			names[e.Name] = true
+		}
+	}
+	return names
 }
 
 func TestFlightBundleDirRoundTrip(t *testing.T) {
@@ -60,9 +78,8 @@ func TestFlightBundleDirRoundTrip(t *testing.T) {
 	if err != nil || complete < 2 {
 		t.Errorf("bundle trace: %d complete events, err=%v", complete, err)
 	}
-	_, traces, err := TraceSpanIDs(b.Trace)
-	if err != nil || !traces[trace.String()] {
-		t.Errorf("bundle trace does not resolve %s: traces=%v err=%v", trace, traces, err)
+	if spans := traceSpans(t, b.Trace, trace); !spans["t.op.run"] || !spans["t.phase.step"] {
+		t.Errorf("bundle trace does not resolve %s: spans %v", trace, spans)
 	}
 	families, exemplars, err := ValidateOpenMetricsDetail(b.Metrics)
 	if err != nil || families == 0 {
@@ -104,8 +121,68 @@ func TestFlightBundleTarRoundTrip(t *testing.T) {
 	if want := len(f.Events()); len(b.Events) != want {
 		t.Errorf("tar bundle has %d events, recorder holds %d", len(b.Events), want)
 	}
-	if _, traces, err := TraceSpanIDs(b.Trace); err != nil || !traces[trace.String()] {
-		t.Errorf("tar bundle trace does not resolve %s (err=%v)", trace, err)
+	if spans := traceSpans(t, b.Trace, trace); len(spans) == 0 {
+		t.Errorf("tar bundle trace does not resolve %s", trace)
+	}
+}
+
+// After many operations overfill the ring, the failing one — the most
+// recent — is still whole in the auto-dumped bundle: its root span, its
+// child spans and its obs.flight.error record, all under its trace.
+func TestFlightBundleKeepsFailingTrace(t *testing.T) {
+	clock := obs.NewManual(time.Unix(100, 0))
+	reg := obs.NewRegistry()
+	reg.SetClock(clock)
+	const capacity = 16
+	f := obs.NewFlightRecorder(reg, capacity, nil, obs.LevelDebug)
+	dir := filepath.Join(t.TempDir(), "flight")
+	f.SetAutoDump(dir, FlightBundleWriter(f))
+
+	runOp := func(fail bool) obs.TraceID {
+		op := reg.StartOp("t.op.run")
+		for _, name := range []string{"t.phase.a", "t.phase.b"} {
+			sp := op.Span(name)
+			clock.Advance(time.Millisecond)
+			sp.End()
+		}
+		op.Log(obs.LevelInfo, "t.milestone")
+		if fail {
+			op.Fail("t.run", errors.New("boom"))
+		} else {
+			op.Done()
+		}
+		return op.Trace()
+	}
+	first := runOp(false)
+	for i := 0; i < 20; i++ {
+		runOp(false)
+	}
+	trace := runOp(true)
+	if appended := reg.Counter("obs.flight.spans").Value() + reg.Counter("obs.flight.events").Value(); appended <= 4*capacity {
+		t.Fatalf("only %d entries appended; the ring never overflowed", appended)
+	}
+
+	b, err := ReadFlightBundle(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := traceSpans(t, b.Trace, trace)
+	for _, want := range []string{"t.op.run", "t.phase.a", "t.phase.b"} {
+		if !spans[want] {
+			t.Errorf("bundle lost span %s of the failing trace; has %v", want, spans)
+		}
+	}
+	var sawError bool
+	for _, rec := range b.Events {
+		if rec.Trace == trace && rec.Event == "obs.flight.error" {
+			sawError = true
+		}
+		if rec.Trace == first {
+			t.Errorf("bundle still holds the first operation's %s; the ring did not evict", rec.Event)
+		}
+	}
+	if !sawError {
+		t.Errorf("bundle lost the failing trace's obs.flight.error record: %+v", b.Events)
 	}
 }
 

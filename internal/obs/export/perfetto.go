@@ -242,28 +242,3 @@ func ValidateTrace(data []byte) (complete int, err error) {
 	}
 	return complete, nil
 }
-
-// TraceSpanIDs returns the set of span ids (hex form) present as
-// complete events in a trace_event document, keyed additionally by
-// trace id. starmon's -check-events cross-check resolves event-log
-// trace ids against this.
-func TraceSpanIDs(data []byte) (spans map[string]bool, traces map[string]bool, err error) {
-	var tr Trace
-	if err := json.Unmarshal(data, &tr); err != nil {
-		return nil, nil, fmt.Errorf("not trace_event JSON: %w", err)
-	}
-	spans = map[string]bool{}
-	traces = map[string]bool{}
-	for _, e := range tr.TraceEvents {
-		if e.Ph != "X" || e.Args == nil {
-			continue
-		}
-		if id := e.Args["span_id"]; id != "" {
-			spans[id] = true
-		}
-		if id := e.Args["trace_id"]; id != "" {
-			traces[id] = true
-		}
-	}
-	return spans, traces, nil
-}

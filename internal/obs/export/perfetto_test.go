@@ -18,8 +18,7 @@ func spanEvents(t *testing.T) []obs.Event {
 	clock := obs.NewManual(time.Unix(100, 0))
 	reg := obs.NewRegistry()
 	reg.SetClock(clock)
-	rec := obs.NewRecorder(16)
-	reg.SetSink(rec)
+	rec := obs.NewFlightRecorder(reg, 16, nil, obs.LevelDebug)
 
 	outer := reg.Span("t.phase.total")
 	clock.Advance(3 * time.Millisecond)
@@ -27,7 +26,7 @@ func spanEvents(t *testing.T) []obs.Event {
 	clock.Advance(2 * time.Millisecond)
 	inner.End()
 	outer.End()
-	return rec.Events()
+	return rec.SpanEvents()
 }
 
 func TestWriteTrace(t *testing.T) {
@@ -117,13 +116,12 @@ func TestValidateTraceRejects(t *testing.T) {
 // TestWriteTraceCausality exercises the causal rendering: one band of
 // tids per trace labeled by thread_name metadata, contained spans
 // nesting in the same band, parent → child flow arrows, and args
-// carrying the identity TraceSpanIDs reads back.
+// carrying the span and trace identity.
 func TestWriteTraceCausality(t *testing.T) {
 	clock := obs.NewManual(time.Unix(100, 0))
 	reg := obs.NewRegistry()
 	reg.SetClock(clock)
-	rec := obs.NewRecorder(16)
-	reg.SetSink(rec)
+	rec := obs.NewFlightRecorder(reg, 16, nil, obs.LevelDebug)
 
 	op := reg.StartOp("t.op.run")
 	child := op.Span("t.phase.a")
@@ -136,7 +134,7 @@ func TestWriteTraceCausality(t *testing.T) {
 	plain.End()
 
 	var buf bytes.Buffer
-	if err := WriteTrace(&buf, rec.Events()); err != nil {
+	if err := WriteTrace(&buf, rec.SpanEvents()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ValidateTrace(buf.Bytes()); err != nil {
@@ -203,15 +201,9 @@ func TestWriteTraceCausality(t *testing.T) {
 		t.Errorf("flow finish bp = %q, want \"e\" (bind to enclosing slice)", flowF[0].BP)
 	}
 
-	spans, traces, err := TraceSpanIDs(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !traces[op.Trace().String()] {
-		t.Errorf("TraceSpanIDs missed trace %s: %v", op.Trace(), traces)
-	}
-	if !spans[op.SpanID().String()] || !spans[child.ID().String()] {
-		t.Errorf("TraceSpanIDs missed spans: %v", spans)
+	if root.Args["span_id"] != op.SpanID().String() || a.Args["span_id"] != child.ID().String() {
+		t.Errorf("span_id args root=%q child=%q, want %q and %q",
+			root.Args["span_id"], a.Args["span_id"], op.SpanID(), child.ID())
 	}
 }
 

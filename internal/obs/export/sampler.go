@@ -2,8 +2,9 @@
 // artifacts other tools can read: fixed-capacity ring-buffered time
 // series (Sampler), OpenMetrics/Prometheus text exposition for a
 // /metrics endpoint, Chrome trace_event JSON loadable by Perfetto, and
-// helpers for the NDJSON event log (obs.EventLog). Like obs itself it
-// is stdlib-only; cmd/starmon is its terminal front end.
+// the post-mortem bundle of the flight recorder's ring
+// (obs.FlightRecorder). Like obs itself it is stdlib-only; cmd/starmon
+// is its terminal front end.
 package export
 
 import (

@@ -1,33 +1,42 @@
 package obs
 
-import "sync"
+import (
+	"io"
+	"sync"
+	"time"
+)
 
-// FlightRecorder is the registry's always-on black box: two bounded
-// rings — the most recent event-log records and the most recent
-// completed spans — plus access to the registry for a metrics
-// snapshot, so a post-mortem bundle (NDJSON + trace + metrics) can be
-// produced at the moment of failure rather than reconstructed after it.
+// FlightRecorder is the registry's event pipeline and always-on black
+// box: one bounded ring holding the most recent completed spans and log
+// lines, interleaved in arrival order, plus access to the registry for
+// a metrics snapshot, so a post-mortem bundle (NDJSON + trace +
+// metrics) can be produced at the moment of failure rather than
+// reconstructed after it.
 //
-// It is fed automatically once installed via NewFlightRecorder: every
-// Span.End lands in the span ring, every EventLog write is teed into
-// the record ring, and NoteError (called by Op.Fail and the embedder's
-// error paths) counts the failure and, when armed by SetAutoDump,
-// writes the bundle. The rings overwrite oldest-first; memory is
-// bounded by the capacity chosen at construction.
+// Once installed by NewFlightRecorder it is fed under one lock by
+// Span.End (every completed span), Registry.Log and Op.Log (log lines
+// at or above the recorder's level) and Registry.NoteError (failures,
+// which also trigger the armed auto-dump). The ring overwrites oldest
+// first whatever an entry's kind, so memory is bounded by the capacity
+// chosen at construction. The Perfetto export reads its spans
+// (SpanEvents), the NDJSON views read its log lines (Events); an
+// optional writer additionally receives every log line as NDJSON the
+// moment it is appended — the -events-out stream — and a recorder
+// without one never encodes JSON.
 //
 // Metrics (see the README glossary): obs.flight.events and
-// obs.flight.spans count ring appends, obs.flight.errors counts
-// NoteError calls, obs.flight.dumps counts bundles written.
+// obs.flight.spans count log lines and spans appended,
+// obs.flight.errors counts NoteError calls, obs.flight.dumps counts
+// bundles written.
 type FlightRecorder struct {
 	reg *Registry
+	min Level
+	w   io.Writer
 
 	mu      sync.Mutex
-	events  []Record
-	evLen   int // filled slots
-	evNext  int // next write index
-	spans   []Event
-	spLen   int
-	spNext  int
+	ring    []entry
+	n       int // filled slots
+	next    int // next write index
 	autoDir string
 	dump    func(dir string) error
 
@@ -37,27 +46,39 @@ type FlightRecorder struct {
 	cDumps  *Counter
 }
 
-// NewFlightRecorder builds a recorder holding the last capacity events
-// and the last capacity spans (<= 0 means 512), installs it on the
-// registry via SetFlight, and returns it. A nil registry yields a nil
-// recorder, on which every method is a no-op.
-func NewFlightRecorder(r *Registry, capacity int) *FlightRecorder {
+// entry is one ring slot: a log line, or a completed span stored in
+// the same fields (T is its start, Event its name) plus its duration
+// and parent.
+type entry struct {
+	Record
+	dur    int64
+	parent SpanID
+	span   bool
+}
+
+// NewFlightRecorder builds a recorder holding the last capacity spans
+// and log lines (<= 0 means 1024), keeping log lines at or above min
+// and writing each as NDJSON to w when w is non-nil, installs it on
+// the registry and its children, and returns it. A nil registry
+// yields a nil recorder, on which every method is a no-op.
+func NewFlightRecorder(r *Registry, capacity int, w io.Writer, min Level) *FlightRecorder {
 	if r == nil {
 		return nil
 	}
 	if capacity <= 0 {
-		capacity = 512
+		capacity = 1024
 	}
 	f := &FlightRecorder{
 		reg:     r,
-		events:  make([]Record, capacity),
-		spans:   make([]Event, capacity),
+		min:     min,
+		w:       w,
+		ring:    make([]entry, capacity),
 		cEvents: r.Counter("obs.flight.events"),
 		cSpans:  r.Counter("obs.flight.spans"),
 		cErrors: r.Counter("obs.flight.errors"),
 		cDumps:  r.Counter("obs.flight.dumps"),
 	}
-	r.SetFlight(f)
+	r.setFlight(f)
 	return f
 }
 
@@ -69,48 +90,90 @@ func (f *FlightRecorder) Registry() *Registry {
 	return f.reg
 }
 
-// noteRecord appends one event-log record to the ring (EventLog tee).
-func (f *FlightRecorder) noteRecord(rec Record) {
-	if f == nil {
-		return
+// slot claims the next ring slot for the caller to overwrite, evicting
+// the oldest entry once the ring is full; callers hold f.mu.
+func (f *FlightRecorder) slot() *entry {
+	e := &f.ring[f.next]
+	if f.next++; f.next == len(f.ring) {
+		f.next = 0
 	}
-	f.mu.Lock()
-	f.events[f.evNext] = rec
-	f.evNext = (f.evNext + 1) % len(f.events)
-	if f.evLen < len(f.events) {
-		f.evLen++
+	if f.n < len(f.ring) {
+		f.n++
 	}
-	f.mu.Unlock()
-	f.cEvents.Inc()
+	return e
 }
 
-// noteSpan appends one completed span to the ring (Span.End feed).
-func (f *FlightRecorder) noteSpan(e Event) {
-	if f == nil {
-		return
-	}
+// noteSpan appends one completed span (the Span.End feed). The slot is
+// written field by field: a composite literal would be built on the
+// stack and block-copied, which costs this hot path measurably.
+func (f *FlightRecorder) noteSpan(s *Span, dur time.Duration) {
 	f.mu.Lock()
-	f.spans[f.spNext] = e
-	f.spNext = (f.spNext + 1) % len(f.spans)
-	if f.spLen < len(f.spans) {
-		f.spLen++
-	}
+	e := f.slot()
+	e.T, e.Level, e.Event, e.Trace, e.Span, e.Fields = s.start.UnixNano(), "", s.name, s.trace, s.id, nil
+	e.dur, e.parent, e.span = int64(dur), s.parent, true
 	f.mu.Unlock()
 	f.cSpans.Inc()
 }
 
-// Events returns the retained event-log records, oldest first.
+// log appends one log line emitted on registry r, stamped with r's
+// labels (call-site fields win a key collision), the operation
+// identity and r's clock. The NDJSON write and the ring append share
+// the lock, so the stream and the ring agree on order and concurrent
+// lines never interleave mid-line.
+func (f *FlightRecorder) log(r *Registry, trace TraceID, span SpanID, level Level, event string, fields []Field) {
+	if f == nil || level < f.min {
+		return
+	}
+	rec := Record{
+		T:     r.Clock().Now().UnixNano(),
+		Level: level.String(),
+		Event: event,
+		Trace: trace,
+		Span:  span,
+	}
+	if n := len(r.labels) + len(fields); n > 0 {
+		rec.Fields = make(map[string]interface{}, n)
+		for _, l := range r.labels {
+			rec.Fields[l.Key] = l.Value
+		}
+		for _, fd := range fields {
+			rec.Fields[fd.K] = fd.V
+		}
+	}
+	var line []byte
+	if f.w != nil {
+		line = encodeRecord(rec)
+	}
+	f.mu.Lock()
+	if line != nil {
+		_, _ = f.w.Write(line)
+	}
+	*f.slot() = entry{Record: rec}
+	f.mu.Unlock()
+	f.cEvents.Inc()
+}
+
+// each calls fn on every retained entry, oldest first, under the lock.
+func (f *FlightRecorder) each(fn func(e *entry)) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	start := f.next - f.n + len(f.ring)
+	for i := 0; i < f.n; i++ {
+		fn(&f.ring[(start+i)%len(f.ring)])
+	}
+}
+
+// Events returns the retained log lines, oldest first.
 func (f *FlightRecorder) Events() []Record {
 	if f == nil {
 		return nil
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]Record, 0, f.evLen)
-	start := f.evNext - f.evLen
-	for i := 0; i < f.evLen; i++ {
-		out = append(out, f.events[(start+i+len(f.events))%len(f.events)])
-	}
+	var out []Record
+	f.each(func(e *entry) {
+		if !e.span {
+			out = append(out, e.Record)
+		}
+	})
 	return out
 }
 
@@ -119,13 +182,15 @@ func (f *FlightRecorder) SpanEvents() []Event {
 	if f == nil {
 		return nil
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]Event, 0, f.spLen)
-	start := f.spNext - f.spLen
-	for i := 0; i < f.spLen; i++ {
-		out = append(out, f.spans[(start+i+len(f.spans))%len(f.spans)])
-	}
+	var out []Event
+	f.each(func(e *entry) {
+		if e.span {
+			out = append(out, Event{
+				Name: e.Event, StartNS: e.T, DurNS: e.dur,
+				Trace: e.Trace, Span: e.Span, Parent: e.parent,
+			})
+		}
+	})
 	return out
 }
 
@@ -144,32 +209,22 @@ func (f *FlightRecorder) SetAutoDump(dir string, dump func(dir string) error) {
 	f.mu.Unlock()
 }
 
-// NoteError records an operation failure: it bumps obs.flight.errors,
-// logs an obs.flight.error record carrying the failing trace identity
-// (through the attached EventLog so the user's stream and the ring both
-// see it; straight into the ring when no log is attached), and, when
-// armed, writes the post-mortem bundle. err == nil is a no-op.
-func (f *FlightRecorder) NoteError(trace TraceID, span SpanID, source string, err error) {
-	if f == nil || err == nil {
+// NoteError records an operation failure on the installed flight
+// recorder: it bumps obs.flight.errors, appends an obs.flight.error
+// log line carrying the failing identity and this registry's labels,
+// and, when armed, writes the post-mortem bundle. err == nil, a nil
+// registry and a registry without a recorder are no-ops.
+func (r *Registry) NoteError(trace TraceID, span SpanID, source string, err error) {
+	if r == nil || err == nil {
+		return
+	}
+	f := r.flight.Load()
+	if f == nil {
 		return
 	}
 	f.cErrors.Inc()
-	if lg := f.reg.EventLog(); lg != nil {
-		lg.log(trace, span, LevelError, "obs.flight.error",
-			F("source", source), F("error", err.Error()))
-	} else {
-		f.noteRecord(Record{
-			T:     f.reg.Clock().Now().UnixNano(),
-			Level: LevelError.String(),
-			Event: "obs.flight.error",
-			Trace: trace,
-			Span:  span,
-			Fields: map[string]interface{}{
-				"source": source,
-				"error":  err.Error(),
-			},
-		})
-	}
+	f.log(r, trace, span, LevelError, "obs.flight.error",
+		[]Field{F("source", source), F("error", err.Error())})
 	f.mu.Lock()
 	dir, dump := f.autoDir, f.dump
 	f.mu.Unlock()

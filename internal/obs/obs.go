@@ -1,10 +1,14 @@
 // Package obs is the repository's zero-dependency observability layer:
 // atomic counters and gauges, log-bucketed timing histograms with
-// p50/p95/max, span-style phase tracing with a pluggable event sink,
-// and an injectable clock. It exists so the embedding pipeline — an
-// O(n!) construction whose junction backtracks, S4 cache behavior and
-// worker-pool utilization are otherwise invisible — can be measured
-// without perturbing it.
+// p50/p95/max, span-style phase tracing, structured log lines, and an
+// injectable clock. It exists so the embedding pipeline — an O(n!)
+// construction whose junction backtracks, S4 cache behavior and
+// per-phase costs are otherwise invisible — can be measured without
+// perturbing it.
+//
+// Completed spans and log lines have one destination: the optional
+// FlightRecorder, a bounded ring that the Perfetto export, the NDJSON
+// event stream, metrics snapshots and post-mortem bundles all read.
 //
 // Every API is nil-safe: methods on a nil *Registry, *Counter, *Gauge
 // or *Histogram, and End on a zero Span, are no-ops costing a pointer
@@ -13,7 +17,7 @@
 // and pay a few nanoseconds when observation is disabled (verified by
 // BenchmarkObsDisabled in internal/core and the benchmarks here).
 //
-// Metric names are dotted paths ("core.phase.route",
+// Metric names are dotted paths ("core.phase.separation",
 // "core.s4.cache_hits"); the glossary lives in the README's
 // Observability section. Snapshots serialize to JSON via WriteJSON and
 // publish live through expvar (PublishExpvar, StartDebugServer).
@@ -103,9 +107,7 @@ type Registry struct {
 	own      Labels            // labels added relative to the parent registry
 	maxCard  int               // per-family label cardinality cap (0 = default)
 	clock    Clock
-	sink     Sink
-	events   *EventLog
-	flight   *FlightRecorder
+	flight   atomic.Pointer[FlightRecorder] // nil until NewFlightRecorder
 }
 
 // NewRegistry returns an empty registry on the wall clock.
@@ -115,11 +117,11 @@ func NewRegistry() *Registry { return &Registry{clock: Wall} }
 // labels (alternating key/value pairs), creating it on first use —
 // calls with the same label set return the same child, so fleet
 // aggregation can re-find a machine's registry by its identity. The
-// child inherits the parent's clock, sink, flight recorder and
-// cardinality cap; its event log is the parent's with the child labels
-// bound as fields, so NDJSON records are stamped with the tenant
-// identity. Child metrics surface through the parent's Visit and
-// Snapshot with the child labels applied.
+// child inherits the parent's clock, flight recorder and cardinality
+// cap; log lines it emits carry its full label set as fields, so NDJSON
+// records are stamped with the tenant identity. Child metrics surface
+// through the parent's Visit and Snapshot with the child labels
+// applied.
 func (r *Registry) Child(kv ...string) *Registry {
 	if r == nil {
 		return nil
@@ -137,10 +139,8 @@ func (r *Registry) Child(kv ...string) *Registry {
 		own:     own,
 		maxCard: r.maxCard,
 		clock:   r.clock,
-		sink:    r.sink,
-		flight:  r.flight,
-		events:  r.events.With(labelFields(own)...),
 	}
+	c.flight.Store(r.flight.Load())
 	if r.children == nil {
 		r.children = make(map[string]*Registry)
 	}
@@ -175,18 +175,6 @@ func (r *Registry) Labels() Labels {
 		return nil
 	}
 	return r.labels
-}
-
-// labelFields converts a label set into event-log fields.
-func labelFields(ls Labels) []Field {
-	if len(ls) == 0 {
-		return nil
-	}
-	fs := make([]Field, len(ls))
-	for i, l := range ls {
-		fs[i] = Field{K: l.Key, V: l.Value}
-	}
-	return fs
 }
 
 // childrenLocked returns the append-only child list (the slice header
@@ -228,58 +216,15 @@ func (r *Registry) Clock() Clock {
 	return c
 }
 
-// SetSink installs the event sink that completed spans are emitted to
-// (nil disables emission; histograms still record). Existing children
-// inherit it.
-func (r *Registry) SetSink(s Sink) {
-	if r == nil {
-		return
-	}
+// setFlight installs the flight recorder on the registry and its
+// existing children; NewFlightRecorder calls it.
+func (r *Registry) setFlight(f *FlightRecorder) {
+	r.flight.Store(f)
 	r.mu.Lock()
-	r.sink = s
 	kids := r.childrenLocked()
 	r.mu.Unlock()
 	for _, k := range kids {
-		k.SetSink(s)
-	}
-}
-
-// SetEventLog attaches the structured event log that instrumented
-// subsystems reach through EventLog() (nil detaches it). An installed
-// flight recorder is teed into the new log automatically; existing
-// children re-bind their label fields onto the new log.
-func (r *Registry) SetEventLog(l *EventLog) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.events = l
-	fl := r.flight
-	kids := r.childrenLocked()
-	r.mu.Unlock()
-	if fl != nil {
-		l.setFlight(fl)
-	}
-	for _, k := range kids {
-		k.SetEventLog(l.With(labelFields(k.own)...))
-	}
-}
-
-// SetFlight installs the flight recorder fed by Span.End and teed into
-// the attached event log (nil detaches). NewFlightRecorder calls this;
-// most code never does directly. Existing children inherit it.
-func (r *Registry) SetFlight(f *FlightRecorder) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.flight = f
-	l := r.events
-	kids := r.childrenLocked()
-	r.mu.Unlock()
-	l.setFlight(f)
-	for _, k := range kids {
-		k.SetFlight(f)
+		k.setFlight(f)
 	}
 }
 
@@ -289,20 +234,7 @@ func (r *Registry) Flight() *FlightRecorder {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.flight
-}
-
-// EventLog returns the attached structured event log; nil (itself a
-// no-op log) when none is attached or the registry is nil.
-func (r *Registry) EventLog() *EventLog {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.events
+	return r.flight.Load()
 }
 
 // Counter returns the named counter, creating it on first use.
@@ -454,7 +386,8 @@ func (r *Registry) familiesLocked() []*family {
 // registry's own full label set (nil for an unlabeled root); map keys
 // are metric identities relative to it — plain names for its own
 // metrics, name{k="v",...} (see EncodeName) for family slots and
-// child-registry metrics.
+// child-registry metrics. Events are the completed spans the flight
+// recorder retains, oldest first (none without a recorder).
 type Snapshot struct {
 	Labels     map[string]string         `json:"labels,omitempty"`
 	Counters   map[string]int64          `json:"counters"`
@@ -464,8 +397,8 @@ type Snapshot struct {
 }
 
 // Snapshot captures every metric, including labeled families and child
-// registries. When the installed sink records events (implements
-// Events() []Event, as Recorder does), they are included.
+// registries, plus the completed spans retained by the installed
+// flight recorder.
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
 		Counters:   map[string]int64{},
@@ -477,12 +410,7 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	s.Labels = r.labels.Map()
 	r.snapshotInto(&s, nil)
-	r.mu.Lock()
-	sink := r.sink
-	r.mu.Unlock()
-	if ev, ok := sink.(interface{ Events() []Event }); ok {
-		s.Events = ev.Events()
-	}
+	s.Events = r.flight.Load().SpanEvents()
 	return s
 }
 

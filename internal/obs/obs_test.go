@@ -34,7 +34,6 @@ func TestNilSafety(t *testing.T) {
 		t.Error("nil registry returned a live metric")
 	}
 	r.SetClock(nil)
-	r.SetSink(nil)
 	if r.Clock() != Wall {
 		t.Error("nil registry clock is not Wall")
 	}
@@ -135,8 +134,7 @@ func TestSpanRecorderAndClock(t *testing.T) {
 	r := NewRegistry()
 	clock := NewManual(time.Unix(5000, 0))
 	r.SetClock(clock)
-	rec := NewRecorder(2)
-	r.SetSink(rec)
+	rec := NewFlightRecorder(r, 2, nil, LevelDebug)
 
 	sp := r.Span("phase.a")
 	clock.Advance(250 * time.Millisecond)
@@ -147,7 +145,7 @@ func TestSpanRecorderAndClock(t *testing.T) {
 	if st.Count != 1 || st.MaxNS != int64(250*time.Millisecond) {
 		t.Errorf("histogram did not record the span: %+v", st)
 	}
-	ev := rec.Events()
+	ev := rec.SpanEvents()
 	if len(ev) != 1 || ev[0].Name != "phase.a" || ev[0].DurNS != int64(250*time.Millisecond) {
 		t.Fatalf("events = %+v", ev)
 	}
@@ -155,17 +153,19 @@ func TestSpanRecorderAndClock(t *testing.T) {
 		t.Errorf("event start = %d", ev[0].StartNS)
 	}
 
-	// The recorder bounds its buffer and counts overflow.
+	// The recorder bounds its ring, keeping the most recent spans, and
+	// counts every append.
 	r.Span("phase.b").End()
 	r.Span("phase.c").End()
-	if got := len(rec.Events()); got != 2 {
-		t.Errorf("recorder kept %d events, cap 2", got)
+	ev = rec.SpanEvents()
+	if len(ev) != 2 || ev[0].Name != "phase.b" || ev[1].Name != "phase.c" {
+		t.Errorf("recorder kept %+v, want the last 2 (cap 2)", ev)
 	}
-	if rec.Dropped() != 1 {
-		t.Errorf("dropped = %d, want 1", rec.Dropped())
+	if got := r.Counter("obs.flight.spans").Value(); got != 3 {
+		t.Errorf("obs.flight.spans = %d, want 3", got)
 	}
 
-	// Snapshot includes the recorder's events.
+	// Snapshot includes the recorder's spans.
 	snap := r.Snapshot()
 	if len(snap.Events) != 2 {
 		t.Errorf("snapshot events = %d, want 2", len(snap.Events))
@@ -203,7 +203,7 @@ func TestWriteJSONFile(t *testing.T) {
 // layer is safe on concurrent hot paths.
 func TestConcurrency(t *testing.T) {
 	r := NewRegistry()
-	r.SetSink(NewRecorder(64))
+	NewFlightRecorder(r, 64, nil, LevelDebug)
 	const workers, iters = 8, 500
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -215,6 +215,7 @@ func TestConcurrency(t *testing.T) {
 				r.Gauge("shared.gauge").Add(1)
 				r.Histogram("shared.hist").Observe(time.Duration(i))
 				r.Span("shared.span").End()
+				r.Log(LevelInfo, "shared.event")
 			}
 		}()
 	}
@@ -227,5 +228,8 @@ func TestConcurrency(t *testing.T) {
 	}
 	if got := r.Histogram("shared.span").Stats().Count; got != workers*iters {
 		t.Errorf("span count = %d, want %d", got, workers*iters)
+	}
+	if got := r.Counter("obs.flight.events").Value(); got != workers*iters {
+		t.Errorf("logged lines = %d, want %d", got, workers*iters)
 	}
 }

@@ -107,7 +107,7 @@ func nextID() uint64 {
 }
 
 // Op is one traced operation: a root span plus the trace identity that
-// child spans and event-log records inherit. Ops are created by
+// child spans and log lines inherit. Ops are created by
 // Registry.StartOp and threaded explicitly (an *Op parameter) through
 // the layers an operation crosses — embedder, router workers,
 // simulator — so causality needs no context.Context plumbing.
@@ -130,7 +130,7 @@ func (r *Registry) StartOp(name string) *Op {
 // StartOpTrace is StartOp under a caller-supplied trace identity — the
 // continuation of a trace that began outside this process, such as an
 // X-Star-Trace request header or a parent job id. Every span and
-// event-log record of the operation carries the given trace id, so a
+// log line of the operation carries the given trace id, so a
 // client-reported id reconstructs the server-side timeline end to end.
 // A zero trace falls back to a fresh id, making StartOpTrace(name, 0)
 // identical to StartOp(name).
@@ -172,19 +172,20 @@ func (o *Op) Span(name string) Span {
 	return o.root.Span(name)
 }
 
-// Log writes one event-log record stamped with the operation's trace
-// and root span ids. With no event log attached (or a nil Op) it is a
-// no-op; guard expensive field construction with Enabled.
+// Log records one log line stamped with the operation's trace and root
+// span ids and its registry's labels. With no flight recorder
+// installed (or a nil Op) it is a no-op; guard expensive field
+// construction with Enabled.
 func (o *Op) Log(level Level, event string, fields ...Field) {
 	if o == nil {
 		return
 	}
-	o.r.EventLog().log(o.root.trace, o.root.id, level, event, fields...)
+	o.r.flight.Load().log(o.r, o.root.trace, o.root.id, level, event, fields)
 }
 
-// Enabled reports whether Log at level would write anything.
+// Enabled reports whether Log at level would record anything.
 func (o *Op) Enabled(level Level) bool {
-	return o != nil && o.r.EventLog().Enabled(level)
+	return o != nil && o.r.Enabled(level)
 }
 
 // Done ends the operation's root span and returns its duration. Exactly
@@ -205,5 +206,5 @@ func (o *Op) Fail(source string, err error) {
 		return
 	}
 	o.root.End()
-	o.r.Flight().NoteError(o.root.trace, o.root.id, source, err)
+	o.r.NoteError(o.root.trace, o.root.id, source, err)
 }

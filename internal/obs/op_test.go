@@ -57,8 +57,7 @@ func TestStartOpLinkage(t *testing.T) {
 	clock := NewManual(time.Unix(100, 0))
 	reg := NewRegistry()
 	reg.SetClock(clock)
-	rec := NewRecorder(16)
-	reg.SetSink(rec)
+	rec := NewFlightRecorder(reg, 16, nil, LevelDebug)
 
 	op := reg.StartOp("t.op.run")
 	if op.Trace() == 0 || op.SpanID() == 0 {
@@ -73,7 +72,7 @@ func TestStartOpLinkage(t *testing.T) {
 		t.Errorf("op duration = %v, want 1ms", d)
 	}
 
-	events := rec.Events()
+	events := rec.SpanEvents()
 	if len(events) != 3 {
 		t.Fatalf("got %d span events, want 3", len(events))
 	}
@@ -114,13 +113,12 @@ func TestStartOpDistinctTraces(t *testing.T) {
 // when chained through Span.Span.
 func TestUntracedSpanStaysUntraced(t *testing.T) {
 	reg := NewRegistry()
-	rec := NewRecorder(8)
-	reg.SetSink(rec)
+	rec := NewFlightRecorder(reg, 8, nil, LevelDebug)
 	outer := reg.Span("t.phase.total")
 	inner := outer.Span("t.phase.route")
 	inner.End()
 	outer.End()
-	for _, e := range rec.Events() {
+	for _, e := range rec.SpanEvents() {
 		if e.Trace != 0 || e.Span != 0 || e.Parent != 0 {
 			t.Errorf("untraced span %s carries identity: %+v", e.Name, e)
 		}
@@ -130,11 +128,11 @@ func TestUntracedSpanStaysUntraced(t *testing.T) {
 func TestOpLogStampsIdentity(t *testing.T) {
 	var buf strings.Builder
 	reg := NewRegistry()
-	reg.SetEventLog(NewEventLog(&buf, LevelDebug, reg.Clock()))
+	NewFlightRecorder(reg, 8, &buf, LevelDebug)
 
 	op := reg.StartOp("t.op.run")
 	op.Log(LevelInfo, "t.milestone", F("k", 1))
-	reg.EventLog().Log(LevelInfo, "t.plain")
+	reg.Log(LevelInfo, "t.plain")
 	op.Done()
 
 	recs, err := ReadLog(strings.NewReader(buf.String()))
@@ -184,7 +182,7 @@ func TestOpNilSafety(t *testing.T) {
 // the root span's histogram observation.
 func TestOpFail(t *testing.T) {
 	reg := NewRegistry()
-	f := NewFlightRecorder(reg, 8)
+	f := NewFlightRecorder(reg, 8, nil, LevelDebug)
 	op := reg.StartOp("t.op.run")
 	op.Fail("t.source", errors.New("boom"))
 
@@ -194,6 +192,9 @@ func TestOpFail(t *testing.T) {
 	}
 	if got := snap.Histograms["t.op.run"].Count; got != 1 {
 		t.Errorf("root span histogram count = %d, want 1", got)
+	}
+	if spans := f.SpanEvents(); len(spans) != 1 || spans[0].Name != "t.op.run" {
+		t.Errorf("flight ring spans = %+v, want the root span", spans)
 	}
 	events := f.Events()
 	if len(events) != 1 || events[0].Event != "obs.flight.error" {
@@ -254,8 +255,7 @@ func TestHistogramExemplars(t *testing.T) {
 // fresh id on a zero trace.
 func TestStartOpTrace(t *testing.T) {
 	reg := NewRegistry()
-	rec := NewRecorder(16)
-	reg.SetSink(rec)
+	rec := NewFlightRecorder(reg, 16, nil, LevelDebug)
 
 	want := TraceID(0xdeadbeefcafe1234)
 	op := reg.StartOpTrace("t.op.cont", want)
@@ -265,7 +265,7 @@ func TestStartOpTrace(t *testing.T) {
 	child := op.Span("t.phase.a")
 	child.End()
 	op.Done()
-	for _, e := range rec.Events() {
+	for _, e := range rec.SpanEvents() {
 		if e.Trace != want {
 			t.Errorf("%s trace = %v, want the supplied id %v", e.Name, e.Trace, want)
 		}

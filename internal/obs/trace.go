@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // Event is one completed span: a named phase with its start instant and
 // duration in nanoseconds. Spans started under an Op also carry the
@@ -16,59 +13,6 @@ type Event struct {
 	Trace   TraceID `json:"trace_id,omitempty"`
 	Span    SpanID  `json:"span_id,omitempty"`
 	Parent  SpanID  `json:"parent_span_id,omitempty"`
-}
-
-// Sink receives completed span events. Implementations must be safe
-// for concurrent Emit calls.
-type Sink interface {
-	Emit(Event)
-}
-
-// Recorder is a bounded in-memory Sink: it keeps the first cap events
-// and counts the overflow, so a runaway phase cannot grow memory
-// without bound. Registry.Snapshot includes its events.
-type Recorder struct {
-	mu      sync.Mutex
-	cap     int
-	events  []Event
-	dropped int64
-}
-
-// NewRecorder returns a recorder holding at most capacity events
-// (<= 0 means 1024).
-func NewRecorder(capacity int) *Recorder {
-	if capacity <= 0 {
-		capacity = 1024
-	}
-	return &Recorder{cap: capacity}
-}
-
-// Emit stores the event, or counts it as dropped once full.
-func (r *Recorder) Emit(e Event) {
-	r.mu.Lock()
-	if len(r.events) < r.cap {
-		r.events = append(r.events, e)
-	} else {
-		r.dropped++
-	}
-	r.mu.Unlock()
-}
-
-// Events returns a copy of the recorded events in emission order.
-func (r *Recorder) Events() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Event, len(r.events))
-	copy(out, r.events)
-	return out
-}
-
-// Dropped returns the number of events discarded after the buffer
-// filled.
-func (r *Recorder) Dropped() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
 }
 
 // Span measures one named phase. It is a plain value — starting a span
@@ -87,7 +31,8 @@ type Span struct {
 }
 
 // Span starts a span on the registry's clock; its duration lands in
-// the histogram of the same name, and an Event goes to the sink. The
+// the histogram of the same name, and an Event goes to the flight
+// recorder when one is installed. The
 // span is untraced (no trace/span ids); use Registry.StartOp and
 // Op.Span for causal telemetry.
 func (r *Registry) Span(name string) Span {
@@ -126,7 +71,8 @@ func (s Span) ID() SpanID { return s.id }
 
 // End completes the span and returns its duration (0 for a zero Span).
 // Traced spans record a slowest-K exemplar on their histogram; the
-// completed Event reaches the sink and the flight recorder's span ring.
+// completed span is appended to the flight recorder's ring when one is
+// installed (otherwise End costs one more nil check).
 func (s Span) End() time.Duration {
 	if s.r == nil {
 		return 0
@@ -137,21 +83,8 @@ func (s Span) End() time.Duration {
 	} else {
 		s.h.Observe(d)
 	}
-	s.r.mu.Lock()
-	sink := s.r.sink
-	fl := s.r.flight
-	s.r.mu.Unlock()
-	if sink != nil || fl != nil {
-		e := Event{
-			Name: s.name, StartNS: s.start.UnixNano(), DurNS: int64(d),
-			Trace: s.trace, Span: s.id, Parent: s.parent,
-		}
-		if fl != nil {
-			fl.noteSpan(e)
-		}
-		if sink != nil {
-			sink.Emit(e)
-		}
+	if f := s.r.flight.Load(); f != nil {
+		f.noteSpan(&s, d)
 	}
 	return d
 }

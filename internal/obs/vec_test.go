@@ -144,23 +144,31 @@ func TestChildRegistry(t *testing.T) {
 	}
 }
 
+// A child's log lines carry its labels, whether the child existed
+// before the flight recorder was installed or was created after, and a
+// call-site field wins a key collision with a label.
 func TestChildEventLogStamping(t *testing.T) {
 	var buf strings.Builder
 	r := NewRegistry()
-	r.SetEventLog(NewEventLog(&buf, LevelInfo, r.Clock()))
-	r.Child("machine", "m0").EventLog().Log(LevelInfo, "boot", F("ok", true))
+	early := r.Child("machine", "m0")
+	NewFlightRecorder(r, 8, &buf, LevelInfo)
+	early.Log(LevelInfo, "boot", F("ok", true))
+	r.Child("machine", "m1").Child("zone", "a").Log(LevelInfo, "boot", F("zone", "b"))
 	recs, err := ReadLog(strings.NewReader(buf.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 1 {
-		t.Fatalf("records = %d, want 1", len(recs))
+	if len(recs) != 2 {
+		t.Fatalf("records = %d, want 2", len(recs))
 	}
 	if got, _ := recs[0].Fields["machine"].(string); got != "m0" {
 		t.Errorf("machine field = %q; record %+v", got, recs[0])
 	}
 	if ok, _ := recs[0].Fields["ok"].(bool); !ok {
 		t.Errorf("call-site field lost: %+v", recs[0])
+	}
+	if recs[1].Fields["machine"] != "m1" || recs[1].Fields["zone"] != "b" {
+		t.Errorf("grandchild record = %+v, want machine=m1 and the call-site zone=b", recs[1])
 	}
 }
 

@@ -31,6 +31,12 @@ var magic = [4]byte{'S', 'R', 'G', '1'}
 // ErrFormat reports malformed input.
 var ErrFormat = errors.New("ringio: malformed input")
 
+// maxPrealloc caps the capacity the readers reserve from a header's
+// declared length. The length is untrusted input that may claim up to
+// 16! entries, so the ring grows past this only with entries actually
+// read.
+const maxPrealloc = 1 << 16
+
 // WriteBinary encodes the ring in the compact binary format.
 func WriteBinary(w io.Writer, n int, ring []perm.Code) error {
 	if n < 1 || n > perm.MaxN {
@@ -83,7 +89,7 @@ func ReadBinary(r io.Reader) (n int, ring []perm.Code, err error) {
 	if length > total {
 		return 0, nil, fmt.Errorf("%w: length %d exceeds n! = %d", ErrFormat, length, total)
 	}
-	ring = make([]perm.Code, 0, length)
+	ring = make([]perm.Code, 0, min(length, maxPrealloc))
 	for i := uint64(0); i < length; i++ {
 		rank, err := binary.ReadUvarint(br)
 		if err != nil {
@@ -132,7 +138,7 @@ func ReadText(r io.Reader) (n int, ring []perm.Code, err error) {
 	if n < 1 || n > perm.MaxN || length < 0 || length > perm.Factorial(n) {
 		return 0, nil, fmt.Errorf("%w: implausible header", ErrFormat)
 	}
-	ring = make([]perm.Code, 0, length)
+	ring = make([]perm.Code, 0, min(length, maxPrealloc))
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" {

@@ -83,6 +83,9 @@ func TestBinaryRejections(t *testing.T) {
 		"bad magic":      append([]byte("XXXX"), data[4:]...),
 		"truncated":      data[:len(data)-2],
 		"trailing bytes": append(append([]byte{}, data...), 0),
+		// n=16 declaring ~3e10 entries, then none: must fail as
+		// truncated, not reserve the declared length up front.
+		"length beyond memory": []byte("SRG1\x10\xf1\xf1\xf1\xf1\xf1\x00"),
 	}
 	for name, d := range cases {
 		if _, _, err := ReadBinary(bytes.NewReader(d)); !errors.Is(err, ErrFormat) {
@@ -107,12 +110,13 @@ func TestBinaryRejections(t *testing.T) {
 
 func TestTextRejections(t *testing.T) {
 	for name, in := range map[string]string{
-		"empty":           "",
-		"bad header":      "hello\n",
-		"length mismatch": "ring n=4 len=3\n1234\n",
-		"wrong dimension": "ring n=4 len=1\n12345\n",
-		"bad vertex":      "ring n=4 len=1\nzzzz\n",
-		"huge length":     "ring n=4 len=99\n",
+		"empty":                "",
+		"bad header":           "hello\n",
+		"length mismatch":      "ring n=4 len=3\n1234\n",
+		"wrong dimension":      "ring n=4 len=1\n12345\n",
+		"bad vertex":           "ring n=4 len=1\nzzzz\n",
+		"huge length":          "ring n=4 len=99\n",
+		"length beyond memory": "ring n=16 len=20000000000000\n",
 	} {
 		if _, _, err := ReadText(strings.NewReader(in)); err == nil {
 			t.Errorf("%s accepted", name)

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -16,7 +17,7 @@ import (
 
 // TraceHeader is the request/response header carrying the 16-hex-digit
 // trace id. A client that sets it has the whole server-side timeline —
-// op spans, event-log records, flight-recorder entries — filed under
+// op spans, log lines, flight-recorder entries — filed under
 // its own id (reconstruct with starmon -postmortem); the server always
 // echoes the effective id back, minting a fresh one when the header is
 // absent or malformed.
@@ -144,6 +145,18 @@ func New(cfg Config) (*Server, error) {
 // Handler returns the service's root handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers, so a connection that never finishes them cannot
+// hold a goroutine and a file descriptor forever.
+const readHeaderTimeout = 10 * time.Second
+
+// HTTPServer returns an http.Server for Handler with header reads
+// bounded by readHeaderTimeout; starserve builds both its serving loop
+// and its self-hosted -load target through it.
+func (s *Server) HTTPServer() *http.Server {
+	return &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout}
+}
+
 // Registry returns the service registry (for /metrics co-hosting and
 // tests).
 func (s *Server) Registry() *obs.Registry { return s.reg }
@@ -228,7 +241,7 @@ func (s *Server) wrap(ri int, h handlerFunc) http.Handler {
 		if code >= 500 {
 			// After Done and the event record, so an auto-dumped bundle
 			// already contains this request's full timeline.
-			s.reg.Flight().NoteError(op.Trace(), op.SpanID(), "serve."+routeNames[ri], err)
+			s.reg.NoteError(op.Trace(), op.SpanID(), "serve."+routeNames[ri], err)
 		}
 		s.red.observe(ri, codeIndex(code), s.nIndex(n), code, d, op.Trace())
 	})

@@ -17,8 +17,8 @@ import (
 	"repro/internal/obs/export"
 )
 
-// syncBuffer lets the event log write from handler goroutines while
-// the test reads it back after the server drains.
+// syncBuffer lets the flight recorder write NDJSON from handler
+// goroutines while the test reads it back after the server drains.
 type syncBuffer struct {
 	mu sync.Mutex
 	b  bytes.Buffer
@@ -36,16 +36,14 @@ func (s *syncBuffer) Bytes() []byte {
 	return append([]byte(nil), s.b.Bytes()...)
 }
 
-// testServer builds a fully instrumented server (recorder sink, event
-// log, flight recorder) over a small dimension range.
-func testServer(t *testing.T, cfg Config) (*Server, *obs.Recorder, *syncBuffer) {
+// testServer builds a fully instrumented server (a flight recorder
+// streaming NDJSON to the returned buffer) over a small dimension
+// range.
+func testServer(t *testing.T, cfg Config) (*Server, *obs.FlightRecorder, *syncBuffer) {
 	t.Helper()
 	reg := obs.NewRegistry()
-	rec := obs.NewRecorder(1024)
-	reg.SetSink(rec)
 	logBuf := &syncBuffer{}
-	reg.SetEventLog(obs.NewEventLog(logBuf, obs.LevelDebug, reg.Clock()))
-	obs.NewFlightRecorder(reg, 128)
+	rec := obs.NewFlightRecorder(reg, 1024, logBuf, obs.LevelDebug)
 	cfg.Obs = reg
 	s, err := New(cfg)
 	if err != nil {
@@ -88,7 +86,7 @@ func TestTraceRoundTrip(t *testing.T) {
 	// The client trace id must be on the request op's spans — the root
 	// serve.op.request span and the engine's phase spans under it.
 	var sawRoot, sawPhase bool
-	for _, e := range rec.Events() {
+	for _, e := range rec.SpanEvents() {
 		if e.Trace != want {
 			continue
 		}
@@ -413,5 +411,18 @@ func TestWarm(t *testing.T) {
 	}
 	if s.warming.Value() != 0 {
 		t.Error("warming gauge stuck after Warm")
+	}
+}
+
+// The server starserve runs bounds header reads, so a client that
+// never finishes its headers cannot hold a connection forever.
+func TestHTTPServerBoundsHeaderReads(t *testing.T) {
+	s, _, _ := testServer(t, Config{MinN: 4, MaxN: 4, PoolSize: 1})
+	srv := s.HTTPServer()
+	if srv.ReadHeaderTimeout != readHeaderTimeout || readHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want %v", srv.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if srv.Handler != s.Handler() {
+		t.Error("HTTPServer does not serve the service handler")
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -142,14 +143,14 @@ func TestFleetOpenMetrics(t *testing.T) {
 	}
 }
 
-// TestFleetEventLogStamping attaches an NDJSON event log to the parent
-// registry and checks every machine's records are stamped with its
-// identity — the fix for per-machine events aliasing into one
-// indistinguishable stream.
+// TestFleetEventLogStamping installs a flight recorder with an NDJSON
+// writer on the parent registry and checks every machine's records are
+// stamped with its identity — the fix for per-machine events aliasing
+// into one indistinguishable stream.
 func TestFleetEventLogStamping(t *testing.T) {
 	var buf strings.Builder
 	reg := obs.NewRegistry()
-	reg.SetEventLog(obs.NewEventLog(&buf, obs.LevelInfo, reg.Clock()))
+	obs.NewFlightRecorder(reg, 64, &buf, obs.LevelInfo)
 	_, err := RunFleet(FleetConfig{
 		Machines: 4,
 		Campaign: CampaignConfig{
@@ -184,6 +185,49 @@ func TestFleetEventLogStamping(t *testing.T) {
 	for id, n := range perMachine {
 		if n != 2 {
 			t.Errorf("machine %s emitted %d sim.fault events, want 2", id, n)
+		}
+	}
+}
+
+// A fleet machine whose repair fails leaves an obs.flight.error record
+// stamped with the machine's identity, in the flight recorder's ring
+// and in its NDJSON stream, like the machine's other records.
+func TestMachineRepairFailureKeepsLabels(t *testing.T) {
+	var buf strings.Builder
+	reg := obs.NewRegistry()
+	f := obs.NewFlightRecorder(reg, 64, &buf, obs.LevelInfo)
+	m, err := New(Config{N: 5, ID: "m3", Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// S_5 tolerates n-3 = 2 vertex faults; the third repair must fail.
+	var halted error
+	for i := 0; i < 3 && halted == nil; i++ {
+		halted = m.FailVertex(m.TokenHolder())
+	}
+	if !errors.Is(halted, ErrHalted) {
+		t.Fatalf("third failure: err = %v, want ErrHalted", halted)
+	}
+
+	streamed, err := obs.ReadLog(strings.NewReader(buf.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for where, recs := range map[string][]obs.Record{"ring": f.Events(), "ndjson": streamed} {
+		errs := 0
+		for _, r := range recs {
+			if r.Fields["machine"] != "m3" {
+				t.Errorf("%s: %s record lost the machine label: %+v", where, r.Event, r.Fields)
+			}
+			if r.Event == "obs.flight.error" {
+				errs++
+				if r.Fields["source"] != "core.repair" {
+					t.Errorf("%s: error record source = %v, want core.repair", where, r.Fields["source"])
+				}
+			}
+		}
+		if errs != 1 {
+			t.Errorf("%s: %d obs.flight.error records, want 1", where, errs)
 		}
 	}
 }

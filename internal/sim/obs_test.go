@@ -92,7 +92,7 @@ func TestCampaignEventLog(t *testing.T) {
 
 	var buf strings.Builder
 	reg := obs.NewRegistry()
-	reg.SetEventLog(obs.NewEventLog(&buf, obs.LevelInfo, reg.Clock()))
+	obs.NewFlightRecorder(reg, 64, &buf, obs.LevelInfo)
 	cfg.Machine.Obs = reg
 	logged, err := RunCampaign(cfg)
 	if err != nil {
@@ -139,7 +139,7 @@ func TestCampaignEventLog(t *testing.T) {
 	// At debug level the token's every hop is on the record.
 	var dbuf strings.Builder
 	dreg := obs.NewRegistry()
-	dreg.SetEventLog(obs.NewEventLog(&dbuf, obs.LevelDebug, dreg.Clock()))
+	obs.NewFlightRecorder(dreg, 64, &dbuf, obs.LevelDebug)
 	cfg.Machine.Obs = dreg
 	debugRun, err := RunCampaign(cfg)
 	if err != nil {

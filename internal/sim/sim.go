@@ -52,8 +52,8 @@ type Config struct {
 	// sim.failures, sim.token_lost counters, the sim.ring_length gauge,
 	// sim.phase.reembed spans around cold embeddings and sim.phase.repair
 	// spans around online repairs). When Embed.Obs is unset it inherits
-	// this registry. An event log attached to the registry
-	// (obs.Registry.SetEventLog) additionally receives structured
+	// this registry. A flight recorder installed on the registry
+	// (obs.NewFlightRecorder) additionally receives structured
 	// sim.fault / sim.repair events for every injected failure, and
 	// per-hop sim.token_move events at debug level. Instrumentation
 	// never feeds back into the simulation, so determinism in
@@ -83,8 +83,7 @@ type Machine struct {
 	g     star.Graph
 	eng   *core.Embedder
 	plan  *core.Plan
-	log   *obs.EventLog // from the registry; nil (no-op) when absent
-	token int           // ring position of the token holder
+	token int // ring position of the token holder
 	clock int64
 	stats Stats
 }
@@ -113,7 +112,7 @@ func New(cfg Config) (*Machine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	m := &Machine{cfg: cfg, g: star.New(cfg.N), eng: eng, log: cfg.Obs.EventLog()}
+	m := &Machine{cfg: cfg, g: star.New(cfg.N), eng: eng}
 
 	// Boot is one traced operation: the reembed phase, the embedder's
 	// phases underneath it, and the boot-time events all share a trace.
@@ -201,8 +200,8 @@ func (m *Machine) Step() error {
 	}
 	// Per-hop events are debug-level and guarded, so a campaign that
 	// logs at info pays only this branch per step.
-	if m.log.Enabled(obs.LevelDebug) {
-		m.log.Log(obs.LevelDebug, "sim.token_move",
+	if m.cfg.Obs.Enabled(obs.LevelDebug) {
+		m.cfg.Obs.Log(obs.LevelDebug, "sim.token_move",
 			obs.F("from", from.StringN(m.cfg.N)),
 			obs.F("to", to.StringN(m.cfg.N)),
 			obs.F("pos", m.token),

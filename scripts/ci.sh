@@ -18,8 +18,9 @@
 #                       policy must exit 0 (the CI gate contract)
 #   8. flight smoke  -- starring past the fault budget must fail AND
 #                       auto-dump the flight-recorder bundle; starmon
-#                       validates all three artifacts, including the
-#                       events-to-trace causal cross-check
+#                       validates all three artifacts, and the failing
+#                       trace's -postmortem block must list both its
+#                       root span and its obs.flight.error event
 #   9. stream smoke  -- the ring-cursor pipeline end to end: embed S_8
 #                       with explicit faults at O(#blocks) memory, match
 #                       the -print output's SHA-256 against the digest
@@ -34,7 +35,9 @@
 #                       limit 1) under the same policy must make watch
 #                       exit 1, and an injected /chaos 500 must
 #                       auto-dump a flight bundle whose -postmortem
-#                       render reconstructs the failed request's trace
+#                       block for the request's client trace id lists
+#                       both its serve.op.request span and its
+#                       obs.flight.error event
 #  10. bench smoke   -- scripts/bench.sh with -benchtime 1x
 #  11. starlint artifact -- starlint -json archived next to the bench
 #                       record, so lint state diffs across revisions
@@ -195,11 +198,28 @@ EOF
 
 leg "slo smoke" slo_smoke || exit 1
 
+# trace_block_lists RENDER HEADER SPAN: succeed when the starmon
+# -postmortem render in file RENDER has a trace block whose header line
+# matches the awk regex HEADER and that lists both a `span  SPAN` line
+# and an obs.flight.error event. Spans and events come from the flight
+# recorder's one ring, so a retained trace keeps both.
+trace_block_lists() {
+    awk -v hdr="$2" -v span="  span  $3 " '
+        function close_block() { if (inb && s && e) found = 1; inb = s = e = 0 }
+        /^trace / { close_block(); inb = ($0 ~ hdr); next }
+        /^[^ ]/ { close_block(); next }
+        inb && index($0, span) == 1 { s = 1 }
+        inb && /^  event / && / obs\.flight\.error/ { e = 1 }
+        END { close_block(); exit !found }
+    ' "$1"
+}
+
 # Flight smoke: drive an embed past the paper's fault budget
 # (n=5 tolerates n-3=2 vertex faults; 3 must fail), so the flight
 # recorder auto-dumps its post-mortem bundle, then validate the bundle
-# through every checker — including the causal cross-check that each
-# traced event-log record resolves to a span in the bundle's trace.
+# through every checker and require its -postmortem render to keep the
+# failing trace whole: the core.op.embed root span and the
+# obs.flight.error event in one trace block.
 flight_smoke() {
     local tmp
     tmp=$(mktemp -d)
@@ -218,11 +238,15 @@ flight_smoke() {
         return 1
     fi
 
-    "$tmp/starmon" -check-events "$tmp/flight/flight-events.ndjson" \
-        -trace "$tmp/flight/flight-trace.json" || return 1
+    "$tmp/starmon" -check-events "$tmp/flight/flight-events.ndjson" || return 1
     "$tmp/starmon" -check-trace "$tmp/flight/flight-trace.json" || return 1
     "$tmp/starmon" -check-metrics "$tmp/flight/flight-metrics.txt" || return 1
-    "$tmp/starmon" -postmortem "$tmp/flight" >/dev/null || return 1
+    "$tmp/starmon" -postmortem "$tmp/flight" >"$tmp/postmortem.log" || return 1
+    trace_block_lists "$tmp/postmortem.log" '^trace ' core.op.embed || {
+        echo "no postmortem trace block lists both core.op.embed and obs.flight.error:" >&2
+        cat "$tmp/postmortem.log" >&2
+        return 1
+    }
 }
 
 leg "flight smoke" flight_smoke || exit 1
@@ -260,7 +284,7 @@ leg "stream smoke" stream_smoke || exit 1
 # admitted request must shed hard enough to fire it (watch exit 1),
 # and an injected /chaos 500 must leave a flight bundle in which
 # -postmortem reconstructs that request's trace by its client-supplied
-# X-Star-Trace id.
+# X-Star-Trace id: its block lists the request span and the failure.
 serve_smoke() {
     local tmp pid addr i code
     tmp=$(mktemp -d)
@@ -373,23 +397,16 @@ serve_smoke() {
     }
 
     # The 5xx auto-dump left a readable bundle; the post-mortem render
-    # must reconstruct the injected request under its client trace id.
-    # (No -trace causal cross-check here: under a 400-request storm the
-    # bundle's event and span rings evict independently, so full causal
-    # closure only holds for the bounded flight_smoke scenario above.)
+    # must reconstruct the injected request under its client trace id,
+    # with its span and its failure in that trace's own block.
     if [ ! -f "$tmp/flight/flight-events.ndjson" ]; then
         echo "5xx never auto-dumped a flight bundle" >&2
         return 1
     fi
     "$tmp/starmon" -check-events "$tmp/flight/flight-events.ndjson" || return 1
     "$tmp/starmon" -postmortem "$tmp/flight" >"$tmp/postmortem.log" || return 1
-    grep -q '00000000deadbeef' "$tmp/postmortem.log" || {
-        echo "postmortem lost the injected request's trace:" >&2
-        cat "$tmp/postmortem.log" >&2
-        return 1
-    }
-    grep -q 'serve.op.request' "$tmp/postmortem.log" || {
-        echo "postmortem carries no serve.op.request span:" >&2
+    trace_block_lists "$tmp/postmortem.log" '^trace 00000000deadbeef:' serve.op.request || {
+        echo "postmortem block for trace 00000000deadbeef lacks its serve.op.request span or obs.flight.error event:" >&2
         cat "$tmp/postmortem.log" >&2
         return 1
     }
