@@ -248,13 +248,13 @@ func BenchmarkParityMix(b *testing.B) {
 		rng := rand.New(rand.NewSource(int64(j) * 13))
 		fs := faults.NewSet(n)
 		for fs.NumVertices() < j {
-			v := perm.Pack(perm.Unrank(n, rng.Intn(perm.Factorial(n))))
+			v := perm.UnrankCode(n, rng.Intn(perm.Factorial(n)))
 			if v.Parity(n) == 0 {
 				fs.AddVertex(v)
 			}
 		}
 		for fs.NumVertices() < k {
-			v := perm.Pack(perm.Unrank(n, rng.Intn(perm.Factorial(n))))
+			v := perm.UnrankCode(n, rng.Intn(perm.Factorial(n)))
 			if v.Parity(n) == 1 {
 				fs.AddVertex(v)
 			}
@@ -303,14 +303,14 @@ func BenchmarkEmbedPath(b *testing.B) {
 	fs := faults.RandomVertices(n, k, rng)
 	var s, tOpp, tSame perm.Code
 	for {
-		s = perm.Pack(perm.Unrank(n, rng.Intn(perm.Factorial(n))))
+		s = perm.UnrankCode(n, rng.Intn(perm.Factorial(n)))
 		if !fs.HasVertex(s) {
 			break
 		}
 	}
 	pick := func(parity int) perm.Code {
 		for {
-			v := perm.Pack(perm.Unrank(n, rng.Intn(perm.Factorial(n))))
+			v := perm.UnrankCode(n, rng.Intn(perm.Factorial(n)))
 			if v != s && !fs.HasVertex(v) && v.Parity(n) == parity {
 				return v
 			}

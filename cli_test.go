@@ -1,12 +1,14 @@
 package repro_test
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/obs/export"
@@ -116,6 +118,45 @@ func TestCLIStarviz(t *testing.T) {
 	}
 }
 
+// TestCLIRejectsBadDimensionAndFaultCount pins that starring and
+// starviz neither hang nor panic on an out-of-range -n or on more
+// random faults than S_n has vertices: each run must exit non-zero
+// with a one-line error well inside its deadline.
+func TestCLIRejectsBadDimensionAndFaultCount(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns the go tool")
+	}
+	bin := t.TempDir()
+	runGo(t, "build", "-o", bin+string(filepath.Separator), "./cmd/starring", "./cmd/starviz")
+	for _, c := range []struct {
+		cmd  string
+		args []string
+		want string
+	}{
+		{"starring", []string{"-n", "3", "-random", "7"}, "starring: -random/-faults 7 exceeds the 6 vertices of S_3"},
+		{"starring", []string{"-n", "3", "-random", "7", "-best-effort"}, "exceeds the 6 vertices"},
+		{"starring", []string{"-n", "3", "-random", "4", "-faults", "3"}, "exceeds the 6 vertices"},
+		{"starring", []string{"-n", "17", "-random", "1"}, "starring: -n 17 out of range [3,16]"},
+		{"starring", []string{"-n", "-1"}, "out of range"},
+		{"starviz", []string{"-n", "3", "-random", "7"}, "starviz: -random 7 exceeds the 6 vertices of S_3"},
+		{"starviz", []string{"-n", "17", "-random", "1"}, "starviz: -n 17 out of range [1,16]"},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		out, err := exec.CommandContext(ctx, filepath.Join(bin, c.cmd), c.args...).CombinedOutput()
+		timedOut := ctx.Err() != nil
+		cancel()
+		line := strings.TrimSpace(string(out))
+		switch {
+		case timedOut:
+			t.Errorf("%s %v: still running after 10s", c.cmd, c.args)
+		case err == nil:
+			t.Errorf("%s %v: exit 0, want an error:\n%s", c.cmd, c.args, out)
+		case strings.Contains(line, "\n") || strings.Contains(line, "panic") || !strings.Contains(line, c.want):
+			t.Errorf("%s %v: want the one-line error %q, got:\n%s", c.cmd, c.args, c.want, out)
+		}
+	}
+}
+
 func TestExamplesRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns the go tool")
@@ -194,7 +235,7 @@ func TestCLIStarringMetrics(t *testing.T) {
 		t.Fatalf("metrics file is not valid JSON: %v\n%s", err, raw)
 	}
 	for _, h := range []string{"core.phase.total", "core.phase.separation", "core.phase.build_r4",
-		"core.phase.junction", "core.phase.verify", "core.phase.stream_emit"} {
+		"core.phase.blocks", "core.phase.junction", "core.phase.verify", "core.phase.stream_emit"} {
 		if _, ok := snap.Histograms[h]; !ok {
 			t.Errorf("missing phase histogram %s", h)
 		}

@@ -93,6 +93,17 @@ func main() {
 	)
 	flag.Parse()
 
+	// Validate before drawing faults: an out-of-range dimension would
+	// panic the generator, and more distinct faults than S_n has
+	// vertices would never finish drawing.
+	if *n < 3 || *n > perm.MaxN {
+		fatal(fmt.Errorf("-n %d out of range [3,%d]", *n, perm.MaxN))
+	}
+	k := *random + *faultsN
+	if order := perm.Factorial(*n); k > order {
+		fatal(fmt.Errorf("-random/-faults %d exceeds the %d vertices of S_%d", k, order, *n))
+	}
+
 	fs := faults.NewSet(*n)
 	if *fv != "" {
 		for _, s := range strings.Split(*fv, ",") {
@@ -120,7 +131,7 @@ func main() {
 			}
 		}
 	}
-	if k := *random + *faultsN; k > 0 {
+	if k > 0 {
 		rng := rand.New(rand.NewSource(*seed))
 		for _, v := range faults.RandomVertices(*n, k, rng).Vertices() {
 			fs.AddVertex(v)

@@ -32,6 +32,18 @@ func main() {
 	)
 	flag.Parse()
 
+	// Validate before drawing faults: an out-of-range dimension would
+	// panic the generator, and more distinct faults than S_n has
+	// vertices would never finish drawing.
+	if *n < 1 || *n > perm.MaxN {
+		fmt.Fprintf(os.Stderr, "starviz: -n %d out of range [1,%d]\n", *n, perm.MaxN)
+		os.Exit(1)
+	}
+	if order := perm.Factorial(*n); *random > order {
+		fmt.Fprintf(os.Stderr, "starviz: -random %d exceeds the %d vertices of S_%d\n", *random, order, *n)
+		os.Exit(1)
+	}
+
 	fs := faults.NewSet(*n)
 	if *random > 0 {
 		rng := rand.New(rand.NewSource(*seed))

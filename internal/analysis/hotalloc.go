@@ -24,10 +24,14 @@ import (
 // interfaces or function values cannot be proven and are flagged.
 //
 // The enforced sites are the per-step ring surgery in Plan.Repair,
-// the pathsearch lookup-table hit, and the disabled-observability
-// fast path; see ROADMAP.md. The analyzer keeps them honest against
-// refactors that would put an allocation on the paper's O(1)-per-step
-// repair claim.
+// the pathsearch lookup-table hit, the disabled-observability fast
+// path, and the per-vertex steps of the ring pipeline: the cursor's
+// emit (RingCursor.nextFast), the block replay's canonical-to-ambient
+// map (Block.FromCanon) and the verifier's and ring writer's one-pass
+// validity and rank (perm.Code.RankValid); see ROADMAP.md. The
+// analyzer keeps them honest against refactors that would put an
+// allocation on the paper's O(1)-per-step repair claim or on every
+// vertex of an n!-vertex ring.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
 	Doc:  "allocations reachable from //starlint:hotpath functions",

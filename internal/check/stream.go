@@ -24,13 +24,22 @@ import (
 // (60 MB of bits); beyond that exact distinctness outgrows memory
 // whatever the representation.
 //
+// The faulty vertices' bits are set when the verifier is created, so
+// one bit test per vertex checks healthiness and distinctness together
+// and the fault set is consulted only to word a rejection — or, per
+// edge, when it holds faulty edges at all.
+//
 // A StreamVerifier is single-use: after Close (or the first error) it
-// rejects further Feeds. Not safe for concurrent use.
+// rejects further Feeds. The fault set must not change while it runs.
+// Not safe for concurrent use.
 type StreamVerifier struct {
 	g    star.Graph
 	fs   *faults.Set
 	n    int
 	seen pagedBits
+	// edgeFaults is set when fs holds faulty edges; only then are the
+	// ring's edges looked up in it.
+	edgeFaults bool
 
 	first, prev perm.Code
 	count       int
@@ -42,7 +51,16 @@ type StreamVerifier struct {
 // vertex by vertex. fs may be nil for the fault-free case.
 func NewStreamVerifier(g star.Graph, fs *faults.Set) *StreamVerifier {
 	n := g.N()
-	return &StreamVerifier{g: g, fs: fs, n: n, seen: newPagedBits(perm.Factorial(n))}
+	s := &StreamVerifier{g: g, fs: fs, n: n, seen: newPagedBits(perm.Factorial(n))}
+	if fs != nil {
+		for _, v := range fs.Vertices() {
+			if r, ok := v.RankValid(n); ok {
+				s.seen.testAndSet(r)
+			}
+		}
+		s.edgeFaults = fs.NumEdges() > 0
+	}
+	return s
 }
 
 // fail records and returns the verifier's terminal error.
@@ -61,13 +79,15 @@ func (s *StreamVerifier) Feed(v perm.Code) error {
 		return s.fail("%w: Feed after Close", ErrInvalidRing)
 	}
 	i := s.count
-	if !v.Valid(s.n) {
+	rank, ok := v.RankValid(s.n)
+	if !ok {
 		return s.fail("%w: entry %d (%#v) is not a vertex of S_%d", ErrInvalidRing, i, v, s.n)
 	}
-	if s.fs != nil && s.fs.HasVertex(v) {
-		return s.fail("%w: faulty vertex %s at position %d", ErrInvalidRing, v.StringN(s.n), i)
-	}
-	if s.seen.testAndSet(v.Rank(s.n)) {
+	if s.seen.testAndSet(rank) {
+		// Set by an earlier visit, or at creation for a faulty vertex.
+		if s.fs != nil && s.fs.HasVertex(v) {
+			return s.fail("%w: faulty vertex %s at position %d", ErrInvalidRing, v.StringN(s.n), i)
+		}
 		return s.fail("%w: vertex %s repeats at position %d", ErrInvalidRing, v.StringN(s.n), i)
 	}
 	if i == 0 {
@@ -77,7 +97,7 @@ func (s *StreamVerifier) Feed(v perm.Code) error {
 			return s.fail("%w: %s and %s (positions %d, %d) are not adjacent",
 				ErrInvalidRing, s.prev.StringN(s.n), v.StringN(s.n), i-1, i)
 		}
-		if s.fs != nil && s.fs.HasEdge(s.prev, v) {
+		if s.edgeFaults && s.fs.HasEdge(s.prev, v) {
 			return s.fail("%w: faulty edge {%s, %s} used at position %d",
 				ErrInvalidRing, s.prev.StringN(s.n), v.StringN(s.n), i-1)
 		}
@@ -109,7 +129,7 @@ func (s *StreamVerifier) Close(minLen int) error {
 			return s.fail("%w: %s and %s (positions %d, %d) are not adjacent",
 				ErrInvalidRing, s.prev.StringN(s.n), s.first.StringN(s.n), s.count-1, 0)
 		}
-		if s.fs != nil && s.fs.HasEdge(s.prev, s.first) {
+		if s.edgeFaults && s.fs.HasEdge(s.prev, s.first) {
 			return s.fail("%w: faulty edge {%s, %s} used at position %d",
 				ErrInvalidRing, s.prev.StringN(s.n), s.first.StringN(s.n), s.count-1)
 		}

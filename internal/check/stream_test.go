@@ -2,6 +2,7 @@ package check
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/faults"
@@ -36,39 +37,48 @@ func TestRingStreamAcceptsValidCycle(t *testing.T) {
 
 // TestRingStreamMatchesRing feeds the same cycles (valid and broken)
 // through both entry points — Ring over a slice and RingStream over an
-// iterator — and demands the expected verdict from each.
+// iterator — and demands the expected verdict and reason from each.
+// The hexagon is 123 213 312 132 231 321.
 func TestRingStreamMatchesRing(t *testing.T) {
 	g := star.New(3)
 	hex := hexagon()
+	vertexFaults := func(vs ...perm.Code) func() *faults.Set {
+		return func() *faults.Set {
+			fs := faults.NewSet(3)
+			for _, v := range vs {
+				fs.AddVertex(v)
+			}
+			return fs
+		}
+	}
+	edgeFault := func(u, v perm.Code) func() *faults.Set {
+		return func() *faults.Set {
+			fs := faults.NewSet(3)
+			fs.AddEdge(u, v)
+			return fs
+		}
+	}
 
 	cases := []struct {
-		name  string
-		cycle []perm.Code
-		fs    func() *faults.Set
-		min   int
-		ok    bool
+		name   string
+		cycle  []perm.Code
+		fs     func() *faults.Set
+		min    int
+		reason string // "" for a valid ring
 	}{
-		{"valid", hex, nil, 6, true},
-		{"too short vs bound", hex, nil, 7, false},
-		{"under three vertices", hex[:2], nil, 0, false},
-		{"duplicate vertex", append(append([]perm.Code{}, hex...), hex[0]), nil, 0, false},
-		{"non-adjacent hop", []perm.Code{hex[0], hex[2], hex[4]}, nil, 0, false},
-		{"open wraparound", hex[:4], nil, 0, false},
-		{"faulty vertex", hex, func() *faults.Set {
-			fs := faults.NewSet(3)
-			fs.AddVertex(hex[2])
-			return fs
-		}, 0, false},
-		{"faulty edge", hex, func() *faults.Set {
-			fs := faults.NewSet(3)
-			fs.AddEdge(hex[1], hex[2])
-			return fs
-		}, 0, false},
-		{"faulty closing edge", hex, func() *faults.Set {
-			fs := faults.NewSet(3)
-			fs.AddEdge(hex[5], hex[0])
-			return fs
-		}, 0, false},
+		{"valid", hex, nil, 6, ""},
+		{"too short vs bound", hex, nil, 7, "length 6 < required 7"},
+		{"under three vertices", hex[:2], nil, 0, "a cycle needs >= 3 vertices, got 2"},
+		{"duplicate vertex", append(append([]perm.Code{}, hex...), hex[0]), nil, 0, "vertex 123 repeats at position 6"},
+		{"non-adjacent hop", []perm.Code{hex[0], hex[2], hex[4]}, nil, 0, "123 and 312 (positions 0, 1) are not adjacent"},
+		{"open wraparound", hex[:4], nil, 0, "132 and 123 (positions 3, 0) are not adjacent"},
+		{"faulty vertex", hex, vertexFaults(hex[2]), 0, "faulty vertex 312 at position 2"},
+		{"faulty vertex visited twice", []perm.Code{hex[0], hex[1], hex[2], hex[1]}, vertexFaults(hex[1]), 0,
+			"faulty vertex 213 at position 1"},
+		{"healthy repeat beside vertex faults", []perm.Code{hex[0], hex[1], hex[2], hex[1]}, vertexFaults(hex[4]), 0,
+			"vertex 213 repeats at position 3"},
+		{"faulty edge", hex, edgeFault(hex[1], hex[2]), 0, "faulty edge {213, 312} used at position 1"},
+		{"faulty closing edge", hex, edgeFault(hex[5], hex[0]), 0, "faulty edge {321, 123} used at position 5"},
 	}
 	for _, c := range cases {
 		var fs *faults.Set
@@ -78,11 +88,18 @@ func TestRingStreamMatchesRing(t *testing.T) {
 		ring := Ring(g, c.cycle, fs, c.min)
 		_, stream := RingStream(g, sliceNext(c.cycle), fs, c.min)
 		for _, got := range []error{ring, stream} {
-			if (got == nil) != c.ok {
-				t.Errorf("%s: Ring=%v, RingStream=%v, want ok=%v", c.name, ring, stream, c.ok)
+			if (got == nil) != (c.reason == "") {
+				t.Errorf("%s: Ring=%v, RingStream=%v, want reason %q", c.name, ring, stream, c.reason)
+				continue
 			}
-			if got != nil && !errors.Is(got, ErrInvalidRing) {
+			if got == nil {
+				continue
+			}
+			if !errors.Is(got, ErrInvalidRing) {
 				t.Errorf("%s: error not wrapping ErrInvalidRing: %v", c.name, got)
+			}
+			if !strings.Contains(got.Error(), c.reason) {
+				t.Errorf("%s: error %q, want reason %q", c.name, got, c.reason)
 			}
 		}
 	}

@@ -44,8 +44,8 @@ func TestBestEffortPathBeyondBudget(t *testing.T) {
 		fs := faults.RandomVertices(n, 5, rng) // budget is 3
 		var s, tt perm.Code
 		for {
-			s = perm.Pack(perm.Unrank(n, rng.Intn(perm.Factorial(n))))
-			tt = perm.Pack(perm.Unrank(n, rng.Intn(perm.Factorial(n))))
+			s = perm.UnrankCode(n, rng.Intn(perm.Factorial(n)))
+			tt = perm.UnrankCode(n, rng.Intn(perm.Factorial(n)))
 			if s != tt && !fs.HasVertex(s) && !fs.HasVertex(tt) {
 				break
 			}
@@ -74,8 +74,8 @@ func TestBestEffortPathStrictRejects(t *testing.T) {
 	fs := faults.RandomVertices(6, 5, rng)
 	var s, tt perm.Code
 	for {
-		s = perm.Pack(perm.Unrank(6, rng.Intn(720)))
-		tt = perm.Pack(perm.Unrank(6, rng.Intn(720)))
+		s = perm.UnrankCode(6, rng.Intn(720))
+		tt = perm.UnrankCode(6, rng.Intn(720))
 		if s != tt && !fs.HasVertex(s) && !fs.HasVertex(tt) {
 			break
 		}

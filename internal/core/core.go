@@ -185,16 +185,25 @@ func embedLarge(res *Result, fs *faults.Set, cfg Config, in *instr) (*skeleton, 
 // contributes all 24 vertices, a block with one vertex fault contributes
 // 22 (Lemma 4); intra-block edge faults cost nothing (the exact search
 // routes around them). In best-effort mode blocks holding several faults
-// fall back through successively shorter paths.
+// fall back through successively shorter paths. Blocks with the same
+// fault count share one read-only list, so the policy costs one small
+// allocation per distinct count rather than one per block.
 func paperTargets(bestEffort bool) func(numVertexFaults int) []int {
+	var memo [blockOrder/2 + 1][]int
 	return func(vf int) []int {
-		base := blockOrder - 2*vf
-		if !bestEffort {
-			return []int{base}
+		if vf < len(memo) && memo[vf] != nil {
+			return memo[vf]
 		}
-		var ts []int
-		for t := base; t >= 2; t -= 2 {
-			ts = append(ts, t)
+		base := blockOrder - 2*vf
+		ts := []int{base}
+		if bestEffort {
+			ts = nil
+			for t := base; t >= 2; t -= 2 {
+				ts = append(ts, t)
+			}
+		}
+		if vf < len(memo) {
+			memo[vf] = ts
 		}
 		return ts
 	}

@@ -67,7 +67,7 @@ func TestEmbedS4Exhaustive(t *testing.T) {
 	g := star.New(4)
 	for r := 0; r < 24; r++ {
 		fs := faults.NewSet(4)
-		fs.AddVertex(perm.Pack(perm.Unrank(4, r)))
+		fs.AddVertex(perm.UnrankCode(4, r))
 		plan, err := Embed(4, fs, Config{})
 		if err != nil {
 			t.Fatalf("fault %d: %v", r, err)
@@ -116,7 +116,7 @@ func TestEmbedS5ExhaustiveSingles(t *testing.T) {
 	g := star.New(5)
 	for r := 0; r < 120; r++ {
 		fs := faults.NewSet(5)
-		fs.AddVertex(perm.Pack(perm.Unrank(5, r)))
+		fs.AddVertex(perm.UnrankCode(5, r))
 		plan, err := Embed(5, fs, Config{})
 		if err != nil {
 			t.Fatalf("fault %d: %v", r, err)
@@ -139,11 +139,11 @@ func TestEmbedS5ExhaustivePairs(t *testing.T) {
 		t.Skip("exhaustive pair sweep")
 	}
 	for a := 0; a < 120; a++ {
-		va := perm.Pack(perm.Unrank(5, a))
+		va := perm.UnrankCode(5, a)
 		for b := a + 1; b < 120; b++ {
 			fs := faults.NewSet(5)
 			fs.AddVertex(va)
-			fs.AddVertex(perm.Pack(perm.Unrank(5, b)))
+			fs.AddVertex(perm.UnrankCode(5, b))
 			plan, err := Embed(5, fs, Config{})
 			if err != nil {
 				t.Fatalf("faults (%d,%d): %v", a, b, err)
@@ -258,7 +258,7 @@ func TestEmbedS6ExhaustiveSingles(t *testing.T) {
 	}
 	for r := 0; r < 720; r++ {
 		fs := faults.NewSet(6)
-		fs.AddVertex(perm.Pack(perm.Unrank(6, r)))
+		fs.AddVertex(perm.UnrankCode(6, r))
 		plan, err := Embed(6, fs, Config{})
 		if err != nil {
 			t.Fatalf("fault %d: %v", r, err)
@@ -267,5 +267,38 @@ func TestEmbedS6ExhaustiveSingles(t *testing.T) {
 		if res.Len() < 718 {
 			t.Fatalf("fault %d: length %d", r, res.Len())
 		}
+	}
+}
+
+// TestEmbedAllocsPerBlock bounds the construction's allocation traffic:
+// a warm embed of a fixed 2-fault S_8 set — separation, R4
+// refinement, block set-up, junction search and the self-verifying
+// replay — allocates at most 10 objects per R4 block. The per-vertex
+// and per-block steps are allocation-free; what remains is the
+// skeleton itself (block, plan) and per-run tables.
+func TestEmbedAllocsPerBlock(t *testing.T) {
+	if testing.Short() {
+		t.Skip("embeds S_8")
+	}
+	fs, err := faults.FromStrings(8, "21345678", "31245678")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEmbedder(8, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var blocks int
+	allocs := testing.AllocsPerRun(2, func() {
+		p, err := e.Embed(fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks = p.Blocks()
+	})
+	perBlock := allocs / float64(blocks)
+	t.Logf("%.0f allocations per embed, %.2f per block over %d blocks", allocs, perBlock, blocks)
+	if perBlock > 10 {
+		t.Errorf("embed allocates %.1f objects per block, want <= 10", perBlock)
 	}
 }

@@ -264,19 +264,21 @@ func (p *Plan) Ring() []perm.Code {
 	// Unreachable from a fresh cursor on an unbroken plan: replay of a
 	// feasibility-proven block failed, which is an engine invariant
 	// violation, not a caller error.
-	mustf(c.Err() == nil, "core: Ring materialization: %v", c.Err())
+	if err := c.Err(); err != nil {
+		mustFailf("core: Ring materialization: %v", err)
+	}
 	return out
 }
 
-// mustf is the package's invariant helper: it panics with a formatted
-// message when cond is false. It guards engine invariants (a
-// feasibility-proven block must replay) that can only break through a
-// bug in this package, never through caller input; those paths return
-// errors instead.
-func mustf(cond bool, format string, args ...interface{}) {
-	if !cond {
-		panic(fmt.Sprintf(format, args...))
-	}
+// mustFailf is the package's invariant helper: it panics with a
+// formatted message. It guards engine invariants (a feasibility-proven
+// block must replay) that can only break through a bug in this
+// package, never through caller input; those paths return errors
+// instead. Callers test the invariant themselves and call it only from
+// the failing branch, so the message arguments are built only when a
+// check fails.
+func mustFailf(format string, args ...interface{}) {
+	panic(fmt.Sprintf(format, args...))
 }
 
 // segment returns block k's current path in ring order, replayed from
@@ -286,7 +288,9 @@ func (p *Plan) segment(k int) []perm.Code {
 		return p.seg
 	}
 	seg, ok := p.blocks[k].appendPath(p.seg[:0])
-	mustf(ok, "core: block %d path vanished on replay", k)
+	if !ok {
+		mustFailf("core: block %d path vanished on replay", k)
+	}
 	p.seg, p.segBlock = seg, k
 	return seg
 }

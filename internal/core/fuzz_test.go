@@ -29,7 +29,7 @@ func FuzzEmbedRing(f *testing.F) {
 		order := perm.Factorial(n)
 		fs := faults.NewSet(n)
 		for fs.NumVertices() < k {
-			v := perm.Pack(perm.Unrank(n, rng.Intn(order)))
+			v := perm.UnrankCode(n, rng.Intn(order))
 			if fs.HasVertex(v) {
 				continue
 			}

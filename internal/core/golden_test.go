@@ -177,7 +177,7 @@ func generateGolden(t *testing.T) []goldenCase {
 			if step%2 == 0 {
 				v = p.RingAt(rng.Intn(p.RingLen()))
 			} else {
-				v = perm.Pack(perm.Unrank(n, rng.Intn(perm.Factorial(n))))
+				v = perm.UnrankCode(n, rng.Intn(perm.Factorial(n)))
 				if p.Faulty(v) {
 					continue
 				}
@@ -308,7 +308,7 @@ func checkGoldenPlan(t *testing.T, p *core.Plan, want goldenRing, what string) {
 		on[v] = true
 	}
 	for r := 0; r < perm.Factorial(n); r++ {
-		v := perm.Pack(perm.Unrank(n, r))
+		v := perm.UnrankCode(n, r)
 		if p.OnRing(v) != on[v] {
 			t.Fatalf("%s: OnRing(%s) = %v, cursor says %v", what, v.StringN(n), p.OnRing(v), on[v])
 		}

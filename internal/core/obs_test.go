@@ -27,7 +27,7 @@ func TestEmbedMetrics(t *testing.T) {
 	snap := reg.Snapshot()
 	for _, phase := range []string{
 		"core.phase.total", "core.phase.separation", "core.phase.build_r4",
-		"core.phase.junction", "core.phase.verify", "core.phase.stream_emit",
+		"core.phase.blocks", "core.phase.junction", "core.phase.verify", "core.phase.stream_emit",
 		"superring.phase.initial", "superring.phase.refine",
 	} {
 		if snap.Histograms[phase].Count == 0 {
@@ -58,6 +58,38 @@ func TestEmbedMetrics(t *testing.T) {
 	labeled := `core.embed.completed{mode="guaranteed",n="6"}`
 	if got := snap.Counters[labeled]; got != 1 {
 		t.Errorf("%s = %d, want 1; counters %+v", labeled, got, snap.Counters)
+	}
+}
+
+// TestPhaseCoverage pins the embed's phase attribution: the top-level
+// phases — separation, build_r4, blocks, junction and verify — account
+// for at least 95% of core.phase.total over a few S_8 embeds, so a
+// slow embed decomposes into named phases from its spans alone.
+func TestPhaseCoverage(t *testing.T) {
+	if testing.Short() {
+		t.Skip("embeds S_8")
+	}
+	reg := obs.NewRegistry()
+	e, err := NewEmbedder(8, Config{Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 5; i++ {
+		if _, err := e.Embed(faults.RandomVertices(8, 5, rng)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sum := func(name string) int64 { return reg.Histogram(name).Stats().SumNS }
+	var covered int64
+	for _, phase := range []string{"separation", "build_r4", "blocks", "junction", "verify"} {
+		covered += sum("core.phase." + phase)
+	}
+	total := sum("core.phase.total")
+	share := float64(covered) / float64(total)
+	t.Logf("phases cover %.1f%% of core.phase.total (%d of %d ns)", 100*share, covered, total)
+	if share < 0.95 {
+		t.Errorf("top-level phases cover %.1f%% of core.phase.total, want >= 95%%", 100*share)
 	}
 }
 

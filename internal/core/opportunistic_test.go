@@ -21,13 +21,13 @@ func TestOpportunisticBeatsGuarantee(t *testing.T) {
 			// Force a balanced parity mix so upgrades are available.
 			fs := faults.NewSet(n)
 			for fs.NumVertices() < k/2 {
-				v := perm.Pack(perm.Unrank(n, rng.Intn(perm.Factorial(n))))
+				v := perm.UnrankCode(n, rng.Intn(perm.Factorial(n)))
 				if v.Parity(n) == 0 {
 					fs.AddVertex(v)
 				}
 			}
 			for fs.NumVertices() < k {
-				v := perm.Pack(perm.Unrank(n, rng.Intn(perm.Factorial(n))))
+				v := perm.UnrankCode(n, rng.Intn(perm.Factorial(n)))
 				if v.Parity(n) == 1 {
 					fs.AddVertex(v)
 				}

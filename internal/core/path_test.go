@@ -14,8 +14,8 @@ import (
 func randomHealthyPair(rng *rand.Rand, n int, fs *faults.Set) (perm.Code, perm.Code) {
 	total := perm.Factorial(n)
 	for {
-		s := perm.Pack(perm.Unrank(n, rng.Intn(total)))
-		t := perm.Pack(perm.Unrank(n, rng.Intn(total)))
+		s := perm.UnrankCode(n, rng.Intn(total))
+		t := perm.UnrankCode(n, rng.Intn(total))
 		if s != t && !fs.HasVertex(s) && !fs.HasVertex(t) {
 			return s, t
 		}
@@ -199,7 +199,7 @@ func TestEmbedPathExhaustiveS5Singles(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	for r := 0; r < 120; r += 7 {
 		fs := faults.NewSet(n)
-		f := perm.Pack(perm.Unrank(n, r))
+		f := perm.UnrankCode(n, r)
 		fs.AddVertex(f)
 		for trial := 0; trial < 6; trial++ {
 			s, tt := randomHealthyPair(rng, n, fs)

@@ -6,6 +6,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/pathsearch"
 	"repro/internal/perm"
+	"repro/internal/substar"
 	"repro/internal/superring"
 )
 
@@ -48,10 +49,81 @@ func (pb *blockPlan) appendPath(dst []perm.Code) ([]perm.Code, bool) {
 	})
 }
 
+// route reports whether the block admits a path of one of its target
+// lengths between entry and exit, and records the first that works as
+// the block's entry, exit and length. The candidate paths are replayed
+// into buf, one reusable buffer of blockOrder capacity, so a
+// feasibility test allocates nothing once the S4 memo holds its
+// search.
+func (pb *blockPlan) route(entry, exit perm.Code, buf []perm.Code) bool {
+	for _, t := range pb.targets {
+		if _, ok := pb.block.PathAppend(buf[:0], pathsearch.PathSpec{
+			From: entry, To: exit,
+			AvoidV: pb.avoidV, AvoidE: pb.avoidE,
+			Target: t,
+		}); ok {
+			pb.entry, pb.exit, pb.length = entry, exit, t
+			return true
+		}
+	}
+	return false
+}
+
 // junction is one candidate crossing edge between consecutive blocks:
 // exit u in block k, entry w in block k+1.
 type junction struct {
 	u, w perm.Code
+}
+
+// newBlockPlans builds the routing state of a sequence of order-4
+// blocks: each block's isomorphism and the faults inside it. Targets
+// are left to the caller.
+func newBlockPlans(pats []substar.Pattern, fs *faults.Set) ([]*blockPlan, error) {
+	plans := make([]*blockPlan, len(pats))
+	for k, pat := range pats {
+		b, err := pathsearch.NewBlock(pat)
+		if err != nil {
+			return nil, fmt.Errorf("core: internal: %w", err)
+		}
+		plan := &blockPlan{block: b}
+		plan.avoidV = fs.FaultyIn(pat, nil)
+		for _, e := range fs.IntraEdgesIn(pat, nil) {
+			plan.avoidE = append(plan.avoidE, [2]perm.Code{e.U, e.V})
+		}
+		plans[k] = plan
+	}
+	return plans, nil
+}
+
+// junctionCandidates lists, for each of the first gaps superedges
+// (block k to block k+1, wrapping past the last block), its healthy
+// crossing edges that keep accepts, in CrossEdges order. Every list is
+// a window of one shared backing array and every superedge's cross
+// edges are enumerated into the same two buffers, so the set-up costs
+// a handful of allocations however many blocks there are. The second
+// result is the first superedge left without a candidate, or -1.
+func junctionCandidates(pats []substar.Pattern, gaps int, fs *faults.Set, keep func(k int, u, w perm.Code) bool) ([][]junction, int) {
+	// An order-4 block has (4-1)! = 6 crossing edges to each neighbor.
+	const perGap = 6
+	cands := make([][]junction, gaps)
+	flat := make([]junction, 0, perGap*gaps)
+	us, ws := make([]perm.Code, 0, perGap), make([]perm.Code, 0, perGap)
+	for k := 0; k < gaps; k++ {
+		us, ws = pats[k].CrossEdges(pats[(k+1)%len(pats)], us[:0], ws[:0])
+		start := len(flat)
+		for i, u := range us {
+			w := ws[i]
+			if fs.HasVertex(u) || fs.HasVertex(w) || fs.HasEdge(u, w) || !keep(k, u, w) {
+				continue
+			}
+			flat = append(flat, junction{u: u, w: w})
+		}
+		if len(flat) == start {
+			return nil, k
+		}
+		cands[k] = flat[start:len(flat):len(flat)]
+	}
+	return cands, -1
 }
 
 // routed is the skeleton-level outcome of one routing run: the
@@ -118,47 +190,29 @@ func RouteR4(r4 *superring.Ring, fs *faults.Set, targetsFor func(int) []int, cfg
 // paths require).
 func routeR4x(r4 *superring.Ring, fs *faults.Set, targetsFor func(blockIdx, vf int) []int, exitParity []int, in *instr) (*routed, error) {
 	m := r4.Len()
-	plans := make([]*blockPlan, m)
-	for k := 0; k < m; k++ {
-		pat := r4.At(k)
-		b, err := pathsearch.NewBlock(pat)
-		if err != nil {
-			return nil, fmt.Errorf("core: internal: %w", err)
-		}
-		plan := &blockPlan{block: b}
-		plan.avoidV = fs.FaultyIn(pat, nil)
-		for _, e := range fs.IntraEdgesIn(pat, nil) {
-			plan.avoidE = append(plan.avoidE, [2]perm.Code{e.U, e.V})
-		}
-		plan.targets = targetsFor(k, len(plan.avoidV))
-		plans[k] = plan
-	}
-
-	// Candidate junctions per superedge: healthy endpoints, healthy
-	// crossing edges, and (in opportunistic mode) the forced exit side.
 	n := r4.N()
-	cands := make([][]junction, m)
-	for k := 0; k < m; k++ {
-		us, ws := r4.At(k).CrossEdges(r4.At(k+1), nil, nil)
-		var js []junction
-		for i := range us {
-			u, w := us[i], ws[i]
-			if fs.HasVertex(u) || fs.HasVertex(w) || fs.HasEdge(u, w) {
-				continue
-			}
-			if exitParity != nil && u.Parity(n) != exitParity[k] {
-				continue
-			}
-			js = append(js, junction{u: u, w: w})
-		}
-		if len(js) == 0 {
-			return nil, fmt.Errorf("core: superedge %d has no healthy crossing edge", k)
-		}
-		cands[k] = js
+	// Block set-up — isomorphisms, fault lists, targets and the
+	// candidate junctions per superedge: healthy endpoints, healthy
+	// crossing edges, and (in opportunistic mode) the forced exit side.
+	bspan := in.span("core.phase.blocks")
+	plans, err := newBlockPlans(r4.Vertices(), fs)
+	if err != nil {
+		bspan.End()
+		return nil, err
+	}
+	for k, plan := range plans {
+		plan.targets = targetsFor(k, len(plan.avoidV))
+	}
+	cands, empty := junctionCandidates(r4.Vertices(), m, fs, func(k int, u, _ perm.Code) bool {
+		return exitParity == nil || u.Parity(n) == exitParity[k]
+	})
+	bspan.End()
+	if empty >= 0 {
+		return nil, fmt.Errorf("core: superedge %d has no healthy crossing edge", empty)
 	}
 
 	jspan := in.span("core.phase.junction")
-	err := chooseJunctions(plans, cands, in)
+	err = chooseJunctions(plans, cands, in)
 	jspan.End()
 	if err != nil {
 		return nil, err
@@ -177,23 +231,12 @@ func chooseJunctions(plans []*blockPlan, cands [][]junction, in *instr) error {
 	m := len(plans)
 	idx := make([]int, m)
 	chosen := make([]junction, m)
+	buf := make([]perm.Code, 0, blockOrder)
 
 	// blockFeasible reports whether block k supports one of its target
 	// lengths between entry and exit, recording the first that works.
 	blockFeasible := func(k int, entry, exit perm.Code) bool {
-		p := plans[k]
-		for _, t := range p.targets {
-			_, ok := p.block.Path(pathsearch.PathSpec{
-				From: entry, To: exit,
-				AvoidV: p.avoidV, AvoidE: p.avoidE,
-				Target: t,
-			})
-			if ok {
-				p.entry, p.exit, p.length = entry, exit, t
-				return true
-			}
-		}
-		return false
+		return plans[k].route(entry, exit, buf)
 	}
 
 	// The step bound guards against pathological backtracking; it must

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/faults"
-	"repro/internal/pathsearch"
 	"repro/internal/perm"
 	"repro/internal/superring"
 )
@@ -19,45 +18,21 @@ import (
 func routeChain(chain *superring.Chain, fs *faults.Set, s, t perm.Code, cfg Config) ([]perm.Code, error) {
 	m := chain.Len()
 	n := chain.N()
-	plans := make([]*blockPlan, m)
-	for k := 0; k < m; k++ {
-		pat := chain.At(k)
-		b, err := pathsearch.NewBlock(pat)
-		if err != nil {
-			return nil, fmt.Errorf("core: internal: %w", err)
-		}
-		plan := &blockPlan{block: b}
-		plan.avoidV = fs.FaultyIn(pat, nil)
-		for _, e := range fs.IntraEdgesIn(pat, nil) {
-			plan.avoidE = append(plan.avoidE, [2]perm.Code{e.U, e.V})
-		}
-		plans[k] = plan
+	plans, err := newBlockPlans(chain.Vertices(), fs)
+	if err != nil {
+		return nil, err
 	}
 	if !plans[0].block.Contains(s) || !plans[m-1].block.Contains(t) {
 		return nil, fmt.Errorf("core: internal: chain anchors misplaced")
 	}
 
-	cands := make([][]junction, m-1)
-	for k := 0; k+1 < m; k++ {
-		us, ws := chain.At(k).CrossEdges(chain.At(k+1), nil, nil)
-		var js []junction
-		for i := range us {
-			u, w := us[i], ws[i]
-			if fs.HasVertex(u) || fs.HasVertex(w) || fs.HasEdge(u, w) {
-				continue
-			}
-			if k == 0 && u == s {
-				continue // the source cannot double as the exit
-			}
-			if k+1 == m-1 && w == t {
-				continue
-			}
-			js = append(js, junction{u: u, w: w})
-		}
-		if len(js) == 0 {
-			return nil, fmt.Errorf("core: chain gap %d has no healthy crossing edge", k)
-		}
-		cands[k] = js
+	// The source cannot double as the first exit, nor the target as
+	// the last entry.
+	cands, empty := junctionCandidates(chain.Vertices(), m-1, fs, func(k int, u, w perm.Code) bool {
+		return !(k == 0 && u == s) && !(k+1 == m-1 && w == t)
+	})
+	if empty >= 0 {
+		return nil, fmt.Errorf("core: chain gap %d has no healthy crossing edge", empty)
 	}
 
 	needOdd := s.Parity(n) == t.Parity(n)
@@ -132,15 +107,10 @@ func chainTargets(odd bool, vf int, bestEffort bool) []int {
 // final block when the last junction lands.
 func chooseChainJunctions(plans []*blockPlan, cands [][]junction, s, t perm.Code) error {
 	m := len(plans)
+	buf := make([]perm.Code, 0, blockOrder)
 	if m == 1 {
-		p := plans[0]
-		for _, target := range p.targets {
-			if _, ok := p.block.Path(pathsearch.PathSpec{
-				From: s, To: t, AvoidV: p.avoidV, AvoidE: p.avoidE, Target: target,
-			}); ok {
-				p.entry, p.exit, p.length = s, t, target
-				return nil
-			}
+		if plans[0].route(s, t, buf) {
+			return nil
 		}
 		return fmt.Errorf("core: single-block chain unroutable")
 	}
@@ -149,16 +119,7 @@ func chooseChainJunctions(plans []*blockPlan, cands [][]junction, s, t perm.Code
 	chosen := make([]junction, m-1)
 
 	blockFeasible := func(k int, entry, exit perm.Code) bool {
-		p := plans[k]
-		for _, target := range p.targets {
-			if _, ok := p.block.Path(pathsearch.PathSpec{
-				From: entry, To: exit, AvoidV: p.avoidV, AvoidE: p.avoidE, Target: target,
-			}); ok {
-				p.entry, p.exit, p.length = entry, exit, target
-				return true
-			}
-		}
-		return false
+		return plans[k].route(entry, exit, buf)
 	}
 
 	entryOf := func(k int) perm.Code {

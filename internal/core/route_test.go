@@ -235,7 +235,7 @@ func TestSuperRingReuseAcrossRouters(t *testing.T) {
 	n := 6
 	fs := faults.NewSet(n)
 	for fs.NumVertices() < 2 {
-		v := perm.Pack(perm.Unrank(n, rng.Intn(perm.Factorial(n))))
+		v := perm.UnrankCode(n, rng.Intn(perm.Factorial(n)))
 		if v.Parity(n) == fs.NumVertices()%2 { // one fault per side
 			fs.AddVertex(v)
 		}

@@ -17,7 +17,7 @@ func RandomVertices(n, k int, rng *rand.Rand) *Set {
 	s := NewSet(n)
 	total := perm.Factorial(n)
 	for s.NumVertices() < k {
-		v := perm.Pack(perm.Unrank(n, rng.Intn(total)))
+		v := perm.UnrankCode(n, rng.Intn(total))
 		s.addVertex(v)
 	}
 	return s
@@ -32,7 +32,7 @@ func SamePartiteVertices(n, k, parity int, rng *rand.Rand) *Set {
 	s := NewSet(n)
 	total := perm.Factorial(n)
 	for s.NumVertices() < k {
-		v := perm.Pack(perm.Unrank(n, rng.Intn(total)))
+		v := perm.UnrankCode(n, rng.Intn(total))
 		if v.Parity(n) != parity {
 			continue
 		}
@@ -53,7 +53,7 @@ func ClusteredVertices(n, k, m int, rng *rand.Rand) (*Set, substar.Pattern, erro
 	}
 	// Pick a random embedded S_m: fix n-m random positions (>= 2) to the
 	// symbols of a random permutation.
-	base := perm.Pack(perm.Unrank(n, rng.Intn(perm.Factorial(n))))
+	base := perm.UnrankCode(n, rng.Intn(perm.Factorial(n)))
 	positions := rng.Perm(n - 1) // values 0..n-2 representing positions 2..n
 	pattern := substar.Whole(n)
 	for i := 0; i < n-m; i++ {
@@ -81,7 +81,7 @@ func SpreadVertices(n, k int, rng *rand.Rand, dist func(a, b perm.Code) int) *Se
 		var best perm.Code
 		bestScore := -1
 		for c := 0; c < pool; c++ {
-			v := perm.Pack(perm.Unrank(n, rng.Intn(total)))
+			v := perm.UnrankCode(n, rng.Intn(total))
 			if s.HasVertex(v) {
 				continue
 			}
@@ -110,7 +110,7 @@ func RandomEdges(n, k int, rng *rand.Rand) *Set {
 	s := NewSet(n)
 	total := perm.Factorial(n)
 	for s.NumEdges() < k {
-		u := perm.Pack(perm.Unrank(n, rng.Intn(total)))
+		u := perm.UnrankCode(n, rng.Intn(total))
 		dim := 2 + rng.Intn(n-1)
 		s.addEdge(NewEdge(u, u.SwapFirst(dim)))
 	}
@@ -124,10 +124,10 @@ func Mixed(n, kv, ke int, rng *rand.Rand) *Set {
 	s := NewSet(n)
 	total := perm.Factorial(n)
 	for s.NumVertices() < kv {
-		s.addVertex(perm.Pack(perm.Unrank(n, rng.Intn(total))))
+		s.addVertex(perm.UnrankCode(n, rng.Intn(total)))
 	}
 	for s.NumEdges() < ke {
-		u := perm.Pack(perm.Unrank(n, rng.Intn(total)))
+		u := perm.UnrankCode(n, rng.Intn(total))
 		dim := 2 + rng.Intn(n-1)
 		v := u.SwapFirst(dim)
 		if s.HasVertex(u) || s.HasVertex(v) {

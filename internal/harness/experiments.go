@@ -114,7 +114,7 @@ func t1Exhaustive(t *Table, n, k int, reg *obs.Registry) error {
 		if len(picked) == k {
 			fs := faults.NewSet(n)
 			for _, r := range picked {
-				if err := fs.AddVertex(perm.Pack(perm.Unrank(n, r))); err != nil {
+				if err := fs.AddVertex(perm.UnrankCode(n, r)); err != nil {
 					return err
 				}
 			}
@@ -466,7 +466,7 @@ func F3(cfg SweepConfig) ([]*Table, error) {
 		rng := rand.New(rand.NewSource(int64(41*j + 5)))
 		fs := faults.NewSet(n)
 		for fs.NumVertices() < j {
-			v := perm.Pack(perm.Unrank(n, rng.Intn(perm.Factorial(n))))
+			v := perm.UnrankCode(n, rng.Intn(perm.Factorial(n)))
 			if v.Parity(n) == 0 {
 				if err := fs.AddVertex(v); err != nil {
 					return nil, err
@@ -474,7 +474,7 @@ func F3(cfg SweepConfig) ([]*Table, error) {
 			}
 		}
 		for fs.NumVertices() < k {
-			v := perm.Pack(perm.Unrank(n, rng.Intn(perm.Factorial(n))))
+			v := perm.UnrankCode(n, rng.Intn(perm.Factorial(n)))
 			if v.Parity(n) == 1 {
 				if err := fs.AddVertex(v); err != nil {
 					return nil, err
@@ -528,8 +528,8 @@ func F4(cfg SweepConfig) ([]*Table, error) {
 				fs := faults.RandomVertices(n, k, rng)
 				var s, tt perm.Code
 				for {
-					s = perm.Pack(perm.Unrank(n, rng.Intn(perm.Factorial(n))))
-					tt = perm.Pack(perm.Unrank(n, rng.Intn(perm.Factorial(n))))
+					s = perm.UnrankCode(n, rng.Intn(perm.Factorial(n)))
+					tt = perm.UnrankCode(n, rng.Intn(perm.Factorial(n)))
 					if s == tt || fs.HasVertex(s) || fs.HasVertex(tt) {
 						continue
 					}

@@ -13,9 +13,14 @@ import (
 // symbols map to symbols 1..4 in increasing order. The isomorphism
 // preserves adjacency because every intra-block edge swaps position 1
 // with a free position.
+//
+// A Block is 56 bytes, in the 64-byte allocation class: the routed
+// skeleton holds one per 24 ring vertices, and every replayed vertex
+// goes through FromCanon.
 type Block struct {
+	base    perm.Code // the fixed symbols at their positions, zero nibbles at the free ones
 	pat     substar.Pattern
-	freePos [4]int
+	freePos [4]uint8 // 1-based free positions, increasing
 	freeSym [4]uint8
 	symIdx  [perm.MaxN + 1]uint8 // ambient symbol -> canonical symbol (1..4)
 }
@@ -26,10 +31,17 @@ func NewBlock(pat substar.Pattern) (*Block, error) {
 		return nil, fmt.Errorf("pathsearch: pattern %v has order %d, want 4", pat, pat.R())
 	}
 	b := &Block{pat: pat}
-	fp := pat.FreePositions(make([]int, 0, 4))
-	fs := pat.FreeSymbols(make([]uint8, 0, 4))
-	copy(b.freePos[:], fp)
-	copy(b.freeSym[:], fs)
+	j := 0
+	for i := 1; i <= pat.N(); i++ {
+		if s := pat.SymbolAt(i); s != substar.Star {
+			b.base = b.base.WithSymbol(i, s)
+		} else {
+			b.freePos[j] = uint8(i)
+			j++
+		}
+	}
+	var syms [perm.MaxN]uint8
+	copy(b.freeSym[:], pat.FreeSymbols(syms[:0]))
 	for i, s := range b.freeSym {
 		b.symIdx[s] = uint8(i + 1)
 	}
@@ -50,24 +62,23 @@ func (b *Block) ToCanon(v perm.Code) (uint8, bool) {
 	}
 	var c perm.Code
 	for j, pos := range b.freePos {
-		sym := b.symIdx[v.Symbol(pos)]
+		sym := b.symIdx[v.Symbol(int(pos))]
 		c = c.WithSymbol(j+1, sym)
 	}
 	return Canon.Index(c), true
 }
 
-// FromCanon maps a canonical S4 index back to the ambient vertex.
+// FromCanon maps a canonical S4 index back to the ambient vertex: the
+// precomputed fixed-symbol word plus four nibble writes. Every vertex a
+// ring cursor replays comes through here, so hotalloc keeps it
+// allocation-free.
+//
+//starlint:hotpath
 func (b *Block) FromCanon(idx uint8) perm.Code {
 	canon := Canon.Code(idx)
-	// Start from the pattern's fixed symbols and fill free positions.
-	var v perm.Code
-	for i := 1; i <= b.pat.N(); i++ {
-		if s := b.pat.SymbolAt(i); s != substar.Star {
-			v = v.WithSymbol(i, s)
-		}
-	}
+	v := b.base
 	for j, pos := range b.freePos {
-		v = v.WithSymbol(pos, b.freeSym[canon.Symbol(j+1)-1])
+		v = v.WithSymbol(int(pos), b.freeSym[canon.Symbol(j+1)-1])
 	}
 	return v
 }

@@ -3,6 +3,7 @@ package pathsearch
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"repro/internal/perm"
 	"repro/internal/star"
@@ -27,6 +28,11 @@ func TestNewBlockValidation(t *testing.T) {
 	}
 	if _, err := NewBlock(substar.Whole(4)); err != nil {
 		t.Fatalf("whole S4 rejected: %v", err)
+	}
+	// The skeleton keeps one Block per 24 ring vertices; 56 bytes is the
+	// 64-byte allocation class.
+	if size := unsafe.Sizeof(Block{}); size > 56 {
+		t.Errorf("Block is %d bytes, want <= 56", size)
 	}
 }
 

@@ -354,7 +354,7 @@ func TestParityPruneSoundness(t *testing.T) {
 // permutation kernel.
 func TestCodeIndexAgreesWithRank(t *testing.T) {
 	for r := 0; r < BlockOrder; r++ {
-		c := perm.Pack(perm.Unrank(4, r))
+		c := perm.UnrankCode(4, r)
 		if Canon.Index(c) != uint8(r) {
 			t.Fatalf("Index(%s) = %d, want %d", c.StringN(4), Canon.Index(c), r)
 		}

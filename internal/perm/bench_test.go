@@ -50,6 +50,27 @@ func BenchmarkUnrank(b *testing.B) {
 	}
 }
 
+func BenchmarkUnrankCode(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	ranks := make([]int, 1024)
+	for i := range ranks {
+		ranks[i] = rng.Intn(Factorial(9))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = UnrankCode(9, ranks[i%len(ranks)])
+	}
+}
+
+func BenchmarkRankValid(b *testing.B) {
+	c := Pack(MustParse("351724698"))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_, _ = c.RankValid(9)
+	}
+}
+
 func BenchmarkDimOf(b *testing.B) {
 	a := Pack(MustParse("351724698"))
 	c := a.SwapFirst(5)

@@ -23,15 +23,16 @@ const MaxN = 16
 // platforms via a constant divide-by-zero.
 const _ = 1 / (^uint(0) >> 63)
 
-// mustf is the package's invariant helper: it panics with a formatted
-// message when cond is false. Exported entry points use it for
-// programmer-error preconditions (dimension ranges, matched operand
-// sizes) that are bugs at the call site, never data-dependent
-// conditions; those return errors instead.
-func mustf(cond bool, format string, args ...interface{}) {
-	if !cond {
-		panic(fmt.Sprintf(format, args...))
-	}
+// mustFailf is the package's invariant helper: it panics with a
+// formatted message. Exported entry points call it from the failing
+// branch of programmer-error preconditions (dimension ranges, matched
+// operand sizes) that are bugs at the call site, never data-dependent
+// conditions; those return errors instead. Testing the condition at
+// the call site keeps the message arguments from being boxed on the
+// heap when the check passes, which on the per-vertex paths would be
+// most of the allocation traffic.
+func mustFailf(format string, args ...interface{}) {
+	panic(fmt.Sprintf(format, args...))
 }
 
 // Perm is a permutation of the symbols 1..n, stored one symbol per
@@ -45,7 +46,9 @@ var ErrNotPermutation = errors.New("perm: not a permutation of 1..n")
 
 // Identity returns the identity permutation 1 2 ... n.
 func Identity(n int) Perm {
-	mustf(n >= 1 && n <= MaxN, "perm: dimension %d out of range [1,%d]", n, MaxN)
+	if n < 1 || n > MaxN {
+		mustFailf("perm: dimension %d out of range [1,%d]", n, MaxN)
+	}
 	p := make(Perm, n)
 	for i := range p {
 		p[i] = uint8(i + 1)
@@ -167,7 +170,9 @@ func MustParse(s string) Perm {
 // obtained by exchanging the symbol in position 1 with the symbol in
 // position i. Positions are 1-based as in the paper, so 2 <= i <= n.
 func (p Perm) SwapFirst(i int) Perm {
-	mustf(i >= 2 && i <= len(p), "perm: SwapFirst dimension %d out of range [2,%d]", i, len(p))
+	if i < 2 || i > len(p) {
+		mustFailf("perm: SwapFirst dimension %d out of range [2,%d]", i, len(p))
+	}
 	q := p.Clone()
 	q[0], q[i-1] = q[i-1], q[0]
 	return q
@@ -175,7 +180,9 @@ func (p Perm) SwapFirst(i int) Perm {
 
 // SwapFirstInPlace applies the dimension-i star operation to p itself.
 func (p Perm) SwapFirstInPlace(i int) {
-	mustf(i >= 2 && i <= len(p), "perm: SwapFirst dimension %d out of range [2,%d]", i, len(p))
+	if i < 2 || i > len(p) {
+		mustFailf("perm: SwapFirst dimension %d out of range [2,%d]", i, len(p))
+	}
 	p[0], p[i-1] = p[i-1], p[0]
 }
 
@@ -194,7 +201,9 @@ func (p Perm) PositionOf(s uint8) int {
 // permutation is read as the function position -> symbol. Both operands
 // must have the same dimension.
 func (p Perm) Compose(q Perm) Perm {
-	mustf(len(p) == len(q), "perm: Compose dimension mismatch: %d vs %d", len(p), len(q))
+	if len(p) != len(q) {
+		mustFailf("perm: Compose dimension mismatch: %d vs %d", len(p), len(q))
+	}
 	r := make(Perm, len(p))
 	for i := range r {
 		r[i] = p[q[i]-1]
@@ -249,15 +258,23 @@ func (p Perm) Transpositions() int {
 	return len(p) - cycles
 }
 
+// factorials holds 0! through 20!, the largest factorial a 64-bit int
+// holds.
+var factorials = func() (t [21]int) {
+	t[0] = 1
+	for i := 1; i < len(t); i++ {
+		t[i] = t[i-1] * i
+	}
+	return t
+}()
+
 // Factorial returns n! as an int. It panics if the product overflows a
 // 64-bit int (n > 20), far beyond MaxN.
 func Factorial(n int) int {
-	mustf(n >= 0 && n <= 20, "perm: Factorial(%d) out of range", n)
-	f := 1
-	for i := 2; i <= n; i++ {
-		f *= i
+	if n < 0 || n >= len(factorials) {
+		mustFailf("perm: Factorial(%d) out of range", n)
 	}
-	return f
+	return factorials[n]
 }
 
 // Rank returns the lexicographic rank of p among all permutations of
@@ -281,26 +298,34 @@ func (p Perm) Rank() int {
 // Unrank returns the permutation of 1..n with the given lexicographic
 // rank. It is the inverse of Rank.
 func Unrank(n, rank int) Perm {
-	mustf(n >= 1 && n <= MaxN, "perm: dimension %d out of range [1,%d]", n, MaxN)
-	total := Factorial(n)
-	mustf(rank >= 0 && rank < total, "perm: rank %d out of range [0,%d)", rank, total)
-	// Decode the factorial-number-system digits, most significant first:
-	// rank = sum(digits[i] * (n-1-i)!).
-	var digits [MaxN]int
+	return UnrankCode(n, rank).Unpack(n)
+}
+
+// UnrankCode returns the code of the permutation of 1..n with the
+// given lexicographic rank: Pack(Unrank(n, rank)) without allocating.
+// It decodes the factorial-number-system digits most significant
+// first, rank = sum(d_i * (n-1-i)!), and d_i picks the d_i-th smallest
+// symbol not yet placed — read from, then cut out of, a nibble list of
+// the unused symbols.
+func UnrankCode(n, rank int) Code {
+	if n < 1 || n > MaxN {
+		mustFailf("perm: dimension %d out of range [1,%d]", n, MaxN)
+	}
+	if rank < 0 || rank >= factorials[n] {
+		mustFailf("perm: rank %d out of range [0,%d)", rank, factorials[n])
+	}
+	// unused lists the remaining symbols-1 in increasing order, one per
+	// nibble, lowest nibble first.
+	unused := uint64(0xFEDCBA9876543210)
+	var c Code
 	for i := 0; i < n; i++ {
-		f := Factorial(n - 1 - i)
-		digits[i] = rank / f
+		f := factorials[n-1-i]
+		d := uint(rank / f)
 		rank %= f
+		shift := 4 * d
+		c |= Code(unused>>shift&0xF) << (4 * uint(i))
+		low := unused & (1<<shift - 1)
+		unused = low | unused>>(shift+4)<<shift
 	}
-	avail := make([]uint8, n)
-	for i := range avail {
-		avail[i] = uint8(i + 1)
-	}
-	p := make(Perm, n)
-	for i := 0; i < n; i++ {
-		d := digits[i]
-		p[i] = avail[d]
-		avail = append(avail[:d], avail[d+1:]...)
-	}
-	return p
+	return c
 }

@@ -1,6 +1,7 @@
 package perm
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -98,10 +99,11 @@ func TestSwapFirst(t *testing.T) {
 func TestSwapFirstPanics(t *testing.T) {
 	p := MustParse("123")
 	for _, i := range []int{0, 1, 4} {
+		want := fmt.Sprintf("perm: SwapFirst dimension %d out of range [2,3]", i)
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("SwapFirst(%d) did not panic", i)
+				if got := recover(); got != want {
+					t.Errorf("SwapFirst(%d) panicked with %v, want %q", i, got, want)
 				}
 			}()
 			p.SwapFirst(i)
@@ -166,6 +168,9 @@ func TestRankUnrankBijection(t *testing.T) {
 			if !p.Valid() {
 				t.Fatalf("Unrank(%d, %d) invalid: %v", n, r, p)
 			}
+			if c := UnrankCode(n, r); c != Pack(p) {
+				t.Fatalf("UnrankCode(%d, %d) = %s, Unrank = %s", n, r, c.StringN(n), p)
+			}
 			if p.Rank() != r {
 				t.Fatalf("Rank(Unrank(%d, %d)) = %d", n, r, p.Rank())
 			}
@@ -183,15 +188,28 @@ func TestRankUnrankBijection(t *testing.T) {
 }
 
 func TestUnrankPanics(t *testing.T) {
-	for _, c := range []struct{ n, r int }{{3, -1}, {3, 6}, {0, 0}, {17, 0}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Unrank(%d, %d) did not panic", c.n, c.r)
-				}
+	for _, c := range []struct {
+		n, r int
+		want string
+	}{
+		{3, -1, "perm: rank -1 out of range [0,6)"},
+		{3, 6, "perm: rank 6 out of range [0,6)"},
+		{0, 0, "perm: dimension 0 out of range [1,16]"},
+		{17, 0, "perm: dimension 17 out of range [1,16]"},
+	} {
+		for name, unrank := range map[string]func(){
+			"Unrank":     func() { Unrank(c.n, c.r) },
+			"UnrankCode": func() { UnrankCode(c.n, c.r) },
+		} {
+			func() {
+				defer func() {
+					if got := recover(); got != c.want {
+						t.Errorf("%s(%d, %d) panicked with %v, want %q", name, c.n, c.r, got, c.want)
+					}
+				}()
+				unrank()
 			}()
-			Unrank(c.n, c.r)
-		}()
+		}
 	}
 }
 
@@ -222,8 +240,8 @@ func TestFactorial(t *testing.T) {
 	}
 	func() {
 		defer func() {
-			if recover() == nil {
-				t.Error("Factorial(21) did not panic")
+			if got, want := recover(), "perm: Factorial(21) out of range"; got != want {
+				t.Errorf("Factorial(21) panicked with %v, want %q", got, want)
 			}
 		}()
 		Factorial(21)

@@ -54,10 +54,11 @@ func WriteBinary(w io.Writer, n int, ring []perm.Code) error {
 	}
 	var buf [binary.MaxVarintLen64]byte
 	for i, v := range ring {
-		if !v.Valid(n) {
+		rank, ok := v.RankValid(n)
+		if !ok {
 			return fmt.Errorf("ringio: entry %d is not a vertex of S_%d", i, n)
 		}
-		k := binary.PutUvarint(buf[:], uint64(v.Rank(n)))
+		k := binary.PutUvarint(buf[:], uint64(rank))
 		if _, err := bw.Write(buf[:k]); err != nil {
 			return err
 		}
@@ -98,7 +99,7 @@ func ReadBinary(r io.Reader) (n int, ring []perm.Code, err error) {
 		if rank >= total {
 			return 0, nil, fmt.Errorf("%w: rank %d out of range at entry %d", ErrFormat, rank, i)
 		}
-		ring = append(ring, perm.Pack(perm.Unrank(n, int(rank))))
+		ring = append(ring, perm.UnrankCode(n, int(rank)))
 	}
 	// Trailing garbage is an error: the format is self-delimiting.
 	if _, err := br.ReadByte(); err != io.EOF {

@@ -73,13 +73,14 @@ func WriteBinaryStream(w io.Writer, n int, length int, next func() (perm.Code, b
 		if !ok {
 			break
 		}
-		if !v.Valid(n) {
+		rank, ok := v.RankValid(n)
+		if !ok {
 			return fmt.Errorf("ringio: entry %d is not a vertex of S_%d", written, n)
 		}
 		if written >= length {
 			return fmt.Errorf("ringio: producer exceeded declared length %d", length)
 		}
-		k := binary.PutUvarint(buf[:], uint64(v.Rank(n)))
+		k := binary.PutUvarint(buf[:], uint64(rank))
 		chunk = append(chunk, buf[:k]...)
 		written++
 		if inChunk++; inChunk == streamChunk {
@@ -197,7 +198,7 @@ func (s *StreamReader) Next() (perm.Code, bool) {
 		s.chunkLeft--
 	}
 	s.read++
-	return perm.Pack(perm.Unrank(s.n, int(rank))), true
+	return perm.UnrankCode(s.n, int(rank)), true
 }
 
 // finish validates the end of a fully-read stream: the chunked format

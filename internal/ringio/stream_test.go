@@ -89,6 +89,35 @@ func TestStreamSpansChunks(t *testing.T) {
 	}
 }
 
+// TestStreamReaderNextAllocs pins the reader's per-vertex step
+// allocation-free once it is past its first chunk: 500 Next calls
+// straddling the 4096-rank chunk boundary of an S_7 ring, chunk header
+// included, allocate nothing.
+func TestStreamReaderNextAllocs(t *testing.T) {
+	n := 7
+	ring := sampleRing(t, n, 0)
+	var buf bytes.Buffer
+	if err := WriteBinaryStream(&buf, n, len(ring), sliceNext(ring)); err != nil {
+		t.Fatal(err)
+	}
+	sr, err := ReadBinaryStream(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	for ; i < streamChunk-250; i++ {
+		sr.Next()
+	}
+	if allocs := testing.AllocsPerRun(500, func() {
+		if v, ok := sr.Next(); !ok || v != ring[i] {
+			t.Fatalf("entry %d: got %v, %v", i, v, ok)
+		}
+		i++
+	}); allocs != 0 {
+		t.Errorf("StreamReader.Next allocates %.2f times per vertex", allocs)
+	}
+}
+
 // TestStreamReaderAcceptsLegacyBinary locks the compatibility bridge:
 // an SRG1 file written by WriteBinary decodes through the streaming
 // reader, so starverify works on pre-stream archives.

@@ -51,7 +51,7 @@ func TestAllReduceRejectsNonParticipant(t *testing.T) {
 	}
 	var off perm.Code
 	for r := 0; r < 120; r++ {
-		v := perm.Pack(perm.Unrank(5, r))
+		v := perm.UnrankCode(5, r)
 		if !onRing[v] {
 			off = v
 			break

@@ -81,7 +81,7 @@ func TestFailSpareProcessorKeepsRing(t *testing.T) {
 	var spare perm.Code
 	found := false
 	for r := 0; r < 120 && !found; r++ {
-		v := perm.Pack(perm.Unrank(5, r))
+		v := perm.UnrankCode(5, r)
 		if !onRing[v] && !m.plan.Faulty(v) {
 			spare, found = v, true
 		}

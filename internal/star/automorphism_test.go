@@ -67,7 +67,7 @@ func TestAutomorphismGroupLaws(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		a := randomAutomorphism(rng, n)
 		b := randomAutomorphism(rng, n)
-		v := perm.Pack(perm.Unrank(n, rng.Intn(g.Order())))
+		v := perm.UnrankCode(n, rng.Intn(g.Order()))
 		// Compose semantics: (a then b)(v) == b(a(v)).
 		if a.Compose(b).Apply(v) != b.Apply(a.Apply(v)) {
 			t.Fatal("Compose semantics wrong")
@@ -90,14 +90,14 @@ func TestVertexTransitivity(t *testing.T) {
 	g := New(n)
 	rng := rand.New(rand.NewSource(53))
 	for trial := 0; trial < 20; trial++ {
-		u := perm.Pack(perm.Unrank(n, rng.Intn(g.Order())))
-		v := perm.Pack(perm.Unrank(n, rng.Intn(g.Order())))
+		u := perm.UnrankCode(n, rng.Intn(g.Order()))
+		v := perm.UnrankCode(n, rng.Intn(g.Order()))
 		a := VertexTransporter(n, u, v)
 		if a.Apply(u) != v {
 			t.Fatal("transporter misses")
 		}
 		// Distance preservation spot check.
-		w := perm.Pack(perm.Unrank(n, rng.Intn(g.Order())))
+		w := perm.UnrankCode(n, rng.Intn(g.Order()))
 		if g.Distance(u, w) != g.Distance(v, a.Apply(w)) {
 			t.Fatal("transporter distorts distances")
 		}
@@ -144,7 +144,7 @@ func TestQuickAutomorphismPreservesParityRelation(t *testing.T) {
 		n := 4 + rng.Intn(3)
 		g := New(n)
 		a := randomAutomorphism(rng, n)
-		v := perm.Pack(perm.Unrank(n, rng.Intn(g.Order())))
+		v := perm.UnrankCode(n, rng.Intn(g.Order()))
 		w := v.SwapFirst(2 + rng.Intn(n-1))
 		return g.PartiteSet(a.Apply(v)) != g.PartiteSet(a.Apply(w))
 	}

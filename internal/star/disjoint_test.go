@@ -69,8 +69,8 @@ func TestDisjointPathsSampledS5S6(t *testing.T) {
 	for _, n := range []int{5, 6} {
 		g := New(n)
 		for trial := 0; trial < 5; trial++ {
-			u := perm.Pack(perm.Unrank(n, rng.Intn(g.Order())))
-			v := perm.Pack(perm.Unrank(n, rng.Intn(g.Order())))
+			u := perm.UnrankCode(n, rng.Intn(g.Order()))
+			v := perm.UnrankCode(n, rng.Intn(g.Order()))
 			if u == v {
 				continue
 			}
@@ -125,7 +125,7 @@ func TestDisjointPathsSurviveFaults(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		faulty := map[perm.Code]bool{}
 		for len(faulty) < 3 { // n-2 = 3 arbitrary failures
-			w := perm.Pack(perm.Unrank(5, rng.Intn(120)))
+			w := perm.UnrankCode(5, rng.Intn(120))
 			if w != u && w != v {
 				faulty[w] = true
 			}

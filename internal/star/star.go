@@ -24,17 +24,19 @@ type Graph struct {
 // vertex, S_2 an edge, S_3 a 6-cycle); we accept n >= 1 so the trivial
 // cases remain expressible in tests.
 func New(n int) Graph {
-	mustf(n >= 1 && n <= perm.MaxN, "star: dimension %d out of range [1,%d]", n, perm.MaxN)
+	if n < 1 || n > perm.MaxN {
+		mustFailf("star: dimension %d out of range [1,%d]", n, perm.MaxN)
+	}
 	return Graph{n: n}
 }
 
-// mustf is the package's invariant helper: it panics with a formatted
-// message when cond is false. Used only for programmer-error
+// mustFailf is the package's invariant helper: it panics with a
+// formatted message. Callers test the invariant themselves and call it
+// only from the failing branch, so the message arguments are built
+// only when a check fails. Used only for programmer-error
 // preconditions, never data-dependent conditions.
-func mustf(cond bool, format string, args ...interface{}) {
-	if !cond {
-		panic(fmt.Sprintf(format, args...))
-	}
+func mustFailf(format string, args ...interface{}) {
+	panic(fmt.Sprintf(format, args...))
 }
 
 // N returns the dimension of the graph.

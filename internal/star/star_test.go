@@ -141,7 +141,7 @@ func TestDistanceAgainstBFS(t *testing.T) {
 	g := New(5)
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 10; trial++ {
-		u := perm.Pack(perm.Unrank(5, rng.Intn(120)))
+		u := perm.UnrankCode(5, rng.Intn(120))
 		dist := g.BFSDistances(u)
 		g.Vertices(func(v perm.Code) bool {
 			if got := g.Distance(u, v); got != dist[v] {
@@ -178,8 +178,8 @@ func TestRouteIsShortest(t *testing.T) {
 	for n := 2; n <= 8; n++ {
 		g := New(n)
 		for trial := 0; trial < 50; trial++ {
-			u := perm.Pack(perm.Unrank(n, rng.Intn(g.Order())))
-			v := perm.Pack(perm.Unrank(n, rng.Intn(g.Order())))
+			u := perm.UnrankCode(n, rng.Intn(g.Order()))
+			v := perm.UnrankCode(n, rng.Intn(g.Order()))
 			path := g.Route(u, v)
 			if path[0] != u || path[len(path)-1] != v {
 				t.Fatalf("S_%d: route endpoints wrong", n)

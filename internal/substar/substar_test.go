@@ -218,6 +218,35 @@ func TestCrossEdges(t *testing.T) {
 	if total != len(us) {
 		t.Fatalf("found %d actual cross edges, CrossEdges returned %d", total, len(us))
 	}
+
+	// Order and appending: the edges come in the order of Vertices
+	// filtered to symbol y at position 1 (the junction search scans
+	// candidates in this order, so it fixes which ring is built), after
+	// whatever the buffers already held.
+	for _, pair := range [][2]string{{"***25", "***45"}, {"**1*5*", "**3*5*"}, {"*6*2**", "*6*4**"}, {"*2345", "*1345"}} {
+		p, q := MustParse(pair[0]), MustParse(pair[1])
+		j := p.Dif(q)
+		y := q.SymbolAt(j)
+		want := []perm.Code{perm.None}
+		for _, u := range p.Vertices(nil) {
+			if u.Symbol(1) == y {
+				want = append(want, u)
+			}
+		}
+		us, ws := p.CrossEdges(q, []perm.Code{perm.None}, []perm.Code{perm.None})
+		if len(us) != len(want) || len(ws) != len(want) {
+			t.Fatalf("%v-%v: %d/%d edges, want %d", p, q, len(us)-1, len(ws)-1, len(want)-1)
+		}
+		for i := range want {
+			w := want[i]
+			if i > 0 {
+				w = w.SwapFirst(j)
+			}
+			if us[i] != want[i] || ws[i] != w {
+				t.Fatalf("%v-%v: edge %d = (%#v, %#v), want (%#v, %#v)", p, q, i, us[i], ws[i], want[i], w)
+			}
+		}
+	}
 }
 
 // TestBlockedChild verifies the claim of Section 2: after an
@@ -269,23 +298,44 @@ func TestPatternOf(t *testing.T) {
 func TestFixPanics(t *testing.T) {
 	p := MustParse("**3*")
 	for _, c := range []struct {
-		pos int
-		sym uint8
+		pos  int
+		sym  uint8
+		want string
 	}{
-		{1, 1}, // position 1 must stay free
-		{3, 1}, // already fixed
-		{2, 3}, // symbol in use
-		{2, 9}, // out of range
-		{9, 1}, // position out of range
+		{1, 1, "substar: Fix position 1 out of range [2,4]"}, // position 1 must stay free
+		{3, 1, "substar: Fix position 3 of <**3*>_3 is not free"},
+		{2, 3, "substar: Fix symbol 3 already used in <**3*>_3"},
+		{2, 9, "substar: Fix symbol 9 out of range"},
+		{9, 1, "substar: Fix position 9 out of range [2,4]"},
 	} {
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("Fix(%d, %d) did not panic", c.pos, c.sym)
+				if got := recover(); got != c.want {
+					t.Errorf("Fix(%d, %d) panicked with %v, want %q", c.pos, c.sym, got, c.want)
 				}
 			}()
 			p.Fix(c.pos, c.sym)
 		}()
+	}
+}
+
+// TestFixAllocs pins the allocation-free pattern algebra of the super
+// ring's refinement and the junction search: Fix (its invariant checks
+// box the pattern only when they fail) and CrossEdges into buffers
+// that already have room.
+func TestFixAllocs(t *testing.T) {
+	p := MustParse("***2*5*")
+	a, b := MustParse("****135"), MustParse("****175")
+	us, ws := make([]perm.Code, 0, 6), make([]perm.Code, 0, 6)
+	var sink Pattern
+	if allocs := testing.AllocsPerRun(1000, func() {
+		sink = p.Fix(3, 7)
+		us, ws = a.CrossEdges(b, us[:0], ws[:0])
+	}); allocs != 0 {
+		t.Errorf("Fix + CrossEdges allocate %.1f times per call", allocs)
+	}
+	if sink.SymbolAt(3) != 7 || len(us) != 6 {
+		t.Fatalf("Fix = %v, %d cross edges", sink, len(us))
 	}
 }
 

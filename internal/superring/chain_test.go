@@ -13,8 +13,8 @@ func chainAnchors(t *testing.T, n int, rng *rand.Rand, fs *faults.Set) (perm.Cod
 	t.Helper()
 	total := perm.Factorial(n)
 	for {
-		s := perm.Pack(perm.Unrank(n, rng.Intn(total)))
-		tt := perm.Pack(perm.Unrank(n, rng.Intn(total)))
+		s := perm.UnrankCode(n, rng.Intn(total))
+		tt := perm.UnrankCode(n, rng.Intn(total))
 		if s == tt || fs.HasVertex(s) || fs.HasVertex(tt) {
 			continue
 		}

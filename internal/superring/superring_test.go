@@ -51,7 +51,7 @@ func TestInitialSpreadsFaults(t *testing.T) {
 	// Construct faults in three different children of the 2-partition.
 	fs := faults.NewSet(n)
 	for len(fs.Vertices()) < 3 {
-		v := perm.Pack(perm.Unrank(n, rng.Intn(perm.Factorial(n))))
+		v := perm.UnrankCode(n, rng.Intn(perm.Factorial(n)))
 		dup := false
 		for _, f := range fs.Vertices() {
 			if f.Symbol(2) == v.Symbol(2) {
