@@ -10,7 +10,7 @@ import (
 // invariant helpers. A reachable-on-bad-input panic should be a
 // returned error; a true invariant violation should fail through a
 // helper whose name carries the Must/must convention (MustParse,
-// mustf, mustInvariant, ...), which both documents the contract and
+// mustFailf, mustInvariant, ...), which both documents the contract and
 // gives this analyzer its allowlist. Test files are never analyzed.
 var NakedPanic = &Analyzer{
 	Name: "nakedpanic",
