@@ -26,12 +26,15 @@ import (
 // The enforced sites are the per-step ring surgery in Plan.Repair,
 // the pathsearch lookup-table hit, the disabled-observability fast
 // path, and the per-vertex steps of the ring pipeline: the cursor's
-// emit (RingCursor.nextFast), the block replay's canonical-to-ambient
-// map (Block.FromCanon) and the verifier's and ring writer's one-pass
-// validity and rank (perm.Code.RankValid); see ROADMAP.md. The
-// analyzer keeps them honest against refactors that would put an
-// allocation on the paper's O(1)-per-step repair claim or on every
-// vertex of an n!-vertex ring.
+// emit (RingCursor.nextFast), the canonical-to-ambient vertex map
+// (Block.FromCanon), the verifier's and ring writer's one-pass
+// validity and rank (perm.Code.RankValid) and the verifier's
+// adjacency test (perm.DimOf); see ROADMAP.md. perm.UnrankCode, the
+// ring reader's per-vertex decode, cannot carry the marker — its
+// precondition panics box their arguments — so TestUnrankCodeAllocs
+// pins it allocation-free instead. The analyzer keeps them honest
+// against refactors that would put an allocation on the paper's
+// O(1)-per-step repair claim or on every vertex of an n!-vertex ring.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
 	Doc:  "allocations reachable from //starlint:hotpath functions",

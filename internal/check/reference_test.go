@@ -1,0 +1,274 @@
+package check_test
+
+import (
+	"math/rand"
+	"strings"
+	"testing"
+
+	"repro/internal/check"
+	"repro/internal/core"
+	"repro/internal/faults"
+	"repro/internal/perm"
+	"repro/internal/star"
+)
+
+// The differential oracle: a reference ring verifier that shares no
+// code with the permutation kernel, run against check.RingStream on
+// corrupted rings. It unpacks each code with its own shift loop into
+// one byte per nibble, keeps visited vertices in a map and tests
+// adjacency by comparing the unpacked arrays. It calls no perm.Code
+// method and no Perm.Rank, so a bug in RankValid or DimOf — the only
+// kernel calls the stream verifier makes — shows up as a disagreement.
+
+// refVertex holds all sixteen nibbles of a code, position 0 first.
+type refVertex [16]uint8
+
+// The reason classes, as fragments of check's error messages.
+const (
+	reasonInvalid     = "is not a vertex of"
+	reasonFaulty      = "faulty vertex"
+	reasonRepeat      = "repeats at position"
+	reasonNotAdjacent = "are not adjacent"
+	reasonFaultyEdge  = "faulty edge"
+	reasonShort       = "< required"
+	reasonTooFew      = "a cycle needs >= 3 vertices"
+)
+
+// verdict is a verifier's decision: an empty reason accepts; otherwise
+// pos is the index of the vertex being fed when the ring was rejected,
+// or the ring length for a rejection at close.
+type verdict struct {
+	reason string
+	pos    int
+}
+
+func unpack(c perm.Code) refVertex {
+	var v refVertex
+	w := uint64(c)
+	for i := range v {
+		v[i] = uint8(w & 0xF)
+		w >>= 4
+	}
+	return v
+}
+
+// refValid: positions 0..n-1 hold 0..n-1 once each, the rest are zero.
+func refValid(v refVertex, n int) bool {
+	var seen [16]bool
+	for i, s := range v {
+		if i >= n {
+			if s != 0 {
+				return false
+			}
+			continue
+		}
+		if int(s) >= n || seen[s] {
+			return false
+		}
+		seen[s] = true
+	}
+	return true
+}
+
+// refAdjacent: u and v differ at position 0 and one position j < n
+// only, and those two symbols are swapped.
+func refAdjacent(u, v refVertex, n int) bool {
+	j := -1
+	for i := 1; i < len(u); i++ {
+		if u[i] != v[i] {
+			if j >= 0 {
+				return false
+			}
+			j = i
+		}
+	}
+	return j > 0 && j < n && u[0] == v[j] && u[j] == v[0]
+}
+
+// refVerify checks ring against the fault lists in the order
+// check.StreamVerifier documents: per vertex validity, healthiness,
+// distinctness, adjacency to its predecessor and the edge's health;
+// then the length bounds and the closing edge.
+func refVerify(ring []perm.Code, n int, fs *faults.Set, minLen int) verdict {
+	faulty := map[refVertex]bool{}
+	for _, f := range fs.Vertices() {
+		faulty[unpack(f)] = true
+	}
+	badEdge := map[[2]refVertex]bool{}
+	for _, e := range fs.Edges() {
+		u, v := unpack(e.U), unpack(e.V)
+		badEdge[[2]refVertex{u, v}] = true
+		badEdge[[2]refVertex{v, u}] = true
+	}
+	seen := map[refVertex]int{}
+	var first, prev refVertex
+	for i, c := range ring {
+		v := unpack(c)
+		switch {
+		case !refValid(v, n):
+			return verdict{reasonInvalid, i}
+		case faulty[v]:
+			return verdict{reasonFaulty, i}
+		}
+		if _, dup := seen[v]; dup {
+			return verdict{reasonRepeat, i}
+		}
+		seen[v] = i
+		if i == 0 {
+			first = v
+		} else if !refAdjacent(prev, v, n) {
+			return verdict{reasonNotAdjacent, i}
+		} else if badEdge[[2]refVertex{prev, v}] {
+			return verdict{reasonFaultyEdge, i}
+		}
+		prev = v
+	}
+	count := len(ring)
+	switch {
+	case count < minLen:
+		return verdict{reasonShort, count}
+	case count < 3:
+		return verdict{reasonTooFew, count}
+	case !refAdjacent(prev, first, n):
+		return verdict{reasonNotAdjacent, count}
+	case badEdge[[2]refVertex{prev, first}]:
+		return verdict{reasonFaultyEdge, count}
+	}
+	return verdict{"", count}
+}
+
+// streamVerdict runs check.RingStream and classifies its error.
+func streamVerdict(t *testing.T, ring []perm.Code, n int, fs *faults.Set, minLen int) verdict {
+	t.Helper()
+	i := 0
+	count, err := check.RingStream(star.New(n), func() (perm.Code, bool) {
+		if i == len(ring) {
+			return 0, false
+		}
+		i++
+		return ring[i-1], true
+	}, fs, minLen)
+	if err == nil {
+		return verdict{"", count}
+	}
+	for _, r := range []string{reasonInvalid, reasonFaulty, reasonRepeat, reasonNotAdjacent,
+		reasonFaultyEdge, reasonShort, reasonTooFew} {
+		if strings.Contains(err.Error(), r) {
+			return verdict{r, count}
+		}
+	}
+	t.Fatalf("unclassified verifier error: %v", err)
+	return verdict{}
+}
+
+// Corruptions applied to a valid ring.
+const (
+	corruptNone = iota
+	corruptSwap
+	corruptDuplicate
+	corruptFaultyVertex
+	corruptFlipNibble
+	corruptHighNibble
+	corruptTruncate
+	corruptFaultyEdge
+	corruptKinds
+)
+
+// refInput is one fuzz case: a valid ring of S_n (n = 5 + nSel%2)
+// embedded around random vertex faults drawn from seed, one
+// corruption of it chosen by kind and placed by a, b and x, and the
+// minimum length (the paper bound when useMin, else 0).
+type refInput struct {
+	nSel    uint8
+	seed    int64
+	kind    uint8
+	a, b    uint16
+	x       uint8
+	useMin  bool
+	wantWhy string // the seed's intended reason class; fuzzed inputs leave it unset
+}
+
+// referenceSeeds has one corpus entry per reason class, plus a valid
+// ring and a flipped nibble.
+var referenceSeeds = []refInput{
+	{nSel: 0, seed: 1, kind: corruptNone, wantWhy: ""},
+	{nSel: 1, seed: 2, kind: corruptHighNibble, a: 7, b: 3, x: 4, wantWhy: reasonInvalid},
+	{nSel: 1, seed: 3, kind: corruptFaultyVertex, a: 40, wantWhy: reasonFaulty},
+	{nSel: 0, seed: 4, kind: corruptDuplicate, a: 3, b: 10, wantWhy: reasonRepeat},
+	{nSel: 1, seed: 5, kind: corruptSwap, a: 3, b: 10, wantWhy: reasonNotAdjacent},
+	{nSel: 0, seed: 6, kind: corruptFaultyEdge, a: 11, wantWhy: reasonFaultyEdge},
+	{nSel: 1, seed: 7, kind: corruptTruncate, a: 50, useMin: true, wantWhy: reasonShort},
+	{nSel: 0, seed: 8, kind: corruptTruncate, a: 2, wantWhy: reasonTooFew},
+	{nSel: 1, seed: 9, kind: corruptFlipNibble, a: 17, b: 2, x: 1, wantWhy: reasonInvalid},
+}
+
+// differential builds in's corrupted ring, runs both verifiers on it
+// and fails unless they reach the same verdict, which it returns.
+func differential(t *testing.T, in refInput) verdict {
+	t.Helper()
+	n := 5 + int(in.nSel%2)
+	rng := rand.New(rand.NewSource(in.seed))
+	fs := faults.RandomVertices(n, rng.Intn(faults.MaxTolerated(n)+1), rng)
+	plan, err := core.Embed(n, fs, core.Config{})
+	if err != nil {
+		t.Fatalf("embed: %v", err)
+	}
+	ring := plan.Ring()
+	minLen := 0
+	if in.useMin {
+		minLen = plan.Result().Guarantee
+	}
+	i, j := int(in.a)%len(ring), int(in.b)%len(ring)
+	nib := perm.Code(in.x%15 + 1)
+	switch in.kind % corruptKinds {
+	case corruptSwap:
+		ring[i], ring[j] = ring[j], ring[i]
+	case corruptDuplicate:
+		ring[j] = ring[i]
+	case corruptFaultyVertex:
+		if vs := fs.Vertices(); len(vs) > 0 {
+			ring[i] = vs[j%len(vs)]
+		} else if err := fs.AddVertex(ring[i]); err != nil {
+			t.Fatal(err)
+		}
+	case corruptFlipNibble:
+		ring[i] ^= nib << (4 * uint(j%n))
+	case corruptHighNibble:
+		ring[i] |= nib << (4 * uint(n+j%(16-n)))
+	case corruptTruncate:
+		ring = ring[:int(in.a)%(len(ring)+1)]
+	case corruptFaultyEdge:
+		if err := fs.AddEdge(ring[i], ring[(i+1)%len(ring)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := refVerify(ring, n, fs, minLen)
+	if got := streamVerdict(t, ring, n, fs, minLen); got != want {
+		t.Fatalf("S_%d, corruption %d: check.RingStream %+v, reference %+v", n, in.kind%corruptKinds, got, want)
+	}
+	return want
+}
+
+// TestRingStreamReferenceSeeds pins the fuzz corpus: each seed reaches
+// its intended reason class, under both verifiers.
+func TestRingStreamReferenceSeeds(t *testing.T) {
+	for _, in := range referenceSeeds {
+		if got := differential(t, in); got.reason != in.wantWhy {
+			t.Errorf("seed %+v: verdict %+v, want reason %q", in, got, in.wantWhy)
+		}
+	}
+}
+
+// FuzzRingStreamReference corrupts valid S_5 and S_6 rings from
+// core.Embed — swap, duplicate, faulty vertex, flipped nibble, high
+// nibble, truncation, faulty edge — and demands that check.RingStream
+// and the reference verifier agree: both accept, or both reject at the
+// same position for the same reason class.
+func FuzzRingStreamReference(f *testing.F) {
+	for _, in := range referenceSeeds {
+		f.Add(in.nSel, in.seed, in.kind, in.a, in.b, in.x, in.useMin)
+	}
+	f.Fuzz(func(t *testing.T, nSel uint8, seed int64, kind uint8, a, b uint16, x uint8, useMin bool) {
+		differential(t, refInput{nSel: nSel, seed: seed, kind: kind, a: a, b: b, x: x, useMin: useMin})
+	})
+}

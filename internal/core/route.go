@@ -51,17 +51,16 @@ func (pb *blockPlan) appendPath(dst []perm.Code) ([]perm.Code, bool) {
 
 // route reports whether the block admits a path of one of its target
 // lengths between entry and exit, and records the first that works as
-// the block's entry, exit and length. The candidate paths are replayed
-// into buf, one reusable buffer of blockOrder capacity, so a
-// feasibility test allocates nothing once the S4 memo holds its
-// search.
-func (pb *blockPlan) route(entry, exit perm.Code, buf []perm.Code) bool {
+// the block's entry, exit and length. It asks Block.Admits, which
+// answers from the S4 memo without mapping the path back to S_n, so a
+// feasibility test allocates nothing once the memo holds its search.
+func (pb *blockPlan) route(entry, exit perm.Code) bool {
 	for _, t := range pb.targets {
-		if _, ok := pb.block.PathAppend(buf[:0], pathsearch.PathSpec{
+		if pb.block.Admits(pathsearch.PathSpec{
 			From: entry, To: exit,
 			AvoidV: pb.avoidV, AvoidE: pb.avoidE,
 			Target: t,
-		}); ok {
+		}) {
 			pb.entry, pb.exit, pb.length = entry, exit, t
 			return true
 		}
@@ -231,13 +230,6 @@ func chooseJunctions(plans []*blockPlan, cands [][]junction, in *instr) error {
 	m := len(plans)
 	idx := make([]int, m)
 	chosen := make([]junction, m)
-	buf := make([]perm.Code, 0, blockOrder)
-
-	// blockFeasible reports whether block k supports one of its target
-	// lengths between entry and exit, recording the first that works.
-	blockFeasible := func(k int, entry, exit perm.Code) bool {
-		return plans[k].route(entry, exit, buf)
-	}
 
 	// The step bound guards against pathological backtracking; it must
 	// scale with the block count or the bound itself becomes the limit —
@@ -264,10 +256,10 @@ func chooseJunctions(plans []*blockPlan, cands [][]junction, in *instr) error {
 		}
 		chosen[k] = cands[k][idx[k]]
 		ok := true
-		if k >= 1 && !blockFeasible(k, chosen[k-1].w, chosen[k].u) {
+		if k >= 1 && !plans[k].route(chosen[k-1].w, chosen[k].u) {
 			ok = false
 		}
-		if ok && k == m-1 && !blockFeasible(0, chosen[m-1].w, chosen[0].u) {
+		if ok && k == m-1 && !plans[0].route(chosen[m-1].w, chosen[0].u) {
 			ok = false
 		}
 		if !ok {
@@ -283,7 +275,7 @@ func chooseJunctions(plans []*blockPlan, cands [][]junction, in *instr) error {
 	// state, so re-record the final assignment.
 	for k := 0; k < m; k++ {
 		prev := (k - 1 + m) % m
-		if !blockFeasible(k, chosen[prev].w, chosen[k].u) {
+		if !plans[k].route(chosen[prev].w, chosen[k].u) {
 			return fmt.Errorf("core: internal: block %d lost feasibility on replay", k)
 		}
 	}

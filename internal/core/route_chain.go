@@ -107,9 +107,8 @@ func chainTargets(odd bool, vf int, bestEffort bool) []int {
 // final block when the last junction lands.
 func chooseChainJunctions(plans []*blockPlan, cands [][]junction, s, t perm.Code) error {
 	m := len(plans)
-	buf := make([]perm.Code, 0, blockOrder)
 	if m == 1 {
-		if plans[0].route(s, t, buf) {
+		if plans[0].route(s, t) {
 			return nil
 		}
 		return fmt.Errorf("core: single-block chain unroutable")
@@ -117,10 +116,6 @@ func chooseChainJunctions(plans []*blockPlan, cands [][]junction, s, t perm.Code
 
 	idx := make([]int, m-1)
 	chosen := make([]junction, m-1)
-
-	blockFeasible := func(k int, entry, exit perm.Code) bool {
-		return plans[k].route(entry, exit, buf)
-	}
 
 	entryOf := func(k int) perm.Code {
 		if k == 0 {
@@ -146,8 +141,8 @@ func chooseChainJunctions(plans []*blockPlan, cands [][]junction, s, t perm.Code
 			continue
 		}
 		chosen[k] = cands[k][idx[k]]
-		ok := blockFeasible(k, entryOf(k), chosen[k].u)
-		if ok && k == m-2 && !blockFeasible(m-1, chosen[m-2].w, t) {
+		ok := plans[k].route(entryOf(k), chosen[k].u)
+		if ok && k == m-2 && !plans[m-1].route(chosen[m-2].w, t) {
 			ok = false
 		}
 		if !ok {
@@ -164,7 +159,7 @@ func chooseChainJunctions(plans []*blockPlan, cands [][]junction, s, t perm.Code
 		if k < m-1 {
 			exit = chosen[k].u
 		}
-		if !blockFeasible(k, entryOf(k), exit) {
+		if !plans[k].route(entryOf(k), exit) {
 			return fmt.Errorf("core: internal: chain block %d lost feasibility on replay", k)
 		}
 	}

@@ -35,18 +35,22 @@ type RingCursor struct {
 	i   int
 	k   int // next block to replay
 
-	err  error
-	done bool
-	span obs.Span
+	err    error
+	done   bool
+	span   obs.Span
+	blocks *obs.Counter // core.stream.blocks; nil without a registry
 }
 
 // Cursor opens a ring iterator positioned at the start of the cycle
 // (the first vertex of block 0's segment, which equals Ring()[0]). The
 // traversal is spanned as core.phase.stream_emit from open to
-// exhaustion when the embedder's registry is attached.
+// exhaustion when the embedder's registry is attached. The span and
+// the block counter are resolved here, once, so replaying a block
+// touches only an atomic.
 func (p *Plan) Cursor() *RingCursor {
+	r := p.e.cfg.Obs
 	return &RingCursor{p: p, gen: p.gen, seg: make([]perm.Code, 0, blockOrder),
-		span: newInstr(p.e.cfg.Obs, p.e.n).span("core.phase.stream_emit")}
+		span: r.Span("core.phase.stream_emit"), blocks: r.Counter("core.stream.blocks")}
 }
 
 // Next returns the next ring vertex, or ok=false when the cycle has
@@ -93,9 +97,7 @@ func (c *RingCursor) refill() (perm.Code, bool) {
 		c.fail(fmt.Errorf("core: block %d path vanished on replay", c.k))
 		return zero, false
 	}
-	if r := p.e.cfg.Obs; r != nil {
-		r.Counter("core.stream.blocks").Inc()
-	}
+	c.blocks.Inc()
 	c.seg, c.i = seg, 0
 	c.k++
 	return c.nextFast(), true

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/faults"
+	"repro/internal/obs"
 	"repro/internal/perm"
 	"repro/internal/star"
 )
@@ -132,6 +133,29 @@ func TestStreamingRepairEquivalence(t *testing.T) {
 				t.Fatalf("step %d: RingAt(%d) diverges from the cursor", step, i)
 			}
 		}
+	}
+}
+
+// TestCursorRegistryAllocs pins the cursor's telemetry to its open:
+// opening and draining a cursor on a plan with a registry allocates no
+// more than on a plan without one. The stream_emit span and the
+// core.stream.blocks counter are resolved once in Cursor, so a
+// replayed block touches only an atomic, never the registry's mutex.
+func TestCursorRegistryAllocs(t *testing.T) {
+	drainAllocs := func(cfg Config) float64 {
+		p := planOn(t, 7, cfg)
+		return testing.AllocsPerRun(20, func() {
+			c := p.Cursor()
+			for _, ok := c.Next(); ok; _, ok = c.Next() {
+			}
+			if err := c.Err(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	bare, withReg := drainAllocs(Config{}), drainAllocs(Config{Obs: obs.NewRegistry()})
+	if withReg > bare {
+		t.Errorf("cursor on a plan with a registry allocates %.1f times, %.1f without", withReg, bare)
 	}
 }
 

@@ -3,6 +3,7 @@ package pathsearch
 import (
 	"testing"
 
+	"repro/internal/perm"
 	"repro/internal/substar"
 )
 
@@ -70,6 +71,55 @@ func BenchmarkLongestCycleOneFault(b *testing.B) {
 		_, n := Canon.LongestCycleAvoiding(1<<uint(i%BlockOrder), nil)
 		if n != 22 {
 			b.Fatal("wrong cycle length")
+		}
+	}
+}
+
+// blockReplaySpec is a healthy S_9 block's Hamiltonian entry-to-exit
+// query, the one every ring replay and junction test of a fault-free
+// block asks.
+func blockReplaySpec(b *testing.B) (*Block, PathSpec) {
+	p := substar.MustParse("****56789")
+	blk, err := NewBlock(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	verts := p.Vertices(nil)
+	from := verts[0]
+	for _, to := range verts {
+		spec := PathSpec{From: from, To: to, Target: BlockOrder}
+		if blk.Admits(spec) {
+			return blk, spec
+		}
+	}
+	b.Fatal("no Hamiltonian path from the block's first vertex")
+	return nil, PathSpec{}
+}
+
+// BenchmarkBlockReplay measures one block replay on a warm memo: the
+// canonical query, the memo hit and the 24 vertices mapped back to S_9
+// through PathAppend's placement table.
+func BenchmarkBlockReplay(b *testing.B) {
+	blk, spec := blockReplaySpec(b)
+	buf := make([]perm.Code, 0, BlockOrder)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := blk.PathAppend(buf[:0], spec); !ok {
+			b.Fatal("path vanished")
+		}
+	}
+}
+
+// BenchmarkBlockAdmits measures the junction search's feasibility test
+// of the same query: the canonical query and the memo hit, no replay.
+func BenchmarkBlockAdmits(b *testing.B) {
+	blk, spec := blockReplaySpec(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !blk.Admits(spec) {
+			b.Fatal("path vanished")
 		}
 	}
 }

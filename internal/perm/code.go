@@ -125,60 +125,54 @@ func (c Code) Rank(n int) int {
 
 // RankValid returns c.Rank(n) and c.Valid(n) from one pass over the
 // nibbles: the used-symbol mask that Rank keeps for its Lehmer digits
-// is also what detects a repeated symbol. The rank is 0 when ok is
-// false. Stream consumers that must both validate and rank every ring
-// vertex (the verifier, the ring writer) call it once per vertex, so
-// hotalloc keeps it allocation-free.
+// is also what detects a bad word. The pass shifts the word four bits
+// per step and tests validity once at the end: n symbols set exactly
+// the bits 0..n-1 of the mask only when they are distinct and all
+// below n, so a repeated symbol or a symbol >= n leaves the mask short
+// of 1<<n - 1, and a nonzero nibble above position n leaves the
+// shifted word nonzero. The rank is 0 when ok is false. Stream
+// consumers that must both validate and rank every ring vertex (the
+// verifier, the ring writer) call it once per vertex, so hotalloc
+// keeps it allocation-free.
 //
 //starlint:hotpath
 func (c Code) RankValid(n int) (rank int, ok bool) {
 	if n < 1 || n > MaxN {
 		return 0, false
 	}
-	// Higher positions must be zero so that equal permutations have
-	// equal codes.
-	if n < MaxN && c>>(4*uint(n)) != 0 {
-		return 0, false
-	}
+	w := uint64(c)
 	var used uint32
-	for i := 0; i < n; i++ {
-		s := uint(c>>(4*uint(i))) & 0xF
+	for k := n; k > 0; k-- {
+		s := w & 0xF
+		w >>= 4
 		bit := uint32(1) << s
-		if int(s) >= n || used&bit != 0 {
-			return 0, false
-		}
-		smaller := int(s) - bits.OnesCount32(used&(bit-1))
+		rank = rank*k + int(s) - bits.OnesCount32(used&(bit-1))
 		used |= bit
-		rank = rank*(n-i) + smaller
+	}
+	if used != 1<<uint(n)-1 || w != 0 {
+		return 0, false
 	}
 	return rank, true
 }
 
+// nibbleLows has the low bit of every nibble set.
+const nibbleLows = 0x1111111111111111
+
 // DimOf returns the dimension i (2 <= i <= n) such that b == a.SwapFirst(i),
-// or 0 when a and b are not adjacent in S_n.
+// or 0 when a and b are not adjacent in S_n. Adjacent codes differ in
+// exactly two nibbles, nibble 0 and nibble i-1, which hold swapped
+// symbols: a^b is folded to one bit per differing nibble, that mask
+// must be bit 0 plus exactly one other bit, and SwapFirst confirms the
+// swap. There is no loop over the positions.
+//
+//starlint:hotpath
 func DimOf(a, b Code, n int) int {
-	if a == b {
-		return 0
-	}
-	x := a ^ b
-	// Adjacent codes differ in exactly two nibbles, one of them nibble 0,
-	// and the differing nibbles hold swapped symbols.
-	if x&0xF == 0 {
-		return 0
-	}
-	dim := 0
-	for i := 1; i < n; i++ {
-		if x>>(4*uint(i))&0xF != 0 {
-			if dim != 0 {
-				return 0 // more than two nibbles differ
-			}
-			dim = i + 1
-		}
-	}
-	if dim == 0 {
-		return 0
-	}
-	if a.SwapFirst(dim) != b {
+	x := uint64(a ^ b)
+	x |= x >> 2
+	x |= x >> 1
+	x &= nibbleLows
+	dim := bits.TrailingZeros64(x&^1)>>2 + 1
+	if x&1 == 0 || bits.OnesCount64(x) != 2 || dim > n || a.SwapFirst(dim) != b {
 		return 0
 	}
 	return dim

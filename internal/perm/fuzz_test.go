@@ -31,13 +31,18 @@ func FuzzParse(f *testing.F) {
 
 // FuzzCodeOps drives the packed-code operations with arbitrary words;
 // only valid permutation codes may pass Valid, and operations on valid
-// codes must preserve validity.
+// codes must preserve validity. DimOf of any two words must match the
+// brute-force search over dimensions.
 func FuzzCodeOps(f *testing.F) {
-	f.Add(uint64(0), uint8(4), uint8(2))
-	f.Add(uint64(0x3210), uint8(4), uint8(3))
-	f.Fuzz(func(t *testing.T, raw uint64, nRaw, dimRaw uint8) {
+	f.Add(uint64(0), uint8(4), uint8(2), uint64(0))
+	f.Add(uint64(0x3210), uint8(4), uint8(3), uint64(0x0213))
+	f.Add(uint64(0x3210), uint8(4), uint8(3), uint64(0x13210))
+	f.Fuzz(func(t *testing.T, raw uint64, nRaw, dimRaw uint8, raw2 uint64) {
 		n := int(nRaw)%MaxN + 1
 		c := Code(raw)
+		if got, want := DimOf(c, Code(raw2), n), bruteDimOf(c, Code(raw2), n); got != want {
+			t.Fatalf("DimOf(%#x, %#x, %d) = %d, brute force %d", raw, raw2, n, got, want)
+		}
 		if !c.Valid(n) {
 			return
 		}

@@ -159,7 +159,54 @@ func TestParityMatchesInversionCount(t *testing.T) {
 	}
 }
 
+// divUnrankCode is the division-based decoder UnrankCode replaced,
+// kept as its oracle: the factorial-base digits most significant
+// first, each by a 64-bit division, each picking from a nibble list of
+// the unused symbols.
+func divUnrankCode(n, rank int) Code {
+	unused := uint64(0xFEDCBA9876543210)
+	var c Code
+	for i := 0; i < n; i++ {
+		f := Factorial(n - 1 - i)
+		d := uint(rank / f)
+		rank %= f
+		shift := 4 * d
+		c |= Code(unused>>shift&0xF) << (4 * uint(i))
+		low := unused & (1<<shift - 1)
+		unused = low | unused>>(shift+4)<<shift
+	}
+	return c
+}
+
 func TestRankUnrankBijection(t *testing.T) {
+	// UnrankCode against the division-based decoder: every rank up to
+	// n = 9; beyond, the ends of the rank range, both sides of every
+	// multiple of 6! up to 200*6! (where the table tail wraps and the
+	// head digits carry), and seeded random ranks.
+	check := func(n, r int) {
+		t.Helper()
+		if got, want := UnrankCode(n, r), divUnrankCode(n, r); got != want {
+			t.Fatalf("UnrankCode(%d, %d) = %#x, division decoder %#x", n, r, uint64(got), uint64(want))
+		}
+	}
+	for n := 1; n <= 9; n++ {
+		for r := 0; r < Factorial(n); r++ {
+			check(n, r)
+		}
+	}
+	rng := rand.New(rand.NewSource(16))
+	for n := 10; n <= MaxN; n++ {
+		check(n, 0)
+		check(n, Factorial(n)-1)
+		for r := 1; r <= 200; r++ {
+			check(n, r*720)
+			check(n, r*720-1)
+		}
+		for i := 0; i < 2000; i++ {
+			check(n, rng.Intn(Factorial(n)))
+		}
+	}
+
 	for n := 1; n <= 7; n++ {
 		seen := make(map[string]bool)
 		prev := ""

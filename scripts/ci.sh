@@ -446,7 +446,9 @@ leg "perf gate" perf_gate || exit 1
 
 # Fuzz smoke: one target per invocation (the go tool's -fuzz accepts a
 # single match), a few seconds each. These catch regressions in input
-# handling and, for FuzzEmbedRing, in the embedding pipeline itself.
+# handling and, for FuzzEmbedRing, in the embedding pipeline itself;
+# FuzzRingStreamReference pits the ring verifier against a reference
+# that shares no code with the permutation kernel.
 fuzz_smoke() {
     local pkg="$1" target="$2"
     go test -run '^$' -fuzz "^${target}\$" -fuzztime "$FUZZTIME" "$pkg"
@@ -458,6 +460,7 @@ leg "fuzz ringio/FuzzReadBinary" fuzz_smoke ./internal/ringio FuzzReadBinary || 
 leg "fuzz ringio/FuzzReadBinaryStream" fuzz_smoke ./internal/ringio FuzzReadBinaryStream || exit 1
 leg "fuzz ringio/FuzzReadText" fuzz_smoke ./internal/ringio FuzzReadText || exit 1
 leg "fuzz core/FuzzEmbedRing" fuzz_smoke ./internal/core FuzzEmbedRing || exit 1
+leg "fuzz check/FuzzRingStreamReference" fuzz_smoke ./internal/check FuzzRingStreamReference || exit 1
 leg "fuzz serve/FuzzServeRequest" fuzz_smoke ./internal/serve FuzzServeRequest || exit 1
 
 echo "==> ci.sh: all legs passed"
