@@ -25,8 +25,11 @@ import (
 //
 // The enforced sites are the per-step ring surgery in Plan.Repair,
 // the pathsearch lookup-table hit, the disabled-observability fast
-// path, and the per-vertex steps of the ring pipeline: the cursor's
-// emit (RingCursor.nextFast), the canonical-to-ambient vertex map
+// path, the skeleton's per-block steps — its block lookup
+// (skeleton.blockOf) and the isomorphism computed for each replayed
+// or route-tested block (pathsearch.BlockAt) — and the per-vertex
+// steps of the ring pipeline: the cursor's emit
+// (RingCursor.nextFast), the canonical-to-ambient vertex map
 // (Block.FromCanon), the verifier's and ring writer's one-pass
 // validity and rank (perm.Code.RankValid) and the verifier's
 // adjacency test (perm.DimOf); see ROADMAP.md. perm.UnrankCode, the

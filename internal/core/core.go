@@ -130,9 +130,10 @@ func Embed(n int, fs *faults.Set, cfg Config) (*Plan, error) {
 
 // embedLarge handles n >= 5: Lemma 2 separation, Lemma 3 construction
 // of the R4 with (P1)(P2)(P3), and Lemma 7 block routing. Beyond
-// filling res it returns the skeleton — the R4 plus the per-block
-// routing state — which is the ring: Plan replays it block by block
-// and Plan.Repair re-routes single blocks of it.
+// filling res it returns the skeleton — every block's routed entry,
+// exit and length plus the faults it avoids — which is the ring: Plan
+// replays it block by block and Plan.Repair re-routes single blocks of
+// it. The R4 itself is dropped once routed.
 func embedLarge(res *Result, fs *faults.Set, cfg Config, in *instr) (*skeleton, error) {
 	n := res.N
 	sspan := in.span("core.phase.separation")
@@ -150,23 +151,27 @@ func embedLarge(res *Result, fs *faults.Set, cfg Config, in *instr) (*skeleton, 
 		return nil, err
 	}
 	res.Blocks = r4.Len()
-	for _, p := range r4.Vertices() {
-		if fs.CountIn(p) > 0 {
-			res.FaultyBlocks++
-		}
+
+	// Block set-up: the skeleton's arrays, its pattern-rank index and
+	// the side table of faulty blocks.
+	bspan = in.span("core.phase.blocks")
+	sk, err := newSkeleton(r4.Vertices(), fs)
+	bspan.End()
+	if err != nil {
+		return nil, err
 	}
+	res.FaultyBlocks = sk.vertexFaultBlocks()
 
 	if cfg.Opportunistic && !cfg.BestEffort && fs.NumVertices() >= 2 && fs.NumEdges() == 0 {
-		upgraded, exitParity := planUpgrades(r4, fs)
+		upgraded, exitParity := planUpgrades(sk, n)
 		if exitParity != nil {
-			rt, err := routeR4x(r4, fs, opportunisticTargets(upgraded), exitParity, in)
-			if err == nil {
+			if err := sk.routeRing(r4, fs, opportunisticTargets(upgraded), exitParity, in); err == nil {
 				for _, u := range upgraded {
 					if u {
 						res.Upgrades++
 					}
 				}
-				return &skeleton{r4: r4, rt: rt}, nil
+				return sk, nil
 			}
 			// Fall through to the plain paper routing: the guarantee
 			// never depends on the upgrade pass succeeding.
@@ -174,11 +179,10 @@ func embedLarge(res *Result, fs *faults.Set, cfg Config, in *instr) (*skeleton, 
 	}
 
 	targetsFor := paperTargets(cfg.BestEffort)
-	rt, err := routeR4x(r4, fs, func(_, vf int) []int { return targetsFor(vf) }, nil, in)
-	if err != nil {
+	if err := sk.routeRing(r4, fs, func(_, vf int) []int { return targetsFor(vf) }, nil, in); err != nil {
 		return nil, err
 	}
-	return &skeleton{r4: r4, rt: rt}, nil
+	return sk, nil
 }
 
 // paperTargets is the paper's per-block length policy: a healthy block

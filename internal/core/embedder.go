@@ -12,8 +12,6 @@ import (
 	"repro/internal/pathsearch"
 	"repro/internal/perm"
 	"repro/internal/star"
-	"repro/internal/substar"
-	"repro/internal/superring"
 )
 
 // Embedder is a session-oriented handle on one star graph S_n: it owns
@@ -133,7 +131,7 @@ func (e *Embedder) EmbedOp(op *obs.Op, fs *faults.Set) (*Plan, error) {
 		if err != nil {
 			return
 		}
-		res.Length = sk.rt.ringLen()
+		res.Length = sk.ringLen()
 		// Self-verification reads the ring the way every consumer does:
 		// through a cursor replaying the skeleton block by block, into the
 		// independent stream verifier.
@@ -152,6 +150,7 @@ func (e *Embedder) EmbedOp(op *obs.Op, fs *faults.Set) (*Plan, error) {
 		return nil, err
 	}
 	in.embedCompleted(res.Guaranteed)
+	in.skeleton(p.sk.bytesPerBlock())
 	if op.Enabled(obs.LevelInfo) {
 		op.Log(obs.LevelInfo, "core.embed",
 			obs.F("n", n), obs.F("vertex_faults", nv), obs.F("edge_faults", ne),
@@ -161,36 +160,25 @@ func (e *Embedder) EmbedOp(op *obs.Op, fs *faults.Set) (*Plan, error) {
 	return p, nil
 }
 
-// skeleton is the ring as the pipeline leaves it: the R4 super-ring and
-// the routing outcome (per-block plans with their chosen junctions,
-// plus segment offsets). The small-n direct embeddings have no R4; their
-// routed state is one stored segment.
-type skeleton struct {
-	r4 *superring.Ring
-	rt *routed
-}
-
 // Plan is a live embedding: the verified Result plus the skeleton that
-// produced it — separating positions, the R4 ring, per-block plans with
-// their chosen junctions, and the block-to-ring-segment offsets. The
-// skeleton is the ring's only representation: every view of the cycle
-// (Cursor, Ring, RingAt, OnRing) replays block segments from it on
-// demand, so a plan holds O(#blocks) memory whatever n is. It is also
-// what makes Repair incremental: a new fault that lands in a previously
-// healthy block invalidates exactly one 24-vertex segment, which is
-// re-routed and spliced by shifting the downstream offsets, without
-// touching the other n!/24-1 blocks.
+// produced it — every block's routed entry, exit and length, the faults
+// it avoids, the block-to-ring-segment offsets and the index from a
+// vertex to its block. The skeleton is the ring's only representation:
+// every view of the cycle (Cursor, Ring, RingAt, OnRing) replays block
+// segments from it on demand, so a plan holds O(#blocks) memory
+// whatever n is — 29 bytes per block plus a side table for the faulty
+// blocks. It is also what makes Repair incremental: a new fault that
+// lands in a previously healthy block invalidates exactly one 24-vertex
+// segment, which is re-routed and spliced by shifting the downstream
+// offsets, without touching the other n!/24-1 blocks.
 type Plan struct {
 	e   *Embedder
 	res *Result
 	fs  *faults.Set // owned; Repair mutates it
 
-	// nil r4 marks the small-n direct embeddings (n <= 4): one stored
-	// segment, no block index, every repair is a rebuild.
-	r4       *superring.Ring
-	blocks   []*blockPlan
-	offsets  []int // block k occupies ring positions [offsets[k], offsets[k+1])
-	blockIdx map[substar.Pattern]int
+	// sk.cycle non-nil marks the small-n direct embeddings (n <= 4): one
+	// stored segment, no block index, every repair is a rebuild.
+	sk *skeleton
 
 	// gen counts ring mutations (splices and rebuilds). Cursors snapshot
 	// it at creation and refuse to refill once it moves on, so a stale
@@ -206,15 +194,7 @@ type Plan struct {
 }
 
 func newPlan(e *Embedder, res *Result, fs *faults.Set, sk *skeleton) *Plan {
-	p := &Plan{e: e, res: res, fs: fs, segBlock: -1,
-		r4: sk.r4, blocks: sk.rt.plans, offsets: sk.rt.offsets}
-	if sk.r4 != nil {
-		p.blockIdx = make(map[substar.Pattern]int, sk.r4.Len())
-		for k, pat := range sk.r4.Vertices() {
-			p.blockIdx[pat] = k
-		}
-	}
-	return p
+	return &Plan{e: e, res: res, fs: fs, sk: sk, segBlock: -1}
 }
 
 // verify runs the independent stream verifier over a fresh cursor,
@@ -248,8 +228,9 @@ func (p *Plan) RingLen() int { return p.res.Len() }
 // that block's <= 24-vertex path is replayed (cached, so sequential or
 // block-local access patterns stay cheap).
 func (p *Plan) RingAt(i int) perm.Code {
-	k := sort.Search(len(p.offsets)-1, func(k int) bool { return p.offsets[k+1] > i })
-	return p.segment(k)[i-p.offsets[k]]
+	offsets := p.sk.offsets
+	k := sort.Search(len(offsets)-1, func(k int) bool { return offsets[k+1] > i })
+	return p.segment(k)[i-offsets[k]]
 }
 
 // Ring returns a copy of the current ring, built by draining a fresh
@@ -292,7 +273,7 @@ func (p *Plan) segment(k int) []perm.Code {
 	if p.segBlock == k {
 		return p.seg
 	}
-	seg, ok := p.blocks[k].appendPath(p.seg[:0])
+	seg, ok := p.sk.appendPath(k, p.seg[:0])
 	if !ok {
 		mustFailf("core: block %d path vanished on replay", k)
 	}
@@ -311,12 +292,15 @@ func (p *Plan) Blocks() int { return p.res.Blocks }
 
 // OnRing reports whether v currently sits on the ring: an O(1) block
 // lookup plus a scan of that block's replayed <= 24-vertex segment
-// (for n <= 4, the one stored segment is the whole ring).
+// (for n <= 4, the one stored segment is the whole ring). A code that
+// is not a vertex of S_n is never on the ring.
 func (p *Plan) OnRing(v perm.Code) bool {
+	if !v.Valid(p.e.n) {
+		return false
+	}
 	k := 0
-	if p.r4 != nil {
-		var ok bool
-		if k, ok = p.blockOf(v); !ok {
+	if p.sk.cycle == nil {
+		if k = p.sk.blockOf(v); k < 0 {
 			return false
 		}
 	}
@@ -326,14 +310,6 @@ func (p *Plan) OnRing(v perm.Code) bool {
 		}
 	}
 	return false
-}
-
-// blockOf locates the R4 block containing v via the Lemma 2 separating
-// positions.
-func (p *Plan) blockOf(v perm.Code) (int, bool) {
-	pat := substar.PatternOf(p.e.n, v, p.res.Positions)
-	k, ok := p.blockIdx[pat]
-	return k, ok
 }
 
 // RepairOutcome classifies what Repair had to do.
@@ -457,8 +433,7 @@ func (p *Plan) RepairOp(op *obs.Op, v perm.Code) (RepairReport, error) {
 		in.repair("avoided")
 		rep.Outcome = RepairAvoided
 		rep.NewLen = rep.OldLen
-		p.logRepair(in, v, rep)
-		in.done(op, owned)
+		p.repaired(in, op, owned, v, rep)
 		return rep, nil
 	}
 
@@ -471,12 +446,11 @@ func (p *Plan) RepairOp(op *obs.Op, v perm.Code) (RepairReport, error) {
 			in.repair("splices")
 			rep.Outcome = RepairSplice
 			rep.Block = k
-			rep.SegmentStart = p.offsets[k]
-			rep.SegmentOldLen = p.offsets[k+1] - p.offsets[k] + 2
+			rep.SegmentStart = p.sk.offsets[k]
+			rep.SegmentOldLen = p.sk.offsets[k+1] - p.sk.offsets[k] + 2
 			rep.NewLen = p.res.Len()
 			rep.BlocksRerouted = 1
-			p.logRepair(in, v, rep)
-			in.done(op, owned)
+			p.repaired(in, op, owned, v, rep)
 			return rep, nil
 		}
 		// Lemma 4 covers the strict regime, so a failed splice should
@@ -499,29 +473,32 @@ func (p *Plan) RepairOp(op *obs.Op, v perm.Code) (RepairReport, error) {
 	rep.Outcome = RepairRebuild
 	rep.NewLen = p.res.Len()
 	rep.BlocksRerouted = p.res.Blocks
-	p.logRepair(in, v, rep)
-	in.done(op, owned)
+	p.repaired(in, op, owned, v, rep)
 	return rep, nil
 }
 
-// logRepair emits the structured core.repair event when an event log is
-// attached: which vertex failed, what Repair did, and what it cost. The
-// record carries the bound operation's trace id.
-func (p *Plan) logRepair(in *instr, v perm.Code, rep RepairReport) {
-	if in == nil || !in.op.Enabled(obs.LevelInfo) {
-		return
+// repaired closes a successful repair: it sets the skeleton gauge,
+// emits the structured core.repair event when an event log is attached
+// — which vertex failed, what Repair did, and what it cost, under the
+// bound operation's trace id — and ends an owned operation.
+func (p *Plan) repaired(in *instr, op *obs.Op, owned bool, v perm.Code, rep RepairReport) {
+	in.skeleton(p.sk.bytesPerBlock())
+	if in != nil && in.op.Enabled(obs.LevelInfo) {
+		in.op.Log(obs.LevelInfo, "core.repair",
+			obs.F("vertex", v.StringN(p.e.n)),
+			obs.F("outcome", rep.Outcome.String()),
+			obs.F("blocks_rerouted", rep.BlocksRerouted),
+			obs.F("old_len", rep.OldLen),
+			obs.F("new_len", rep.NewLen))
 	}
-	in.op.Log(obs.LevelInfo, "core.repair",
-		obs.F("vertex", v.StringN(p.e.n)),
-		obs.F("outcome", rep.Outcome.String()),
-		obs.F("blocks_rerouted", rep.BlocksRerouted),
-		obs.F("old_len", rep.OldLen),
-		obs.F("new_len", rep.NewLen))
+	in.done(op, owned)
 }
 
 // CanSplice reports whether a failure of v would take the splice fast
 // path, without mutating the plan. (Off-ring and already-faulty vertices
-// report false: those repairs never re-route anything.)
+// report false: those repairs never re-route anything. So does a code
+// that is not a vertex of S_n, which OnRing rejects before any block
+// lookup.)
 func (p *Plan) CanSplice(v perm.Code) bool {
 	if p.broken || p.fs.HasVertex(v) || !p.OnRing(v) {
 		return false
@@ -540,31 +517,24 @@ func (p *Plan) CanSplice(v perm.Code) bool {
 //     junction discipline ((P3)) survives;
 //   - the block's current path is long enough to shed two vertices.
 func (p *Plan) spliceTarget(v perm.Code) (int, bool) {
-	if p.r4 == nil {
+	sk := p.sk
+	if sk.cycle != nil {
 		return -1, false
 	}
-	k, ok := p.blockOf(v)
-	if !ok {
+	k := sk.blockOf(v)
+	if k < 0 || sk.holdsFault(k) {
 		return -1, false
 	}
-	pb := p.blocks[k]
-	if len(pb.avoidV) != 0 || len(pb.avoidE) != 0 {
+	if v == sk.entry[k] || v == sk.exit[k] {
 		return -1, false
 	}
-	if v == pb.entry || v == pb.exit {
-		return -1, false
-	}
-	m := len(p.blocks)
+	m := sk.blocks()
 	for _, j := range [2]int{(k - 1 + m) % m, (k + 1) % m} {
-		if j == k {
-			continue
-		}
-		nb := p.blocks[j]
-		if len(nb.avoidV) != 0 || len(nb.avoidE) != 0 {
+		if j != k && sk.holdsFault(j) {
 			return -1, false
 		}
 	}
-	if pb.length < 4 {
+	if sk.length[k] < 4 {
 		return -1, false
 	}
 	return k, true
@@ -576,11 +546,12 @@ func (p *Plan) spliceTarget(v perm.Code) (int, bool) {
 // verified: the junction edges are untouched (same healthy endpoints,
 // and Repair adds no edge faults) and every other segment is unchanged.
 func (p *Plan) splice(k int, v perm.Code) error {
-	pb := p.blocks[k]
-	target := pb.length - 2
-	path, ok := pb.block.Path(pathsearch.PathSpec{
-		From: pb.entry, To: pb.exit,
-		AvoidV: []perm.Code{v}, AvoidE: pb.avoidE,
+	sk := p.sk
+	target := int(sk.length[k]) - 2
+	block := pathsearch.BlockAt(sk.entry[k], sk.free)
+	path, ok := block.Path(pathsearch.PathSpec{
+		From: sk.entry[k], To: sk.exit[k],
+		AvoidV: []perm.Code{v},
 		Target: target,
 	})
 	if !ok {
@@ -590,8 +561,8 @@ func (p *Plan) splice(k int, v perm.Code) error {
 		return fmt.Errorf("core: repair splice self-check: %w", err)
 	}
 
-	pb.avoidV = append(pb.avoidV, v)
-	pb.length = target
+	sk.addVertexFault(k, v)
+	sk.length[k] = uint8(target)
 	p.applySplice(k, target)
 	p.res.FaultyBlocks++
 
@@ -606,7 +577,7 @@ func (p *Plan) splice(k int, v perm.Code) error {
 }
 
 // applySplice commits block k's re-routed path, already recorded in
-// its blockPlan as a new (avoid, length) tuple, by shifting the
+// the skeleton as a new length and a side-table entry, by shifting the
 // downstream segment offsets and the ring length; the path itself stays
 // implicit and is replayed on the next read. The generation counter
 // advances, expiring open cursors, and the one-entry segment cache is
@@ -616,9 +587,10 @@ func (p *Plan) splice(k int, v perm.Code) error {
 //
 //starlint:hotpath
 func (p *Plan) applySplice(k, newLen int) {
-	delta := (p.offsets[k+1] - p.offsets[k]) - newLen
-	for j := k + 1; j < len(p.offsets); j++ {
-		p.offsets[j] -= delta
+	offsets := p.sk.offsets
+	delta := (offsets[k+1] - offsets[k]) - newLen
+	for j := k + 1; j < len(offsets); j++ {
+		offsets[j] -= delta
 	}
 	p.res.Length -= delta
 	p.gen++

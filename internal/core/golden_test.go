@@ -233,8 +233,11 @@ func readGolden(t *testing.T, path string, v interface{}) {
 
 // TestGoldenRings replays every golden input through the engine and
 // demands the pinned rings byte for byte, before and after
-// each repair. For n <= 5 it also probes RingAt at every position and
-// OnRing at every vertex of S_n against the cursor's output.
+// each repair. For n <= 7 it also probes RingAt at every position and
+// OnRing at every vertex of S_n against the cursor's output, which
+// exercises the skeleton's segment offsets, its pattern-rank index and
+// its fault side table on every vertex, after the embed and after
+// every repair — the S_7 mixed-fault and opportunistic cases included.
 func TestGoldenRings(t *testing.T) {
 	if *updateGolden {
 		writeGolden(t, goldenRingsFile, generateGolden(t))
@@ -274,7 +277,7 @@ func TestGoldenRings(t *testing.T) {
 }
 
 // checkGoldenPlan compares the plan's cursor output with a golden ring
-// and, for n <= 5, cross-checks the random-access accessors.
+// and, for n <= 7, cross-checks the random-access accessors.
 func checkGoldenPlan(t *testing.T, p *core.Plan, want goldenRing, what string) {
 	t.Helper()
 	n := p.N()
@@ -297,7 +300,7 @@ func checkGoldenPlan(t *testing.T, p *core.Plan, want goldenRing, what string) {
 	if p.RingLen() != want.Length {
 		t.Fatalf("%s: RingLen %d, golden %d", what, p.RingLen(), want.Length)
 	}
-	if n > 5 {
+	if n > 7 {
 		return
 	}
 	on := make(map[perm.Code]bool, len(ring))

@@ -152,6 +152,15 @@ func (in *instr) junctionBacktrack() {
 	in.backtracks.Inc()
 }
 
+// skeleton sets core.skeleton.bytes_per_block: the bytes a plan's
+// skeleton retains per block, after every embed and repair.
+func (in *instr) skeleton(bytesPerBlock int64) {
+	if in == nil {
+		return
+	}
+	in.reg.Gauge("core.skeleton.bytes_per_block").Set(bytesPerBlock)
+}
+
 // blocksRouted counts the blocks of one finished routing run
 // (core.route.blocks).
 func (in *instr) blocksRouted(m int) {

@@ -1,10 +1,5 @@
 package core
 
-import (
-	"repro/internal/faults"
-	"repro/internal/superring"
-)
-
 // Opportunistic upgrades (an extension beyond the paper).
 //
 // Theorem 1 always pays 2 vertices per fault, which is optimal only in
@@ -27,25 +22,23 @@ import (
 // plus the forced exit-side parity for every block (nil when no upgrade
 // is possible, leaving the router parity-unconstrained as in the plain
 // algorithm).
-func planUpgrades(r4 *superring.Ring, fs *faults.Set) (upgraded []bool, exitParity []int) {
-	m := r4.Len()
-	n := r4.N()
+func planUpgrades(sk *skeleton, n int) (upgraded []bool, exitParity []int) {
+	m := sk.blocks()
 	upgraded = make([]bool, m)
 
-	// Fault parity per faulty block (blocks hold at most one vertex
-	// fault under (P1); opportunistic mode is skipped otherwise).
+	// Fault parity per faulty block, in ring order (blocks hold at most
+	// one vertex fault under (P1); opportunistic mode is skipped
+	// otherwise).
 	type fb struct {
 		idx    int
 		parity int
 	}
 	var faulty []fb
-	for k := 0; k < m; k++ {
-		fv := fs.FaultyIn(r4.At(k), nil)
-		if len(fv) == 1 {
-			faulty = append(faulty, fb{idx: k, parity: fv[0].Parity(n)})
-		} else if len(fv) > 1 {
+	for i, k := range sk.faultVBlock {
+		if i > 0 && k == sk.faultVBlock[i-1] {
 			return upgraded, nil // outside (P1); no upgrades
 		}
+		faulty = append(faulty, fb{idx: int(k), parity: sk.faultV[i].Parity(n)})
 	}
 	if len(faulty) < 2 {
 		return upgraded, nil
@@ -100,15 +93,18 @@ func planUpgrades(r4 *superring.Ring, fs *faults.Set) (upgraded []bool, exitPari
 
 // opportunisticTargets returns the per-block target policy for the
 // upgraded routing: 24 for healthy blocks, 23 for upgraded faulty
-// blocks, 22 otherwise.
+// blocks, 22 otherwise. The lists are shared read-only, since the
+// junction search asks for one on every feasibility test.
 func opportunisticTargets(upgraded []bool) func(blockIdx, vf int) []int {
+	healthy, upgrade := []int{blockOrder}, []int{blockOrder - 1}
+	plain := paperTargets(false)
 	return func(blockIdx, vf int) []int {
 		if vf == 0 {
-			return []int{blockOrder}
+			return healthy
 		}
 		if upgraded[blockIdx] {
-			return []int{blockOrder - 1}
+			return upgrade
 		}
-		return []int{blockOrder - 2*vf}
+		return plain(vf)
 	}
 }

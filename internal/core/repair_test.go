@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/faults"
+	"repro/internal/pathsearch"
 	"repro/internal/perm"
 	"repro/internal/star"
 )
@@ -29,9 +30,8 @@ func planOn(t *testing.T, n int, cfg Config) *Plan {
 // its exit junction endpoint.
 func interiorOf(t *testing.T, p *Plan, k int) perm.Code {
 	t.Helper()
-	pb := p.blocks[k]
 	for _, v := range p.segment(k) {
-		if v != pb.entry && v != pb.exit {
+		if v != p.sk.entry[k] && v != p.sk.exit[k] {
 			return v
 		}
 	}
@@ -86,7 +86,7 @@ func TestRepairSpliceFastPath(t *testing.T) {
 
 func TestRepairJunctionVertexRebuilds(t *testing.T) {
 	p := planOn(t, 6, Config{})
-	v := p.blocks[0].entry
+	v := p.sk.entry[0]
 	if p.CanSplice(v) {
 		t.Fatal("junction endpoint must not be spliceable ((P3))")
 	}
@@ -133,7 +133,9 @@ func TestRepairOffRingAvoided(t *testing.T) {
 	// casualty. Failing the casualty must not disturb the ring.
 	var spare perm.Code
 	found := false
-	for _, v := range p.r4.At(0).Vertices(nil) {
+	block := pathsearch.BlockAt(p.sk.entry[0], p.sk.free)
+	for idx := uint8(0); idx < blockOrder; idx++ {
+		v := block.FromCanon(idx)
 		if !p.Faulty(v) && !p.OnRing(v) {
 			spare, found = v, true
 			break

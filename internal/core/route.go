@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/faults"
 	"repro/internal/pathsearch"
@@ -10,155 +11,218 @@ import (
 	"repro/internal/superring"
 )
 
-// blockOrder is the number of vertices per S4 block.
-const blockOrder = pathsearch.BlockOrder
+// crossEdges is the number of crossing edges between two adjacent
+// order-4 blocks, (4-1)!.
+const crossEdges = 6
 
-// blockPlan collects everything needed to route one block of the R4.
-type blockPlan struct {
-	block   *pathsearch.Block
-	avoidV  []perm.Code    // faulty vertices inside the block
-	avoidE  [][2]perm.Code // faulty edges interior to the block
-	targets []int          // acceptable path lengths, best first
+// lexOrders3 lists the orders of three items in lexicographic order:
+// the order in which Pattern.CrossEdges assigns the three remaining
+// free symbols.
+var lexOrders3 = [crossEdges][3]uint8{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}}
 
-	// Chosen by the junction search:
-	entry, exit perm.Code
-	length      int // the target that succeeded
-
-	// fixed, when set, is the whole cycle of an n <= 4 direct embedding,
-	// which has no block structure to replay: the plan's single stored
-	// segment. It is nil on every routed block; a pointer rather than a
-	// slice keeps blockPlan in its 112-byte allocation class, which
-	// matters at one blockPlan per 24 ring vertices.
-	fixed *[]perm.Code
+// crossing enumerates the crossing edges from block p to the adjacent
+// block q in Pattern.CrossEdges order without re-reading the patterns:
+// u holds the symbol y that q fixes at their dif position j at position
+// 1, and p's three other free symbols at p's other free positions in
+// each of their six orders; w is u.SwapFirst(j).
+type crossing struct {
+	u0   perm.Code    // p's fixed symbols, and y at position 1
+	rest [3]perm.Code // p's free symbols other than y, minus 1, increasing
+	j    int
 }
 
-// appendPath appends the block's current path, in ring order, to dst.
-// Once the junctions are fixed the path is a deterministic function of
-// the block's (entry, exit, avoid, length) tuple — the memoized
-// canonical-S4 search replays it bit-identically — so this one replay
-// is how every view of the ring reads a block: the cursor, the
-// random-access accessors, and RouteR4's flat slice.
-func (pb *blockPlan) appendPath(dst []perm.Code) ([]perm.Code, bool) {
-	if pb.fixed != nil {
-		return append(dst, *pb.fixed...), true
+// crossing reads superedge (p, q) once. ok is false when the blocks are
+// not adjacent.
+func (sk *skeleton) crossing(p, q substar.Pattern) (c crossing, ok bool) {
+	var used uint32
+	var y uint8
+	for i := 2; i <= sk.n; i++ {
+		a, b := p.SymbolAt(i), q.SymbolAt(i)
+		if a != b && (a == substar.Star || b == substar.Star || c.j != 0) {
+			return c, false
+		}
+		if a == substar.Star {
+			continue
+		}
+		c.u0 |= perm.Code(a-1) << (4 * uint(i-1))
+		used |= 1 << (a - 1)
+		if a != b {
+			c.j, y = i, b
+		}
 	}
-	return pb.block.PathAppend(dst, pathsearch.PathSpec{
-		From: pb.entry, To: pb.exit,
-		AvoidV: pb.avoidV, AvoidE: pb.avoidE,
-		Target: pb.length,
-	})
+	if c.j == 0 {
+		return c, false
+	}
+	c.u0 |= perm.Code(y - 1)
+	used |= 1 << (y - 1)
+	t := 0
+	for s := 0; s < sk.n && t < len(c.rest); s++ {
+		if used&(1<<uint(s)) == 0 {
+			c.rest[t] = perm.Code(s)
+			t++
+		}
+	}
+	return c, true
 }
 
-// route reports whether the block admits a path of one of its target
-// lengths between entry and exit, and records the first that works as
-// the block's entry, exit and length. It asks Block.Admits, which
-// answers from the S4 memo without mapping the path back to S_n, so a
-// feasibility test allocates nothing once the memo holds its search.
-func (pb *blockPlan) route(entry, exit perm.Code) bool {
-	for _, t := range pb.targets {
-		if pb.block.Admits(pathsearch.PathSpec{
-			From: entry, To: exit,
-			AvoidV: pb.avoidV, AvoidE: pb.avoidE,
-			Target: t,
-		}) {
-			pb.entry, pb.exit, pb.length = entry, exit, t
+// edge returns crossing edge i (0 <= i < 6) given the blocks' shared
+// free positions.
+func (c *crossing) edge(free [4]uint8, i int) (u, w perm.Code) {
+	o := lexOrders3[i]
+	u = c.u0 | c.rest[o[0]]<<(4*uint(free[1]-1)) | c.rest[o[1]]<<(4*uint(free[2]-1)) | c.rest[o[2]]<<(4*uint(free[3]-1))
+	return u, u.SwapFirst(c.j)
+}
+
+// router is the routing-time state of one junction search over a block
+// sequence — the R4 ring, or an anchored chain — whose outcome it
+// writes straight into a skeleton's entry, exit and length arrays.
+// Beyond the skeleton it keeps two bytes per superedge: a mask of the
+// crossing edges that passed the health filter and the search's
+// position among them. A candidate's endpoints are recomputed from the
+// two block patterns whenever the search tries it.
+type router struct {
+	sk   *skeleton
+	pats []substar.Pattern
+	// targets maps a block's ring position and vertex-fault count to its
+	// acceptable path lengths, best first.
+	targets func(k, vf int) []int
+	cands   []uint8 // per superedge: bit i set when crossing edge i is a candidate
+	tried   []uint8 // per superedge: the crossing edge the search is on
+}
+
+// newRouter sets up the junction search over the first gaps superedges
+// of pats (block k to block k+1, wrapping past the last block): a
+// crossing edge is a candidate when both endpoints and the edge are
+// healthy and keep (nil keeps all) accepts it. Endpoint health is read
+// from the side table, which holds every faulty vertex of its block.
+// The second result is the first superedge left without a candidate,
+// or -1.
+func newRouter(sk *skeleton, pats []substar.Pattern, fs *faults.Set, gaps int, keep func(k int, u, w perm.Code) bool) (*router, int) {
+	m := len(pats)
+	rt := &router{sk: sk, pats: pats, cands: make([]uint8, gaps), tried: make([]uint8, gaps)}
+	edgeFaults := fs.NumEdges() > 0
+	for k := 0; k < gaps; k++ {
+		next := (k + 1) % m
+		c, ok := sk.crossing(pats[k], pats[next])
+		if !ok {
+			return nil, k
+		}
+		fu, _ := sk.faults(k)
+		fw, _ := sk.faults(next)
+		var mask uint8
+		for i := 0; i < crossEdges; i++ {
+			u, w := c.edge(sk.free, i)
+			if holds(fu, u) || holds(fw, w) || edgeFaults && fs.HasEdge(u, w) || keep != nil && !keep(k, u, w) {
+				continue
+			}
+			mask |= 1 << uint(i)
+		}
+		if mask == 0 {
+			return nil, k
+		}
+		rt.cands[k] = mask
+	}
+	return rt, -1
+}
+
+// holds reports whether v is among vs.
+func holds(vs []perm.Code, v perm.Code) bool {
+	for _, u := range vs {
+		if u == v {
 			return true
 		}
 	}
 	return false
 }
 
-// junction is one candidate crossing edge between consecutive blocks:
-// exit u in block k, entry w in block k+1.
-type junction struct {
-	u, w perm.Code
-}
-
-// newBlockPlans builds the routing state of a sequence of order-4
-// blocks: each block's isomorphism and the faults inside it. Targets
-// are left to the caller.
-func newBlockPlans(pats []substar.Pattern, fs *faults.Set) ([]*blockPlan, error) {
-	plans := make([]*blockPlan, len(pats))
-	for k, pat := range pats {
-		b, err := pathsearch.NewBlock(pat)
-		if err != nil {
-			return nil, fmt.Errorf("core: internal: %w", err)
+// route reports whether block k admits a path of one of its target
+// lengths from entry to exit, and records the first that works as the
+// block's entry, exit and length. It asks Block.Admits, which answers
+// from the S4 memo without mapping the path back to S_n, through the
+// isomorphism of the entry's block computed on the stack; a
+// feasibility test allocates nothing once the memo holds its search.
+func (rt *router) route(k int, entry, exit perm.Code) bool {
+	sk := rt.sk
+	avoidV, avoidE := sk.faults(k)
+	spec := pathsearch.PathSpec{From: entry, To: exit, AvoidV: avoidV, AvoidE: avoidE}
+	b := pathsearch.BlockAt(entry, sk.free)
+	for _, t := range rt.targets(k, len(avoidV)) {
+		spec.Target = t
+		if b.Admits(spec) {
+			sk.entry[k], sk.exit[k], sk.length[k] = entry, exit, uint8(t)
+			return true
 		}
-		plan := &blockPlan{block: b}
-		plan.avoidV = fs.FaultyIn(pat, nil)
-		for _, e := range fs.IntraEdgesIn(pat, nil) {
-			plan.avoidE = append(plan.avoidE, [2]perm.Code{e.U, e.V})
-		}
-		plans[k] = plan
 	}
-	return plans, nil
+	return false
 }
 
-// junctionCandidates lists, for each of the first gaps superedges
-// (block k to block k+1, wrapping past the last block), its healthy
-// crossing edges that keep accepts, in CrossEdges order. Every list is
-// a window of one shared backing array and every superedge's cross
-// edges are enumerated into the same two buffers, so the set-up costs
-// a handful of allocations however many blocks there are. The second
-// result is the first superedge left without a candidate, or -1.
-func junctionCandidates(pats []substar.Pattern, gaps int, fs *faults.Set, keep func(k int, u, w perm.Code) bool) ([][]junction, int) {
-	// An order-4 block has (4-1)! = 6 crossing edges to each neighbor.
-	const perGap = 6
-	cands := make([][]junction, gaps)
-	flat := make([]junction, 0, perGap*gaps)
-	us, ws := make([]perm.Code, 0, perGap), make([]perm.Code, 0, perGap)
-	for k := 0; k < gaps; k++ {
-		us, ws = pats[k].CrossEdges(pats[(k+1)%len(pats)], us[:0], ws[:0])
-		start := len(flat)
-		for i, u := range us {
-			w := ws[i]
-			if fs.HasVertex(u) || fs.HasVertex(w) || fs.HasEdge(u, w) || !keep(k, u, w) {
-				continue
+// search assigns a crossing edge to every superedge such that every
+// block admits a path of one of its target lengths between its entry
+// (from the previous junction) and its exit (from its own junction).
+// Junction k joins block k to block k+1. Block k is validated once
+// junctions k-1 and k are set — for a chain, block 0 as soon as
+// junction 0 is, its entry being the source — and the block after the
+// last junction when that junction lands: block 0 for a ring, which
+// closes the cycle, and the target's block for a chain. Each
+// validation writes the block's entry, exit and length, and the search
+// only moves forward past a block after validating it with the
+// junctions it ends with, so the skeleton holds the final assignment
+// when the search completes. A chain's skeleton arrives with the
+// source as block 0's entry and the target as the last block's exit.
+func (rt *router) search(chain bool, in *instr) error {
+	sk := rt.sk
+	m, gaps := len(rt.pats), len(rt.cands)
+	what := "ring"
+	if chain {
+		what = "chain"
+	}
+	// The step bound guards against pathological backtracking; it must
+	// scale with the block count or the bound itself becomes the limit —
+	// n = 11 already has 1.66M blocks, more than a fixed 2^21.
+	maxSteps := 1 << 21
+	if s := 32 * m; s > maxSteps {
+		maxSteps = s
+	}
+	clear(rt.tried)
+	steps := 0
+	k := 0
+	for k < gaps {
+		if steps++; steps > maxSteps {
+			return fmt.Errorf("core: %s junction search exceeded %d steps (blocks=%d)", what, maxSteps, m)
+		}
+		i := bits.TrailingZeros8(rt.cands[k] >> rt.tried[k] << rt.tried[k])
+		if i >= crossEdges {
+			rt.tried[k] = 0
+			k--
+			if k < 0 {
+				return fmt.Errorf("core: no junction assignment routes the %s", what)
 			}
-			flat = append(flat, junction{u: u, w: w})
+			rt.tried[k]++
+			in.junctionBacktrack()
+			continue
 		}
-		if len(flat) == start {
-			return nil, k
+		rt.tried[k] = uint8(i)
+		next := (k + 1) % m
+		c, _ := sk.crossing(rt.pats[k], rt.pats[next])
+		u, w := c.edge(sk.free, i)
+		ok := true
+		if k >= 1 || chain {
+			ok = rt.route(k, sk.entry[k], u)
+		} else {
+			sk.exit[0] = u
 		}
-		cands[k] = flat[start:len(flat):len(flat)]
-	}
-	return cands, -1
-}
-
-// routed is the skeleton-level outcome of one routing run: the
-// per-block state (entry/exit junctions, achieved lengths) and the
-// block-to-ring-segment offsets. It is the ring — block k's segment is
-// blockPlan.appendPath of plans[k] — without holding a single vertex of
-// it, so a Plan keeps it at O(#blocks) memory, Repair re-routes one
-// block and shifts the offsets, and RingCursor streams the cycle.
-type routed struct {
-	plans   []*blockPlan
-	offsets []int // block k occupies ring[offsets[k]:offsets[k+1]]
-}
-
-// newRouted computes the segment offsets of routed block plans.
-func newRouted(plans []*blockPlan) *routed {
-	offsets := make([]int, len(plans)+1)
-	for k, p := range plans {
-		offsets[k+1] = offsets[k] + p.length
-	}
-	return &routed{plans: plans, offsets: offsets}
-}
-
-// ringLen returns the total ring length implied by the block lengths.
-func (rt *routed) ringLen() int { return rt.offsets[len(rt.offsets)-1] }
-
-// drain replays every block into one flat slice: the ring (or, for a
-// chain, the path) in order.
-func (rt *routed) drain() ([]perm.Code, error) {
-	out := make([]perm.Code, 0, rt.ringLen())
-	for k, p := range rt.plans {
-		var ok bool
-		if out, ok = p.appendPath(out); !ok {
-			return nil, fmt.Errorf("core: internal: block %d path vanished on replay", k)
+		if ok && k == gaps-1 {
+			ok = rt.route(next, w, sk.exit[next])
 		}
+		if !ok {
+			rt.tried[k]++
+			in.junctionBacktrack()
+			continue
+		}
+		sk.entry[next] = w
+		k++
 	}
-	return out, nil
+	return nil
 }
 
 // RouteR4 is the executable Lemma 7: given an R4 with (P1)(P2)(P3), it
@@ -174,110 +238,52 @@ func (rt *routed) drain() ([]perm.Code, error) {
 // routes its own R4 variants through the same engine and wants the flat
 // ring; library users should call Embed.
 func RouteR4(r4 *superring.Ring, fs *faults.Set, targetsFor func(int) []int, cfg Config) ([]perm.Code, error) {
-	in := newInstr(cfg.Obs, fs.N())
-	rt, err := routeR4x(r4, fs, func(_, vf int) []int { return targetsFor(vf) }, nil, in)
+	sk, err := routeR4x(r4, fs, func(_, vf int) []int { return targetsFor(vf) }, nil, newInstr(cfg.Obs, fs.N()))
 	if err != nil {
 		return nil, err
 	}
-	return rt.drain()
+	return sk.drain()
 }
 
-// routeR4x is RouteR4 with two extra degrees of freedom used by the
-// opportunistic mode: per-block-index target policies and, when
-// exitParity is non-nil, a forced partite side for every block's exit
-// vertex (which pins the global parity chain that odd-length block
-// paths require).
-func routeR4x(r4 *superring.Ring, fs *faults.Set, targetsFor func(blockIdx, vf int) []int, exitParity []int, in *instr) (*routed, error) {
+// routeR4x builds the skeleton of r4 and routes it; see routeRing.
+func routeR4x(r4 *superring.Ring, fs *faults.Set, targetsFor func(k, vf int) []int, exitParity []int, in *instr) (*skeleton, error) {
+	sk, err := newSkeleton(r4.Vertices(), fs)
+	if err != nil {
+		return nil, err
+	}
+	return sk, sk.routeRing(r4, fs, targetsFor, exitParity, in)
+}
+
+// routeRing runs the junction search of RouteR4 over the skeleton of
+// r4, with two extra degrees of freedom used by the opportunistic mode:
+// per-block-index target policies and, when exitParity is non-nil, a
+// forced partite side for every block's exit vertex (which pins the
+// global parity chain that odd-length block paths require). On success
+// the skeleton holds the routed ring, offsets included.
+func (sk *skeleton) routeRing(r4 *superring.Ring, fs *faults.Set, targetsFor func(k, vf int) []int, exitParity []int, in *instr) error {
 	m := r4.Len()
 	n := r4.N()
-	// Block set-up — isomorphisms, fault lists, targets and the
-	// candidate junctions per superedge: healthy endpoints, healthy
+	// The candidate junctions per superedge: healthy endpoints, healthy
 	// crossing edges, and (in opportunistic mode) the forced exit side.
 	bspan := in.span("core.phase.blocks")
-	plans, err := newBlockPlans(r4.Vertices(), fs)
-	if err != nil {
-		bspan.End()
-		return nil, err
+	var keep func(k int, u, w perm.Code) bool
+	if exitParity != nil {
+		keep = func(k int, u, _ perm.Code) bool { return u.Parity(n) == exitParity[k] }
 	}
-	for k, plan := range plans {
-		plan.targets = targetsFor(k, len(plan.avoidV))
-	}
-	cands, empty := junctionCandidates(r4.Vertices(), m, fs, func(k int, u, _ perm.Code) bool {
-		return exitParity == nil || u.Parity(n) == exitParity[k]
-	})
+	rt, empty := newRouter(sk, r4.Vertices(), fs, m, keep)
 	bspan.End()
 	if empty >= 0 {
-		return nil, fmt.Errorf("core: superedge %d has no healthy crossing edge", empty)
+		return fmt.Errorf("core: superedge %d has no healthy crossing edge", empty)
 	}
+	rt.targets = targetsFor
 
 	jspan := in.span("core.phase.junction")
-	err = chooseJunctions(plans, cands, in)
+	err := rt.search(false, in)
 	jspan.End()
 	if err != nil {
-		return nil, err
+		return err
 	}
+	sk.layout()
 	in.blocksRouted(m)
-	return newRouted(plans), nil
-}
-
-// chooseJunctions assigns one junction per superedge such that every
-// block admits a path of one of its target lengths between its entry
-// (from the previous junction) and exit (from its own junction).
-// Junction k joins block k to block k+1; block k is validated once
-// junctions k-1 and k are set, and block 0 closes the cycle when the
-// final junction is chosen.
-func chooseJunctions(plans []*blockPlan, cands [][]junction, in *instr) error {
-	m := len(plans)
-	idx := make([]int, m)
-	chosen := make([]junction, m)
-
-	// The step bound guards against pathological backtracking; it must
-	// scale with the block count or the bound itself becomes the limit —
-	// n = 11 already has 1.66M blocks, more than the old fixed 2^21.
-	maxSteps := 1 << 21
-	if s := 32 * m; s > maxSteps {
-		maxSteps = s
-	}
-	steps := 0
-	k := 0
-	for k < m {
-		if steps++; steps > maxSteps {
-			return fmt.Errorf("core: junction search exceeded %d steps (blocks=%d)", maxSteps, m)
-		}
-		if idx[k] >= len(cands[k]) {
-			idx[k] = 0
-			k--
-			if k < 0 {
-				return fmt.Errorf("core: no junction assignment routes the ring")
-			}
-			idx[k]++
-			in.junctionBacktrack()
-			continue
-		}
-		chosen[k] = cands[k][idx[k]]
-		ok := true
-		if k >= 1 && !plans[k].route(chosen[k-1].w, chosen[k].u) {
-			ok = false
-		}
-		if ok && k == m-1 && !plans[0].route(chosen[m-1].w, chosen[0].u) {
-			ok = false
-		}
-		if !ok {
-			idx[k]++
-			in.junctionBacktrack()
-			continue
-		}
-		k++
-	}
-
-	// Feasibility calls above recorded entry/exit for blocks 1..m-1 and
-	// finally block 0; but intermediate backtracking may have left stale
-	// state, so re-record the final assignment.
-	for k := 0; k < m; k++ {
-		prev := (k - 1 + m) % m
-		if !plans[k].route(chosen[prev].w, chosen[k].u) {
-			return fmt.Errorf("core: internal: block %d lost feasibility on replay", k)
-		}
-	}
 	return nil
 }

@@ -18,17 +18,19 @@ import (
 func routeChain(chain *superring.Chain, fs *faults.Set, s, t perm.Code, cfg Config) ([]perm.Code, error) {
 	m := chain.Len()
 	n := chain.N()
-	plans, err := newBlockPlans(chain.Vertices(), fs)
+	pats := chain.Vertices()
+	sk, err := newSkeleton(pats, fs)
 	if err != nil {
 		return nil, err
 	}
-	if !plans[0].block.Contains(s) || !plans[m-1].block.Contains(t) {
+	if sk.blockOf(s) != 0 || sk.blockOf(t) != m-1 {
 		return nil, fmt.Errorf("core: internal: chain anchors misplaced")
 	}
+	sk.entry[0], sk.exit[m-1] = s, t
 
 	// The source cannot double as the first exit, nor the target as
 	// the last entry.
-	cands, empty := junctionCandidates(chain.Vertices(), m-1, fs, func(k int, u, w perm.Code) bool {
+	rt, empty := newRouter(sk, pats, fs, m-1, func(k int, u, w perm.Code) bool {
 		return !(k == 0 && u == s) && !(k+1 == m-1 && w == t)
 	})
 	if empty >= 0 {
@@ -36,13 +38,13 @@ func routeChain(chain *superring.Chain, fs *faults.Set, s, t perm.Code, cfg Conf
 	}
 
 	needOdd := s.Parity(n) == t.Parity(n)
-	for _, odd := range oddBlockCandidates(plans, n, s, needOdd) {
-		for k, p := range plans {
-			p.targets = chainTargets(k == odd, len(p.avoidV), cfg.BestEffort)
-		}
-		if err := chooseChainJunctions(plans, cands, s, t); err == nil {
+	policy := chainTargets(cfg.BestEffort)
+	for _, odd := range oddBlockCandidates(sk, n, s, needOdd) {
+		rt.targets = func(k, vf int) []int { return policy(k == odd, vf) }
+		if err := rt.search(true, nil); err == nil {
+			sk.layout()
 			newInstr(cfg.Obs, n).blocksRouted(m)
-			return newRouted(plans).drain()
+			return sk.drain()
 		}
 	}
 	return nil, fmt.Errorf("core: no odd-block designation routes the chain (s, t %v-parity)", needOdd)
@@ -53,16 +55,17 @@ func routeChain(chain *superring.Chain, fs *faults.Set, s, t perm.Code, cfg Conf
 // otherwise faulty blocks whose fault sits on the other side (those
 // UPGRADE to 23 vertices), then healthy blocks (23 with one healthy
 // vertex shed), then the remaining faulty blocks (21).
-func oddBlockCandidates(plans []*blockPlan, n int, s perm.Code, needOdd bool) []int {
+func oddBlockCandidates(sk *skeleton, n int, s perm.Code, needOdd bool) []int {
 	if !needOdd {
 		return []int{-1}
 	}
 	var upgrade, healthy, downgrade []int
-	for k, p := range plans {
+	for k := 0; k < sk.blocks(); k++ {
+		avoidV, _ := sk.faults(k)
 		switch {
-		case len(p.avoidV) == 1 && p.avoidV[0].Parity(n) != s.Parity(n):
+		case len(avoidV) == 1 && avoidV[0].Parity(n) != s.Parity(n):
 			upgrade = append(upgrade, k)
-		case len(p.avoidV) == 0:
+		case len(avoidV) == 0:
 			healthy = append(healthy, k)
 		default:
 			downgrade = append(downgrade, k)
@@ -72,8 +75,30 @@ func oddBlockCandidates(plans []*blockPlan, n int, s perm.Code, needOdd bool) []
 	return append(out, downgrade...)
 }
 
-// chainTargets is the per-block length policy for chains.
-func chainTargets(odd bool, vf int, bestEffort bool) []int {
+// chainTargets is the per-block length policy for chains: the lists
+// for the designated odd block and for the others, by vertex-fault
+// count. Each list is built once and shared read-only, since the
+// junction search asks for one on every feasibility test.
+func chainTargets(bestEffort bool) func(odd bool, vf int) []int {
+	var memo [2][blockOrder/2 + 1][]int
+	return func(odd bool, vf int) []int {
+		o := 0
+		if odd {
+			o = 1
+		}
+		if vf < len(memo[o]) && memo[o][vf] != nil {
+			return memo[o][vf]
+		}
+		ts := chainTargetList(odd, vf, bestEffort)
+		if vf < len(memo[o]) {
+			memo[o][vf] = ts
+		}
+		return ts
+	}
+}
+
+// chainTargetList builds one chain target list.
+func chainTargetList(odd bool, vf int, bestEffort bool) []int {
 	base := blockOrder - 2*vf
 	if odd {
 		// One vertex more than the even yield when the block can shed
@@ -100,68 +125,4 @@ func chainTargets(odd bool, vf int, bestEffort bool) []int {
 		ts = append(ts, t)
 	}
 	return ts
-}
-
-// chooseChainJunctions assigns the m-1 junctions left to right with
-// backtracking; block k is validated once junction k is fixed, and the
-// final block when the last junction lands.
-func chooseChainJunctions(plans []*blockPlan, cands [][]junction, s, t perm.Code) error {
-	m := len(plans)
-	if m == 1 {
-		if plans[0].route(s, t) {
-			return nil
-		}
-		return fmt.Errorf("core: single-block chain unroutable")
-	}
-
-	idx := make([]int, m-1)
-	chosen := make([]junction, m-1)
-
-	entryOf := func(k int) perm.Code {
-		if k == 0 {
-			return s
-		}
-		return chosen[k-1].w
-	}
-
-	const maxSteps = 1 << 21
-	steps := 0
-	k := 0
-	for k < m-1 {
-		if steps++; steps > maxSteps {
-			return fmt.Errorf("core: chain junction search exceeded %d steps", maxSteps)
-		}
-		if idx[k] >= len(cands[k]) {
-			idx[k] = 0
-			k--
-			if k < 0 {
-				return fmt.Errorf("core: no junction assignment routes the chain")
-			}
-			idx[k]++
-			continue
-		}
-		chosen[k] = cands[k][idx[k]]
-		ok := plans[k].route(entryOf(k), chosen[k].u)
-		if ok && k == m-2 && !plans[m-1].route(chosen[m-2].w, t) {
-			ok = false
-		}
-		if !ok {
-			idx[k]++
-			continue
-		}
-		k++
-	}
-
-	// Replay to pin every block's final entry/exit/length (backtracking
-	// may have left stale recordings).
-	for k := 0; k < m; k++ {
-		exit := t
-		if k < m-1 {
-			exit = chosen[k].u
-		}
-		if !plans[k].route(entryOf(k), exit) {
-			return fmt.Errorf("core: internal: chain block %d lost feasibility on replay", k)
-		}
-	}
-	return nil
 }

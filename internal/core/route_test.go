@@ -217,7 +217,11 @@ func TestPlanUpgradesP1Violation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	upgraded, exitParity := planUpgrades(r4, fs)
+	sk, err := newSkeleton(r4.Vertices(), fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	upgraded, exitParity := planUpgrades(sk, n)
 	if exitParity != nil {
 		t.Fatal("upgrades planned despite (P1) violation")
 	}
@@ -254,7 +258,11 @@ func TestSuperRingReuseAcrossRouters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	upgraded, exitParity := planUpgrades(r4, fs)
+	sk, err := newSkeleton(r4.Vertices(), fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	upgraded, exitParity := planUpgrades(sk, n)
 	if exitParity == nil {
 		t.Fatal("balanced faults produced no upgrade plan")
 	}

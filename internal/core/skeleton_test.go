@@ -1,0 +1,174 @@
+package core
+
+import (
+	"math/rand"
+	"testing"
+
+	"repro/internal/faults"
+	"repro/internal/obs"
+	"repro/internal/pathsearch"
+	"repro/internal/perm"
+)
+
+// TestSkeletonBytesPerBlock holds a plan's retained skeleton to the
+// 32-byte-per-block budget through the core.skeleton.bytes_per_block
+// gauge: fault-free and at the n-3 budget for n = 6..9, and after a
+// splice adds a side-table entry.
+func TestSkeletonBytesPerBlock(t *testing.T) {
+	ns := []int{6, 7, 8, 9}
+	if testing.Short() {
+		ns = ns[:2]
+	}
+	for _, n := range ns {
+		for _, k := range []int{0, faults.MaxTolerated(n)} {
+			reg := obs.NewRegistry()
+			e, err := NewEmbedder(n, Config{Obs: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := e.Embed(faults.RandomVertices(n, k, rand.New(rand.NewSource(int64(n)))))
+			if err != nil {
+				t.Fatal(err)
+			}
+			gauge := reg.Gauge("core.skeleton.bytes_per_block")
+			if got := gauge.Value(); got <= 0 || got > 32 {
+				t.Errorf("n=%d |Fv|=%d: %d skeleton bytes per block, want (0, 32]", n, k, got)
+			}
+			if got, want := gauge.Value(), p.sk.bytesPerBlock(); got != want {
+				t.Errorf("n=%d |Fv|=%d: gauge %d, skeleton %d", n, k, got, want)
+			}
+			if k == 0 {
+				rep, err := p.Repair(interiorOf(t, p, 1))
+				if err != nil || rep.Outcome != RepairSplice {
+					t.Fatalf("n=%d: splice: %v %v", n, rep.Outcome, err)
+				}
+				if got := gauge.Value(); got <= 0 || got > 32 {
+					t.Errorf("n=%d after a splice: %d skeleton bytes per block, want (0, 32]", n, got)
+				}
+			}
+		}
+	}
+}
+
+// nonVertices lists codes that are not vertices of S_n: the None
+// sentinel, the identity with a nonzero nibble above position n, with
+// a symbol beyond n (n+1, and the largest a nibble holds), and with a
+// repeated symbol.
+func nonVertices(n int) map[string]perm.Code {
+	id := perm.IdentityCode(n)
+	return map[string]perm.Code{
+		"None":            perm.None,
+		"nibble above n":  id | perm.Code(1)<<(4*uint(n)),
+		"symbol n+1":      id.WithSymbol(2, uint8(n+1)),
+		"symbol 16":       id.WithSymbol(1, perm.MaxN),
+		"repeated symbol": id.WithSymbol(2, 1),
+	}
+}
+
+// TestOnRingRejectsNonVertices: OnRing and CanSplice answer false for a
+// code that is not a vertex of S_n — they used to panic in the block
+// lookup — before and after a splice.
+func TestOnRingRejectsNonVertices(t *testing.T) {
+	n := 7
+	p := planOn(t, n, Config{})
+	probe := func(when string) {
+		t.Helper()
+		for name, v := range nonVertices(n) {
+			if p.OnRing(v) {
+				t.Errorf("%s: OnRing(%s) = true", when, name)
+			}
+			if p.CanSplice(v) {
+				t.Errorf("%s: CanSplice(%s) = true", when, name)
+			}
+		}
+	}
+	probe("embed")
+	if rep, err := p.Repair(interiorOf(t, p, 3)); err != nil || rep.Outcome != RepairSplice {
+		t.Fatalf("splice: %v %v", rep.Outcome, err)
+	}
+	probe("after a splice")
+}
+
+// TestOnRingAllocs: on a warm plan, a block lookup plus a segment replay
+// through the stack isomorphism allocates nothing.
+func TestOnRingAllocs(t *testing.T) {
+	p := planOn(t, 8, Config{})
+	rng := rand.New(rand.NewSource(3))
+	vs := make([]perm.Code, 64)
+	for i := range vs {
+		vs[i] = perm.UnrankCode(8, rng.Intn(perm.Factorial(8)))
+	}
+	for _, v := range vs {
+		p.OnRing(v) // warm the memo for every probed block
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(200, func() {
+		p.OnRing(vs[i%len(vs)])
+		i++
+	}); allocs != 0 {
+		t.Errorf("OnRing allocates %.1f objects per call, want 0", allocs)
+	}
+}
+
+// TestBlockOfAgreesWithBlocks: the pattern-rank index sends every vertex
+// of S_6 to the ring position of the block whose replayed segment or
+// spare set holds it: each vertex lies in exactly one block, and a
+// block's isomorphism, computed from its entry, contains exactly the
+// vertices the index assigns it.
+func TestBlockOfAgreesWithBlocks(t *testing.T) {
+	n := 6
+	p := planOn(t, n, Config{})
+	sk := p.sk
+	count := make([]int, sk.blocks())
+	for r := 0; r < perm.Factorial(n); r++ {
+		v := perm.UnrankCode(n, r)
+		k := sk.blockOf(v)
+		if k < 0 || k >= sk.blocks() {
+			t.Fatalf("blockOf(%s) = %d", v.StringN(n), k)
+		}
+		count[k]++
+		if b := pathsearch.BlockAt(sk.entry[k], sk.free); !b.Contains(v) {
+			t.Fatalf("block %d's isomorphism rejects %s, which the index assigns it", k, v.StringN(n))
+		}
+	}
+	for k, c := range count {
+		if c != blockOrder {
+			t.Fatalf("index assigns block %d %d vertices, want %d", k, c, blockOrder)
+		}
+	}
+}
+
+// TestCrossingMatchesCrossEdges: the junction search recomputes a
+// candidate from the two block patterns; it must enumerate exactly
+// Pattern.CrossEdges, in the same order, or rings would change.
+func TestCrossingMatchesCrossEdges(t *testing.T) {
+	for _, n := range []int{5, 6, 7} {
+		fs := faults.NewSet(n)
+		positions, _ := fs.SeparatingPositions()
+		r4, err := BuildR4(n, fs, BuildSpec{Positions: positions})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sk, err := newSkeleton(r4.Vertices(), fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < r4.Len(); k++ {
+			p, q := r4.At(k), r4.At(k+1)
+			us, ws := p.CrossEdges(q, nil, nil)
+			c, ok := sk.crossing(p, q)
+			if !ok || len(us) != crossEdges {
+				t.Fatalf("n=%d superedge %d: crossing ok=%v, %d cross edges", n, k, ok, len(us))
+			}
+			for i := range us {
+				if u, w := c.edge(sk.free, i); u != us[i] || w != ws[i] {
+					t.Fatalf("n=%d superedge %d edge %d: (%s, %s), CrossEdges (%s, %s)",
+						n, k, i, u.StringN(n), w.StringN(n), us[i].StringN(n), ws[i].StringN(n))
+				}
+			}
+		}
+		if _, ok := sk.crossing(r4.At(0), r4.At(2)); ok && r4.At(0).Dif(r4.At(2)) == 0 {
+			t.Fatalf("n=%d: crossing accepted non-adjacent blocks", n)
+		}
+	}
+}

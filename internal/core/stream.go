@@ -88,11 +88,11 @@ func (c *RingCursor) refill() (perm.Code, bool) {
 		c.fail(ErrStaleCursor)
 		return zero, false
 	}
-	if c.k >= len(p.blocks) {
+	if c.k >= p.sk.blocks() {
 		c.finish()
 		return zero, false
 	}
-	seg, ok := p.blocks[c.k].appendPath(c.seg[:0])
+	seg, ok := p.sk.appendPath(c.k, c.seg[:0])
 	if !ok {
 		c.fail(fmt.Errorf("core: block %d path vanished on replay", c.k))
 		return zero, false

@@ -14,58 +14,98 @@ import (
 // preserves adjacency because every intra-block edge swaps position 1
 // with a free position.
 //
-// A Block is 56 bytes, in the 64-byte allocation class: the routed
-// skeleton holds one per 24 ring vertices, and every replayed block
-// goes through PathAppend.
+// Every block of one partition has the same free positions, so the
+// isomorphism is a function of those positions and any one vertex of
+// the block (BlockAt). It is a four-word value: the routed skeleton
+// stores none, and computes one on the stack at each replay or route
+// test.
 type Block struct {
 	base    perm.Code // the fixed symbols at their positions, zero nibbles at the free ones
-	pat     substar.Pattern
-	freePos [4]uint8 // 1-based free positions, increasing
-	freeSym [4]uint8
-	symIdx  [perm.MaxN + 1]uint8 // ambient symbol -> canonical symbol (1..4)
+	fixed   perm.Code // 0xF at every nibble but the free positions'
+	symIdx  uint64    // nibble s holds the canonical index (0..3) of free symbol s+1
+	freePos [4]uint8  // 1-based free positions, increasing
+	freeSym [4]uint8  // free symbols, increasing
 }
 
-// NewBlock builds the isomorphism for an order-4 pattern.
+// BlockAt returns the isomorphism of the block that holds v and has
+// the given free positions (1-based, increasing, position 1 first).
+// The base word is v with its four free nibbles cleared and the free
+// symbols are those nibbles, sorted, so no pattern is consulted. The
+// ring replay and the junction search call it once per block; hotalloc
+// keeps it allocation-free.
+//
+//starlint:hotpath
+func BlockAt(v perm.Code, free [4]uint8) Block {
+	var mask perm.Code
+	var s [4]uint8
+	for j, pos := range free {
+		shift := 4 * uint(pos-1) & 63
+		mask |= 0xF << shift
+		s[j] = uint8(v>>shift&0xF) + 1
+	}
+	// A five-comparator network sorts the four free symbols.
+	if s[0] > s[1] {
+		s[0], s[1] = s[1], s[0]
+	}
+	if s[2] > s[3] {
+		s[2], s[3] = s[3], s[2]
+	}
+	if s[0] > s[2] {
+		s[0], s[2] = s[2], s[0]
+	}
+	if s[1] > s[3] {
+		s[1], s[3] = s[3], s[1]
+	}
+	if s[1] > s[2] {
+		s[1], s[2] = s[2], s[1]
+	}
+	b := Block{base: v &^ mask, fixed: ^mask, freePos: free, freeSym: s}
+	for t, sym := range s {
+		b.symIdx |= uint64(t) << (4 * uint(sym-1) & 63)
+	}
+	return b
+}
+
+// NewBlock builds the isomorphism for an order-4 pattern: BlockAt of
+// the pattern's vertex that holds its free symbols in increasing
+// order.
 func NewBlock(pat substar.Pattern) (*Block, error) {
 	if pat.R() != 4 {
 		return nil, fmt.Errorf("pathsearch: pattern %v has order %d, want 4", pat, pat.R())
 	}
-	b := &Block{pat: pat}
+	var syms [perm.MaxN]uint8
+	rest := pat.FreeSymbols(syms[:0])
+	var free [4]uint8
+	var v perm.Code
 	j := 0
 	for i := 1; i <= pat.N(); i++ {
-		if s := pat.SymbolAt(i); s != substar.Star {
-			b.base = b.base.WithSymbol(i, s)
-		} else {
-			b.freePos[j] = uint8(i)
+		s := pat.SymbolAt(i)
+		if s == substar.Star {
+			free[j], s = uint8(i), rest[j]
 			j++
 		}
+		v = v.WithSymbol(i, s)
 	}
-	var syms [perm.MaxN]uint8
-	copy(b.freeSym[:], pat.FreeSymbols(syms[:0]))
-	for i, s := range b.freeSym {
-		b.symIdx[s] = uint8(i + 1)
-	}
-	return b, nil
+	b := BlockAt(v, free)
+	return &b, nil
 }
 
-// Pattern returns the block's substar pattern.
-func (b *Block) Pattern() substar.Pattern { return b.pat }
-
-// Contains reports whether ambient vertex v lies in the block.
-func (b *Block) Contains(v perm.Code) bool { return b.pat.Contains(v) }
+// Contains reports whether ambient vertex v lies in the block: one
+// masked compare of v's fixed positions against the block's symbols.
+func (b *Block) Contains(v perm.Code) bool { return v&b.fixed == b.base }
 
 // ToCanon maps an ambient vertex of the block to its canonical S4
 // index. The boolean is false when v is not in the block.
 func (b *Block) ToCanon(v perm.Code) (uint8, bool) {
-	if !b.pat.Contains(v) {
+	if v&b.fixed != b.base {
 		return 0, false
 	}
-	var c perm.Code
+	var key uint
 	for j, pos := range b.freePos {
-		sym := b.symIdx[v.Symbol(int(pos))]
-		c = c.WithSymbol(j+1, sym)
+		s := uint(v>>(4*uint(pos-1)&63)) & 0xF
+		key |= uint(b.symIdx>>(4*s)&3) << (2 * uint(j))
 	}
-	return Canon.Index(c), true
+	return Canon.packedIndex[key], true
 }
 
 // FromCanon maps a canonical S4 index back to the ambient vertex: the
@@ -78,7 +118,7 @@ func (b *Block) FromCanon(idx uint8) perm.Code {
 	canon := Canon.Code(idx)
 	v := b.base
 	for j, pos := range b.freePos {
-		v = v.WithSymbol(int(pos), b.freeSym[canon.Symbol(j+1)-1])
+		v |= perm.Code(b.freeSym[canon>>(4*uint(j))&3]-1) << (4 * uint(pos-1) & 63)
 	}
 	return v
 }

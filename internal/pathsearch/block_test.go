@@ -29,10 +29,104 @@ func TestNewBlockValidation(t *testing.T) {
 	if _, err := NewBlock(substar.Whole(4)); err != nil {
 		t.Fatalf("whole S4 rejected: %v", err)
 	}
-	// The skeleton keeps one Block per 24 ring vertices; 56 bytes is the
-	// 64-byte allocation class.
-	if size := unsafe.Sizeof(Block{}); size > 56 {
-		t.Errorf("Block is %d bytes, want <= 56", size)
+	// Every replay and route test computes a Block on the stack from the
+	// block's entry; it stays at four words.
+	if size := unsafe.Sizeof(Block{}); size > 32 {
+		t.Errorf("Block is %d bytes, want <= 32", size)
+	}
+}
+
+// orderFourPatterns lists every order-4 pattern of S_n for n = 6: two
+// fixed positions among 2..6, holding two distinct symbols.
+func orderFourPatterns(t *testing.T) []substar.Pattern {
+	const n = 6
+	var out []substar.Pattern
+	for a := 2; a <= n; a++ {
+		for b := a + 1; b <= n; b++ {
+			for x := uint8(1); x <= n; x++ {
+				for y := uint8(1); y <= n; y++ {
+					if x == y {
+						continue
+					}
+					syms := make([]uint8, n)
+					syms[a-1], syms[b-1] = x, y
+					pat, err := substar.FromSymbols(n, syms)
+					if err != nil {
+						t.Fatal(err)
+					}
+					out = append(out, pat)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestBlockAtMatchesPattern checks the isomorphism computed from one
+// vertex against its pattern, over every order-4 pattern of S_6: every
+// member yields the same isomorphism as NewBlock, membership is the
+// pattern's on every vertex of S_6, ToCanon is a bijection of the
+// block onto 0..23, and FromCanon inverts it.
+func TestBlockAtMatchesPattern(t *testing.T) {
+	const n = 6
+	all := make([]perm.Code, 0, 720)
+	for r := 0; r < perm.Factorial(n); r++ {
+		all = append(all, perm.UnrankCode(n, r))
+	}
+	pats := orderFourPatterns(t)
+	if len(pats) != 300 {
+		t.Fatalf("%d order-4 patterns of S_6, want 300", len(pats))
+	}
+	for _, pat := range pats {
+		ref, err := NewBlock(pat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var free [4]uint8
+		for j, pos := range pat.FreePositions(nil) {
+			free[j] = uint8(pos)
+		}
+		members := pat.Vertices(nil)
+		for _, v := range members {
+			if b := BlockAt(v, free); b != *ref {
+				t.Fatalf("%v: BlockAt(%s) = %+v, NewBlock %+v", pat, v.StringN(n), b, *ref)
+			}
+		}
+		for _, v := range all {
+			if ref.Contains(v) != pat.Contains(v) {
+				t.Fatalf("%v: Contains(%s) = %v, pattern says %v", pat, v.StringN(n), ref.Contains(v), pat.Contains(v))
+			}
+			if _, ok := ref.ToCanon(v); ok != pat.Contains(v) {
+				t.Fatalf("%v: ToCanon(%s) ok = %v, pattern says %v", pat, v.StringN(n), ok, pat.Contains(v))
+			}
+		}
+		var hit uint32
+		for _, v := range members {
+			idx, ok := ref.ToCanon(v)
+			if !ok || idx >= BlockOrder || hit&(1<<idx) != 0 {
+				t.Fatalf("%v: ToCanon(%s) = %d, %v: not a bijection onto 0..23", pat, v.StringN(n), idx, ok)
+			}
+			hit |= 1 << idx
+			if ref.FromCanon(idx) != v {
+				t.Fatalf("%v: FromCanon(ToCanon(%s)) = %s", pat, v.StringN(n), ref.FromCanon(idx).StringN(n))
+			}
+		}
+		if hit != 1<<BlockOrder-1 {
+			t.Fatalf("%v: ToCanon misses indices: %024b", pat, hit)
+		}
+	}
+}
+
+// TestBlockAtAllocs: computing an isomorphism allocates nothing.
+func TestBlockAtAllocs(t *testing.T) {
+	v := perm.Pack(perm.MustParse("387625149"))
+	free := [4]uint8{1, 2, 5, 7}
+	var sink Block
+	if allocs := testing.AllocsPerRun(100, func() {
+		sink = BlockAt(v, free)
+		v = sink.FromCanon(uint8(v % BlockOrder))
+	}); allocs != 0 {
+		t.Errorf("BlockAt allocates %.1f objects, want 0", allocs)
 	}
 }
 

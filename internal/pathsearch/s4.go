@@ -31,6 +31,10 @@ type S4 struct {
 	adj    [BlockOrder]uint32 // adjacency bitmasks
 	parity [BlockOrder]uint8  // 0 = even permutation, 1 = odd
 	codes  [BlockOrder]perm.Code
+	// packedIndex maps a canonical code packed two bits per position
+	// (symbol-1 of position j+1 at bits 2j, 2j+1) to its rank index;
+	// Block.ToCanon reads it instead of ranking the code.
+	packedIndex [256]uint8
 
 	mu    sync.RWMutex
 	cache map[searchKey]cacheEntry
@@ -69,6 +73,7 @@ func newS4() *S4 {
 	g.Vertices(func(v perm.Code) bool {
 		s.codes[i] = v
 		s.parity[i] = uint8(v.Parity(4))
+		s.packedIndex[v&3|v>>2&0xC|v>>4&0x30|v>>6&0xC0] = uint8(i)
 		i++
 		return true
 	})

@@ -125,3 +125,28 @@ func TestPrefixSums(t *testing.T) {
 		}
 	}
 }
+
+// TestCollectivesRejectNonVertexKeys: a key that is not a vertex of S_n
+// at all is not on the ring either, so both collectives report
+// ErrNotParticipant for it instead of panicking in the block lookup.
+func TestCollectivesRejectNonVertexKeys(t *testing.T) {
+	n := 7
+	m, err := New(Config{N: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := perm.IdentityCode(n)
+	for name, key := range map[string]perm.Code{
+		"None":            perm.None,
+		"nibble above n":  id | perm.Code(1)<<(4*uint(n)),
+		"symbol n+1":      id.WithSymbol(2, uint8(n+1)),
+		"repeated symbol": id.WithSymbol(2, 1),
+	} {
+		if _, err := m.AllReduce(map[perm.Code]int{key: 1}); !errors.Is(err, ErrNotParticipant) {
+			t.Errorf("AllReduce keyed by %s: %v, want ErrNotParticipant", name, err)
+		}
+		if _, err := m.PrefixSums(map[perm.Code]int{key: 1}); !errors.Is(err, ErrNotParticipant) {
+			t.Errorf("PrefixSums keyed by %s: %v, want ErrNotParticipant", name, err)
+		}
+	}
+}

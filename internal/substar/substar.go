@@ -217,12 +217,18 @@ func (p Pattern) Fix(i int, q uint8) Pattern {
 // q, each with position i fixed to q. The children are returned in
 // increasing symbol order. Position i must be free and i >= 2.
 func (p Pattern) Partition(i int) []Pattern {
-	syms := p.FreeSymbols(make([]uint8, 0, perm.MaxN))
-	children := make([]Pattern, 0, len(syms))
-	for _, q := range syms {
-		children = append(children, p.Fix(i, q))
+	return p.AppendPartition(make([]Pattern, 0, p.R()), i)
+}
+
+// AppendPartition is Partition appending the children to dst, so a
+// caller partitioning many patterns can back every child list with one
+// array.
+func (p Pattern) AppendPartition(dst []Pattern, i int) []Pattern {
+	var buf [perm.MaxN]uint8
+	for _, q := range p.FreeSymbols(buf[:0]) {
+		dst = append(dst, p.Fix(i, q))
 	}
-	return children
+	return dst
 }
 
 // PartitionSeq performs the (i1, i2, ..., im)-partition of Definition 3:

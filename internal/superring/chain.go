@@ -2,6 +2,7 @@ package superring
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/perm"
 	"repro/internal/substar"
@@ -151,7 +152,8 @@ func (c *Chain) Refine(pos int, s, t perm.Code, opts Options) (*Chain, error) {
 	candidates := make([][]uint8, m-1)
 	for k := 0; k+1 < m; k++ {
 		var cs []uint8
-		for _, q := range sharedFreeSymbols(c.verts[k], c.verts[k+1]) {
+		for shared := sharedFreeSymbols(c.verts[k], c.verts[k+1]); shared != 0; shared &= shared - 1 {
+			q := uint8(bits.TrailingZeros32(shared)) + 1
 			exitChild := c.verts[k].Fix(pos, q)
 			entryChild := c.verts[k+1].Fix(pos, q)
 			if opts.excluded(exitChild) || opts.excluded(entryChild) {
@@ -194,7 +196,8 @@ func (c *Chain) Refine(pos int, s, t perm.Code, opts Options) (*Chain, error) {
 		} else {
 			exit = c.verts[k].Fix(pos, qs[k])
 		}
-		_, ok := orderClique(cliques[k], entry, exit, blockedPrev[k], blockedNext[k], opts)
+		var buf [perm.MaxN]substar.Pattern
+		_, ok := orderClique(buf[:0], cliques[k], entry, exit, blockedPrev[k], blockedNext[k], opts)
 		return ok
 	}
 
@@ -242,11 +245,10 @@ func (c *Chain) Refine(pos int, s, t perm.Code, opts Options) (*Chain, error) {
 		} else {
 			exit = c.verts[k].Fix(pos, qs[k])
 		}
-		path, ok := orderClique(cliques[k], entry, exit, blockedPrev[k], blockedNext[k], opts)
-		if !ok {
+		var ok bool
+		if out, ok = orderClique(out, cliques[k], entry, exit, blockedPrev[k], blockedNext[k], opts); !ok {
 			return nil, fmt.Errorf("%w: chain clique %d lost feasibility", ErrUnsatisfiable, k)
 		}
-		out = append(out, path...)
 	}
 	return NewChain(c.n, out)
 }

@@ -281,7 +281,7 @@ func TestOrderCliqueConstraints(t *testing.T) {
 	kids := parent.Partition(3)                // five order-4 children
 	entry, exit := kids[0], kids[4]
 	blockedPrev, blockedNext := kids[1], kids[3]
-	path, ok := orderClique(kids, entry, exit, blockedPrev, blockedNext, Options{})
+	path, ok := orderClique(nil, kids, entry, exit, blockedPrev, blockedNext, Options{})
 	if !ok {
 		t.Fatal("feasible clique rejected")
 	}
@@ -295,11 +295,11 @@ func TestOrderCliqueConstraints(t *testing.T) {
 		t.Fatal("second-to-last child blocked toward next supervertex")
 	}
 	// entry == exit impossible.
-	if _, ok := orderClique(kids, entry, entry, blockedPrev, blockedNext, Options{}); ok {
+	if _, ok := orderClique(nil, kids, entry, entry, blockedPrev, blockedNext, Options{}); ok {
 		t.Fatal("entry == exit accepted")
 	}
 	// entry blocked toward previous is invalid.
-	if _, ok := orderClique(kids, blockedPrev, exit, blockedPrev, blockedNext, Options{}); ok {
+	if _, ok := orderClique(nil, kids, blockedPrev, exit, blockedPrev, blockedNext, Options{}); ok {
 		t.Fatal("blocked entry accepted")
 	}
 }
