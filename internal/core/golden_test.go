@@ -341,3 +341,143 @@ func TestGoldenCampaign(t *testing.T) {
 		t.Fatalf("campaign diverged from golden:\n got  %s\n want %s", gotJSON, wantJSON)
 	}
 }
+
+// goldenPathsFile pins EmbedPath: no ring golden covers the s-t chain
+// pipeline, which refines and routes an open ring of supervertices.
+const goldenPathsFile = "testdata/golden_paths.json"
+
+// goldenPathCase is one EmbedPath input with the path it produced.
+type goldenPathCase struct {
+	Name       string      `json:"name"`
+	N          int         `json:"n"`
+	Fv         []string    `json:"fv"`
+	Fe         [][2]string `json:"fe,omitempty"`
+	From       string      `json:"from"`
+	To         string      `json:"to"`
+	BestEffort bool        `json:"best_effort,omitempty"`
+	Path       goldenRing  `json:"path"`
+}
+
+// goldenPathSpecs lists the pinned path inputs. Each fault set gets a
+// same-side and an opposite-side endpoint pair: two seeded vertex-fault
+// sets per |Fv| = 0..n-3 for n = 5..7, one for n = 8, three at n = 9,
+// best-effort sets one and two vertex faults past the budget for
+// n = 5..8 and one more at n = 6, and one mixed vertex/edge set.
+func goldenPathSpecs() []goldenPathCase {
+	var specs []goldenPathCase
+	add := func(name string, n int, fs *faults.Set, bestEffort bool, rng *rand.Rand) {
+		for _, same := range []bool{true, false} {
+			s, t := goldenEndpoints(rng, n, fs, same)
+			side := "opp"
+			if same {
+				side = "same"
+			}
+			gc := goldenPathCase{
+				Name: name + "-" + side, N: n, BestEffort: bestEffort,
+				From: s.StringN(n), To: t.StringN(n),
+			}
+			for _, v := range fs.Vertices() {
+				gc.Fv = append(gc.Fv, v.StringN(n))
+			}
+			for _, e := range fs.Edges() {
+				gc.Fe = append(gc.Fe, [2]string{e.U.StringN(n), e.V.StringN(n)})
+			}
+			specs = append(specs, gc)
+		}
+	}
+	for n := 5; n <= 9; n++ {
+		budget := faults.MaxTolerated(n)
+		sets := 2
+		if n >= 8 {
+			sets = 1
+		}
+		for k := 0; k <= budget; k++ {
+			if n == 9 && k%3 != 0 {
+				continue
+			}
+			for i := 0; i < sets; i++ {
+				seed := int64(1000*n + 10*k + i)
+				rng := rand.New(rand.NewSource(seed))
+				add(fmt.Sprintf("n%d-v%d-s%d", n, k, seed), n, faults.RandomVertices(n, k, rng), false, rng)
+			}
+		}
+		if n == 9 {
+			continue
+		}
+		for extra := 1; extra <= 2; extra++ {
+			seed := int64(1000*n + 900 + extra)
+			rng := rand.New(rand.NewSource(seed))
+			add(fmt.Sprintf("n%d-v%d-besteffort-s%d", n, budget+extra, seed), n,
+				faults.RandomVertices(n, budget+extra, rng), true, rng)
+		}
+	}
+	// The same-side pair of this set fails the strict final refinement,
+	// so the chain builder retries it relaxed.
+	rng := rand.New(rand.NewSource(7002))
+	add("n6-v5-besteffort-s7002", 6, faults.RandomVertices(6, 5, rng), true, rng)
+	rng = rand.New(rand.NewSource(7101))
+	add("n7-mixed-s7101", 7, faults.Mixed(7, 2, 2, rng), false, rng)
+	return specs
+}
+
+// goldenEndpoints draws two distinct healthy vertices on the same or on
+// opposite sides of the bipartition.
+func goldenEndpoints(rng *rand.Rand, n int, fs *faults.Set, sameSide bool) (perm.Code, perm.Code) {
+	total := perm.Factorial(n)
+	for {
+		s := perm.UnrankCode(n, rng.Intn(total))
+		t := perm.UnrankCode(n, rng.Intn(total))
+		if s != t && !fs.HasVertex(s) && !fs.HasVertex(t) && (s.Parity(n) == t.Parity(n)) == sameSide {
+			return s, t
+		}
+	}
+}
+
+// embedGoldenPath runs one path case and digests the path.
+func embedGoldenPath(t *testing.T, gc goldenPathCase) goldenRing {
+	t.Helper()
+	n := gc.N
+	fs := goldenCase{N: n, Fv: gc.Fv, Fe: gc.Fe}.faultSet(t)
+	res, err := core.EmbedPath(n, fs, parseVertex(t, n, gc.From), parseVertex(t, n, gc.To),
+		core.Config{BestEffort: gc.BestEffort})
+	if err != nil {
+		t.Fatalf("%s: %v", gc.Name, err)
+	}
+	path := res.Path
+	return ringDigest(n, func() (perm.Code, bool) {
+		if len(path) == 0 {
+			return 0, false
+		}
+		v := path[0]
+		path = path[1:]
+		return v, true
+	})
+}
+
+// TestGoldenPaths replays every golden path input through EmbedPath and
+// demands the pinned path byte for byte.
+func TestGoldenPaths(t *testing.T) {
+	if *updateGolden {
+		cases := goldenPathSpecs()
+		for i := range cases {
+			cases[i].Path = embedGoldenPath(t, cases[i])
+		}
+		writeGolden(t, goldenPathsFile, cases)
+	}
+	var cases []goldenPathCase
+	readGolden(t, goldenPathsFile, &cases)
+	if len(cases) == 0 {
+		t.Fatal("no golden path cases")
+	}
+	for _, gc := range cases {
+		if gc.N >= 8 && testing.Short() {
+			continue
+		}
+		t.Run(gc.Name, func(t *testing.T) {
+			if got := embedGoldenPath(t, gc); got != gc.Path {
+				t.Fatalf("path %d vertices sha256 %s, golden %d vertices sha256 %s",
+					got.Length, got.SHA256, gc.Path.Length, gc.Path.SHA256)
+			}
+		})
+	}
+}

@@ -27,6 +27,10 @@
 #                       committed from the retired materialized engine
 #                       (scripts/stream-smoke.sha256), save the chunked
 #                       stream file and starverify it
+#   9a. path smoke   -- the longest s-t path pipeline end to end: two
+#                       S_8 paths with the stream smoke's faults, one
+#                       per endpoint side, must -print byte for byte
+#                       the digests committed in scripts/path-smoke.sha256
 #   9b. serve smoke  -- starserve end to end: boot the service, drive
 #                       the fault-churn load generator against it,
 #                       starmon -watch live against the committed SLO
@@ -277,6 +281,29 @@ stream_smoke() {
 }
 
 leg "stream smoke" stream_smoke || exit 1
+
+# Path smoke: the longest s-t path pipeline end to end. Two S_8 paths
+# from 12345678 with the stream smoke's faults, one to a target on the
+# same side of the bipartition (40315 vertices) and one to a target on
+# the other side (40314), must -print byte for byte what their digests
+# in scripts/path-smoke.sha256 pin.
+path_smoke() {
+    local tmp to want got
+    tmp=$(mktemp -d)
+    go build -o "$tmp/starring" ./cmd/starring || return 1
+    for to in 87654321 87654312; do
+        "$tmp/starring" -n 8 -fv 21345678,31245678,41235678 \
+            -path-from 12345678 -path-to "$to" -print >"$tmp/path.txt" || return 1
+        want=$(grep -e "-path-to $to -print\$" scripts/path-smoke.sha256 | cut -d' ' -f1)
+        got=$(sha256sum <"$tmp/path.txt" | cut -d' ' -f1)
+        if [ -z "$want" ] || [ "$got" != "$want" ]; then
+            echo "path to $to has SHA-256 $got, committed digest is ${want:-missing}" >&2
+            return 1
+        fi
+    done
+}
+
+leg "path smoke" path_smoke || exit 1
 
 # Serve smoke: the embedding service end to end, both halves of the
 # SLO contract. A healthy server under the fault-churn load must hold
