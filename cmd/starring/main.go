@@ -56,7 +56,6 @@ import (
 	"time"
 
 	"repro/internal/baseline"
-	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/obs"
@@ -64,7 +63,6 @@ import (
 	"repro/internal/obs/prof"
 	"repro/internal/perm"
 	"repro/internal/ringio"
-	"repro/internal/star"
 )
 
 func main() {
@@ -381,12 +379,11 @@ func runPathMode(n int, fs *faults.Set, from, to string, cfg core.Config, printA
 		fatal(fmt.Errorf("path mode needs both -path-from and -path-to"))
 	}
 	s, t := parseV(from), parseV(to)
+	// EmbedPath verifies the path with check.Path before returning it;
+	// verified=ok reports that verdict.
 	res, err := core.EmbedPath(n, fs, s, t, cfg)
 	if err != nil {
 		fatal(err)
-	}
-	if err := check.Path(star.New(n), res.Path, fs); err != nil {
-		fatal(fmt.Errorf("verification failed: %w", err))
 	}
 	side := "different partite sets"
 	if s.Parity(n) == t.Parity(n) {

@@ -85,17 +85,15 @@ func TestBestEffortPathStrictRejects(t *testing.T) {
 	}
 }
 
-// TestEmbedPathSingleBlockChainNeverArises documents a structural
-// invariant: because the first partition position separates s from t,
-// their blocks always differ, so the single-block branch of
-// chooseChainJunctions is unreachable through EmbedPath. Exercise the
-// branch directly instead.
+// TestChainSingleBlockDirect covers the endpoints that come closest to
+// sharing a block: S_5 neighbors across dimension 2, which agree at
+// every position but 2 and so would share a block under any other
+// first partition position. The first position always separates s from
+// t, so their blocks sit at the two ends of a chain of five, and the
+// fault-free path must still be Hamiltonian.
 func TestChainSingleBlockDirect(t *testing.T) {
 	n := 5
 	fs := faults.NewSet(n)
-	// Route within one block by hand: same block means same symbols at
-	// the separating positions, which EmbedPath forbids; call the block
-	// router's single-plan path through the canonical search instead.
 	s := perm.IdentityCode(n)
 	tt := s.SwapFirst(2)
 	res, err := EmbedPath(n, fs, s, tt, Config{})

@@ -25,10 +25,11 @@ import (
 //     fault (the 23-vertex block paths verified in internal/pathsearch).
 //
 // The construction reuses the paper's machinery with the super-ring
-// replaced by a super-CHAIN anchored at s and t: the first partition
-// position must distinguish s from t (SeparatingPositionsSplitting), so
-// their blocks sit at opposite ends, and every refinement forces the
-// s-descendant first and the t-descendant last.
+// cut open into a super-chain anchored at s and t (an open
+// superring.Ring): the first partition position must distinguish s
+// from t (SeparatingPositionsSplitting), so their blocks sit at
+// opposite ends, and every refinement keeps the s-descendant first and
+// the t-descendant last.
 
 // PathResult is a verified s-t path embedding.
 type PathResult struct {
@@ -210,8 +211,8 @@ func embedPathLarge(res *PathResult, fs *faults.Set, cfg Config) error {
 	return nil
 }
 
-// buildChain mirrors buildR4 for the anchored chain.
-func buildChain(n int, positions []int, fs *faults.Set, s, t perm.Code) (*superring.Chain, error) {
+// buildChain mirrors buildR4 for the anchored chain, an open ring.
+func buildChain(n int, positions []int, fs *faults.Set, s, t perm.Code) (*superring.Ring, error) {
 	weight := weightOf(fs)
 	finalOpts := superring.Options{
 		FaultCount:       weight,
@@ -229,19 +230,21 @@ func buildChain(n int, positions []int, fs *faults.Set, s, t perm.Code) (*superr
 		return nil, fmt.Errorf("core: initial chain: %w", err)
 	}
 	for j := 1; j < len(positions); j++ {
+		final := j == len(positions)-1
 		opts := midOpts
-		if j == len(positions)-1 {
+		if final {
 			opts = finalOpts
 		}
-		next, err := chain.Refine(positions[j], s, t, opts)
-		if err != nil {
+		next, err := chain.Refine(positions[j], opts)
+		if err != nil && final {
 			// The strict discipline can fail on chains (the anchors
 			// constrain the ends); retry relaxed — the router degrades
-			// per block and the final verification still gates.
-			next, err = chain.Refine(positions[j], s, t, superring.Options{FaultCount: weight})
-			if err != nil {
-				return nil, fmt.Errorf("core: chain refinement %d at position %d: %w", j, positions[j], err)
-			}
+			// per block and the final verification still gates. Any
+			// other refinement already ran relaxed.
+			next, err = chain.Refine(positions[j], midOpts)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("core: chain refinement %d at position %d: %w", j, positions[j], err)
 		}
 		chain = next
 	}

@@ -15,7 +15,7 @@ import (
 // routed with an odd vertex count to fix the global parity (preferring
 // a faulty block whose fault lies on the other side, which then sheds
 // only its fault).
-func routeChain(chain *superring.Chain, fs *faults.Set, s, t perm.Code, cfg Config) ([]perm.Code, error) {
+func routeChain(chain *superring.Ring, fs *faults.Set, s, t perm.Code, cfg Config) ([]perm.Code, error) {
 	m := chain.Len()
 	n := chain.N()
 	pats := chain.Vertices()

@@ -5,28 +5,42 @@ import (
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/perm"
 	"repro/internal/substar"
 )
 
-func BenchmarkRefineChain(b *testing.B) {
-	for n := 6; n <= 8; n++ {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				r, err := Initial(n, 2, Options{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				for pos := 3; r.Order() > 4; pos++ {
-					r, err = r.Refine(pos, Options{})
+// BenchmarkRefineRing refines fault-free rings of S_n from the
+// 2-partition down to order 4: closed rings, and open rings anchored at
+// the identity and its neighbor across dimension 2.
+func BenchmarkRefineRing(b *testing.B) {
+	for _, shape := range []string{"closed", "open"} {
+		for n := 8; n <= 10; n++ {
+			b.Run(fmt.Sprintf("%s/n=%d", shape, n), func(b *testing.B) {
+				b.ReportAllocs()
+				s := perm.IdentityCode(n)
+				for i := 0; i < b.N; i++ {
+					var r *Ring
+					var err error
+					if shape == "open" {
+						r, err = InitialChain(n, 2, s, s.SwapFirst(2), Options{})
+					} else {
+						r, err = Initial(n, 2, Options{})
+					}
 					if err != nil {
 						b.Fatal(err)
 					}
+					for pos := 3; r.Order() > 4; pos++ {
+						r, err = r.Refine(pos, Options{})
+						if err != nil {
+							b.Fatal(err)
+						}
+					}
+					if r.Len() != factorialOver24(n) {
+						b.Fatalf("R4 length %d", r.Len())
+					}
 				}
-				if r.Len() != factorialOver24(n) {
-					b.Fatalf("R4 length %d", r.Len())
-				}
-			}
-		})
+			})
+		}
 	}
 }
 

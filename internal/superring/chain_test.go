@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/perm"
-	"repro/internal/substar"
 )
 
 func chainAnchors(t *testing.T, n int, rng *rand.Rand, fs *faults.Set) (perm.Code, perm.Code, int) {
@@ -70,7 +69,7 @@ func TestChainRefineKeepsAnchors(t *testing.T) {
 			if pos == first {
 				continue
 			}
-			c, err = c.Refine(pos, s, tt, Options{})
+			c, err = c.Refine(pos, Options{})
 			if err != nil {
 				t.Fatalf("S_%d refine at %d: %v", n, pos, err)
 			}
@@ -115,11 +114,11 @@ func TestChainRefineWithFaults(t *testing.T) {
 				opts.SpreadFaults = true
 				opts.HealthyJunctions = true
 			}
-			next, err := c.Refine(positions[j], s, tt, opts)
+			next, err := c.Refine(positions[j], opts)
 			if err != nil {
 				// The anchored ends can make the strict discipline
 				// unsatisfiable; the relaxed retry must then work.
-				next, err = c.Refine(positions[j], s, tt, Options{FaultCount: w})
+				next, err = c.Refine(positions[j], Options{FaultCount: w})
 				if err != nil {
 					t.Fatalf("trial %d refine %d: %v", trial, j, err)
 				}
@@ -145,7 +144,7 @@ func TestChainCoversAllBlocks(t *testing.T) {
 		if pos == first {
 			continue
 		}
-		if c, err = c.Refine(pos, s, tt, Options{}); err != nil {
+		if c, err = c.Refine(pos, Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -164,12 +163,33 @@ func TestChainCoversAllBlocks(t *testing.T) {
 	}
 }
 
-func TestNewChainValidation(t *testing.T) {
-	kids := substar.Whole(5).Partition(3)
-	if _, err := NewChain(5, kids); err != nil {
-		t.Fatalf("valid chain rejected: %v", err)
+// TestChainRefineS11 refines a fault-free anchored S_11 chain down to
+// its 1,663,200 blocks. Its last refinement threads 1,663,199
+// junctions, so a junction search bounded by a fixed step count rather
+// than one scaled with the ring fails here.
+func TestChainRefineS11(t *testing.T) {
+	if testing.Short() {
+		t.Skip("S_11 chain refinement in -short mode")
 	}
-	if _, err := NewChain(5, kids[:1]); err == nil {
-		t.Fatal("single-vertex chain accepted")
+	const n = 11
+	s := perm.IdentityCode(n)
+	tt := s.SwapFirst(2)
+	c, err := InitialChain(n, 2, s, tt, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pos := 3; c.Order() > 4; pos++ {
+		if c, err = c.Refine(pos, Options{}); err != nil {
+			t.Fatalf("refine at %d: %v", pos, err)
+		}
+		if !c.At(0).Contains(s) || !c.At(c.Len()-1).Contains(tt) {
+			t.Fatalf("order %d: anchors left the ends", c.Order())
+		}
+	}
+	if c.Len() != factorialOver24(n) {
+		t.Fatalf("chain has %d blocks, want %d", c.Len(), factorialOver24(n))
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }

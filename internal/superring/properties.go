@@ -18,7 +18,8 @@ func (r *Ring) P1(faultCount func(substar.Pattern) int) bool {
 }
 
 // P2 reports whether for every three consecutive supervertices U, V, W
-// the paper's condition u_dif(U,V) != w_dif(V,W) holds (property (P2)).
+// of a closed ring the paper's condition u_dif(U,V) != w_dif(V,W) holds
+// (property (P2)).
 // By Lemma 1 this guarantees that after a further partition every child
 // of V is connected to U or to W.
 func (r *Ring) P2() bool {
@@ -45,8 +46,8 @@ func (r *Ring) FirstP2Violation() int {
 	return -1
 }
 
-// P3 reports whether no two consecutive supervertices are both faulty
-// (property (P3)).
+// P3 reports whether no two consecutive supervertices of a closed ring
+// are both faulty (property (P3)).
 func (r *Ring) P3(faultCount func(substar.Pattern) int) bool {
 	m := len(r.verts)
 	for i := 0; i < m; i++ {
@@ -103,10 +104,11 @@ func childAdjacentTo(child, parent substar.Pattern) bool {
 	return false
 }
 
-// Validate re-runs the structural invariants (pairwise adjacency of
-// consecutive supervertices, uniform order, distinctness) and returns a
-// descriptive error on the first violation. New establishes the same
-// invariants; Validate lets tests re-check rings after manipulation.
+// Validate re-runs the structural invariants (adjacency along every
+// superedge, uniform order, distinctness, and an open ring's anchors at
+// its ends) and returns a descriptive error on the first violation. The
+// constructors establish the same invariants; Validate lets tests
+// re-check rings after manipulation.
 func (r *Ring) Validate() error {
 	seen := make(map[substar.Pattern]bool, len(r.verts))
 	for i, v := range r.verts {
@@ -117,9 +119,12 @@ func (r *Ring) Validate() error {
 		if v.R() != r.order {
 			return fmt.Errorf("superring: supervertex %d has order %d, want %d", i, v.R(), r.order)
 		}
-		if !v.Adjacent(r.At(i + 1)) {
+		if i < r.superedges() && !v.Adjacent(r.At(i+1)) {
 			return fmt.Errorf("superring: supervertices %d and %d not adjacent", i, (i+1)%len(r.verts))
 		}
+	}
+	if r.open && !(r.verts[0].Contains(r.s) && r.verts[len(r.verts)-1].Contains(r.t)) {
+		return fmt.Errorf("superring: open ring's ends do not hold its anchors")
 	}
 	return nil
 }

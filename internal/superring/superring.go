@@ -7,6 +7,10 @@
 // superedges — together with the entry/exit selection rules (blocked
 // children, "first/last two connected" and fault spreading) that give
 // the final R4 the paper's properties (P1), (P2) and (P3).
+//
+// The same refinement builds the longest-path extension's open rings:
+// sequences anchored at a source and a target vertex, with no superedge
+// closing them.
 package superring
 
 import (
@@ -19,12 +23,17 @@ import (
 	"repro/internal/substar"
 )
 
-// Ring is a cyclic sequence of pairwise-adjacent order-r substars of
-// S_n. Index arithmetic is modulo the length.
+// Ring is a sequence of pairwise-adjacent order-r substars of S_n.
+// A closed ring is cyclic: a superedge joins its last supervertex to its
+// first. An open ring has no such superedge; its first supervertex
+// contains the anchor vertex s and its last the anchor t, and every
+// refinement keeps them there. Index arithmetic is modulo the length.
 type Ring struct {
 	n     int
 	order int
 	verts []substar.Pattern
+	open  bool
+	s, t  perm.Code // an open ring's anchors
 }
 
 // ErrUnsatisfiable reports that no arrangement satisfying the requested
@@ -32,25 +41,41 @@ type Ring struct {
 // bug rather than a legitimate outcome, so callers treat it as fatal.
 var ErrUnsatisfiable = errors.New("superring: constraints unsatisfiable")
 
-// New wraps a validated sequence of supervertices into a Ring.
+// New wraps a validated cyclic sequence of supervertices into a closed
+// Ring.
 func New(n int, verts []substar.Pattern) (*Ring, error) {
-	if len(verts) < 3 {
-		return nil, fmt.Errorf("superring: ring needs >= 3 supervertices, got %d", len(verts))
+	return newRing(&Ring{n: n, verts: verts})
+}
+
+// newRing checks that r's supervertices share dimension and order and
+// that every superedge joins adjacent ones, and sets r's order.
+func newRing(r *Ring) (*Ring, error) {
+	if len(r.verts) < 3 {
+		return nil, fmt.Errorf("superring: ring needs >= 3 supervertices, got %d", len(r.verts))
 	}
-	order := verts[0].R()
-	for i, v := range verts {
-		if v.N() != n {
-			return nil, fmt.Errorf("superring: vertex %d has dimension %d, want %d", i, v.N(), n)
+	r.order = r.verts[0].R()
+	for i, v := range r.verts {
+		if v.N() != r.n {
+			return nil, fmt.Errorf("superring: vertex %d has dimension %d, want %d", i, v.N(), r.n)
 		}
-		if v.R() != order {
-			return nil, fmt.Errorf("superring: vertex %d has order %d, want %d", i, v.R(), order)
+		if v.R() != r.order {
+			return nil, fmt.Errorf("superring: vertex %d has order %d, want %d", i, v.R(), r.order)
 		}
-		next := verts[(i+1)%len(verts)]
-		if !v.Adjacent(next) {
-			return nil, fmt.Errorf("superring: vertices %d (%v) and %d (%v) not adjacent", i, v, (i+1)%len(verts), next)
+		if i < r.superedges() && !v.Adjacent(r.At(i+1)) {
+			return nil, fmt.Errorf("superring: vertices %d (%v) and %d (%v) not adjacent", i, v, (i+1)%len(r.verts), r.At(i+1))
 		}
 	}
-	return &Ring{n: n, order: order, verts: verts}, nil
+	return r, nil
+}
+
+// superedges returns the number of superedges: one per supervertex on
+// a closed ring, one fewer on an open one. Superedge k joins
+// supervertex k to supervertex k+1.
+func (r *Ring) superedges() int {
+	if r.open {
+		return len(r.verts) - 1
+	}
+	return len(r.verts)
 }
 
 // N returns the ambient dimension.
@@ -128,21 +153,37 @@ func Initial(n, pos int, opts Options) (*Ring, error) {
 	return New(n, arranged)
 }
 
-// arrangeCycle orders patterns into a cyclic sequence with no two
-// fault-bearing entries adjacent when SpreadFaults is set, via a small
-// backtracking search (the sequences involved have length <= n).
-func arrangeCycle(ps []substar.Pattern, opts Options) ([]substar.Pattern, error) {
-	if !opts.SpreadFaults || opts.FaultCount == nil {
-		return ps, nil
+// InitialChain builds the first open ring from the pos-partition of
+// S_n: the child containing s comes first, the child containing t last
+// (s and t must hold different symbols at pos), and the other children
+// run between them, fault-bearing ones spread when requested.
+func InitialChain(n, pos int, s, t perm.Code, opts Options) (*Ring, error) {
+	if s.Symbol(pos) == t.Symbol(pos) {
+		return nil, fmt.Errorf("superring: source and target agree at position %d; no chain anchors", pos)
 	}
-	faulty := make([]bool, len(ps))
-	numFaulty := 0
-	for i, p := range ps {
-		if opts.faultCount(p) > 0 {
-			faulty[i] = true
-			numFaulty++
+	children := substar.Whole(n).Partition(pos)
+	var first, last substar.Pattern
+	interior := children[:0:0]
+	for _, ch := range children {
+		switch {
+		case ch.Contains(s):
+			first = ch
+		case ch.Contains(t):
+			last = ch
+		default:
+			interior = append(interior, ch)
 		}
 	}
+	interior, _ = interleave(interior, opts)
+	verts := append(make([]substar.Pattern, 0, len(children)), first)
+	verts = append(append(verts, interior...), last)
+	return newRing(&Ring{n: n, verts: verts, open: true, s: s, t: t})
+}
+
+// arrangeCycle orders patterns into a cyclic sequence with no two
+// fault-bearing entries adjacent when SpreadFaults is set.
+func arrangeCycle(ps []substar.Pattern, opts Options) ([]substar.Pattern, error) {
+	out, numFaulty := interleave(ps, opts)
 	if numFaulty <= 1 {
 		return ps, nil
 	}
@@ -150,20 +191,34 @@ func arrangeCycle(ps []substar.Pattern, opts Options) ([]substar.Pattern, error)
 		return nil, fmt.Errorf("%w: %d faulty among %d supervertices cannot be non-adjacent in a cycle",
 			ErrUnsatisfiable, numFaulty, len(ps))
 	}
-	// Interleave: place faulty patterns at positions 0, 2, 4, ... and
-	// healthy ones in the remaining slots; with numFaulty <= len/2 this
-	// never puts two faulty entries next to each other (including the
-	// wraparound, because position 2*(numFaulty-1) < len-1... position
-	// len-1 is healthy whenever numFaulty <= len/2).
-	out := make([]substar.Pattern, 0, len(ps))
+	// With numFaulty <= len/2 the faulty patterns land at positions 0,
+	// 2, 4, ... and position len-1 is healthy; verify the wraparound.
+	for i := range out {
+		if opts.faultCount(out[i]) > 0 && opts.faultCount(out[(i+1)%len(out)]) > 0 {
+			return nil, fmt.Errorf("%w: fault interleaving failed", ErrUnsatisfiable)
+		}
+	}
+	return out, nil
+}
+
+// interleave alternates fault-bearing and healthy patterns, each kind
+// in its given order and a fault-bearing one first, and returns the
+// number of fault-bearing patterns. Unless SpreadFaults is set and
+// faults are counted, it returns ps and 0.
+func interleave(ps []substar.Pattern, opts Options) ([]substar.Pattern, int) {
+	if !opts.SpreadFaults || opts.FaultCount == nil {
+		return ps, 0
+	}
 	var fs, hs []substar.Pattern
-	for i, p := range ps {
-		if faulty[i] {
+	for _, p := range ps {
+		if opts.faultCount(p) > 0 {
 			fs = append(fs, p)
 		} else {
 			hs = append(hs, p)
 		}
 	}
+	numFaulty := len(fs)
+	out := make([]substar.Pattern, 0, len(ps))
 	for len(fs) > 0 || len(hs) > 0 {
 		if len(fs) > 0 {
 			out = append(out, fs[0])
@@ -174,13 +229,7 @@ func arrangeCycle(ps []substar.Pattern, opts Options) ([]substar.Pattern, error)
 			hs = hs[1:]
 		}
 	}
-	// Verify the wraparound.
-	for i := range out {
-		if opts.faultCount(out[i]) > 0 && opts.faultCount(out[(i+1)%len(out)]) > 0 {
-			return nil, fmt.Errorf("%w: fault interleaving failed", ErrUnsatisfiable)
-		}
-	}
-	return out, nil
+	return out, numFaulty
 }
 
 // Refine performs the pos-partition on the ring (Definition 5) and
@@ -197,6 +246,10 @@ func arrangeCycle(ps []substar.Pattern, opts Options) ([]substar.Pattern, error)
 //   - junction children are healthy and fault-bearing children are
 //     spread when the options demand it, yielding (P3).
 //
+// On an open ring the first clique's path enters at the child holding
+// s and the last clique's path leaves at the child holding t, so the
+// refined ring is open with the same anchors at its ends.
+//
 // The junction symbols are chosen by a sequential scan with local
 // backtracking; within the paper's fault budget a valid assignment
 // always exists.
@@ -204,43 +257,57 @@ func (r *Ring) Refine(pos int, opts Options) (*Ring, error) {
 	span := opts.Obs.Span("superring.phase.refine")
 	defer span.End()
 	m := len(r.verts)
-	// The cliques' children, back to back in one array: clique k is
-	// kids[bounds[k]:bounds[k+1]].
-	kids := make([]substar.Pattern, 0, m*r.order)
-	bounds := make([]int32, m+1)
-	blockedPrev := make([]substar.Pattern, m) // child of k not adjacent to k-1
-	blockedNext := make([]substar.Pattern, m) // child of k not adjacent to k+1
+	f := refinement{
+		r: r, pos: pos, opts: opts,
+		kids:        make([]substar.Pattern, 0, m*r.order),
+		bounds:      make([]int32, m+1),
+		blockedPrev: make([]substar.Pattern, m),
+		blockedNext: make([]substar.Pattern, m),
+		qs:          make([]uint8, r.superedges()),
+	}
+	if r.open {
+		f.first, f.last = r.s.Symbol(pos), r.t.Symbol(pos)
+	}
 	for k := 0; k < m; k++ {
-		from := len(kids)
-		kids = r.verts[k].AppendPartition(kids, pos)
-		kept := kids[:from]
-		for _, c := range kids[from:] {
+		from := len(f.kids)
+		f.kids = r.verts[k].AppendPartition(f.kids, pos)
+		kept := f.kids[:from]
+		for _, c := range f.kids[from:] {
 			if !opts.excluded(c) {
 				kept = append(kept, c)
 			}
 		}
-		kids = kept
-		if len(kids)-from < 3 {
-			return nil, fmt.Errorf("superring: clique %d has only %d children after exclusion", k, len(kids)-from)
+		f.kids = kept
+		if len(f.kids)-from < 3 {
+			return nil, fmt.Errorf("superring: clique %d has only %d children after exclusion", k, len(f.kids)-from)
 		}
-		bounds[k+1] = int32(len(kids))
-		blockedPrev[k] = r.verts[k].BlockedChild(r.At(k-1), pos)
-		blockedNext[k] = r.verts[k].BlockedChild(r.At(k+1), pos)
+		f.bounds[k+1] = int32(len(f.kids))
+		// An open ring's ends have no neighbor beyond them; the zero
+		// Pattern they keep matches no child.
+		if k > 0 || !r.open {
+			f.blockedPrev[k] = r.verts[k].BlockedChild(r.At(k-1), pos)
+		}
+		if k < m-1 || !r.open {
+			f.blockedNext[k] = r.verts[k].BlockedChild(r.At(k+1), pos)
+		}
 	}
-	clique := func(k int) []substar.Pattern { return kids[bounds[k]:bounds[k+1]] }
 
 	// Junction symbol q_k joins clique k to clique k+1: the exit of k is
 	// verts[k] with q_k fixed at pos, the entry of k+1 is verts[k+1]
 	// with q_k fixed at pos. Valid q_k are the free symbols shared by
-	// both parents, avoiding excluded or (when required) faulty children
-	// on either side; candidates[k] holds them as a mask, bit q-1 for
-	// symbol q, tried in increasing order.
-	candidates := make([]uint32, m)
-	for k := 0; k < m; k++ {
+	// both parents, avoiding an open ring's anchor children and excluded
+	// or (when required) faulty children on either side; candidates[k]
+	// holds them as a mask, bit q-1 for symbol q, tried in increasing
+	// order.
+	candidates := make([]uint32, len(f.qs))
+	for k := range candidates {
 		next := (k + 1) % m
 		var cs uint32
 		for shared := sharedFreeSymbols(r.verts[k], r.At(k+1)); shared != 0; shared &= shared - 1 {
 			q := uint8(bits.TrailingZeros32(shared)) + 1
+			if r.open && (k == 0 && q == f.first || next == m-1 && q == f.last) {
+				continue
+			}
 			exitChild := r.verts[k].Fix(pos, q)
 			entryChild := r.verts[next].Fix(pos, q)
 			if opts.excluded(exitChild) || opts.excluded(entryChild) {
@@ -258,8 +325,7 @@ func (r *Ring) Refine(pos int, opts Options) (*Ring, error) {
 		candidates[k] = cs
 	}
 
-	qs, err := chooseJunctions(r, pos, clique, blockedPrev, blockedNext, candidates, opts)
-	if err != nil {
+	if err := f.chooseJunctions(candidates); err != nil {
 		return nil, err
 	}
 
@@ -267,16 +333,59 @@ func (r *Ring) Refine(pos int, opts Options) (*Ring, error) {
 	// children, so it replaces them in place and the children array
 	// becomes the refined ring.
 	for k := 0; k < m; k++ {
-		entry := r.verts[k].Fix(pos, qs[(k-1+m)%m])
-		exit := r.verts[k].Fix(pos, qs[k])
 		var buf [perm.MaxN]substar.Pattern
-		path, ok := orderClique(buf[:0], clique(k), entry, exit, blockedPrev[k], blockedNext[k], opts)
+		path, ok := f.thread(buf[:0], k)
 		if !ok {
-			return nil, fmt.Errorf("%w: clique %d admits no path from %v to %v", ErrUnsatisfiable, k, entry, exit)
+			return nil, fmt.Errorf("%w: clique %d admits no path between its junction children", ErrUnsatisfiable, k)
 		}
-		copy(clique(k), path)
+		copy(f.clique(k), path)
 	}
-	return New(r.n, kids)
+	return newRing(&Ring{n: r.n, verts: f.kids, open: r.open, s: r.s, t: r.t})
+}
+
+// refinement is one Refine call's state: the cliques' children back to
+// back in one array, each clique's blocked children and the junction
+// symbols chosen so far.
+type refinement struct {
+	r    *Ring
+	pos  int
+	opts Options
+	// Clique k is kids[bounds[k]:bounds[k+1]].
+	kids   []substar.Pattern
+	bounds []int32
+	// blockedPrev[k] is the child of clique k with no cross edge to
+	// supervertex k-1, blockedNext[k] the one with none to k+1.
+	blockedPrev, blockedNext []substar.Pattern
+	// qs[k] is the junction symbol of superedge k.
+	qs []uint8
+	// first and last are an open ring's anchor symbols at pos: clique 0
+	// enters at the child holding s, clique m-1 leaves at the child
+	// holding t.
+	first, last uint8
+}
+
+func (f *refinement) clique(k int) []substar.Pattern {
+	return f.kids[f.bounds[k]:f.bounds[k+1]]
+}
+
+// thread appends to dst clique k's path (see orderClique) from its entry
+// child to its exit child: the children fixing, at pos, the junction
+// symbols of the superedges on either side, or an open ring's anchor
+// symbols at its ends.
+func (f *refinement) thread(dst []substar.Pattern, k int) ([]substar.Pattern, bool) {
+	m := len(f.r.verts)
+	in, out := f.first, f.last
+	if k > 0 || !f.r.open {
+		in = f.qs[(k-1+m)%m]
+	}
+	if k < m-1 || !f.r.open {
+		out = f.qs[k]
+	}
+	if in == out {
+		return dst, false
+	}
+	v := f.r.verts[k]
+	return orderClique(dst, f.clique(k), v.Fix(f.pos, in), v.Fix(f.pos, out), f.blockedPrev[k], f.blockedNext[k], f.opts)
 }
 
 // sharedFreeSymbols returns the symbols free in both adjacent patterns,
@@ -295,47 +404,42 @@ func sharedFreeSymbols(a, b substar.Pattern) uint32 {
 }
 
 // chooseJunctions assigns a junction symbol to every superedge such that
-// every clique path is constructible: consecutive junction symbols of a
-// clique must differ (entry != exit) and the clique ordering constraints
-// must be satisfiable. A sequential scan with backtracking over the
-// (small) candidate masks; the cyclic constraint couples the last choice
-// back to the first.
-func chooseJunctions(r *Ring, pos int, clique func(k int) []substar.Pattern,
-	blockedPrev, blockedNext []substar.Pattern, candidates []uint32, opts Options) ([]uint8, error) {
-
-	m := len(candidates)
-	qs := make([]uint8, m)
-	tried := make([]uint8, m) // the symbols up to tried[k] are used up at superedge k
-	backtracks := opts.Obs.Counter("superring.junction.backtracks")
-
+// every clique path is constructible: a clique's entry and exit symbols
+// must differ and its ordering constraints must be satisfiable. A
+// sequential scan with backtracking over the (small) candidate masks;
+// on a closed ring the last choice couples back to the first.
+func (f *refinement) chooseJunctions(candidates []uint32) error {
+	m, edges := len(f.r.verts), len(candidates)
+	tried := make([]uint8, edges) // the symbols up to tried[k] are used up at superedge k
+	backtracks := f.opts.Obs.Counter("superring.junction.backtracks")
 	feasible := func(k int) bool {
-		// Clique k's path runs from Fix(pos, qs[k-1]) to Fix(pos, qs[k]).
-		prev := (k - 1 + m) % m
-		if qs[prev] == qs[k] {
-			return false
-		}
-		entry := r.verts[k].Fix(pos, qs[prev])
-		exit := r.verts[k].Fix(pos, qs[k])
 		var buf [perm.MaxN]substar.Pattern
-		_, ok := orderClique(buf[:0], clique(k), entry, exit, blockedPrev[k], blockedNext[k], opts)
+		_, ok := f.thread(buf[:0], k)
 		return ok
 	}
+	// Clique k can be checked once junction k is set and its entry is
+	// known: from k = 1 on for a closed ring, and for every k on an open
+	// one, whose clique 0 enters at s. The last junction also checks the
+	// clique after it: clique 0, closing a closed ring, or clique m-1,
+	// which leaves at t.
+	firstChecked := 1
+	if f.r.open {
+		firstChecked = 0
+	}
 
-	// Depth-first over superedges 0..m-1. After assigning qs[k] we can
-	// check clique k (its entry qs[k-1] is known for k >= 1); assigning
-	// qs[m-1] additionally checks clique 0 (closing the cycle). The step
-	// bound guards against pathological backtracking; it scales with the
-	// ring, since the search takes at least one step per superedge and
-	// the last refinement at n = 12 has 3,991,680 of them.
+	// Depth-first over the superedges. The step bound guards against
+	// pathological backtracking; it scales with the ring, since the
+	// search takes at least one step per superedge and the last
+	// refinement at n = 12 has 3,991,680 of them.
 	maxSteps := 1 << 20
 	if s := 32 * m; s > maxSteps {
 		maxSteps = s
 	}
 	steps := 0
 	k := 0
-	for k < m {
+	for k < edges {
 		if steps++; steps > maxSteps {
-			return nil, fmt.Errorf("%w: junction search exceeded backtracking budget", ErrUnsatisfiable)
+			return fmt.Errorf("%w: junction search exceeded backtracking budget", ErrUnsatisfiable)
 		}
 		left := candidates[k] >> tried[k] << tried[k]
 		if left == 0 {
@@ -343,28 +447,25 @@ func chooseJunctions(r *Ring, pos int, clique func(k int) []substar.Pattern,
 			tried[k] = 0
 			k--
 			if k < 0 {
-				return nil, fmt.Errorf("%w: no junction assignment closes the ring", ErrUnsatisfiable)
+				return fmt.Errorf("%w: no junction assignment threads the ring", ErrUnsatisfiable)
 			}
-			tried[k] = qs[k]
+			tried[k] = f.qs[k]
 			backtracks.Inc()
 			continue
 		}
-		qs[k] = uint8(bits.TrailingZeros32(left)) + 1
-		ok := true
-		if k >= 1 && !feasible(k) {
-			ok = false
-		}
-		if ok && k == m-1 && !feasible(0) {
-			ok = false
+		f.qs[k] = uint8(bits.TrailingZeros32(left)) + 1
+		ok := k < firstChecked || feasible(k)
+		if ok && k == edges-1 {
+			ok = feasible((k + 1) % m)
 		}
 		if !ok {
-			tried[k] = qs[k]
+			tried[k] = f.qs[k]
 			backtracks.Inc()
 			continue
 		}
 		k++
 	}
-	return qs, nil
+	return nil
 }
 
 // orderClique finds a Hamiltonian ordering of the clique's children
