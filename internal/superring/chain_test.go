@@ -165,8 +165,8 @@ func TestChainCoversAllBlocks(t *testing.T) {
 
 // TestChainRefineS11 refines a fault-free anchored S_11 chain down to
 // its 1,663,200 blocks. Its last refinement threads 1,663,199
-// junctions, so a junction search bounded by a fixed step count rather
-// than one scaled with the ring fails here.
+// junctions, so the junction search's step bound must scale with the
+// ring.
 func TestChainRefineS11(t *testing.T) {
 	if testing.Short() {
 		t.Skip("S_11 chain refinement in -short mode")

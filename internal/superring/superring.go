@@ -54,6 +54,7 @@ func newRing(r *Ring) (*Ring, error) {
 		return nil, fmt.Errorf("superring: ring needs >= 3 supervertices, got %d", len(r.verts))
 	}
 	r.order = r.verts[0].R()
+	edges := r.superedges()
 	for i, v := range r.verts {
 		if v.N() != r.n {
 			return nil, fmt.Errorf("superring: vertex %d has dimension %d, want %d", i, v.N(), r.n)
@@ -61,8 +62,8 @@ func newRing(r *Ring) (*Ring, error) {
 		if v.R() != r.order {
 			return nil, fmt.Errorf("superring: vertex %d has order %d, want %d", i, v.R(), r.order)
 		}
-		if i < r.superedges() && !v.Adjacent(r.At(i+1)) {
-			return nil, fmt.Errorf("superring: vertices %d (%v) and %d (%v) not adjacent", i, v, (i+1)%len(r.verts), r.At(i+1))
+		if j := (i + 1) % len(r.verts); i < edges && !v.Adjacent(r.verts[j]) {
+			return nil, fmt.Errorf("superring: vertices %d (%v) and %d (%v) not adjacent", i, v, j, r.verts[j])
 		}
 	}
 	return r, nil
