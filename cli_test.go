@@ -304,8 +304,10 @@ func TestCLIStarsweepJSON(t *testing.T) {
 // TestCLIStarringProfiles exercises -cpuprofile and -memprofile end to
 // end: the CPU profile must exist, parse, and carry the phase=embed
 // goroutine label on at least one sample (the tentpole claim — profiles
-// attribute time to pipeline phases). n=9 keeps the embedder busy long
-// enough for the 100Hz profiler to catch labeled samples.
+// attribute time to pipeline phases). n=10 keeps the embedder busy long
+// enough for the 100Hz profiler to catch labeled samples: its embed
+// phase collects 130-220 ms of samples, n=9's only 10-20 ms and at
+// times none.
 func TestCLIStarringProfiles(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns the go tool")
@@ -313,7 +315,7 @@ func TestCLIStarringProfiles(t *testing.T) {
 	dir := t.TempDir()
 	cpu := filepath.Join(dir, "cpu.pprof")
 	mem := filepath.Join(dir, "mem.pprof")
-	out := runGo(t, "run", "./cmd/starring", "-n", "9", "-faults", "6", "-seed", "1",
+	out := runGo(t, "run", "./cmd/starring", "-n", "10", "-faults", "7", "-seed", "1",
 		"-cpuprofile", cpu, "-memprofile", mem)
 	if !strings.Contains(out, "cpu profile written to "+cpu) ||
 		!strings.Contains(out, "heap profile written to "+mem) {
