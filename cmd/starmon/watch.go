@@ -143,8 +143,8 @@ func (w *watcher) live(o watchOpts) error {
 }
 
 // replay drives the engine from a recorded series file: either an
-// export.SeriesDump JSON document (starring -series-json, sim fleet
-// dumps) or NDJSON point lines {"t_unix_ns":..., "samples":{...}}.
+// export.SeriesDump JSON document (starring -series-json) or NDJSON
+// point lines {"t_unix_ns":..., "samples":{...}}.
 func (w *watcher) replay(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -188,7 +188,7 @@ func TestWatchReplaySeriesDump(t *testing.T) {
 // fails the check.
 func TestRunCheckMetricsWantLabel(t *testing.T) {
 	reg := liveRegistry()
-	reg.Child("machine", "m0").Counter("sim.embeds").Inc()
+	reg.CounterVec("sim.embeds", "machine").With("machine", "m0").Inc()
 	var page strings.Builder
 	if err := export.WriteOpenMetrics(&page, reg.Snapshot()); err != nil {
 		t.Fatal(err)

@@ -22,10 +22,10 @@ import (
 // name drift apart.
 // It also guards the labeled-family surface: the CounterVec, GaugeVec
 // and HistogramVec constructors get the same name check plus label-key
-// validation, and the key positions of Registry.Child and the vec With
-// methods must be compile-time lower_snake strings — a dynamic key is a
-// cardinality accident waiting to happen (dynamic *values* are fine;
-// the runtime cap bounds those).
+// validation, and the key positions of the vec With methods must be
+// compile-time lower_snake strings — a dynamic key is a cardinality
+// accident waiting to happen (dynamic *values* are fine; the runtime
+// cap bounds those).
 var MetricName = &Analyzer{
 	Name: "metricname",
 	Doc:  "metric-name literals off the pkg.group.name convention",
@@ -98,8 +98,6 @@ func runMetricName(pass *Pass) {
 			if vecMethods[fn.Name()] {
 				checkLabelKeys(pass, fn.Name(), call, call.Args[1:], false)
 			}
-		case recv == "Registry" && fn.Name() == "Child":
-			checkLabelKeys(pass, "Child", call, call.Args, true)
 		case vecTypes[recv] && fn.Name() == "With":
 			checkLabelKeys(pass, "With", call, call.Args, true)
 		}
@@ -211,7 +209,7 @@ func checkMetricName(pass *Pass, method string, arg ast.Expr, consts map[string]
 }
 
 // checkLabelKeys validates the label-key positions of a vec
-// constructor (every arg is a key) or a Child/With call (alternating
+// constructor (every arg is a key) or a With call (alternating
 // key/value pairs; even indices are keys). Keys must be compile-time
 // strings in lower_snake — a dynamic key turns user data into schema,
 // and a dotted or mixed-case key dies at the OpenMetrics boundary.

@@ -41,8 +41,6 @@ func Labeled(reg *obs.Registry, machine string, key string) {
 	reg.CounterVec("fixture.embeds", "N")     // uppercase label key
 	reg.GaugeVec("fixture.depth", "ring.len") // dotted label key
 	reg.HistogramVec("fixture.lat", key)      // dynamic label key
-	reg.Child(machine, "m0")                  // dynamic key in Child
-	reg.Child("Machine", "m0")                // uppercase key in Child
 	v := reg.CounterVec("fixture.embeds2", "n", "mode")
 	v.With("n", "6", "mode")               // odd kv count
 	v.With("n", "6", key, "x")             // dynamic key in With
@@ -50,7 +48,6 @@ func Labeled(reg *obs.Registry, machine string, key string) {
 
 	clean := reg.CounterVec("fixture.repairs", "n", "outcome") // clean: names and keys in shape
 	clean.With("n", "6", "outcome", machine)                   // clean: dynamic value, literal keys
-	reg.Child("machine", machine)                              // clean: literal key, dynamic value
 	kv := []string{"n", "6"}
 	clean.With(kv...) // clean: slice spread is out of scope
 }

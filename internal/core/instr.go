@@ -114,9 +114,9 @@ func (in *instr) finish() {
 // repair bumps one of the repair-outcome counters
 // (core.repair.{splices,rebuilds,avoided}) plus the labeled
 // core.repair.outcome family, which breaks the same tally down by
-// dimension n for fleet dashboards. Resolved lazily: repairs are rare
-// next to block routing, and plain embedding runs then never
-// materialize the repair counters in their snapshots.
+// dimension n. Resolved lazily: repairs are rare next to block
+// routing, and plain embedding runs then never materialize the repair
+// counters in their snapshots.
 func (in *instr) repair(outcome string) {
 	if in == nil {
 		return

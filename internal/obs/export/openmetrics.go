@@ -66,10 +66,9 @@ func renderLabels(ls obs.Labels) string {
 // WriteOpenMetrics renders one registry snapshot as OpenMetrics text,
 // deterministically ordered, terminated by the mandatory "# EOF".
 // Labeled metric identities (name{k="v"} snapshot keys) become label
-// sets on the sample lines, merged over the snapshot's own Labels, and
-// every label set of one family shares a single TYPE declaration.
+// sets on the sample lines, and every label set of one family shares a
+// single TYPE declaration.
 func WriteOpenMetrics(w io.Writer, snap obs.Snapshot) error {
-	base := obs.LabelsFromMap(snap.Labels)
 	fams := map[string]*omFamily{}
 	add := func(fam, typ, line string) {
 		f := fams[fam]
@@ -84,7 +83,7 @@ func WriteOpenMetrics(w io.Writer, snap obs.Snapshot) error {
 		if err != nil {
 			return "", nil, err
 		}
-		return MetricName(name), base.Merge(ls), nil
+		return MetricName(name), ls, nil
 	}
 
 	for name, v := range snap.Counters {

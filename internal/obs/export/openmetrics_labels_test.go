@@ -10,19 +10,18 @@ import (
 )
 
 // TestWriteOpenMetricsLabeled renders a registry with labeled families
-// and child registries and checks the exposition: one TYPE per family
-// across all its label sets, snapshot-level labels merged into every
-// sample, quantile labels composed with metric labels, and the whole
+// and checks the exposition: one TYPE per family across all its label
+// sets, quantile labels composed with metric labels, and the whole
 // page accepted by the validator.
 func TestWriteOpenMetricsLabeled(t *testing.T) {
 	reg := obs.NewRegistry()
 	v := reg.CounterVec("core.embed.completed", "n", "mode")
 	v.With("n", "6", "mode", "guaranteed").Add(2)
 	v.With("n", "7", "mode", "besteffort").Inc()
-	m0 := reg.Child("machine", "m0")
-	m0.Counter("sim.embeds").Add(3)
-	m0.Histogram("sim.phase.repair").Observe(2 * time.Millisecond)
-	reg.Child("machine", "m1").Counter("sim.embeds").Inc()
+	embeds := reg.CounterVec("sim.embeds", "machine")
+	embeds.With("machine", "m0").Add(3)
+	embeds.With("machine", "m1").Inc()
+	reg.HistogramVec("sim.phase.repair", "machine").With("machine", "m0").Observe(2 * time.Millisecond)
 
 	var buf bytes.Buffer
 	if err := WriteOpenMetrics(&buf, reg.Snapshot()); err != nil {
@@ -51,19 +50,6 @@ func TestWriteOpenMetricsLabeled(t *testing.T) {
 	}
 	if _, _, err := ValidateOpenMetricsDetail(buf.Bytes()); err != nil {
 		t.Fatalf("labeled exposition does not validate: %v\n%s", err, out)
-	}
-
-	// A child snapshot carries its identity in Labels; the exposition
-	// must merge it into every sample.
-	buf.Reset()
-	if err := WriteOpenMetrics(&buf, m0.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `sim_embeds_total{machine="m0"} 3`) {
-		t.Errorf("snapshot-level labels not merged into samples:\n%s", buf.String())
-	}
-	if _, _, err := ValidateOpenMetricsDetail(buf.Bytes()); err != nil {
-		t.Fatalf("child exposition does not validate: %v\n%s", err, buf.String())
 	}
 }
 

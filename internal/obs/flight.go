@@ -59,8 +59,8 @@ type entry struct {
 // NewFlightRecorder builds a recorder holding the last capacity spans
 // and log lines (<= 0 means 1024), keeping log lines at or above min
 // and writing each as NDJSON to w when w is non-nil, installs it on
-// the registry and its children, and returns it. A nil registry
-// yields a nil recorder, on which every method is a no-op.
+// the registry and returns it. A nil registry yields a nil recorder,
+// on which every method is a no-op.
 func NewFlightRecorder(r *Registry, capacity int, w io.Writer, min Level) *FlightRecorder {
 	if r == nil {
 		return nil
@@ -78,7 +78,7 @@ func NewFlightRecorder(r *Registry, capacity int, w io.Writer, min Level) *Fligh
 		cErrors: r.Counter("obs.flight.errors"),
 		cDumps:  r.Counter("obs.flight.dumps"),
 	}
-	r.setFlight(f)
+	r.flight.Store(f)
 	return f
 }
 
@@ -115,11 +115,10 @@ func (f *FlightRecorder) noteSpan(s *Span, dur time.Duration) {
 	f.cSpans.Inc()
 }
 
-// log appends one log line emitted on registry r, stamped with r's
-// labels (call-site fields win a key collision), the operation
-// identity and r's clock. The NDJSON write and the ring append share
-// the lock, so the stream and the ring agree on order and concurrent
-// lines never interleave mid-line.
+// log appends one log line emitted on registry r, stamped with the
+// operation identity and r's clock. The NDJSON write and the ring
+// append share the lock, so the stream and the ring agree on order and
+// concurrent lines never interleave mid-line.
 func (f *FlightRecorder) log(r *Registry, trace TraceID, span SpanID, level Level, event string, fields []Field) {
 	if f == nil || level < f.min {
 		return
@@ -131,11 +130,8 @@ func (f *FlightRecorder) log(r *Registry, trace TraceID, span SpanID, level Leve
 		Trace: trace,
 		Span:  span,
 	}
-	if n := len(r.labels) + len(fields); n > 0 {
-		rec.Fields = make(map[string]interface{}, n)
-		for _, l := range r.labels {
-			rec.Fields[l.Key] = l.Value
-		}
+	if len(fields) > 0 {
+		rec.Fields = make(map[string]interface{}, len(fields))
 		for _, fd := range fields {
 			rec.Fields[fd.K] = fd.V
 		}
@@ -211,9 +207,9 @@ func (f *FlightRecorder) SetAutoDump(dir string, dump func(dir string) error) {
 
 // NoteError records an operation failure on the installed flight
 // recorder: it bumps obs.flight.errors, appends an obs.flight.error
-// log line carrying the failing identity and this registry's labels,
-// and, when armed, writes the post-mortem bundle. err == nil, a nil
-// registry and a registry without a recorder are no-ops.
+// log line carrying the failing identity, and, when armed, writes the
+// post-mortem bundle. err == nil, a nil registry and a registry
+// without a recorder are no-ops.
 func (r *Registry) NoteError(trace TraceID, span SpanID, source string, err error) {
 	if r == nil || err == nil {
 		return

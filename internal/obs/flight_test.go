@@ -156,37 +156,6 @@ func TestFlightNoteErrorWithoutLog(t *testing.T) {
 	}
 }
 
-// A failure on a child registry keeps the child's labels, in the ring
-// and in the NDJSON stream, like the operation's other log lines — the
-// fleet case of a machine whose repair fails.
-func TestFlightErrorKeepsRegistryLabels(t *testing.T) {
-	var buf strings.Builder
-	reg := NewRegistry()
-	f := NewFlightRecorder(reg, 8, &buf, LevelDebug)
-	m3 := reg.Child("machine", "m3")
-	op := m3.StartOp("t.op.repair")
-	op.Log(LevelInfo, "t.milestone")
-	op.Fail("t.repair", errors.New("boom"))
-
-	streamed, err := ReadLog(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for where, recs := range map[string][]Record{"ring": f.Events(), "ndjson": streamed} {
-		if len(recs) != 2 || recs[1].Event != "obs.flight.error" {
-			t.Fatalf("%s: records %+v, want the milestone then obs.flight.error", where, recs)
-		}
-		for _, rec := range recs {
-			if rec.Fields["machine"] != "m3" {
-				t.Errorf("%s: %s lost the machine label: %+v", where, rec.Event, rec.Fields)
-			}
-		}
-		if e := recs[1]; e.Fields["source"] != "t.repair" || e.Fields["error"] != "boom" || e.Trace != op.Trace() {
-			t.Errorf("%s: error record = %+v", where, e)
-		}
-	}
-}
-
 func TestFlightAutoDump(t *testing.T) {
 	reg := NewRegistry()
 	f := NewFlightRecorder(reg, 8, nil, LevelDebug)

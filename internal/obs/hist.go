@@ -117,9 +117,7 @@ func (h *Histogram) Exemplars() []Exemplar {
 // p50/p95/max nanosecond marks. Exemplars and Buckets are populated
 // only by Registry.Snapshot — Stats leaves them nil so the export
 // Sampler's steady-state Visit path stays allocation-free. Buckets is
-// the raw per-bit-length bucket array (trimmed of trailing zeros),
-// which is what lets MergeHistogramStats combine machines' histograms
-// bucket-wise instead of averaging quantiles.
+// the raw per-bit-length bucket array (trimmed of trailing zeros).
 type HistogramStats struct {
 	Count     int64      `json:"count"`
 	SumNS     int64      `json:"sum_ns"`
@@ -169,55 +167,6 @@ func (h *Histogram) BucketCounts() []int64 {
 	}
 	out := make([]int64, hi+1)
 	copy(out, counts[:hi+1])
-	return out
-}
-
-// MergeHistogramStats combines two histogram snapshots into the stats
-// of their union. When both carry raw bucket counts the quantiles are
-// recomputed from the merged distribution; otherwise the merge falls
-// back to the pessimistic max of the inputs' quantile marks.
-func MergeHistogramStats(a, b HistogramStats) HistogramStats {
-	out := HistogramStats{
-		Count: a.Count + b.Count,
-		SumNS: a.SumNS + b.SumNS,
-		MaxNS: a.MaxNS,
-	}
-	if b.MaxNS > out.MaxNS {
-		out.MaxNS = b.MaxNS
-	}
-	haveBuckets := (len(a.Buckets) > 0 || a.Count == 0) && (len(b.Buckets) > 0 || b.Count == 0)
-	if haveBuckets && out.Count > 0 {
-		var counts [histBuckets]int64
-		for i, c := range a.Buckets {
-			counts[i] += c
-		}
-		for i, c := range b.Buckets {
-			counts[i] += c
-		}
-		hi := -1
-		for i, c := range counts {
-			if c != 0 {
-				hi = i
-			}
-		}
-		out.Buckets = make([]int64, hi+1)
-		copy(out.Buckets, counts[:hi+1])
-		out.P50NS = quantile(&counts, out.Count, 0.50, out.MaxNS)
-		out.P95NS = quantile(&counts, out.Count, 0.95, out.MaxNS)
-		return out
-	}
-	if a.P50NS > out.P50NS {
-		out.P50NS = a.P50NS
-	}
-	if b.P50NS > out.P50NS {
-		out.P50NS = b.P50NS
-	}
-	if a.P95NS > out.P95NS {
-		out.P95NS = a.P95NS
-	}
-	if b.P95NS > out.P95NS {
-		out.P95NS = b.P95NS
-	}
 	return out
 }
 

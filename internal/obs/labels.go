@@ -6,10 +6,10 @@ import (
 	"strings"
 )
 
-// Label is one key/value dimension of a metric or registry. Keys follow
-// the lower_snake convention ([a-z][a-z0-9_]*, no dots) enforced
-// statically by the starlint metricname analyzer and dynamically by
-// ValidLabelKey; values are free-form strings, escaped on export.
+// Label is one key/value dimension of a metric. Keys follow the
+// lower_snake convention ([a-z][a-z0-9_]*, no dots) enforced statically
+// by the starlint metricname analyzer and dynamically by ValidLabelKey;
+// values are free-form strings, escaped on export.
 type Label struct {
 	Key   string `json:"k"`
 	Value string `json:"v"`
@@ -85,53 +85,9 @@ func (ls Labels) Get(key string) (string, bool) {
 	return "", false
 }
 
-// Without returns ls minus the given keys, as a fresh set.
-func (ls Labels) Without(keys ...string) Labels {
-	var out Labels
-	for _, l := range ls {
-		drop := false
-		for _, k := range keys {
-			if l.Key == k {
-				drop = true
-				break
-			}
-		}
-		if !drop {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
-// Map returns the set as a plain map, nil when empty — the JSON shape
-// Snapshot carries.
-func (ls Labels) Map() map[string]string {
-	if len(ls) == 0 {
-		return nil
-	}
-	m := make(map[string]string, len(ls))
-	for _, l := range ls {
-		m[l.Key] = l.Value
-	}
-	return m
-}
-
-// LabelsFromMap inverts Labels.Map (sorted, deduplicated).
-func LabelsFromMap(m map[string]string) Labels {
-	if len(m) == 0 {
-		return nil
-	}
-	ls := make(Labels, 0, len(m))
-	for k, v := range m {
-		ls = append(ls, Label{Key: k, Value: v})
-	}
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
-	return ls
-}
-
 // String renders the set in its canonical wire form —
 // k="v",k2="v2" with OpenMetrics value escaping — used both as the
-// family-child map key and inside encoded metric names.
+// family slot map key and inside encoded metric names.
 func (ls Labels) String() string {
 	if len(ls) == 0 {
 		return ""

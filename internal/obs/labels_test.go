@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 func TestMakeLabels(t *testing.T) {
 	cases := []struct {
@@ -37,7 +34,7 @@ func TestValidLabelKey(t *testing.T) {
 	}
 }
 
-func TestLabelsMergeGetWithout(t *testing.T) {
+func TestLabelsMergeGet(t *testing.T) {
 	a := MakeLabels("machine", "m0", "n", "6")
 	b := MakeLabels("n", "7", "outcome", "splices")
 	m := a.Merge(b)
@@ -53,20 +50,6 @@ func TestLabelsMergeGetWithout(t *testing.T) {
 	}
 	if _, ok := m.Get("missing"); ok {
 		t.Error("Get(missing) = present")
-	}
-	if got := m.Without("n", "machine").String(); got != `outcome="splices"` {
-		t.Errorf("Without = %q", got)
-	}
-}
-
-func TestLabelsMapRoundTrip(t *testing.T) {
-	ls := MakeLabels("machine", "m3", "n", "6")
-	back := LabelsFromMap(ls.Map())
-	if !reflect.DeepEqual(ls, back) {
-		t.Errorf("map round trip: %v -> %v", ls, back)
-	}
-	if Labels(nil).Map() != nil || LabelsFromMap(nil) != nil {
-		t.Error("empty set should map to nil both ways")
 	}
 }
 

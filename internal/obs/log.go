@@ -135,11 +135,11 @@ func (r *Registry) Enabled(level Level) bool {
 	return f != nil && level >= f.min
 }
 
-// Log records one log line outside any operation context, stamped with
-// the registry's labels, on the installed flight recorder (and its
-// NDJSON writer, if any). Without a recorder, or on a nil registry, it
-// is a no-op. Events belonging to an operation go through Op.Log,
-// which also stamps the trace identity.
+// Log records one log line outside any operation context on the
+// installed flight recorder (and its NDJSON writer, if any). Without a
+// recorder, or on a nil registry, it is a no-op. Events belonging to
+// an operation go through Op.Log, which also stamps the trace
+// identity.
 func (r *Registry) Log(level Level, event string, fields ...Field) {
 	if r == nil {
 		return

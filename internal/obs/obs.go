@@ -27,7 +27,6 @@ import (
 	"encoding/json"
 	"io"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -100,12 +99,6 @@ type Registry struct {
 	gvecs    map[string]*GaugeVec
 	hvecs    map[string]*HistogramVec
 	fams     []*family // every family, in creation order (append-only)
-	children map[string]*Registry
-	kidList  []*Registry       // every child, in creation order (append-only)
-	encCache map[string]string // plain-metric name → EncodeName(name, labels)
-	labels   Labels            // full label set: ancestors' labels merged with own
-	own      Labels            // labels added relative to the parent registry
-	maxCard  int               // per-family label cardinality cap (0 = default)
 	clock    Clock
 	flight   atomic.Pointer[FlightRecorder] // nil until NewFlightRecorder
 }
@@ -113,79 +106,8 @@ type Registry struct {
 // NewRegistry returns an empty registry on the wall clock.
 func NewRegistry() *Registry { return &Registry{clock: Wall} }
 
-// Child returns the child registry carrying the given additional
-// labels (alternating key/value pairs), creating it on first use —
-// calls with the same label set return the same child, so fleet
-// aggregation can re-find a machine's registry by its identity. The
-// child inherits the parent's clock, flight recorder and cardinality
-// cap; log lines it emits carry its full label set as fields, so NDJSON
-// records are stamped with the tenant identity. Child metrics surface
-// through the parent's Visit and Snapshot with the child labels
-// applied.
-func (r *Registry) Child(kv ...string) *Registry {
-	if r == nil {
-		return nil
-	}
-	own := MakeLabels(kv...)
-	key := own.String()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.children[key]
-	if ok {
-		return c
-	}
-	c = &Registry{
-		labels:  r.labels.Merge(own),
-		own:     own,
-		maxCard: r.maxCard,
-		clock:   r.clock,
-	}
-	c.flight.Store(r.flight.Load())
-	if r.children == nil {
-		r.children = make(map[string]*Registry)
-	}
-	r.children[key] = c
-	r.kidList = append(r.kidList, c)
-	return c
-}
-
-// Children returns the live child registries, sorted by label set.
-func (r *Registry) Children() []*Registry {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	keys := make([]string, 0, len(r.children))
-	for k := range r.children {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]*Registry, len(keys))
-	for i, k := range keys {
-		out[i] = r.children[k]
-	}
-	r.mu.Unlock()
-	return out
-}
-
-// Labels returns the registry's full label set (ancestors merged with
-// its own), nil for an unlabeled root.
-func (r *Registry) Labels() Labels {
-	if r == nil {
-		return nil
-	}
-	return r.labels
-}
-
-// childrenLocked returns the append-only child list (the slice header
-// is safe to iterate after the lock drops); callers hold r.mu.
-func (r *Registry) childrenLocked() []*Registry {
-	return r.kidList
-}
-
-// SetClock replaces the registry's time source (nil restores Wall) and
-// propagates it to existing children. Spans started before the switch
-// measure across both clocks.
+// SetClock replaces the registry's time source (nil restores Wall).
+// Spans started before the switch measure across both clocks.
 func (r *Registry) SetClock(c Clock) {
 	if r == nil {
 		return
@@ -195,11 +117,7 @@ func (r *Registry) SetClock(c Clock) {
 	}
 	r.mu.Lock()
 	r.clock = c
-	kids := r.childrenLocked()
 	r.mu.Unlock()
-	for _, k := range kids {
-		k.SetClock(c)
-	}
 }
 
 // Clock returns the registry's time source; a nil registry reads Wall.
@@ -214,18 +132,6 @@ func (r *Registry) Clock() Clock {
 		return Wall
 	}
 	return c
-}
-
-// setFlight installs the flight recorder on the registry and its
-// existing children; NewFlightRecorder calls it.
-func (r *Registry) setFlight(f *FlightRecorder) {
-	r.flight.Store(f)
-	r.mu.Lock()
-	kids := r.childrenLocked()
-	r.mu.Unlock()
-	for _, k := range kids {
-		k.setFlight(f)
-	}
 }
 
 // Flight returns the installed flight recorder; nil (a no-op recorder)
@@ -294,10 +200,9 @@ func (r *Registry) Histogram(name string) *Histogram {
 // Visitor receives one callback per live metric from Registry.Visit.
 // Implementations read the metric through its atomic accessors; they
 // must not call back into the registry (Visit holds its lock while
-// walking plain metrics). Labeled metrics — family slots and anything
-// under a child registry — arrive with the label set encoded into the
-// name, name{k="v",...} (see EncodeName); visitors that also implement
-// LabelVisitor receive the parts split instead.
+// walking plain metrics). Family slots arrive with the label set
+// encoded into the name, name{k="v",...} (see EncodeName); visitors
+// that also implement LabelVisitor receive the parts split instead.
 type Visitor interface {
 	VisitCounter(name string, c *Counter)
 	VisitGauge(name string, g *Gauge)
@@ -306,8 +211,8 @@ type Visitor interface {
 
 // LabelVisitor is the label-aware extension of Visitor: when a visitor
 // implements it, Visit routes every metric — plain or labeled —
-// through the VisitLabeled callbacks with the base name and the
-// absolute label set (nil for unlabeled metrics in the root registry).
+// through the VisitLabeled callbacks with the base name and the label
+// set (nil for plain metrics).
 type LabelVisitor interface {
 	Visitor
 	VisitLabeledCounter(name string, labels Labels, c *Counter)
@@ -315,10 +220,10 @@ type LabelVisitor interface {
 	VisitLabeledHistogram(name string, labels Labels, h *Histogram)
 }
 
-// Visit enumerates every metric, descending into child registries —
-// steady-state allocation-free (encoded names are cached on first
-// visit), the export Sampler's path. Order is unspecified; visitors
-// that need determinism must sort on their side.
+// Visit enumerates every metric — steady-state allocation-free (family
+// slots carry their encoded names), the export Sampler's path. Order
+// is unspecified; visitors that need determinism must sort on their
+// side.
 func (r *Registry) Visit(v Visitor) {
 	if r == nil {
 		return
@@ -327,51 +232,30 @@ func (r *Registry) Visit(v Visitor) {
 	r.mu.Lock()
 	for name, c := range r.counters {
 		if lv != nil {
-			lv.VisitLabeledCounter(name, r.labels, c)
+			lv.VisitLabeledCounter(name, nil, c)
 		} else {
-			v.VisitCounter(r.encNameLocked(name), c)
+			v.VisitCounter(name, c)
 		}
 	}
 	for name, g := range r.gauges {
 		if lv != nil {
-			lv.VisitLabeledGauge(name, r.labels, g)
+			lv.VisitLabeledGauge(name, nil, g)
 		} else {
-			v.VisitGauge(r.encNameLocked(name), g)
+			v.VisitGauge(name, g)
 		}
 	}
 	for name, h := range r.hists {
 		if lv != nil {
-			lv.VisitLabeledHistogram(name, r.labels, h)
+			lv.VisitLabeledHistogram(name, nil, h)
 		} else {
-			v.VisitHistogram(r.encNameLocked(name), h)
+			v.VisitHistogram(name, h)
 		}
 	}
 	fams := r.familiesLocked()
-	kids := r.childrenLocked()
 	r.mu.Unlock()
 	for _, f := range fams {
 		f.visit(v, lv)
 	}
-	for _, k := range kids {
-		k.Visit(v)
-	}
-}
-
-// encNameLocked returns EncodeName(name, r.labels), cached so repeat
-// visits allocate nothing; callers hold r.mu.
-func (r *Registry) encNameLocked(name string) string {
-	if len(r.labels) == 0 {
-		return name
-	}
-	enc, ok := r.encCache[name]
-	if !ok {
-		enc = EncodeName(name, r.labels)
-		if r.encCache == nil {
-			r.encCache = make(map[string]string)
-		}
-		r.encCache[name] = enc
-	}
-	return enc
 }
 
 // familiesLocked returns the append-only family list (the slice header
@@ -382,23 +266,19 @@ func (r *Registry) familiesLocked() []*family {
 
 // Snapshot is a point-in-time copy of a registry's metrics, shaped for
 // JSON serialization and expvar publication. Histogram entries carry
-// the per-phase duration statistics. Labels is the snapshotting
-// registry's own full label set (nil for an unlabeled root); map keys
-// are metric identities relative to it — plain names for its own
-// metrics, name{k="v",...} (see EncodeName) for family slots and
-// child-registry metrics. Events are the completed spans the flight
-// recorder retains, oldest first (none without a recorder).
+// the per-phase duration statistics. Map keys are plain names for
+// plain metrics and name{k="v",...} (see EncodeName) for family slots.
+// Events are the completed spans the flight recorder retains, oldest
+// first (none without a recorder).
 type Snapshot struct {
-	Labels     map[string]string         `json:"labels,omitempty"`
 	Counters   map[string]int64          `json:"counters"`
 	Gauges     map[string]int64          `json:"gauges"`
 	Histograms map[string]HistogramStats `json:"histograms"`
 	Events     []Event                   `json:"events,omitempty"`
 }
 
-// Snapshot captures every metric, including labeled families and child
-// registries, plus the completed spans retained by the installed
-// flight recorder.
+// Snapshot captures every metric, including labeled families, plus
+// the completed spans retained by the installed flight recorder.
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
 		Counters:   map[string]int64{},
@@ -408,16 +288,13 @@ func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return s
 	}
-	s.Labels = r.labels.Map()
-	r.snapshotInto(&s, nil)
+	r.snapshotInto(&s)
 	s.Events = r.flight.Load().SpanEvents()
 	return s
 }
 
-// snapshotInto copies this registry's metrics into s, keyed with rel —
-// the label path from the snapshotting ancestor down to this registry
-// — then recurses into children with their own labels appended.
-func (r *Registry) snapshotInto(s *Snapshot, rel Labels) {
+// snapshotInto copies the registry's metrics into s.
+func (r *Registry) snapshotInto(s *Snapshot) {
 	r.mu.Lock()
 	counters := make(map[string]*Counter, len(r.counters))
 	for k, v := range r.counters {
@@ -432,26 +309,22 @@ func (r *Registry) snapshotInto(s *Snapshot, rel Labels) {
 		hists[k] = v
 	}
 	fams := r.familiesLocked()
-	kids := r.childrenLocked()
 	r.mu.Unlock()
 
 	for k, v := range counters {
-		s.Counters[EncodeName(k, rel)] = v.Value()
+		s.Counters[k] = v.Value()
 	}
 	for k, v := range gauges {
-		s.Gauges[EncodeName(k, rel)] = v.Value()
+		s.Gauges[k] = v.Value()
 	}
 	for k, v := range hists {
 		st := v.Stats()
 		st.Exemplars = v.Exemplars()
 		st.Buckets = v.BucketCounts()
-		s.Histograms[EncodeName(k, rel)] = st
+		s.Histograms[k] = st
 	}
 	for _, f := range fams {
-		f.snapshotInto(s, rel)
-	}
-	for _, k := range kids {
-		k.snapshotInto(s, rel.Merge(k.own))
+		f.snapshotInto(s)
 	}
 }
 

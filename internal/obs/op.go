@@ -173,9 +173,8 @@ func (o *Op) Span(name string) Span {
 }
 
 // Log records one log line stamped with the operation's trace and root
-// span ids and its registry's labels. With no flight recorder
-// installed (or a nil Op) it is a no-op; guard expensive field
-// construction with Enabled.
+// span ids. With no flight recorder installed (or a nil Op) it is a
+// no-op; guard expensive field construction with Enabled.
 func (o *Op) Log(level Level, event string, fields ...Field) {
 	if o == nil {
 		return

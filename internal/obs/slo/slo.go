@@ -7,16 +7,15 @@
 // export.SeriesDump, or hand-fed points in tests.
 //
 // Rules address metrics by the sample names the feeder provides:
-// exposition names for live scrapes (sim_embeds_total{machine="m0"},
+// exposition names for live scrapes (serve_requests_total{route="embed"},
 // core_phase_route{quantile="0.95"}), series names for replayed dumps
-// (core.phase.route.p95_ns{machine="m0"}). Values are likewise in the
+// (serve.latency.p95_ns{route="embed"}). Values are likewise in the
 // feeder's units — seconds on /metrics summary quantiles, nanoseconds
 // in sampler series — so thresholds are written for the source being
 // watched. A rule metric with no label clause also matches every
 // labeled series of that family (name{...}): thresholds must hold on
-// each label set, rates and burns sum the per-series deltas — the same
-// rollup semantics as export.Aggregate — so one rule covers a whole
-// fleet of machine="m<i>" children.
+// each label set, and rates and burns sum the per-series deltas, so one
+// rule on serve_requests_total covers every route.
 //
 // Like the rest of the obs stack it is stdlib-only and deterministic:
 // the Engine has no clock of its own, every evaluation happens at a
@@ -370,7 +369,7 @@ func (e *Engine) evalThreshold(r Rule, now int64) Verdict {
 // ending at now, and the time span it covers; ok is false when the
 // window cannot produce a delta (fewer than two usable points). A
 // bare-family metric sums the per-series deltas over the widest
-// per-series span — the Aggregate counter rollup, as a rate.
+// per-series span.
 func (e *Engine) delta(metric string, now, winNS int64) (d float64, spanNS int64, ok bool) {
 	for _, s := range e.seriesFor(metric) {
 		sd, ss, sok := e.seriesDelta(s, now, winNS)

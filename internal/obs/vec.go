@@ -6,13 +6,12 @@ import (
 	"sync"
 )
 
-// DefaultMaxCardinality bounds how many distinct label sets one metric
-// family will materialize before With starts refusing new children.
-// Labels are for low-cardinality dimensions (n, outcome, machine id);
-// the cap turns an accidental per-request label into a recorded error
-// instead of unbounded memory growth. Override per registry with
-// SetMaxCardinality before creating families.
-const DefaultMaxCardinality = 1024
+// MaxCardinality bounds how many distinct label sets one metric family
+// will materialize before With starts refusing new ones. Labels are
+// for low-cardinality dimensions (n, outcome, route); the cap turns an
+// accidental per-request label into a recorded error instead of
+// unbounded memory growth.
+const MaxCardinality = 1024
 
 // family is the shared bookkeeping behind CounterVec, GaugeVec and
 // HistogramVec: one metric name, a declared label-key schema, and a
@@ -21,8 +20,6 @@ type family struct {
 	name string
 	kind string   // "counter" | "gauge" | "histogram"
 	keys []string // declared label keys, sorted
-	base Labels   // owning registry's full label set (fixed at creation)
-	cap  int
 
 	mu    sync.Mutex
 	err   error
@@ -34,18 +31,17 @@ type family struct {
 // non-nil, matching the family kind. Encodings are precomputed so the
 // export Sampler's Visit path stays allocation-free.
 type slot struct {
-	labels  Labels // With-supplied labels only, sorted
-	full    Labels // base merged with labels — the absolute identity
-	fullEnc string // EncodeName(name, full), what plain Visitors receive
-	c       *Counter
-	g       *Gauge
-	h       *Histogram
+	labels Labels // sorted
+	enc    string // EncodeName(name, labels): snapshot key and plain-Visitor name
+	c      *Counter
+	g      *Gauge
+	h      *Histogram
 }
 
-func newFamily(name, kind string, keys []string, base Labels, cap int) *family {
+func newFamily(name, kind string, keys []string) *family {
 	ks := append([]string(nil), keys...)
 	sort.Strings(ks)
-	f := &family{name: name, kind: kind, keys: ks, base: base, cap: cap}
+	f := &family{name: name, kind: kind, keys: ks}
 	for i, k := range ks {
 		if !ValidLabelKey(k) {
 			f.err = fmt.Errorf("obs: %s: invalid label key %q (want lower_snake)", name, k)
@@ -78,15 +74,14 @@ func (f *family) resolve(kv []string) *slot {
 	if ok {
 		return s
 	}
-	if len(f.slots) >= f.cap {
+	if len(f.slots) >= MaxCardinality {
 		if f.err == nil {
 			f.err = fmt.Errorf("obs: %s: label cardinality cap %d exceeded adding {%s}",
-				f.name, f.cap, key)
+				f.name, MaxCardinality, key)
 		}
 		return nil
 	}
-	full := f.base.Merge(ls)
-	s = &slot{labels: ls, full: full, fullEnc: EncodeName(f.name, full)}
+	s = &slot{labels: ls, enc: EncodeName(f.name, ls)}
 	switch f.kind {
 	case "counter":
 		s.c = &Counter{}
@@ -144,49 +139,46 @@ func (f *family) snapshotSlots() []*slot {
 }
 
 // visit walks every slot. Label-aware visitors get the base name plus
-// the absolute label set; plain visitors get the precomputed encoded
-// name, so the Sampler path allocates nothing once slots exist.
+// the label set; plain visitors get the precomputed encoded name, so
+// the Sampler path allocates nothing once slots exist.
 func (f *family) visit(v Visitor, lv LabelVisitor) {
 	for _, s := range f.snapshotSlots() {
 		switch f.kind {
 		case "counter":
 			if lv != nil {
-				lv.VisitLabeledCounter(f.name, s.full, s.c)
+				lv.VisitLabeledCounter(f.name, s.labels, s.c)
 			} else {
-				v.VisitCounter(s.fullEnc, s.c)
+				v.VisitCounter(s.enc, s.c)
 			}
 		case "gauge":
 			if lv != nil {
-				lv.VisitLabeledGauge(f.name, s.full, s.g)
+				lv.VisitLabeledGauge(f.name, s.labels, s.g)
 			} else {
-				v.VisitGauge(s.fullEnc, s.g)
+				v.VisitGauge(s.enc, s.g)
 			}
 		default:
 			if lv != nil {
-				lv.VisitLabeledHistogram(f.name, s.full, s.h)
+				lv.VisitLabeledHistogram(f.name, s.labels, s.h)
 			} else {
-				v.VisitHistogram(s.fullEnc, s.h)
+				v.VisitHistogram(s.enc, s.h)
 			}
 		}
 	}
 }
 
-// snapshotInto writes every slot into s keyed relative to the
-// snapshotting registry: rel is the label path from that registry down
-// to the family's owner.
-func (f *family) snapshotInto(s *Snapshot, rel Labels) {
+// snapshotInto writes every slot into s under its encoded name.
+func (f *family) snapshotInto(s *Snapshot) {
 	for _, sl := range f.snapshotSlots() {
-		key := EncodeName(f.name, rel.Merge(sl.labels))
 		switch f.kind {
 		case "counter":
-			s.Counters[key] = sl.c.Value()
+			s.Counters[sl.enc] = sl.c.Value()
 		case "gauge":
-			s.Gauges[key] = sl.g.Value()
+			s.Gauges[sl.enc] = sl.g.Value()
 		default:
 			st := sl.h.Stats()
 			st.Exemplars = sl.h.Exemplars()
 			st.Buckets = sl.h.BucketCounts()
-			s.Histograms[key] = st
+			s.Histograms[sl.enc] = st
 		}
 	}
 }
@@ -279,7 +271,7 @@ func (r *Registry) CounterVec(name string, keys ...string) *CounterVec {
 	defer r.mu.Unlock()
 	v, ok := r.cvecs[name]
 	if !ok {
-		v = &CounterVec{f: newFamily(name, "counter", keys, r.labels, r.maxCardLocked())}
+		v = &CounterVec{f: newFamily(name, "counter", keys)}
 		if r.cvecs == nil {
 			r.cvecs = make(map[string]*CounterVec)
 		}
@@ -300,7 +292,7 @@ func (r *Registry) GaugeVec(name string, keys ...string) *GaugeVec {
 	defer r.mu.Unlock()
 	v, ok := r.gvecs[name]
 	if !ok {
-		v = &GaugeVec{f: newFamily(name, "gauge", keys, r.labels, r.maxCardLocked())}
+		v = &GaugeVec{f: newFamily(name, "gauge", keys)}
 		if r.gvecs == nil {
 			r.gvecs = make(map[string]*GaugeVec)
 		}
@@ -322,7 +314,7 @@ func (r *Registry) HistogramVec(name string, keys ...string) *HistogramVec {
 	defer r.mu.Unlock()
 	v, ok := r.hvecs[name]
 	if !ok {
-		v = &HistogramVec{f: newFamily(name, "histogram", keys, r.labels, r.maxCardLocked())}
+		v = &HistogramVec{f: newFamily(name, "histogram", keys)}
 		if r.hvecs == nil {
 			r.hvecs = make(map[string]*HistogramVec)
 		}
@@ -352,49 +344,14 @@ func checkSchema(f *family, keys []string) {
 	}
 }
 
-// maxCardLocked resolves the registry's cardinality cap; callers hold
-// r.mu.
-func (r *Registry) maxCardLocked() int {
-	if r.maxCard > 0 {
-		return r.maxCard
-	}
-	return DefaultMaxCardinality
-}
-
-// SetMaxCardinality bounds the number of label sets each subsequently
-// created family will accept (existing families keep their cap).
-// Children created after the call inherit it.
-func (r *Registry) SetMaxCardinality(n int) {
-	if r == nil || n <= 0 {
-		return
-	}
-	r.mu.Lock()
-	r.maxCard = n
-	r.mu.Unlock()
-}
-
-// VecErrors collects the first recorded error of every family in this
-// registry and its children — a cheap health check for tests and the
-// debug endpoint.
+// VecErrors collects the first recorded error of every family, in
+// creation order — a cheap health check for tests.
 func (r *Registry) VecErrors() []error {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
-	fams := make([]*family, 0, len(r.cvecs)+len(r.gvecs)+len(r.hvecs))
-	for _, v := range r.cvecs {
-		fams = append(fams, v.f)
-	}
-	for _, v := range r.gvecs {
-		fams = append(fams, v.f)
-	}
-	for _, v := range r.hvecs {
-		fams = append(fams, v.f)
-	}
-	children := make([]*Registry, 0, len(r.children))
-	for _, c := range r.children {
-		children = append(children, c)
-	}
+	fams := r.familiesLocked()
 	r.mu.Unlock()
 
 	var errs []error
@@ -402,9 +359,6 @@ func (r *Registry) VecErrors() []error {
 		if err := f.firstErr(); err != nil {
 			errs = append(errs, err)
 		}
-	}
-	for _, c := range children {
-		errs = append(errs, c.VecErrors()...)
 	}
 	return errs
 }

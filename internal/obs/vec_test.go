@@ -74,17 +74,18 @@ func TestVecInvalidKey(t *testing.T) {
 	}
 }
 
+// TestVecCardinalityCap fills one family up to MaxCardinality and
+// checks that the next label set is refused.
 func TestVecCardinalityCap(t *testing.T) {
 	r := NewRegistry()
-	r.SetMaxCardinality(3)
 	v := r.CounterVec("m", "id")
-	for i := 0; i < 3; i++ {
+	for i := 0; i < MaxCardinality; i++ {
 		if v.With("id", fmt.Sprint(i)) == nil {
 			t.Fatalf("slot %d refused under the cap", i)
 		}
 	}
-	if v.With("id", "3") != nil {
-		t.Error("4th label set resolved past a cap of 3")
+	if v.With("id", fmt.Sprint(MaxCardinality)) != nil {
+		t.Errorf("label set %d resolved past a cap of %d", MaxCardinality+1, MaxCardinality)
 	}
 	// Existing slots keep working.
 	if v.With("id", "0") == nil {
@@ -93,82 +94,8 @@ func TestVecCardinalityCap(t *testing.T) {
 	if err := v.Err(); err == nil || !strings.Contains(err.Error(), "cardinality cap") {
 		t.Errorf("Err() = %v, want cardinality cap", err)
 	}
-	if len(r.Snapshot().Counters) != 3 {
-		t.Errorf("snapshot grew past the cap: %v", r.Snapshot().Counters)
-	}
-}
-
-func TestChildRegistry(t *testing.T) {
-	r := NewRegistry()
-	c := r.Child("machine", "m0")
-	if again := r.Child("machine", "m0"); again != c {
-		t.Error("Child is not idempotent per label set")
-	}
-	if other := r.Child("machine", "m1"); other == c {
-		t.Error("distinct label sets shared a child")
-	}
-	g := c.Child("zone", "a")
-	if got := g.Labels().String(); got != `machine="m0",zone="a"` {
-		t.Errorf("grandchild labels = %q", got)
-	}
-
-	c.Counter("sim.embeds").Add(5)
-	c.CounterVec("core.repair.outcome", "outcome").With("outcome", "splices").Inc()
-	g.Gauge("depth").Set(2)
-
-	// Root snapshot: fully labeled keys.
-	snap := r.Snapshot()
-	if got := snap.Counters[`sim.embeds{machine="m0"}`]; got != 5 {
-		t.Errorf("root view = %v", snap.Counters)
-	}
-	if got := snap.Counters[`core.repair.outcome{machine="m0",outcome="splices"}`]; got != 1 {
-		t.Errorf("root view of family = %v", snap.Counters)
-	}
-	if got := snap.Gauges[`depth{machine="m0",zone="a"}`]; got != 2 {
-		t.Errorf("root view of grandchild = %v", snap.Gauges)
-	}
-	// Child snapshot: self-relative keys, identity in Labels.
-	cs := c.Snapshot()
-	if cs.Labels["machine"] != "m0" {
-		t.Errorf("child snapshot labels = %v", cs.Labels)
-	}
-	if got := cs.Counters["sim.embeds"]; got != 5 {
-		t.Errorf("child view = %v", cs.Counters)
-	}
-	if got := cs.Gauges[`depth{zone="a"}`]; got != 2 {
-		t.Errorf("child view of grandchild = %v", cs.Gauges)
-	}
-
-	if len(r.Children()) != 2 {
-		t.Errorf("Children() = %d, want 2", len(r.Children()))
-	}
-}
-
-// A child's log lines carry its labels, whether the child existed
-// before the flight recorder was installed or was created after, and a
-// call-site field wins a key collision with a label.
-func TestChildEventLogStamping(t *testing.T) {
-	var buf strings.Builder
-	r := NewRegistry()
-	early := r.Child("machine", "m0")
-	NewFlightRecorder(r, 8, &buf, LevelInfo)
-	early.Log(LevelInfo, "boot", F("ok", true))
-	r.Child("machine", "m1").Child("zone", "a").Log(LevelInfo, "boot", F("zone", "b"))
-	recs, err := ReadLog(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 {
-		t.Fatalf("records = %d, want 2", len(recs))
-	}
-	if got, _ := recs[0].Fields["machine"].(string); got != "m0" {
-		t.Errorf("machine field = %q; record %+v", got, recs[0])
-	}
-	if ok, _ := recs[0].Fields["ok"].(bool); !ok {
-		t.Errorf("call-site field lost: %+v", recs[0])
-	}
-	if recs[1].Fields["machine"] != "m1" || recs[1].Fields["zone"] != "b" {
-		t.Errorf("grandchild record = %+v, want machine=m1 and the call-site zone=b", recs[1])
+	if got := len(r.Snapshot().Counters); got != MaxCardinality {
+		t.Errorf("snapshot holds %d series, want the cap %d", got, MaxCardinality)
 	}
 }
 
@@ -204,7 +131,7 @@ func TestVisitLabelRouting(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("plain").Inc()
 	r.CounterVec("fam", "n").With("n", "6").Inc()
-	r.Child("machine", "m0").Counter("sim.embeds").Inc()
+	r.GaugeVec("sim.ring_length", "machine").With("machine", "m0").Set(114)
 
 	lc := &labelCollector{}
 	r.Visit(lc)
@@ -212,9 +139,9 @@ func TestVisitLabelRouting(t *testing.T) {
 		t.Errorf("LabelVisitor received plain callbacks: %v", lc.plain)
 	}
 	wantLabeled := map[string]bool{
-		"plain":                    true,
-		`fam{n="6"}`:               true,
-		`sim.embeds{machine="m0"}`: true,
+		"plain":                         true,
+		`fam{n="6"}`:                    true,
+		`sim.ring_length{machine="m0"}`: true,
 	}
 	for _, n := range lc.labeled {
 		delete(wantLabeled, n)
@@ -226,9 +153,9 @@ func TestVisitLabelRouting(t *testing.T) {
 	pc := &plainCollector{}
 	r.Visit(pc)
 	wantPlain := map[string]bool{
-		"plain":                    true,
-		`fam{n="6"}`:               true,
-		`sim.embeds{machine="m0"}`: true,
+		"plain":                         true,
+		`fam{n="6"}`:                    true,
+		`sim.ring_length{machine="m0"}`: true,
 	}
 	for _, n := range pc.names {
 		delete(wantPlain, n)
@@ -256,7 +183,7 @@ func TestVecDisabledAllocs(t *testing.T) {
 
 // TestVecConcurrency exercises every mutating and reading surface at
 // once; its real assertions run under `go test -race` (the ci.sh race
-// leg): family creation vs With vs Visit vs Snapshot vs Child.
+// leg): family creation vs With vs Visit vs Snapshot.
 func TestVecConcurrency(t *testing.T) {
 	r := NewRegistry()
 	var wg sync.WaitGroup
@@ -267,7 +194,7 @@ func TestVecConcurrency(t *testing.T) {
 			id := fmt.Sprintf("m%d", w%4)
 			for i := 0; i < 200; i++ {
 				r.CounterVec("fam", "id").With("id", id).Inc()
-				r.Child("machine", id).Counter("sim.embeds").Inc()
+				r.CounterVec("sim.embeds", "machine").With("machine", id).Inc()
 				switch i % 3 {
 				case 0:
 					r.Snapshot()

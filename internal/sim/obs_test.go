@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/obs"
@@ -157,5 +159,97 @@ func TestCampaignEventLog(t *testing.T) {
 	}
 	if int64(moves) != debugRun.Hops {
 		t.Errorf("sim.token_move events = %d, want one per hop (%d)", moves, debugRun.Hops)
+	}
+}
+
+// TestConcurrentCampaignsShareRegistry runs four campaigns at once on
+// one registry: each must reproduce the solo campaign at its seed, so
+// concurrent recording never perturbs a simulation, and the shared
+// counters must account for every campaign.
+func TestConcurrentCampaignsShareRegistry(t *testing.T) {
+	const campaigns = 4
+	base := CampaignConfig{
+		Machine:     Config{N: 5},
+		Failures:    2,
+		LapsBetween: 1,
+		Seed:        42,
+	}
+	reg := obs.NewRegistry()
+	reports := make([]*CampaignReport, campaigns)
+	errs := make([]error, campaigns)
+	var wg sync.WaitGroup
+	for i := 0; i < campaigns; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			cfg := base
+			cfg.Machine.Obs = reg
+			cfg.Seed += int64(i)
+			reports[i], errs[i] = RunCampaign(cfg)
+		}(i)
+	}
+	wg.Wait()
+
+	var embeds int64
+	for i, got := range reports {
+		if errs[i] != nil {
+			t.Fatalf("campaign %d: %v", i, errs[i])
+		}
+		solo := base
+		solo.Seed += int64(i)
+		want, err := RunCampaign(solo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Clock != want.Clock || got.Hops != want.Hops || got.FinalRing != want.FinalRing {
+			t.Errorf("campaign %d diverged from the solo campaign: %+v vs %+v", i, got, want)
+		}
+		embeds += int64(1 + got.Reembeds)
+	}
+	if got := reg.Counter("sim.embeds").Value(); got != embeds {
+		t.Errorf("sim.embeds = %d, want %d", got, embeds)
+	}
+	if got, want := reg.Counter("sim.failures").Value(), int64(campaigns*base.Failures); got != want {
+		t.Errorf("sim.failures = %d, want %d", got, want)
+	}
+}
+
+// A machine whose repair fails halts and leaves exactly one
+// obs.flight.error record, sourced core.repair, in the flight
+// recorder's ring and in its NDJSON stream.
+func TestMachineRepairFailureLogsError(t *testing.T) {
+	var buf strings.Builder
+	reg := obs.NewRegistry()
+	f := obs.NewFlightRecorder(reg, 64, &buf, obs.LevelInfo)
+	m, err := New(Config{N: 5, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// S_5 tolerates n-3 = 2 vertex faults; the third repair must fail.
+	var halted error
+	for i := 0; i < 3 && halted == nil; i++ {
+		halted = m.FailVertex(m.TokenHolder())
+	}
+	if !errors.Is(halted, ErrHalted) {
+		t.Fatalf("third failure: err = %v, want ErrHalted", halted)
+	}
+
+	streamed, err := obs.ReadLog(strings.NewReader(buf.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for where, recs := range map[string][]obs.Record{"ring": f.Events(), "ndjson": streamed} {
+		errs := 0
+		for _, r := range recs {
+			if r.Event == "obs.flight.error" {
+				errs++
+				if r.Fields["source"] != "core.repair" {
+					t.Errorf("%s: error record source = %v, want core.repair", where, r.Fields["source"])
+				}
+			}
+		}
+		if errs != 1 {
+			t.Errorf("%s: %d obs.flight.error records, want 1", where, errs)
+		}
 	}
 }

@@ -30,14 +30,6 @@ import (
 type Config struct {
 	// N is the star-graph dimension (>= 3).
 	N int
-	// ID names this machine within a fleet. When set, the machine's
-	// telemetry is rebased onto Obs.Child("machine", ID): every metric
-	// the machine or its embedder registers carries machine="<ID>", and
-	// every NDJSON event record is stamped with a machine field — so N
-	// machines can share one parent registry without aliasing each
-	// other's counters. Empty means the registry is used as-is (the
-	// single-machine behavior).
-	ID string
 	// HopCost is the latency of moving the token across one physical
 	// link; 0 means 1.
 	HopCost int64
@@ -99,12 +91,6 @@ func New(cfg Config) (*Machine, error) {
 	if cfg.ReembedCostPerBlock <= 0 {
 		cfg.ReembedCostPerBlock = 1
 	}
-	if cfg.ID != "" {
-		// Rebase all telemetry — counters, gauges, spans, the event log,
-		// and (below) the embedder's metrics — onto the machine's child
-		// registry before anything captures cfg.Obs.
-		cfg.Obs = cfg.Obs.Child("machine", cfg.ID)
-	}
 	if cfg.Embed.Obs == nil {
 		cfg.Embed.Obs = cfg.Obs
 	}
@@ -146,11 +132,6 @@ func (m *Machine) chargeRepair(blocks int) {
 
 // Clock returns the current simulated time in ticks.
 func (m *Machine) Clock() int64 { return m.clock }
-
-// Registry returns the registry the machine records into: the child
-// labeled machine="<ID>" when Config.ID was set, else Config.Obs
-// verbatim (possibly nil). Fleet drivers snapshot it per machine.
-func (m *Machine) Registry() *obs.Registry { return m.cfg.Obs }
 
 // Stats returns a copy of the accumulated statistics.
 func (m *Machine) Stats() Stats { return m.stats }
