@@ -118,8 +118,8 @@ func TestCLIStarviz(t *testing.T) {
 	}
 }
 
-// TestCLIRejectsBadDimensionAndFaultCount pins that starring and
-// starviz neither hang nor panic on an out-of-range -n or on more
+// TestCLIRejectsBadDimensionAndFaultCount pins that starring, starviz
+// and starinfo neither hang nor panic on an out-of-range -n or on more
 // random faults than S_n has vertices: each run must exit non-zero
 // with a one-line error well inside its deadline.
 func TestCLIRejectsBadDimensionAndFaultCount(t *testing.T) {
@@ -127,7 +127,7 @@ func TestCLIRejectsBadDimensionAndFaultCount(t *testing.T) {
 		t.Skip("spawns the go tool")
 	}
 	bin := t.TempDir()
-	runGo(t, "build", "-o", bin+string(filepath.Separator), "./cmd/starring", "./cmd/starviz")
+	runGo(t, "build", "-o", bin+string(filepath.Separator), "./cmd/starring", "./cmd/starviz", "./cmd/starinfo")
 	for _, c := range []struct {
 		cmd  string
 		args []string
@@ -140,6 +140,8 @@ func TestCLIRejectsBadDimensionAndFaultCount(t *testing.T) {
 		{"starring", []string{"-n", "-1"}, "out of range"},
 		{"starviz", []string{"-n", "3", "-random", "7"}, "starviz: -random 7 exceeds the 6 vertices of S_3"},
 		{"starviz", []string{"-n", "17", "-random", "1"}, "starviz: -n 17 out of range [1,16]"},
+		{"starinfo", []string{"-n", "0"}, "starinfo: -n 0 out of range [1,16]"},
+		{"starinfo", []string{"-n", "17"}, "starinfo: -n 17 out of range [1,16]"},
 	} {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		out, err := exec.CommandContext(ctx, filepath.Join(bin, c.cmd), c.args...).CombinedOutput()

@@ -28,6 +28,11 @@ func main() {
 	)
 	flag.Parse()
 
+	// star.New panics outside [1, perm.MaxN]; a bad -n is user input.
+	if *n < 1 || *n > perm.MaxN {
+		fmt.Fprintf(os.Stderr, "starinfo: -n %d out of range [1,%d]\n", *n, perm.MaxN)
+		os.Exit(1)
+	}
 	g := star.New(*n)
 	fmt.Printf("S_%d: %d vertices, %d edges, degree %d, diameter %d, bipartite (two sides of %d)\n",
 		*n, g.Order(), g.Size(), g.Degree(), g.Diameter(), g.Order()/2)
