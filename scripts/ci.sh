@@ -6,6 +6,9 @@
 #   2. go vet        -- stdlib static checks
 #   3. go build      -- whole module compiles
 #   4. go test       -- full test suite
+#   4b. perfbench    -- go vet and go test of the benchmark module
+#                       (perfbench/, its own go.mod), which ./... never
+#                       reaches
 #   5. go test -race -- the full module under the race detector (-short)
 #   6. starlint      -- the project's own analyzers (see cmd/starlint),
 #                       strict: stale suppressions/config entries fail
@@ -95,6 +98,18 @@ leg "gofmt" gofmt_check || exit 1
 leg "vet" go vet ./... || exit 1
 leg "build" go build ./... || exit 1
 leg "test" go test ./... || exit 1
+
+# Perfbench: the benchmark of record is its own module, linked to this
+# one through `replace repro => ../`, so no ./... leg compiles it. Vet
+# and test it under perfbench/run.sh's environment, so a root change
+# that breaks the benchmark fails here rather than at the next run.
+perfbench_check() {
+    local env=(GOTOOLCHAIN=local GOFLAGS= GOPROXY=off GOWORK=off)
+    env "${env[@]}" go -C perfbench vet ./... &&
+        env "${env[@]}" go -C perfbench test ./...
+}
+
+leg "perfbench" perfbench_check || exit 1
 
 # Race leg: the full module with -short, which keeps the heavyweight
 # campaign tests out and the leg under ~2 minutes (see README "Static
