@@ -7,7 +7,7 @@
 // export.SeriesDump, or hand-fed points in tests.
 //
 // Rules address metrics by the sample names the feeder provides:
-// exposition names for live scrapes (serve_requests_total{route="embed"},
+// exposition names for live scrapes (serve_good_total{route="embed"},
 // core_phase_route{quantile="0.95"}), series names for replayed dumps
 // (serve.latency.p95_ns{route="embed"}). Values are likewise in the
 // feeder's units — seconds on /metrics summary quantiles, nanoseconds
