@@ -322,22 +322,22 @@ func BenchmarkEmbedPath(b *testing.B) {
 	b.Run("oppositeParity", func(b *testing.B) {
 		var l int
 		for i := 0; i < b.N; i++ {
-			res, err := core.EmbedPath(n, fs, s, tOpp, core.Config{})
+			plan, err := core.EmbedPath(n, fs, s, tOpp, core.Config{})
 			if err != nil {
 				b.Fatal(err)
 			}
-			l = res.Len()
+			l = plan.RingLen()
 		}
 		b.ReportMetric(float64(l), "pathlen")
 	})
 	b.Run("sameParity", func(b *testing.B) {
 		var l int
 		for i := 0; i < b.N; i++ {
-			res, err := core.EmbedPath(n, fs, s, tSame, core.Config{})
+			plan, err := core.EmbedPath(n, fs, s, tSame, core.Config{})
 			if err != nil {
 				b.Fatal(err)
 			}
-			l = res.Len()
+			l = plan.RingLen()
 		}
 		b.ReportMetric(float64(l), "pathlen")
 	})

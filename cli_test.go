@@ -120,7 +120,8 @@ func TestCLIStarviz(t *testing.T) {
 
 // TestCLIRejectsBadDimensionAndFaultCount pins that starring, starviz
 // and starinfo neither hang nor panic on an out-of-range -n or on more
-// random faults than S_n has vertices: each run must exit non-zero
+// random faults than S_n has vertices, and that starring's path mode
+// rejects the ring-only -save and -algo: each run must exit non-zero
 // with a one-line error well inside its deadline.
 func TestCLIRejectsBadDimensionAndFaultCount(t *testing.T) {
 	if testing.Short() {
@@ -138,6 +139,12 @@ func TestCLIRejectsBadDimensionAndFaultCount(t *testing.T) {
 		{"starring", []string{"-n", "3", "-random", "4", "-faults", "3"}, "exceeds the 6 vertices"},
 		{"starring", []string{"-n", "17", "-random", "1"}, "starring: -n 17 out of range [3,16]"},
 		{"starring", []string{"-n", "-1"}, "out of range"},
+		{"starring", []string{"-n", "5", "-path-from", "12345", "-path-to", "54321", "-save", filepath.Join(bin, "p.srs")},
+			"starring: -save writes rings; path mode has no save"},
+		{"starring", []string{"-n", "5", "-path-from", "12345", "-path-to", "54321", "-algo", "tseng"},
+			"starring: -algo tseng embeds rings; path mode runs the paper construction only"},
+		{"starring", []string{"-n", "5", "-path-from", "12345", "-path-to", "54321", "-algo", "latifi"}, "-algo latifi embeds rings"},
+		{"starring", []string{"-n", "5", "-path-from", "12345", "-path-to", "54321", "-algo", "bogus"}, "-algo bogus embeds rings"},
 		{"starviz", []string{"-n", "3", "-random", "7"}, "starviz: -random 7 exceeds the 6 vertices of S_3"},
 		{"starviz", []string{"-n", "17", "-random", "1"}, "starviz: -n 17 out of range [1,16]"},
 		{"starinfo", []string{"-n", "0"}, "starinfo: -n 0 out of range [1,16]"},

@@ -101,6 +101,13 @@ func main() {
 	if order := perm.Factorial(*n); k > order {
 		fatal(fmt.Errorf("-random/-faults %d exceeds the %d vertices of S_%d", k, order, *n))
 	}
+	pathMode := *pathSrc != "" || *pathDst != ""
+	if pathMode && *save != "" {
+		fatal(fmt.Errorf("-save writes rings; path mode has no save"))
+	}
+	if pathMode && *algo != "paper" {
+		fatal(fmt.Errorf("-algo %s embeds rings; path mode runs the paper construction only", *algo))
+	}
 
 	fs := faults.NewSet(*n)
 	if *fv != "" {
@@ -140,19 +147,16 @@ func main() {
 
 	cfg := core.Config{BestEffort: *best, Obs: tel.reg}
 
-	if *pathSrc != "" || *pathDst != "" {
-		runPathMode(*n, fs, *pathSrc, *pathDst, cfg, *print)
-		tel.finish()
-		return
-	}
 	var (
 		ring      ringSource
 		ringLen   int
 		guarantee int
 		extra     string
 	)
-	switch *algo {
-	case "paper":
+	switch {
+	case pathMode:
+		ring = runPathMode(*n, fs, *pathSrc, *pathDst, cfg)
+	case *algo == "paper":
 		eng, err := core.NewEmbedder(*n, cfg)
 		if err != nil {
 			fatal(err)
@@ -165,13 +169,13 @@ func main() {
 		ring, ringLen, guarantee = func() func() (perm.Code, bool) { return plan.Cursor().Next }, res.Len(), res.Guarantee
 		extra = fmt.Sprintf("blocks=%d faulty-blocks=%d positions=%v upper-bound=%d",
 			res.Blocks, res.FaultyBlocks, res.Positions, res.UpperBound)
-	case "tseng":
+	case *algo == "tseng":
 		res, err := baseline.Tseng(*n, fs, cfg)
 		if err != nil {
 			fatal(err)
 		}
 		ring, ringLen, guarantee = sliceSource(res.Ring), len(res.Ring), res.Guarantee
-	case "latifi":
+	case *algo == "latifi":
 		res, err := baseline.Latifi(*n, fs, cfg)
 		if err != nil {
 			fatal(err)
@@ -185,8 +189,10 @@ func main() {
 	// check.RingStream before returning it: the paper algorithm over a
 	// cursor replaying its skeleton (emitted count included), the
 	// baselines over their slices. verified=ok reports that verdict.
-	fmt.Printf("S_%d: %d vertices, |Fv|=%d, |Fe|=%d\n", *n, perm.Factorial(*n), fs.NumVertices(), fs.NumEdges())
-	fmt.Printf("algorithm=%s ring length=%d guarantee=%d verified=ok\n", *algo, ringLen, guarantee)
+	if !pathMode {
+		fmt.Printf("S_%d: %d vertices, |Fv|=%d, |Fe|=%d\n", *n, perm.Factorial(*n), fs.NumVertices(), fs.NumEdges())
+		fmt.Printf("algorithm=%s ring length=%d guarantee=%d verified=ok\n", *algo, ringLen, guarantee)
+	}
 	if extra != "" {
 		fmt.Println(extra)
 	}
@@ -366,8 +372,9 @@ func (t *telemetry) finish() {
 	}
 }
 
-// runPathMode embeds and reports a longest s-t path.
-func runPathMode(n int, fs *faults.Set, from, to string, cfg core.Config, printAll bool) {
+// runPathMode embeds a longest s-t path, prints its header line and
+// returns the path as a ring source for -print.
+func runPathMode(n int, fs *faults.Set, from, to string, cfg core.Config) ringSource {
 	parseV := func(str string) perm.Code {
 		p, err := perm.Parse(str)
 		if err != nil || p.N() != n {
@@ -379,9 +386,9 @@ func runPathMode(n int, fs *faults.Set, from, to string, cfg core.Config, printA
 		fatal(fmt.Errorf("path mode needs both -path-from and -path-to"))
 	}
 	s, t := parseV(from), parseV(to)
-	// EmbedPath verifies the path with check.Path before returning it;
-	// verified=ok reports that verdict.
-	res, err := core.EmbedPath(n, fs, s, t, cfg)
+	// EmbedPath verifies the path with check.PathStream before returning
+	// it; verified=ok reports that verdict.
+	plan, err := core.EmbedPath(n, fs, s, t, cfg)
 	if err != nil {
 		fatal(err)
 	}
@@ -390,12 +397,8 @@ func runPathMode(n int, fs *faults.Set, from, to string, cfg core.Config, printA
 		side = "same partite set"
 	}
 	fmt.Printf("S_%d longest path %s -> %s (%s): %d vertices (guarantee %d) verified=ok\n",
-		n, s.StringN(n), t.StringN(n), side, res.Len(), res.Guarantee)
-	if printAll {
-		for _, v := range res.Path {
-			fmt.Println(v.StringN(n))
-		}
-	}
+		n, s.StringN(n), t.StringN(n), side, plan.RingLen(), plan.Result().Guarantee)
+	return func() func() (perm.Code, bool) { return plan.Cursor().Next }
 }
 
 func fatal(err error) {

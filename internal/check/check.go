@@ -6,7 +6,6 @@ package check
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/faults"
 	"repro/internal/perm"
@@ -23,47 +22,29 @@ var ErrInvalidRing = errors.New("check: invalid ring")
 // just a stream: this is RingStream over the slice, so every caller
 // runs the one verifier.
 func Ring(g star.Graph, cycle []perm.Code, fs *faults.Set, minLen int) error {
-	i := 0
-	_, err := RingStream(g, func() (perm.Code, bool) {
-		if i == len(cycle) {
-			return 0, false
-		}
-		i++
-		return cycle[i-1], true
-	}, fs, minLen)
+	_, err := RingStream(g, sliceNext(cycle), fs, minLen)
 	return err
 }
 
-// Path verifies that path is a healthy simple path of S_n: consecutive
-// adjacency without the wraparound, distinctness, healthiness.
-func Path(g star.Graph, path []perm.Code, fs *faults.Set) error {
-	n := g.N()
-	if len(path) == 0 {
-		return fmt.Errorf("%w: empty path", ErrInvalidRing)
+// sliceNext walks vs in the iterator shape the stream verifiers read.
+func sliceNext(vs []perm.Code) func() (perm.Code, bool) {
+	i := 0
+	return func() (perm.Code, bool) {
+		if i == len(vs) {
+			return 0, false
+		}
+		i++
+		return vs[i-1], true
 	}
-	seen := make(map[perm.Code]int, len(path))
-	for i, v := range path {
-		if !v.Valid(n) {
-			return fmt.Errorf("%w: entry %d is not a vertex of S_%d", ErrInvalidRing, i, n)
-		}
-		if j, dup := seen[v]; dup {
-			return fmt.Errorf("%w: vertex %s repeats at positions %d and %d", ErrInvalidRing, v.StringN(n), j, i)
-		}
-		seen[v] = i
-		if fs != nil && fs.HasVertex(v) {
-			return fmt.Errorf("%w: faulty vertex %s at position %d", ErrInvalidRing, v.StringN(n), i)
-		}
-	}
-	for i := 0; i+1 < len(path); i++ {
-		if !g.Adjacent(path[i], path[i+1]) {
-			return fmt.Errorf("%w: %s and %s (positions %d, %d) are not adjacent",
-				ErrInvalidRing, path[i].StringN(n), path[i+1].StringN(n), i, i+1)
-		}
-		if fs != nil && fs.HasEdge(path[i], path[i+1]) {
-			return fmt.Errorf("%w: faulty edge {%s, %s} used", ErrInvalidRing, path[i].StringN(n), path[i+1].StringN(n))
-		}
-	}
-	return nil
+}
+
+// Path verifies that path is a healthy simple path of S_n from s to t
+// with at least minLen vertices: consecutive adjacency without the
+// wraparound, distinctness, healthiness. It is PathStream over the
+// slice.
+func Path(g star.Graph, path []perm.Code, fs *faults.Set, s, t perm.Code, minLen int) error {
+	_, err := PathStream(g, sliceNext(path), fs, s, t, minLen)
+	return err
 }
 
 // BipartiteUpperBound returns the largest possible length of any healthy

@@ -85,22 +85,22 @@ func TestRingRejectsForeignVertex(t *testing.T) {
 func TestPath(t *testing.T) {
 	g := star.New(3)
 	hex := hexagon()
-	if err := Path(g, hex[:4], nil); err != nil {
+	if err := Path(g, hex[:4], nil, hex[0], hex[3], 4); err != nil {
 		t.Fatalf("valid path rejected: %v", err)
 	}
-	if err := Path(g, nil, nil); err == nil {
+	if err := Path(g, nil, nil, hex[0], hex[3], 0); err == nil {
 		t.Fatal("empty path accepted")
 	}
 	// A path need not close: the wraparound pair may be non-adjacent.
-	if err := Path(g, []perm.Code{hex[0], hex[1], hex[2]}, nil); err != nil {
+	if err := Path(g, []perm.Code{hex[0], hex[1], hex[2]}, nil, hex[0], hex[2], 0); err != nil {
 		t.Fatalf("open path rejected: %v", err)
 	}
-	if err := Path(g, []perm.Code{hex[0], hex[2]}, nil); err == nil {
+	if err := Path(g, []perm.Code{hex[0], hex[2]}, nil, hex[0], hex[2], 0); err == nil {
 		t.Fatal("disconnected pair accepted")
 	}
 	fs := faults.NewSet(3)
 	fs.AddVertex(hex[1])
-	if err := Path(g, hex[:3], fs); err == nil {
+	if err := Path(g, hex[:3], fs, hex[0], hex[2], 0); err == nil {
 		t.Fatal("faulty vertex on path accepted")
 	}
 }

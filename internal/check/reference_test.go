@@ -2,6 +2,7 @@ package check_test
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,8 +15,9 @@ import (
 
 // The differential oracle: a reference ring verifier that shares no
 // code with the permutation kernel, run against check.RingStream on
-// corrupted rings. It unpacks each code with its own shift loop into
-// one byte per nibble, keeps visited vertices in a map and tests
+// corrupted rings and, in its open mode, against check.PathStream on
+// corrupted s-t paths. It unpacks each code with its own shift loop
+// into one byte per nibble, keeps visited vertices in a map and tests
 // adjacency by comparing the unpacked arrays. It calls no perm.Code
 // method and no Perm.Rank, so a bug in RankValid or DimOf — the only
 // kernel calls the stream verifier makes — shows up as a disagreement.
@@ -32,6 +34,9 @@ const (
 	reasonFaultyEdge  = "faulty edge"
 	reasonShort       = "< required"
 	reasonTooFew      = "a cycle needs >= 3 vertices"
+	reasonEmpty       = "empty path"
+	reasonStart       = "path starts at"
+	reasonEnd         = "path ends at"
 )
 
 // verdict is a verifier's decision: an empty reason accepts; otherwise
@@ -88,8 +93,9 @@ func refAdjacent(u, v refVertex, n int) bool {
 // refVerify checks ring against the fault lists in the order
 // check.StreamVerifier documents: per vertex validity, healthiness,
 // distinctness, adjacency to its predecessor and the edge's health;
-// then the length bounds and the closing edge.
-func refVerify(ring []perm.Code, n int, fs *faults.Set, minLen int) verdict {
+// then the length bounds and the closing edge — or, in the open mode
+// (ends non-nil), the length bound, emptiness and the two ends.
+func refVerify(ring []perm.Code, n int, fs *faults.Set, minLen int, ends *[2]perm.Code) verdict {
 	faulty := map[refVertex]bool{}
 	for _, f := range fs.Vertices() {
 		faulty[unpack(f)] = true
@@ -124,6 +130,19 @@ func refVerify(ring []perm.Code, n int, fs *faults.Set, minLen int) verdict {
 		prev = v
 	}
 	count := len(ring)
+	if ends != nil {
+		switch {
+		case count < minLen:
+			return verdict{reasonShort, count}
+		case count == 0:
+			return verdict{reasonEmpty, count}
+		case first != unpack(ends[0]):
+			return verdict{reasonStart, count}
+		case prev != unpack(ends[1]):
+			return verdict{reasonEnd, count}
+		}
+		return verdict{"", count}
+	}
 	switch {
 	case count < minLen:
 		return verdict{reasonShort, count}
@@ -137,22 +156,30 @@ func refVerify(ring []perm.Code, n int, fs *faults.Set, minLen int) verdict {
 	return verdict{"", count}
 }
 
-// streamVerdict runs check.RingStream and classifies its error.
-func streamVerdict(t *testing.T, ring []perm.Code, n int, fs *faults.Set, minLen int) verdict {
+// streamVerdict runs check.RingStream, or check.PathStream when ends
+// is non-nil, and classifies its error.
+func streamVerdict(t *testing.T, ring []perm.Code, n int, fs *faults.Set, minLen int, ends *[2]perm.Code) verdict {
 	t.Helper()
 	i := 0
-	count, err := check.RingStream(star.New(n), func() (perm.Code, bool) {
+	next := func() (perm.Code, bool) {
 		if i == len(ring) {
 			return 0, false
 		}
 		i++
 		return ring[i-1], true
-	}, fs, minLen)
+	}
+	var count int
+	var err error
+	if ends == nil {
+		count, err = check.RingStream(star.New(n), next, fs, minLen)
+	} else {
+		count, err = check.PathStream(star.New(n), next, fs, ends[0], ends[1], minLen)
+	}
 	if err == nil {
 		return verdict{"", count}
 	}
 	for _, r := range []string{reasonInvalid, reasonFaulty, reasonRepeat, reasonNotAdjacent,
-		reasonFaultyEdge, reasonShort, reasonTooFew} {
+		reasonFaultyEdge, reasonShort, reasonTooFew, reasonEmpty, reasonStart, reasonEnd} {
 		if strings.Contains(err.Error(), r) {
 			return verdict{r, count}
 		}
@@ -171,11 +198,13 @@ const (
 	corruptHighNibble
 	corruptTruncate
 	corruptFaultyEdge
+	corruptReverse
 	corruptKinds
 )
 
 // refInput is one fuzz case: a valid ring of S_n (n = 5 + nSel%2)
-// embedded around random vertex faults drawn from seed, one
+// embedded around random vertex faults drawn from seed — or, when
+// path, a longest path between two random healthy vertices — one
 // corruption of it chosen by kind and placed by a, b and x, and the
 // minimum length (the paper bound when useMin, else 0).
 type refInput struct {
@@ -185,11 +214,13 @@ type refInput struct {
 	a, b    uint16
 	x       uint8
 	useMin  bool
+	path    bool
 	wantWhy string // the seed's intended reason class; fuzzed inputs leave it unset
 }
 
 // referenceSeeds has one corpus entry per reason class, plus a valid
-// ring and a flipped nibble.
+// ring and a flipped nibble, then the open mode's: a valid path, a
+// reversed one, truncations and a faulty edge.
 var referenceSeeds = []refInput{
 	{nSel: 0, seed: 1, kind: corruptNone, wantWhy: ""},
 	{nSel: 1, seed: 2, kind: corruptHighNibble, a: 7, b: 3, x: 4, wantWhy: reasonInvalid},
@@ -200,16 +231,39 @@ var referenceSeeds = []refInput{
 	{nSel: 1, seed: 7, kind: corruptTruncate, a: 50, useMin: true, wantWhy: reasonShort},
 	{nSel: 0, seed: 8, kind: corruptTruncate, a: 2, wantWhy: reasonTooFew},
 	{nSel: 1, seed: 9, kind: corruptFlipNibble, a: 17, b: 2, x: 1, wantWhy: reasonInvalid},
+	{nSel: 0, seed: 11, kind: corruptNone, path: true, wantWhy: ""},
+	{nSel: 1, seed: 12, kind: corruptReverse, path: true, wantWhy: reasonStart},
+	{nSel: 0, seed: 13, kind: corruptTruncate, a: 50, path: true, wantWhy: reasonEnd},
+	{nSel: 1, seed: 14, kind: corruptTruncate, a: 50, useMin: true, path: true, wantWhy: reasonShort},
+	{nSel: 0, seed: 15, kind: corruptTruncate, a: 0, path: true, wantWhy: reasonEmpty},
+	{nSel: 1, seed: 16, kind: corruptFaultyEdge, a: 30, path: true, wantWhy: reasonFaultyEdge},
 }
 
-// differential builds in's corrupted ring, runs both verifiers on it
-// and fails unless they reach the same verdict, which it returns.
-func differential(t *testing.T, in refInput) verdict {
+// differential builds in's corrupted ring or path, runs both
+// verifiers on it and fails unless they reach the same verdict, which
+// it returns. It reports false, having verified nothing, for a path
+// EmbedPath cannot embed.
+func differential(t *testing.T, in refInput) (verdict, bool) {
 	t.Helper()
 	n := 5 + int(in.nSel%2)
 	rng := rand.New(rand.NewSource(in.seed))
 	fs := faults.RandomVertices(n, rng.Intn(faults.MaxTolerated(n)+1), rng)
-	plan, err := core.Embed(n, fs, core.Config{})
+	var ends *[2]perm.Code
+	var plan *core.Plan
+	var err error
+	if in.path {
+		ends = &[2]perm.Code{}
+		for ends[0] == ends[1] || fs.HasVertex(ends[0]) || fs.HasVertex(ends[1]) {
+			ends[0], ends[1] = perm.UnrankCode(n, rng.Intn(perm.Factorial(n))), perm.UnrankCode(n, rng.Intn(perm.Factorial(n)))
+		}
+		if plan, err = core.EmbedPath(n, fs, ends[0], ends[1], core.Config{}); err != nil {
+			// Some fault sets leave no Lemma 2 separation whose first
+			// position splits the two ends: no path to corrupt.
+			return verdict{}, false
+		}
+	} else {
+		plan, err = core.Embed(n, fs, core.Config{})
+	}
 	if err != nil {
 		t.Fatalf("embed: %v", err)
 	}
@@ -238,37 +292,45 @@ func differential(t *testing.T, in refInput) verdict {
 	case corruptTruncate:
 		ring = ring[:int(in.a)%(len(ring)+1)]
 	case corruptFaultyEdge:
+		if in.path {
+			i %= len(ring) - 1 // a path has no closing edge
+		}
 		if err := fs.AddEdge(ring[i], ring[(i+1)%len(ring)]); err != nil {
 			t.Fatal(err)
 		}
+	case corruptReverse:
+		slices.Reverse(ring)
 	}
-	want := refVerify(ring, n, fs, minLen)
-	if got := streamVerdict(t, ring, n, fs, minLen); got != want {
-		t.Fatalf("S_%d, corruption %d: check.RingStream %+v, reference %+v", n, in.kind%corruptKinds, got, want)
+	want := refVerify(ring, n, fs, minLen, ends)
+	if got := streamVerdict(t, ring, n, fs, minLen, ends); got != want {
+		t.Fatalf("S_%d, path %v, corruption %d: check stream verifier %+v, reference %+v", n, in.path, in.kind%corruptKinds, got, want)
 	}
-	return want
+	return want, true
 }
 
 // TestRingStreamReferenceSeeds pins the fuzz corpus: each seed reaches
 // its intended reason class, under both verifiers.
 func TestRingStreamReferenceSeeds(t *testing.T) {
 	for _, in := range referenceSeeds {
-		if got := differential(t, in); got.reason != in.wantWhy {
-			t.Errorf("seed %+v: verdict %+v, want reason %q", in, got, in.wantWhy)
+		if got, ok := differential(t, in); !ok || got.reason != in.wantWhy {
+			t.Errorf("seed %+v: embedded %v, verdict %+v, want reason %q", in, ok, got, in.wantWhy)
 		}
 	}
 }
 
 // FuzzRingStreamReference corrupts valid S_5 and S_6 rings from
-// core.Embed — swap, duplicate, faulty vertex, flipped nibble, high
-// nibble, truncation, faulty edge — and demands that check.RingStream
-// and the reference verifier agree: both accept, or both reject at the
-// same position for the same reason class.
+// core.Embed and paths from core.EmbedPath — swap, duplicate, faulty
+// vertex, flipped nibble, high nibble, truncation, faulty edge,
+// reversal — and demands that check.RingStream (check.PathStream for a
+// path) and the reference verifier agree: both accept, or both reject
+// at the same position for the same reason class.
 func FuzzRingStreamReference(f *testing.F) {
 	for _, in := range referenceSeeds {
-		f.Add(in.nSel, in.seed, in.kind, in.a, in.b, in.x, in.useMin)
+		f.Add(in.nSel, in.seed, in.kind, in.a, in.b, in.x, in.useMin, in.path)
 	}
-	f.Fuzz(func(t *testing.T, nSel uint8, seed int64, kind uint8, a, b uint16, x uint8, useMin bool) {
-		differential(t, refInput{nSel: nSel, seed: seed, kind: kind, a: a, b: b, x: x, useMin: useMin})
+	f.Fuzz(func(t *testing.T, nSel uint8, seed int64, kind uint8, a, b uint16, x uint8, useMin, path bool) {
+		if _, ok := differential(t, refInput{nSel: nSel, seed: seed, kind: kind, a: a, b: b, x: x, useMin: useMin, path: path}); !ok {
+			t.Skip("no path to corrupt")
+		}
 	})
 }

@@ -12,10 +12,11 @@ import (
 // without ever holding the cycle: Feed checks each vertex as it
 // arrives (validity, healthiness, adjacency to its predecessor, and
 // distinctness), Close checks the wraparound edge and the length
-// bounds. It is the package's one ring verifier: Ring feeds it from a
+// bounds. It is the package's one verifier: Ring feeds it from a
 // slice, RingStream from any iterator, so rings too large to
 // materialize — n = 10 is 3.6M vertices, n = 12 is 479M — are checked
-// by the same code as small ones.
+// by the same code as small ones. Its open form, behind PathStream and
+// Path, checks an s-t path with the same Feed; only Close differs.
 //
 // Distinctness is tracked by Lehmer rank in a lazily paged bitset
 // sized to S_n: n!/8 bytes fully touched (79 words at n = 7), the same
@@ -45,6 +46,9 @@ type StreamVerifier struct {
 	count       int
 	err         error
 	closed      bool
+	// ends marks the open form: a path's source and target, which Close
+	// checks in place of a ring's closing edge; nil for a ring.
+	ends *[2]perm.Code
 }
 
 // NewStreamVerifier returns a verifier for rings of S_n streamed
@@ -110,9 +114,11 @@ func (s *StreamVerifier) Feed(v perm.Code) error {
 // Count returns the number of vertices fed so far.
 func (s *StreamVerifier) Count() int { return s.count }
 
-// Close checks the closing conditions — at least 3 vertices, at least
-// minLen, and a healthy wraparound edge — and returns the verdict for
-// the whole stream. Idempotent; a Feed error is sticky and re-returned.
+// Close checks the closing conditions — at least minLen vertices, and
+// for a ring at least 3 and a healthy wraparound edge, for a path at
+// least one, from its source to its target — and returns the verdict
+// for the whole stream. Idempotent; a Feed error is sticky and
+// re-returned.
 func (s *StreamVerifier) Close(minLen int) error {
 	if s.err != nil {
 		return s.err
@@ -121,6 +127,17 @@ func (s *StreamVerifier) Close(minLen int) error {
 		s.closed = true
 		if s.count < minLen {
 			return s.fail("%w: length %d < required %d", ErrInvalidRing, s.count, minLen)
+		}
+		switch {
+		case s.ends == nil: // a ring: check the closing edge below
+		case s.count == 0:
+			return s.fail("%w: empty path", ErrInvalidRing)
+		case s.first != s.ends[0]:
+			return s.fail("%w: path starts at %s, want %s", ErrInvalidRing, s.first.StringN(s.n), s.ends[0].StringN(s.n))
+		case s.prev != s.ends[1]:
+			return s.fail("%w: path ends at %s, want %s", ErrInvalidRing, s.prev.StringN(s.n), s.ends[1].StringN(s.n))
+		default:
+			return nil
 		}
 		if s.count < 3 {
 			return s.fail("%w: a cycle needs >= 3 vertices, got %d", ErrInvalidRing, s.count)
@@ -144,7 +161,20 @@ func (s *StreamVerifier) Close(minLen int) error {
 // verdict and the number of vertices consumed are returned; memory
 // stays bounded by the rank bitset regardless of ring length.
 func RingStream(g star.Graph, next func() (perm.Code, bool), fs *faults.Set, minLen int) (int, error) {
+	return stream(NewStreamVerifier(g, fs), next, minLen)
+}
+
+// PathStream verifies an s-t path delivered by an iterator: the same
+// per-vertex checks as RingStream, then, in place of the closing edge,
+// that the path runs from s to t and holds at least minLen vertices.
+func PathStream(g star.Graph, next func() (perm.Code, bool), fs *faults.Set, s, t perm.Code, minLen int) (int, error) {
 	sv := NewStreamVerifier(g, fs)
+	sv.ends = &[2]perm.Code{s, t}
+	return stream(sv, next, minLen)
+}
+
+// stream feeds sv every vertex next yields and closes it.
+func stream(sv *StreamVerifier, next func() (perm.Code, bool), minLen int) (int, error) {
 	for {
 		v, ok := next()
 		if !ok {

@@ -10,20 +10,6 @@ import (
 	"repro/internal/star"
 )
 
-// sliceNext adapts a materialized cycle to RingStream's iterator shape.
-func sliceNext(cycle []perm.Code) func() (perm.Code, bool) {
-	i := 0
-	return func() (perm.Code, bool) {
-		if i >= len(cycle) {
-			var zero perm.Code
-			return zero, false
-		}
-		v := cycle[i]
-		i++
-		return v, true
-	}
-}
-
 func TestRingStreamAcceptsValidCycle(t *testing.T) {
 	g := star.New(3)
 	count, err := RingStream(g, sliceNext(hexagon()), nil, 6)
@@ -37,8 +23,9 @@ func TestRingStreamAcceptsValidCycle(t *testing.T) {
 
 // TestRingStreamMatchesRing feeds the same cycles (valid and broken)
 // through both entry points — Ring over a slice and RingStream over an
-// iterator — and demands the expected verdict and reason from each.
-// The hexagon is 123 213 312 132 231 321.
+// iterator — and demands the expected verdict and reason from each;
+// the path rows do the same through Path and PathStream, from 123 to
+// 132. The hexagon is 123 213 312 132 231 321.
 func TestRingStreamMatchesRing(t *testing.T) {
 	g := star.New(3)
 	hex := hexagon()
@@ -59,13 +46,14 @@ func TestRingStreamMatchesRing(t *testing.T) {
 		}
 	}
 
-	cases := []struct {
+	type row struct {
 		name   string
 		cycle  []perm.Code
 		fs     func() *faults.Set
 		min    int
 		reason string // "" for a valid ring
-	}{
+	}
+	rings := []row{
 		{"valid", hex, nil, 6, ""},
 		{"too short vs bound", hex, nil, 7, "length 6 < required 7"},
 		{"under three vertices", hex[:2], nil, 0, "a cycle needs >= 3 vertices, got 2"},
@@ -80,16 +68,31 @@ func TestRingStreamMatchesRing(t *testing.T) {
 		{"faulty edge", hex, edgeFault(hex[1], hex[2]), 0, "faulty edge {213, 312} used at position 1"},
 		{"faulty closing edge", hex, edgeFault(hex[5], hex[0]), 0, "faulty edge {321, 123} used at position 5"},
 	}
-	for _, c := range cases {
+	// Paths from hex[0] to hex[3].
+	paths := []row{
+		{"valid path", hex[:4], nil, 4, ""},
+		{"path wrong start", hex[1:4], nil, 0, "path starts at 213, want 123"},
+		{"path wrong end", hex[:3], nil, 0, "path ends at 312, want 132"},
+		{"path too short", hex[:4], nil, 5, "length 4 < required 5"},
+		{"empty path", nil, nil, 0, "empty path"},
+		{"path faulty vertex", hex[:4], vertexFaults(hex[3]), 0, "faulty vertex 132 at position 3"},
+	}
+	for i, c := range append(rings, paths...) {
 		var fs *faults.Set
 		if c.fs != nil {
 			fs = c.fs()
 		}
-		ring := Ring(g, c.cycle, fs, c.min)
-		_, stream := RingStream(g, sliceNext(c.cycle), fs, c.min)
-		for _, got := range []error{ring, stream} {
+		var slice, stream error
+		if i < len(rings) {
+			slice = Ring(g, c.cycle, fs, c.min)
+			_, stream = RingStream(g, sliceNext(c.cycle), fs, c.min)
+		} else {
+			slice = Path(g, c.cycle, fs, hex[0], hex[3], c.min)
+			_, stream = PathStream(g, sliceNext(c.cycle), fs, hex[0], hex[3], c.min)
+		}
+		for _, got := range []error{slice, stream} {
 			if (got == nil) != (c.reason == "") {
-				t.Errorf("%s: Ring=%v, RingStream=%v, want reason %q", c.name, ring, stream, c.reason)
+				t.Errorf("%s: slice form %v, stream form %v, want reason %q", c.name, slice, stream, c.reason)
 				continue
 			}
 			if got == nil {

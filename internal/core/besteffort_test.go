@@ -50,20 +50,20 @@ func TestBestEffortPathBeyondBudget(t *testing.T) {
 				break
 			}
 		}
-		res, err := EmbedPath(n, fs, s, tt, Config{BestEffort: true})
+		plan, err := EmbedPath(n, fs, s, tt, Config{BestEffort: true})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if res.Guaranteed {
+		if plan.Result().Guaranteed {
 			t.Fatal("over-budget path guaranteed")
 		}
-		if err := check.Path(star.New(n), res.Path, fs); err != nil {
+		if err := check.Path(star.New(n), plan.Ring(), fs, s, tt, 0); err != nil {
 			t.Fatal(err)
 		}
 		// Losing more than 4 vertices per fault would indicate the
 		// degraded targets are too loose.
-		if res.Len() < perm.Factorial(n)-4*5-2 {
-			t.Fatalf("seed %d: best-effort path only %d vertices", seed, res.Len())
+		if plan.RingLen() < perm.Factorial(n)-4*5-2 {
+			t.Fatalf("seed %d: best-effort path only %d vertices", seed, plan.RingLen())
 		}
 	}
 }
@@ -96,12 +96,12 @@ func TestChainSingleBlockDirect(t *testing.T) {
 	fs := faults.NewSet(n)
 	s := perm.IdentityCode(n)
 	tt := s.SwapFirst(2)
-	res, err := EmbedPath(n, fs, s, tt, Config{})
+	plan, err := EmbedPath(n, fs, s, tt, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Adjacent endpoints, fault-free: a Hamiltonian path.
-	if res.Len() != perm.Factorial(n) {
-		t.Fatalf("path %d", res.Len())
+	if plan.RingLen() != perm.Factorial(n) {
+		t.Fatalf("path %d", plan.RingLen())
 	}
 }

@@ -18,8 +18,9 @@
 //     healthy block contributes all 24 vertices and every faulty block
 //     contributes 22.
 //
-// Every embedding is re-verified by internal/check before it is
-// returned.
+// EmbedPath runs the same pipeline on an open ring of blocks anchored
+// at two endpoints, for a longest s-t path. Every embedding, ring or
+// path, is re-verified by internal/check before it is returned.
 package core
 
 import (
@@ -72,22 +73,25 @@ type Config struct {
 	Obs *obs.Registry
 }
 
-// Result describes a verified ring embedding. The cycle itself lives in
-// the owning Plan's skeleton and is emitted through Plan.Cursor (or
-// copied out by Plan.Ring); Result carries its length and metadata.
+// Result describes a verified ring embedding, or for a plan from
+// EmbedPath a verified s-t path. The cycle or path itself lives in the
+// owning Plan's skeleton and is emitted through Plan.Cursor (or copied
+// out by Plan.Ring); Result carries its length and metadata.
 type Result struct {
 	N      int
-	Length int // the ring length
+	Length int // the ring (or path) length
 
 	VertexFaults int
 	EdgeFaults   int
 
 	// Guarantee is the paper's bound n! - 2|Fv| (n! for edge faults
-	// only); the ring length always reaches it when Guaranteed is true.
+	// only), one fewer for a path whose ends share a partite set; the
+	// length always reaches it when Guaranteed is true.
 	Guarantee  int
 	Guaranteed bool
 	// UpperBound is the bipartite ceiling n! - 2*max(f0, f1) on any
-	// healthy cycle for this fault set.
+	// healthy cycle for this fault set. It bounds cycles only, so it is
+	// zero for a path.
 	UpperBound int
 
 	// Blocks and FaultyBlocks describe the R4 decomposition (zero for
@@ -101,7 +105,7 @@ type Result struct {
 	Positions []int
 }
 
-// Len returns the ring length.
+// Len returns the ring (or path) length.
 func (r *Result) Len() int { return r.Length }
 
 // ErrBudget reports a fault set exceeding the paper's tolerance.

@@ -80,6 +80,14 @@ func (e *Embedder) Embed(fs *faults.Set) (*Plan, error) {
 // core.op.embed operation, owned by the call: ended on success, failed
 // into the flight recorder on error.
 func (e *Embedder) EmbedOp(op *obs.Op, fs *faults.Set) (*Plan, error) {
+	return e.embed(op, fs, nil)
+}
+
+// embed is the one embedding driver: it builds, verifies and
+// instruments a ring (ends nil) or a longest path from ends[0] to
+// ends[1]. The two shapes differ only in the endpoint checks, the
+// guarantee, the construction step and the verifier's close.
+func (e *Embedder) embed(op *obs.Op, fs *faults.Set, ends *[2]perm.Code) (*Plan, error) {
 	n := e.n
 	if fs == nil {
 		fs = faults.NewSet(n)
@@ -96,10 +104,22 @@ func (e *Embedder) EmbedOp(op *obs.Op, fs *faults.Set) (*Plan, error) {
 	}
 	in.bind(op)
 
+	var err error
+	if ends != nil {
+		s, t := ends[0], ends[1]
+		switch {
+		case !s.Valid(n) || !t.Valid(n) || s == t:
+			err = fmt.Errorf("%w: need two distinct vertices of S_%d", ErrBadEndpoints, n)
+		case fs.HasVertex(s) || fs.HasVertex(t):
+			err = fmt.Errorf("%w: endpoint is faulty", ErrBadEndpoints)
+		}
+	}
 	nv, ne := fs.NumVertices(), fs.NumEdges()
 	withinBudget := nv+ne <= faults.MaxTolerated(n)
-	if !withinBudget && !e.cfg.BestEffort {
-		err := fmt.Errorf("%w: |Fv|=%d, |Fe|=%d, n=%d", ErrBudget, nv, ne, n)
+	if err == nil && !withinBudget && !e.cfg.BestEffort {
+		err = fmt.Errorf("%w: |Fv|=%d, |Fe|=%d, n=%d", ErrBudget, nv, ne, n)
+	}
+	if err != nil {
 		in.fail(op, owned, "core.embed", err)
 		return nil, err
 	}
@@ -110,7 +130,11 @@ func (e *Embedder) EmbedOp(op *obs.Op, fs *faults.Set) (*Plan, error) {
 		EdgeFaults:   ne,
 		Guarantee:    perm.Factorial(n) - 2*nv,
 		Guaranteed:   withinBudget,
-		UpperBound:   check.BipartiteUpperBound(n, fs),
+	}
+	if ends == nil {
+		res.UpperBound = check.BipartiteUpperBound(n, fs)
+	} else if ends[0].Parity(n) == ends[1].Parity(n) {
+		res.Guarantee--
 	}
 
 	total := in.span("core.phase.total")
@@ -120,13 +144,17 @@ func (e *Embedder) EmbedOp(op *obs.Op, fs *faults.Set) (*Plan, error) {
 	// -cpuprofile or a live /debug/pprof/profile scrape — attribute their
 	// samples to it. The parallel routing workers inherit the label.
 	var p *Plan
-	var err error
 	prof.Do("embed", func() {
 		var sk *skeleton
-		if n <= 4 {
+		switch {
+		case ends == nil && n <= 4:
 			sk, err = embedSmall(n, fs)
-		} else {
+		case ends == nil:
 			sk, err = embedLarge(res, fs, e.cfg, in)
+		case n <= 4:
+			sk, err = embedPathSmall(res, fs, ends[0], ends[1])
+		default:
+			sk, err = embedPathLarge(res, fs, ends[0], ends[1], e.cfg, in)
 		}
 		if err != nil {
 			return
@@ -135,7 +163,7 @@ func (e *Embedder) EmbedOp(op *obs.Op, fs *faults.Set) (*Plan, error) {
 		// Self-verification reads the ring the way every consumer does:
 		// through a cursor replaying the skeleton block by block, into the
 		// independent stream verifier.
-		p = newPlan(e, res, fs, sk)
+		p = newPlan(e, res, fs, sk, ends)
 		vspan := in.span("core.phase.verify")
 		verr := p.verify()
 		vspan.End()
@@ -163,7 +191,9 @@ func (e *Embedder) EmbedOp(op *obs.Op, fs *faults.Set) (*Plan, error) {
 // Plan is a live embedding: the verified Result plus the skeleton that
 // produced it — every block's routed entry, exit and length, the faults
 // it avoids, the block-to-ring-segment offsets and the index from a
-// vertex to its block. The skeleton is the ring's only representation:
+// vertex to its block. A plan from EmbedPath holds an open ring, a
+// longest s-t path, read through the same views; only rings repair.
+// The skeleton is the ring's only representation:
 // every view of the cycle (Cursor, Ring, RingAt, OnRing) replays block
 // segments from it on demand, so a plan holds O(#blocks) memory
 // whatever n is — 29 bytes per block plus a side table for the faulty
@@ -179,6 +209,8 @@ type Plan struct {
 	// sk.cycle non-nil marks the small-n direct embeddings (n <= 4): one
 	// stored segment, no block index, every repair is a rebuild.
 	sk *skeleton
+	// ends holds a path plan's source and target; nil for a ring.
+	ends *[2]perm.Code
 
 	// gen counts ring mutations (splices and rebuilds). Cursors snapshot
 	// it at creation and refuse to refill once it moves on, so a stale
@@ -193,20 +225,27 @@ type Plan struct {
 	broken bool // a failed rebuild poisons the plan
 }
 
-func newPlan(e *Embedder, res *Result, fs *faults.Set, sk *skeleton) *Plan {
-	return &Plan{e: e, res: res, fs: fs, sk: sk, segBlock: -1}
+func newPlan(e *Embedder, res *Result, fs *faults.Set, sk *skeleton, ends *[2]perm.Code) *Plan {
+	return &Plan{e: e, res: res, fs: fs, sk: sk, ends: ends, segBlock: -1}
 }
 
 // verify runs the independent stream verifier over a fresh cursor,
 // against the paper bound when the plan is within budget, and demands
-// that the cursor emit exactly the Result's length. It is the ring's
-// one verification pass; the starring CLI reports its verdict.
+// that the cursor emit exactly the Result's length. A ring must close;
+// a path must run from its source to its target. It is the plan's one
+// verification pass; the starring CLI reports its verdict.
 func (p *Plan) verify() error {
 	minLen := 0
 	if p.res.Guaranteed {
 		minLen = p.res.Guarantee
 	}
-	count, err := check.RingStream(p.e.g, p.Cursor().Next, p.fs, minLen)
+	var count int
+	var err error
+	if p.ends == nil {
+		count, err = check.RingStream(p.e.g, p.Cursor().Next, p.fs, minLen)
+	} else {
+		count, err = check.PathStream(p.e.g, p.Cursor().Next, p.fs, p.ends[0], p.ends[1], minLen)
+	}
 	if err == nil && count != p.res.Length {
 		err = fmt.Errorf("%w: emitted %d vertices, embedding reports %d", check.ErrInvalidRing, count, p.res.Length)
 	}
@@ -384,7 +423,8 @@ var ErrPlanBroken = errors.New("core: plan is broken (a previous rebuild failed)
 // A vertex beyond the paper's budget returns ErrBudget without mutating
 // the plan (unless BestEffort). A fault landing off-ring returns
 // RepairAvoided: the ring is untouched and still meets the new, smaller
-// guarantee.
+// guarantee. A path plan is never repaired: Repair returns an error and
+// leaves it as it is.
 func (p *Plan) Repair(v perm.Code) (RepairReport, error) {
 	return p.RepairOp(nil, v)
 }
@@ -394,6 +434,9 @@ func (p *Plan) Repair(v perm.Code) (RepairReport, error) {
 // owned by the call.
 func (p *Plan) RepairOp(op *obs.Op, v perm.Code) (RepairReport, error) {
 	rep := RepairReport{Block: -1, OldLen: p.res.Len()}
+	if p.ends != nil {
+		return rep, errors.New("core: a path plan cannot be repaired")
+	}
 	if p.broken {
 		return rep, ErrPlanBroken
 	}
@@ -498,9 +541,9 @@ func (p *Plan) repaired(in *instr, op *obs.Op, owned bool, v perm.Code, rep Repa
 // path, without mutating the plan. (Off-ring and already-faulty vertices
 // report false: those repairs never re-route anything. So does a code
 // that is not a vertex of S_n, which OnRing rejects before any block
-// lookup.)
+// lookup, and every vertex of a path plan, which never repairs.)
 func (p *Plan) CanSplice(v perm.Code) bool {
-	if p.broken || p.fs.HasVertex(v) || !p.OnRing(v) {
+	if p.broken || p.ends != nil || p.fs.HasVertex(v) || !p.OnRing(v) {
 		return false
 	}
 	_, ok := p.spliceTarget(v)
@@ -557,7 +600,7 @@ func (p *Plan) splice(k int, v perm.Code) error {
 	if !ok {
 		return fmt.Errorf("core: block %d admits no %d-vertex detour around the new fault", k, target)
 	}
-	if err := check.Path(p.e.g, path, p.fs); err != nil {
+	if err := check.Path(p.e.g, path, p.fs, sk.entry[k], sk.exit[k], target); err != nil {
 		return fmt.Errorf("core: repair splice self-check: %w", err)
 	}
 

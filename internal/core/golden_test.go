@@ -438,20 +438,12 @@ func embedGoldenPath(t *testing.T, gc goldenPathCase) goldenRing {
 	t.Helper()
 	n := gc.N
 	fs := goldenCase{N: n, Fv: gc.Fv, Fe: gc.Fe}.faultSet(t)
-	res, err := core.EmbedPath(n, fs, parseVertex(t, n, gc.From), parseVertex(t, n, gc.To),
+	plan, err := core.EmbedPath(n, fs, parseVertex(t, n, gc.From), parseVertex(t, n, gc.To),
 		core.Config{BestEffort: gc.BestEffort})
 	if err != nil {
 		t.Fatalf("%s: %v", gc.Name, err)
 	}
-	path := res.Path
-	return ringDigest(n, func() (perm.Code, bool) {
-		if len(path) == 0 {
-			return 0, false
-		}
-		v := path[0]
-		path = path[1:]
-		return v, true
-	})
+	return ringDigest(n, plan.Cursor().Next)
 }
 
 // TestGoldenPaths replays every golden path input through EmbedPath and

@@ -10,86 +10,113 @@ import (
 	"repro/internal/obs/prof"
 )
 
-// TestEmbedMetrics embeds with a live registry and checks that every
-// advertised metric materializes: per-phase durations, S4 cache
-// activity, the junction backtrack counter and the routed-block count.
+// TestEmbedMetrics embeds a ring and a path, each with a live
+// registry, and checks that every advertised metric materializes:
+// per-phase durations, S4 cache activity, the junction backtrack
+// counter and the routed-block count. Each shape records the
+// superring's initial span once.
 func TestEmbedMetrics(t *testing.T) {
-	reg := obs.NewRegistry()
-	obs.NewFlightRecorder(reg, 64, nil, obs.LevelDebug)
-	rng := rand.New(rand.NewSource(7))
-	fs := faults.RandomVertices(6, 3, rng)
-	plan, err := Embed(6, fs, Config{Obs: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := plan.Result()
+	for _, path := range []bool{false, true} {
+		reg := obs.NewRegistry()
+		obs.NewFlightRecorder(reg, 64, nil, obs.LevelDebug)
+		rng := rand.New(rand.NewSource(7))
+		fs := faults.RandomVertices(6, 3, rng)
+		var plan *Plan
+		var err error
+		if path {
+			s, tt := randomHealthyPair(rng, 6, fs)
+			plan, err = EmbedPath(6, fs, s, tt, Config{Obs: reg})
+		} else {
+			plan, err = Embed(6, fs, Config{Obs: reg})
+		}
+		if err != nil {
+			t.Fatalf("path %v: %v", path, err)
+		}
+		res := plan.Result()
 
-	snap := reg.Snapshot()
-	for _, phase := range []string{
-		"core.phase.total", "core.phase.separation", "core.phase.build_r4",
-		"core.phase.blocks", "core.phase.junction", "core.phase.verify", "core.phase.stream_emit",
-		"superring.phase.initial", "superring.phase.refine",
-	} {
-		if snap.Histograms[phase].Count == 0 {
-			t.Errorf("phase %s not recorded; snapshot %+v", phase, snap.Histograms)
+		snap := reg.Snapshot()
+		for _, phase := range []string{
+			"core.phase.total", "core.phase.separation", "core.phase.build_r4",
+			"core.phase.blocks", "core.phase.junction", "core.phase.verify", "core.phase.stream_emit",
+			"superring.phase.initial", "superring.phase.refine",
+		} {
+			if snap.Histograms[phase].Count == 0 {
+				t.Errorf("path %v: phase %s not recorded; snapshot %+v", path, phase, snap.Histograms)
+			}
 		}
-	}
-	for _, counter := range []string{
-		"core.s4.cache_hits", "core.s4.cache_misses", "core.s4.cache_bypasses",
-		"core.junction.backtracks", "core.route.blocks",
-		"superring.junction.backtracks",
-	} {
-		if _, ok := snap.Counters[counter]; !ok {
-			t.Errorf("counter %s missing from snapshot", counter)
+		if got := snap.Histograms["superring.phase.initial"].Count; got != 1 {
+			t.Errorf("path %v: superring.phase.initial recorded %d times, want 1", path, got)
 		}
-	}
-	if got := snap.Counters["core.route.blocks"]; got != int64(res.Blocks) {
-		t.Errorf("core.route.blocks = %d, want %d", got, res.Blocks)
-	}
-	if snap.Counters["core.s4.cache_hits"]+snap.Counters["core.s4.cache_misses"] == 0 {
-		t.Error("no S4 cache activity recorded")
-	}
-	if len(snap.Events) == 0 {
-		t.Error("no span events reached the flight recorder")
-	}
-	// The labeled families materialize with the run's dimension: three
-	// vertex faults on S_6 is exactly the paper's budget, so the embed
-	// completes in guaranteed mode.
-	labeled := `core.embed.completed{mode="guaranteed",n="6"}`
-	if got := snap.Counters[labeled]; got != 1 {
-		t.Errorf("%s = %d, want 1; counters %+v", labeled, got, snap.Counters)
+		for _, counter := range []string{
+			"core.s4.cache_hits", "core.s4.cache_misses", "core.s4.cache_bypasses",
+			"core.junction.backtracks", "core.route.blocks",
+			"superring.junction.backtracks",
+		} {
+			if _, ok := snap.Counters[counter]; !ok {
+				t.Errorf("path %v: counter %s missing from snapshot", path, counter)
+			}
+		}
+		if got := snap.Counters["core.route.blocks"]; got != int64(res.Blocks) {
+			t.Errorf("path %v: core.route.blocks = %d, want %d", path, got, res.Blocks)
+		}
+		if snap.Counters["core.s4.cache_hits"]+snap.Counters["core.s4.cache_misses"] == 0 {
+			t.Errorf("path %v: no S4 cache activity recorded", path)
+		}
+		if len(snap.Events) == 0 {
+			t.Errorf("path %v: no span events reached the flight recorder", path)
+		}
+		// The labeled families materialize with the run's dimension: three
+		// vertex faults on S_6 is exactly the paper's budget, so the embed
+		// completes in guaranteed mode.
+		labeled := `core.embed.completed{mode="guaranteed",n="6"}`
+		if got := snap.Counters[labeled]; got != 1 {
+			t.Errorf("path %v: %s = %d, want 1; counters %+v", path, labeled, got, snap.Counters)
+		}
 	}
 }
 
 // TestPhaseCoverage pins the embed's phase attribution: the top-level
 // phases — separation, build_r4, blocks, junction and verify — account
-// for at least 95% of core.phase.total over a few S_8 embeds, so a
-// slow embed decomposes into named phases from its spans alone.
+// for at least 95% of core.phase.total over a few S_8 embeds, rings and
+// paths alike, so a slow embed decomposes into named phases from its
+// spans alone.
 func TestPhaseCoverage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("embeds S_8")
 	}
-	reg := obs.NewRegistry()
-	e, err := NewEmbedder(8, Config{Obs: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 5; i++ {
-		if _, err := e.Embed(faults.RandomVertices(8, 5, rng)); err != nil {
+	for _, path := range []bool{false, true} {
+		reg := obs.NewRegistry()
+		e, err := NewEmbedder(8, Config{Obs: reg})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	sum := func(name string) int64 { return reg.Histogram(name).Stats().SumNS }
-	var covered int64
-	for _, phase := range []string{"separation", "build_r4", "blocks", "junction", "verify"} {
-		covered += sum("core.phase." + phase)
-	}
-	total := sum("core.phase.total")
-	share := float64(covered) / float64(total)
-	t.Logf("phases cover %.1f%% of core.phase.total (%d of %d ns)", 100*share, covered, total)
-	if share < 0.95 {
-		t.Errorf("top-level phases cover %.1f%% of core.phase.total, want >= 95%%", 100*share)
+		rng := rand.New(rand.NewSource(3))
+		for i := 0; i < 5; i++ {
+			fs := faults.RandomVertices(8, 5, rng)
+			if path {
+				s, tt := randomHealthyPair(rng, 8, fs)
+				_, err = EmbedPath(8, fs, s, tt, Config{Obs: reg})
+			} else {
+				_, err = e.Embed(fs)
+			}
+			if err != nil {
+				t.Fatalf("path %v: %v", path, err)
+			}
+		}
+		sum := func(name string) int64 { return reg.Histogram(name).Stats().SumNS }
+		var covered int64
+		for _, phase := range []string{"separation", "build_r4", "blocks", "junction", "verify"} {
+			covered += sum("core.phase." + phase)
+		}
+		total := sum("core.phase.total")
+		if total == 0 {
+			t.Fatalf("path %v: no core.phase.total recorded", path)
+		}
+		share := float64(covered) / float64(total)
+		t.Logf("path %v: phases cover %.1f%% of core.phase.total (%d of %d ns)", path, 100*share, covered, total)
+		if share < 0.95 {
+			t.Errorf("path %v: top-level phases cover %.1f%% of core.phase.total, want >= 95%%", path, 100*share)
+		}
 	}
 }
 

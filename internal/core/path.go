@@ -4,11 +4,10 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/check"
 	"repro/internal/faults"
+	"repro/internal/obs"
 	"repro/internal/pathsearch"
 	"repro/internal/perm"
-	"repro/internal/star"
 	"repro/internal/substar"
 	"repro/internal/superring"
 )
@@ -31,115 +30,46 @@ import (
 // opposite ends, and every refinement keeps the s-descendant first and
 // the t-descendant last.
 
-// PathResult is a verified s-t path embedding.
-type PathResult struct {
-	N    int
-	S, T perm.Code
-	Path []perm.Code // Path[0] == S, Path[len-1] == T
-
-	VertexFaults int
-	EdgeFaults   int
-	// Guarantee is the assured number of visited vertices: n!-2|Fv| for
-	// endpoints in different partite sets, n!-2|Fv|-1 otherwise.
-	Guarantee  int
-	Guaranteed bool
-	Blocks     int
-}
-
-// Len returns the number of vertices the path visits.
-func (r *PathResult) Len() int { return len(r.Path) }
-
 // ErrBadEndpoints reports invalid, equal or faulty endpoints.
 var ErrBadEndpoints = errors.New("core: invalid path endpoints")
 
 // EmbedPath constructs a longest healthy path from s to t in S_n
-// avoiding the given faults. Preconditions mirror Embed's, plus both
+// avoiding the given faults and returns it as a Plan whose ring is
+// open: Cursor and Ring emit the path from s to t, and Result carries
+// its length and guarantee. Preconditions mirror Embed's, plus both
 // endpoints must be healthy, distinct vertices.
-func EmbedPath(n int, fs *faults.Set, s, t perm.Code, cfg Config) (*PathResult, error) {
-	if n < 3 || n > perm.MaxN {
-		return nil, fmt.Errorf("core: dimension %d out of range [3,%d]", n, perm.MaxN)
-	}
-	if fs == nil {
-		fs = faults.NewSet(n)
-	}
-	if fs.N() != n {
-		return nil, fmt.Errorf("core: fault set is for S_%d, embedding in S_%d", fs.N(), n)
-	}
-	if !s.Valid(n) || !t.Valid(n) || s == t {
-		return nil, fmt.Errorf("%w: need two distinct vertices of S_%d", ErrBadEndpoints, n)
-	}
-	if fs.HasVertex(s) || fs.HasVertex(t) {
-		return nil, fmt.Errorf("%w: endpoint is faulty", ErrBadEndpoints)
-	}
-	nv, ne := fs.NumVertices(), fs.NumEdges()
-	withinBudget := nv+ne <= faults.MaxTolerated(n)
-	if !withinBudget && !cfg.BestEffort {
-		return nil, fmt.Errorf("%w: |Fv|=%d, |Fe|=%d, n=%d", ErrBudget, nv, ne, n)
-	}
-
-	sameSide := s.Parity(n) == t.Parity(n)
-	res := &PathResult{
-		N: n, S: s, T: t,
-		VertexFaults: nv,
-		EdgeFaults:   ne,
-		Guarantee:    perm.Factorial(n) - 2*nv,
-		Guaranteed:   withinBudget,
-	}
-	if sameSide {
-		res.Guarantee--
-	}
-
-	var err error
-	switch {
-	case n <= 4:
-		err = embedPathSmall(res, fs)
-	default:
-		err = embedPathLarge(res, fs, cfg)
-	}
+func EmbedPath(n int, fs *faults.Set, s, t perm.Code, cfg Config) (*Plan, error) {
+	e, err := NewEmbedder(n, cfg)
 	if err != nil {
 		return nil, err
 	}
-
-	if len(res.Path) == 0 || res.Path[0] != s || res.Path[len(res.Path)-1] != t {
-		return nil, errors.New("core: internal: path endpoints wrong")
-	}
-	if res.Guaranteed && res.Len() < res.Guarantee {
-		return nil, fmt.Errorf("core: internal: path length %d under guarantee %d", res.Len(), res.Guarantee)
-	}
-	if err := check.Path(star.New(n), res.Path, fs); err != nil {
-		return nil, fmt.Errorf("core: self-verification failed: %w", err)
-	}
-	return res, nil
+	return e.embed(nil, fs, &[2]perm.Code{s, t})
 }
 
 // embedPathSmall solves n = 3, 4 by direct search on the (canonical)
-// block.
-func embedPathSmall(res *PathResult, fs *faults.Set) error {
-	n := res.N
-	if n == 3 {
-		// S_3 is a 6-cycle; with the zero fault budget the best s-t path
+// block. The path becomes a skeleton's one stored segment, as
+// embedSmall's cycle does.
+func embedPathSmall(res *Result, fs *faults.Set, s, t perm.Code) (*skeleton, error) {
+	var path []perm.Code
+	if res.N == 3 {
+		// S_3 is a 6-cycle (embedS3 rejects any fault); the best s-t path
 		// follows the longer arc.
-		if fs.NumVertices() > 0 || fs.NumEdges() > 0 {
-			return fmt.Errorf("%w: S_3 tolerates no faults", ErrNoRing)
-		}
-		plan, err := Embed(3, nil, Config{})
+		ring, err := embedS3(fs)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		ring := plan.Ring()
 		var si, ti int
 		for i, v := range ring {
-			if v == res.S {
+			if v == s {
 				si = i
 			}
-			if v == res.T {
+			if v == t {
 				ti = i
 			}
 		}
 		// Two arcs; take the longer.
 		m := len(ring)
 		fwd := (ti - si + m) % m
-		var path []perm.Code
 		if fwd >= m-fwd {
 			for i := 0; i <= fwd; i++ {
 				path = append(path, ring[(si+i)%m])
@@ -149,77 +79,79 @@ func embedPathSmall(res *PathResult, fs *faults.Set) error {
 				path = append(path, ring[(si-i+2*m)%m])
 			}
 		}
-		res.Path = path
-		// The 6-cycle bound depends on the arc; adjust the guarantee to
-		// what is structurally possible.
-		if res.Len() < res.Guarantee {
-			res.Guarantee = res.Len()
+	} else {
+		// n == 4: exact search.
+		block, err := pathsearch.NewBlock(substar.Whole(4))
+		if err != nil {
+			return nil, err
 		}
-		return nil
+		var avoidV []perm.Code
+		avoidV = append(avoidV, fs.Vertices()...)
+		var avoidE [][2]perm.Code
+		for _, e := range fs.Edges() {
+			avoidE = append(avoidE, [2]perm.Code{e.U, e.V})
+		}
+		spec := pathsearch.PathSpec{From: s, To: t, AvoidV: avoidV, AvoidE: avoidE}
+		best := block.MaxPathLen(spec)
+		if best == 0 {
+			return nil, fmt.Errorf("%w: no healthy path in S_4", ErrNoRing)
+		}
+		spec.Target = best
+		var ok bool
+		if path, ok = block.Path(spec); !ok {
+			return nil, errors.New("core: internal: max path vanished")
+		}
 	}
-
-	// n == 4: exact search.
-	block, err := pathsearch.NewBlock(substar.Whole(4))
-	if err != nil {
-		return err
+	// The 6-cycle's bound depends on the arc, and |Fe| > 0 can cost a
+	// vertex in S_4's tiny budget: adjust the guarantee to what is
+	// structurally possible.
+	if len(path) < res.Guarantee {
+		res.Guarantee = len(path)
 	}
-	var avoidV []perm.Code
-	avoidV = append(avoidV, fs.Vertices()...)
-	var avoidE [][2]perm.Code
-	for _, e := range fs.Edges() {
-		avoidE = append(avoidE, [2]perm.Code{e.U, e.V})
-	}
-	spec := pathsearch.PathSpec{From: res.S, To: res.T, AvoidV: avoidV, AvoidE: avoidE}
-	best := block.MaxPathLen(spec)
-	if best == 0 {
-		return fmt.Errorf("%w: no healthy path in S_4", ErrNoRing)
-	}
-	spec.Target = best
-	path, ok := block.Path(spec)
-	if !ok {
-		return errors.New("core: internal: max path vanished")
-	}
-	res.Path = path
-	if res.Len() < res.Guarantee {
-		res.Guarantee = res.Len() // |Fe| > 0 can cost a vertex in S_4's tiny budget
-	}
-	return nil
+	return &skeleton{cycle: path, length: []uint8{uint8(len(path))}, offsets: []int{0, len(path)}}, nil
 }
 
-// embedPathLarge runs the chain pipeline for n >= 5.
-func embedPathLarge(res *PathResult, fs *faults.Set, cfg Config) error {
-	n := res.N
-	positions, separated, err := fs.SeparatingPositionsSplitting(res.S, res.T)
+// embedPathLarge runs the chain pipeline for n >= 5: Lemma 2
+// separation with a first position that splits s from t, the anchored
+// chain's refinement, and the routing that returns the skeleton.
+func embedPathLarge(res *Result, fs *faults.Set, s, t perm.Code, cfg Config, in *instr) (*skeleton, error) {
+	sspan := in.span("core.phase.separation")
+	positions, separated, err := fs.SeparatingPositionsSplitting(s, t)
+	sspan.End()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if !separated && !cfg.BestEffort {
-		return fmt.Errorf("core: the forced anchor position prevents Lemma 2 separation for %v; retry with BestEffort", fs)
+		return nil, fmt.Errorf("core: the forced anchor position prevents Lemma 2 separation for %v; retry with BestEffort", fs)
 	}
+	res.Positions = positions
 
-	chain, err := buildChain(n, positions, fs, res.S, res.T)
+	bspan := in.span("core.phase.build_r4")
+	chain, err := buildChain(res.N, positions, fs, s, t, cfg.Obs)
+	bspan.End()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	res.Blocks = chain.Len()
 
-	path, err := routeChain(chain, fs, res.S, res.T, cfg)
+	sk, err := routeChain(chain, fs, s, t, cfg, in)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	res.Path = path
-	return nil
+	res.FaultyBlocks = sk.vertexFaultBlocks()
+	return sk, nil
 }
 
 // buildChain mirrors buildR4 for the anchored chain, an open ring.
-func buildChain(n int, positions []int, fs *faults.Set, s, t perm.Code) (*superring.Ring, error) {
+func buildChain(n int, positions []int, fs *faults.Set, s, t perm.Code, reg *obs.Registry) (*superring.Ring, error) {
 	weight := weightOf(fs)
 	finalOpts := superring.Options{
 		FaultCount:       weight,
 		SpreadFaults:     true,
 		HealthyJunctions: true,
+		Obs:              reg,
 	}
-	midOpts := superring.Options{FaultCount: weight}
+	midOpts := superring.Options{FaultCount: weight, Obs: reg}
 
 	opts := midOpts
 	if n == 5 {

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/check"
@@ -33,7 +34,7 @@ func TestEmbedPathGuarantees(t *testing.T) {
 			for trial := 0; trial < 8; trial++ {
 				fs := faults.RandomVertices(n, k, rng)
 				s, tt := randomHealthyPair(rng, n, fs)
-				res, err := EmbedPath(n, fs, s, tt, Config{})
+				plan, err := EmbedPath(n, fs, s, tt, Config{})
 				if err != nil {
 					t.Fatalf("n=%d k=%d trial=%d: %v", n, k, trial, err)
 				}
@@ -41,13 +42,14 @@ func TestEmbedPathGuarantees(t *testing.T) {
 				if s.Parity(n) == tt.Parity(n) {
 					want--
 				}
-				if res.Len() < want {
-					t.Fatalf("n=%d k=%d: path %d < %d", n, k, res.Len(), want)
+				if plan.RingLen() < want {
+					t.Fatalf("n=%d k=%d: path %d < %d", n, k, plan.RingLen(), want)
 				}
-				if res.Path[0] != s || res.Path[res.Len()-1] != tt {
+				path := plan.Ring()
+				if path[0] != s || path[len(path)-1] != tt {
 					t.Fatal("endpoints wrong")
 				}
-				if err := check.Path(g, res.Path, fs); err != nil {
+				if err := check.Path(g, path, fs, s, tt, want); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -77,11 +79,11 @@ func TestEmbedPathUpgrade(t *testing.T) {
 		if !oppositeFault {
 			continue
 		}
-		res, err := EmbedPath(n, fs, s, tt, Config{})
+		plan, err := EmbedPath(n, fs, s, tt, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Len() >= perm.Factorial(n)-2*2+1 {
+		if plan.RingLen() >= perm.Factorial(n)-2*2+1 {
 			hits++
 		}
 	}
@@ -94,12 +96,12 @@ func TestEmbedPathSmallDimensions(t *testing.T) {
 	// n = 3: longer arc of the hexagon.
 	s := perm.IdentityCode(3)
 	tt := s.SwapFirst(2)
-	res, err := EmbedPath(3, nil, s, tt, Config{})
+	plan, err := EmbedPath(3, nil, s, tt, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Len() != 6 {
-		t.Fatalf("S_3 adjacent pair: path %d, want 6", res.Len())
+	if plan.RingLen() != 6 {
+		t.Fatalf("S_3 adjacent pair: path %d, want 6", plan.RingLen())
 	}
 
 	// n = 4 with one fault: exact block search.
@@ -107,12 +109,12 @@ func TestEmbedPathSmallDimensions(t *testing.T) {
 	fs.AddVertexString("4321")
 	s4 := perm.IdentityCode(4)
 	t4 := s4.SwapFirst(3)
-	res4, err := EmbedPath(4, fs, s4, t4, Config{})
+	plan4, err := EmbedPath(4, fs, s4, t4, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res4.Len() < 22 {
-		t.Fatalf("S_4: path %d", res4.Len())
+	if plan4.RingLen() < 22 {
+		t.Fatalf("S_4: path %d", plan4.RingLen())
 	}
 }
 
@@ -140,7 +142,7 @@ func TestEmbedPathMixedFaults(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		fs := faults.Mixed(n, 1, 2, rng)
 		s, tt := randomHealthyPair(rng, n, fs)
-		res, err := EmbedPath(n, fs, s, tt, Config{})
+		plan, err := EmbedPath(n, fs, s, tt, Config{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -148,8 +150,8 @@ func TestEmbedPathMixedFaults(t *testing.T) {
 		if s.Parity(n) == tt.Parity(n) {
 			want--
 		}
-		if res.Len() < want {
-			t.Fatalf("trial %d: path %d < %d", trial, res.Len(), want)
+		if plan.RingLen() < want {
+			t.Fatalf("trial %d: path %d < %d", trial, plan.RingLen(), want)
 		}
 	}
 }
@@ -171,18 +173,18 @@ func TestEmbedPathAdjacentEndpoints(t *testing.T) {
 				break
 			}
 		}
-		res, err := EmbedPath(n, fs, s, tt, Config{})
+		plan, err := EmbedPath(n, fs, s, tt, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Len() < perm.Factorial(n)-2*3 {
-			t.Fatalf("adjacent endpoints: path %d", res.Len())
+		if plan.RingLen() < perm.Factorial(n)-2*3 {
+			t.Fatalf("adjacent endpoints: path %d", plan.RingLen())
 		}
 		// Close it into a verified ring.
 		if !g.Adjacent(s, tt) {
 			t.Fatal("test setup broken")
 		}
-		if err := check.Ring(g, res.Path, fs, res.Len()); err != nil {
+		if err := check.Ring(g, plan.Ring(), fs, plan.RingLen()); err != nil {
 			t.Fatalf("closed path is not a ring: %v", err)
 		}
 	}
@@ -203,7 +205,7 @@ func TestEmbedPathExhaustiveS5Singles(t *testing.T) {
 		fs.AddVertex(f)
 		for trial := 0; trial < 6; trial++ {
 			s, tt := randomHealthyPair(rng, n, fs)
-			res, err := EmbedPath(n, fs, s, tt, Config{})
+			plan, err := EmbedPath(n, fs, s, tt, Config{})
 			if err != nil {
 				t.Fatalf("fault %d, %s->%s: %v", r, s.StringN(n), tt.StringN(n), err)
 			}
@@ -211,12 +213,43 @@ func TestEmbedPathExhaustiveS5Singles(t *testing.T) {
 			if s.Parity(n) == tt.Parity(n) {
 				want--
 			}
-			if res.Len() < want {
-				t.Fatalf("fault %d: path %d < %d", r, res.Len(), want)
+			if plan.RingLen() < want {
+				t.Fatalf("fault %d: path %d < %d", r, plan.RingLen(), want)
 			}
-			if err := check.Path(g, res.Path, fs); err != nil {
+			if err := check.Path(g, plan.Ring(), fs, s, tt, want); err != nil {
 				t.Fatal(err)
 			}
 		}
+	}
+}
+
+// TestPathPlanNotRepairable: a path plan refuses Repair and RepairOp
+// and reports no splice, and none of them touches its path or faults.
+func TestPathPlanNotRepairable(t *testing.T) {
+	n := 6
+	rng := rand.New(rand.NewSource(36))
+	fs := faults.RandomVertices(n, 2, rng)
+	s, tt := randomHealthyPair(rng, n, fs)
+	plan, err := EmbedPath(n, fs, s, tt, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path, length := plan.Ring(), plan.RingLen()
+	for _, v := range []perm.Code{path[len(path)/2], path[1], fs.Vertices()[0]} {
+		if plan.CanSplice(v) {
+			t.Errorf("CanSplice(%s) on a path plan", v.StringN(n))
+		}
+		if _, err := plan.Repair(v); err == nil {
+			t.Errorf("Repair(%s) on a path plan succeeded", v.StringN(n))
+		}
+		if _, err := plan.RepairOp(nil, v); err == nil {
+			t.Errorf("RepairOp(%s) on a path plan succeeded", v.StringN(n))
+		}
+	}
+	if plan.RingLen() != length || !slices.Equal(plan.Ring(), path) {
+		t.Fatalf("path changed: %d vertices, was %d", plan.RingLen(), length)
+	}
+	if got := plan.Faults().Vertices(); !slices.Equal(got, fs.Vertices()) {
+		t.Fatalf("faults changed: %v, was %v", got, fs.Vertices())
 	}
 }

@@ -9,17 +9,19 @@ import (
 )
 
 // routeChain threads the concrete s-t path through an anchored block
-// chain. It mirrors RouteR4 with three differences: the first block's
-// entry is the source vertex itself, the last block's exit is the
-// target, and — when s and t share a partite set — exactly one block is
-// routed with an odd vertex count to fix the global parity (preferring
-// a faulty block whose fault lies on the other side, which then sheds
-// only its fault).
-func routeChain(chain *superring.Ring, fs *faults.Set, s, t perm.Code, cfg Config) ([]perm.Code, error) {
+// chain and returns the routed skeleton. It mirrors routeRing with
+// three differences: the first block's entry is the source vertex
+// itself, the last block's exit is the target, and — when s and t share
+// a partite set — exactly one block is routed with an odd vertex count
+// to fix the global parity (preferring a faulty block whose fault lies
+// on the other side, which then sheds only its fault).
+func routeChain(chain *superring.Ring, fs *faults.Set, s, t perm.Code, cfg Config, in *instr) (*skeleton, error) {
 	m := chain.Len()
 	n := chain.N()
 	pats := chain.Vertices()
+	bspan := in.span("core.phase.blocks")
 	sk, err := newSkeleton(pats, fs)
+	bspan.End()
 	if err != nil {
 		return nil, err
 	}
@@ -30,21 +32,25 @@ func routeChain(chain *superring.Ring, fs *faults.Set, s, t perm.Code, cfg Confi
 
 	// The source cannot double as the first exit, nor the target as
 	// the last entry.
+	bspan = in.span("core.phase.blocks")
 	rt, empty := newRouter(sk, pats, fs, m-1, func(k int, u, w perm.Code) bool {
 		return !(k == 0 && u == s) && !(k+1 == m-1 && w == t)
 	})
+	bspan.End()
 	if empty >= 0 {
 		return nil, fmt.Errorf("core: chain gap %d has no healthy crossing edge", empty)
 	}
 
 	needOdd := s.Parity(n) == t.Parity(n)
 	policy := chainTargets(cfg.BestEffort)
+	jspan := in.span("core.phase.junction")
+	defer jspan.End()
 	for _, odd := range oddBlockCandidates(sk, n, s, needOdd) {
 		rt.targets = func(k, vf int) []int { return policy(k == odd, vf) }
-		if err := rt.search(true, nil); err == nil {
+		if err := rt.search(true, in); err == nil {
 			sk.layout()
-			newInstr(cfg.Obs, n).blocksRouted(m)
-			return sk.drain()
+			in.blocksRouted(m)
+			return sk, nil
 		}
 	}
 	return nil, fmt.Errorf("core: no odd-block designation routes the chain (s, t %v-parity)", needOdd)

@@ -121,7 +121,7 @@ func TestRouteChainGapPoisoning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chain, err := buildChain(n, positions, fs, s, tt)
+	chain, err := buildChain(n, positions, fs, s, tt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestRouteChainGapPoisoning(t *testing.T) {
 		}
 		fs.AddVertex(u)
 	}
-	_, err = routeChain(chain, fs, s, tt, Config{})
+	_, err = routeChain(chain, fs, s, tt, Config{}, nil)
 	if err == nil {
 		t.Fatal("poisoned chain gap routed")
 	}

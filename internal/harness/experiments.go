@@ -537,19 +537,20 @@ func F4(cfg SweepConfig) ([]*Table, error) {
 						break
 					}
 				}
-				res, err := core.EmbedPath(n, fs, s, tt, core.Config{Obs: cfg.Obs})
+				plan, err := core.EmbedPath(n, fs, s, tt, core.Config{Obs: cfg.Obs})
 				if err != nil {
 					return nil, fmt.Errorf("F4 k=%d seed=%d: %w", k, seed, err)
 				}
-				if res.Len() < want {
-					return nil, fmt.Errorf("F4 k=%d: path %d < %d", k, res.Len(), want)
+				l := plan.RingLen()
+				if l < want {
+					return nil, fmt.Errorf("F4 k=%d: path %d < %d", k, l, want)
 				}
 				trials++
-				if res.Len() < minLen {
-					minLen = res.Len()
+				if l < minLen {
+					minLen = l
 				}
-				if res.Len() > maxLen {
-					maxLen = res.Len()
+				if l > maxLen {
+					maxLen = l
 				}
 			}
 			t.AddRow(k, label, trials, minLen, maxLen, want)

@@ -159,6 +159,8 @@ func Initial(n, pos int, opts Options) (*Ring, error) {
 // (s and t must hold different symbols at pos), and the other children
 // run between them, fault-bearing ones spread when requested.
 func InitialChain(n, pos int, s, t perm.Code, opts Options) (*Ring, error) {
+	span := opts.Obs.Span("superring.phase.initial")
+	defer span.End()
 	if s.Symbol(pos) == t.Symbol(pos) {
 		return nil, fmt.Errorf("superring: source and target agree at position %d; no chain anchors", pos)
 	}

@@ -25,8 +25,9 @@
 // memory — rather than as n! vertices. Plan.Cursor streams the ring
 // vertex by vertex (n >= 10 is 3.6M vertices), Plan.Ring copies it into
 // a slice, VerifyRingStream checks it without materializing, and
-// SaveRingStream/LoadRingStream persist it in a chunked format. See
-// README.md "Scaling past memory".
+// SaveRingStream/LoadRingStream persist it in a chunked format. A
+// longest s-t path from EmbedLongestPath is a Plan too, built, held
+// and verified the same way. See README.md "Scaling past memory".
 //
 // For online use — faults arriving while the ring is in service — build
 // an engine once with NewEmbedder and keep the Plans it returns:
@@ -149,15 +150,12 @@ type RingCursor = core.RingCursor
 // cursor was iterating it.
 var ErrStaleCursor = core.ErrStaleCursor
 
-// PathEmbedding is a verified longest-path embedding (see
-// core.PathResult).
-type PathEmbedding = core.PathResult
-
 // EmbedLongestPath constructs a longest healthy path between two
 // healthy vertices s and t: at least n! - 2|Fv| vertices when s and t
 // lie in different partite sets, n! - 2|Fv| - 1 otherwise (an extension
-// beyond the paper; see DESIGN.md §4b).
-func EmbedLongestPath(n int, fs *FaultSet, s, t Vertex, opts Options) (*PathEmbedding, error) {
+// beyond the paper; see DESIGN.md §4b), as a Plan whose Cursor streams
+// it from s to t. A path plan cannot be repaired.
+func EmbedLongestPath(n int, fs *FaultSet, s, t Vertex, opts Options) (*Plan, error) {
 	return core.EmbedPath(n, fs, s, t, opts)
 }
 
