@@ -23,7 +23,8 @@
 #                       auto-dump the flight-recorder bundle; starmon
 #                       validates all three artifacts, and the failing
 #                       trace's -postmortem block must list both its
-#                       root span and its obs.flight.error event
+#                       root span and its obs.flight.error event; once
+#                       for a ring and once for an s-t path
 #   9. stream smoke  -- the ring-cursor pipeline end to end: embed S_8
 #                       with explicit faults at O(#blocks) memory, match
 #                       the -print output's SHA-256 against the digest
@@ -238,34 +239,42 @@ trace_block_lists() {
 # recorder auto-dumps its post-mortem bundle, then validate the bundle
 # through every checker and require its -postmortem render to keep the
 # failing trace whole: the core.op.embed root span and the
-# obs.flight.error event in one trace block.
+# obs.flight.error event in one trace block. The path half runs the
+# same fault set as a longest-path embed, which shares the ring's
+# pipeline and so must leave the same post-mortem.
 flight_smoke() {
-    local tmp
+    local tmp mode
     tmp=$(mktemp -d)
     go build -o "$tmp/starring" ./cmd/starring || return 1
     go build -o "$tmp/starmon" ./cmd/starmon || return 1
 
-    if "$tmp/starring" -n 5 -faults 3 -seed 1 \
-        -flight-dump "$tmp/flight" >"$tmp/out.log" 2>&1; then
-        echo "starring should have failed beyond the fault budget" >&2
-        cat "$tmp/out.log" >&2
-        return 1
-    fi
-    if [ ! -f "$tmp/flight/flight-events.ndjson" ]; then
-        echo "budget overflow did not auto-dump a flight bundle:" >&2
-        cat "$tmp/out.log" >&2
-        return 1
-    fi
+    for mode in ring path; do
+        local args=() dir="$tmp/flight-$mode"
+        if [ "$mode" = path ]; then
+            args=(-path-from 12345 -path-to 54312)
+        fi
+        if "$tmp/starring" -n 5 -faults 3 -seed 1 "${args[@]}" \
+            -flight-dump "$dir" >"$tmp/out.log" 2>&1; then
+            echo "starring ($mode) should have failed beyond the fault budget" >&2
+            cat "$tmp/out.log" >&2
+            return 1
+        fi
+        if [ ! -f "$dir/flight-events.ndjson" ]; then
+            echo "budget overflow ($mode) did not auto-dump a flight bundle:" >&2
+            cat "$tmp/out.log" >&2
+            return 1
+        fi
 
-    "$tmp/starmon" -check-events "$tmp/flight/flight-events.ndjson" || return 1
-    "$tmp/starmon" -check-trace "$tmp/flight/flight-trace.json" || return 1
-    "$tmp/starmon" -check-metrics "$tmp/flight/flight-metrics.txt" || return 1
-    "$tmp/starmon" -postmortem "$tmp/flight" >"$tmp/postmortem.log" || return 1
-    trace_block_lists "$tmp/postmortem.log" '^trace ' core.op.embed || {
-        echo "no postmortem trace block lists both core.op.embed and obs.flight.error:" >&2
-        cat "$tmp/postmortem.log" >&2
-        return 1
-    }
+        "$tmp/starmon" -check-events "$dir/flight-events.ndjson" || return 1
+        "$tmp/starmon" -check-trace "$dir/flight-trace.json" || return 1
+        "$tmp/starmon" -check-metrics "$dir/flight-metrics.txt" || return 1
+        "$tmp/starmon" -postmortem "$dir" >"$tmp/postmortem.log" || return 1
+        trace_block_lists "$tmp/postmortem.log" '^trace ' core.op.embed || {
+            echo "no $mode postmortem trace block lists both core.op.embed and obs.flight.error:" >&2
+            cat "$tmp/postmortem.log" >&2
+            return 1
+        }
+    done
 }
 
 leg "flight smoke" flight_smoke || exit 1
