@@ -1,161 +1,199 @@
-// Command starbench is the perf-regression gate: it normalizes the
-// repository's benchmark artifacts into versioned records, compares
-// two records benchstat-style, and validates the run-over-run
-// trajectory file.
-//
-// Usage:
-//
-//	starbench -record out.json [-label L] [-append traj.ndjson] artifact...
-//	starbench -compare old.json new.json [-threshold 0.30] [-minns 1ms] [-v]
-//	starbench -check traj.ndjson
-//
-// -record ingests each artifact by sniffing its format — starsweep
-// -json documents (BENCH_embed.json, BENCH_repair.json), obs registry
-// snapshots (BENCH_obs.json), or go test -bench text (BENCH_*.txt) —
-// and writes one normalized record; -append additionally appends the
-// record as an NDJSON line to the trajectory history.
-//
-// -compare joins two records on metric name and classifies every
-// shared metric as ok / faster / REGRESSED against the relative
-// -threshold (default 30%); nanosecond metrics below -minns on both
-// sides never gate. Exit status 1 means at least one metric regressed
-// (the CI perf-gate leg keys off this), 2 means usage or I/O error.
-//
-// -check validates every line of a trajectory file against the record
-// schema, so a corrupt append fails CI instead of silently poisoning
-// later comparisons.
+// Command starbench is the perf-regression gate over perfbench, the
+// benchmark of record. From the repository root it runs each workload in
+// BENCHMARK.json at seeds 1, 2 and 3 for 10 seconds, and fails (exit 1)
+// when a run fails, when the baseline (scripts/perf-baseline.ndjson)
+// lacks a run or a metric or ran at another --seconds, or when the median
+// over seeds of an end-to-end metric is worse than the baseline's by more
+// than its BENCHMARK.json bound. -write re-measures and rewrites it.
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"time"
-
-	"repro/internal/bench"
+	"os/exec"
+	"path/filepath"
+	"sort"
+	"strconv"
+	"strings"
 )
 
-func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+const (
+	// seconds is every run's --seconds: at 5 s stream_n9 timed as few as
+	// 35 operations, too few for 10 samples beyond its p75 tail.
+	seconds      = 10
+	baselineFile = "scripts/perf-baseline.ndjson"
+)
+
+// seeds has an odd length, so one noisy seed is outvoted. A false
+// failure at unchanged code calls for more seeds, never a wider bound.
+var seeds = []int{1, 2, 3}
+
+// benchmark is the part of BENCHMARK.json the gate reads; encoding/json
+// matches its keys to the field names regardless of case.
+type benchmark struct {
+	Command   []string
+	Workloads []struct{ Name string }
+	EndToEnd  []struct {
+		Name, Better string  // Better is "lower" or "higher"
+		Bound        float64 // the largest relative move towards worse
+	} `json:"end_to_end"`
 }
 
-// run is main minus the process exit, for tests.
-func run(args []string, stdout, stderr io.Writer) int {
+// result is one perfbench result line, tagged with the run that printed
+// it. The baseline holds one per workload and seed.
+type result struct {
+	Workload  string `json:"workload"`
+	Seed      int    `json:"seed"`
+	Seconds   int    `json:"seconds"`
+	Correct   bool   `json:"correct"`
+	Attempted int    `json:"attempted"`
+	Failed    int    `json:"failed"`
+	Metrics   map[string]struct {
+		Value float64 `json:"value"`
+		Unit  string  `json:"unit"`
+	} `json:"metrics"`
+}
+
+func main() {
+	os.Exit(run(os.Args[1:], ".", os.Stdout, os.Stderr))
+}
+
+// run is main minus the process exit; root is the repository root. It
+// returns 1 when the gate fails and 2 on bad usage or unreadable input.
+func run(args []string, root string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("starbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var (
-		record     = fs.String("record", "", "normalize the artifact arguments into a record at this path")
-		label      = fs.String("label", "", "label stored in the record (default: current time, RFC 3339)")
-		appendPath = fs.String("append", "", "with -record: also append the record to this NDJSON trajectory file")
-		compare    = fs.Bool("compare", false, "compare two record files (old new); exit 1 on regression")
-		threshold  = fs.Float64("threshold", bench.DefaultThreshold, "relative change that counts as a regression")
-		minNS      = fs.Duration("minns", time.Duration(bench.DefaultMinNS), "noise floor: timings below this on both sides never gate")
-		check      = fs.String("check", "", "validate an NDJSON trajectory file and exit")
-		verbose    = fs.Bool("v", false, "with -compare: print every metric, not just changed ones")
-	)
-	if err := fs.Parse(args); err != nil {
+	write := fs.Bool("write", false, "re-measure every run and rewrite "+baselineFile)
+	if err := fs.Parse(args); err != nil || fs.NArg() > 0 {
+		fmt.Fprintln(stderr, "usage: starbench [-write]")
 		return 2
 	}
-
-	modes := 0
-	for _, on := range []bool{*record != "", *compare, *check != ""} {
-		if on {
-			modes++
+	var spec benchmark
+	var base []result
+	data, err := os.ReadFile(filepath.Join(root, "BENCHMARK.json"))
+	if err == nil {
+		err = json.Unmarshal(data, &spec)
+	}
+	if err == nil && !*write {
+		data, err = os.ReadFile(filepath.Join(root, baselineFile))
+		for dec := json.NewDecoder(bytes.NewReader(data)); err == nil && dec.More(); {
+			base = append(base, result{})
+			err = dec.Decode(&base[len(base)-1])
 		}
 	}
-	if modes != 1 {
-		fmt.Fprintln(stderr, "starbench: exactly one of -record, -compare, -check is required")
-		fs.Usage()
-		return 2
+	if err == nil && len(spec.Command) == 0 {
+		err = fmt.Errorf("BENCHMARK.json names no command")
 	}
-
-	switch {
-	case *check != "":
-		return runCheck(*check, stdout, stderr)
-	case *compare:
-		return runCompare(fs.Args(), *threshold, *minNS, *verbose, stdout, stderr)
-	default:
-		return runRecord(*record, *label, *appendPath, fs.Args(), stdout, stderr)
-	}
-}
-
-func runRecord(out, label, appendPath string, artifacts []string, stdout, stderr io.Writer) int {
-	if len(artifacts) == 0 {
-		fmt.Fprintln(stderr, "starbench: -record needs at least one artifact file")
-		return 2
-	}
-	if label == "" {
-		label = time.Now().UTC().Format(time.RFC3339)
-	}
-	rec := bench.NewRecord(label)
-	for _, path := range artifacts {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			fmt.Fprintln(stderr, "starbench:", err)
-			return 2
-		}
-		if err := bench.Ingest(rec, path, data); err != nil {
-			fmt.Fprintln(stderr, "starbench:", err)
-			return 2
-		}
-	}
-	if err := bench.WriteRecordFile(out, rec); err != nil {
-		fmt.Fprintln(stderr, "starbench:", err)
-		return 2
-	}
-	fmt.Fprintf(stdout, "recorded %d metrics from %d artifacts to %s\n",
-		len(rec.Metrics), len(artifacts), out)
-	if appendPath != "" {
-		if err := bench.AppendNDJSONFile(appendPath, rec); err != nil {
-			fmt.Fprintln(stderr, "starbench:", err)
-			return 2
-		}
-		fmt.Fprintf(stdout, "appended to %s\n", appendPath)
-	}
-	return 0
-}
-
-func runCompare(args []string, threshold float64, minNS time.Duration, verbose bool, stdout, stderr io.Writer) int {
-	if len(args) != 2 {
-		fmt.Fprintln(stderr, "starbench: -compare needs exactly two record files: old new")
-		return 2
-	}
-	old, err := bench.ReadRecordFile(args[0])
 	if err != nil {
 		fmt.Fprintln(stderr, "starbench:", err)
 		return 2
 	}
-	cur, err := bench.ReadRecordFile(args[1])
-	if err != nil {
-		fmt.Fprintln(stderr, "starbench:", err)
-		return 2
+
+	var fresh []result
+	var problems []string
+	for _, wl := range spec.Workloads {
+		for _, seed := range seeds {
+			if r, err := measure(root, spec.Command, wl.Name, seed, stderr); err != nil {
+				problems = append(problems, err.Error())
+			} else {
+				fresh = append(fresh, r)
+			}
+		}
 	}
-	cmp := bench.Compare(old, cur, bench.Options{Threshold: threshold, MinNS: float64(minNS)})
-	cmp.Fprint(stdout, verbose)
-	if len(cmp.Regressions()) > 0 {
-		fmt.Fprintf(stderr, "starbench: performance regression: %s vs %s\n", args[1], args[0])
+	if !*write {
+		problems = append(problems, gate(stdout, spec, base, fresh)...)
+	} else if len(problems) == 0 {
+		var buf bytes.Buffer
+		for _, r := range fresh {
+			line, _ := json.Marshal(r) // decoded from JSON, so it encodes
+			buf.Write(append(line, '\n'))
+		}
+		if err := os.WriteFile(filepath.Join(root, baselineFile), buf.Bytes(), 0o644); err != nil {
+			problems = append(problems, err.Error())
+		} else {
+			fmt.Fprintf(stdout, "wrote %d runs at --seconds %d to %s\n", len(fresh), seconds, baselineFile)
+		}
+	}
+	for _, p := range problems {
+		fmt.Fprintln(stderr, "starbench:", p)
+	}
+	if len(problems) > 0 {
 		return 1
 	}
 	return 0
 }
 
-func runCheck(path string, stdout, stderr io.Writer) int {
-	f, err := os.Open(path)
+// measure runs command for one workload and seed and parses its result.
+func measure(dir string, command []string, workload string, seed int, stderr io.Writer) (result, error) {
+	r := result{Workload: workload, Seed: seed, Seconds: seconds}
+	args := append(command[1:len(command):len(command)], "--workload", workload,
+		"--seed", strconv.Itoa(seed), "--seconds", strconv.Itoa(seconds), "--trace", "0")
+	cmd := exec.Command(command[0], args...)
+	cmd.Dir, cmd.Stderr = dir, stderr
+	out, err := cmd.Output()
+	if err == nil {
+		lines := strings.Split(strings.TrimSpace(string(out)), "\n")
+		err = json.Unmarshal([]byte(lines[len(lines)-1]), &r)
+	}
 	if err != nil {
-		fmt.Fprintln(stderr, "starbench:", err)
-		return 2
+		return result{}, fmt.Errorf("%s seed %d: %v", workload, seed, err)
 	}
-	defer f.Close()
-	n, err := bench.CheckNDJSON(f)
-	if err != nil {
-		fmt.Fprintln(stderr, "starbench:", err)
-		return 2
+	return r, nil
+}
+
+// gate checks both sets of runs, prints one row per workload and
+// end-to-end metric, and returns every problem that fails the gate.
+func gate(w io.Writer, spec benchmark, base, fresh []result) []string {
+	var problems []string
+	for i, rs := range [2][]result{base, fresh} {
+		for _, r := range rs {
+			if r.Seconds != seconds || !r.Correct || r.Failed > 0 {
+				problems = append(problems, fmt.Sprintf("%s %s seed %d: --seconds %d (the gate's: %d), correct %t, %d of %d operations failed",
+					[2]string{"baseline", "fresh"}[i], r.Workload, r.Seed, r.Seconds, seconds, r.Correct, r.Failed, r.Attempted))
+			}
+		}
 	}
-	if n == 0 {
-		fmt.Fprintf(stderr, "starbench: %s has no records\n", path)
-		return 2
+	fmt.Fprintf(w, "%-10s %-13s %10s %10s %21s %7s %5s %5s  %s\n", "workload", "metric", "baseline", "fresh", "fresh spread", "change", "bound", "share", "verdict")
+	for _, wl := range spec.Workloads {
+		for _, m := range spec.EndToEnd {
+			bv, fv := values(base, wl.Name, m.Name), values(fresh, wl.Name, m.Name)
+			if len(bv) != len(seeds) || len(fv) != len(seeds) {
+				problems = append(problems, fmt.Sprintf("%s %s: %d baseline and %d fresh values, want one per seed of %v",
+					wl.Name, m.Name, len(bv), len(fv), seeds))
+				continue
+			}
+			b, f := bv[len(bv)/2], fv[len(fv)/2]
+			// share is the part of the allowed move towards worse taken;
+			// past 100% is a regression.
+			share, worse := (f/b-1)/m.Bound, f > b*(1+m.Bound)
+			if m.Better == "higher" {
+				share, worse = -share, f < b*(1-m.Bound)
+			}
+			verdict := "ok"
+			if worse {
+				verdict = "REGRESSED"
+				problems = append(problems, fmt.Sprintf("%s %s REGRESSED; split it by layer with %s --workload %s --seed %d --seconds 30 --trace 1",
+					wl.Name, m.Name, strings.Join(spec.Command, " "), wl.Name, seeds[0]))
+			}
+			fmt.Fprintf(w, "%-10s %-13s %10.4g %10.4g %10.4g–%-10.4g %+6.1f%% %4g%% %4.0f%%  %s\n",
+				wl.Name, m.Name, b, f, fv[0], fv[len(fv)-1], 100*(f/b-1), 100*m.Bound, 100*share, verdict)
+		}
 	}
-	fmt.Fprintf(stdout, "trajectory ok: %d records in %s\n", n, path)
-	return 0
+	return problems
+}
+
+// values returns a workload's metric over rs, sorted.
+func values(rs []result, workload, metric string) []float64 {
+	var vals []float64
+	for _, r := range rs {
+		if m, ok := r.Metrics[metric]; ok && r.Workload == workload {
+			vals = append(vals, m.Value)
+		}
+	}
+	sort.Float64s(vals)
+	return vals
 }

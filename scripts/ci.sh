@@ -46,22 +46,14 @@
 #                       block for the request's client trace id lists
 #                       both its serve.op.request span and its
 #                       obs.flight.error event
-#  10. bench smoke   -- scripts/bench.sh with -benchtime 1x
-#  11. starlint artifact -- starlint -json archived next to the bench
-#                       record, so lint state diffs across revisions
-#  12. perf gate     -- starbench: validate the bench trajectory, then
-#                       compare the fresh record against the baseline
-#                       (STARBENCH_BASELINE; defaults to the fresh
-#                       record itself, i.e. pipeline-only smoke) at
-#                       STARBENCH_THRESHOLD (default 0.30)
-#  13. fuzz smoke    -- each fuzz target for a few seconds
+#  10. benchmarks    -- every Go benchmark in the module, once each
+#  11. perf gate     -- starbench: perfbench's workloads at seeds 1-3,
+#                       medians against scripts/perf-baseline.ndjson
+#                       within BENCHMARK.json's bounds (~95 s)
+#  12. fuzz smoke    -- each fuzz target for a few seconds
 #
 # Runs from any directory; needs only the Go toolchain. Override the
 # fuzz budget with FUZZTIME (default 5s), e.g. FUZZTIME=30s scripts/ci.sh.
-# Point STARBENCH_BASELINE at a committed record (e.g. a saved
-# BENCH_record.json from the last release) to turn the perf gate into a
-# real regression check; without it the leg proves the gate pipeline
-# end to end against the run's own numbers.
 set -u
 
 cd "$(dirname "$0")/.."
@@ -366,7 +358,7 @@ serve_smoke() {
     # labeled RED families.
     curl -fsS "http://$addr/readyz" >/dev/null || { kill "$pid"; return 1; }
     "$tmp/starserve" -load -target "http://$addr" -load-n 6 -requests 120 \
-        -concurrency 4 -ring-every 9 -seed 1 -out "$tmp/BENCH_serve.json" \
+        -concurrency 4 -ring-every 9 -seed 1 -out "$tmp/load.json" \
         >/dev/null || { kill "$pid"; return 1; }
     if ! "$tmp/starmon" -check-metrics "http://$addr/metrics" -want-label route; then
         kill "$pid" 2>/dev/null
@@ -465,35 +457,15 @@ serve_smoke() {
 
 leg "serve smoke" serve_smoke || exit 1
 
-# Bench smoke: one iteration of every benchmark plus the JSON sweep,
-# into a throwaway directory — proves the bench pipeline stays runnable.
-# The directory is kept for the perf gate below.
-BENCH_TMP=$(mktemp -d)
-leg "bench smoke" env BENCH_OUT="$BENCH_TMP" BENCHTIME=1x scripts/bench.sh || exit 1
+# Benchmarks: one iteration of every Go benchmark, so none rots
+# unrun. Their numbers are not gated; perfbench's are, below.
+leg "benchmarks" go test -run '^$' -bench . -benchtime 1x ./... || exit 1
 
-# Starlint artifact: the same findings as a machine-readable archive
-# next to BENCH_record.json, so lint state can be diffed across
-# revisions. A clean tree writes "[]"; the leg fails on findings or on
-# malformed JSON output.
-starlint_json() {
-    go run ./cmd/starlint -json ./... >"$BENCH_TMP/starlint.json" || return 1
-    head -c 1 "$BENCH_TMP/starlint.json" | grep -q '\[' || return 1
-}
-
-leg "starlint artifact" starlint_json || exit 1
-
-# Perf gate: validate the trajectory bench.sh appended, then compare
-# the fresh record against the baseline. With no STARBENCH_BASELINE the
-# record is compared to itself, which still exercises ingestion,
-# joining and verdict logic and fails on schema breakage.
-perf_gate() {
-    local rec="$BENCH_TMP/BENCH_record.json"
-    go run ./cmd/starbench -check "$BENCH_TMP/BENCH_trajectory.ndjson" || return 1
-    go run ./cmd/starbench -compare -threshold "${STARBENCH_THRESHOLD:-0.30}" \
-        "${STARBENCH_BASELINE:-$rec}" "$rec"
-}
-
-leg "perf gate" perf_gate || exit 1
+# Perf gate: the benchmark of record against its committed baseline.
+# starbench runs every BENCHMARK.json workload at three seeds and fails
+# when a median over the seeds is worse than the baseline's by more
+# than the metric's bound (see README "Profiling & regression gate").
+leg "perf gate" go run ./cmd/starbench || exit 1
 
 # Fuzz smoke: one target per invocation (the go tool's -fuzz accepts a
 # single match), a few seconds each. These catch regressions in input
