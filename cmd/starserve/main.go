@@ -1,6 +1,7 @@
 // Command starserve runs the embedding service: the star-graph ring
-// embedder behind an HTTP API, one warm engine pool per dimension,
-// with the request-scoped observability pipeline from internal/serve.
+// embedder behind an HTTP API, one warm engine and a bounded pool of
+// slots per dimension, with the request-scoped observability pipeline
+// from internal/serve.
 //
 // Usage:
 //
@@ -8,7 +9,7 @@
 //	starserve -addr :0 -min-n 4 -max-n 6 -pool 4    # sized pools
 //	starserve -addr :0 -max-inflight 64 -max-queue 8
 //	starserve -load -target http://host:8080        # fault-churn load
-//	starserve -load -requests 500 -out BENCH_serve.json  # self-hosted
+//	starserve -load -requests 500 -out load.json    # self-hosted
 //
 // The API routes are GET /embed, /repair and /ring (query parameters
 // n, fv, fe, v, best_effort — see internal/serve.ParseRequest); the
@@ -27,7 +28,7 @@
 // /ring materializations every -ring-every requests and /chaos faults
 // every -chaos-every. With no -target it boots a private in-process
 // server first. -out writes the per-route latency/error/shed summary
-// as the BENCH_serve.json artifact scripts/bench.sh records.
+// as JSON.
 package main
 
 import (
@@ -60,7 +61,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		addr        = fs.String("addr", "localhost:8080", "listen address (host:port; :0 picks a free port)")
 		minN        = fs.Int("min-n", 3, "smallest served dimension")
 		maxN        = fs.Int("max-n", 7, "largest served dimension")
-		poolSize    = fs.Int("pool", 2, "embedder engines per dimension")
+		poolSize    = fs.Int("pool", 2, "requests per dimension that embed at once")
 		maxInflight = fs.Int("max-inflight", 0, "admission limit across routes; beyond it requests shed with 429 (0 = off)")
 		maxQueue    = fs.Int("max-queue", 0, "callers queued per engine pool; beyond it requests shed with 429 (0 = off)")
 		bestEffort  = fs.Bool("best-effort", false, "serve fault sets beyond the n-3 budget by default")
@@ -79,7 +80,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed       = fs.Int64("seed", 1, "with -load: churn/trace seed")
 		ringEvery  = fs.Int("ring-every", 0, "with -load: every k-th request is a full /ring materialization")
 		chaosEvery = fs.Int("chaos-every", 0, "with -load: every k-th request is a /chaos injected failure")
-		out        = fs.String("out", "", "with -load: write the BENCH_serve.json artifact here (default stdout)")
+		out        = fs.String("out", "", "with -load: write the JSON summary here (default stdout)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -188,7 +189,7 @@ func runServe(stdout, stderr io.Writer, cfg serve.Config, addr string, dur time.
 		tel.close()
 		return 1
 	}
-	fmt.Fprintf(stdout, "pools warm: n in [%d,%d], %d engines each\n", cfg.MinN, cfg.MaxN, cfg.PoolSize)
+	fmt.Fprintf(stdout, "pools warm: n in [%d,%d], %d slots each\n", cfg.MinN, cfg.MaxN, cfg.PoolSize)
 
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
@@ -229,8 +230,8 @@ type loadOpts struct {
 
 // runLoad drives the fault-churn generator. With no target it boots a
 // private in-process server on an ephemeral port first (with /chaos
-// routed whenever the churn will hit it), so `starserve -load -out
-// BENCH_serve.json` is a self-contained benchmark.
+// routed whenever the churn will hit it), so `starserve -load` alone is
+// a self-contained load test.
 func runLoad(stdout, stderr io.Writer, cfg serve.Config, o loadOpts) int {
 	lcfg := serve.LoadConfig{
 		Target: o.target, N: o.n, Requests: o.requests, Concurrency: o.conc,

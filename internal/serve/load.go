@@ -99,8 +99,8 @@ type LoadResult struct {
 	Routes      map[string]*RouteLoadStats `json:"routes"`
 }
 
-// BenchJSON writes the result as the {"serve_load": ...} artifact that
-// bench.Ingest understands (BENCH_serve.json).
+// BenchJSON writes the result as one {"serve_load": ...} JSON document,
+// the summary starserve -load -out writes.
 func (r *LoadResult) BenchJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -8,14 +8,16 @@ import (
 	"repro/internal/obs"
 )
 
-// pool is the per-dimension Embedder shard: a fixed set of warmed
-// engines for one S_n behind a buffered channel. Acquire admits up to
-// size concurrent borrowers immediately; beyond that callers queue,
-// and once the queue itself exceeds maxQueue the request is shed so a
-// burst degrades into fast 429s instead of an unbounded latency tail.
+// pool is the per-dimension shard: one Embedder for S_n and a fixed
+// number of slots behind a buffered channel. An Embedder is immutable
+// (dimension, graph and config), so concurrent requests share it and
+// the slots only bound how many embed at once. Acquire admits up to
+// size concurrent holders immediately; beyond that callers queue, and
+// once the queue itself exceeds maxQueue the request is shed so a burst
+// degrades into fast 429s instead of an unbounded latency tail.
 type pool struct {
-	n       int
-	engines chan *core.Embedder
+	eng   *core.Embedder
+	slots chan struct{}
 	// queued counts callers blocked in Acquire; maxQueue <= 0 disables
 	// shedding (unbounded queue).
 	queued   atomic.Int64
@@ -27,51 +29,42 @@ func newPool(n, size, maxQueue int, cfg core.Config, depth *obs.Gauge) (*pool, e
 	if size < 1 {
 		size = 1
 	}
-	p := &pool{n: n, engines: make(chan *core.Embedder, size), maxQueue: maxQueue, depth: depth}
+	e, err := core.NewEmbedder(n, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("serve: pool n=%d: %w", n, err)
+	}
+	p := &pool{eng: e, slots: make(chan struct{}, size), maxQueue: maxQueue, depth: depth}
 	for i := 0; i < size; i++ {
-		e, err := core.NewEmbedder(n, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("serve: pool n=%d: %w", n, err)
-		}
-		p.engines <- e
+		p.slots <- struct{}{}
 	}
 	return p, nil
 }
 
-// warm forces the shared per-dimension caches hot. One engine suffices:
-// the substrate they prime is process-wide.
-func (p *pool) warm() error {
-	e := <-p.engines
-	err := e.Warm()
-	p.engines <- e
-	return err
-}
-
-// acquire borrows an engine, queueing when the shard is busy. It
-// returns ok=false — without blocking — when the queue is already at
-// its admission limit; the caller turns that into a 429.
-func (p *pool) acquire() (*core.Embedder, bool) {
+// acquire takes a slot, queueing when the shard is busy. It returns
+// false — without blocking — when the queue is already at its
+// admission limit; the caller turns that into a 429.
+func (p *pool) acquire() bool {
 	select {
-	case e := <-p.engines:
-		return e, true
+	case <-p.slots:
+		return true
 	default:
 	}
 	q := p.queued.Add(1)
 	if p.maxQueue > 0 && q > int64(p.maxQueue) {
 		p.queued.Add(-1)
-		return nil, false
+		return false
 	}
 	p.depth.Add(1)
-	e := <-p.engines
+	<-p.slots
 	p.depth.Add(-1)
 	p.queued.Add(-1)
-	return e, true
+	return true
 }
 
-// release returns a borrowed engine to the shard.
-func (p *pool) release(e *core.Embedder) { p.engines <- e }
+// release returns a slot to the shard.
+func (p *pool) release() { p.slots <- struct{}{} }
 
-// saturated reports whether every engine is currently borrowed — the
+// saturated reports whether every slot is currently held — the
 // readiness signal: a saturated shard still serves, but new load will
 // queue or shed.
-func (p *pool) saturated() bool { return len(p.engines) == 0 }
+func (p *pool) saturated() bool { return len(p.slots) == 0 }

@@ -1,6 +1,6 @@
 // Package serve is the embedding-as-a-service layer behind
 // cmd/starserve: a stdlib HTTP surface over the sessionful
-// core.Embedder/Plan API with per-dimension embedder pools, admission
+// core.Embedder/Plan API with a bounded pool per dimension, admission
 // control with load shedding, and a request-scoped observability
 // pipeline — every request runs under an obs.Op whose trace id is
 // accepted from and echoed via the X-Star-Trace header, is measured

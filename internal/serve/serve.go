@@ -28,15 +28,16 @@ type Config struct {
 	// MinN..MaxN is the range of served dimensions; one engine pool is
 	// built per dimension. Defaults: 3..7.
 	MinN, MaxN int
-	// PoolSize is the number of Embedders per dimension (default 2).
+	// PoolSize is the number of requests per dimension that embed at
+	// once (default 2); more queue for a slot.
 	PoolSize int
 	// MaxInflight caps concurrently admitted requests across all routes;
 	// beyond it requests are shed with 429. <= 0 disables the cap.
 	MaxInflight int
-	// MaxQueue caps callers queued per pool shard waiting for an engine;
+	// MaxQueue caps callers queued per pool shard waiting for a slot;
 	// beyond it requests are shed with 429. <= 0 disables the cap.
 	MaxQueue int
-	// BestEffort and VerifyRepairs seed the pooled engines' core.Config
+	// BestEffort and VerifyRepairs seed the shared engines' core.Config
 	// (a request's best_effort flag can still override per call via
 	// Embedder.Reuse).
 	BestEffort    bool
@@ -167,7 +168,7 @@ func (s *Server) Warm() error {
 	s.warming.Set(1)
 	defer s.warming.Set(0)
 	for n := s.cfg.MinN; n <= s.cfg.MaxN; n++ {
-		if err := s.pools[n].warm(); err != nil {
+		if err := s.pools[n].eng.Warm(); err != nil {
 			return fmt.Errorf("serve: warm n=%d: %w", n, err)
 		}
 	}
@@ -264,24 +265,25 @@ func statusFor(err error) int {
 	return http.StatusInternalServerError
 }
 
-// session runs fn with a pooled engine for req's dimension, embedding
-// req.Faults first — the shared prologue of every API route. It
-// handles the unserved-dimension 400, the queue-shed 429, and the
-// embed-error mapping; fn only sees a healthy plan.
+// session runs fn on a plan for req, embedding req.Faults under one of
+// the dimension's pool slots — the shared prologue of every API route.
+// It handles the unserved-dimension 400, the queue-shed 429, and the
+// embed-error mapping; fn only sees a healthy plan, and runs before
+// the slot is released.
 func (s *Server) session(w http.ResponseWriter, req *Request, op *obs.Op,
-	fn func(eng *core.Embedder, plan *core.Plan) (int, error)) (int, int, error) {
+	fn func(plan *core.Plan) (int, error)) (int, int, error) {
 	p := s.pool(req.N)
 	if p == nil {
 		err := fmt.Errorf("%w: n=%d outside [%d,%d]", s.errNoPool, req.N, s.cfg.MinN, s.cfg.MaxN)
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return req.N, http.StatusBadRequest, err
 	}
-	eng, ok := p.acquire()
-	if !ok {
+	if !p.acquire() {
 		code, err := s.shedRequest(w)
 		return req.N, code, err
 	}
-	defer p.release(eng)
+	defer p.release()
+	eng := p.eng
 	if req.BestEffort != eng.Config().BestEffort {
 		cfg := eng.Config()
 		cfg.BestEffort = req.BestEffort
@@ -293,7 +295,7 @@ func (s *Server) session(w http.ResponseWriter, req *Request, op *obs.Op,
 		http.Error(w, err.Error(), code)
 		return req.N, code, err
 	}
-	code, err := fn(eng, plan)
+	code, err := fn(plan)
 	return req.N, code, err
 }
 
@@ -329,7 +331,7 @@ func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request, op *obs.Op)
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return 0, http.StatusBadRequest, err
 	}
-	return s.session(w, req, op, func(_ *core.Embedder, plan *core.Plan) (int, error) {
+	return s.session(w, req, op, func(plan *core.Plan) (int, error) {
 		res := plan.Result()
 		return writeJSON(w, embedResponse{
 			N: req.N, Length: res.Len(),
@@ -352,7 +354,7 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request, op *obs.Op
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return 0, http.StatusBadRequest, err
 	}
-	return s.session(w, req, op, func(_ *core.Embedder, plan *core.Plan) (int, error) {
+	return s.session(w, req, op, func(plan *core.Plan) (int, error) {
 		old := plan.RingLen()
 		rep, err := plan.RepairOp(op, req.V)
 		if err != nil {
@@ -373,27 +375,34 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request, op *obs.Op
 
 // handleRing answers GET /ring?n=6&fv=... with the full ring, one
 // vertex per line in permutation notation, streamed through the
-// plan's cursor.
+// plan's cursor. The stream runs after session releases its pool
+// slot, so a slow reader holds only its own plan, never the shard.
 func (s *Server) handleRing(w http.ResponseWriter, r *http.Request, op *obs.Op) (int, int, error) {
 	req, err := ParseRequest(r.URL.Query())
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return 0, http.StatusBadRequest, err
 	}
-	return s.session(w, req, op, func(_ *core.Embedder, plan *core.Plan) (int, error) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		c := plan.Cursor()
-		for {
-			v, ok := c.Next()
-			if !ok {
-				break
-			}
-			if _, err := fmt.Fprintln(w, v.StringN(req.N)); err != nil {
-				return http.StatusOK, err // client went away mid-stream
-			}
-		}
-		return http.StatusOK, c.Err()
+	var plan *core.Plan
+	n, code, err := s.session(w, req, op, func(p *core.Plan) (int, error) {
+		plan = p
+		return http.StatusOK, nil
 	})
+	if plan == nil {
+		return n, code, err
+	}
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	c := plan.Cursor()
+	for {
+		v, ok := c.Next()
+		if !ok {
+			break
+		}
+		if _, err := fmt.Fprintln(w, v.StringN(req.N)); err != nil {
+			return n, http.StatusOK, err // client went away mid-stream
+		}
+	}
+	return n, http.StatusOK, c.Err()
 }
 
 // handleChaos (only routed under Config.Chaos) fails deterministically
@@ -430,7 +439,7 @@ func (s *Server) health() healthState {
 		p := s.pools[n]
 		sat := p.saturated()
 		saturated = saturated && sat
-		h.Pools = append(h.Pools, poolHealth{N: n, Size: cap(p.engines), Saturated: sat})
+		h.Pools = append(h.Pools, poolHealth{N: n, Size: cap(p.slots), Saturated: sat})
 	}
 	overAdmission := s.cfg.MaxInflight > 0 && h.Inflight >= int64(s.cfg.MaxInflight)
 	h.Ready = !h.Warming && !saturated && !overAdmission

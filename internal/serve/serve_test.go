@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/obs/export"
@@ -240,9 +241,8 @@ func TestQueueShed(t *testing.T) {
 	defer ts.Close()
 
 	p := s.pools[4]
-	eng, ok := p.acquire()
-	if !ok {
-		t.Fatal("test could not borrow the only engine")
+	if !p.acquire() {
+		t.Fatal("test could not take the only slot")
 	}
 
 	// First request queues behind the borrowed engine...
@@ -272,9 +272,62 @@ func TestQueueShed(t *testing.T) {
 		t.Fatalf("queued-out /embed: %d, want 429", resp.StatusCode)
 	}
 
-	p.release(eng)
+	p.release()
 	if code := <-done; code != http.StatusOK {
 		t.Fatalf("queued /embed finished with %d, want 200", code)
+	}
+}
+
+// stalledWriter is a ResponseWriter whose Write blocks until unblock is
+// closed, like a client that stopped reading; writing closes at the
+// first Write.
+type stalledWriter struct {
+	header           http.Header
+	writing, unblock chan struct{}
+	once             sync.Once
+}
+
+func (w *stalledWriter) Header() http.Header { return w.header }
+func (w *stalledWriter) WriteHeader(int)     {}
+func (w *stalledWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() { close(w.writing) })
+	<-w.unblock
+	return len(p), nil
+}
+
+// A /ring client that stops reading must not hold the dimension's only
+// pool slot: the stream runs after the slot is released.
+func TestStalledRingReaderFreesPool(t *testing.T) {
+	s, _, _ := testServer(t, Config{MinN: 5, MaxN: 5, PoolSize: 1})
+	w := &stalledWriter{header: http.Header{}, writing: make(chan struct{}), unblock: make(chan struct{})}
+	ringDone := make(chan struct{})
+	go func() {
+		defer close(ringDone)
+		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/ring?n=5", nil))
+	}()
+	t.Cleanup(func() {
+		close(w.unblock)
+		<-ringDone
+	})
+	select {
+	case <-w.writing:
+	case <-time.After(5 * time.Second):
+		t.Fatal("/ring never started streaming")
+	}
+
+	embed := make(chan int, 1)
+	go func() {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/embed?n=5", nil))
+		embed <- rec.Code
+	}()
+	select {
+	case code := <-embed:
+		if code != http.StatusOK {
+			t.Fatalf("/embed beside a stalled /ring = %d, want 200", code)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("/embed got no answer within 5 s while a /ring reader stalled")
 	}
 }
 
@@ -307,14 +360,14 @@ func TestHealthAndReadiness(t *testing.T) {
 	}
 	s.warming.Set(0)
 
-	eng, _ := s.pools[4].acquire()
+	s.pools[4].acquire()
 	if got := status("/readyz"); got != http.StatusServiceUnavailable {
 		t.Fatalf("saturated /readyz = %d, want 503", got)
 	}
 	if got := status("/healthz"); got != http.StatusOK {
 		t.Fatalf("saturated /healthz = %d, want 200 (still alive)", got)
 	}
-	s.pools[4].release(eng)
+	s.pools[4].release()
 	if got := status("/readyz"); got != http.StatusOK {
 		t.Fatalf("recovered /readyz = %d", got)
 	}
