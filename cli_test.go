@@ -128,7 +128,7 @@ func TestCLIRejectsBadDimensionAndFaultCount(t *testing.T) {
 		t.Skip("spawns the go tool")
 	}
 	bin := t.TempDir()
-	runGo(t, "build", "-o", bin+string(filepath.Separator), "./cmd/starring", "./cmd/starviz", "./cmd/starinfo")
+	runGo(t, "build", "-o", bin+string(filepath.Separator), "./cmd/starring", "./cmd/starviz", "./cmd/starinfo", "./cmd/starsweep")
 	for _, c := range []struct {
 		cmd  string
 		args []string
@@ -145,7 +145,12 @@ func TestCLIRejectsBadDimensionAndFaultCount(t *testing.T) {
 			"starring: -algo tseng embeds rings; path mode runs the paper construction only"},
 		{"starring", []string{"-n", "5", "-path-from", "12345", "-path-to", "54321", "-algo", "latifi"}, "-algo latifi embeds rings"},
 		{"starring", []string{"-n", "5", "-path-from", "12345", "-path-to", "54321", "-algo", "bogus"}, "-algo bogus embeds rings"},
+		{"starring", []string{"-n", "5", "-random", "3", "-faults", "-3"}, "starring: -random/-faults -3 is negative"},
+		{"starring", []string{"-n", "5", "-random", "-1"}, "starring: -random/-faults -1 is negative"},
 		{"starviz", []string{"-n", "3", "-random", "7"}, "starviz: -random 7 exceeds the 6 vertices of S_3"},
+		{"starviz", []string{"-n", "4", "-random", "-1"}, "starviz: -random -1 is negative"},
+		{"starsweep", []string{"-seeds", "-3", "-exp", "T1"}, "starsweep: -seeds -3: need at least one fault set per configuration"},
+		{"starsweep", []string{"-seeds", "0", "-exp", "T1"}, "starsweep: -seeds 0: need at least one"},
 		{"starviz", []string{"-n", "17", "-random", "1"}, "starviz: -n 17 out of range [1,16]"},
 		{"starinfo", []string{"-n", "0"}, "starinfo: -n 0 out of range [1,16]"},
 		{"starinfo", []string{"-n", "17"}, "starinfo: -n 17 out of range [1,16]"},
@@ -274,7 +279,16 @@ func TestCLIStarsweepJSON(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns the go tool")
 	}
-	out := runGo(t, "run", "./cmd/starsweep", "-quick", "-exp", "F2", "-json")
+	// The document is standard output alone: -metrics-json confirms its
+	// dump on standard error.
+	dump := filepath.Join(t.TempDir(), "metrics.json")
+	cmd := exec.Command("go", "run", "./cmd/starsweep", "-quick", "-exp", "F2", "-json", "-metrics-json", dump)
+	cmd.Dir = repoRoot(t)
+	stdout, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("starsweep -json -metrics-json: %v", err)
+	}
+	out := string(stdout)
 	var doc struct {
 		Experiments []struct {
 			ID      string   `json:"id"`
@@ -307,6 +321,37 @@ func TestCLIStarsweepJSON(t *testing.T) {
 	}
 	if row[4].Text == "" {
 		t.Errorf("time column lost its rendered text: %+v", row[4])
+	}
+
+	// -metrics-json dumps the sweep's registry: one harness.exp.F2 span,
+	// both as a histogram and as an event.
+	data, err := os.ReadFile(dump)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var metrics struct {
+		Histograms map[string]struct {
+			Count int64 `json:"count"`
+		} `json:"histograms"`
+		Events []struct {
+			Name  string `json:"name"`
+			DurNS int64  `json:"dur_ns"`
+		} `json:"events"`
+	}
+	if err := json.Unmarshal(data, &metrics); err != nil {
+		t.Fatalf("-metrics-json dump is not valid JSON: %v", err)
+	}
+	if got := metrics.Histograms["harness.exp.F2"].Count; got != 1 {
+		t.Errorf("harness.exp.F2 histogram count = %d, want 1", got)
+	}
+	spans := 0
+	for _, e := range metrics.Events {
+		if e.Name == "harness.exp.F2" && e.DurNS > 0 {
+			spans++
+		}
+	}
+	if spans != 1 {
+		t.Errorf("%d harness.exp.F2 span events, want 1", spans)
 	}
 }
 

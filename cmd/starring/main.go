@@ -97,6 +97,9 @@ func main() {
 	if *n < 3 || *n > perm.MaxN {
 		fatal(fmt.Errorf("-n %d out of range [3,%d]", *n, perm.MaxN))
 	}
+	if *random < 0 || *faultsN < 0 {
+		fatal(fmt.Errorf("-random/-faults %d is negative", min(*random, *faultsN)))
+	}
 	k := *random + *faultsN
 	if order := perm.Factorial(*n); k > order {
 		fatal(fmt.Errorf("-random/-faults %d exceeds the %d vertices of S_%d", k, order, *n))

@@ -11,9 +11,8 @@
 //	          [-cpuprofile path] [-memprofile path]
 //
 // -json emits the selected tables as one JSON document,
-// {"experiments": [...]}, for downstream tooling (scripts/bench.sh
-// archives the quick F2 sweep this way). -debug-addr serves expvar,
-// pprof and an OpenMetrics endpoint (/metrics) during the sweep;
+// {"experiments": [...]}, for downstream tooling. -debug-addr serves
+// expvar, pprof and an OpenMetrics endpoint (/metrics) during the sweep;
 // -metrics-json dumps per-experiment timing spans (harness.exp.<ID>)
 // and the embedder's phase metrics when the sweep finishes.
 // -series-json samples the registry every -series-period (default 1s)
@@ -58,6 +57,9 @@ func main() {
 
 	if *markdown && *jsonOut {
 		fatal(fmt.Errorf("-markdown and -json are mutually exclusive"))
+	}
+	if *seeds < 1 {
+		fatal(fmt.Errorf("-seeds %d: need at least one fault set per configuration", *seeds))
 	}
 
 	if *cpuProfile != "" {

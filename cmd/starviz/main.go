@@ -39,6 +39,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "starviz: -n %d out of range [1,%d]\n", *n, perm.MaxN)
 		os.Exit(1)
 	}
+	if *random < 0 {
+		fmt.Fprintf(os.Stderr, "starviz: -random %d is negative\n", *random)
+		os.Exit(1)
+	}
 	if order := perm.Factorial(*n); *random > order {
 		fmt.Fprintf(os.Stderr, "starviz: -random %d exceeds the %d vertices of S_%d\n", *random, order, *n)
 		os.Exit(1)
