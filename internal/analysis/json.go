@@ -8,8 +8,8 @@ import (
 )
 
 // diagJSON is the machine-readable diagnostic shape emitted by
-// `starlint -json`: one array of these, so CI can archive findings
-// alongside BENCH_record.json and diff them across revisions.
+// `starlint -json`: one array of these, so tools can read findings and
+// diff them across revisions.
 type diagJSON struct {
 	File     string `json:"file"`
 	Line     int    `json:"line"`

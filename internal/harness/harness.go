@@ -20,7 +20,7 @@ import (
 )
 
 // Cell is one table cell: the rendered text plus the typed value it
-// came from, so machine consumers (starsweep -json, cmd/starbench) read
+// came from, so machine consumers (starsweep -json) read
 // numbers instead of re-parsing "150µs"-style strings. Exactly one of
 // Num/NS is set for numeric cells; plain text cells carry neither.
 type Cell struct {

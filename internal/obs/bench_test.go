@@ -84,8 +84,8 @@ func BenchmarkSpanEnabledWithOp(b *testing.B) {
 // BenchmarkFamilyWith prices a live labeled lookup: MakeLabels over the
 // variadic pairs, the canonical-key encode, and the slot-map hit. Hot
 // paths that care pre-resolve the handle once instead (see
-// BenchmarkFamilyWithHeld); bench.sh archives this next to the disabled
-// path so the With cost stays visible release over release.
+// BenchmarkFamilyWithHeld). The disabled path, BenchmarkFamilyWithDisabled,
+// must not allocate; TestVecDisabledAllocs asserts it.
 func BenchmarkFamilyWith(b *testing.B) {
 	r := NewRegistry()
 	v := r.CounterVec("bench.family", "n", "mode")
