@@ -118,11 +118,12 @@ func TestCLIStarviz(t *testing.T) {
 	}
 }
 
-// TestCLIRejectsBadDimensionAndFaultCount pins that starring, starviz
-// and starinfo neither hang nor panic on an out-of-range -n or on more
-// random faults than S_n has vertices, and that starring's path mode
-// rejects the ring-only -save and -algo: each run must exit non-zero
-// with a one-line error well inside its deadline.
+// TestCLIRejectsBadDimensionAndFaultCount pins that starring, starviz,
+// starinfo and starsweep neither hang nor panic on an out-of-range
+// dimension (-n, -maxn), on more random faults than S_n has vertices
+// or on an edge fault between vertices of another S_n, and that
+// starring's path mode rejects the ring-only -save and -algo: each run
+// must exit non-zero with a one-line error well inside its deadline.
 func TestCLIRejectsBadDimensionAndFaultCount(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns the go tool")
@@ -151,6 +152,11 @@ func TestCLIRejectsBadDimensionAndFaultCount(t *testing.T) {
 		{"starviz", []string{"-n", "4", "-random", "-1"}, "starviz: -random -1 is negative"},
 		{"starsweep", []string{"-seeds", "-3", "-exp", "T1"}, "starsweep: -seeds -3: need at least one fault set per configuration"},
 		{"starsweep", []string{"-seeds", "0", "-exp", "T1"}, "starsweep: -seeds 0: need at least one"},
+		{"starsweep", []string{"-maxn", "-1", "-exp", "F2"}, "starsweep: -maxn -1 out of range [4,16]"},
+		{"starsweep", []string{"-maxn", "0", "-exp", "T1"}, "starsweep: -maxn 0 out of range [4,16]"},
+		{"starsweep", []string{"-maxn", "3", "-exp", "F1"}, "starsweep: -maxn 3 out of range [4,16]"},
+		{"starsweep", []string{"-maxn", "17", "-exp", "T1"}, "starsweep: -maxn 17 out of range [4,16]"},
+		{"starring", []string{"-n", "6", "-fe", "1234567-2134567"}, `starring: faults: "1234567" has dimension 7, want 6`},
 		{"starviz", []string{"-n", "17", "-random", "1"}, "starviz: -n 17 out of range [1,16]"},
 		{"starinfo", []string{"-n", "0"}, "starinfo: -n 0 out of range [1,16]"},
 		{"starinfo", []string{"-n", "17"}, "starinfo: -n 17 out of range [1,16]"},
@@ -402,19 +408,20 @@ func TestCLIStarinfoDisjoint(t *testing.T) {
 }
 
 // TestCLIStarringExport exercises the export flags end to end: the
-// Perfetto trace and NDJSON event log must validate through the same
-// checkers starmon and CI use.
+// flight bundle's Perfetto trace and the NDJSON event log must
+// validate through the same checkers starmon and CI use.
 func TestCLIStarringExport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns the go tool")
 	}
 	dir := t.TempDir()
-	trace := filepath.Join(dir, "trace.json")
+	flight := filepath.Join(dir, "flight")
+	trace := filepath.Join(flight, export.FlightTraceName)
 	events := filepath.Join(dir, "events.ndjson")
 	out := runGo(t, "run", "./cmd/starring", "-n", "6", "-faults", "2", "-seed", "1",
-		"-trace-out", trace, "-events-out", events)
-	if !strings.Contains(out, "trace written to "+trace) {
-		t.Errorf("missing trace confirmation:\n%s", out)
+		"-flight-dump", flight, "-events-out", events)
+	if !strings.Contains(out, "flight bundle written to "+flight) {
+		t.Errorf("missing flight confirmation:\n%s", out)
 	}
 
 	out = runGo(t, "run", "./cmd/starmon", "-check-trace", trace)
@@ -427,18 +434,18 @@ func TestCLIStarringExport(t *testing.T) {
 	}
 }
 
-// TestCLIStarsweepSeries checks -series-json and -trace-out on the
-// sweep driver plus starmon's OpenMetrics checker against a saved
-// scrape from the sweep registry.
+// TestCLIStarsweepSeries checks -series-json and the flight bundle's
+// Perfetto trace on the sweep driver.
 func TestCLIStarsweepSeries(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns the go tool")
 	}
 	dir := t.TempDir()
 	series := filepath.Join(dir, "series.json")
-	trace := filepath.Join(dir, "trace.json")
+	flight := filepath.Join(dir, "flight")
+	trace := filepath.Join(flight, export.FlightTraceName)
 	runGo(t, "run", "./cmd/starsweep", "-quick", "-exp", "F2",
-		"-series-json", series, "-series-period", "10ms", "-trace-out", trace)
+		"-series-json", series, "-series-period", "10ms", "-flight-dump", flight)
 
 	raw, err := os.ReadFile(series)
 	if err != nil {
@@ -478,20 +485,21 @@ func TestCLIStarsweepSeries(t *testing.T) {
 }
 
 // TestCLIStarringFlight is the causal-tracing acceptance run: a single
-// starring invocation emitting events, trace and flight bundle, where
-// every core.* event's trace id resolves to a span in the Perfetto
-// trace, the metrics snapshot carries an OpenMetrics exemplar, and
-// starmon validates the event log and renders the post-mortem.
+// starring invocation emitting events and the flight bundle, where
+// every core.* event's trace id resolves to a span in the bundle's
+// Perfetto trace, the metrics snapshot carries an OpenMetrics
+// exemplar, and starmon validates the event log and renders the
+// post-mortem.
 func TestCLIStarringFlight(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns the go tool")
 	}
 	dir := t.TempDir()
-	trace := filepath.Join(dir, "trace.json")
 	events := filepath.Join(dir, "events.ndjson")
 	flight := filepath.Join(dir, "flight")
+	trace := filepath.Join(flight, export.FlightTraceName)
 	out := runGo(t, "run", "./cmd/starring", "-n", "6", "-faults", "2", "-seed", "1",
-		"-trace-out", trace, "-events-out", events, "-flight-dump", flight)
+		"-events-out", events, "-flight-dump", flight)
 	if !strings.Contains(out, "flight bundle written to "+flight) {
 		t.Errorf("missing flight confirmation:\n%s", out)
 	}

@@ -38,7 +38,6 @@ import (
 	"net/http"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -73,6 +72,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if *interval <= 0 {
+		*interval = time.Second
+	}
+	o := watchOpts{
+		target:   *attach,
+		series:   *series,
+		rules:    *rules,
+		interval: *interval,
+		frames:   *frames,
+		retries:  *retries,
+		backoff:  *retryBackoff,
+	}
 
 	if *watch {
 		for _, m := range []string{*replay, *checkMetrics, *checkTrace, *checkEvents, *postmortem} {
@@ -81,15 +92,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				return 2
 			}
 		}
-		return runWatch(stdout, stderr, watchOpts{
-			target:   *attach,
-			series:   *series,
-			rules:    *rules,
-			interval: *interval,
-			frames:   *frames,
-			retries:  *retries,
-			backoff:  *retryBackoff,
-		})
+		return runWatch(stdout, stderr, o)
 	}
 
 	modes := 0
@@ -117,7 +120,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *replay != "":
 		err = runReplay(stdout, *replay)
 	default:
-		err = runAttach(stdout, *attach, *interval, *frames, *retries, *retryBackoff)
+		err = runAttach(stdout, o)
 	}
 	if err != nil {
 		fmt.Fprintln(stderr, "starmon:", err)
@@ -147,15 +150,14 @@ func runCheckMetrics(w io.Writer, src, wantLabel string) error {
 	if err != nil {
 		return err
 	}
-	families, exemplars, err := export.ValidateOpenMetricsDetail(data)
+	page, err := export.ParseOpenMetrics(data)
 	if err != nil {
 		return fmt.Errorf("%s: %w", src, err)
 	}
 	labeled := 0
 	if wantLabel != "" {
-		samples, _, _ := parseExposition(data)
 		needle := wantLabel + `="`
-		for name := range samples {
+		for name := range page.Samples {
 			if i := strings.IndexByte(name, '{'); i >= 0 && strings.Contains(name[i:], needle) {
 				labeled++
 			}
@@ -164,7 +166,7 @@ func runCheckMetrics(w io.Writer, src, wantLabel string) error {
 			return fmt.Errorf("%s: no sample carries label %q", src, wantLabel)
 		}
 	}
-	fmt.Fprintf(w, "openmetrics ok: %d metric families, %d exemplars", families, exemplars)
+	fmt.Fprintf(w, "openmetrics ok: %d metric families, %d exemplars", page.Families, page.Exemplars)
 	if wantLabel != "" {
 		fmt.Fprintf(w, ", %d samples labeled %s", labeled, wantLabel)
 	}
@@ -273,12 +275,12 @@ func runPostmortem(w io.Writer, path string) error {
 	if err != nil {
 		return fmt.Errorf("%s: trace: %w", path, err)
 	}
-	families, exemplars, err := export.ValidateOpenMetricsDetail(b.Metrics)
+	page, err := export.ParseOpenMetrics(b.Metrics)
 	if err != nil {
 		return fmt.Errorf("%s: metrics: %w", path, err)
 	}
 	fmt.Fprintf(w, "flight bundle %s: %d events, %d spans, %d metric families, %d exemplars\n",
-		path, len(b.Events), complete, families, exemplars)
+		path, len(b.Events), complete, page.Families, page.Exemplars)
 
 	// Spans per trace, in the exporter's time order.
 	var tr export.Trace
@@ -368,36 +370,41 @@ func formatFields(fields map[string]interface{}) string {
 	return sb.String()
 }
 
-// runAttach polls the target's /metrics endpoint and renders one frame
-// per interval: counter rates against the previous frame, gauge values,
-// and summary quantiles. Scrape failures are retried with bounded
+// runAttach renders one frame per scrape: counter rates against the
+// previous frame, gauge values, and summary quantiles.
+func runAttach(w io.Writer, o watchOpts) error {
+	var prev map[string]float64
+	return poll(o, func(frame int, page *export.Exposition) {
+		renderFrame(w, frame, o.interval, page.Samples, prev, page.Types, page.Traces)
+		prev = page.Samples
+	})
+}
+
+// poll scrapes the target's /metrics once per interval, o.frames times
+// (0 = until interrupted), and hands each page, validated and read in
+// one pass, to fn. Scrape failures are retried with bounded
 // exponential backoff — a monitor should outlive a restarting target —
-// and only abort the frame loop once the retry budget is spent.
-func runAttach(w io.Writer, target string, interval time.Duration, frames, retries int, backoff time.Duration) error {
+// and only abort the loop once the retry budget is spent.
+func poll(o watchOpts, fn func(frame int, page *export.Exposition)) error {
+	target := o.target
 	if !strings.HasPrefix(target, "http://") && !strings.HasPrefix(target, "https://") {
 		target = "http://" + target
 	}
 	url := strings.TrimSuffix(target, "/") + "/metrics"
-	if interval <= 0 {
-		interval = time.Second
-	}
-
-	var prev map[string]float64
-	for frame := 1; frames == 0 || frame <= frames; frame++ {
-		data, err := fetchRetry(url, retries, backoff)
+	for frame := 1; o.frames == 0 || frame <= o.frames; frame++ {
+		data, err := fetchRetry(url, o.retries, o.backoff)
 		if err != nil {
 			return err
 		}
-		if _, err := export.ValidateOpenMetrics(data); err != nil {
+		page, err := export.ParseOpenMetrics(data)
+		if err != nil {
 			return fmt.Errorf("%s: %w", url, err)
 		}
-		cur, kinds, exemplars := parseExposition(data)
-		renderFrame(w, frame, interval, cur, prev, kinds, exemplars)
-		prev = cur
-		if frames != 0 && frame == frames {
+		fn(frame, page)
+		if o.frames != 0 && frame == o.frames {
 			break
 		}
-		time.Sleep(interval)
+		time.Sleep(o.interval)
 	}
 	return nil
 }
@@ -426,62 +433,6 @@ func fetchRetry(src string, retries int, backoff time.Duration) ([]byte, error) 
 			backoff *= 2
 		}
 	}
-}
-
-// parseExposition reads an OpenMetrics text page into sample values
-// keyed by full sample name (labels included), each family's TYPE, and
-// any exemplar trace ids keyed by the sample they annotate.
-func parseExposition(data []byte) (samples map[string]float64, kinds, exemplars map[string]string) {
-	samples = map[string]float64{}
-	kinds = map[string]string{}
-	exemplars = map[string]string{}
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || line == "# EOF" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			fields := strings.Fields(line)
-			if len(fields) >= 4 && fields[1] == "TYPE" {
-				kinds[fields[2]] = fields[3]
-			}
-			continue
-		}
-		// An exemplar clause (` # {trace_id="..."} value`) must come off
-		// before the `} ` name/value split below, or its closing brace
-		// would masquerade as the end of the label set.
-		var exemplar string
-		if ex := strings.Index(line, " # {"); ex >= 0 {
-			exemplar = line[ex+4:]
-			line = line[:ex]
-			if end := strings.IndexByte(exemplar, '}'); end >= 0 {
-				exemplar = exemplar[:end]
-			}
-		}
-		// `name{labels} value [timestamp]` or `name value [timestamp]`.
-		cut := strings.LastIndex(line, "} ")
-		var name, rest string
-		if cut >= 0 {
-			name, rest = line[:cut+1], strings.TrimSpace(line[cut+2:])
-		} else {
-			sp := strings.IndexByte(line, ' ')
-			if sp < 0 {
-				continue
-			}
-			name, rest = line[:sp], strings.TrimSpace(line[sp+1:])
-		}
-		val := rest
-		if sp := strings.IndexByte(rest, ' '); sp >= 0 {
-			val = rest[:sp]
-		}
-		if v, err := strconv.ParseFloat(val, 64); err == nil {
-			samples[name] = v
-			if tr, ok := strings.CutPrefix(exemplar, `trace_id="`); ok {
-				exemplars[name] = strings.TrimSuffix(tr, `"`)
-			}
-		}
-	}
-	return samples, kinds, exemplars
 }
 
 // renderFrame prints one monitor frame. Counter families get a

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -74,9 +75,7 @@ func TestRunCheckTrace(t *testing.T) {
 	sp.End()
 
 	path := filepath.Join(t.TempDir(), "trace.json")
-	if err := export.WriteTraceFile(path, rec.SpanEvents()); err != nil {
-		t.Fatal(err)
-	}
+	writeTrace(t, path, rec.SpanEvents())
 
 	var out, errOut strings.Builder
 	if code := run([]string{"-check-trace", path}, &out, &errOut); code != 0 {
@@ -89,11 +88,21 @@ func TestRunCheckTrace(t *testing.T) {
 	// A span-free trace is structurally valid JSON but useless; the
 	// checker demands at least one complete event.
 	empty := filepath.Join(t.TempDir(), "empty.json")
-	if err := export.WriteTraceFile(empty, nil); err != nil {
-		t.Fatal(err)
-	}
+	writeTrace(t, empty, nil)
 	if code := run([]string{"-check-trace", empty}, &out, &errOut); code != 1 {
 		t.Errorf("empty trace: exit %d, want 1", code)
+	}
+}
+
+// writeTrace saves the spans as a Perfetto trace file.
+func writeTrace(t *testing.T, path string, events []obs.Event) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := export.WriteTrace(&buf, events); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -420,26 +429,6 @@ func TestRunAttachRendersExemplars(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "trace="+trace.String()) {
 		t.Errorf("frame does not surface the exemplar trace:\n%s", out.String())
-	}
-}
-
-func TestParseExpositionExemplar(t *testing.T) {
-	page := []byte("# TYPE t_op_run summary\n" +
-		"t_op_run{quantile=\"0.5\"} 0.001\n" +
-		"t_op_run{quantile=\"0.95\"} 0.002 # {trace_id=\"00000000000000ff\"} 0.002\n" +
-		"# EOF\n")
-	samples, kinds, exemplars := parseExposition(page)
-	if v := samples[`t_op_run{quantile="0.95"}`]; v != 0.002 {
-		t.Errorf("exemplar line parsed to %v, want 0.002 (samples: %v)", v, samples)
-	}
-	if kinds["t_op_run"] != "summary" {
-		t.Errorf("kinds = %v", kinds)
-	}
-	if exemplars[`t_op_run{quantile="0.95"}`] != "00000000000000ff" {
-		t.Errorf("exemplars = %v", exemplars)
-	}
-	if _, ok := exemplars[`t_op_run{quantile="0.5"}`]; ok {
-		t.Error("exemplar invented for a plain line")
 	}
 }
 

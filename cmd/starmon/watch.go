@@ -34,6 +34,8 @@ const (
 	watchUnreachable = 2
 )
 
+// watchOpts carries the -watch flags; -attach shares its polling half
+// (target, interval, frames, retries, backoff) through poll.
 type watchOpts struct {
 	target   string // live /metrics host:port or URL ("" = replay)
 	series   string // replayed series file ("" = live)
@@ -111,35 +113,13 @@ func (w *watcher) step(t int64, samples map[string]float64) {
 	}
 }
 
-// live polls the target's /metrics like -attach does, feeding each
-// scrape into the engine. Scrape failures burn the retry budget and
-// then surface as unreachable.
+// live feeds each scrape of the target's /metrics into the engine, as
+// -attach polls it. Scrape failures burn the retry budget and then
+// surface as unreachable.
 func (w *watcher) live(o watchOpts) error {
-	target := o.target
-	if !strings.HasPrefix(target, "http://") && !strings.HasPrefix(target, "https://") {
-		target = "http://" + target
-	}
-	url := strings.TrimSuffix(target, "/") + "/metrics"
-	interval := o.interval
-	if interval <= 0 {
-		interval = time.Second
-	}
-	for frame := 1; o.frames == 0 || frame <= o.frames; frame++ {
-		data, err := fetchRetry(url, o.retries, o.backoff)
-		if err != nil {
-			return err
-		}
-		if _, err := export.ValidateOpenMetrics(data); err != nil {
-			return fmt.Errorf("%s: %w", url, err)
-		}
-		samples, _, _ := parseExposition(data)
-		w.step(obs.Wall.Now().UnixNano(), samples)
-		if o.frames != 0 && frame == o.frames {
-			break
-		}
-		time.Sleep(interval)
-	}
-	return nil
+	return poll(o, func(_ int, page *export.Exposition) {
+		w.step(obs.Wall.Now().UnixNano(), page.Samples)
+	})
 }
 
 // replay drives the engine from a recorded series file: either an

@@ -21,18 +21,18 @@
 // per-phase durations, S4 cache activity and junction backtracks (see
 // the README's Observability section).
 // Spans and log lines go to one flight recorder, a ring of the most
-// recent 1024 entries: -trace-out writes its spans as a Chrome
-// trace_event JSON file loadable in Perfetto, the -metrics-json events
-// are its spans too, and -events-out streams every log line (core.embed,
-// core.repair, ...) to a file as NDJSON the moment it is recorded;
-// -hold keeps the process (and its debug server) alive for the given
-// duration after the run so an external scraper can pull /metrics.
+// recent 1024 entries: the -metrics-json events are its spans, and
+// -events-out streams every log line (core.embed, core.repair, ...) to
+// a file as NDJSON the moment it is recorded; -hold keeps the process
+// (and its debug server) alive for the given duration after the run so
+// an external scraper can pull /metrics.
 //
 // -flight-dump keeps the flight recorder's bundle: the ring's log
-// lines and spans and a metrics snapshot land in the given directory
-// at exit — and immediately on an embed error, so a failed run still
-// leaves its post-mortem (render it with starmon -postmortem; the live
-// form is served at /debug/flight as a tar).
+// lines, its spans as a Chrome trace_event JSON file loadable in
+// Perfetto (flight-trace.json) and a metrics snapshot land in the given
+// directory at exit — and immediately on an embed error, so a failed
+// run still leaves its post-mortem (render it with starmon -postmortem;
+// the live form is served at /debug/flight as a tar).
 //
 // -cpuprofile captures a CPU profile whose samples carry phase labels
 // (phase=embed, phase=splice, ...) — `go tool pprof -tagfocus
@@ -49,18 +49,14 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
 	"strings"
-	"time"
 
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/obs"
 	"repro/internal/obs/export"
-	"repro/internal/obs/prof"
 	"repro/internal/perm"
 	"repro/internal/ringio"
 )
@@ -82,7 +78,6 @@ func main() {
 
 		debugAddr   = flag.String("debug-addr", "", "serve expvar, pprof and /metrics on this address (e.g. localhost:6060)")
 		metricsJSON = flag.String("metrics-json", "", "write the run's metrics as JSON to this file")
-		traceOut    = flag.String("trace-out", "", "write the run's spans as Chrome trace_event JSON (Perfetto) to this file")
 		eventsOut   = flag.String("events-out", "", "write structured NDJSON events to this file")
 		cpuProfile  = flag.String("cpuprofile", "", "write a phase-labeled CPU profile of the run to this file")
 		memProfile  = flag.String("memprofile", "", "write a post-run heap profile to this file")
@@ -122,19 +117,7 @@ func main() {
 	}
 	if *fe != "" {
 		for _, s := range strings.Split(*fe, ",") {
-			uv := strings.SplitN(strings.TrimSpace(s), "-", 2)
-			if len(uv) != 2 {
-				fatal(fmt.Errorf("bad edge %q, want u-v", s))
-			}
-			u, err := perm.Parse(uv[0])
-			if err != nil {
-				fatal(err)
-			}
-			v, err := perm.Parse(uv[1])
-			if err != nil {
-				fatal(err)
-			}
-			if err := fs.AddEdge(perm.Pack(u), perm.Pack(v)); err != nil {
+			if err := fs.AddEdgeString(strings.TrimSpace(s)); err != nil {
 				fatal(err)
 			}
 		}
@@ -146,9 +129,14 @@ func main() {
 		}
 	}
 
-	tel := startTelemetry(*debugAddr, *metricsJSON, *traceOut, *eventsOut, *cpuProfile, *memProfile, *flightDump, *hold)
-
-	cfg := core.Config{BestEffort: *best, Obs: tel.reg}
+	tel, err := export.StartSession(export.SessionConfig{
+		Name: "starring", DebugAddr: *debugAddr, MetricsJSON: *metricsJSON, EventsOut: *eventsOut,
+		FlightDump: *flightDump, CPUProfile: *cpuProfile, MemProfile: *memProfile, Hold: *hold,
+	}, os.Stdout)
+	if err != nil {
+		fatal(err)
+	}
+	cfg := core.Config{BestEffort: *best, Obs: tel.Registry()}
 
 	var (
 		ring      ringSource
@@ -229,7 +217,9 @@ func main() {
 		}
 		fmt.Printf("saved %d-vertex ring to %s\n", ringLen, *save)
 	}
-	tel.finish()
+	if err := tel.Close(); err != nil {
+		fatal(err)
+	}
 }
 
 // ringSource opens a fresh pass over the embedded ring: a plan cursor
@@ -246,132 +236,6 @@ func sliceSource(ring []perm.Code) ringSource {
 			i++
 			return ring[i-1], true
 		}
-	}
-}
-
-// telemetry bundles the run's optional instrumentation: the registry
-// wired into the embedder, the flight recorder whose ring backs
-// -trace-out, -events-out and -flight-dump, and the debug server.
-type telemetry struct {
-	reg    *obs.Registry
-	flight *obs.FlightRecorder
-	events *os.File
-	srv    *obs.DebugServer
-
-	cpuStop func() error
-	rtStop  func()
-
-	metricsJSON, traceOut  string
-	cpuProfile, memProfile string
-	flightDump             string
-	hold                   time.Duration
-}
-
-// startTelemetry wires up whatever the flags asked for; with no
-// telemetry flags set the zero handle is inert and finish is a no-op.
-func startTelemetry(debugAddr, metricsJSON, traceOut, eventsOut, cpuProfile, memProfile, flightDump string, hold time.Duration) *telemetry {
-	t := &telemetry{metricsJSON: metricsJSON, traceOut: traceOut,
-		cpuProfile: cpuProfile, memProfile: memProfile,
-		flightDump: flightDump, hold: hold}
-	if cpuProfile != "" {
-		stop, err := prof.StartCPUProfile(cpuProfile)
-		if err != nil {
-			fatal(err)
-		}
-		t.cpuStop = stop
-	}
-	if debugAddr == "" && metricsJSON == "" && traceOut == "" && eventsOut == "" && flightDump == "" {
-		return t
-	}
-	t.reg = obs.NewRegistry()
-	t.reg.PublishExpvar("starring")
-	// Runtime health (heap, GC, scheduler) sampled alongside the
-	// algorithm metrics, so /metrics scrapes and the -metrics-json dump
-	// carry the runtime_* gauges too.
-	t.rtStop = prof.NewRuntimeSampler(t.reg).Start(time.Second)
-	var w io.Writer
-	if eventsOut != "" {
-		f, err := os.Create(eventsOut)
-		if err != nil {
-			fatal(err)
-		}
-		t.events = f
-		w = f
-	}
-	// The flight recorder is always on once telemetry is: its ring of
-	// recent spans and log lines backs -trace-out and /debug/flight, it
-	// streams log lines to -events-out, and an embed/repair error
-	// auto-dumps the post-mortem bundle when -flight-dump is set.
-	t.flight = obs.NewFlightRecorder(t.reg, 1024, w, obs.LevelDebug)
-	if flightDump != "" {
-		t.flight.SetAutoDump(flightDump, export.FlightBundleWriter(t.flight))
-	}
-	if debugAddr != "" {
-		srv, err := obs.StartDebugServer(debugAddr)
-		if err != nil {
-			fatal(err)
-		}
-		srv.Handle("/metrics", export.MetricsHandler(t.reg))
-		srv.Handle("/debug/flight", export.FlightHandler(t.flight))
-		t.srv = srv
-		fmt.Printf("debug server listening on http://%s/debug/vars (pprof under /debug/pprof/, OpenMetrics under /metrics)\n", srv.Addr())
-	}
-	return t
-}
-
-// finish writes the requested artifacts, then honors -hold so an
-// external scraper can still reach the debug server afterwards.
-func (t *telemetry) finish() {
-	// Stop the CPU profile before -hold so idle scraping time is not
-	// profiled alongside the run.
-	if t.cpuStop != nil {
-		if err := t.cpuStop(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("cpu profile written to %s\n", t.cpuProfile)
-	}
-	if t.memProfile != "" {
-		if err := prof.WriteHeapProfile(t.memProfile); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("heap profile written to %s\n", t.memProfile)
-	}
-	if t.reg != nil {
-		if t.rtStop != nil {
-			// stop takes a final sample, so the JSON dump below reflects
-			// end-of-run runtime state even for sub-second runs.
-			t.rtStop()
-		}
-		if t.metricsJSON != "" {
-			if err := t.reg.WriteJSONFile(t.metricsJSON); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("metrics written to %s\n", t.metricsJSON)
-		}
-		if t.traceOut != "" {
-			if err := export.WriteTraceFile(t.traceOut, t.flight.SpanEvents()); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("trace written to %s\n", t.traceOut)
-		}
-		if t.flightDump != "" {
-			if err := t.flight.Dump(t.flightDump, export.FlightBundleWriter(t.flight)); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("flight bundle written to %s\n", t.flightDump)
-		}
-		if t.events != nil {
-			if err := t.events.Close(); err != nil {
-				fatal(err)
-			}
-		}
-	}
-	if t.hold > 0 {
-		fmt.Printf("holding for %v\n", t.hold)
-		time.Sleep(t.hold)
-	}
-	if t.srv != nil {
-		t.srv.Close()
 	}
 }
 

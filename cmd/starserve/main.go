@@ -39,13 +39,10 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"sync"
 	"syscall"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/obs/export"
-	"repro/internal/obs/prof"
 	"repro/internal/serve"
 )
 
@@ -101,79 +98,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return runServe(stdout, stderr, cfg, *addr, *dur, *eventsOut, *flightDump)
 }
 
-// telemetry is the service registry with its flight recorder and
-// runtime sampler attached — everything serve.New expects to find
-// pre-wired on Config.Obs.
-type telemetry struct {
-	reg    *obs.Registry
-	flight *obs.FlightRecorder
-
-	events     *os.File
-	flightDump string
-	rtStop     func()
-}
-
-var publishOnce sync.Once
-
-// startTelemetry wires the registry. The flight recorder is always on
-// (it backs /debug/flight and the middleware's 5xx hook); -flight-dump
-// additionally arms auto-dump and a final dump at close.
-func startTelemetry(eventsOut, flightDump string) (*telemetry, error) {
-	t := &telemetry{flightDump: flightDump}
-	t.reg = obs.NewRegistry()
-	publishOnce.Do(func() { t.reg.PublishExpvar("starserve") })
-	var w io.Writer
-	if eventsOut != "" {
-		f, err := os.Create(eventsOut)
-		if err != nil {
-			return nil, err
-		}
-		t.events = f
-		w = f
-	}
-	t.flight = obs.NewFlightRecorder(t.reg, 1024, w, obs.LevelDebug)
-	if flightDump != "" {
-		t.flight.SetAutoDump(flightDump, export.FlightBundleWriter(t.flight))
-	}
-	t.rtStop = prof.NewRuntimeSampler(t.reg).Start(time.Second)
-	return t, nil
-}
-
-// close stops the sampler, leaves the final flight bundle, and flushes
-// the event log file.
-func (t *telemetry) close() error {
-	t.rtStop()
-	if t.flightDump != "" {
-		if err := t.flight.Dump(t.flightDump, export.FlightBundleWriter(t.flight)); err != nil {
-			return err
-		}
-	}
-	if t.events != nil {
-		return t.events.Close()
-	}
-	return nil
-}
-
 // runServe boots the service and blocks until SIGINT/SIGTERM (or -dur
 // elapses), then shuts down gracefully.
 func runServe(stdout, stderr io.Writer, cfg serve.Config, addr string, dur time.Duration, eventsOut, flightDump string) int {
-	tel, err := startTelemetry(eventsOut, flightDump)
+	tel, err := export.StartSession(export.SessionConfig{Registry: true, EventsOut: eventsOut, FlightDump: flightDump}, stderr)
 	if err != nil {
 		fmt.Fprintln(stderr, "starserve:", err)
 		return 1
 	}
-	cfg.Obs = tel.reg
+	cfg.Obs = tel.Registry()
 	s, err := serve.New(cfg)
 	if err != nil {
 		fmt.Fprintln(stderr, "starserve:", err)
-		tel.close()
+		tel.Close()
 		return 1
 	}
 
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		fmt.Fprintln(stderr, "starserve:", err)
-		tel.close()
+		tel.Close()
 		return 1
 	}
 	// Serve immediately — /readyz says 503 until the warm-up below
@@ -186,7 +130,7 @@ func runServe(stdout, stderr io.Writer, cfg serve.Config, addr string, dur time.
 	if err := s.Warm(); err != nil {
 		fmt.Fprintln(stderr, "starserve:", err)
 		srv.Close()
-		tel.close()
+		tel.Close()
 		return 1
 	}
 	fmt.Fprintf(stdout, "pools warm: n in [%d,%d], %d slots each\n", cfg.MinN, cfg.MaxN, cfg.PoolSize)
@@ -202,7 +146,7 @@ func runServe(stdout, stderr io.Writer, cfg serve.Config, addr string, dur time.
 	select {
 	case err := <-errc:
 		fmt.Fprintln(stderr, "starserve:", err)
-		tel.close()
+		tel.Close()
 		return 1
 	case <-ctx.Done():
 	}
@@ -211,7 +155,7 @@ func runServe(stdout, stderr io.Writer, cfg serve.Config, addr string, dur time.
 	if err := srv.Shutdown(shctx); err != nil {
 		fmt.Fprintln(stderr, "starserve: shutdown:", err)
 	}
-	if err := tel.close(); err != nil {
+	if err := tel.Close(); err != nil {
 		fmt.Fprintln(stderr, "starserve:", err)
 		return 1
 	}
@@ -238,13 +182,13 @@ func runLoad(stdout, stderr io.Writer, cfg serve.Config, o loadOpts) int {
 		Seed: o.seed, RingEvery: o.ringEvery, ChaosEvery: o.chaosEvery,
 	}
 	if o.target == "" {
-		tel, err := startTelemetry(o.eventsOut, o.flightDump)
+		tel, err := export.StartSession(export.SessionConfig{Registry: true, EventsOut: o.eventsOut, FlightDump: o.flightDump}, stderr)
 		if err != nil {
 			fmt.Fprintln(stderr, "starserve:", err)
 			return 1
 		}
-		defer tel.close()
-		cfg.Obs = tel.reg
+		defer tel.Close()
+		cfg.Obs = tel.Registry()
 		cfg.Chaos = cfg.Chaos || o.chaosEvery > 0
 		if o.n < cfg.MinN || o.n > cfg.MaxN {
 			cfg.MinN, cfg.MaxN = o.n, o.n

@@ -7,7 +7,7 @@
 //	starsweep [-exp T1..T6|F1..F8|A1|all] [-maxn N] [-seeds K]
 //	          [-quick] [-markdown | -json]
 //	          [-debug-addr addr] [-metrics-json path]
-//	          [-series-json path] [-series-period d] [-trace-out path]
+//	          [-series-json path] [-series-period d] [-flight-dump dir]
 //	          [-cpuprofile path] [-memprofile path]
 //
 // -json emits the selected tables as one JSON document,
@@ -16,10 +16,12 @@
 // -metrics-json dumps per-experiment timing spans (harness.exp.<ID>)
 // and the embedder's phase metrics when the sweep finishes.
 // -series-json samples the registry every -series-period (default 1s)
-// into ring-buffered time series and dumps them as JSON; -trace-out
-// writes the sweep's most recent spans — those in the flight
-// recorder's ring of the last 1024 spans and log lines — as a Chrome
-// trace_event JSON file loadable in Perfetto.
+// into ring-buffered time series and dumps them as JSON; -flight-dump
+// writes the flight recorder's bundle, whose flight-trace.json holds
+// the sweep's most recent spans — those in its ring of the last 1024
+// spans and log lines — as a Chrome trace_event JSON file loadable in
+// Perfetto. Confirmation lines go to standard error, so standard
+// output carries the tables or the -json document alone.
 package main
 
 import (
@@ -30,9 +32,8 @@ import (
 	"time"
 
 	"repro/internal/harness"
-	"repro/internal/obs"
 	"repro/internal/obs/export"
-	"repro/internal/obs/prof"
+	"repro/internal/perm"
 )
 
 func main() {
@@ -48,7 +49,6 @@ func main() {
 		metricsJSON  = flag.String("metrics-json", "", "write the sweep's metrics as JSON to this file")
 		seriesJSON   = flag.String("series-json", "", "sample the registry periodically and write the time series as JSON to this file")
 		seriesPeriod = flag.Duration("series-period", time.Second, "sampling period for -series-json")
-		traceOut     = flag.String("trace-out", "", "write the sweep's spans as Chrome trace_event JSON (Perfetto) to this file")
 		cpuProfile   = flag.String("cpuprofile", "", "write a phase-labeled CPU profile of the sweep to this file")
 		memProfile   = flag.String("memprofile", "", "write a post-sweep heap profile to this file")
 		flightDump   = flag.String("flight-dump", "", "write the flight-recorder post-mortem bundle to this directory (on error and at exit)")
@@ -61,68 +61,20 @@ func main() {
 	if *seeds < 1 {
 		fatal(fmt.Errorf("-seeds %d: need at least one fault set per configuration", *seeds))
 	}
-
-	if *cpuProfile != "" {
-		stop, err := prof.StartCPUProfile(*cpuProfile)
-		if err != nil {
-			fatal(err)
-		}
-		defer func() {
-			if err := stop(); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "cpu profile written to %s\n", *cpuProfile)
-		}()
-	}
-	if *memProfile != "" {
-		defer func() {
-			if err := prof.WriteHeapProfile(*memProfile); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "heap profile written to %s\n", *memProfile)
-		}()
+	// S_4 is the smallest star graph every experiment runs on, and
+	// perm.MaxN is core's ceiling.
+	if *maxN < 4 || *maxN > perm.MaxN {
+		fatal(fmt.Errorf("-maxn %d out of range [4,%d]", *maxN, perm.MaxN))
 	}
 
-	var (
-		reg    *obs.Registry
-		flight *obs.FlightRecorder
-		rtStop func()
-	)
-	if *debugAddr != "" || *metricsJSON != "" || *seriesJSON != "" || *traceOut != "" || *flightDump != "" {
-		reg = obs.NewRegistry()
-		reg.PublishExpvar("starsweep")
-		// Runtime health gauges (runtime_*) ride along with the sweep
-		// metrics on /metrics, -metrics-json and -series-json.
-		rtStop = prof.NewRuntimeSampler(reg).Start(time.Second)
-		// The flight recorder's ring backs -trace-out and the bundle
-		// (starsweep has no -events-out, so no writer): a mid-sweep embed
-		// error leaves its recent telemetry behind when -flight-dump is
-		// set.
-		flight = obs.NewFlightRecorder(reg, 1024, nil, obs.LevelDebug)
-		if *flightDump != "" {
-			flight.SetAutoDump(*flightDump, export.FlightBundleWriter(flight))
-		}
+	tel, err := export.StartSession(export.SessionConfig{
+		Name: "starsweep", DebugAddr: *debugAddr, MetricsJSON: *metricsJSON, FlightDump: *flightDump,
+		SeriesJSON: *seriesJSON, SeriesPeriod: *seriesPeriod, CPUProfile: *cpuProfile, MemProfile: *memProfile,
+	}, os.Stderr)
+	if err != nil {
+		fatal(err)
 	}
-	if *debugAddr != "" {
-		srv, err := obs.StartDebugServer(*debugAddr)
-		if err != nil {
-			fatal(err)
-		}
-		defer srv.Close()
-		srv.Handle("/metrics", export.MetricsHandler(reg))
-		srv.Handle("/debug/flight", export.FlightHandler(flight))
-		fmt.Fprintf(os.Stderr, "debug server listening on http://%s/debug/vars (pprof under /debug/pprof/, OpenMetrics under /metrics)\n", srv.Addr())
-	}
-	var (
-		sampler     *export.Sampler
-		stopSampler func()
-	)
-	if *seriesJSON != "" {
-		sampler = export.NewSampler(reg, export.SamplerConfig{Period: *seriesPeriod})
-		stopSampler = sampler.Start()
-	}
-
-	cfg := harness.SweepConfig{MaxN: *maxN, Seeds: *seeds, Quick: *quick, Obs: reg}
+	cfg := harness.SweepConfig{MaxN: *maxN, Seeds: *seeds, Quick: *quick, Obs: tel.Registry()}
 
 	switch {
 	case *jsonOut:
@@ -152,37 +104,8 @@ func main() {
 		}
 	}
 
-	if rtStop != nil {
-		// stop takes a final sample so the dumps below reflect
-		// end-of-sweep runtime state even for sub-second sweeps.
-		rtStop()
-	}
-	if reg != nil && *metricsJSON != "" {
-		if err := reg.WriteJSONFile(*metricsJSON); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "metrics written to %s\n", *metricsJSON)
-	}
-	if sampler != nil {
-		// stop takes one final sample so short sweeps still record their
-		// end state even when they finish inside the first period.
-		stopSampler()
-		if err := sampler.WriteJSONFile(*seriesJSON); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "series written to %s\n", *seriesJSON)
-	}
-	if reg != nil && *traceOut != "" {
-		if err := export.WriteTraceFile(*traceOut, flight.SpanEvents()); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "trace written to %s\n", *traceOut)
-	}
-	if flight != nil && *flightDump != "" {
-		if err := flight.Dump(*flightDump, export.FlightBundleWriter(flight)); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "flight bundle written to %s\n", *flightDump)
+	if err := tel.Close(); err != nil {
+		fatal(err)
 	}
 }
 

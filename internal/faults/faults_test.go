@@ -60,6 +60,33 @@ func TestAddVertexString(t *testing.T) {
 	}
 }
 
+// TestAddEdgeString pins that an edge fault must join two vertices of
+// S_n: adjacency alone does not make two S_7 permutations an S_6 edge.
+func TestAddEdgeString(t *testing.T) {
+	s := NewSet(6)
+	u := perm.Pack(perm.MustParse("1234567"))
+	if err := s.AddEdge(u, u.SwapFirst(2)); err == nil {
+		t.Error("S_7 edge accepted into an S_6 set")
+	}
+	for _, bad := range []string{
+		"1234567-2134567", // S_7 endpoints
+		"123456",          // no dash
+		"123456-",         // missing endpoint
+		"zz-213456",       // garbage endpoint
+		"123456-213465",   // not adjacent
+	} {
+		if err := s.AddEdgeString(bad); err == nil {
+			t.Errorf("AddEdgeString(%q) accepted", bad)
+		}
+	}
+	if err := s.AddEdgeString("123456-213456"); err != nil {
+		t.Fatal(err)
+	}
+	if s.NumEdges() != 1 || !s.HasEdge(perm.Pack(perm.MustParse("213456")), perm.IdentityCode(6)) {
+		t.Fatalf("edge not recorded once: %v", s.Edges())
+	}
+}
+
 func TestCloneIndependence(t *testing.T) {
 	s := NewSet(4)
 	s.AddVertexString("2134")

@@ -81,11 +81,14 @@ func TestFlightBundleDirRoundTrip(t *testing.T) {
 	if spans := traceSpans(t, b.Trace, trace); !spans["t.op.run"] || !spans["t.phase.step"] {
 		t.Errorf("bundle trace does not resolve %s: spans %v", trace, spans)
 	}
-	families, exemplars, err := ValidateOpenMetricsDetail(b.Metrics)
-	if err != nil || families == 0 {
-		t.Errorf("bundle metrics: %d families, err=%v", families, err)
+	page, err := ParseOpenMetrics(b.Metrics)
+	if err != nil {
+		t.Fatalf("bundle metrics: %v", err)
 	}
-	if exemplars == 0 {
+	if page.Families == 0 {
+		t.Errorf("bundle metrics: %d families", page.Families)
+	}
+	if page.Exemplars == 0 {
 		t.Error("bundle metrics carry no exemplars despite a traced op")
 	}
 }

@@ -163,30 +163,32 @@ var (
 	}
 )
 
-// ValidateOpenMetrics checks that data is well-formed OpenMetrics text
-// and returns the number of metric families; see
-// ValidateOpenMetricsDetail for the full contract.
-func ValidateOpenMetrics(data []byte) (families int, err error) {
-	families, _, err = ValidateOpenMetricsDetail(data)
-	return families, err
+// Exposition is an OpenMetrics page read by ParseOpenMetrics. Samples
+// and Traces are keyed by the sample name plus its label clause as
+// written (`name{k="v"}`), the names SLO rules match.
+type Exposition struct {
+	Families  int                // declared metric families
+	Exemplars int                // samples carrying an exemplar clause
+	Samples   map[string]float64 // sample values
+	Types     map[string]string  // each family's declared TYPE
+	Traces    map[string]string  // trace_id of a sample's exemplar
 }
 
-// ValidateOpenMetricsDetail checks that data is well-formed OpenMetrics
-// text: metadata lines declare known types over legal names, every
-// sample belongs to a declared family with the suffix its type allows,
-// values (and exemplar values) parse as floats, and the exposition ends
-// with "# EOF". It returns the number of metric families and of
-// exemplar-carrying samples. It backs the exporter's unit tests, the
-// CI /metrics smoke leg, and starmon -check-metrics.
-func ValidateOpenMetricsDetail(data []byte) (families, exemplars int, err error) {
+// ParseOpenMetrics validates data as OpenMetrics text and reads it in
+// the same pass: metadata lines declare known types over legal names,
+// every sample belongs to a declared family with the suffix its type
+// allows, values (and exemplar values) parse as floats, and the
+// exposition ends with "# EOF". It backs the exporter's unit tests,
+// the CI /metrics smoke leg, and every starmon mode that reads a page.
+func ParseOpenMetrics(data []byte) (*Exposition, error) {
+	page := &Exposition{Samples: map[string]float64{}, Types: map[string]string{}, Traces: map[string]string{}}
 	lines := strings.Split(string(data), "\n")
-	declared := map[string]string{} // family -> type
 	sawEOF := false
 	for i, line := range lines {
 		lineno := i + 1
 		if sawEOF {
 			if strings.TrimSpace(line) != "" {
-				return 0, 0, fmt.Errorf("line %d: content after # EOF", lineno)
+				return nil, fmt.Errorf("line %d: content after # EOF", lineno)
 			}
 			continue
 		}
@@ -200,60 +202,66 @@ func ValidateOpenMetricsDetail(data []byte) (families, exemplars int, err error)
 		if strings.HasPrefix(line, "#") {
 			fields := strings.Fields(line)
 			if len(fields) < 3 || fields[0] != "#" {
-				return 0, 0, fmt.Errorf("line %d: malformed metadata line %q", lineno, line)
+				return nil, fmt.Errorf("line %d: malformed metadata line %q", lineno, line)
 			}
 			switch fields[1] {
 			case "TYPE":
 				if len(fields) != 4 {
-					return 0, 0, fmt.Errorf("line %d: TYPE wants '# TYPE <name> <type>', got %q", lineno, line)
+					return nil, fmt.Errorf("line %d: TYPE wants '# TYPE <name> <type>', got %q", lineno, line)
 				}
 				name, typ := fields[2], fields[3]
 				if !omNameRE.MatchString(name) {
-					return 0, 0, fmt.Errorf("line %d: illegal metric family name %q", lineno, name)
+					return nil, fmt.Errorf("line %d: illegal metric family name %q", lineno, name)
 				}
 				if !omTypes[typ] {
-					return 0, 0, fmt.Errorf("line %d: unknown metric type %q", lineno, typ)
+					return nil, fmt.Errorf("line %d: unknown metric type %q", lineno, typ)
 				}
-				if _, dup := declared[name]; dup {
-					return 0, 0, fmt.Errorf("line %d: family %q declared twice", lineno, name)
+				if _, dup := page.Types[name]; dup {
+					return nil, fmt.Errorf("line %d: family %q declared twice", lineno, name)
 				}
-				declared[name] = typ
+				page.Types[name] = typ
 			case "HELP", "UNIT":
 				// Optional metadata; name syntax is all we check.
 				if !omNameRE.MatchString(fields[2]) {
-					return 0, 0, fmt.Errorf("line %d: illegal metric family name %q", lineno, fields[2])
+					return nil, fmt.Errorf("line %d: illegal metric family name %q", lineno, fields[2])
 				}
 			default:
-				return 0, 0, fmt.Errorf("line %d: unknown metadata keyword %q", lineno, fields[1])
+				return nil, fmt.Errorf("line %d: unknown metadata keyword %q", lineno, fields[1])
 			}
 			continue
 		}
 		m := omSampleRE.FindStringSubmatch(line)
 		if m == nil {
-			return 0, 0, fmt.Errorf("line %d: malformed sample line %q", lineno, line)
+			return nil, fmt.Errorf("line %d: malformed sample line %q", lineno, line)
 		}
 		if m[2] != "" {
 			if err := validateLabelSet(m[2][1 : len(m[2])-1]); err != nil {
-				return 0, 0, fmt.Errorf("line %d: %v", lineno, err)
+				return nil, fmt.Errorf("line %d: %v", lineno, err)
 			}
 		}
-		if _, err := strconv.ParseFloat(m[3], 64); err != nil {
-			return 0, 0, fmt.Errorf("line %d: sample value %q is not a float", lineno, m[3])
+		v, err := strconv.ParseFloat(m[3], 64)
+		if err != nil {
+			return nil, fmt.Errorf("line %d: sample value %q is not a float", lineno, m[3])
 		}
-		if familyOf(m[1], declared) == "" {
-			return 0, 0, fmt.Errorf("line %d: sample %q has no TYPE declaration", lineno, m[1])
+		if familyOf(m[1], page.Types) == "" {
+			return nil, fmt.Errorf("line %d: sample %q has no TYPE declaration", lineno, m[1])
 		}
 		if m[5] != "" {
 			if _, err := strconv.ParseFloat(m[7], 64); err != nil {
-				return 0, 0, fmt.Errorf("line %d: exemplar value %q is not a float", lineno, m[7])
+				return nil, fmt.Errorf("line %d: exemplar value %q is not a float", lineno, m[7])
 			}
-			exemplars++
+			page.Exemplars++
+			if tr, ok := strings.CutPrefix(m[6], `trace_id="`); ok {
+				page.Traces[m[1]+m[2]] = strings.TrimSuffix(tr, `"`)
+			}
 		}
+		page.Samples[m[1]+m[2]] = v
 	}
 	if !sawEOF {
-		return 0, 0, fmt.Errorf("missing # EOF terminator")
+		return nil, fmt.Errorf("missing # EOF terminator")
 	}
-	return len(declared), exemplars, nil
+	page.Families = len(page.Types)
+	return page, nil
 }
 
 // omLabelNameRE is the OpenMetrics label-name grammar.

@@ -48,7 +48,7 @@ func TestWriteOpenMetricsLabeled(t *testing.T) {
 	if got := strings.Count(out, "# TYPE sim_embeds counter"); got != 1 {
 		t.Errorf("sim_embeds declared %d times:\n%s", got, out)
 	}
-	if _, _, err := ValidateOpenMetricsDetail(buf.Bytes()); err != nil {
+	if _, err := ParseOpenMetrics(buf.Bytes()); err != nil {
 		t.Fatalf("labeled exposition does not validate: %v\n%s", err, out)
 	}
 }
@@ -67,7 +67,7 @@ func TestWriteOpenMetricsEscapedValues(t *testing.T) {
 	if !strings.Contains(buf.String(), want) {
 		t.Errorf("exposition missing %q:\n%s", want, buf.String())
 	}
-	if _, _, err := ValidateOpenMetricsDetail(buf.Bytes()); err != nil {
+	if _, err := ParseOpenMetrics(buf.Bytes()); err != nil {
 		t.Fatalf("escaped exposition does not validate: %v\n%s", err, buf.String())
 	}
 }
@@ -89,7 +89,7 @@ func TestValidateLabelSetRejects(t *testing.T) {
 		"unterminated val": `a{k="v} 1`,
 	}
 	for label, sample := range cases {
-		if _, _, err := ValidateOpenMetricsDetail(page(sample)); err == nil {
+		if _, err := ParseOpenMetrics(page(sample)); err == nil {
 			t.Errorf("%s: validator accepted %q", label, sample)
 		}
 	}
@@ -98,7 +98,7 @@ func TestValidateLabelSetRejects(t *testing.T) {
 		`a{k="v",l="w"} 1`,
 		`a{k="quote \" slash \\ newline \n"} 1`,
 	} {
-		if _, _, err := ValidateOpenMetricsDetail(page(ok)); err != nil {
+		if _, err := ParseOpenMetrics(page(ok)); err != nil {
 			t.Errorf("validator rejected well-formed %q: %v", ok, err)
 		}
 	}

@@ -43,13 +43,13 @@ func TestWriteOpenMetrics(t *testing.T) {
 		t.Errorf("exposition not terminated by # EOF:\n%s", out)
 	}
 
-	families, err := ValidateOpenMetrics(buf.Bytes())
+	page, err := ParseOpenMetrics(buf.Bytes())
 	if err != nil {
 		t.Fatalf("our own exposition does not validate: %v\n%s", err, out)
 	}
 	// counter + gauge + summary + max gauge.
-	if families != 4 {
-		t.Errorf("families = %d, want 4", families)
+	if page.Families != 4 {
+		t.Errorf("families = %d, want 4", page.Families)
 	}
 }
 
@@ -94,7 +94,7 @@ func TestMetricsHandler(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "openmetrics-text") {
 		t.Errorf("content type %q is not the OpenMetrics negotiation", ct)
 	}
-	if _, err := ValidateOpenMetrics(body); err != nil {
+	if _, err := ParseOpenMetrics(body); err != nil {
 		t.Fatalf("handler served invalid OpenMetrics: %v\n%s", err, body)
 	}
 	if !strings.Contains(string(body), "t_ops_count_total 5") {
@@ -114,12 +114,12 @@ func TestValidateOpenMetricsRejects(t *testing.T) {
 		"malformed metadata": "# TYPE onlyname\n# EOF\n",
 	}
 	for label, text := range cases {
-		if _, err := ValidateOpenMetrics([]byte(text)); err == nil {
+		if _, err := ParseOpenMetrics([]byte(text)); err == nil {
 			t.Errorf("%s: validator accepted %q", label, text)
 		}
 	}
-	if n, err := ValidateOpenMetrics([]byte("# EOF\n")); err != nil || n != 0 {
-		t.Errorf("empty exposition: n=%d err=%v", n, err)
+	if page, err := ParseOpenMetrics([]byte("# EOF\n")); err != nil || page.Families != 0 {
+		t.Errorf("empty exposition: page=%+v err=%v", page, err)
 	}
 }
 
@@ -160,12 +160,12 @@ func TestOpenMetricsExemplars(t *testing.T) {
 	if strings.Contains(out, `t_phase_plain{quantile="0.95"} 0.001 #`) {
 		t.Errorf("untraced histogram grew an exemplar:\n%s", out)
 	}
-	families, exemplars, err := ValidateOpenMetricsDetail(buf.Bytes())
-	if err != nil || families == 0 {
-		t.Fatalf("families=%d err=%v", families, err)
+	page, err := ParseOpenMetrics(buf.Bytes())
+	if err != nil || page.Families == 0 {
+		t.Fatalf("page=%+v err=%v", page, err)
 	}
-	if exemplars != 1 {
-		t.Errorf("exemplars = %d, want 1", exemplars)
+	if page.Exemplars != 1 {
+		t.Errorf("exemplars = %d, want 1", page.Exemplars)
 	}
 }
 
@@ -174,15 +174,37 @@ func TestValidateOpenMetricsExemplarRejects(t *testing.T) {
 		return []byte("# TYPE t_op_run summary\n" + sample + "\n# EOF\n")
 	}
 	// A well-formed exemplar passes.
-	if _, n, err := ValidateOpenMetricsDetail(page(`t_op_run{quantile="0.95"} 0.1 # {trace_id="00000000000000ff"} 0.1`)); err != nil || n != 1 {
-		t.Errorf("valid exemplar: n=%d err=%v", n, err)
+	if p, err := ParseOpenMetrics(page(`t_op_run{quantile="0.95"} 0.1 # {trace_id="00000000000000ff"} 0.1`)); err != nil || p.Exemplars != 1 {
+		t.Errorf("valid exemplar: page=%+v err=%v", p, err)
 	}
 	// A non-float exemplar value fails.
-	if _, _, err := ValidateOpenMetricsDetail(page(`t_op_run{quantile="0.95"} 0.1 # {trace_id="ff"} wat`)); err == nil {
+	if _, err := ParseOpenMetrics(page(`t_op_run{quantile="0.95"} 0.1 # {trace_id="ff"} wat`)); err == nil {
 		t.Error("non-float exemplar value accepted")
 	}
 	// An exemplar without braces is not a comment; it breaks the grammar.
-	if _, _, err := ValidateOpenMetricsDetail(page(`t_op_run{quantile="0.95"} 0.1 # trace_id 0.1`)); err == nil {
+	if _, err := ParseOpenMetrics(page(`t_op_run{quantile="0.95"} 0.1 # trace_id 0.1`)); err == nil {
 		t.Error("brace-less exemplar accepted")
+	}
+}
+
+func TestParseOpenMetricsExemplar(t *testing.T) {
+	page, err := ParseOpenMetrics([]byte("# TYPE t_op_run summary\n" +
+		"t_op_run{quantile=\"0.5\"} 0.001\n" +
+		"t_op_run{quantile=\"0.95\"} 0.002 # {trace_id=\"00000000000000ff\"} 0.002\n" +
+		"# EOF\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := page.Samples[`t_op_run{quantile="0.95"}`]; v != 0.002 {
+		t.Errorf("exemplar line parsed to %v, want 0.002 (samples: %v)", v, page.Samples)
+	}
+	if page.Types["t_op_run"] != "summary" {
+		t.Errorf("types = %v", page.Types)
+	}
+	if page.Traces[`t_op_run{quantile="0.95"}`] != "00000000000000ff" {
+		t.Errorf("traces = %v", page.Traces)
+	}
+	if _, ok := page.Traces[`t_op_run{quantile="0.5"}`]; ok {
+		t.Error("exemplar invented for a plain line")
 	}
 }

@@ -1,11 +1,9 @@
 package export
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 
 	"repro/internal/obs"
@@ -191,15 +189,6 @@ func WriteTrace(w io.Writer, events []obs.Event) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(NewTrace(events))
-}
-
-// WriteTraceFile writes the trace to path (the CLIs' -trace-out flag).
-func WriteTraceFile(path string, events []obs.Event) error {
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, events); err != nil {
-		return err
-	}
-	return os.WriteFile(path, buf.Bytes(), 0o644)
 }
 
 // ValidateTrace checks that data is a Perfetto-loadable trace_event

@@ -3,8 +3,6 @@ package export
 import (
 	"bytes"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -63,20 +61,6 @@ func TestWriteTrace(t *testing.T) {
 	}
 	if route.TS != 3000 || route.Dur != 2000 {
 		t.Errorf("inner span ts/dur = %v/%v µs, want 3000/2000", route.TS, route.Dur)
-	}
-}
-
-func TestWriteTraceFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "trace.json")
-	if err := WriteTraceFile(path, spanEvents(t)); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, err := ValidateTrace(data); err != nil || n != 2 {
-		t.Fatalf("trace file: n=%d err=%v", n, err)
 	}
 }
 

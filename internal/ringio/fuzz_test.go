@@ -2,7 +2,6 @@ package ringio
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"repro/internal/perm"
@@ -134,27 +133,6 @@ func FuzzReadBinaryStream(f *testing.F) {
 		}
 		if sr2.Err() != nil {
 			t.Fatalf("roundtrip rejected: %v", sr2.Err())
-		}
-	})
-}
-
-// FuzzReadText does the same for the text decoder.
-func FuzzReadText(f *testing.F) {
-	f.Add("ring n=4 len=1\n1234\n")
-	f.Add("ring n=3 len=0\n")
-	f.Add("")
-	f.Fuzz(func(t *testing.T, data string) {
-		n, ring, err := ReadText(strings.NewReader(data))
-		if err != nil {
-			return
-		}
-		var out strings.Builder
-		if err := WriteText(&out, n, ring); err != nil {
-			t.Fatalf("re-encode failed: %v", err)
-		}
-		n2, ring2, err := ReadText(strings.NewReader(out.String()))
-		if err != nil || n2 != n || len(ring2) != len(ring) {
-			t.Fatalf("re-decode mismatch: %v", err)
 		}
 	})
 }

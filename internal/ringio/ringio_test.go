@@ -3,7 +3,6 @@ package ringio
 import (
 	"bytes"
 	"errors"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -24,48 +23,31 @@ func sampleRing(t *testing.T, n, k int) []perm.Code {
 	return plan.Ring()
 }
 
+// TestBinaryRoundtrip reads back, through ReadBinary, rings written in
+// both formats: flat by WriteBinary and chunked by WriteBinaryStream.
 func TestBinaryRoundtrip(t *testing.T) {
 	for _, n := range []int{4, 5, 6} {
 		ring := sampleRing(t, n, 1)
-		var buf bytes.Buffer
-		if err := WriteBinary(&buf, n, ring); err != nil {
+		var flat, chunked bytes.Buffer
+		if err := WriteBinary(&flat, n, ring); err != nil {
 			t.Fatal(err)
 		}
-		gotN, got, err := ReadBinary(&buf)
-		if err != nil {
+		if err := WriteBinaryStream(&chunked, n, len(ring), sliceNext(ring)); err != nil {
 			t.Fatal(err)
 		}
-		if gotN != n || len(got) != len(ring) {
-			t.Fatalf("n=%d len=%d, want n=%d len=%d", gotN, len(got), n, len(ring))
-		}
-		for i := range got {
-			if got[i] != ring[i] {
-				t.Fatalf("entry %d differs", i)
+		for _, buf := range []*bytes.Buffer{&flat, &chunked} {
+			gotN, got, err := ReadBinary(buf)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-}
-
-func TestTextRoundtrip(t *testing.T) {
-	n := 5
-	ring := sampleRing(t, n, 1)
-	var buf bytes.Buffer
-	if err := WriteText(&buf, n, ring); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(buf.String(), "ring n=5 len=118\n") {
-		t.Fatalf("header: %q", buf.String()[:20])
-	}
-	gotN, got, err := ReadText(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotN != n || len(got) != len(ring) {
-		t.Fatal("text roundtrip size mismatch")
-	}
-	for i := range got {
-		if got[i] != ring[i] {
-			t.Fatalf("entry %d differs", i)
+			if gotN != n || len(got) != len(ring) {
+				t.Fatalf("n=%d len=%d, want n=%d len=%d", gotN, len(got), n, len(ring))
+			}
+			for i := range got {
+				if got[i] != ring[i] {
+					t.Fatalf("entry %d differs", i)
+				}
+			}
 		}
 	}
 }
@@ -105,22 +87,6 @@ func TestBinaryRejections(t *testing.T) {
 	// Invalid vertex on write.
 	if err := WriteBinary(&bytes.Buffer{}, 4, []perm.Code{perm.None}); err == nil {
 		t.Error("invalid vertex written")
-	}
-}
-
-func TestTextRejections(t *testing.T) {
-	for name, in := range map[string]string{
-		"empty":                "",
-		"bad header":           "hello\n",
-		"length mismatch":      "ring n=4 len=3\n1234\n",
-		"wrong dimension":      "ring n=4 len=1\n12345\n",
-		"bad vertex":           "ring n=4 len=1\nzzzz\n",
-		"huge length":          "ring n=4 len=99\n",
-		"length beyond memory": "ring n=16 len=20000000000000\n",
-	} {
-		if _, _, err := ReadText(strings.NewReader(in)); err == nil {
-			t.Errorf("%s accepted", name)
-		}
 	}
 }
 

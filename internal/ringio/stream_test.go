@@ -217,9 +217,9 @@ func TestStreamReaderRejections(t *testing.T) {
 	}
 }
 
-// TestLegacyHeaderLengthBound pins the header validation of the
-// non-stream decoders: a declared length exceeding n! must be rejected
-// before any allocation sized by it.
+// TestLegacyHeaderLengthBound pins the header validation of
+// ReadBinary on a flat file: a declared length exceeding n! must be
+// rejected before any allocation sized by it.
 func TestLegacyHeaderLengthBound(t *testing.T) {
 	var bin bytes.Buffer
 	bin.Write(magic[:])
@@ -230,9 +230,5 @@ func TestLegacyHeaderLengthBound(t *testing.T) {
 	bin.Write(tmp[:k])
 	if _, _, err := ReadBinary(&bin); !errors.Is(err, ErrFormat) {
 		t.Errorf("ReadBinary length > n!: err = %v, want ErrFormat", err)
-	}
-
-	if _, _, err := ReadText(bytes.NewReader([]byte("ring n=4 len=25\n"))); err == nil {
-		t.Error("ReadText length > n! accepted")
 	}
 }

@@ -84,11 +84,7 @@ func ParseRequest(q url.Values) (*Request, error) {
 				len(parts), MaxRequestEdgeFaults)
 		}
 		for _, s := range parts {
-			u, v, err := parseEdge(strings.TrimSpace(s), n)
-			if err != nil {
-				return nil, err
-			}
-			if err := req.Faults.AddEdge(u, v); err != nil {
+			if err := req.Faults.AddEdgeString(strings.TrimSpace(s)); err != nil {
 				return nil, fmt.Errorf("serve: fe: %w", err)
 			}
 		}
@@ -120,19 +116,4 @@ func parseVertex(s string, n int) (perm.Code, error) {
 		return 0, fmt.Errorf("%q has dimension %d, want %d", s, p.N(), n)
 	}
 	return perm.Pack(p), nil
-}
-
-// parseEdge reads one "u-v" edge of S_n.
-func parseEdge(s string, n int) (u, v perm.Code, err error) {
-	uv := strings.SplitN(s, "-", 2)
-	if len(uv) != 2 {
-		return 0, 0, fmt.Errorf("serve: fe: bad edge %q, want u-v", s)
-	}
-	if u, err = parseVertex(uv[0], n); err != nil {
-		return 0, 0, fmt.Errorf("serve: fe: %w", err)
-	}
-	if v, err = parseVertex(uv[1], n); err != nil {
-		return 0, 0, fmt.Errorf("serve: fe: %w", err)
-	}
-	return u, v, nil
 }

@@ -443,7 +443,7 @@ func TestMetricsEndpointExposesLabeledFamilies(t *testing.T) {
 	}
 	scrape, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if _, err := export.ValidateOpenMetrics(scrape); err != nil {
+	if _, err := export.ParseOpenMetrics(scrape); err != nil {
 		t.Fatalf("invalid exposition: %v", err)
 	}
 	for _, want := range []string{

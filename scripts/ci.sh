@@ -14,8 +14,9 @@
 #                       strict: stale suppressions/config entries fail
 #   7. obs smoke     -- starring -debug-addr end to end: scrape /metrics
 #                       (OpenMetrics parse, plus the exposition must
-#                       carry labeled series), validate the Perfetto
-#                       trace and the NDJSON event log via starmon
+#                       carry labeled series), validate the flight
+#                       bundle's Perfetto trace and the NDJSON event
+#                       log via starmon
 #   7b. slo smoke    -- starmon -watch over a replayed series: a rule
 #                       engineered to fire must exit 1, a passing
 #                       policy must exit 0 (the CI gate contract)
@@ -113,8 +114,8 @@ leg "starlint" go run ./cmd/starlint -strict-config ./... || exit 1
 
 # Obs smoke: run starring with a live debug server held open, scrape
 # its /metrics endpoint, and validate every exported artifact through
-# starmon's checkers (OpenMetrics parse, Perfetto trace with at least
-# one complete event, NDJSON replay).
+# starmon's checkers (OpenMetrics parse, the flight bundle's Perfetto
+# trace with at least one complete event, NDJSON replay).
 obs_smoke() {
     local tmp pid addr i
     tmp=$(mktemp -d)
@@ -122,7 +123,7 @@ obs_smoke() {
     go build -o "$tmp/starmon" ./cmd/starmon || return 1
 
     "$tmp/starring" -n 6 -faults 2 -seed 1 -debug-addr 127.0.0.1:0 \
-        -trace-out "$tmp/trace.json" -events-out "$tmp/events.ndjson" \
+        -flight-dump "$tmp/flight" -events-out "$tmp/events.ndjson" \
         -hold 60s >"$tmp/out.log" 2>&1 &
     pid=$!
 
@@ -154,7 +155,7 @@ obs_smoke() {
     kill "$pid" 2>/dev/null
     wait "$pid" 2>/dev/null
 
-    "$tmp/starmon" -check-trace "$tmp/trace.json" || return 1
+    "$tmp/starmon" -check-trace "$tmp/flight/flight-trace.json" || return 1
     "$tmp/starmon" -replay "$tmp/events.ndjson" >/dev/null || return 1
 }
 
@@ -481,7 +482,6 @@ leg "fuzz perm/FuzzParse" fuzz_smoke ./internal/perm FuzzParse || exit 1
 leg "fuzz perm/FuzzCodeOps" fuzz_smoke ./internal/perm FuzzCodeOps || exit 1
 leg "fuzz ringio/FuzzReadBinary" fuzz_smoke ./internal/ringio FuzzReadBinary || exit 1
 leg "fuzz ringio/FuzzReadBinaryStream" fuzz_smoke ./internal/ringio FuzzReadBinaryStream || exit 1
-leg "fuzz ringio/FuzzReadText" fuzz_smoke ./internal/ringio FuzzReadText || exit 1
 leg "fuzz core/FuzzEmbedRing" fuzz_smoke ./internal/core FuzzEmbedRing || exit 1
 leg "fuzz check/FuzzRingStreamReference" fuzz_smoke ./internal/check FuzzRingStreamReference || exit 1
 leg "fuzz serve/FuzzServeRequest" fuzz_smoke ./internal/serve FuzzServeRequest || exit 1

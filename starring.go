@@ -200,8 +200,8 @@ func SaveRing(w io.Writer, n int, ring []Vertex) error {
 	return ringio.WriteBinary(w, n, ring)
 }
 
-// LoadRing reads a ring written by SaveRing, re-validating every
-// vertex. Use VerifyRing afterwards to re-check adjacency and
+// LoadRing reads a ring written by SaveRing or SaveRingStream,
+// re-validating every vertex. Use VerifyRing afterwards to re-check adjacency and
 // healthiness against a fault set.
 func LoadRing(r io.Reader) (n int, ring []Vertex, err error) {
 	return ringio.ReadBinary(r)
