@@ -79,10 +79,10 @@ func main() {
 }
 
 func parse(s string, n int) perm.Code {
-	p, err := perm.Parse(s)
-	if err != nil || p.N() != n {
+	v, err := perm.ParseCode(s, n)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "starinfo: %q is not a vertex of S_%d\n", s, n)
 		os.Exit(1)
 	}
-	return perm.Pack(p)
+	return v
 }

@@ -189,12 +189,16 @@ func main() {
 	}
 	if *print {
 		w := bufio.NewWriter(os.Stdout)
+		line := make([]byte, 0, *n+1)
 		for next := ring(); ; {
 			v, ok := next()
 			if !ok {
 				break
 			}
-			fmt.Fprintln(w, v.StringN(*n))
+			line = append(v.AppendN(line[:0], *n), '\n')
+			if _, err := w.Write(line); err != nil {
+				fatal(err)
+			}
 		}
 		if err := w.Flush(); err != nil {
 			fatal(err)
@@ -243,11 +247,11 @@ func sliceSource(ring []perm.Code) ringSource {
 // returns the path as a ring source for -print.
 func runPathMode(n int, fs *faults.Set, from, to string, cfg core.Config) ringSource {
 	parseV := func(str string) perm.Code {
-		p, err := perm.Parse(str)
-		if err != nil || p.N() != n {
+		v, err := perm.ParseCode(str, n)
+		if err != nil {
 			fatal(fmt.Errorf("%q is not a vertex of S_%d", str, n))
 		}
-		return perm.Pack(p)
+		return v
 	}
 	if from == "" || to == "" {
 		fatal(fmt.Errorf("path mode needs both -path-from and -path-to"))

@@ -66,7 +66,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		chaos       = fs.Bool("chaos", false, "expose /chaos, a deterministic 500 for overload drills")
 		dur         = fs.Duration("dur", 0, "serve this long, then exit cleanly (0 = until SIGINT/SIGTERM)")
 
-		eventsOut  = fs.String("events-out", "", "append structured NDJSON events (serve.request, core.*) to this file")
+		eventsOut  = fs.String("events-out", "", "write structured NDJSON events (serve.request, core.*) to this file")
 		flightDump = fs.String("flight-dump", "", "flight-recorder bundle directory: auto-dumped on any 5xx and at exit")
 
 		load       = fs.Bool("load", false, "run the fault-churn load generator instead of serving")

@@ -143,14 +143,7 @@ func Mixed(n, kv, ke int, rng *rand.Rand) *Set {
 func FromStrings(n int, vs ...string) (*Set, error) {
 	s := NewSet(n)
 	for _, str := range vs {
-		p, err := perm.Parse(str)
-		if err != nil {
-			return nil, err
-		}
-		if p.N() != n {
-			return nil, fmt.Errorf("faults: %q has dimension %d, want %d", str, p.N(), n)
-		}
-		if err := s.AddVertex(perm.Pack(p)); err != nil {
+		if err := s.AddVertexString(str); err != nil {
 			return nil, err
 		}
 	}

@@ -31,7 +31,8 @@ func TestSessionOffIsInert(t *testing.T) {
 }
 
 // Close writes every artifact in the documented order, each with its
-// confirmation line, and the events file matches the bundle's log.
+// confirmation line, and the events file matches the bundle's log. The
+// events file is rewritten, not appended to: a stale line is gone.
 func TestSessionArtifactsInOrder(t *testing.T) {
 	dir := t.TempDir()
 	cfg := SessionConfig{
@@ -42,6 +43,10 @@ func TestSessionArtifactsInOrder(t *testing.T) {
 		SeriesJSON:   filepath.Join(dir, "s.json"),
 		SeriesPeriod: time.Hour,
 		MemProfile:   filepath.Join(dir, "mem.pprof"),
+	}
+	const stale = `{"msg":"stale.event.from.an.earlier.run"}` + "\n"
+	if err := os.WriteFile(cfg.EventsOut, []byte(stale), 0o644); err != nil {
+		t.Fatal(err)
 	}
 	var out bytes.Buffer
 	s, err := StartSession(cfg, &out)
@@ -70,6 +75,9 @@ func TestSessionArtifactsInOrder(t *testing.T) {
 	}
 	if n := strings.Count(string(events), "\n"); n != 1 || len(bundle.Events) != 1 {
 		t.Errorf("events file has %d lines, bundle %d events; want 1 each", n, len(bundle.Events))
+	}
+	if strings.Contains(string(events), "stale.event") {
+		t.Errorf("events file kept the earlier run's line:\n%s", events)
 	}
 	if n, err := ValidateTrace(bundle.Trace); err != nil || n != 1 {
 		t.Errorf("bundle trace: %d spans, err=%v", n, err)

@@ -92,9 +92,38 @@ func (c Code) PositionOf(n int, s uint8) int {
 	return 0
 }
 
-// String renders the code as a dimension-n permutation string.
+// StringN renders the code as a dimension-n permutation string.
 func (c Code) StringN(n int) string {
-	return c.Unpack(n).String()
+	var buf [MaxN]byte
+	return string(c.AppendN(buf[:0], n))
+}
+
+// AppendN appends the dimension-n permutation string of c to dst, one
+// character per position spelled as Perm.String spells it (1..9, then
+// a..g), and returns the extended slice. It allocates only when dst
+// lacks room for n more bytes, so the ring emitters write every vertex
+// through one reused buffer.
+func (c Code) AppendN(dst []byte, n int) []byte {
+	for i := 0; i < n; i++ {
+		dst = append(dst, symbolRunes[c>>(4*uint(i))&0xF])
+	}
+	return dst
+}
+
+// ParseCode reads one vertex of S_n in permutation notation, the
+// inverse of AppendN. It returns Parse's error for a string that is no
+// permutation, and for a permutation of another dimension an error
+// naming the string and both dimensions, which callers prefix with
+// their own context.
+func ParseCode(s string, n int) (Code, error) {
+	p, err := Parse(s)
+	if err != nil {
+		return 0, err
+	}
+	if p.N() != n {
+		return 0, fmt.Errorf("%q has dimension %d, want %d", s, p.N(), n)
+	}
+	return Pack(p), nil
 }
 
 // IdentityCode returns Pack(Identity(n)).

@@ -197,6 +197,25 @@ func TestUnrankCodeAllocs(t *testing.T) {
 	_ = sink
 }
 
+// TestAppendNAllocs pins AppendN allocation-free into a buffer with
+// room for the vertex: /ring and starring -print encode every ring
+// vertex through it. hotalloc cannot prove it, since it forbids append.
+func TestAppendNAllocs(t *testing.T) {
+	buf := make([]byte, 0, MaxN)
+	c := IdentityCode(MaxN)
+	i := 0
+	if allocs := testing.AllocsPerRun(1000, func() {
+		i++
+		c = c.SwapFirst(2 + i%(MaxN-1))
+		buf = c.AppendN(buf[:0], MaxN)
+	}); allocs != 0 {
+		t.Errorf("AppendN allocates %.1f times per call", allocs)
+	}
+	if got, want := string(buf), c.StringN(MaxN); got != want {
+		t.Errorf("AppendN = %q, StringN %q", got, want)
+	}
+}
+
 func TestCodePositionOf(t *testing.T) {
 	c := Pack(MustParse("4213"))
 	for i := 1; i <= 4; i++ {

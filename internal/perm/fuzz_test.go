@@ -3,7 +3,9 @@ package perm
 import "testing"
 
 // FuzzParse feeds arbitrary strings to the permutation parser; accepted
-// inputs must roundtrip exactly and satisfy every invariant.
+// inputs must roundtrip exactly and satisfy every invariant. ParseCode
+// must accept s at n = p.N() exactly when Parse does, reject it at
+// every other dimension, and roundtrip through AppendN.
 func FuzzParse(f *testing.F) {
 	for _, seed := range []string{"1", "21", "4231", "123456789abcdefg", "", "11", "xy"} {
 		f.Add(seed)
@@ -11,7 +13,27 @@ func FuzzParse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, s string) {
 		p, err := Parse(s)
 		if err != nil {
+			for n := 0; n <= MaxN+1; n++ {
+				if _, cerr := ParseCode(s, n); cerr == nil {
+					t.Fatalf("ParseCode(%q, %d) accepted what Parse rejects", s, n)
+				}
+			}
 			return
+		}
+		for n := 0; n <= MaxN+1; n++ {
+			c, cerr := ParseCode(s, n)
+			if n != p.N() {
+				if cerr == nil {
+					t.Fatalf("ParseCode(%q, %d) accepted a dimension-%d string", s, n, p.N())
+				}
+				continue
+			}
+			if cerr != nil {
+				t.Fatalf("ParseCode(%q, %d): %v", s, n, cerr)
+			}
+			if c != Pack(p) || string(c.AppendN(nil, n)) != s {
+				t.Fatalf("ParseCode(%q, %d) = %#x, renders %q", s, n, uint64(c), c.AppendN(nil, n))
+			}
 		}
 		if !p.Valid() {
 			t.Fatalf("Parse(%q) produced invalid permutation %v", s, p)
@@ -49,6 +71,9 @@ func FuzzCodeOps(f *testing.F) {
 		p := c.Unpack(n)
 		if !p.Valid() {
 			t.Fatalf("Valid code %x unpacked to invalid %v", raw, p)
+		}
+		if got, want := string(c.AppendN(nil, n)), p.String(); got != want {
+			t.Fatalf("AppendN(%#x, %d) = %q, Unpack.String %q", raw, n, got, want)
 		}
 		if n >= 2 {
 			dim := int(dimRaw)%(n-1) + 2

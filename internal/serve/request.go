@@ -90,7 +90,7 @@ func ParseRequest(q url.Values) (*Request, error) {
 		}
 	}
 	if vs := q.Get("v"); vs != "" {
-		v, err := parseVertex(vs, n)
+		v, err := perm.ParseCode(vs, n)
 		if err != nil {
 			return nil, fmt.Errorf("serve: v: %w", err)
 		}
@@ -104,16 +104,4 @@ func ParseRequest(q url.Values) (*Request, error) {
 		return nil, fmt.Errorf("serve: bad best_effort %q (want 1/true/0/false)", be)
 	}
 	return req, nil
-}
-
-// parseVertex reads one vertex of S_n in permutation notation.
-func parseVertex(s string, n int) (perm.Code, error) {
-	p, err := perm.Parse(s)
-	if err != nil {
-		return 0, err
-	}
-	if p.N() != n {
-		return 0, fmt.Errorf("%q has dimension %d, want %d", s, p.N(), n)
-	}
-	return perm.Pack(p), nil
 }

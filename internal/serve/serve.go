@@ -373,10 +373,16 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request, op *obs.Op
 	})
 }
 
+// ringBatchBytes is how much of a /ring body handleRing gathers before
+// each write: one buffer per request, so a vertex costs an append, not
+// a formatted write.
+const ringBatchBytes = 4 << 10
+
 // handleRing answers GET /ring?n=6&fv=... with the full ring, one
 // vertex per line in permutation notation, streamed through the
-// plan's cursor. The stream runs after session releases its pool
-// slot, so a slow reader holds only its own plan, never the shard.
+// plan's cursor in ringBatchBytes writes. The stream runs after
+// session releases its pool slot, so a slow reader holds only its own
+// plan, never the shard.
 func (s *Server) handleRing(w http.ResponseWriter, r *http.Request, op *obs.Op) (int, int, error) {
 	req, err := ParseRequest(r.URL.Query())
 	if err != nil {
@@ -392,15 +398,23 @@ func (s *Server) handleRing(w http.ResponseWriter, r *http.Request, op *obs.Op) 
 		return n, code, err
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	buf := make([]byte, 0, ringBatchBytes+req.N+1)
 	c := plan.Cursor()
 	for {
 		v, ok := c.Next()
 		if !ok {
 			break
 		}
-		if _, err := fmt.Fprintln(w, v.StringN(req.N)); err != nil {
-			return n, http.StatusOK, err // client went away mid-stream
+		buf = append(v.AppendN(buf, req.N), '\n')
+		if len(buf) >= ringBatchBytes {
+			if _, err := w.Write(buf); err != nil {
+				return n, http.StatusOK, err // client went away mid-stream
+			}
+			buf = buf[:0]
 		}
+	}
+	if _, err := w.Write(buf); err != nil {
+		return n, http.StatusOK, err
 	}
 	return n, http.StatusOK, c.Err()
 }

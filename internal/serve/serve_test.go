@@ -2,7 +2,10 @@ package serve
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
+	"hash"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/obs/export"
 )
@@ -328,6 +332,93 @@ func TestStalledRingReaderFreesPool(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("/embed got no answer within 5 s while a /ring reader stalled")
+	}
+}
+
+// digestWriter is a ResponseWriter that hashes the body as it arrives
+// and keeps none of it, so an allocation count sees the handler's own
+// work.
+type digestWriter struct {
+	header http.Header
+	code   int
+	body   hash.Hash
+	bytes  int
+}
+
+func newDigestWriter() *digestWriter {
+	return &digestWriter{header: http.Header{}, code: http.StatusOK, body: sha256.New()}
+}
+
+func (w *digestWriter) Header() http.Header  { return w.header }
+func (w *digestWriter) WriteHeader(code int) { w.code = code }
+func (w *digestWriter) Write(p []byte) (int, error) {
+	w.bytes += len(p)
+	return w.body.Write(p)
+}
+
+// /ring encodes its n!-2|Fv| vertices into one reused buffer, so it
+// allocates about what /embed does at the same n, not once per vertex.
+func TestRingAllocsMatchEmbed(t *testing.T) {
+	for _, tc := range []struct {
+		n  int
+		fv string
+	}{{6, "213456"}, {7, "2134567"}, {8, "21345678"}} {
+		s, _, _ := testServer(t, Config{MinN: tc.n, MaxN: tc.n, PoolSize: 1})
+		h := s.Handler()
+		allocs := func(route string) float64 {
+			path := fmt.Sprintf("/%s?n=%d&fv=%s", route, tc.n, tc.fv)
+			w := newDigestWriter()
+			a := testing.AllocsPerRun(5, func() {
+				w.bytes = 0
+				h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+			})
+			if w.code != http.StatusOK || w.bytes == 0 {
+				t.Fatalf("GET %s: status %d, %d body bytes", path, w.code, w.bytes)
+			}
+			return a
+		}
+		embed, ring := allocs("embed"), allocs("ring")
+		t.Logf("n=%d: /ring %.0f allocs, /embed %.0f", tc.n, ring, embed)
+		if ring > embed+16 {
+			t.Errorf("n=%d: /ring allocates %.0f, /embed %.0f; want at most 16 more", tc.n, ring, embed)
+		}
+	}
+}
+
+// At n=10 the symbols run 1..9 then a: /ring's body must be the plan's
+// cursor rendered by StringN, one vertex and a newline each, byte for
+// byte.
+func TestRingBodyMatchesStringN(t *testing.T) {
+	if testing.Short() {
+		t.Skip("streams 3.6M vertices")
+	}
+	const n, fv = 10, "213456789a"
+	s, _, _ := testServer(t, Config{MinN: n, MaxN: n, PoolSize: 1})
+	got := newDigestWriter()
+	s.Handler().ServeHTTP(got, httptest.NewRequest(http.MethodGet, "/ring?n=10&fv="+fv, nil))
+	if got.code != http.StatusOK {
+		t.Fatalf("/ring?n=%d = %d", n, got.code)
+	}
+
+	fs, err := faults.FromStrings(n, fv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := s.pool(n).eng.Embed(fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := newDigestWriter()
+	c := plan.Cursor()
+	for v, ok := c.Next(); ok; v, ok = c.Next() {
+		want.Write([]byte(v.StringN(n) + "\n"))
+	}
+	if err := c.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if got.bytes != want.bytes || !bytes.Equal(got.body.Sum(nil), want.body.Sum(nil)) {
+		t.Fatalf("/ring body: %d bytes, sha256 %x; StringN lines: %d bytes, sha256 %x",
+			got.bytes, got.body.Sum(nil), want.bytes, want.body.Sum(nil))
 	}
 }
 

@@ -36,8 +36,10 @@
 #                       S_8 paths with the stream smoke's faults, one
 #                       per endpoint side, must -print byte for byte
 #                       the digests committed in scripts/path-smoke.sha256
-#   9b. serve smoke  -- starserve end to end: boot the service, drive
-#                       the fault-churn load generator against it,
+#   9b. serve smoke  -- starserve end to end: boot the service, match
+#                       its /ring body byte for byte against starring
+#                       -print's ring, drive the fault-churn load
+#                       generator against it,
 #                       starmon -watch live against the committed SLO
 #                       policy (scripts/slo-serve.json) must exit 0;
 #                       then a deliberately overloaded server (admission
@@ -334,6 +336,7 @@ serve_smoke() {
     tmp=$(mktemp -d)
     go build -o "$tmp/starserve" ./cmd/starserve || return 1
     go build -o "$tmp/starmon" ./cmd/starmon || return 1
+    go build -o "$tmp/starring" ./cmd/starring || return 1
 
     # --- Healthy half -------------------------------------------------
     "$tmp/starserve" -addr 127.0.0.1:0 -min-n 4 -max-n 6 \
@@ -358,6 +361,18 @@ serve_smoke() {
     # Warm pools must report ready, and the exposition must carry the
     # labeled RED families.
     curl -fsS "http://$addr/readyz" >/dev/null || { kill "$pid"; return 1; }
+
+    # The ring as it arrives over real HTTP chunking must be the ring
+    # starring -print writes after its three header lines.
+    curl -fsS "http://$addr/ring?n=6&fv=213456" >"$tmp/ring-serve.txt" || { kill "$pid"; return 1; }
+    "$tmp/starring" -n 6 -fv 213456 -print | tail -n +4 >"$tmp/ring-cli.txt"
+    if ! cmp -s "$tmp/ring-serve.txt" "$tmp/ring-cli.txt"; then
+        echo "/ring?n=6&fv=213456 differs from starring -n 6 -fv 213456 -print:" >&2
+        cmp "$tmp/ring-serve.txt" "$tmp/ring-cli.txt" >&2
+        kill "$pid" 2>/dev/null
+        return 1
+    fi
+
     "$tmp/starserve" -load -target "http://$addr" -load-n 6 -requests 120 \
         -concurrency 4 -ring-every 9 -seed 1 -out "$tmp/load.json" \
         >/dev/null || { kill "$pid"; return 1; }
