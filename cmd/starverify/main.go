@@ -11,9 +11,10 @@
 //
 // The ring is decoded and checked one vertex at a time through
 // check.RingStream (distinctness via a rank bitset), so a
-// multi-million-vertex file never has to fit in RAM. Both the chunked
-// stream format starring -save writes and the flat legacy format are
-// accepted.
+// multi-million-vertex file never has to fit in RAM. The SRS2 format
+// starring -save writes (one star-step byte per vertex) and the two
+// rank formats files were saved in before it, chunked SRS1 and flat
+// SRG1, are all accepted.
 //
 // Exit status 0 means the embedding is safe to use, 1 that the ring was
 // rejected, and 2 that the ring could not be loaded (missing/corrupt
@@ -44,7 +45,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fset := flag.NewFlagSet("starverify", flag.ContinueOnError)
 	fset.SetOutput(stderr)
 	var (
-		ringPath = fset.String("ring", "", "ring file written by starring -save (binary ringio format, stream or legacy)")
+		ringPath = fset.String("ring", "", "ring file written by starring -save (ringio SRS2, or the older SRS1 or SRG1)")
 		fv       = fset.String("fv", "", "comma-separated faulty vertices to verify against")
 		minLen   = fset.Int("minlen", 0, "required minimum ring length (0 = structure only)")
 		quiet    = fset.Bool("q", false, "suppress output; report via exit status only")

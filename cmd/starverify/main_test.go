@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,30 +12,38 @@ import (
 	"repro/internal/ringio"
 )
 
-// writeRing embeds a fault-free S_n ring and persists it in the flat
-// legacy format, which starverify still decodes.
-func writeRing(t *testing.T, n int) string {
+// writeLegacyRing embeds a fault-free S_n ring and persists it, from
+// its ranks, in one of the rank formats files were saved in before
+// SRS2, which starverify still decodes: the magic ("SRG1" flat or
+// "SRS1" chunked), uvarint n and length, then a uvarint rank per
+// vertex, SRS1's in chunks of 4096 closed by a zero terminator.
+func writeLegacyRing(t *testing.T, n int, magic string) string {
 	t.Helper()
 	plan, err := core.Embed(n, faults.NewSet(n), core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "ring.srg")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
+	ring := plan.Ring()
+	data := binary.AppendUvarint([]byte(magic), uint64(n))
+	data = binary.AppendUvarint(data, uint64(len(ring)))
+	for i, v := range ring {
+		if magic == "SRS1" && i%4096 == 0 {
+			data = binary.AppendUvarint(data, uint64(min(4096, len(ring)-i)))
+		}
+		data = binary.AppendUvarint(data, uint64(v.Rank(n)))
 	}
-	if err := ringio.WriteBinary(f, n, plan.Ring()); err != nil {
-		t.Fatal(err)
+	if magic == "SRS1" {
+		data = append(data, 0)
 	}
-	if err := f.Close(); err != nil {
+	path := filepath.Join(t.TempDir(), "ring."+strings.ToLower(magic))
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path
 }
 
-// writeStreamRing persists the same fault-free S_n ring in the chunked
-// stream format starring -save writes, straight from the plan's cursor.
+// writeStreamRing persists the same fault-free S_n ring in the SRS2
+// format starring -save writes, straight from the plan's cursor.
 func writeStreamRing(t *testing.T, n int) string {
 	t.Helper()
 	plan, err := core.Embed(n, faults.NewSet(n), core.Config{})
@@ -56,7 +65,8 @@ func writeStreamRing(t *testing.T, n int) string {
 }
 
 func TestRunVerdicts(t *testing.T) {
-	ring := writeRing(t, 4)
+	ring := writeLegacyRing(t, 4, "SRG1")
+	ranks := writeLegacyRing(t, 4, "SRS1")
 	sring := writeStreamRing(t, 4)
 	garbage := filepath.Join(t.TempDir(), "garbage.srg")
 	if err := os.WriteFile(garbage, []byte("not a ring"), 0o644); err != nil {
@@ -87,6 +97,7 @@ func TestRunVerdicts(t *testing.T) {
 		{"rejected: minlen too high", []string{"-ring", ring, "-minlen", "25"}, 1, "", "REJECTED"},
 		{"stream ok", []string{"-ring", sring}, 0, "starverify: ok", ""},
 		{"stream ok legacy format", []string{"-ring", ring}, 0, "S_4 ring of 24 vertices", ""},
+		{"stream ok SRS1 format", []string{"-ring", ranks, "-minlen", "24"}, 0, "S_4 ring of 24 vertices", ""},
 		{"stream minlen satisfied", []string{"-ring", sring, "-minlen", "24"}, 0, "min length 24 satisfied", ""},
 		{"stream rejected: fault on ring", []string{"-ring", sring, "-fv", "1234"}, 1, "", "REJECTED"},
 		{"stream rejected: minlen too high", []string{"-ring", sring, "-minlen", "25"}, 1, "", "REJECTED"},

@@ -1,12 +1,23 @@
 // Package ringio serializes embedded rings so that a computed embedding
 // can be stored, shipped to the job scheduler of a star-graph machine,
-// and re-verified on load. Both formats are binary: a small header
-// plus one Lehmer rank per vertex, varint-encoded (rings compress well
-// because consecutive vertices differ by one star operation, but ranks
-// keep decoding trivial and dimension-independent). WriteBinary writes
-// the ranks flat (SRG1); WriteBinaryStream writes them in chunks (SRS1)
-// so a producer never holds the ring. One decoder, StreamReader, reads
-// both, and ReadBinary is that decoder drained into a slice.
+// and re-verified on load. The written format, SRS2, is binary: a small
+// header, then chunks of one byte per vertex. Consecutive ring vertices
+// differ by one star operation, so a byte d names the previous vertex
+// with positions 1 and d swapped; only the first vertex, and any vertex
+// not adjacent to its predecessor, is escaped to a varint Lehmer rank.
+//
+// Steps replaced a rank per vertex because ranking and unranking every
+// vertex was the stream pipeline's costliest layer: on S_9 rings with
+// six faults (traced perfbench stream_n9 runs, 2-vCPU Xeon), writing
+// ranks took 36-45 ns per vertex and reading them 49-56 ns, against 14
+// and 11-12 ns for steps, and a file holds one byte per vertex instead
+// of three.
+//
+// WriteBinaryStream writes SRS2 from an iterator, so a producer never
+// holds the ring, and WriteBinary writes it from a slice. One decoder,
+// StreamReader, reads SRS2 and the two rank formats it replaced (flat
+// SRG1 and chunked SRS1), and ReadBinary is that decoder drained into
+// a slice.
 //
 // Loading re-validates structure: dimensions, vertex validity and the
 // declared length must match. Adjacency re-verification is the caller's
@@ -14,17 +25,11 @@
 package ringio
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 
 	"repro/internal/perm"
 )
-
-// magic identifies the binary format ("SRG1" = star ring v1).
-var magic = [4]byte{'S', 'R', 'G', '1'}
 
 // ErrFormat reports malformed input.
 var ErrFormat = errors.New("ringio: malformed input")
@@ -35,36 +40,27 @@ var ErrFormat = errors.New("ringio: malformed input")
 // read.
 const maxPrealloc = 1 << 16
 
-// WriteBinary encodes the ring in the compact binary format.
+// WriteBinary encodes a materialized ring in the SRS2 format:
+// WriteBinaryStream over the slice.
 func WriteBinary(w io.Writer, n int, ring []perm.Code) error {
-	if n < 1 || n > perm.MaxN {
-		return fmt.Errorf("ringio: dimension %d out of range", n)
-	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(magic[:]); err != nil {
-		return err
-	}
-	var hdr [binary.MaxVarintLen64 * 2]byte
-	k := binary.PutUvarint(hdr[:], uint64(n))
-	k += binary.PutUvarint(hdr[k:], uint64(len(ring)))
-	if _, err := bw.Write(hdr[:k]); err != nil {
-		return err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	for i, v := range ring {
-		rank, ok := v.RankValid(n)
-		if !ok {
-			return fmt.Errorf("ringio: entry %d is not a vertex of S_%d", i, n)
-		}
-		k := binary.PutUvarint(buf[:], uint64(rank))
-		if _, err := bw.Write(buf[:k]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return WriteBinaryStream(w, n, len(ring), sliceNext(ring))
 }
 
-// ReadBinary decodes a whole ring in either format by draining
+// sliceNext adapts a materialized ring to the producer iterator shape.
+func sliceNext(ring []perm.Code) func() (perm.Code, bool) {
+	i := 0
+	return func() (perm.Code, bool) {
+		if i >= len(ring) {
+			var zero perm.Code
+			return zero, false
+		}
+		v := ring[i]
+		i++
+		return v, true
+	}
+}
+
+// ReadBinary decodes a whole ring in any format by draining
 // ReadBinaryStream, so it makes every check the stream decoder makes.
 func ReadBinary(r io.Reader) (n int, ring []perm.Code, err error) {
 	sr, err := ReadBinaryStream(r)

@@ -2,6 +2,7 @@ package ringio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -23,31 +24,31 @@ func sampleRing(t *testing.T, n, k int) []perm.Code {
 	return plan.Ring()
 }
 
-// TestBinaryRoundtrip reads back, through ReadBinary, rings written in
-// both formats: flat by WriteBinary and chunked by WriteBinaryStream.
+// TestBinaryRoundtrip reads back, through ReadBinary, rings written by
+// WriteBinary at the exact SRS2 size: a whole ring, and one with a
+// vertex dropped mid-ring, whose two sides are not adjacent and so
+// meet at an escape.
 func TestBinaryRoundtrip(t *testing.T) {
 	for _, n := range []int{4, 5, 6} {
 		ring := sampleRing(t, n, 1)
-		var flat, chunked bytes.Buffer
-		if err := WriteBinary(&flat, n, ring); err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteBinaryStream(&chunked, n, len(ring), sliceNext(ring)); err != nil {
-			t.Fatal(err)
-		}
-		for _, buf := range []*bytes.Buffer{&flat, &chunked} {
-			gotN, got, err := ReadBinary(buf)
+		mid := len(ring) / 2
+		jumped := append(append([]perm.Code{}, ring[:mid]...), ring[mid+1:]...)
+		for _, seq := range [][]perm.Code{ring, jumped} {
+			var buf bytes.Buffer
+			if err := WriteBinary(&buf, n, seq); err != nil {
+				t.Fatal(err)
+			}
+			if buf.Len() != encodedSize(n, seq) {
+				t.Fatalf("n=%d: %d bytes for %d vertices, want %d", n, buf.Len(), len(seq), encodedSize(n, seq))
+			}
+			gotN, got, err := ReadBinary(&buf)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if gotN != n || len(got) != len(ring) {
-				t.Fatalf("n=%d len=%d, want n=%d len=%d", gotN, len(got), n, len(ring))
+			if gotN != n {
+				t.Fatalf("n=%d, want %d", gotN, n)
 			}
-			for i := range got {
-				if got[i] != ring[i] {
-					t.Fatalf("entry %d differs", i)
-				}
-			}
+			sameRing(t, got, seq)
 		}
 	}
 }
@@ -90,6 +91,10 @@ func TestBinaryRejections(t *testing.T) {
 	}
 }
 
+// TestBinaryCompactness pins the exact size of a written ring: the
+// header, one escape for the first vertex, one byte for every other
+// vertex, the chunk counts and the terminator. A writer that escapes
+// an adjacent vertex fails it.
 func TestBinaryCompactness(t *testing.T) {
 	n := 6
 	ring := sampleRing(t, n, 0)
@@ -97,11 +102,35 @@ func TestBinaryCompactness(t *testing.T) {
 	if err := WriteBinary(&buf, n, ring); err != nil {
 		t.Fatal(err)
 	}
-	// Ranks below 720 need at most 2 varint bytes: the encoding must
-	// beat 8-byte raw codes comfortably.
-	if buf.Len() > len(ring)*2+16 {
-		t.Fatalf("binary encoding too large: %d bytes for %d vertices", buf.Len(), len(ring))
+	// 720 vertices: one chunk.
+	want := len(magicStream) + uvarintLen(uint64(n)) + uvarintLen(uint64(len(ring))) +
+		1 + uvarintLen(uint64(ring[0].Rank(n))) + len(ring) - 1 +
+		uvarintLen(uint64(len(ring))) + 1
+	if buf.Len() != want {
+		t.Fatalf("%d bytes for %d vertices, want %d", buf.Len(), len(ring), want)
 	}
+}
+
+// encodedSize is the SRS2 size of seq, entry by entry: one byte for a
+// vertex adjacent to its predecessor, an escape byte and a uvarint
+// rank for any other, plus the header, chunk counts and terminator.
+func encodedSize(n int, seq []perm.Code) int {
+	size := len(magicStream) + uvarintLen(uint64(n)) + uvarintLen(uint64(len(seq))) + 1
+	for i, v := range seq {
+		if i%streamChunk == 0 {
+			size += uvarintLen(uint64(min(streamChunk, len(seq)-i)))
+		}
+		size++
+		if i == 0 || !perm.Adjacent(seq[i-1], v, n) {
+			size += uvarintLen(uint64(v.Rank(n)))
+		}
+	}
+	return size
+}
+
+func uvarintLen(x uint64) int {
+	var buf [binary.MaxVarintLen64]byte
+	return binary.PutUvarint(buf[:], x)
 }
 
 func BenchmarkWriteBinary(b *testing.B) {

@@ -30,8 +30,10 @@
 #                       with explicit faults at O(#blocks) memory, match
 #                       the -print output's SHA-256 against the digest
 #                       committed from the retired materialized engine
-#                       (scripts/stream-smoke.sha256), save the chunked
-#                       stream file and starverify it
+#                       (scripts/stream-smoke.sha256), save the ring in
+#                       SRS2 (one star-step byte per vertex), require the
+#                       file to hold at most 40,400 bytes and starverify
+#                       it
 #   9a. path smoke   -- the longest s-t path pipeline end to end: two
 #                       S_8 paths with the stream smoke's faults, one
 #                       per endpoint side, must -print byte for byte
@@ -277,10 +279,13 @@ leg "flight smoke" flight_smoke || exit 1
 # Stream smoke: the ring-cursor pipeline end to end. One S_8 embedding
 # (40320 vertices) with explicit faults must -print byte for byte what
 # the retired materialized engine printed — its SHA-256 is committed in
-# scripts/stream-smoke.sha256 — and its chunked save must pass
-# starverify at the guaranteed minimum length.
+# scripts/stream-smoke.sha256 — and its save must pass starverify at
+# the guaranteed minimum length. The saved file must take one byte per
+# vertex: 40314 step bytes plus framing fit in 40,400 bytes, while a
+# writer that fell back to escaped ranks would still round-trip and
+# verify, at over twice the size.
 stream_smoke() {
-    local tmp fv minlen want got
+    local tmp fv minlen want got size
     tmp=$(mktemp -d)
     go build -o "$tmp/starring" ./cmd/starring || return 1
     go build -o "$tmp/starverify" ./cmd/starverify || return 1
@@ -296,6 +301,11 @@ stream_smoke() {
         return 1
     fi
     "$tmp/starring" -n 8 -fv "$fv" -save "$tmp/ring.srs" >/dev/null || return 1
+    size=$(wc -c <"$tmp/ring.srs")
+    if [ "$size" -gt 40400 ]; then
+        echo "saved ring is $size bytes, want at most 40400 (one byte per vertex)" >&2
+        return 1
+    fi
     "$tmp/starverify" -ring "$tmp/ring.srs" -fv "$fv" -minlen "$minlen" || return 1
 }
 
@@ -497,6 +507,7 @@ leg "fuzz perm/FuzzParse" fuzz_smoke ./internal/perm FuzzParse || exit 1
 leg "fuzz perm/FuzzCodeOps" fuzz_smoke ./internal/perm FuzzCodeOps || exit 1
 leg "fuzz ringio/FuzzReadBinary" fuzz_smoke ./internal/ringio FuzzReadBinary || exit 1
 leg "fuzz ringio/FuzzReadBinaryStream" fuzz_smoke ./internal/ringio FuzzReadBinaryStream || exit 1
+leg "fuzz ringio/FuzzWriteBinaryStream" fuzz_smoke ./internal/ringio FuzzWriteBinaryStream || exit 1
 leg "fuzz core/FuzzEmbedRing" fuzz_smoke ./internal/core FuzzEmbedRing || exit 1
 leg "fuzz check/FuzzRingStreamReference" fuzz_smoke ./internal/check FuzzRingStreamReference || exit 1
 leg "fuzz serve/FuzzServeRequest" fuzz_smoke ./internal/serve FuzzServeRequest || exit 1

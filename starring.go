@@ -194,23 +194,25 @@ func RingUpperBound(n int, fs *FaultSet) int {
 }
 
 // SaveRing writes an embedded ring in the compact binary format of
-// internal/ringio (one varint rank per vertex), suitable for handing to
-// a scheduler and re-verifying on load.
+// internal/ringio (SRS2: one star-step byte per vertex, a varint rank
+// for the first), suitable for handing to a scheduler and re-verifying
+// on load.
 func SaveRing(w io.Writer, n int, ring []Vertex) error {
 	return ringio.WriteBinary(w, n, ring)
 }
 
-// LoadRing reads a ring written by SaveRing or SaveRingStream,
-// re-validating every vertex. Use VerifyRing afterwards to re-check adjacency and
-// healthiness against a fault set.
+// LoadRing reads a ring written by SaveRing or SaveRingStream, or a
+// file saved in the older rank formats, re-validating every vertex. Use
+// VerifyRing afterwards to re-check adjacency and healthiness against a
+// fault set.
 func LoadRing(r io.Reader) (n int, ring []Vertex, err error) {
 	return ringio.ReadBinary(r)
 }
 
 // SaveRingStream writes a ring delivered by an iterator (typically
-// Plan.Cursor().Next) in the chunked binary format, without ever
-// holding the cycle: length must declare the exact vertex count up
-// front (Plan.RingLen knows it from the skeleton).
+// Plan.Cursor().Next) in SaveRing's format, without ever holding the
+// cycle: length must declare the exact vertex count up front
+// (Plan.RingLen knows it from the skeleton).
 func SaveRingStream(w io.Writer, n int, length int, next func() (Vertex, bool)) error {
 	return ringio.WriteBinaryStream(w, n, length, next)
 }
@@ -220,8 +222,9 @@ func SaveRingStream(w io.Writer, n int, length int, next func() (Vertex, bool)) 
 type RingReader = ringio.StreamReader
 
 // LoadRingStream opens a constant-memory decoder for a ring written by
-// SaveRingStream or SaveRing. Feed RingReader.Next to VerifyRingStream
-// to re-verify without materializing.
+// SaveRingStream or SaveRing, or saved in the older rank formats. Feed
+// RingReader.Next to VerifyRingStream to re-verify without
+// materializing.
 func LoadRingStream(r io.Reader) (*RingReader, error) {
 	return ringio.ReadBinaryStream(r)
 }
