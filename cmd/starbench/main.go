@@ -1,6 +1,6 @@
 // Command starbench is the perf-regression gate over perfbench, the
 // benchmark of record. From the repository root it runs each workload in
-// BENCHMARK.json at seeds 1, 2 and 3 for 10 seconds, and fails (exit 1)
+// BENCHMARK.json at seeds 1 to 5 for 10 seconds, and fails (exit 1)
 // when a run fails, when the baseline (scripts/perf-baseline.ndjson)
 // lacks a run or a metric or ran at another --seconds, or when the median
 // over seeds of an end-to-end metric is worse than the baseline's by more
@@ -28,9 +28,10 @@ const (
 	baselineFile = "scripts/perf-baseline.ndjson"
 )
 
-// seeds has an odd length, so one noisy seed is outvoted. A false
-// failure at unchanged code calls for more seeds, never a wider bound.
-var seeds = []int{1, 2, 3}
+// seeds has an odd length, so the median is one run and two noisy seeds
+// are outvoted. A false failure at unchanged code calls for more seeds,
+// never a wider bound.
+var seeds = []int{1, 2, 3, 4, 5}
 
 // benchmark is the part of BENCHMARK.json the gate reads; encoding/json
 // matches its keys to the field names regardless of case.

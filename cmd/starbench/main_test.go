@@ -23,7 +23,7 @@ const specJSON = `{
 // runs returns one correct result line per workload and seed, parsed
 // the way the gate parses perfbench's: seed i carries mean[i] and
 // goodput[i] on both workloads.
-func runs(t *testing.T, mean, goodput [3]float64) []result {
+func runs(t *testing.T, mean, goodput [5]float64) []result {
 	t.Helper()
 	var rs []result
 	for _, wl := range []string{"w1", "w2"} {
@@ -52,24 +52,25 @@ func TestGate(t *testing.T) {
 	if err := json.Unmarshal([]byte(specJSON), &spec); err != nil {
 		t.Fatal(err)
 	}
-	steady := func() []result { return runs(t, [3]float64{10, 10, 10}, [3]float64{1, 1, 1}) }
+	steady := func() []result { return runs(t, [5]float64{10, 10, 10, 10, 10}, [5]float64{1, 1, 1, 1, 1}) }
 	for _, c := range []struct {
 		name        string
 		base, fresh []result
 		want        string // a substring of the one problem; "" passes
 	}{
-		{"within bound", steady(), runs(t, [3]float64{11.4, 10.2, 11.1}, [3]float64{0.97, 1, 0.96}), ""},
-		{"lower-better worse past bound", steady(), runs(t, [3]float64{11.6, 11.8, 11.4}, [3]float64{1, 1, 1}),
+		{"within bound", steady(), runs(t, [5]float64{11.4, 10.2, 11.1, 10.6, 11.3}, [5]float64{0.97, 1, 0.96, 0.98, 1}), ""},
+		{"lower-better worse past bound", steady(), runs(t, [5]float64{11.6, 11.8, 11.4, 11.7, 11.2}, [5]float64{1, 1, 1, 1, 1}),
 			"w1 mean_rel REGRESSED; split it by layer with sh fakebench.sh --workload w1 --seed 1 --seconds 30 --trace 1"},
-		{"goodput falls past bound", steady(), runs(t, [3]float64{10, 10, 10}, [3]float64{0.94, 1, 0.9}), "w1 goodput REGRESSED"},
-		{"one bad seed outvoted", steady(), runs(t, [3]float64{10.1, 30, 9.9}, [3]float64{1, 0.2, 1}), ""},
+		{"goodput falls past bound", steady(), runs(t, [5]float64{10, 10, 10, 10, 10}, [5]float64{0.94, 1, 0.9, 0.93, 1}), "w1 goodput REGRESSED"},
+		{"one bad seed outvoted", steady(), runs(t, [5]float64{10.1, 30, 9.9, 10, 10.2}, [5]float64{1, 0.2, 1, 1, 1}), ""},
+		{"two bad seeds outvoted", steady(), runs(t, [5]float64{10.1, 30, 9.9, 25, 10}, [5]float64{1, 0.2, 1, 0.5, 1}), ""},
 		{"incorrect baseline run", with(steady(), 1, func(r *result) { r.Correct = false }), steady(),
 			"baseline w1 seed 2: --seconds 10 (the gate's: 10), correct false"},
-		{"failed fresh operation", steady(), with(steady(), 4, func(r *result) { r.Failed = 2 }),
+		{"failed fresh operation", steady(), with(steady(), 6, func(r *result) { r.Failed = 2 }),
 			"fresh w2 seed 2: --seconds 10 (the gate's: 10), correct true, 2 of 10 operations failed"},
-		{"missing workload", steady()[3:], steady(), "w1 mean_rel: 0 baseline and 3 fresh values"},
+		{"missing workload", steady()[5:], steady(), "w1 mean_rel: 0 baseline and 5 fresh values"},
 		{"missing metric", with(steady(), 5, func(r *result) { delete(r.Metrics, "goodput") }), steady(),
-			"w2 goodput: 2 baseline and 3 fresh values"},
+			"w2 goodput: 4 baseline and 5 fresh values"},
 		{"seconds mismatch", with(steady(), 0, func(r *result) { r.Seconds = 30 }), steady(),
 			"baseline w1 seed 1: --seconds 30 (the gate's: 10)"},
 	} {
@@ -164,8 +165,8 @@ func TestRunWriteThenGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(string(base)), "\n")
-	if len(lines) != 6 || !strings.HasPrefix(lines[5], `{"workload":"w2","seed":3,"seconds":10,"correct":true,`) {
-		t.Fatalf("baseline has %d lines, want 6 tagged ones:\n%s", len(lines), base)
+	if len(lines) != 10 || !strings.HasPrefix(lines[9], `{"workload":"w2","seed":5,"seconds":10,"correct":true,`) {
+		t.Fatalf("baseline has %d lines, want 10 tagged ones:\n%s", len(lines), base)
 	}
 
 	for _, c := range []struct {

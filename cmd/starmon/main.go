@@ -72,6 +72,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	// A negative count would poll zero frames and pass every check.
+	if *frames < 0 {
+		fmt.Fprintf(stderr, "starmon: -frames %d: want 0 (run until interrupted) or more\n", *frames)
+		return 2
+	}
+	if *retries < 0 {
+		fmt.Fprintf(stderr, "starmon: -retries %d: want 0 or more\n", *retries)
+		return 2
+	}
 	if *interval <= 0 {
 		*interval = time.Second
 	}

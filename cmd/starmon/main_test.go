@@ -340,6 +340,31 @@ func TestRunModeValidation(t *testing.T) {
 	}
 }
 
+// A negative -frames used to poll zero frames, so -watch passed its SLO
+// gate and -attach exited 0 without one scrape. Both counts are usage
+// errors, rejected before any mode runs (the address is never dialed).
+func TestRunRejectsNegativeCounts(t *testing.T) {
+	rules := writeFile(t, "rules.json", `{"rules": [
+		{"name": "r", "kind": "threshold", "metric": "m", "window_s": 1, "max": 1}
+	]}`)
+	for _, tc := range []struct {
+		flag string
+		args []string
+	}{
+		{"-frames", []string{"-watch", "-attach", "127.0.0.1:1", "-rules", rules, "-frames", "-1"}},
+		{"-frames", []string{"-attach", "127.0.0.1:1", "-frames", "-3"}},
+		{"-retries", []string{"-attach", "127.0.0.1:1", "-frames", "1", "-retries", "-1"}},
+	} {
+		var out, errOut strings.Builder
+		code := run(tc.args, &out, &errOut)
+		lines := strings.Split(strings.TrimSpace(errOut.String()), "\n")
+		if code != 2 || len(lines) != 1 || !strings.Contains(lines[0], tc.flag) || out.Len() != 0 {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2 and one line naming %s",
+				tc.args, code, out.String(), errOut.String(), tc.flag)
+		}
+	}
+}
+
 // tracedRegistry builds a registry with a flight recorder (streaming
 // its log lines to the returned builder) that ran one traced
 // operation, so /metrics carries an exemplar and spans/events carry

@@ -72,6 +72,10 @@ func TestEmbedMetrics(t *testing.T) {
 		if got := snap.Counters[labeled]; got != 1 {
 			t.Errorf("path %v: %s = %d, want 1; counters %+v", path, labeled, got, snap.Counters)
 		}
+		// No two call sites declare one name as different kinds or keys.
+		if errs := reg.VecErrors(); len(errs) != 0 {
+			t.Errorf("path %v: registry errors: %v", path, errs)
+		}
 	}
 }
 

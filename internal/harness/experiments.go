@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"time"
 
@@ -636,7 +637,7 @@ func A1(cfg SweepConfig) ([]*Table, error) {
 					continue
 				}
 				for a := pathsearch.Canon.Adjacency(uint8(u)) &^ forb; a != 0; a &= a - 1 {
-					v := uint8(trailingZeros32(a))
+					v := uint8(bits.TrailingZeros32(a))
 					q := pathsearch.Query{From: uint8(u), To: v, ForbidV: forb, Target: 22,
 						NoCache: noCache, NoHeuristic: noHeuristic}
 					if _, ok := pathsearch.Canon.FindPath(q); !ok {
@@ -695,15 +696,6 @@ func A1(cfg SweepConfig) ([]*Table, error) {
 	t.AddRow("Lemma 2 greedy positions", "-", countViolations(greedy), fmt.Sprintf("positions %v", greedy))
 	t.AddRow("naive positions 2..n-3", "-", countViolations(naive), "guarantee lost: one block holds all faults")
 	return []*Table{t}, nil
-}
-
-func trailingZeros32(x uint32) int {
-	k := 0
-	for x&1 == 0 {
-		x >>= 1
-		k++
-	}
-	return k
 }
 
 // F6 probes beyond the proven edge-fault budget: the theorem guarantees

@@ -34,6 +34,34 @@ func Since(c Clock, t time.Time) time.Duration {
 	return d
 }
 
+// Every calls fn every period (which must be positive) on the wall
+// clock until the returned stop function is called. stop ends the loop,
+// waits for its goroutine to exit, then calls fn once more, so a run
+// shorter than one period still records its end state; later calls to
+// stop do nothing.
+func Every(period time.Duration, fn func()) (stop func()) {
+	ticker := time.NewTicker(period)
+	done := make(chan struct{})
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		for {
+			select {
+			case <-done:
+				return
+			case <-ticker.C:
+				fn()
+			}
+		}
+	}()
+	return sync.OnceFunc(func() {
+		ticker.Stop()
+		close(done)
+		<-finished
+		fn()
+	})
+}
+
 // Manual is a Clock that only moves when advanced explicitly. It is
 // safe for concurrent use.
 type Manual struct {

@@ -188,31 +188,7 @@ func (s *Sampler) VisitHistogram(name string, h *obs.Histogram) {
 // the returned stop function is called. stop takes one final sample
 // before returning (so sub-period runs still record history) and is
 // idempotent.
-func (s *Sampler) Start() (stop func()) {
-	ticker := time.NewTicker(s.period)
-	done := make(chan struct{})
-	finished := make(chan struct{})
-	go func() {
-		defer close(finished)
-		for {
-			select {
-			case <-done:
-				return
-			case <-ticker.C:
-				s.Sample()
-			}
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			ticker.Stop()
-			close(done)
-			<-finished
-			s.Sample()
-		})
-	}
-}
+func (s *Sampler) Start() (stop func()) { return obs.Every(s.period, s.Sample) }
 
 // Series copies every series out, sorted by name, samples oldest first.
 func (s *Sampler) Series() []Series {

@@ -129,8 +129,8 @@ func escapeLabelValue(v string) string {
 }
 
 // EncodeName renders a metric identity as name{labels}, or the bare
-// name for an empty set. Snapshot keys and the series names plain
-// Visitors receive are in this form.
+// name for an empty set. Snapshot keys and the names Visitors receive
+// are in this form.
 func EncodeName(name string, ls Labels) string {
 	if len(ls) == 0 {
 		return name

@@ -6,6 +6,13 @@
 // per-phase costs are otherwise invisible — can be measured without
 // perturbing it.
 //
+// A Registry keeps every metric in one store of named families. A
+// family is a kind (counter, gauge or histogram), a set of label keys
+// and one slot per label set; a plain metric is a family with no keys,
+// whose single slot exists from the start. Visit is the one walk over
+// the store: the export Sampler, Snapshot and every exporter built on
+// it read the registry through it.
+//
 // Completed spans and log lines have one destination: the optional
 // FlightRecorder, a bounded ring that the Perfetto export, the NDJSON
 // event stream, metrics snapshots and post-mortem bundles all read.
@@ -25,8 +32,10 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -86,21 +95,20 @@ func (g *Gauge) Value() int64 {
 	return atomic.LoadInt64(&g.v)
 }
 
-// Registry names and owns a set of metrics. Metrics are created lazily
-// on first access and live for the registry's lifetime; accessors on a
-// nil *Registry return nil metrics, so a single optional *Registry
-// switches a whole subsystem's instrumentation on or off.
+// Registry names and owns a set of metrics. It has one store: a map
+// from name to family and the same families in creation order. A plain
+// metric (Counter, Gauge, Histogram) is a family with no label keys;
+// CounterVec, GaugeVec and HistogramVec are families with keys. Metrics
+// are created lazily on first access and live for the registry's
+// lifetime; accessors on a nil *Registry return nil metrics, so a
+// single optional *Registry switches a whole subsystem's
+// instrumentation on or off.
 type Registry struct {
-	mu       sync.Mutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
-	cvecs    map[string]*CounterVec
-	gvecs    map[string]*GaugeVec
-	hvecs    map[string]*HistogramVec
-	fams     []*family // every family, in creation order (append-only)
-	clock    Clock
-	flight   atomic.Pointer[FlightRecorder] // nil until NewFlightRecorder
+	mu     sync.Mutex
+	byName map[string]*family
+	fams   []*family // creation order (append-only)
+	clock  Clock
+	flight atomic.Pointer[FlightRecorder] // nil until NewFlightRecorder
 }
 
 // NewRegistry returns an empty registry on the wall clock.
@@ -143,125 +151,87 @@ func (r *Registry) Flight() *FlightRecorder {
 	return r.flight.Load()
 }
 
-// Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name string) *Counter {
+// family returns the named family, creating it with kind and keys on
+// first use. Declaring the name again as another kind or with another
+// key set is a bug worth surfacing, not silently merging: it records
+// the family's first error (see VecErrors) and returns nil.
+func (r *Registry) family(name, kind string, keys []string) *family {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c, ok := r.counters[name]
+	f, ok := r.byName[name]
 	if !ok {
-		c = &Counter{}
-		if r.counters == nil {
-			r.counters = make(map[string]*Counter)
+		f = newFamily(name, kind, keys)
+		if r.byName == nil {
+			r.byName = make(map[string]*family)
 		}
-		r.counters[name] = c
+		r.byName[name] = f
+		r.fams = append(r.fams, f)
+	} else if f.kind != kind || !slices.Equal(sortedKeys(keys), f.keys) {
+		f.fail(fmt.Errorf("obs: %s: redeclared as %s with keys %v (have %s with keys %v)",
+			name, kind, keys, f.kind, f.keys))
+		return nil
 	}
-	return c
+	return f
+}
+
+// families returns the family list; the slice header is safe to walk
+// after the lock drops, since the list is append-only.
+func (r *Registry) families() []*family {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.fams
+}
+
+// Counter returns the named counter, creating it on first use.
+func (r *Registry) Counter(name string) *Counter {
+	return r.family(name, "counter", nil).plain().c
 }
 
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		if r.gauges == nil {
-			r.gauges = make(map[string]*Gauge)
-		}
-		r.gauges[name] = g
-	}
-	return g
+	return r.family(name, "gauge", nil).plain().g
 }
 
 // Histogram returns the named histogram, creating it on first use.
 func (r *Registry) Histogram(name string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = &Histogram{}
-		if r.hists == nil {
-			r.hists = make(map[string]*Histogram)
-		}
-		r.hists[name] = h
-	}
-	return h
+	return r.family(name, "histogram", nil).plain().h
 }
 
-// Visitor receives one callback per live metric from Registry.Visit.
-// Implementations read the metric through its atomic accessors; they
-// must not call back into the registry (Visit holds its lock while
-// walking plain metrics). Family slots arrive with the label set
-// encoded into the name, name{k="v",...} (see EncodeName); visitors
-// that also implement LabelVisitor receive the parts split instead.
+// Visitor receives one callback per live metric from Registry.Visit,
+// under the metric's encoded name: the bare name for a plain metric,
+// name{k="v",...} for a family slot (see EncodeName). Implementations
+// read the metric through its atomic accessors.
 type Visitor interface {
 	VisitCounter(name string, c *Counter)
 	VisitGauge(name string, g *Gauge)
 	VisitHistogram(name string, h *Histogram)
 }
 
-// LabelVisitor is the label-aware extension of Visitor: when a visitor
-// implements it, Visit routes every metric — plain or labeled —
-// through the VisitLabeled callbacks with the base name and the label
-// set (nil for plain metrics).
-type LabelVisitor interface {
-	Visitor
-	VisitLabeledCounter(name string, labels Labels, c *Counter)
-	VisitLabeledGauge(name string, labels Labels, g *Gauge)
-	VisitLabeledHistogram(name string, labels Labels, h *Histogram)
-}
-
-// Visit enumerates every metric — steady-state allocation-free (family
-// slots carry their encoded names), the export Sampler's path. Order
-// is unspecified; visitors that need determinism must sort on their
-// side.
+// Visit enumerates every metric: families in creation order, each
+// family's slots in creation order. No registry lock is held during the
+// callbacks, so a visitor may call back into the registry; metrics
+// created during the walk may or may not be seen. Slots carry their
+// encoded names, so the walk allocates nothing — the export Sampler's
+// steady-state path.
 func (r *Registry) Visit(v Visitor) {
 	if r == nil {
 		return
 	}
-	lv, _ := v.(LabelVisitor)
-	r.mu.Lock()
-	for name, c := range r.counters {
-		if lv != nil {
-			lv.VisitLabeledCounter(name, nil, c)
-		} else {
-			v.VisitCounter(name, c)
+	for _, f := range r.families() {
+		for _, s := range f.liveSlots() {
+			switch f.kind {
+			case "counter":
+				v.VisitCounter(s.enc, s.c)
+			case "gauge":
+				v.VisitGauge(s.enc, s.g)
+			default:
+				v.VisitHistogram(s.enc, s.h)
+			}
 		}
 	}
-	for name, g := range r.gauges {
-		if lv != nil {
-			lv.VisitLabeledGauge(name, nil, g)
-		} else {
-			v.VisitGauge(name, g)
-		}
-	}
-	for name, h := range r.hists {
-		if lv != nil {
-			lv.VisitLabeledHistogram(name, nil, h)
-		} else {
-			v.VisitHistogram(name, h)
-		}
-	}
-	fams := r.familiesLocked()
-	r.mu.Unlock()
-	for _, f := range fams {
-		f.visit(v, lv)
-	}
-}
-
-// familiesLocked returns the append-only family list (the slice header
-// is safe to iterate after the lock drops); callers hold r.mu.
-func (r *Registry) familiesLocked() []*family {
-	return r.fams
 }
 
 // Snapshot is a point-in-time copy of a registry's metrics, shaped for
@@ -285,47 +255,21 @@ func (r *Registry) Snapshot() Snapshot {
 		Gauges:     map[string]int64{},
 		Histograms: map[string]HistogramStats{},
 	}
-	if r == nil {
-		return s
-	}
-	r.snapshotInto(&s)
-	s.Events = r.flight.Load().SpanEvents()
+	r.Visit((*snapshotter)(&s))
+	s.Events = r.Flight().SpanEvents()
 	return s
 }
 
-// snapshotInto copies the registry's metrics into s.
-func (r *Registry) snapshotInto(s *Snapshot) {
-	r.mu.Lock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v
-	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = v
-	}
-	fams := r.familiesLocked()
-	r.mu.Unlock()
+// snapshotter is the Visitor that fills a Snapshot.
+type snapshotter Snapshot
 
-	for k, v := range counters {
-		s.Counters[k] = v.Value()
-	}
-	for k, v := range gauges {
-		s.Gauges[k] = v.Value()
-	}
-	for k, v := range hists {
-		st := v.Stats()
-		st.Exemplars = v.Exemplars()
-		st.Buckets = v.BucketCounts()
-		s.Histograms[k] = st
-	}
-	for _, f := range fams {
-		f.snapshotInto(s)
-	}
+func (s *snapshotter) VisitCounter(name string, c *Counter) { s.Counters[name] = c.Value() }
+func (s *snapshotter) VisitGauge(name string, g *Gauge)     { s.Gauges[name] = g.Value() }
+func (s *snapshotter) VisitHistogram(name string, h *Histogram) {
+	st := h.Stats()
+	st.Exemplars = h.Exemplars()
+	st.Buckets = h.BucketCounts()
+	s.Histograms[name] = st
 }
 
 // WriteJSON writes the current snapshot as indented JSON.

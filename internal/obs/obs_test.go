@@ -130,6 +130,42 @@ func TestManualClockAndSince(t *testing.T) {
 	}
 }
 
+// TestEvery: fn runs on every tick and once more at stop; stop returns
+// only after the loop has exited, and a second stop does nothing.
+func TestEvery(t *testing.T) {
+	var mu sync.Mutex
+	calls := 0
+	ticked := make(chan struct{}, 1)
+	stop := Every(time.Millisecond, func() {
+		mu.Lock()
+		calls++
+		mu.Unlock()
+		select {
+		case ticked <- struct{}{}:
+		default:
+		}
+	})
+	<-ticked // one tick
+	stop()
+	mu.Lock()
+	atStop := calls
+	mu.Unlock()
+	stop()
+	time.Sleep(5 * time.Millisecond) // a leaked loop would tick again
+	mu.Lock()
+	defer mu.Unlock()
+	if atStop < 2 || calls != atStop {
+		t.Errorf("calls = %d at stop, %d after; want at least a tick plus the final call, then none", atStop, calls)
+	}
+
+	// Stopped before its first tick, fn still runs once.
+	n := 0
+	Every(time.Hour, func() { n++ })()
+	if n != 1 {
+		t.Errorf("stop before the first tick ran fn %d times, want 1", n)
+	}
+}
+
 func TestSpanRecorderAndClock(t *testing.T) {
 	r := NewRegistry()
 	clock := NewManual(time.Unix(5000, 0))

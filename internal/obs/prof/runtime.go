@@ -192,27 +192,5 @@ func (s *RuntimeSampler) Start(period time.Duration) (stop func()) {
 		period = time.Second
 	}
 	s.Sample()
-	ticker := time.NewTicker(period)
-	done := make(chan struct{})
-	finished := make(chan struct{})
-	go func() {
-		defer close(finished)
-		for {
-			select {
-			case <-done:
-				return
-			case <-ticker.C:
-				s.Sample()
-			}
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			ticker.Stop()
-			close(done)
-			<-finished
-			s.Sample()
-		})
-	}
+	return obs.Every(period, s.Sample)
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -99,69 +100,89 @@ func TestVecCardinalityCap(t *testing.T) {
 	}
 }
 
-// labelCollector records both plain and labeled callbacks to test
-// Visit's routing.
-type labelCollector struct {
-	plain   []string
-	labeled []string
-}
-
-func (c *labelCollector) VisitCounter(name string, _ *Counter)     { c.plain = append(c.plain, name) }
-func (c *labelCollector) VisitGauge(name string, _ *Gauge)         { c.plain = append(c.plain, name) }
-func (c *labelCollector) VisitHistogram(name string, _ *Histogram) { c.plain = append(c.plain, name) }
-func (c *labelCollector) VisitLabeledCounter(name string, ls Labels, _ *Counter) {
-	c.labeled = append(c.labeled, EncodeName(name, ls))
-}
-func (c *labelCollector) VisitLabeledGauge(name string, ls Labels, _ *Gauge) {
-	c.labeled = append(c.labeled, EncodeName(name, ls))
-}
-func (c *labelCollector) VisitLabeledHistogram(name string, ls Labels, _ *Histogram) {
-	c.labeled = append(c.labeled, EncodeName(name, ls))
-}
-
-// plainCollector implements only Visitor; labeled metrics must arrive
-// with encoded names.
+// plainCollector records the names a Visitor receives, in order.
 type plainCollector struct{ names []string }
 
 func (c *plainCollector) VisitCounter(name string, _ *Counter)     { c.names = append(c.names, name) }
 func (c *plainCollector) VisitGauge(name string, _ *Gauge)         { c.names = append(c.names, name) }
 func (c *plainCollector) VisitHistogram(name string, _ *Histogram) { c.names = append(c.names, name) }
 
-func TestVisitLabelRouting(t *testing.T) {
+// TestVisitEncodesLabeledNames: Visit walks families in creation order
+// and hands every labeled slot to a plain Visitor under its encoded
+// name, next to the bare names of plain metrics.
+func TestVisitEncodesLabeledNames(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("plain").Inc()
 	r.CounterVec("fam", "n").With("n", "6").Inc()
 	r.GaugeVec("sim.ring_length", "machine").With("machine", "m0").Set(114)
-
-	lc := &labelCollector{}
-	r.Visit(lc)
-	if len(lc.plain) != 0 {
-		t.Errorf("LabelVisitor received plain callbacks: %v", lc.plain)
-	}
-	wantLabeled := map[string]bool{
-		"plain":                         true,
-		`fam{n="6"}`:                    true,
-		`sim.ring_length{machine="m0"}`: true,
-	}
-	for _, n := range lc.labeled {
-		delete(wantLabeled, n)
-	}
-	if len(wantLabeled) != 0 {
-		t.Errorf("labeled callbacks missing %v; got %v", wantLabeled, lc.labeled)
-	}
+	r.CounterVec("fam", "n").With("n", "7").Inc()
 
 	pc := &plainCollector{}
 	r.Visit(pc)
-	wantPlain := map[string]bool{
-		"plain":                         true,
-		`fam{n="6"}`:                    true,
-		`sim.ring_length{machine="m0"}`: true,
+	want := []string{"plain", `fam{n="6"}`, `fam{n="7"}`, `sim.ring_length{machine="m0"}`}
+	if !slices.Equal(pc.names, want) {
+		t.Errorf("Visit names = %q, want %q", pc.names, want)
 	}
-	for _, n := range pc.names {
-		delete(wantPlain, n)
+}
+
+// TestRedeclareOtherKind: one name is one family, so declaring it again
+// as another kind, or a plain name again as a labeled family, records
+// one error and yields nil metrics while the first declaration keeps
+// counting.
+func TestRedeclareOtherKind(t *testing.T) {
+	r := NewRegistry()
+	c := r.Counter("x")
+	if g := r.Gauge("x"); g != nil {
+		t.Error("Gauge(x) after Counter(x) returned a live gauge")
 	}
-	if len(wantPlain) != 0 {
-		t.Errorf("plain callbacks missing %v; got %v", wantPlain, pc.names)
+	r.Gauge("x").Set(5) // nil gauge: must be safe
+	c.Inc()
+	r.Counter("x").Inc()
+	if got := c.Value(); got != 2 {
+		t.Errorf("counter x = %d after the clash, want 2", got)
+	}
+	if errs := r.VecErrors(); len(errs) != 1 || !strings.Contains(errs[0].Error(), "redeclared") {
+		t.Errorf("VecErrors() = %v, want one redeclaration error", errs)
+	}
+
+	r2 := NewRegistry()
+	r2.Counter("y").Inc()
+	if v := r2.CounterVec("y", "n"); v != nil || v.With("n", "6") != nil {
+		t.Error("CounterVec(y, n) after Counter(y) returned a live family")
+	}
+	r2.Counter("y").Inc()
+	if got := r2.Counter("y").Value(); got != 2 {
+		t.Errorf("counter y = %d after the clash, want 2", got)
+	}
+	if errs := r2.VecErrors(); len(errs) != 1 {
+		t.Errorf("VecErrors() = %v, want one redeclaration error", errs)
+	}
+	if snap := r2.Snapshot(); len(snap.Counters) != 1 || snap.Counters["y"] != 2 {
+		t.Errorf("snapshot counters = %v, want only y=2", snap.Counters)
+	}
+}
+
+// TestRepeatedDeclarationSamePointer: every accessor returns the
+// metric or family it created, whatever the key order.
+func TestRepeatedDeclarationSamePointer(t *testing.T) {
+	r := NewRegistry()
+	if a, b := r.Counter("c"), r.Counter("c"); a == nil || a != b {
+		t.Errorf("Counter(c) twice: %p then %p", a, b)
+	}
+	// A family declared without keys is the plain metric of that name.
+	if a, b := r.Counter("c"), r.CounterVec("c").With(); a != b {
+		t.Errorf("Counter(c) is %p, CounterVec(c).With() is %p", a, b)
+	}
+	if a, b := r.CounterVec("v", "n", "mode"), r.CounterVec("v", "mode", "n"); a == nil || a != b {
+		t.Errorf("CounterVec(v) twice: %p then %p", a, b)
+	}
+	if errs := r.VecErrors(); len(errs) != 0 {
+		t.Errorf("VecErrors() = %v, want none", errs)
+	}
+	pc := &plainCollector{}
+	r.Visit(pc)
+	if !slices.Equal(pc.names, []string{"c"}) {
+		t.Errorf("Visit names = %q, want the one counter", pc.names)
 	}
 }
 
@@ -183,7 +204,7 @@ func TestVecDisabledAllocs(t *testing.T) {
 
 // TestVecConcurrency exercises every mutating and reading surface at
 // once; its real assertions run under `go test -race` (the ci.sh race
-// leg): family creation vs With vs Visit vs Snapshot.
+// leg): family creation, plain or labeled, vs With vs Visit vs Snapshot.
 func TestVecConcurrency(t *testing.T) {
 	r := NewRegistry()
 	var wg sync.WaitGroup
@@ -195,13 +216,11 @@ func TestVecConcurrency(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				r.CounterVec("fam", "id").With("id", id).Inc()
 				r.CounterVec("sim.embeds", "machine").With("machine", id).Inc()
-				switch i % 3 {
-				case 0:
+				r.Counter("plain." + id).Inc()
+				if i%2 == 0 {
 					r.Snapshot()
-				case 1:
+				} else {
 					r.Visit(&plainCollector{})
-				default:
-					r.Visit(&labelCollector{})
 				}
 			}
 		}(w)

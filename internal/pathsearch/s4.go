@@ -405,20 +405,6 @@ func parityFeasible(s *S4, a, b uint8, forbV uint32, t int) bool {
 	return n1 >= usedP && n0 >= usedQ
 }
 
-// HamiltonianCycle returns a Hamiltonian cycle of the canonical S4 as a
-// sequence of 24 vertex indices (the closing edge back to index 0 is
-// implicit).
-func (s *S4) HamiltonianCycle() []uint8 {
-	// A cycle is a Hamiltonian path from 0 to one of its neighbors.
-	for a := s.adj[0]; a != 0; a &= a - 1 {
-		w := uint8(bits.TrailingZeros32(a))
-		if path, ok := s.FindPath(Query{From: 0, To: w, Target: BlockOrder}); ok {
-			return path
-		}
-	}
-	return nil // unreachable: S4 is Hamiltonian
-}
-
 // LongestCycleAvoiding returns the longest cycle that avoids the given
 // vertex and edge sets, found by exhaustive search with the bipartite
 // parity bound as the starting target. Intended for the small-n direct

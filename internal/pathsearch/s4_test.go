@@ -39,24 +39,6 @@ func TestCanonStructure(t *testing.T) {
 	}
 }
 
-func TestHamiltonianCycle(t *testing.T) {
-	cycle := Canon.HamiltonianCycle()
-	if len(cycle) != BlockOrder {
-		t.Fatalf("cycle length %d", len(cycle))
-	}
-	seen := map[uint8]bool{}
-	for i, v := range cycle {
-		if seen[v] {
-			t.Fatalf("repeat at %d", i)
-		}
-		seen[v] = true
-		w := cycle[(i+1)%len(cycle)]
-		if Canon.Adjacency(v)&(1<<uint(w)) == 0 {
-			t.Fatalf("hop %d-%d not an edge", v, w)
-		}
-	}
-}
-
 // TestLaceability: S4 is Hamiltonian laceable — between EVERY pair of
 // vertices in different partite sets there is a Hamiltonian path. The
 // block router's healthy-block step relies on this; verified

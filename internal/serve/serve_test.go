@@ -206,6 +206,12 @@ func TestEmbedAndRepairHandlers(t *testing.T) {
 	get("/repair?n=5&fv=21345", http.StatusBadRequest) // missing v
 	get("/embed?n=5&fv=21345,31245,41235", http.StatusBadRequest)
 	get("/embed?n=5&fv=21345,31245,41235&best_effort=1", http.StatusOK)
+
+	// Every metric the handlers, the pools and the embedder declared
+	// shares the registry's one namespace without a clash.
+	if errs := s.reg.VecErrors(); len(errs) != 0 {
+		t.Errorf("registry errors after traffic: %v", errs)
+	}
 }
 
 func TestInflightShed(t *testing.T) {

@@ -52,9 +52,9 @@
 #                       both its serve.op.request span and its
 #                       obs.flight.error event
 #  10. benchmarks    -- every Go benchmark in the module, once each
-#  11. perf gate     -- starbench: perfbench's workloads at seeds 1-3,
+#  11. perf gate     -- starbench: perfbench's workloads at seeds 1-5,
 #                       medians against scripts/perf-baseline.ndjson
-#                       within BENCHMARK.json's bounds (~95 s)
+#                       within BENCHMARK.json's bounds (~160 s)
 #  12. fuzz smoke    -- each fuzz target for a few seconds
 #
 # Runs from any directory; needs only the Go toolchain. Override the
@@ -488,7 +488,7 @@ leg "serve smoke" serve_smoke || exit 1
 leg "benchmarks" go test -run '^$' -bench . -benchtime 1x ./... || exit 1
 
 # Perf gate: the benchmark of record against its committed baseline.
-# starbench runs every BENCHMARK.json workload at three seeds and fails
+# starbench runs every BENCHMARK.json workload at five seeds and fails
 # when a median over the seeds is worse than the baseline's by more
 # than the metric's bound (see README "Profiling & regression gate").
 leg "perf gate" go run ./cmd/starbench || exit 1
