@@ -31,36 +31,21 @@ type crossing struct {
 	j    int
 }
 
-// crossing reads superedge (p, q) once. ok is false when the blocks are
-// not adjacent.
-func (sk *skeleton) crossing(p, q substar.Pattern) (c crossing, ok bool) {
-	var used uint32
-	var y uint8
-	for i := 2; i <= sk.n; i++ {
-		a, b := p.SymbolAt(i), q.SymbolAt(i)
-		if a != b && (a == substar.Star || b == substar.Star || c.j != 0) {
-			return c, false
-		}
-		if a == substar.Star {
-			continue
-		}
-		c.u0 |= perm.Code(a-1) << (4 * uint(i-1))
-		used |= 1 << (a - 1)
-		if a != b {
-			c.j, y = i, b
-		}
-	}
+// crossingOf reads superedge (p, q) once, from the blocks' words: the
+// dif position and the symbol y there come from Dif, u0 is p's
+// fixed-symbol word with y at position 1, and the rest are p's free
+// symbols but y. ok is false when the blocks are not adjacent.
+func crossingOf(p, q substar.Pattern) (c crossing, ok bool) {
+	c.j = p.Dif(q)
 	if c.j == 0 {
 		return c, false
 	}
-	c.u0 |= perm.Code(y - 1)
-	used |= 1 << (y - 1)
-	t := 0
-	for s := 0; s < sk.n && t < len(c.rest); s++ {
-		if used&(1<<uint(s)) == 0 {
-			c.rest[t] = perm.Code(s)
-			t++
-		}
+	y := q.SymbolAt(c.j)
+	c.u0 = p.Fixed() | perm.Code(y-1)
+	rest := p.FreeSymbolMask() &^ (1 << (y - 1))
+	for t := range c.rest {
+		c.rest[t] = perm.Code(bits.TrailingZeros32(rest))
+		rest &= rest - 1
 	}
 	return c, true
 }
@@ -103,7 +88,7 @@ func newRouter(sk *skeleton, pats []substar.Pattern, fs *faults.Set, gaps int, k
 	edgeFaults := fs.NumEdges() > 0
 	for k := 0; k < gaps; k++ {
 		next := (k + 1) % m
-		c, ok := sk.crossing(pats[k], pats[next])
+		c, ok := crossingOf(pats[k], pats[next])
 		if !ok {
 			return nil, k
 		}
@@ -203,7 +188,7 @@ func (rt *router) search(chain bool, in *instr) error {
 		}
 		rt.tried[k] = uint8(i)
 		next := (k + 1) % m
-		c, _ := sk.crossing(rt.pats[k], rt.pats[next])
+		c, _ := crossingOf(rt.pats[k], rt.pats[next])
 		u, w := c.edge(sk.free, i)
 		ok := true
 		if k >= 1 || chain {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 	"unsafe"
 
@@ -35,17 +34,16 @@ const blockOrder = pathsearch.BlockOrder
 // direct embeddings (n <= 4) have no blocks: their routed state is one
 // stored cycle.
 type skeleton struct {
-	n        int
-	free     [4]uint8 // the free positions every block shares, position 1 first
-	fixedPos uint64   // the other n-4 positions, 0-based, one per nibble, increasing
+	free  [4]uint8        // the free positions every block shares, position 1 first
+	shape substar.Pattern // the first block; its RankOf ranks any block at the fixed positions all share
 
 	entry   []perm.Code
 	exit    []perm.Code
 	length  []uint8
 	offsets []int // block k occupies ring positions [offsets[k], offsets[k+1])
-	// index maps the rank of a block's fixed symbols, read at fixedPos
-	// as an arrangement of n-4 of the n symbols, to the block's ring
-	// position; -1 marks a block the ring does not route.
+	// index maps the rank of a block's fixed symbols (shape.RankOf), an
+	// arrangement of n-4 of the n symbols, to the block's ring position;
+	// -1 marks a block the ring does not route.
 	index []int32
 
 	faultV      []perm.Code    // faulty vertices inside routed blocks, by block
@@ -72,21 +70,15 @@ func newSkeleton(pats []substar.Pattern, fs *faults.Set) (*skeleton, error) {
 		return nil, fmt.Errorf("core: S_%d has %d blocks, more than the skeleton index holds", n, total)
 	}
 	sk := &skeleton{
-		n:      n,
+		shape:  pats[0],
 		entry:  make([]perm.Code, m),
 		exit:   make([]perm.Code, m),
 		length: make([]uint8, m),
 		index:  make([]int32, total),
 	}
-	j, fixed := 0, 0
-	for i := 1; i <= n; i++ {
-		if pats[0].SymbolAt(i) == substar.Star {
-			sk.free[j] = uint8(i)
-			j++
-		} else {
-			sk.fixedPos |= uint64(i-1) << (4 * uint(fixed))
-			fixed++
-		}
+	var free [4]int
+	for j, pos := range pats[0].FreePositions(free[:0]) {
+		sk.free[j] = uint8(pos)
 	}
 	if m < total {
 		for r := range sk.index {
@@ -94,35 +86,10 @@ func newSkeleton(pats []substar.Pattern, fs *faults.Set) (*skeleton, error) {
 		}
 	}
 	for k, pat := range pats {
-		var c perm.Code
-		for i := 2; i <= n; i++ {
-			if s := pat.SymbolAt(i); s != substar.Star {
-				c = c.WithSymbol(i, s)
-			}
-		}
-		sk.index[sk.rank(c)] = int32(k)
+		sk.index[sk.shape.RankOf(pat.Fixed())] = int32(k)
 	}
 	sk.mapFaults(fs)
 	return sk, nil
-}
-
-// rank returns the rank of v's symbols at the fixed positions among the
-// n!/24 arrangements of n-4 distinct symbols: a Lehmer code cut short
-// after n-4 digits, whose radices run n, n-1, ..., 5. Only the fixed
-// positions are read, so every vertex of a block ranks alike. v must
-// be a vertex of S_n.
-func (sk *skeleton) rank(v perm.Code) int {
-	rank := 0
-	var used uint32
-	pos := sk.fixedPos
-	for k := sk.n; k > 4; k-- {
-		s := uint(v>>(pos&0xF<<2)) & 0xF
-		pos >>= 4
-		bit := uint32(1) << s
-		rank = rank*k + int(s) - bits.OnesCount32(used&(bit-1))
-		used |= bit
-	}
-	return rank
 }
 
 // blockOf returns the ring position of the block holding v, or -1 when
@@ -133,7 +100,7 @@ func (sk *skeleton) rank(v perm.Code) int {
 //
 //starlint:hotpath
 func (sk *skeleton) blockOf(v perm.Code) int {
-	return int(sk.index[sk.rank(v)])
+	return int(sk.index[sk.shape.RankOf(v)])
 }
 
 // blocks returns the number of routed segments.

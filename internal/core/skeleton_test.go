@@ -156,7 +156,7 @@ func TestCrossingMatchesCrossEdges(t *testing.T) {
 		for k := 0; k < r4.Len(); k++ {
 			p, q := r4.At(k), r4.At(k+1)
 			us, ws := p.CrossEdges(q, nil, nil)
-			c, ok := sk.crossing(p, q)
+			c, ok := crossingOf(p, q)
 			if !ok || len(us) != crossEdges {
 				t.Fatalf("n=%d superedge %d: crossing ok=%v, %d cross edges", n, k, ok, len(us))
 			}
@@ -167,7 +167,7 @@ func TestCrossingMatchesCrossEdges(t *testing.T) {
 				}
 			}
 		}
-		if _, ok := sk.crossing(r4.At(0), r4.At(2)); ok && r4.At(0).Dif(r4.At(2)) == 0 {
+		if _, ok := crossingOf(r4.At(0), r4.At(2)); ok && r4.At(0).Dif(r4.At(2)) == 0 {
 			t.Fatalf("n=%d: crossing accepted non-adjacent blocks", n)
 		}
 	}

@@ -106,13 +106,18 @@ func (g *Gauge) Value() int64 {
 type Registry struct {
 	mu     sync.Mutex
 	byName map[string]*family
-	fams   []*family // creation order (append-only)
-	clock  Clock
+	fams   []*family                      // creation order (append-only)
+	clock  atomic.Pointer[clockBox]       // nil reads Wall
 	flight atomic.Pointer[FlightRecorder] // nil until NewFlightRecorder
 }
 
+// clockBox holds the registry's Clock, so that every span reads it with
+// one atomic load instead of the registry mutex. An atomic.Value would
+// panic when SetClock stores a second concrete Clock type.
+type clockBox struct{ Clock }
+
 // NewRegistry returns an empty registry on the wall clock.
-func NewRegistry() *Registry { return &Registry{clock: Wall} }
+func NewRegistry() *Registry { return &Registry{} }
 
 // SetClock replaces the registry's time source (nil restores Wall).
 // Spans started before the switch measure across both clocks.
@@ -121,11 +126,10 @@ func (r *Registry) SetClock(c Clock) {
 		return
 	}
 	if c == nil {
-		c = Wall
+		r.clock.Store(nil)
+		return
 	}
-	r.mu.Lock()
-	r.clock = c
-	r.mu.Unlock()
+	r.clock.Store(&clockBox{c})
 }
 
 // Clock returns the registry's time source; a nil registry reads Wall.
@@ -133,13 +137,10 @@ func (r *Registry) Clock() Clock {
 	if r == nil {
 		return Wall
 	}
-	r.mu.Lock()
-	c := r.clock
-	r.mu.Unlock()
-	if c == nil {
-		return Wall
+	if b := r.clock.Load(); b != nil {
+		return b.Clock
 	}
-	return c
+	return Wall
 }
 
 // Flight returns the installed flight recorder; nil (a no-op recorder)

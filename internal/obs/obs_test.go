@@ -208,6 +208,45 @@ func TestSpanRecorderAndClock(t *testing.T) {
 	}
 }
 
+// TestSpansRaceSetClock runs spans on several goroutines while the
+// clock switches between two concrete Clock types; run it with -race.
+// Every span lands in its histogram, whichever clocks it read.
+func TestSpansRaceSetClock(t *testing.T) {
+	r := NewRegistry()
+	manual := NewManual(time.Unix(1, 0))
+	const workers, spans = 4, 500
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for i := 0; i < spans; i++ {
+				r.Span("race.phase").End()
+			}
+		}()
+	}
+	go func() {
+		defer close(done)
+		for i := 0; i < 300; i++ {
+			switch i % 3 {
+			case 0:
+				r.SetClock(manual)
+			case 1:
+				r.SetClock(Wall)
+			default:
+				r.SetClock(nil)
+			}
+			manual.Advance(time.Millisecond)
+		}
+	}()
+	wg.Wait()
+	<-done
+	if got := r.Histogram("race.phase").Stats().Count; got != workers*spans {
+		t.Fatalf("histogram counted %d spans, want %d", got, workers*spans)
+	}
+}
+
 func TestWriteJSONFile(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a.count").Add(4)

@@ -73,18 +73,14 @@ func NewBlock(pat substar.Pattern) (*Block, error) {
 	if pat.R() != 4 {
 		return nil, fmt.Errorf("pathsearch: pattern %v has order %d, want 4", pat, pat.R())
 	}
-	var syms [perm.MaxN]uint8
+	var syms [4]uint8
+	var positions [4]int
 	rest := pat.FreeSymbols(syms[:0])
 	var free [4]uint8
-	var v perm.Code
-	j := 0
-	for i := 1; i <= pat.N(); i++ {
-		s := pat.SymbolAt(i)
-		if s == substar.Star {
-			free[j], s = uint8(i), rest[j]
-			j++
-		}
-		v = v.WithSymbol(i, s)
+	v := pat.Fixed()
+	for j, pos := range pat.FreePositions(positions[:0]) {
+		free[j] = uint8(pos)
+		v = v.WithSymbol(pos, rest[j])
 	}
 	b := BlockAt(v, free)
 	return &b, nil

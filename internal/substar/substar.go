@@ -3,10 +3,18 @@
 // of S_r inside S_n, i-partitions and (i1,...,im)-partitions, pattern
 // adjacency with its dif position, and the blocked-child rule that
 // drives entry/exit selection in the super-ring machinery.
+//
+// A Pattern is packed into words the way perm.Code packs a vertex: its
+// fixed symbols sit in one nibble word, with a mask of its free
+// positions and a mask of its used symbols beside it. The refinements
+// that build an R4 fix, compare and test patterns millions of times at
+// n >= 11, and in this form each of those operations is a few mask and
+// word operations instead of a walk over the n positions.
 package substar
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -19,11 +27,37 @@ const Star uint8 = 0
 // Pattern is an embedded substar <s1 s2 ... sn>_r of S_n: position i
 // holds either a fixed symbol (1..n) or Star. Position 1 is always Star
 // (the paper's s1 = *), and the number of Star positions is the order r
-// of the embedded star graph. Pattern is a comparable value type and can
-// key maps directly.
+// of the embedded star graph.
+//
+// The fixed symbols are one word laid out as a perm.Code: nibble i-1
+// holds s-1 for the symbol s fixed at position i and zero at a free
+// position, so it is every vertex of the substar with its free nibbles
+// cleared. Since a fixed symbol 1 also reads zero, a mask marks the free
+// positions, and a second mask the symbols already fixed. Membership is
+// then one masked compare, adjacency one XOR, and Fix three word
+// updates. The free nibbles being zero makes the 16-byte value
+// canonical: Pattern is comparable, equal patterns have equal words,
+// and it can key maps directly.
 type Pattern struct {
-	n    uint8
-	syms [perm.MaxN]uint8 // syms[i] = symbol fixed at position i+1, or Star
+	fixed uint64 // nibble i-1: symbol-1 at fixed position i, 0 at a free one
+	free  uint16 // bit i-1 set when position i is free
+	used  uint16 // bit s-1 set when symbol s is fixed at some position
+	n     uint8
+}
+
+// all returns the mask with bits 0..n-1 set: every position, or every
+// symbol, of S_n.
+func all(n uint8) uint16 { return uint16(uint32(1)<<n - 1) }
+
+// nibbles widens a position mask to a nibble mask: bit i of m becomes
+// nibble i, 0xF when set and 0 otherwise.
+func nibbles(m uint16) uint64 {
+	x := uint64(m)
+	x = (x | x<<24) & 0x000000FF000000FF
+	x = (x | x<<12) & 0x000F000F000F000F
+	x = (x | x<<6) & 0x0303030303030303
+	x = (x | x<<3) & 0x1111111111111111
+	return x * 0xF
 }
 
 // Whole returns the pattern <* * ... *>_n representing all of S_n.
@@ -31,7 +65,7 @@ func Whole(n int) Pattern {
 	if n < 1 || n > perm.MaxN {
 		mustFailf("substar: dimension %d out of range [1,%d]", n, perm.MaxN)
 	}
-	return Pattern{n: uint8(n)}
+	return Pattern{free: all(uint8(n)), n: uint8(n)}
 }
 
 // mustFailf is the package's invariant helper: it panics with a
@@ -51,9 +85,7 @@ func FromSymbols(n int, symbols []uint8) (Pattern, error) {
 	if n < 1 || n > perm.MaxN || len(symbols) != n {
 		return Pattern{}, fmt.Errorf("substar: bad symbol slice length %d for n=%d", len(symbols), n)
 	}
-	var p Pattern
-	p.n = uint8(n)
-	var seen uint32
+	p := Whole(n)
 	for i, s := range symbols {
 		if s == Star {
 			continue
@@ -64,12 +96,10 @@ func FromSymbols(n int, symbols []uint8) (Pattern, error) {
 		if s < 1 || int(s) > n {
 			return Pattern{}, fmt.Errorf("substar: symbol %d out of range at position %d", s, i+1)
 		}
-		bit := uint32(1) << (s - 1)
-		if seen&bit != 0 {
+		if p.used>>(s-1)&1 != 0 {
 			return Pattern{}, fmt.Errorf("substar: duplicate symbol %d", s)
 		}
-		seen |= bit
-		p.syms[i] = s
+		p = p.fix(i, s)
 	}
 	return p, nil
 }
@@ -118,32 +148,43 @@ func (p Pattern) N() int { return int(p.n) }
 
 // R returns the order of the embedded star graph: the number of free
 // (don't care) positions.
-func (p Pattern) R() int {
-	r := 0
-	for i := 0; i < int(p.n); i++ {
-		if p.syms[i] == Star {
-			r++
-		}
-	}
-	return r
-}
+func (p Pattern) R() int { return bits.OnesCount16(p.free) }
 
 // Order returns the number of vertices of the embedded substar, R()!.
 func (p Pattern) Order() int { return perm.Factorial(p.R()) }
 
 // SymbolAt returns the fixed symbol at 1-based position i, or Star.
-func (p Pattern) SymbolAt(i int) uint8 { return p.syms[i-1] }
+func (p Pattern) SymbolAt(i int) uint8 {
+	if i > int(p.n) || p.free>>(i-1)&1 != 0 {
+		return Star
+	}
+	return uint8(p.fixed>>(4*uint(i-1))&0xF) + 1
+}
+
+// Fixed returns p's fixed-symbol word: the vertex code holding p's
+// fixed symbols at their positions and zero nibbles at the free ones.
+// A vertex v lies in p exactly when v agrees with it at every fixed
+// position.
+func (p Pattern) Fixed() perm.Code { return perm.Code(p.fixed) }
+
+// FreePositionMask returns p's free positions as a mask, bit i-1 set
+// for free position i; bit 0 is always set.
+func (p Pattern) FreePositionMask() uint32 { return uint32(p.free) }
+
+// FreeSymbolMask returns the symbols not fixed anywhere in p as a mask,
+// bit s-1 set for free symbol s.
+func (p Pattern) FreeSymbolMask() uint32 { return uint32(all(p.n) &^ p.used) }
 
 // String renders the pattern in the paper's notation, e.g. "<**21>_2".
 func (p Pattern) String() string {
 	const symbolRunes = "123456789abcdefg"
 	var b strings.Builder
 	b.WriteByte('<')
-	for i := 0; i < int(p.n); i++ {
-		if p.syms[i] == Star {
+	for i := 1; i <= int(p.n); i++ {
+		if s := p.SymbolAt(i); s == Star {
 			b.WriteByte('*')
 		} else {
-			b.WriteByte(symbolRunes[p.syms[i]-1])
+			b.WriteByte(symbolRunes[s-1])
 		}
 	}
 	fmt.Fprintf(&b, ">_%d", p.R())
@@ -153,10 +194,8 @@ func (p Pattern) String() string {
 // FreePositions appends the 1-based free positions of p to dst in
 // increasing order. Position 1 is always first.
 func (p Pattern) FreePositions(dst []int) []int {
-	for i := 0; i < int(p.n); i++ {
-		if p.syms[i] == Star {
-			dst = append(dst, i+1)
-		}
+	for m := p.free; m != 0; m &= m - 1 {
+		dst = append(dst, bits.TrailingZeros16(m)+1)
 	}
 	return dst
 }
@@ -165,28 +204,59 @@ func (p Pattern) FreePositions(dst []int) []int {
 // increasing order; these are the symbols that populate the free
 // positions of the embedded substar's vertices.
 func (p Pattern) FreeSymbols(dst []uint8) []uint8 {
-	var used uint32
-	for i := 0; i < int(p.n); i++ {
-		if s := p.syms[i]; s != Star {
-			used |= 1 << (s - 1)
-		}
-	}
-	for s := uint8(1); int(s) <= int(p.n); s++ {
-		if used&(1<<(s-1)) == 0 {
-			dst = append(dst, s)
-		}
+	return appendSymbols(dst, p.FreeSymbolMask())
+}
+
+// appendSymbols appends the symbols of mask (bit s-1 for symbol s) to
+// dst in increasing order.
+func appendSymbols(dst []uint8, mask uint32) []uint8 {
+	for ; mask != 0; mask &= mask - 1 {
+		dst = append(dst, uint8(bits.TrailingZeros32(mask))+1)
 	}
 	return dst
 }
 
-// Contains reports whether vertex v of S_n belongs to the substar.
+// Contains reports whether vertex v of S_n belongs to the substar: one
+// compare of v's fixed positions against the fixed-symbol word.
 func (p Pattern) Contains(v perm.Code) bool {
-	for i := 1; i <= int(p.n); i++ {
-		if s := p.syms[i-1]; s != Star && v.Symbol(i) != s {
-			return false
+	return uint64(v)&p.fixedNibbles() == p.fixed
+}
+
+// Count returns how many of the vertices vs belong to the substar:
+// Contains over a list, with the fixed positions' mask widened once.
+func (p Pattern) Count(vs []perm.Code) int {
+	mask, k := p.fixedNibbles(), 0
+	for _, v := range vs {
+		if uint64(v)&mask == p.fixed {
+			k++
 		}
 	}
-	return true
+	return k
+}
+
+// fixedNibbles returns the nibble mask of p's fixed positions.
+func (p Pattern) fixedNibbles() uint64 { return nibbles(all(p.n) &^ p.free) }
+
+// RankOf returns the rank of v's symbols at p's fixed positions, read
+// in increasing position order as an arrangement of n-r of the n
+// symbols: a Lehmer code cut short after n-r digits, whose radices run
+// n, n-1, ..., r+1. Only the fixed positions are read, so every vertex
+// of p ranks alike, and the patterns sharing p's free positions — the
+// substars of one partition — rank by their Fixed words to 0, 1, ...,
+// n!/r!-1, one rank each. v must hold distinct symbols at those
+// positions.
+func (p Pattern) RankOf(v perm.Code) int {
+	rank := 0
+	var seen uint32
+	k := int(p.n)
+	for m := all(p.n) &^ p.free; m != 0; m &= m - 1 {
+		s := uint(v>>(4*uint(bits.TrailingZeros16(m))&63)) & 0xF
+		bit := uint32(1) << s
+		rank = rank*k + int(s) - bits.OnesCount32(seen&(bit-1))
+		seen |= bit
+		k--
+	}
+	return rank
 }
 
 // Fix returns a copy of p with 1-based position i (currently free,
@@ -197,18 +267,24 @@ func (p Pattern) Fix(i int, q uint8) Pattern {
 	if i < 2 || i > int(p.n) {
 		mustFailf("substar: Fix position %d out of range [2,%d]", i, p.n)
 	}
-	if p.syms[i-1] != Star {
+	if p.free>>(i-1)&1 == 0 {
 		mustFailf("substar: Fix position %d of %v is not free", i, p)
 	}
 	if q < 1 || int(q) > int(p.n) {
 		mustFailf("substar: Fix symbol %d out of range", q)
 	}
-	for j := 0; j < int(p.n); j++ {
-		if p.syms[j] == q {
-			mustFailf("substar: Fix symbol %d already used in %v", q, p)
-		}
+	if p.used>>(q-1)&1 != 0 {
+		mustFailf("substar: Fix symbol %d already used in %v", q, p)
 	}
-	p.syms[i-1] = q
+	return p.fix(i-1, q)
+}
+
+// fix writes symbol q at 0-based position i, which the caller has
+// checked is free, as q is unused.
+func (p Pattern) fix(i int, q uint8) Pattern {
+	p.fixed |= uint64(q-1) << (4 * uint(i) & 63)
+	p.free &^= 1 << uint(i)
+	p.used |= 1 << (q - 1)
 	return p
 }
 
@@ -224,9 +300,8 @@ func (p Pattern) Partition(i int) []Pattern {
 // caller partitioning many patterns can back every child list with one
 // array.
 func (p Pattern) AppendPartition(dst []Pattern, i int) []Pattern {
-	var buf [perm.MaxN]uint8
-	for _, q := range p.FreeSymbols(buf[:0]) {
-		dst = append(dst, p.Fix(i, q))
+	for m := p.FreeSymbolMask(); m != 0; m &= m - 1 {
+		dst = append(dst, p.Fix(i, uint8(bits.TrailingZeros32(m))+1))
 	}
 	return dst
 }
@@ -258,19 +333,7 @@ func (p Pattern) Vertices(dst []perm.Code) []perm.Code {
 	if len(positions) != len(assignment) {
 		mustFailf("substar: free position/symbol count mismatch in %v", p)
 	}
-	return appendAssignments(dst, p.fixedCode(), positions, assignment)
-}
-
-// fixedCode returns the vertex code holding p's fixed symbols at their
-// positions and zero nibbles at the free ones.
-func (p Pattern) fixedCode() perm.Code {
-	var base perm.Code
-	for i := 1; i <= int(p.n); i++ {
-		if s := p.syms[i-1]; s != Star {
-			base = base.WithSymbol(i, s)
-		}
-	}
-	return base
+	return appendAssignments(dst, p.Fixed(), positions, assignment)
 }
 
 // appendAssignments appends base with assignment written at positions,
@@ -330,22 +393,21 @@ func PatternOf(n int, v perm.Code, fixed []int) Pattern {
 //
 // Adjacency (paper, Section 2): p and q are adjacent iff they agree at
 // every position except a single j where both are fixed and different.
+// On the words: the free masks are equal, and the fixed words differ in
+// exactly one nibble.
 func (p Pattern) Dif(q Pattern) int {
-	if p.n != q.n {
+	if p.n != q.n || p.free != q.free {
 		return 0
 	}
-	dif := 0
-	for i := 0; i < int(p.n); i++ {
-		a, b := p.syms[i], q.syms[i]
-		if a == b {
-			continue
-		}
-		if a == Star || b == Star || dif != 0 {
-			return 0
-		}
-		dif = i + 1
+	d := p.fixed ^ q.fixed
+	if d == 0 {
+		return 0
 	}
-	return dif
+	shift := bits.TrailingZeros64(d) &^ 3
+	if d>>uint(shift) > 0xF {
+		return 0
+	}
+	return shift/4 + 1
 }
 
 // Adjacent reports whether p and q are adjacent substars. An r-edge
@@ -361,7 +423,7 @@ func (p Pattern) CrossEdges(q Pattern, us, ws []perm.Code) ([]perm.Code, []perm.
 	if j == 0 {
 		return us, ws
 	}
-	y := q.syms[j-1] // symbol q fixes at the dif position
+	y := q.SymbolAt(j) // symbol q fixes at the dif position
 	// A cross edge swaps positions 1 and j: u must hold y at position 1
 	// so that the swap moves y into position j, landing in q. (y is free
 	// in p: q agrees with p off position j.) The other free positions
@@ -371,15 +433,9 @@ func (p Pattern) CrossEdges(q Pattern, us, ws []perm.Code) ([]perm.Code, []perm.
 	var posBuf [perm.MaxN]int
 	var symBuf [perm.MaxN]uint8
 	positions := p.FreePositions(posBuf[:0])[1:]
-	free := p.FreeSymbols(symBuf[:0])
-	rest := free[:0]
-	for _, s := range free {
-		if s != y {
-			rest = append(rest, s)
-		}
-	}
+	rest := appendSymbols(symBuf[:0], p.FreeSymbolMask()&^(1<<(y-1)))
 	first := len(us)
-	us = appendAssignments(us, p.fixedCode().WithSymbol(1, y), positions, rest)
+	us = appendAssignments(us, p.Fixed().WithSymbol(1, y), positions, rest)
 	for _, u := range us[first:] {
 		ws = append(ws, u.SwapFirst(j))
 	}
@@ -396,20 +452,28 @@ func (p Pattern) BlockedChild(q Pattern, i int) Pattern {
 	if j == 0 {
 		mustFailf("substar: BlockedChild of non-adjacent patterns %v, %v", p, q)
 	}
-	y := q.syms[j-1]
-	return p.Fix(i, y)
+	return p.Fix(i, q.SymbolAt(j))
 }
 
 // SortPatterns orders a slice of patterns deterministically (by their
-// fixed-symbol vectors); used to make constructions reproducible.
+// fixed-symbol vectors, position by position, Star before any symbol);
+// used to make constructions reproducible.
 func SortPatterns(ps []Pattern) {
-	sort.Slice(ps, func(a, b int) bool {
-		pa, pb := ps[a], ps[b]
-		for i := 0; i < int(pa.n); i++ {
-			if pa.syms[i] != pb.syms[i] {
-				return pa.syms[i] < pb.syms[i]
-			}
-		}
+	sort.Slice(ps, func(a, b int) bool { return ps[a].less(ps[b]) })
+}
+
+// less compares two patterns of one dimension by their symbol vectors.
+// The first position where they differ is the lowest nibble that is
+// set in the XOR of their fixed words or that is free in one alone (a
+// fixed symbol 1 reads zero, as a free position does).
+func (p Pattern) less(q Pattern) bool {
+	d := p.fixed ^ q.fixed | nibbles(p.free^q.free)
+	if d == 0 {
 		return false
-	})
+	}
+	shift := uint(bits.TrailingZeros64(d) &^ 3)
+	if pf, qf := p.free>>(shift/4)&1, q.free>>(shift/4)&1; pf != qf {
+		return pf == 1
+	}
+	return p.fixed>>shift&0xF < q.fixed>>shift&0xF
 }

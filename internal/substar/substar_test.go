@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/perm"
 	"repro/internal/star"
@@ -16,6 +17,9 @@ func TestWholeAndBasics(t *testing.T) {
 	}
 	if p.String() != "<*****>_5" {
 		t.Fatalf("String = %q", p.String())
+	}
+	if size := unsafe.Sizeof(p); size > 16 {
+		t.Fatalf("Pattern is %d bytes, want at most 16", size)
 	}
 }
 

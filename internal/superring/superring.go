@@ -396,14 +396,7 @@ func (f *refinement) thread(dst []substar.Pattern, k int) ([]substar.Pattern, bo
 // mask with bit q-1 set for symbol q.
 func sharedFreeSymbols(a, b substar.Pattern) uint32 {
 	y := b.SymbolAt(a.Dif(b))
-	var buf [perm.MaxN]uint8
-	var mask uint32
-	for _, q := range a.FreeSymbols(buf[:0]) {
-		if q != y {
-			mask |= 1 << (q - 1)
-		}
-	}
-	return mask
+	return a.FreeSymbolMask() &^ (1 << (y - 1))
 }
 
 // chooseJunctions assigns a junction symbol to every superedge such that

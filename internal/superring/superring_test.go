@@ -3,6 +3,7 @@ package superring
 import (
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/faults"
@@ -27,6 +28,44 @@ func TestNewValidation(t *testing.T) {
 	bad = append(bad, kids[4].Fix(2, 3))
 	if _, err := New(5, bad); err == nil {
 		t.Fatal("mixed-order ring accepted")
+	}
+}
+
+// TestValidateDistinctness: New checks only dimension, order and the
+// superedges, so a ring that revisits a supervertex passes it, and
+// Validate must reject it. The rings are hand-built from order-4
+// supervertices differing at position n. At n = 16 their 16!/4! rank
+// space is far larger than the ring, and Validate must not allocate a
+// bitset over it.
+func TestValidateDistinctness(t *testing.T) {
+	for _, n := range []int{5, 9, 16} {
+		base := substar.Whole(n)
+		for i := 5; i < n; i++ {
+			base = base.Fix(i, uint8(i))
+		}
+		a, b, c := base.Fix(n, uint8(n)), base.Fix(n, 1), base.Fix(n, 2)
+		twice, err := New(n, []substar.Pattern{a, b, a, b})
+		if err != nil {
+			t.Fatalf("n=%d: New rejected [A B A B]: %v", n, err)
+		}
+		want := "superring: supervertex " + a.String() + " occurs twice"
+		if err := twice.Validate(); err == nil || err.Error() != want {
+			t.Fatalf("n=%d: Validate([A B A B]) = %v, want %q", n, err, want)
+		}
+		short, err := New(n, []substar.Pattern{a, b, c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err = short.Validate()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("n=%d: Validate([A B C]): %v", n, err)
+		}
+		if bytes := after.TotalAlloc - before.TotalAlloc; bytes > 1<<10 {
+			t.Errorf("n=%d: Validate of a 3-supervertex ring allocated %d bytes", n, bytes)
+		}
 	}
 }
 

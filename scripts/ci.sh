@@ -497,7 +497,8 @@ leg "perf gate" go run ./cmd/starbench || exit 1
 # single match), a few seconds each. These catch regressions in input
 # handling and, for FuzzEmbedRing, in the embedding pipeline itself;
 # FuzzRingStreamReference pits the ring verifier against a reference
-# that shares no code with the permutation kernel.
+# that shares no code with the permutation kernel, and FuzzPatternOps
+# holds the word-packed substar pattern to its per-position reference.
 fuzz_smoke() {
     local pkg="$1" target="$2"
     go test -run '^$' -fuzz "^${target}\$" -fuzztime "$FUZZTIME" "$pkg"
@@ -505,6 +506,7 @@ fuzz_smoke() {
 
 leg "fuzz perm/FuzzParse" fuzz_smoke ./internal/perm FuzzParse || exit 1
 leg "fuzz perm/FuzzCodeOps" fuzz_smoke ./internal/perm FuzzCodeOps || exit 1
+leg "fuzz substar/FuzzPatternOps" fuzz_smoke ./internal/substar FuzzPatternOps || exit 1
 leg "fuzz ringio/FuzzReadBinary" fuzz_smoke ./internal/ringio FuzzReadBinary || exit 1
 leg "fuzz ringio/FuzzReadBinaryStream" fuzz_smoke ./internal/ringio FuzzReadBinaryStream || exit 1
 leg "fuzz ringio/FuzzWriteBinaryStream" fuzz_smoke ./internal/ringio FuzzWriteBinaryStream || exit 1
