@@ -10,8 +10,10 @@
 //	starverify -ring ring.srs -fv <faults> [-minlen 714]
 //
 // The ring is decoded and checked one vertex at a time through
-// check.RingStream (distinctness via a rank bitset), so a
-// multi-million-vertex file never has to fit in RAM. The SRS2 format
+// check.RingStream (distinctness via a paged bitset over S_n whose
+// pages are allocated as vertices touch them), so a
+// multi-million-vertex file never has to fit in RAM, and a short ring
+// of a large S_n costs a few KiB. The SRS2 format
 // starring -save writes (one star-step byte per vertex) and the two
 // rank formats files were saved in before it, chunked SRS1 and flat
 // SRG1, are all accepted.

@@ -4,11 +4,13 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/perm"
 	"repro/internal/ringio"
 )
 
@@ -124,5 +126,48 @@ func TestRunVerdicts(t *testing.T) {
 				t.Errorf("stderr %q missing %q", errw.String(), tc.stderr)
 			}
 		})
+	}
+}
+
+// TestRunShortRingAtS16 verifies a 6-cycle of S_16 saved in SRS2 (15
+// bytes) and holds the whole run, decode and verification, to 1 MiB of
+// allocation: the verifier's memory follows the vertices fed, not 16!.
+func TestRunShortRingAtS16(t *testing.T) {
+	const n = 16
+	v := perm.IdentityCode(n)
+	hexagon := []perm.Code{v}
+	for _, d := range []int{2, 3, 2, 3, 2} {
+		v = v.SwapFirst(d)
+		hexagon = append(hexagon, v)
+	}
+	path := filepath.Join(t.TempDir(), "hexagon.srs")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	next := func() (perm.Code, bool) {
+		if i == len(hexagon) {
+			return 0, false
+		}
+		i++
+		return hexagon[i-1], true
+	}
+	if err := ringio.WriteBinaryStream(f, n, len(hexagon), next); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var out, errw strings.Builder
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	code := run([]string{"-ring", path, "-minlen", "6"}, &out, &errw)
+	runtime.ReadMemStats(&after)
+	if code != 0 || !strings.Contains(out.String(), "S_16 ring of 6 vertices") {
+		t.Fatalf("exit %d, stdout %q, stderr %q", code, out.String(), errw.String())
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("starverify on a 6-cycle of S_16 allocated %d bytes, want <= %d", got, 1<<20)
 	}
 }

@@ -30,9 +30,10 @@ import (
 // or route-tested block (pathsearch.BlockAt) — and the per-vertex
 // steps of the ring pipeline: the cursor's emit
 // (RingCursor.nextFast), the canonical-to-ambient vertex map
-// (Block.FromCanon), the verifier's and ring writer's one-pass
-// validity and rank (perm.Code.RankValid) and the verifier's
-// adjacency test (perm.DimOf); see ROADMAP.md. perm.UnrankCode, the
+// (Block.FromCanon), the ring writer's one-pass validity and rank
+// (perm.Code.RankValid), the verifier's adjacency test (perm.DimOf)
+// and its index's table step and recomputation (check.vertexIndex's
+// step and locate); see ROADMAP.md. perm.UnrankCode, the
 // ring reader's per-vertex decode, cannot carry the marker — its
 // precondition panics box their arguments — so TestUnrankCodeAllocs
 // pins it allocation-free instead. The analyzer keeps them honest

@@ -20,7 +20,8 @@ import (
 // into one byte per nibble, keeps visited vertices in a map and tests
 // adjacency by comparing the unpacked arrays. It calls no perm.Code
 // method and no Perm.Rank, so a bug in RankValid or DimOf — the only
-// kernel calls the stream verifier makes — shows up as a disagreement.
+// kernel calls the stream verifier makes — or in the verifier's own
+// vertex index shows up as a disagreement.
 
 // refVertex holds all sixteen nibbles of a code, position 0 first.
 type refVertex [16]uint8
@@ -157,8 +158,9 @@ func refVerify(ring []perm.Code, n int, fs *faults.Set, minLen int, ends *[2]per
 }
 
 // streamVerdict runs check.RingStream, or check.PathStream when ends
-// is non-nil, and classifies its error.
-func streamVerdict(t *testing.T, ring []perm.Code, n int, fs *faults.Set, minLen int, ends *[2]perm.Code) verdict {
+// is non-nil, and classifies its error. A non-nil dims forces the
+// index's P to it instead of the one the verifier learns.
+func streamVerdict(t *testing.T, ring []perm.Code, n int, fs *faults.Set, minLen int, ends *[2]perm.Code, dims *uint32) verdict {
 	t.Helper()
 	i := 0
 	next := func() (perm.Code, bool) {
@@ -170,9 +172,12 @@ func streamVerdict(t *testing.T, ring []perm.Code, n int, fs *faults.Set, minLen
 	}
 	var count int
 	var err error
-	if ends == nil {
+	switch {
+	case dims != nil:
+		count, err = check.StreamAt(star.New(n), next, fs, ends, minLen, *dims)
+	case ends == nil:
 		count, err = check.RingStream(star.New(n), next, fs, minLen)
-	} else {
+	default:
 		count, err = check.PathStream(star.New(n), next, fs, ends[0], ends[1], minLen)
 	}
 	if err == nil {
@@ -199,6 +204,8 @@ const (
 	corruptTruncate
 	corruptFaultyEdge
 	corruptReverse
+	corruptBacktrack
+	corruptRotate
 	corruptKinds
 )
 
@@ -220,7 +227,10 @@ type refInput struct {
 
 // referenceSeeds has one corpus entry per reason class, plus a valid
 // ring and a flipped nibble, then the open mode's: a valid path, a
-// reversed one, truncations and a faulty edge.
+// reversed one, truncations and a faulty edge; then a backtrack, whose
+// repeat is reached through adjacent steps, and a rotation, which
+// starts the ring two vertices before a block's end so that the
+// verifier learns a different P, and is still accepted.
 var referenceSeeds = []refInput{
 	{nSel: 0, seed: 1, kind: corruptNone, wantWhy: ""},
 	{nSel: 1, seed: 2, kind: corruptHighNibble, a: 7, b: 3, x: 4, wantWhy: reasonInvalid},
@@ -237,18 +247,18 @@ var referenceSeeds = []refInput{
 	{nSel: 1, seed: 14, kind: corruptTruncate, a: 50, useMin: true, path: true, wantWhy: reasonShort},
 	{nSel: 0, seed: 15, kind: corruptTruncate, a: 0, path: true, wantWhy: reasonEmpty},
 	{nSel: 1, seed: 16, kind: corruptFaultyEdge, a: 30, path: true, wantWhy: reasonFaultyEdge},
+	{nSel: 0, seed: 17, kind: corruptBacktrack, a: 30, b: 3, wantWhy: reasonRepeat},
+	{nSel: 1, seed: 18, kind: corruptRotate, a: 22, wantWhy: ""},
 }
 
-// differential builds in's corrupted ring or path, runs both
-// verifiers on it and fails unless they reach the same verdict, which
-// it returns. It reports false, having verified nothing, for a path
-// EmbedPath cannot embed.
-func differential(t *testing.T, in refInput) (verdict, bool) {
+// corrupted builds in's corrupted ring or path and returns it with its
+// dimension, fault set, minimum length and, for a path, its ends. It
+// reports false for a path EmbedPath cannot embed.
+func corrupted(t *testing.T, in refInput) (ring []perm.Code, n int, fs *faults.Set, minLen int, ends *[2]perm.Code, ok bool) {
 	t.Helper()
-	n := 5 + int(in.nSel%2)
+	n = 5 + int(in.nSel%2)
 	rng := rand.New(rand.NewSource(in.seed))
-	fs := faults.RandomVertices(n, rng.Intn(faults.MaxTolerated(n)+1), rng)
-	var ends *[2]perm.Code
+	fs = faults.RandomVertices(n, rng.Intn(faults.MaxTolerated(n)+1), rng)
 	var plan *core.Plan
 	var err error
 	if in.path {
@@ -259,7 +269,7 @@ func differential(t *testing.T, in refInput) (verdict, bool) {
 		if plan, err = core.EmbedPath(n, fs, ends[0], ends[1], core.Config{}); err != nil {
 			// Some fault sets leave no Lemma 2 separation whose first
 			// position splits the two ends: no path to corrupt.
-			return verdict{}, false
+			return nil, n, fs, 0, ends, false
 		}
 	} else {
 		plan, err = core.Embed(n, fs, core.Config{})
@@ -267,8 +277,7 @@ func differential(t *testing.T, in refInput) (verdict, bool) {
 	if err != nil {
 		t.Fatalf("embed: %v", err)
 	}
-	ring := plan.Ring()
-	minLen := 0
+	ring = plan.Ring()
 	if in.useMin {
 		minLen = plan.Result().Guarantee
 	}
@@ -300,9 +309,27 @@ func differential(t *testing.T, in refInput) (verdict, bool) {
 		}
 	case corruptReverse:
 		slices.Reverse(ring)
+	case corruptBacktrack:
+		// Step from ring[i] along some dimension and straight back.
+		ring = slices.Insert(ring, i+1, ring[i].SwapFirst(2+j%(n-1)), ring[i])
+	case corruptRotate:
+		ring = slices.Concat(ring[i:], ring[:i])
+	}
+	return ring, n, fs, minLen, ends, true
+}
+
+// differential builds in's corrupted ring or path, runs both
+// verifiers on it and fails unless they reach the same verdict, which
+// it returns. It reports false, having verified nothing, for a path
+// EmbedPath cannot embed.
+func differential(t *testing.T, in refInput) (verdict, bool) {
+	t.Helper()
+	ring, n, fs, minLen, ends, ok := corrupted(t, in)
+	if !ok {
+		return verdict{}, false
 	}
 	want := refVerify(ring, n, fs, minLen, ends)
-	if got := streamVerdict(t, ring, n, fs, minLen, ends); got != want {
+	if got := streamVerdict(t, ring, n, fs, minLen, ends, nil); got != want {
 		t.Fatalf("S_%d, path %v, corruption %d: check stream verifier %+v, reference %+v", n, in.path, in.kind%corruptKinds, got, want)
 	}
 	return want, true
@@ -318,12 +345,51 @@ func TestRingStreamReferenceSeeds(t *testing.T) {
 	}
 }
 
+// TestRotationSeedMovesP checks that the rotation seed does what its
+// comment says: the rotated ring's first steps name a different P
+// than the ring's own.
+func TestRotationSeedMovesP(t *testing.T) {
+	for _, in := range referenceSeeds {
+		if in.kind != corruptRotate {
+			continue
+		}
+		rotated, n, _, _, _, _ := corrupted(t, in)
+		plain := in
+		plain.kind = corruptNone
+		ring, _, _, _, _, _ := corrupted(t, plain)
+		before, after := check.LearnedDims(n, ring), check.LearnedDims(n, rotated)
+		if before == 0 || after == 0 || before == after {
+			t.Errorf("seed %+v: learned P %#x before the rotation, %#x after", in, before, after)
+		}
+	}
+}
+
+// TestReferenceSeedsEveryP replays every corpus seed with the
+// verifier's P forced to each admissible choice at the seed's n (4 at
+// S_5, 10 at S_6): the index is a bijection for every P, so every
+// verdict, reason and position must match the reference's.
+func TestReferenceSeedsEveryP(t *testing.T) {
+	for _, in := range referenceSeeds {
+		ring, n, fs, minLen, ends, ok := corrupted(t, in)
+		if !ok {
+			t.Fatalf("seed %+v: no path to corrupt", in)
+		}
+		want := refVerify(ring, n, fs, minLen, ends)
+		for _, dims := range check.AdmissibleDims(n) {
+			if got := streamVerdict(t, ring, n, fs, minLen, ends, &dims); got != want {
+				t.Errorf("seed %+v, P %#x: verdict %+v, reference %+v", in, dims, got, want)
+			}
+		}
+	}
+}
+
 // FuzzRingStreamReference corrupts valid S_5 and S_6 rings from
 // core.Embed and paths from core.EmbedPath — swap, duplicate, faulty
 // vertex, flipped nibble, high nibble, truncation, faulty edge,
-// reversal — and demands that check.RingStream (check.PathStream for a
-// path) and the reference verifier agree: both accept, or both reject
-// at the same position for the same reason class.
+// reversal, backtrack, rotation — and demands that check.RingStream
+// (check.PathStream for a path) and the reference verifier agree: both
+// accept, or both reject at the same position for the same reason
+// class.
 func FuzzRingStreamReference(f *testing.F) {
 	for _, in := range referenceSeeds {
 		f.Add(in.nSel, in.seed, in.kind, in.a, in.b, in.x, in.useMin, in.path)

@@ -2,6 +2,8 @@ package check
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"repro/internal/faults"
 	"repro/internal/perm"
@@ -10,37 +12,68 @@ import (
 
 // StreamVerifier validates a ring incrementally, one vertex at a time,
 // without ever holding the cycle: Feed checks each vertex as it
-// arrives (validity, healthiness, adjacency to its predecessor, and
-// distinctness), Close checks the wraparound edge and the length
+// arrives (validity, healthiness, distinctness, adjacency to its
+// predecessor), Close checks the wraparound edge and the length
 // bounds. It is the package's one verifier: Ring feeds it from a
 // slice, RingStream from any iterator, so rings too large to
 // materialize — n = 10 is 3.6M vertices, n = 12 is 479M — are checked
 // by the same code as small ones. Its open form, behind PathStream and
 // Path, checks an s-t path with the same Feed; only Close differs.
 //
-// Distinctness is tracked by Lehmer rank in a lazily paged bitset
-// sized to S_n: n!/8 bytes fully touched (79 words at n = 7), the same
-// order as the O(#blocks) skeleton the embedder keeps (24 ring
-// vertices ≈ 3 bitset bytes per block). Practical through n = 12
-// (60 MB of bits); beyond that exact distinctness outgrows memory
-// whatever the representation.
+// Feed tests adjacency first (perm.DimOf). A vertex adjacent to a
+// valid predecessor is itself valid, so validity is tested only on the
+// first vertex and on one that fails adjacency; for the latter the
+// checks are replayed in the documented order, so the reason and
+// position of a rejection do not depend on the order they run in.
 //
-// The faulty vertices' bits are set when the verifier is created, so
-// one bit test per vertex checks healthiness and distinctness together
-// and the fault set is consulted only to word a rejection — or, per
-// edge, when it holds faulty edges at all.
+// Distinctness is tracked in a bitset over S_n indexed by vertexIndex,
+// a bijection onto [0, n!) that follows star steps: with P the first
+// three distinct step dimensions the stream takes (plus position 1), a
+// step inside P updates the index by one table read, and any other
+// step — once per S4 block in the paper's rings — recomputes it. P is
+// learned before any bit is set: until the stream has stepped along
+// three distinct dimensions (at most six vertices, which two
+// dimensions confine to an S_3), repeats are found by scanning the
+// vertices so far and faults by asking the fault set. The index is a
+// bijection for every P, so P changes the speed, never the verdict.
+//
+// The bitset is paged: a page holds 1024 blocks' runs of k! = 24 bits
+// (3 KiB) and is allocated on first touch, and the page directory
+// grows with the pages touched, so memory follows the vertices fed —
+// n!/8 bytes for a whole ring (79 words at n = 7, 60 MB at n = 12,
+// beyond which exact distinctness of a whole ring outgrows memory
+// whatever the representation), a few KiB for a repair's 22-vertex
+// segment at any n. A faulty
+// vertex's bit is set when its page is allocated, so one bit test per
+// vertex checks healthiness and distinctness together and the fault
+// set is consulted only to word a rejection — or, per edge, when it
+// holds faulty edges at all.
 //
 // A StreamVerifier is single-use: after Close (or the first error) it
 // rejects further Feeds. The fault set must not change while it runs.
 // Not safe for concurrent use.
 type StreamVerifier struct {
-	g    star.Graph
-	fs   *faults.Set
-	n    int
-	seen pagedBits
+	g  star.Graph
+	fs *faults.Set
+	n  int
 	// edgeFaults is set when fs holds faulty edges; only then are the
 	// ring's edges looked up in it.
 	edgeFaults bool
+
+	// Until fixed, dims collects the step dimensions seen (bit d for
+	// dimension d) and early the vertices fed, at most (k−1)! ≤ 6 of
+	// them; then ix is the index and seen its bitset.
+	fixed bool
+	dims  uint32
+	early [6]perm.Code
+	ix    vertexIndex
+	seen  pagedBits
+	// page is the current block's page of seen, base the offset of the
+	// block's run in it and l the last vertex's L, so the last vertex's
+	// bit is base+l.
+	page []uint64
+	base int
+	l    int
 
 	first, prev perm.Code
 	count       int
@@ -55,16 +88,29 @@ type StreamVerifier struct {
 // vertex by vertex. fs may be nil for the fault-free case.
 func NewStreamVerifier(g star.Graph, fs *faults.Set) *StreamVerifier {
 	n := g.N()
-	s := &StreamVerifier{g: g, fs: fs, n: n, seen: newPagedBits(perm.Factorial(n))}
+	s := &StreamVerifier{g: g, fs: fs, n: n, seen: pagedBits{size: perm.Factorial(n)}}
 	if fs != nil {
-		for _, v := range fs.Vertices() {
-			if r, ok := v.RankValid(n); ok {
-				s.seen.testAndSet(r)
-			}
-		}
 		s.edgeFaults = fs.NumEdges() > 0
 	}
 	return s
+}
+
+// fix fixes the index's P from dims, lists the faults' indices for the
+// bitset to mark page by page, and marks the vertices fed so far.
+func (s *StreamVerifier) fix(dims uint32) {
+	s.fixed = true
+	s.ix = newVertexIndex(s.n, dims)
+	if s.fs != nil {
+		for _, v := range s.fs.Vertices() {
+			if v.Valid(s.n) {
+				s.seen.faults = append(s.seen.faults, s.ix.index(v))
+			}
+		}
+		slices.Sort(s.seen.faults)
+	}
+	for _, v := range s.early[:s.count] {
+		s.seen.testAndSet(s.ix.index(v))
+	}
 }
 
 // fail records and returns the verifier's terminal error.
@@ -82,33 +128,103 @@ func (s *StreamVerifier) Feed(v perm.Code) error {
 	if s.closed {
 		return s.fail("%w: Feed after Close", ErrInvalidRing)
 	}
-	i := s.count
-	rank, ok := v.RankValid(s.n)
-	if !ok {
-		return s.fail("%w: entry %d (%#v) is not a vertex of S_%d", ErrInvalidRing, i, v, s.n)
-	}
-	if s.seen.testAndSet(rank) {
-		// Set by an earlier visit, or at creation for a faulty vertex.
-		if s.fs != nil && s.fs.HasVertex(v) {
-			return s.fail("%w: faulty vertex %s at position %d", ErrInvalidRing, v.StringN(s.n), i)
+	if s.count == 0 {
+		if !v.Valid(s.n) {
+			return s.invalid(v)
 		}
-		return s.fail("%w: vertex %s repeats at position %d", ErrInvalidRing, v.StringN(s.n), i)
-	}
-	if i == 0 {
+		if s.enter(v, 0) {
+			return s.visited(v)
+		}
 		s.first = v
 	} else {
-		if !s.g.Adjacent(s.prev, v) {
-			return s.fail("%w: %s and %s (positions %d, %d) are not adjacent",
-				ErrInvalidRing, s.prev.StringN(s.n), v.StringN(s.n), i-1, i)
+		d := perm.DimOf(s.prev, v, s.n)
+		if d == 0 {
+			return s.notAdjacent(v)
+		}
+		if l, ok := s.ix.step(s.l, d); ok {
+			s.l = l
+			if s.mark() {
+				return s.visited(v)
+			}
+		} else if s.enter(v, d) {
+			return s.visited(v)
 		}
 		if s.edgeFaults && s.fs.HasEdge(s.prev, v) {
 			return s.fail("%w: faulty edge {%s, %s} used at position %d",
-				ErrInvalidRing, s.prev.StringN(s.n), v.StringN(s.n), i-1)
+				ErrInvalidRing, s.prev.StringN(s.n), v.StringN(s.n), s.count-1)
 		}
 	}
 	s.prev = v
 	s.count++
 	return nil
+}
+
+// enter marks v, reached from its predecessor by a step along
+// dimension d (0 for the first vertex), when the index cannot step to
+// it: while P is being learned it checks v against the fault set and
+// the vertices so far, and afterwards it locates v from scratch. It
+// reports whether v is faulty or was visited before.
+func (s *StreamVerifier) enter(v perm.Code, d int) bool {
+	if !s.fixed {
+		s.dims |= 1 << d &^ 1
+		if bits.OnesCount32(s.dims) < min(s.n, 4)-1 {
+			if s.seenEarly(v) {
+				return true
+			}
+			s.early[s.count] = v
+			return false
+		}
+		s.fix(s.dims)
+	}
+	a, l := s.ix.locate(v)
+	s.page, s.base, s.l = s.seen.page(a/pageBlocks), a%pageBlocks*s.ix.kf, l
+	return s.mark()
+}
+
+// seenEarly is distinctness and healthiness before P is fixed: it
+// reports whether v is faulty or among the vertices fed so far.
+func (s *StreamVerifier) seenEarly(v perm.Code) bool {
+	return (s.fs != nil && s.fs.HasVertex(v)) || slices.Contains(s.early[:s.count], v)
+}
+
+// mark sets the last vertex's bit, base+l in the current page, and
+// reports whether it was already set.
+func (s *StreamVerifier) mark() bool {
+	off := uint(s.base + s.l)
+	w, mask := off/64, uint64(1)<<(off%64)
+	if s.page[w]&mask != 0 {
+		return true
+	}
+	s.page[w] |= mask
+	return false
+}
+
+// visited returns the rejection of a vertex whose bit was already set:
+// faulty when the fault set holds it, a repeat otherwise.
+func (s *StreamVerifier) visited(v perm.Code) error {
+	if s.fs != nil && s.fs.HasVertex(v) {
+		return s.fail("%w: faulty vertex %s at position %d", ErrInvalidRing, v.StringN(s.n), s.count)
+	}
+	return s.fail("%w: vertex %s repeats at position %d", ErrInvalidRing, v.StringN(s.n), s.count)
+}
+
+// invalid returns the rejection of a code that is not a vertex of S_n.
+func (s *StreamVerifier) invalid(v perm.Code) error {
+	return s.fail("%w: entry %d (%#v) is not a vertex of S_%d", ErrInvalidRing, s.count, v, s.n)
+}
+
+// notAdjacent returns the rejection of a vertex that is not adjacent
+// to its predecessor, after the checks that come first: validity, then
+// healthiness and distinctness.
+func (s *StreamVerifier) notAdjacent(v perm.Code) error {
+	if !v.Valid(s.n) {
+		return s.invalid(v)
+	}
+	if s.fixed && s.seen.testAndSet(s.ix.index(v)) || !s.fixed && s.seenEarly(v) {
+		return s.visited(v)
+	}
+	return s.fail("%w: %s and %s (positions %d, %d) are not adjacent",
+		ErrInvalidRing, s.prev.StringN(s.n), v.StringN(s.n), s.count-1, s.count)
 }
 
 // Count returns the number of vertices fed so far.
@@ -159,7 +275,8 @@ func (s *StreamVerifier) Close(minLen int) error {
 // RingStream verifies a ring delivered by an iterator: next returns
 // consecutive cycle vertices and false when the cycle is complete. The
 // verdict and the number of vertices consumed are returned; memory
-// stays bounded by the rank bitset regardless of ring length.
+// stays bounded by the pages of the index bitset the ring touches,
+// regardless of its length.
 func RingStream(g star.Graph, next func() (perm.Code, bool), fs *faults.Set, minLen int) (int, error) {
 	return stream(NewStreamVerifier(g, fs), next, minLen)
 }
@@ -187,41 +304,56 @@ func stream(sv *StreamVerifier, next func() (perm.Code, bool), minLen int) (int,
 	return sv.Count(), sv.Close(minLen)
 }
 
-// pagedBits is a bitset over [0, size) whose backing pages are
-// allocated on first touch, so sparse probes (short rings in a huge
-// S_n) stay cheap while dense ones converge to size/8 bytes. The last
-// page is clamped to the rank space, so a small S_n never pays for a
-// full page.
+// pagedBits is a bitset over [0, size) held in pages of pageBits bits,
+// each allocated on first touch, with the faults' bits that fall in it
+// already set. The directory maps page numbers to pages, so it grows
+// with the pages touched, not with size: a short ring in S_16 pays for
+// a page or two, while a whole ring converges to size/8 bytes. The
+// last page is clamped to the index space, so a small S_n never pays
+// for a full page.
 type pagedBits struct {
 	size  int
-	pages [][]uint64
+	pages map[int][]uint64
+	// faults holds the faulty vertices' indices, ascending.
+	faults []int
 }
 
-// pageBits is the span of one page: 1<<19 bits = 64 KiB of uint64s.
-const pageBits = 1 << 19
-
-func newPagedBits(size int) pagedBits {
-	return pagedBits{size: size, pages: make([][]uint64, (size+pageBits-1)/pageBits)}
-}
+// pageBlocks is the number of k!-bit block runs in one page, and
+// pageBits a page's span: 24 Ki bits, 3 KiB of uint64s.
+const (
+	pageBlocks = 1 << 10
+	pageBits   = pageBlocks * 24
+)
 
 // pageWords returns the number of words backing page p: a full page,
 // or for the last one just enough to cover the rest of [0, size).
 func (b *pagedBits) pageWords(p int) int {
-	bits := b.size - p*pageBits
-	if bits > pageBits {
-		bits = pageBits
+	return (min(b.size-p*pageBits, pageBits) + 63) / 64
+}
+
+// page returns page p, allocating it on first touch and setting the
+// bits of the faults it spans.
+func (b *pagedBits) page(p int) []uint64 {
+	if page, ok := b.pages[p]; ok {
+		return page
 	}
-	return (bits + 63) / 64
+	if b.pages == nil {
+		b.pages = make(map[int][]uint64)
+	}
+	page := make([]uint64, b.pageWords(p))
+	lo := p * pageBits
+	i, _ := slices.BinarySearch(b.faults, lo)
+	for ; i < len(b.faults) && b.faults[i] < lo+pageBits; i++ {
+		off := b.faults[i] - lo
+		page[off/64] |= 1 << (off % 64)
+	}
+	b.pages[p] = page
+	return page
 }
 
 // testAndSet sets bit i and reports whether it was already set.
 func (b *pagedBits) testAndSet(i int) bool {
-	p := i / pageBits
-	page := b.pages[p]
-	if page == nil {
-		page = make([]uint64, b.pageWords(p))
-		b.pages[p] = page
-	}
+	page := b.page(i / pageBits)
 	off := i % pageBits
 	w, mask := off/64, uint64(1)<<(off%64)
 	if page[w]&mask != 0 {

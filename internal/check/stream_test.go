@@ -2,6 +2,7 @@ package check
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -159,10 +160,10 @@ func TestStreamVerifierStopsAtFirstError(t *testing.T) {
 	}
 }
 
-// TestPagedBitsDistinctness exercises the rank bitset across page
+// TestPagedBitsDistinctness exercises the index bitset across page
 // boundaries directly.
 func TestPagedBitsDistinctness(t *testing.T) {
-	b := newPagedBits(3 * pageBits)
+	b := pagedBits{size: 3 * pageBits}
 	probes := []int{0, 1, pageBits - 1, pageBits, 2*pageBits + 7, 3*pageBits - 1}
 	for _, i := range probes {
 		if b.testAndSet(i) {
@@ -179,25 +180,27 @@ func TestPagedBitsDistinctness(t *testing.T) {
 	}
 }
 
-// TestPagedBitsSizedToSn pins the bitset's footprint to the rank space
-// of S_n: S_5's 120 ranks take 2 words, S_9's 362880 one page clamped
-// to 5670 words instead of a full 8192, and S_10 six full pages plus a
-// clamped seventh.
+// TestPagedBitsSizedToSn pins the bitset's footprint to the index space
+// of S_n in 24,576-bit pages (1024 blocks of 24 bits): S_5's 120
+// indices take one page of 2 words, S_9's 362,880 fifteen pages, the
+// last clamped to 294 words instead of a full 384, and S_10 148 pages,
+// the last of 252 words. Touching the first and the last bit allocates
+// those two pages and no others.
 func TestPagedBitsSizedToSn(t *testing.T) {
 	for _, c := range []struct{ n, pages, lastWords int }{
 		{5, 1, 2},
-		{9, 1, 5670},
-		{10, 7, 7548},
+		{9, 15, 294},
+		{10, 148, 252},
 	} {
 		size := perm.Factorial(c.n)
-		b := newPagedBits(size)
-		if len(b.pages) != c.pages {
-			t.Fatalf("n=%d: %d pages, want %d", c.n, len(b.pages), c.pages)
-		}
+		b := pagedBits{size: size}
 		for _, i := range []int{0, size - 1} {
 			if b.testAndSet(i) {
 				t.Fatalf("n=%d: bit %d set before first touch", c.n, i)
 			}
+		}
+		if want := min(c.pages, 2); len(b.pages) != want {
+			t.Fatalf("n=%d: %d pages allocated, want %d", c.n, len(b.pages), want)
 		}
 		if got := len(b.pages[0]); c.pages > 1 && got != pageBits/64 {
 			t.Fatalf("n=%d: first page %d words, want a full %d", c.n, got, pageBits/64)
@@ -205,5 +208,127 @@ func TestPagedBitsSizedToSn(t *testing.T) {
 		if got := len(b.pages[c.pages-1]); got != c.lastWords {
 			t.Fatalf("n=%d: last page %d words, want %d", c.n, got, c.lastWords)
 		}
+	}
+}
+
+// s4Cycle returns the Hamiltonian cycle of the S4 block through base
+// whose free positions are 1, a, b and c, walked from base by a fixed
+// sequence of 24 star steps.
+func s4Cycle(base perm.Code, a, b, c int) []perm.Code {
+	out := make([]perm.Code, 0, 24)
+	v := base
+	for i := 0; i < 2; i++ {
+		for _, d := range [12]int{a, b, a, b, a, c, b, a, b, a, b, c} {
+			out = append(out, v)
+			v = v.SwapFirst(d)
+		}
+	}
+	return out
+}
+
+// allocBytes returns the bytes one call of f allocates: the least of
+// a few measured calls after a warm-up, so that an allocation by
+// another goroutine (a finalizer after a GC, say) is not counted.
+func allocBytes(f func()) uint64 {
+	f()
+	least := ^uint64(0)
+	for i := 0; i < 5; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// TestStreamVerifierLearnsP pins where P comes from: position 1 and
+// the first three distinct step dimensions. The block cycle below
+// steps along 5, 2, 5, 2, 5 and then 7, so P is fixed on its seventh
+// vertex and not before, and the verdict is the same as under the
+// default P.
+func TestStreamVerifierLearnsP(t *testing.T) {
+	const n = 9
+	g := star.New(n)
+	cycle := s4Cycle(perm.IdentityCode(n), 5, 2, 7)
+	sv := NewStreamVerifier(g, nil)
+	for i, v := range cycle {
+		if err := sv.Feed(v); err != nil {
+			t.Fatal(err)
+		}
+		if sv.fixed != (i >= 6) {
+			t.Fatalf("after %d vertices: fixed %v", i+1, sv.fixed)
+		}
+	}
+	if err := sv.Close(24); err != nil {
+		t.Fatal(err)
+	}
+	for d := 2; d <= n; d++ {
+		if in := sv.ix.slot[d] != 0; in != (d == 2 || d == 5 || d == 7) {
+			t.Errorf("dimension %d in P: %v", d, in)
+		}
+	}
+	if _, err := stream(newStreamVerifierAt(g, nil, 0), sliceNext(cycle), 24); err != nil {
+		t.Fatalf("default P: %v", err)
+	}
+}
+
+// TestRingAllocsBoundedAtS16 holds a short ring in S_16 to what it
+// touches: a 6-cycle never fixes P and so allocates no page, and a
+// block's 24-cycle allocates one 3 KiB page. Either would have sized
+// a page directory to 16! before the directory grew with the pages
+// touched (913 MiB for the 6-cycle).
+func TestRingAllocsBoundedAtS16(t *testing.T) {
+	const n = 16
+	g := star.New(n)
+	v := perm.IdentityCode(n)
+	hexagon := []perm.Code{v}
+	for _, d := range []int{2, 3, 2, 3, 2} {
+		v = v.SwapFirst(d)
+		hexagon = append(hexagon, v)
+	}
+	block := s4Cycle(perm.UnrankCode(n, perm.Factorial(n)/3), 9, 13, 16)
+	for _, c := range []struct {
+		name  string
+		ring  []perm.Code
+		bound uint64
+	}{
+		{"6-cycle", hexagon, 1 << 20},
+		{"block 24-cycle", block, pageBits/8 + 1<<10},
+	} {
+		var err error
+		got := allocBytes(func() { err = Ring(g, c.ring, nil, len(c.ring)) })
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		t.Logf("%s: %d bytes", c.name, got)
+		if got > c.bound {
+			t.Errorf("%s: check.Ring allocated %d bytes, want <= %d", c.name, got, c.bound)
+		}
+	}
+}
+
+// TestSpliceCheckAllocs bounds the repair splice's self-check: a
+// 22-vertex path through one block of S_10 with six faults elsewhere
+// is checked in at most 16 KiB, its page or two and the faults'
+// sorted indices, not pages of S_10 marked for every fault.
+func TestSpliceCheckAllocs(t *testing.T) {
+	const n = 10
+	g := star.New(n)
+	path := s4Cycle(perm.UnrankCode(n, 1234567), 3, 6, 9)[:22]
+	fs := faults.NewSet(n)
+	for r := 11; fs.NumVertices() < 6; r += perm.Factorial(n) / 7 {
+		if err := fs.AddVertex(perm.UnrankCode(n, r)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var err error
+	got := allocBytes(func() { err = Path(g, path, fs, path[0], path[21], 22) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d bytes", got)
+	if got > 16<<10 {
+		t.Errorf("22-vertex check.Path at n=10 allocated %d bytes, want <= %d", got, 16<<10)
 	}
 }

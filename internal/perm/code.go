@@ -159,10 +159,10 @@ func (c Code) Rank(n int) int {
 // the bits 0..n-1 of the mask only when they are distinct and all
 // below n, so a repeated symbol or a symbol >= n leaves the mask short
 // of 1<<n - 1, and a nonzero nibble above position n leaves the
-// shifted word nonzero. The rank is 0 when ok is false. Stream
-// consumers that must both validate and rank every ring vertex (the
-// verifier, the ring writer) call it once per vertex, so hotalloc
-// keeps it allocation-free.
+// shifted word nonzero. The rank is 0 when ok is false. The ring
+// writer calls it for every vertex it escapes to a rank and the
+// verifier, through Valid, for every vertex it cannot reach by a star
+// step, so hotalloc keeps it allocation-free.
 //
 //starlint:hotpath
 func (c Code) RankValid(n int) (rank int, ok bool) {

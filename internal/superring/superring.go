@@ -271,6 +271,12 @@ func (r *Ring) Refine(pos int, opts Options) (*Ring, error) {
 	if r.open {
 		f.first, f.last = r.s.Symbol(pos), r.t.Symbol(pos)
 	}
+	// Each child is weighed once, here: the junction candidates and
+	// every clique ordering the junction search probes read the flags.
+	weigh := opts.FaultCount != nil && (opts.SpreadFaults || opts.HealthyJunctions)
+	if weigh {
+		f.faulty = make([]bool, 0, m*r.order)
+	}
 	for k := 0; k < m; k++ {
 		from := len(f.kids)
 		f.kids = r.verts[k].AppendPartition(f.kids, pos)
@@ -281,6 +287,11 @@ func (r *Ring) Refine(pos int, opts Options) (*Ring, error) {
 			}
 		}
 		f.kids = kept
+		if weigh {
+			for _, c := range f.kids[from:] {
+				f.faulty = append(f.faulty, opts.FaultCount(c) > 0)
+			}
+		}
 		if len(f.kids)-from < 3 {
 			return nil, fmt.Errorf("superring: clique %d has only %d children after exclusion", k, len(f.kids)-from)
 		}
@@ -316,7 +327,7 @@ func (r *Ring) Refine(pos int, opts Options) (*Ring, error) {
 			if opts.excluded(exitChild) || opts.excluded(entryChild) {
 				continue
 			}
-			if opts.HealthyJunctions && (opts.faultCount(exitChild) > 0 || opts.faultCount(entryChild) > 0) {
+			if opts.HealthyJunctions && (f.childFaulty(k, exitChild) || f.childFaulty(next, entryChild)) {
 				continue
 			}
 			cs |= 1 << (q - 1)
@@ -353,8 +364,12 @@ type refinement struct {
 	r    *Ring
 	pos  int
 	opts Options
-	// Clique k is kids[bounds[k]:bounds[k+1]].
+	// Clique k is kids[bounds[k]:bounds[k+1]]. When the options weigh
+	// faults (a FaultCount with SpreadFaults or HealthyJunctions),
+	// faulty[i] tells whether kids[i] holds one; otherwise faulty is
+	// nil and no child counts as faulty.
 	kids   []substar.Pattern
+	faulty []bool
 	bounds []int32
 	// blockedPrev[k] is the child of clique k with no cross edge to
 	// supervertex k-1, blockedNext[k] the one with none to k+1.
@@ -369,6 +384,16 @@ type refinement struct {
 
 func (f *refinement) clique(k int) []substar.Pattern {
 	return f.kids[f.bounds[k]:f.bounds[k+1]]
+}
+
+// childFaulty reports the fault flag of child c of clique k.
+func (f *refinement) childFaulty(k int, c substar.Pattern) bool {
+	for i, ch := range f.clique(k) {
+		if ch == c && f.faulty != nil {
+			return f.faulty[int(f.bounds[k])+i]
+		}
+	}
+	return false
 }
 
 // thread appends to dst clique k's path (see orderClique) from its entry
@@ -387,8 +412,12 @@ func (f *refinement) thread(dst []substar.Pattern, k int) ([]substar.Pattern, bo
 	if in == out {
 		return dst, false
 	}
+	var faulty []bool
+	if f.opts.SpreadFaults && f.faulty != nil {
+		faulty = f.faulty[f.bounds[k]:f.bounds[k+1]]
+	}
 	v := f.r.verts[k]
-	return orderClique(dst, f.clique(k), v.Fix(f.pos, in), v.Fix(f.pos, out), f.blockedPrev[k], f.blockedNext[k], f.opts)
+	return orderClique(dst, f.clique(k), faulty, v.Fix(f.pos, in), v.Fix(f.pos, out), f.blockedPrev[k], f.blockedNext[k])
 }
 
 // sharedFreeSymbols returns the symbols free in both adjacent patterns,
@@ -471,14 +500,15 @@ func (f *refinement) chooseJunctions(candidates []uint32) error {
 //     children are connected to the previous supervertex);
 //   - the second-to-last child differs from blockedNext;
 //   - entry != blockedPrev and exit != blockedNext;
-//   - fault-bearing children are pairwise non-consecutive when
-//     opts.SpreadFaults is set.
+//   - fault-bearing children, those whose faulty flag is set, are
+//     pairwise non-consecutive; faulty is nil when faults need not be
+//     spread.
 //
 // All children of one clique are pairwise adjacent, so any ordering is a
 // valid path; only the constraints restrict the choice. The search is a
 // DFS over at most len(children) <= n positions, on the stack; the
 // ordering is appended to dst, which Refine passes as a stack buffer.
-func orderClique(dst, children []substar.Pattern, entry, exit, blockedPrev, blockedNext substar.Pattern, opts Options) ([]substar.Pattern, bool) {
+func orderClique(dst, children []substar.Pattern, faulty []bool, entry, exit, blockedPrev, blockedNext substar.Pattern) ([]substar.Pattern, bool) {
 	if entry == exit {
 		return dst, false
 	}
@@ -494,7 +524,7 @@ func orderClique(dst, children []substar.Pattern, entry, exit, blockedPrev, bloc
 		if ch == exit {
 			exitIdx = i
 		}
-		s.faulty[i] = opts.SpreadFaults && opts.faultCount(ch) > 0
+		s.faulty[i] = faulty != nil && faulty[i]
 	}
 	if entryIdx < 0 || exitIdx < 0 {
 		return dst, false

@@ -226,6 +226,46 @@ func TestRefineWithFaultDiscipline(t *testing.T) {
 	}
 }
 
+// TestRefineWeighsEachChildOnce counts FaultCount calls: a refinement
+// that spreads faults and keeps junctions healthy weighs every child
+// of every clique exactly once, however many orderings the junction
+// search probes, and one that does neither never calls it.
+func TestRefineWeighsEachChildOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for n := 6; n <= 8; n++ {
+		fs := faults.RandomVertices(n, faults.MaxTolerated(n), rng)
+		positions, _ := fs.SeparatingPositions()
+		w := weightFor(fs)
+		calls := 0
+		counting := func(p substar.Pattern) int {
+			calls++
+			return w(p)
+		}
+		r, err := Initial(n, positions[0], Options{FaultCount: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 1; j < len(positions); j++ {
+			weigh := j == len(positions)-1
+			opts := Options{FaultCount: counting, SpreadFaults: weigh, HealthyJunctions: weigh}
+			calls = 0
+			if r, err = r.Refine(positions[j], opts); err != nil {
+				t.Fatalf("S_%d refine %d: %v", n, j, err)
+			}
+			want := 0
+			if weigh {
+				want = r.Len()
+			}
+			if calls != want {
+				t.Errorf("S_%d refine %d: %d FaultCount calls, want %d (one per child)", n, j, calls, want)
+			}
+		}
+		if !r.P3(w) {
+			t.Fatalf("S_%d: (P3) violated", n)
+		}
+	}
+}
+
 func TestRefineExclude(t *testing.T) {
 	n := 6
 	r, err := Initial(n, 2, Options{})
@@ -320,7 +360,7 @@ func TestOrderCliqueConstraints(t *testing.T) {
 	kids := parent.Partition(3)                // five order-4 children
 	entry, exit := kids[0], kids[4]
 	blockedPrev, blockedNext := kids[1], kids[3]
-	path, ok := orderClique(nil, kids, entry, exit, blockedPrev, blockedNext, Options{})
+	path, ok := orderClique(nil, kids, nil, entry, exit, blockedPrev, blockedNext)
 	if !ok {
 		t.Fatal("feasible clique rejected")
 	}
@@ -334,11 +374,11 @@ func TestOrderCliqueConstraints(t *testing.T) {
 		t.Fatal("second-to-last child blocked toward next supervertex")
 	}
 	// entry == exit impossible.
-	if _, ok := orderClique(nil, kids, entry, entry, blockedPrev, blockedNext, Options{}); ok {
+	if _, ok := orderClique(nil, kids, nil, entry, entry, blockedPrev, blockedNext); ok {
 		t.Fatal("entry == exit accepted")
 	}
 	// entry blocked toward previous is invalid.
-	if _, ok := orderClique(nil, kids, blockedPrev, exit, blockedPrev, blockedNext, Options{}); ok {
+	if _, ok := orderClique(nil, kids, nil, blockedPrev, exit, blockedPrev, blockedNext); ok {
 		t.Fatal("blocked entry accepted")
 	}
 }

@@ -497,8 +497,10 @@ leg "perf gate" go run ./cmd/starbench || exit 1
 # single match), a few seconds each. These catch regressions in input
 # handling and, for FuzzEmbedRing, in the embedding pipeline itself;
 # FuzzRingStreamReference pits the ring verifier against a reference
-# that shares no code with the permutation kernel, and FuzzPatternOps
-# holds the word-packed substar pattern to its per-position reference.
+# that shares no code with the permutation kernel, FuzzVertexIndex
+# holds the verifier's index steps to its from-scratch recomputation,
+# and FuzzPatternOps holds the word-packed substar pattern to its
+# per-position reference.
 fuzz_smoke() {
     local pkg="$1" target="$2"
     go test -run '^$' -fuzz "^${target}\$" -fuzztime "$FUZZTIME" "$pkg"
@@ -512,6 +514,7 @@ leg "fuzz ringio/FuzzReadBinaryStream" fuzz_smoke ./internal/ringio FuzzReadBina
 leg "fuzz ringio/FuzzWriteBinaryStream" fuzz_smoke ./internal/ringio FuzzWriteBinaryStream || exit 1
 leg "fuzz core/FuzzEmbedRing" fuzz_smoke ./internal/core FuzzEmbedRing || exit 1
 leg "fuzz check/FuzzRingStreamReference" fuzz_smoke ./internal/check FuzzRingStreamReference || exit 1
+leg "fuzz check/FuzzVertexIndex" fuzz_smoke ./internal/check FuzzVertexIndex || exit 1
 leg "fuzz serve/FuzzServeRequest" fuzz_smoke ./internal/serve FuzzServeRequest || exit 1
 
 echo "==> ci.sh: all legs passed"
