@@ -24,14 +24,16 @@ import (
 // interfaces or function values cannot be proven and are flagged.
 //
 // The enforced sites are the per-step ring surgery in Plan.Repair,
-// the pathsearch lookup-table hit, the disabled-observability fast
-// path, the skeleton's per-block steps — its block lookup
-// (skeleton.blockOf) and the isomorphism computed for each replayed
-// or route-tested block (pathsearch.BlockAt) — and the per-vertex
-// steps of the ring pipeline: the cursor's emit
-// (RingCursor.nextFast), the canonical-to-ambient vertex map
-// (Block.FromCanon), the ring writer's one-pass validity and rank
-// (perm.Code.RankValid), the verifier's adjacency test (perm.DimOf)
+// the pathsearch lookup-table hit that every route test takes, the
+// disabled-observability fast path, the skeleton's per-block steps —
+// its block lookup (skeleton.blockOf), the isomorphism computed for
+// each route-tested block (pathsearch.BlockAt) and the step-word
+// replay of every block read back (skeleton.replay and
+// pathsearch.Steps.Replay) — and the per-vertex steps of the ring
+// pipeline: the cursor's emit (RingCursor.nextFast), the
+// canonical-to-ambient vertex map (Block.FromCanon), the ring
+// writer's one-pass validity and rank (perm.Code.RankValid), the
+// verifier's adjacency test (perm.DimOf, which the compiler inlines)
 // and its index's table step and recomputation (check.vertexIndex's
 // step and locate); see ROADMAP.md. perm.UnrankCode, the
 // ring reader's per-vertex decode, cannot carry the marker — its

@@ -30,20 +30,21 @@ import (
 // a bijection onto [0, n!) that follows star steps: with P the first
 // three distinct step dimensions the stream takes (plus position 1), a
 // step inside P updates the index by one table read, and any other
-// step — once per S4 block in the paper's rings — recomputes it. P is
-// learned before any bit is set: until the stream has stepped along
-// three distinct dimensions (at most six vertices, which two
-// dimensions confine to an S_3), repeats are found by scanning the
-// vertices so far and faults by asking the fault set. The index is a
-// bijection for every P, so P changes the speed, never the verdict.
+// step — once per S4 block in the paper's rings — recomputes it. The
+// first 24 vertices, a block's worth, set no bit: repeats among them
+// are found by scanning the vertices so far and faults by asking the
+// fault set, while P is learned from their steps (it is known by the
+// seventh vertex, since two dimensions confine a path to an S_3). The
+// 25th vertex fixes the index and marks the 24 before it. The index is
+// a bijection for every P, so P changes the speed, never the verdict.
 //
 // The bitset is paged: a page holds 1024 blocks' runs of k! = 24 bits
 // (3 KiB) and is allocated on first touch, and the page directory
 // grows with the pages touched, so memory follows the vertices fed —
 // n!/8 bytes for a whole ring (79 words at n = 7, 60 MB at n = 12,
 // beyond which exact distinctness of a whole ring outgrows memory
-// whatever the representation), a few KiB for a repair's 22-vertex
-// segment at any n. A faulty
+// whatever the representation), and none for a repair's segment of at
+// most 24 vertices at any n. A faulty
 // vertex's bit is set when its page is allocated, so one bit test per
 // vertex checks healthiness and distinctness together and the fault
 // set is consulted only to word a rejection — or, per edge, when it
@@ -60,12 +61,12 @@ type StreamVerifier struct {
 	// ring's edges looked up in it.
 	edgeFaults bool
 
-	// Until fixed, dims collects the step dimensions seen (bit d for
-	// dimension d) and early the vertices fed, at most (k−1)! ≤ 6 of
-	// them; then ix is the index and seen its bitset.
+	// Until fixed, dims collects the first k−1 distinct step
+	// dimensions (bit d for dimension d) and early the vertices fed, at
+	// most 24 of them; then ix is the index and seen its bitset.
 	fixed bool
 	dims  uint32
-	early [6]perm.Code
+	early [24]perm.Code
 	ix    vertexIndex
 	seen  pagedBits
 	// page is the current block's page of seen, base the offset of the
@@ -161,13 +162,16 @@ func (s *StreamVerifier) Feed(v perm.Code) error {
 
 // enter marks v, reached from its predecessor by a step along
 // dimension d (0 for the first vertex), when the index cannot step to
-// it: while P is being learned it checks v against the fault set and
-// the vertices so far, and afterwards it locates v from scratch. It
-// reports whether v is faulty or was visited before.
+// it: among the first 24 vertices it learns P from d and checks v
+// against the fault set and the vertices so far, and afterwards it
+// locates v from scratch. It reports whether v is faulty or was
+// visited before.
 func (s *StreamVerifier) enter(v perm.Code, d int) bool {
 	if !s.fixed {
-		s.dims |= 1 << d &^ 1
 		if bits.OnesCount32(s.dims) < min(s.n, 4)-1 {
+			s.dims |= 1 << d &^ 1
+		}
+		if s.count < len(s.early) {
 			if s.seenEarly(v) {
 				return true
 			}
@@ -181,8 +185,9 @@ func (s *StreamVerifier) enter(v perm.Code, d int) bool {
 	return s.mark()
 }
 
-// seenEarly is distinctness and healthiness before P is fixed: it
-// reports whether v is faulty or among the vertices fed so far.
+// seenEarly is distinctness and healthiness before the index is
+// fixed: it reports whether v is faulty or among the vertices fed so
+// far.
 func (s *StreamVerifier) seenEarly(v perm.Code) bool {
 	return (s.fs != nil && s.fs.HasVertex(v)) || slices.Contains(s.early[:s.count], v)
 }

@@ -244,9 +244,9 @@ func allocBytes(f func()) uint64 {
 
 // TestStreamVerifierLearnsP pins where P comes from: position 1 and
 // the first three distinct step dimensions. The block cycle below
-// steps along 5, 2, 5, 2, 5 and then 7, so P is fixed on its seventh
-// vertex and not before, and the verdict is the same as under the
-// default P.
+// steps along 5, 2, 5, 2, 5 and then 7, so P is learned on its seventh
+// vertex and not before; its 24 vertices fix no index and set no bit,
+// and the verdict is the same as under the default P.
 func TestStreamVerifierLearnsP(t *testing.T) {
 	const n = 9
 	g := star.New(n)
@@ -256,15 +256,16 @@ func TestStreamVerifierLearnsP(t *testing.T) {
 		if err := sv.Feed(v); err != nil {
 			t.Fatal(err)
 		}
-		if sv.fixed != (i >= 6) {
-			t.Fatalf("after %d vertices: fixed %v", i+1, sv.fixed)
+		if learned := sv.dims == 1<<2|1<<5|1<<7; learned != (i >= 6) || sv.fixed {
+			t.Fatalf("after %d vertices: P learned %v, index fixed %v", i+1, learned, sv.fixed)
 		}
 	}
 	if err := sv.Close(24); err != nil {
 		t.Fatal(err)
 	}
+	ix := newVertexIndex(n, sv.dims)
 	for d := 2; d <= n; d++ {
-		if in := sv.ix.slot[d] != 0; in != (d == 2 || d == 5 || d == 7) {
+		if in := ix.slot[d] != 0; in != (d == 2 || d == 5 || d == 7) {
 			t.Errorf("dimension %d in P: %v", d, in)
 		}
 	}
@@ -274,10 +275,10 @@ func TestStreamVerifierLearnsP(t *testing.T) {
 }
 
 // TestRingAllocsBoundedAtS16 holds a short ring in S_16 to what it
-// touches: a 6-cycle never fixes P and so allocates no page, and a
-// block's 24-cycle allocates one 3 KiB page. Either would have sized
-// a page directory to 16! before the directory grew with the pages
-// touched (913 MiB for the 6-cycle).
+// touches: a 6-cycle and a block's 24-cycle never fix the index and
+// so allocate no page. Either would have sized a page directory to
+// 16! before the directory grew with the pages touched (913 MiB for
+// the 6-cycle).
 func TestRingAllocsBoundedAtS16(t *testing.T) {
 	const n = 16
 	g := star.New(n)
@@ -310,8 +311,9 @@ func TestRingAllocsBoundedAtS16(t *testing.T) {
 
 // TestSpliceCheckAllocs bounds the repair splice's self-check: a
 // 22-vertex path through one block of S_10 with six faults elsewhere
-// is checked in at most 16 KiB, its page or two and the faults'
-// sorted indices, not pages of S_10 marked for every fault.
+// is checked in at most 1 KiB — the verifier and its ends, no bitset
+// page, page directory or fault index, since a path of at most 24
+// vertices is checked by scanning.
 func TestSpliceCheckAllocs(t *testing.T) {
 	const n = 10
 	g := star.New(n)
@@ -328,7 +330,7 @@ func TestSpliceCheckAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("%d bytes", got)
-	if got > 16<<10 {
-		t.Errorf("22-vertex check.Path at n=10 allocated %d bytes, want <= %d", got, 16<<10)
+	if got > 1<<10 {
+		t.Errorf("22-vertex check.Path at n=10 allocated %d bytes, want <= %d", got, 1<<10)
 	}
 }

@@ -134,8 +134,8 @@ func Embed(n int, fs *faults.Set, cfg Config) (*Plan, error) {
 
 // embedLarge handles n >= 5: Lemma 2 separation, Lemma 3 construction
 // of the R4 with (P1)(P2)(P3), and Lemma 7 block routing. Beyond
-// filling res it returns the skeleton — every block's routed entry,
-// exit and length plus the faults it avoids — which is the ring: Plan
+// filling res it returns the skeleton — every block's routed entry and
+// step word plus the faults it avoids — which is the ring: Plan
 // replays it block by block and Plan.Repair re-routes single blocks of
 // it. The R4 itself is dropped once routed.
 func embedLarge(res *Result, fs *faults.Set, cfg Config, in *instr) (*skeleton, error) {

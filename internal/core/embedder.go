@@ -189,14 +189,14 @@ func (e *Embedder) embed(op *obs.Op, fs *faults.Set, ends *[2]perm.Code) (*Plan,
 }
 
 // Plan is a live embedding: the verified Result plus the skeleton that
-// produced it — every block's routed entry, exit and length, the faults
-// it avoids, the block-to-ring-segment offsets and the index from a
-// vertex to its block. A plan from EmbedPath holds an open ring, a
-// longest s-t path, read through the same views; only rings repair.
-// The skeleton is the ring's only representation:
+// produced it — every block's routed entry and the step word of its
+// path, the faults it avoids, the block-to-ring-segment offsets and the
+// index from a vertex to its block. A plan from EmbedPath holds an open
+// ring, a longest s-t path, read through the same views; only rings
+// repair. The skeleton is the ring's only representation:
 // every view of the cycle (Cursor, Ring, RingAt, OnRing) replays block
 // segments from it on demand, so a plan holds O(#blocks) memory
-// whatever n is — 29 bytes per block plus a side table for the faulty
+// whatever n is — 28 bytes per block plus a side table for the faulty
 // blocks. It is also what makes Repair incremental: a new fault that
 // lands in a previously healthy block invalidates exactly one 24-vertex
 // segment, which is re-routed and spliced by shifting the downstream
@@ -206,8 +206,8 @@ type Plan struct {
 	res *Result
 	fs  *faults.Set // owned; Repair mutates it
 
-	// sk.cycle non-nil marks the small-n direct embeddings (n <= 4): one
-	// stored segment, no block index, every repair is a rebuild.
+	// sk.index nil marks the small-n direct embeddings (n <= 4): one
+	// block, no block index, every repair is a rebuild.
 	sk *skeleton
 	// ends holds a path plan's source and target; nil for a ring.
 	ends *[2]perm.Code
@@ -216,10 +216,11 @@ type Plan struct {
 	// it at creation and refuse to refill once it moves on, so a stale
 	// iterator fails loudly instead of emitting a pre-repair cycle.
 	gen int
-	// seg/segBlock cache the most recently replayed block segment for
-	// the random-access paths (RingAt, OnRing); segBlock is -1 when the
-	// cache is empty or invalidated.
-	seg      []perm.Code
+	// seg[:segLen] caches the most recently replayed block segment,
+	// block segBlock, for the random-access paths (RingAt, OnRing);
+	// segBlock is -1 when the cache is empty or invalidated.
+	seg      [blockOrder]perm.Code
+	segLen   int
 	segBlock int
 
 	broken bool // a failed rebuild poisons the plan
@@ -286,38 +287,16 @@ func (p *Plan) Ring() []perm.Code {
 		}
 		out = append(out, v)
 	}
-	// Unreachable from a fresh cursor on an unbroken plan: replay of a
-	// feasibility-proven block failed, which is an engine invariant
-	// violation, not a caller error.
-	if err := c.Err(); err != nil {
-		mustFailf("core: Ring materialization: %v", err)
-	}
 	return out
-}
-
-// mustFailf is the package's invariant helper: it panics with a
-// formatted message. It guards engine invariants (a feasibility-proven
-// block must replay) that can only break through a bug in this
-// package, never through caller input; those paths return errors
-// instead. Callers test the invariant themselves and call it only from
-// the failing branch, so the message arguments are built only when a
-// check fails.
-func mustFailf(format string, args ...interface{}) {
-	panic(fmt.Sprintf(format, args...))
 }
 
 // segment returns block k's current path in ring order, replayed from
 // the skeleton (one-entry cache).
 func (p *Plan) segment(k int) []perm.Code {
-	if p.segBlock == k {
-		return p.seg
+	if p.segBlock != k {
+		p.segLen, p.segBlock = p.sk.replay(k, &p.seg), k
 	}
-	seg, ok := p.sk.appendPath(k, p.seg[:0])
-	if !ok {
-		mustFailf("core: block %d path vanished on replay", k)
-	}
-	p.seg, p.segBlock = seg, k
-	return seg
+	return p.seg[:p.segLen]
 }
 
 // Faulty reports whether v is a known-faulty vertex.
@@ -338,7 +317,7 @@ func (p *Plan) OnRing(v perm.Code) bool {
 		return false
 	}
 	k := 0
-	if p.sk.cycle == nil {
+	if p.sk.index != nil {
 		if k = p.sk.blockOf(v); k < 0 {
 			return false
 		}
@@ -561,14 +540,14 @@ func (p *Plan) CanSplice(v perm.Code) bool {
 //   - the block's current path is long enough to shed two vertices.
 func (p *Plan) spliceTarget(v perm.Code) (int, bool) {
 	sk := p.sk
-	if sk.cycle != nil {
+	if sk.index == nil {
 		return -1, false
 	}
 	k := sk.blockOf(v)
 	if k < 0 || sk.holdsFault(k) {
 		return -1, false
 	}
-	if v == sk.entry[k] || v == sk.exit[k] {
+	if v == sk.entry[k] || v == sk.exit(k) {
 		return -1, false
 	}
 	m := sk.blocks()
@@ -577,7 +556,7 @@ func (p *Plan) spliceTarget(v perm.Code) (int, bool) {
 			return -1, false
 		}
 	}
-	if sk.length[k] < 4 {
+	if sk.steps[k].Len() < 4 {
 		return -1, false
 	}
 	return k, true
@@ -586,26 +565,29 @@ func (p *Plan) spliceTarget(v perm.Code) (int, bool) {
 // splice re-routes block k around its new fault v — Lemma 4 guarantees a
 // path two vertices shorter between the unchanged entry and exit — and
 // splices the segment into the ring in place. Only the new segment is
-// verified: the junction edges are untouched (same healthy endpoints,
-// and Repair adds no edge faults) and every other segment is unchanged.
+// verified, replayed from its step word into a stack array: the
+// junction edges are untouched (same healthy endpoints, and Repair adds
+// no edge faults) and every other segment is unchanged.
 func (p *Plan) splice(k int, v perm.Code) error {
 	sk := p.sk
-	target := int(sk.length[k]) - 2
-	block := pathsearch.BlockAt(sk.entry[k], sk.free)
-	path, ok := block.Path(pathsearch.PathSpec{
-		From: sk.entry[k], To: sk.exit[k],
+	entry, exit := sk.entry[k], sk.exit(k)
+	target := sk.steps[k].Len() - 2
+	block := pathsearch.BlockAt(entry, sk.free)
+	steps, ok := block.Route(pathsearch.PathSpec{
+		From: entry, To: exit,
 		AvoidV: []perm.Code{v},
 		Target: target,
 	})
 	if !ok {
 		return fmt.Errorf("core: block %d admits no %d-vertex detour around the new fault", k, target)
 	}
-	if err := check.Path(p.e.g, path, p.fs, sk.entry[k], sk.exit[k], target); err != nil {
+	var detour [blockOrder]perm.Code
+	if err := check.Path(p.e.g, detour[:steps.Replay(entry, sk.free, &detour)], p.fs, entry, exit, target); err != nil {
 		return fmt.Errorf("core: repair splice self-check: %w", err)
 	}
 
 	sk.addVertexFault(k, v)
-	sk.length[k] = uint8(target)
+	sk.steps[k] = steps
 	p.applySplice(k, target)
 	p.res.FaultyBlocks++
 
@@ -620,7 +602,7 @@ func (p *Plan) splice(k int, v perm.Code) error {
 }
 
 // applySplice commits block k's re-routed path, already recorded in
-// the skeleton as a new length and a side-table entry, by shifting the
+// the skeleton as a new step word and a side-table entry, by shifting the
 // downstream segment offsets and the ring length; the path itself stays
 // implicit and is replayed on the next read. The generation counter
 // advances, expiring open cursors, and the one-entry segment cache is

@@ -47,8 +47,8 @@ func EmbedPath(n int, fs *faults.Set, s, t perm.Code, cfg Config) (*Plan, error)
 }
 
 // embedPathSmall solves n = 3, 4 by direct search on the (canonical)
-// block. The path becomes a skeleton's one stored segment, as
-// embedSmall's cycle does.
+// block. The path becomes a skeleton of one block, as embedSmall's
+// cycle does.
 func embedPathSmall(res *Result, fs *faults.Set, s, t perm.Code) (*skeleton, error) {
 	var path []perm.Code
 	if res.N == 3 {
@@ -108,7 +108,7 @@ func embedPathSmall(res *Result, fs *faults.Set, s, t perm.Code) (*skeleton, err
 	if len(path) < res.Guarantee {
 		res.Guarantee = len(path)
 	}
-	return &skeleton{cycle: path, length: []uint8{uint8(len(path))}, offsets: []int{0, len(path)}}, nil
+	return oneBlock(path)
 }
 
 // embedPathLarge runs the chain pipeline for n >= 5: Lemma 2

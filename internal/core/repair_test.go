@@ -31,7 +31,7 @@ func planOn(t *testing.T, n int, cfg Config) *Plan {
 func interiorOf(t *testing.T, p *Plan, k int) perm.Code {
 	t.Helper()
 	for _, v := range p.segment(k) {
-		if v != p.sk.entry[k] && v != p.sk.exit[k] {
+		if v != p.sk.entry[k] && v != p.sk.exit(k) {
 			return v
 		}
 	}

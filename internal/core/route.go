@@ -60,11 +60,11 @@ func (c *crossing) edge(free [4]uint8, i int) (u, w perm.Code) {
 
 // router is the routing-time state of one junction search over a block
 // sequence — the R4 ring, or an anchored chain — whose outcome it
-// writes straight into a skeleton's entry, exit and length arrays.
-// Beyond the skeleton it keeps two bytes per superedge: a mask of the
-// crossing edges that passed the health filter and the search's
-// position among them. A candidate's endpoints are recomputed from the
-// two block patterns whenever the search tries it.
+// writes straight into a skeleton's entry and step arrays. Beyond the
+// skeleton it keeps two bytes per superedge: a mask of the crossing
+// edges that passed the health filter and the search's position among
+// them. A candidate's endpoints are recomputed from the two block
+// patterns whenever the search tries it.
 type router struct {
 	sk   *skeleton
 	pats []substar.Pattern
@@ -73,6 +73,10 @@ type router struct {
 	targets func(k, vf int) []int
 	cands   []uint8 // per superedge: bit i set when crossing edge i is a candidate
 	tried   []uint8 // per superedge: the crossing edge the search is on
+	// last is the exit of the block the last junction enters, routed
+	// only when that junction lands: for a ring block 0's, which
+	// junction 0 sets, and for a chain the target.
+	last perm.Code
 }
 
 // newRouter sets up the junction search over the first gaps superedges
@@ -122,10 +126,11 @@ func holds(vs []perm.Code, v perm.Code) bool {
 
 // route reports whether block k admits a path of one of its target
 // lengths from entry to exit, and records the first that works as the
-// block's entry, exit and length. It asks Block.Admits, which answers
-// from the S4 memo without mapping the path back to S_n, through the
-// isomorphism of the entry's block computed on the stack; a
-// feasibility test allocates nothing once the memo holds its search.
+// block's entry and step word. It asks Block.Route, which answers from
+// the S4 memo through the isomorphism of the entry's block computed on
+// the stack; a feasibility test allocates nothing once the memo holds
+// its search, and the word it returns is all a replay of the block
+// needs.
 func (rt *router) route(k int, entry, exit perm.Code) bool {
 	sk := rt.sk
 	avoidV, avoidE := sk.faults(k)
@@ -133,8 +138,8 @@ func (rt *router) route(k int, entry, exit perm.Code) bool {
 	b := pathsearch.BlockAt(entry, sk.free)
 	for _, t := range rt.targets(k, len(avoidV)) {
 		spec.Target = t
-		if b.Admits(spec) {
-			sk.entry[k], sk.exit[k], sk.length[k] = entry, exit, uint8(t)
+		if steps, ok := b.Route(spec); ok {
+			sk.entry[k], sk.steps[k] = entry, steps
 			return true
 		}
 	}
@@ -149,11 +154,11 @@ func (rt *router) route(k int, entry, exit perm.Code) bool {
 // junction 0 is, its entry being the source — and the block after the
 // last junction when that junction lands: block 0 for a ring, which
 // closes the cycle, and the target's block for a chain. Each
-// validation writes the block's entry, exit and length, and the search
+// validation writes the block's entry and step word, and the search
 // only moves forward past a block after validating it with the
 // junctions it ends with, so the skeleton holds the final assignment
 // when the search completes. A chain's skeleton arrives with the
-// source as block 0's entry and the target as the last block's exit.
+// source as block 0's entry, and its router with the target as last.
 func (rt *router) search(chain bool, in *instr) error {
 	sk := rt.sk
 	m, gaps := len(rt.pats), len(rt.cands)
@@ -194,10 +199,10 @@ func (rt *router) search(chain bool, in *instr) error {
 		if k >= 1 || chain {
 			ok = rt.route(k, sk.entry[k], u)
 		} else {
-			sk.exit[0] = u
+			rt.last = u
 		}
 		if ok && k == gaps-1 {
-			ok = rt.route(next, w, sk.exit[next])
+			ok = rt.route(next, w, rt.last)
 		}
 		if !ok {
 			rt.tried[k]++
@@ -227,7 +232,7 @@ func RouteR4(r4 *superring.Ring, fs *faults.Set, targetsFor func(int) []int, cfg
 	if err != nil {
 		return nil, err
 	}
-	return sk.drain()
+	return sk.drain(), nil
 }
 
 // routeR4x builds the skeleton of r4 and routes it; see routeRing.

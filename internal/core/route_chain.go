@@ -28,7 +28,7 @@ func routeChain(chain *superring.Ring, fs *faults.Set, s, t perm.Code, cfg Confi
 	if sk.blockOf(s) != 0 || sk.blockOf(t) != m-1 {
 		return nil, fmt.Errorf("core: internal: chain anchors misplaced")
 	}
-	sk.entry[0], sk.exit[m-1] = s, t
+	sk.entry[0] = s
 
 	// The source cannot double as the first exit, nor the target as
 	// the last entry.
@@ -40,6 +40,7 @@ func routeChain(chain *superring.Ring, fs *faults.Set, s, t perm.Code, cfg Confi
 	if empty >= 0 {
 		return nil, fmt.Errorf("core: chain gap %d has no healthy crossing edge", empty)
 	}
+	rt.last = t
 
 	needOdd := s.Parity(n) == t.Parity(n)
 	policy := chainTargets(cfg.BestEffort)

@@ -17,48 +17,47 @@ const blockOrder = pathsearch.BlockOrder
 
 // skeleton is the ring as a Plan holds it: the routing outcome of every
 // S4 block in struct-of-arrays form. Block k (in ring order) is fully
-// described by its entry and exit vertices, its path length and the
-// faults it avoids; once the junctions are fixed, its path is a
-// deterministic function of that tuple, which the memoized canonical-S4
-// search replays bit-identically. Every block of the R4 shares the same
-// four free positions, so the entry alone also determines the block's
-// isomorphism onto the canonical S4 (pathsearch.BlockAt), and no
-// per-block object is kept.
+// described by its entry vertex and the step word of its path
+// (pathsearch.Steps), which the junction search records when it
+// accepts the block: each step names the free position it swaps with
+// position 1, and the word holds the vertex count. Every block of the
+// R4 shares the same four free positions, so replaying a block is at
+// most 23 nibble swaps from its entry, with no search, memo or
+// isomorphism, and no per-block object is kept; the exit is the
+// replay's last vertex.
 //
-// The retained arrays cost 29 bytes per block: entry and exit (8 + 8),
-// the length byte, the segment offset (8) and one int32 of the
+// The retained arrays cost 28 bytes per block: the entry and the step
+// word (8 + 8), the segment offset (8) and one int32 of the
 // pattern-rank index. The few blocks holding a fault keep their avoid
 // lists in a side table: the faulty vertices and the faulty intra-block
 // edges, each sorted by block with the block of every entry alongside,
 // so a block's lists are two runs found by binary search. The small-n
-// direct embeddings (n <= 4) have no blocks: their routed state is one
-// stored cycle.
+// direct embeddings (n <= 4) are one block over the free positions
+// 1..4 with no index: every repair of them rebuilds.
 type skeleton struct {
 	free  [4]uint8        // the free positions every block shares, position 1 first
 	shape substar.Pattern // the first block; its RankOf ranks any block at the fixed positions all share
 
 	entry   []perm.Code
-	exit    []perm.Code
-	length  []uint8
+	steps   []pathsearch.Steps
 	offsets []int // block k occupies ring positions [offsets[k], offsets[k+1])
 	// index maps the rank of a block's fixed symbols (shape.RankOf), an
 	// arrangement of n-4 of the n symbols, to the block's ring position;
-	// -1 marks a block the ring does not route.
+	// -1 marks a block the ring does not route. nil for a direct
+	// embedding.
 	index []int32
 
 	faultV      []perm.Code    // faulty vertices inside routed blocks, by block
 	faultVBlock []int32        // the block of each faultV entry, nondecreasing
 	faultE      [][2]perm.Code // faulty edges interior to a routed block, by block
 	faultEBlock []int32        // the block of each faultE entry, nondecreasing
-
-	cycle []perm.Code // n <= 4: the whole ring; nil otherwise
 }
 
 // newSkeleton allocates the routing arrays for a sequence of order-4
 // blocks of S_n (an R4 or an anchored chain), at their exact lengths,
 // builds the pattern-rank index over them and maps every fault to its
-// block's side-table entry. Entry, exit and length are left for the
-// junction search, and offsets for layout.
+// block's side-table entry. Entry and steps are left for the junction
+// search, and offsets for layout.
 func newSkeleton(pats []substar.Pattern, fs *faults.Set) (*skeleton, error) {
 	m := len(pats)
 	if m == 0 || pats[0].R() != 4 {
@@ -70,11 +69,10 @@ func newSkeleton(pats []substar.Pattern, fs *faults.Set) (*skeleton, error) {
 		return nil, fmt.Errorf("core: S_%d has %d blocks, more than the skeleton index holds", n, total)
 	}
 	sk := &skeleton{
-		shape:  pats[0],
-		entry:  make([]perm.Code, m),
-		exit:   make([]perm.Code, m),
-		length: make([]uint8, m),
-		index:  make([]int32, total),
+		shape: pats[0],
+		entry: make([]perm.Code, m),
+		steps: make([]pathsearch.Steps, m),
+		index: make([]int32, total),
 	}
 	var free [4]int
 	for j, pos := range pats[0].FreePositions(free[:0]) {
@@ -103,17 +101,31 @@ func (sk *skeleton) blockOf(v perm.Code) int {
 	return int(sk.index[sk.shape.RankOf(v)])
 }
 
+// oneBlock holds a direct embedding (n <= 4), a cycle or a path of at
+// most 24 vertices, as a skeleton of one block over the free positions
+// 1..4: its first vertex and its step word, with no index.
+func oneBlock(walk []perm.Code) (*skeleton, error) {
+	free := [4]uint8{1, 2, 3, 4}
+	steps, ok := pathsearch.StepsOf(walk, free)
+	if !ok {
+		return nil, fmt.Errorf("core: internal: a direct embedding of %d vertices is no block walk", len(walk))
+	}
+	sk := &skeleton{free: free, entry: []perm.Code{walk[0]}, steps: []pathsearch.Steps{steps}}
+	sk.layout()
+	return sk, nil
+}
+
 // blocks returns the number of routed segments.
-func (sk *skeleton) blocks() int { return len(sk.length) }
+func (sk *skeleton) blocks() int { return len(sk.steps) }
 
 // ringLen returns the total ring length implied by the block lengths.
 func (sk *skeleton) ringLen() int { return sk.offsets[len(sk.offsets)-1] }
 
 // layout computes the segment offsets from the routed block lengths.
 func (sk *skeleton) layout() {
-	sk.offsets = make([]int, len(sk.length)+1)
-	for k, l := range sk.length {
-		sk.offsets[k+1] = sk.offsets[k] + int(l)
+	sk.offsets = make([]int, len(sk.steps)+1)
+	for k, s := range sk.steps {
+		sk.offsets[k+1] = sk.offsets[k] + s.Len()
 	}
 }
 
@@ -179,32 +191,31 @@ func (sk *skeleton) vertexFaultBlocks() int {
 	return c
 }
 
-// appendPath appends block k's path, in ring order, to dst. It is how
-// every view of the ring reads a block — the cursor, the random-access
-// accessors and RouteR4's flat slice: the block's isomorphism comes
-// from its entry on the stack, its avoid lists from the side table, and
-// the path from the canonical-S4 memo.
-func (sk *skeleton) appendPath(k int, dst []perm.Code) ([]perm.Code, bool) {
-	if sk.cycle != nil {
-		return append(dst, sk.cycle...), true
-	}
-	avoidV, avoidE := sk.faults(k)
-	spec := pathsearch.PathSpec{From: sk.entry[k], To: sk.exit[k], AvoidV: avoidV, AvoidE: avoidE, Target: int(sk.length[k])}
-	b := pathsearch.BlockAt(sk.entry[k], sk.free)
-	return b.PathAppend(dst, spec)
+// replay writes block k's path, in ring order, into dst and returns
+// its vertex count: the block's step word replayed from its entry. It
+// is how every view of the ring reads a block — the cursor, the
+// random-access accessors, the splice's exit and RouteR4's flat slice.
+//
+//starlint:hotpath
+func (sk *skeleton) replay(k int, dst *[blockOrder]perm.Code) int {
+	return sk.steps[k].Replay(sk.entry[k], sk.free, dst)
+}
+
+// exit returns block k's last vertex, its exit junction endpoint.
+func (sk *skeleton) exit(k int) perm.Code {
+	var seg [blockOrder]perm.Code
+	return seg[sk.replay(k, &seg)-1]
 }
 
 // drain replays every block into one flat slice: the ring (or, for a
 // chain, the path) in order.
-func (sk *skeleton) drain() ([]perm.Code, error) {
+func (sk *skeleton) drain() []perm.Code {
 	out := make([]perm.Code, 0, sk.ringLen())
+	var seg [blockOrder]perm.Code
 	for k := 0; k < sk.blocks(); k++ {
-		var ok bool
-		if out, ok = sk.appendPath(k, out); !ok {
-			return nil, fmt.Errorf("core: internal: block %d path vanished on replay", k)
-		}
+		out = append(out, seg[:sk.replay(k, &seg)]...)
 	}
-	return out, nil
+	return out
 }
 
 // bytesPerBlock returns the skeleton's retained bytes — every array at
@@ -214,8 +225,9 @@ func (sk *skeleton) drain() ([]perm.Code, error) {
 func (sk *skeleton) bytesPerBlock() int64 {
 	const code = int(unsafe.Sizeof(perm.Code(0)))
 	const i32 = int(unsafe.Sizeof(int32(0)))
-	b := (cap(sk.entry)+cap(sk.exit)+cap(sk.cycle)+cap(sk.faultV)+2*cap(sk.faultE))*code +
-		cap(sk.length) + cap(sk.offsets)*int(unsafe.Sizeof(int(0))) +
+	const steps = int(unsafe.Sizeof(pathsearch.Steps(0)))
+	b := (cap(sk.entry)+cap(sk.faultV)+2*cap(sk.faultE))*code + cap(sk.steps)*steps +
+		cap(sk.offsets)*int(unsafe.Sizeof(int(0))) +
 		(cap(sk.index)+cap(sk.faultVBlock)+cap(sk.faultEBlock))*i32
 	blocks := sk.blocks()
 	return int64((b + blocks - 1) / blocks)

@@ -11,9 +11,8 @@ import (
 )
 
 // embedSmall handles n <= 4 by direct construction. Its cycle becomes
-// a skeleton of one stored segment and no blocks: the plan reads it
-// through the same per-block replay as a routed ring, and every repair
-// rebuilds.
+// a skeleton of one block and no index: the plan reads it through the
+// same per-block replay as a routed ring, and every repair rebuilds.
 func embedSmall(n int, fs *faults.Set) (*skeleton, error) {
 	var cycle []perm.Code
 	var err error
@@ -25,7 +24,7 @@ func embedSmall(n int, fs *faults.Set) (*skeleton, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &skeleton{cycle: cycle, length: []uint8{uint8(len(cycle))}, offsets: []int{0, len(cycle)}}, nil
+	return oneBlock(cycle)
 }
 
 // embedS3 handles the degenerate base S_3, which is itself a 6-cycle:

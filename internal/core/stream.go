@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/obs"
 	"repro/internal/perm"
@@ -16,22 +15,22 @@ var ErrStaleCursor = errors.New("core: ring cursor invalidated by a plan mutatio
 
 // RingCursor emits the plan's ring one vertex at a time in cycle
 // order. It is the full view of the ring: block segments are replayed
-// from the skeleton on demand — the junction assignment pins every
-// block's (entry, exit, avoid, length) tuple and the memoized
-// canonical-S4 search replays each path deterministically — so the
-// cursor's live state is one <= 24-vertex buffer regardless of ring
-// length.
+// from the skeleton on demand — the junction search recorded every
+// block's entry and the step word of its path, and a replay is at most
+// 23 nibble swaps from the entry — so the cursor's live state is one
+// 24-vertex array regardless of ring length.
 //
 // The cursor is a snapshot of one generation of the ring: Repair
 // invalidates it (Next returns false and Err reports ErrStaleCursor at
 // the next block boundary). Not safe for concurrent use; open one
-// cursor per goroutine instead — they share the process-wide S4 memo
-// cache, so replays stay cheap.
+// cursor per goroutine instead — a replay reads the skeleton and
+// nothing else.
 type RingCursor struct {
 	p   *Plan
 	gen int
 
-	seg []perm.Code // current segment; emitted up to position i
+	seg [blockOrder]perm.Code // current segment, n vertices; emitted up to position i
+	n   int
 	i   int
 	k   int // next block to replay
 
@@ -49,16 +48,15 @@ type RingCursor struct {
 // touches only an atomic.
 func (p *Plan) Cursor() *RingCursor {
 	r := p.e.cfg.Obs
-	return &RingCursor{p: p, gen: p.gen, seg: make([]perm.Code, 0, blockOrder),
-		span: r.Span("core.phase.stream_emit"), blocks: r.Counter("core.stream.blocks")}
+	return &RingCursor{p: p, gen: p.gen, span: r.Span("core.phase.stream_emit"), blocks: r.Counter("core.stream.blocks")}
 }
 
 // Next returns the next ring vertex, or ok=false when the cycle has
-// been fully emitted (or the cursor failed — check Err). The in-buffer
-// step is the allocation-free hot path (see .starlint); the per-block
-// refill re-derives one segment through the memo cache.
+// been fully emitted (or the cursor went stale — check Err). The
+// in-buffer step is the allocation-free hot path (see .starlint); the
+// per-block refill replays one segment from its step word.
 func (c *RingCursor) Next() (perm.Code, bool) {
-	if c.i < len(c.seg) {
+	if c.i < c.n {
 		return c.nextFast(), true
 	}
 	return c.refill()
@@ -76,8 +74,8 @@ func (c *RingCursor) nextFast() perm.Code {
 }
 
 // refill replays the next block segment (the cold path, hit once per
-// <= 24 vertices). It is also where exhaustion, staleness and replay
-// failure are decided.
+// <= 24 vertices). It is also where exhaustion and staleness are
+// decided.
 func (c *RingCursor) refill() (perm.Code, bool) {
 	var zero perm.Code
 	if c.done || c.err != nil {
@@ -92,13 +90,8 @@ func (c *RingCursor) refill() (perm.Code, bool) {
 		c.finish()
 		return zero, false
 	}
-	seg, ok := p.sk.appendPath(c.k, c.seg[:0])
-	if !ok {
-		c.fail(fmt.Errorf("core: block %d path vanished on replay", c.k))
-		return zero, false
-	}
+	c.n, c.i = p.sk.replay(c.k, &c.seg), 0
 	c.blocks.Inc()
-	c.seg, c.i = seg, 0
 	c.k++
 	return c.nextFast(), true
 }
@@ -116,6 +109,6 @@ func (c *RingCursor) finish() {
 }
 
 // Err returns the terminal error, if any: ErrStaleCursor after a
-// Repair, or an internal replay failure. A fully drained cursor on an
-// untouched plan always reports nil.
+// Repair. A fully drained cursor on an untouched plan always reports
+// nil.
 func (c *RingCursor) Err() error { return c.err }

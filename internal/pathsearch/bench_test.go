@@ -76,8 +76,7 @@ func BenchmarkLongestCycleOneFault(b *testing.B) {
 }
 
 // blockReplaySpec is a healthy S_9 block's Hamiltonian entry-to-exit
-// query, the one every ring replay and junction test of a fault-free
-// block asks.
+// query, the one every junction test of a fault-free block asks.
 func blockReplaySpec(b *testing.B) (*Block, PathSpec) {
 	p := substar.MustParse("****56789")
 	blk, err := NewBlock(p)
@@ -88,7 +87,7 @@ func blockReplaySpec(b *testing.B) (*Block, PathSpec) {
 	from := verts[0]
 	for _, to := range verts {
 		spec := PathSpec{From: from, To: to, Target: BlockOrder}
-		if blk.Admits(spec) {
+		if _, ok := blk.Route(spec); ok {
 			return blk, spec
 		}
 	}
@@ -96,9 +95,9 @@ func blockReplaySpec(b *testing.B) (*Block, PathSpec) {
 	return nil, PathSpec{}
 }
 
-// BenchmarkBlockReplay measures one block replay on a warm memo: the
-// canonical query, the memo hit and the 24 vertices mapped back to S_9
-// through PathAppend's placement table.
+// BenchmarkBlockReplay measures one block path read from a warm memo
+// through PathAppend: the canonical query, the memo hit and the 24
+// vertices replayed from the word.
 func BenchmarkBlockReplay(b *testing.B) {
 	blk, spec := blockReplaySpec(b)
 	buf := make([]perm.Code, 0, BlockOrder)
@@ -111,14 +110,34 @@ func BenchmarkBlockReplay(b *testing.B) {
 	}
 }
 
-// BenchmarkBlockAdmits measures the junction search's feasibility test
+// replaySink keeps BenchmarkStepsReplay's vertices live.
+var replaySink perm.Code
+
+// BenchmarkStepsReplay measures what a routed ring pays per block
+// read: the same 24-vertex path replayed from its step word, with no
+// query or memo.
+func BenchmarkStepsReplay(b *testing.B) {
+	blk, spec := blockReplaySpec(b)
+	steps, _ := blk.Route(spec)
+	var seg [BlockOrder]perm.Code
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if steps.Replay(spec.From, blk.freePos, &seg) != BlockOrder {
+			b.Fatal("path shrank")
+		}
+	}
+	replaySink = seg[BlockOrder-1]
+}
+
+// BenchmarkBlockRoute measures the junction search's feasibility test
 // of the same query: the canonical query and the memo hit, no replay.
-func BenchmarkBlockAdmits(b *testing.B) {
+func BenchmarkBlockRoute(b *testing.B) {
 	blk, spec := blockReplaySpec(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !blk.Admits(spec) {
+		if _, ok := blk.Route(spec); !ok {
 			b.Fatal("path vanished")
 		}
 	}

@@ -17,8 +17,9 @@ import (
 // Every block of one partition has the same free positions, so the
 // isomorphism is a function of those positions and any one vertex of
 // the block (BlockAt). It is a four-word value: the routed skeleton
-// stores none, and computes one on the stack at each replay or route
-// test.
+// stores none, and computes one on the stack at each route test. A
+// routed path needs none to be read back: its step word replays from
+// the entry over the free positions alone (Steps.Replay).
 type Block struct {
 	base    perm.Code // the fixed symbols at their positions, zero nibbles at the free ones
 	fixed   perm.Code // 0xF at every nibble but the free positions'
@@ -31,8 +32,8 @@ type Block struct {
 // the given free positions (1-based, increasing, position 1 first).
 // The base word is v with its four free nibbles cleared and the free
 // symbols are those nibbles, sorted, so no pattern is consulted. The
-// ring replay and the junction search call it once per block; hotalloc
-// keeps it allocation-free.
+// junction search calls it once per route test; hotalloc keeps it
+// allocation-free.
 //
 //starlint:hotpath
 func BlockAt(v perm.Code, free [4]uint8) Block {
@@ -106,8 +107,8 @@ func (b *Block) ToCanon(v perm.Code) (uint8, bool) {
 
 // FromCanon maps a canonical S4 index back to the ambient vertex: the
 // precomputed fixed-symbol word plus four nibble writes. It is the
-// one-vertex form of PathAppend's placement table, which tests hold it
-// equal to; hotalloc keeps it allocation-free.
+// oracle the tests hold a step replay to, vertex by vertex; hotalloc
+// keeps it allocation-free.
 //
 //starlint:hotpath
 func (b *Block) FromCanon(idx uint8) perm.Code {
@@ -152,51 +153,32 @@ func (b *Block) Path(spec PathSpec) ([]perm.Code, bool) {
 }
 
 // PathAppend is Path writing into dst (appended and returned, like
-// append): with a dst of sufficient capacity the only allocations left
-// are the canonical search's own, which the memo cache absorbs after
-// the first solve of each symmetry class. The streaming ring cursor
-// leans on this to re-materialize one block segment at a time into a
-// single reusable buffer.
-//
-// The canonical path comes back to S_n through a placement table built
-// once per call: at[j][t] holds the block's t-th free symbol at its
-// j-th free position, so each vertex is the fixed-symbol word ORed
-// with one entry per canonical position.
+// append): Route, then the step word replayed from spec.From. With a
+// dst of sufficient capacity the only allocations left are the
+// canonical search's own, which the memo absorbs after the first solve
+// of each symmetry class.
 func (b *Block) PathAppend(dst []perm.Code, spec PathSpec) ([]perm.Code, bool) {
-	var edges [len(edgeSig{})]Edge
-	q, ok := b.query(spec, edges[:0])
+	steps, ok := b.Route(spec)
 	if !ok {
 		return dst, false
 	}
-	path, ok := Canon.FindPath(q)
-	if !ok {
-		return dst, false
-	}
-	var at [4][4]perm.Code
-	for j, pos := range b.freePos {
-		for t, s := range b.freeSym {
-			at[j][t] = perm.Code(s-1) << (4 * uint(pos-1))
-		}
-	}
-	for _, idx := range path {
-		c := Canon.codes[idx]
-		dst = append(dst, b.base|at[0][c&3]|at[1][c>>4&3]|at[2][c>>8&3]|at[3][c>>12&3])
-	}
-	return dst, true
+	var seg [BlockOrder]perm.Code
+	return append(dst, seg[:steps.Replay(spec.From, b.freePos, &seg)]...), true
 }
 
-// Admits reports whether spec has a path, without mapping it back to
-// S_n: the same canonical query and memo lookup as PathAppend, so the
-// two always agree. The junction search asks it of every candidate
-// (entry, exit, target).
-func (b *Block) Admits(spec PathSpec) bool {
+// Route solves spec and returns its path as a step word from
+// spec.From over the block's free positions, or ok=false when no such
+// path exists. The junction search asks it of every candidate (entry,
+// exit, target) and keeps the word of the one it accepts, so a routed
+// block is read back by replaying the word, never by asking again. A
+// query the memo caches allocates nothing once the memo holds it.
+func (b *Block) Route(spec PathSpec) (Steps, bool) {
 	var edges [len(edgeSig{})]Edge
 	q, ok := b.query(spec, edges[:0])
 	if !ok {
-		return false
+		return 0, false
 	}
-	_, ok = Canon.FindPath(q)
-	return ok
+	return Canon.route(q)
 }
 
 // MaxPathLen returns the number of vertices on the longest From-To path
@@ -216,9 +198,9 @@ func (b *Block) MaxPathLen(spec PathSpec) int {
 // query canonicalizes spec: its endpoints, its target, the mask of its
 // faulty vertices inside the block and its faulty intra-block edges,
 // appended to edges. Faults outside the block do not constrain it. ok
-// is false when an endpoint lies outside the block. PathAppend and
-// Admits pass edges as a stack array the size of the memo's edge
-// signature, so a cacheable query allocates nothing.
+// is false when an endpoint lies outside the block. Route passes edges
+// as a stack array the size of the memo's edge signature, so a
+// cacheable query allocates nothing.
 func (b *Block) query(spec PathSpec, edges []Edge) (Query, bool) {
 	from, ok := b.ToCanon(spec.From)
 	if !ok {

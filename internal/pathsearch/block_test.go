@@ -229,64 +229,6 @@ func TestBlockPathAmbient(t *testing.T) {
 	}
 }
 
-// TestBlockAdmitsMatchesPathAppend runs every (from, to, faulty vertex
-// or none, target) query of one S_7 block through Admits and
-// PathAppend: both must give the same verdict, and every path
-// PathAppend maps back through its placement table must be the
-// canonical search's path mapped vertex by vertex through FromCanon.
-// With the memo warm, neither call allocates.
-func TestBlockAdmitsMatchesPathAppend(t *testing.T) {
-	pat := randomBlockPattern(rand.New(rand.NewSource(15)), 7)
-	b, err := NewBlock(pat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	verts := pat.Vertices(nil)
-	buf := make([]perm.Code, 0, BlockOrder)
-	for _, from := range verts {
-		for _, to := range verts {
-			for f := -1; f < BlockOrder; f++ {
-				spec := PathSpec{From: from, To: to}
-				if f >= 0 {
-					spec.AvoidV = verts[f : f+1]
-				}
-				for spec.Target = 1; spec.Target <= BlockOrder; spec.Target++ {
-					path, ok := b.PathAppend(buf[:0], spec)
-					if admits := b.Admits(spec); admits != ok {
-						t.Fatalf("%+v: Admits = %v, PathAppend ok = %v", spec, admits, ok)
-					}
-					if !ok {
-						continue
-					}
-					q, _ := b.query(spec, nil)
-					canon, _ := Canon.FindPath(q)
-					for i, idx := range canon {
-						if path[i] != b.FromCanon(idx) {
-							t.Fatalf("%+v: vertex %d is %s, FromCanon gives %s",
-								spec, i, path[i].StringN(7), b.FromCanon(idx).StringN(7))
-						}
-					}
-				}
-			}
-		}
-	}
-
-	spec := PathSpec{From: verts[0], To: verts[1], AvoidV: verts[5:6], Target: 21}
-	if !b.Admits(spec) {
-		spec.Target = 22
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		if !b.Admits(spec) {
-			t.Fatal("warm query lost its path")
-		}
-		if _, ok := b.PathAppend(buf[:0], spec); !ok {
-			t.Fatal("warm query lost its path")
-		}
-	}); allocs != 0 {
-		t.Errorf("Admits plus PathAppend allocate %.1f times on a warm memo", allocs)
-	}
-}
-
 func TestBlockCanonEdge(t *testing.T) {
 	b, _ := NewBlock(substar.Whole(4))
 	u := perm.IdentityCode(4)

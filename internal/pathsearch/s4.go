@@ -58,10 +58,16 @@ type searchKey struct {
 // paper's fault budget for practical n).
 type edgeSig [8]uint16
 
+// cacheEntry is one memoized answer: the path and its step word,
+// computed once when the entry is made; both are zero when no path
+// with the keyed target exists.
 type cacheEntry struct {
-	path []uint8 // nil when no path with the keyed target exists
-	ok   bool
+	path  []uint8
+	steps Steps
 }
+
+// canonFree is the canonical S4's free positions: all four.
+var canonFree = [4]uint8{1, 2, 3, 4}
 
 // Canon is the shared canonical S4.
 var Canon = newS4()
@@ -159,17 +165,31 @@ type Query struct {
 // To; it is owned by the cache and must not be modified. The second
 // result reports success.
 func (s *S4) FindPath(q Query) ([]uint8, bool) {
+	e := s.find(q)
+	return e.path, e.steps != 0
+}
+
+// route is FindPath's step-word form: the word the memo entry holds,
+// or for a query the memo does not cache, the word of the path
+// searched on this call.
+func (s *S4) route(q Query) (Steps, bool) {
+	e := s.find(q)
+	return e.steps, e.steps != 0
+}
+
+// find answers q from the memo, or searches and memoizes the answer.
+func (s *S4) find(q Query) cacheEntry {
 	if q.Target < 1 || q.Target > BlockOrder {
-		return nil, false
+		return cacheEntry{}
 	}
 	if q.ForbidV&(1<<uint(q.From)) != 0 || q.ForbidV&(1<<uint(q.To)) != 0 {
-		return nil, false
+		return cacheEntry{}
 	}
 	if q.From == q.To {
 		if q.Target == 1 {
-			return []uint8{q.From}, true
+			return cacheEntry{path: []uint8{q.From}, steps: 1}
 		}
-		return nil, false
+		return cacheEntry{}
 	}
 
 	sig, cacheable := signature(q.ForbidE)
@@ -179,7 +199,7 @@ func (s *S4) FindPath(q Query) ([]uint8, bool) {
 	key := searchKey{from: q.From, to: q.To, forbV: q.ForbidV, edgeSig: sig, target: uint8(q.Target)}
 	if cacheable {
 		if e, ok := s.lookup(key); ok {
-			return e.path, e.ok
+			return e
 		}
 	} else {
 		s.bypasses.Inc()
@@ -212,17 +232,30 @@ func (s *S4) FindPath(q Query) ([]uint8, bool) {
 		found = d.run(q.From, q.ForbidV|1<<uint(q.From))
 	})
 
-	var path []uint8
+	var e cacheEntry
 	if found {
-		path = make([]uint8, len(d.path))
-		copy(path, d.path)
+		e.path = make([]uint8, len(d.path))
+		copy(e.path, d.path)
+		e.steps = s.steps(e.path)
 	}
 	if cacheable {
 		s.mu.Lock()
-		s.cache[key] = cacheEntry{path: path, ok: found}
+		s.cache[key] = e
 		s.mu.Unlock()
 	}
-	return path, found
+	return e
+}
+
+// steps returns the step word of a canonical path, read off the
+// canonical codes of its vertices. A searched path is a walk of the
+// canonical S4 of at most 24 vertices, which StepsOf never refuses.
+func (s *S4) steps(path []uint8) Steps {
+	var walk [BlockOrder]perm.Code
+	for i, idx := range path {
+		walk[i] = s.codes[idx]
+	}
+	steps, _ := StepsOf(walk[:len(path)], canonFree)
+	return steps
 }
 
 // lookup probes the result cache under the read lock and maintains the

@@ -184,24 +184,24 @@ func (c Code) RankValid(n int) (rank int, ok bool) {
 	return rank, true
 }
 
-// nibbleLows has the low bit of every nibble set.
-const nibbleLows = 0x1111111111111111
-
 // DimOf returns the dimension i (2 <= i <= n) such that b == a.SwapFirst(i),
 // or 0 when a and b are not adjacent in S_n. Adjacent codes differ in
-// exactly two nibbles, nibble 0 and nibble i-1, which hold swapped
-// symbols: a^b is folded to one bit per differing nibble, that mask
-// must be bit 0 plus exactly one other bit, and SwapFirst confirms the
-// swap. There is no loop over the positions.
+// exactly two nibbles, nibble 0 and nibble i-1, by the same nonzero
+// xor t: with x = a^b, the rest of x past nibble 0 must be t shifted
+// to the lowest differing nibble, and a's symbol there must be b's
+// first symbol, which makes the pair a swap. A pair that differs only
+// in nibble 0 finds no nibble, and its shift of 64 names a dimension
+// past MaxN. There is no loop over the positions and no call, so the
+// compiler inlines it into the verifier's per-vertex step.
 //
 //starlint:hotpath
 func DimOf(a, b Code, n int) int {
 	x := uint64(a ^ b)
-	x |= x >> 2
-	x |= x >> 1
-	x &= nibbleLows
-	dim := bits.TrailingZeros64(x&^1)>>2 + 1
-	if x&1 == 0 || bits.OnesCount64(x) != 2 || dim > n || a.SwapFirst(dim) != b {
+	t := x & 0xF
+	rest := x &^ 0xF
+	shift := uint(bits.TrailingZeros64(rest)) &^ 3
+	dim := int(shift>>2) + 1
+	if t == 0 || rest != t<<shift || uint64(a)>>shift&0xF != uint64(b)&0xF || dim > n {
 		return 0
 	}
 	return dim

@@ -499,8 +499,9 @@ leg "perf gate" go run ./cmd/starbench || exit 1
 # FuzzRingStreamReference pits the ring verifier against a reference
 # that shares no code with the permutation kernel, FuzzVertexIndex
 # holds the verifier's index steps to its from-scratch recomputation,
-# and FuzzPatternOps holds the word-packed substar pattern to its
-# per-position reference.
+# FuzzPatternOps holds the word-packed substar pattern to its
+# per-position reference, and FuzzBlockSteps holds a routed block's
+# step-word replay to the canonical search's path, memoized or not.
 fuzz_smoke() {
     local pkg="$1" target="$2"
     go test -run '^$' -fuzz "^${target}\$" -fuzztime "$FUZZTIME" "$pkg"
@@ -515,6 +516,7 @@ leg "fuzz ringio/FuzzWriteBinaryStream" fuzz_smoke ./internal/ringio FuzzWriteBi
 leg "fuzz core/FuzzEmbedRing" fuzz_smoke ./internal/core FuzzEmbedRing || exit 1
 leg "fuzz check/FuzzRingStreamReference" fuzz_smoke ./internal/check FuzzRingStreamReference || exit 1
 leg "fuzz check/FuzzVertexIndex" fuzz_smoke ./internal/check FuzzVertexIndex || exit 1
+leg "fuzz pathsearch/FuzzBlockSteps" fuzz_smoke ./internal/pathsearch FuzzBlockSteps || exit 1
 leg "fuzz serve/FuzzServeRequest" fuzz_smoke ./internal/serve FuzzServeRequest || exit 1
 
 echo "==> ci.sh: all legs passed"
