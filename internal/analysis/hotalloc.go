@@ -24,11 +24,13 @@ import (
 // interfaces or function values cannot be proven and are flagged.
 //
 // The enforced sites are the per-step ring surgery in Plan.Repair,
-// the pathsearch lookup-table hit that every route test takes, the
+// the S4 memo hit that every route test of a faulty block takes
+// (pathsearch.(*S4).lookup), the static-table read that routes every
+// fault-free block (pathsearch.Hamiltonian), the
 // disabled-observability fast path, the skeleton's per-block steps —
 // its block lookup (skeleton.blockOf), the isomorphism computed for
-// each route-tested block (pathsearch.BlockAt) and the step-word
-// replay of every block read back (skeleton.replay and
+// each block a route test takes to the memo (pathsearch.BlockAt) and
+// the step-word replay of every block read back (skeleton.replay and
 // pathsearch.Steps.Replay) — and the per-vertex steps of the ring
 // pipeline: the cursor's emit (RingCursor.nextFast), the
 // canonical-to-ambient vertex map (Block.FromCanon), the ring

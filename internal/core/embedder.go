@@ -52,11 +52,12 @@ func (e *Embedder) Reuse(cfg Config) *Embedder {
 	return &Embedder{n: e.n, g: e.g, cfg: cfg}
 }
 
-// Warm runs one fault-free embedding and discards the plan, forcing
-// the lazily built shared caches (the canonical S4 block cache behind
-// internal/pathsearch) hot before the engine serves traffic. Pools
-// call it at startup so the first real request does not pay the
-// cold-cache cost.
+// Warm runs one fault-free embedding and discards the plan. Pools call
+// it at startup so the first real request is not the process's first
+// embed. It fills nothing the fault-free route reads: a healthy
+// block's 24-vertex path is a read of pathsearch's static table. The
+// S4 memo fills as faulty blocks are first routed, each symmetry class
+// once per process.
 func (e *Embedder) Warm() error {
 	_, err := e.Embed(nil)
 	return err

@@ -138,47 +138,73 @@ func TestRouteChainGapPoisoning(t *testing.T) {
 // TestMetamorphicAutomorphism: relabeling the whole instance by a star
 // automorphism must preserve embeddability and the achieved length —
 // the symmetry the paper's "without loss of generality" steps rely on.
+// Three families run at n=6 and n=7: symbol relabelings alone (the
+// vertex-transitive half), symbol relabelings composed with random
+// position relabelings that fix position 1 (the edge-transitive half,
+// which moves the blocks' free positions and with them the relative
+// ranks the fault-free route keys its table by), and the latter on a
+// mixed set of vertex and edge faults.
 func TestMetamorphicAutomorphism(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
-	n := 6
-	for trial := 0; trial < 10; trial++ {
-		fs := faults.RandomVertices(n, 3, rng)
-		basePlan, err := Embed(n, fs, Config{})
-		if err != nil {
+	for _, n := range []int{6, 7} {
+		budget := faults.MaxTolerated(n)
+		for trial := 0; trial < 8; trial++ {
+			sigma := perm.Unrank(n, rng.Intn(perm.Factorial(n)))
+			symbols := star.Automorphism{Sigma: sigma, Tau: perm.Identity(n)}
+			full := star.Automorphism{Sigma: sigma, Tau: randomTau(rng, n)}
+			checkAutomorphicImage(t, faults.RandomVertices(n, budget, rng), symbols)
+			checkAutomorphicImage(t, faults.RandomVertices(n, budget, rng), full)
+			checkAutomorphicImage(t, faults.Mixed(n, budget-1, 1, rng), full)
+		}
+	}
+}
+
+// randomTau returns a random position relabeling of S_n that fixes
+// position 1.
+func randomTau(rng *rand.Rand, n int) perm.Perm {
+	tau := perm.Identity(n)
+	rng.Shuffle(n-1, func(i, j int) { tau[i+1], tau[j+1] = tau[j+1], tau[i+1] })
+	return tau
+}
+
+// checkAutomorphicImage embeds fs and its image under a, and requires
+// the two rings to have one length and the base ring, mapped through
+// a, to be a healthy ring of the image instance: every hop an edge of
+// S_n, no faulty vertex, no faulty edge, no vertex twice.
+func checkAutomorphicImage(t *testing.T, fs *faults.Set, a star.Automorphism) {
+	t.Helper()
+	n := fs.N()
+	mapped := faults.NewSet(n)
+	for _, v := range fs.Vertices() {
+		if err := mapped.AddVertex(a.Apply(v)); err != nil {
 			t.Fatal(err)
 		}
-		base := basePlan.Result()
-		// Random symbol relabeling (vertex-transitive family).
-		sigma := perm.Unrank(n, rng.Intn(perm.Factorial(n)))
-		a := star.Automorphism{Sigma: sigma, Tau: perm.Identity(n)}
-		mapped := faults.NewSet(n)
-		for _, v := range fs.Vertices() {
-			if err := mapped.AddVertex(a.Apply(v)); err != nil {
-				t.Fatal(err)
-			}
+	}
+	for _, e := range fs.Edges() {
+		if err := mapped.AddEdge(a.Apply(e.U), a.Apply(e.V)); err != nil {
+			t.Fatal(err)
 		}
-		imgPlan, err := Embed(n, mapped, Config{})
-		if err != nil {
-			t.Fatalf("trial %d: image instance failed: %v", trial, err)
+	}
+	basePlan, err := Embed(n, fs, Config{})
+	if err != nil {
+		t.Fatalf("S_%d %v: %v", n, fs, err)
+	}
+	imgPlan, err := Embed(n, mapped, Config{})
+	if err != nil {
+		t.Fatalf("S_%d %v (image of %v under %v): %v", n, mapped, fs, a, err)
+	}
+	if img, base := imgPlan.Result().Len(), basePlan.Result().Len(); img != base {
+		t.Fatalf("S_%d %v under %v: automorphic image length %d != %d", n, fs, a, img, base)
+	}
+	g := star.New(n)
+	ring := basePlan.Ring()
+	seen := make(map[perm.Code]bool, len(ring))
+	for i, v := range ring {
+		u, w := a.Apply(v), a.Apply(ring[(i+1)%len(ring)])
+		if seen[u] || !g.Adjacent(u, w) || mapped.HasVertex(u) || mapped.HasEdge(u, w) {
+			t.Fatalf("S_%d %v under %v: mapped ring invalid at %d", n, fs, a, i)
 		}
-		img := imgPlan.Result()
-		if img.Len() != base.Len() {
-			t.Fatalf("trial %d: automorphic image length %d != %d", trial, img.Len(), base.Len())
-		}
-		// The base ring mapped through the automorphism is a valid ring
-		// for the image instance.
-		baseRing := basePlan.Ring()
-		mappedRing := make([]perm.Code, len(baseRing))
-		for i, v := range baseRing {
-			mappedRing[i] = a.Apply(v)
-		}
-		g := star.New(n)
-		for i, v := range mappedRing {
-			w := mappedRing[(i+1)%len(mappedRing)]
-			if !g.Adjacent(v, w) || mapped.HasVertex(v) {
-				t.Fatalf("trial %d: mapped ring invalid at %d", trial, i)
-			}
-		}
+		seen[u] = true
 	}
 }
 

@@ -95,9 +95,9 @@ func blockReplaySpec(b *testing.B) (*Block, PathSpec) {
 	return nil, PathSpec{}
 }
 
-// BenchmarkBlockReplay measures one block path read from a warm memo
-// through PathAppend: the canonical query, the memo hit and the 24
-// vertices replayed from the word.
+// BenchmarkBlockReplay measures one block path read through
+// PathAppend: the canonical query, the table read that a fault-free
+// 24-vertex query takes, and the 24 vertices replayed from the word.
 func BenchmarkBlockReplay(b *testing.B) {
 	blk, spec := blockReplaySpec(b)
 	buf := make([]perm.Code, 0, BlockOrder)
@@ -130,15 +130,36 @@ func BenchmarkStepsReplay(b *testing.B) {
 	replaySink = seg[BlockOrder-1]
 }
 
+// routeSink keeps BenchmarkBlockRoute's words live.
+var routeSink Steps
+
 // BenchmarkBlockRoute measures the junction search's feasibility test
-// of the same query: the canonical query and the memo hit, no replay.
+// of the same fault-free, 24-vertex query both ways. The memo leg is
+// the test with the table taken out: the block's isomorphism, the
+// canonical query and the memo hit, no replay. The table leg is what
+// the router pays: two relative ranks and one table read.
 func BenchmarkBlockRoute(b *testing.B) {
 	blk, spec := blockReplaySpec(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := blk.Route(spec); !ok {
-			b.Fatal("path vanished")
+	b.Run("memo", func(b *testing.B) {
+		q, _ := blk.query(spec, nil)
+		Canon.find(q) // the memo holds the query from here on
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			blk := BlockAt(spec.From, blk.freePos)
+			var edges [len(edgeSig{})]Edge
+			q, _ := blk.query(spec, edges[:0])
+			if routeSink = Canon.find(q).steps; routeSink == 0 {
+				b.Fatal("path vanished")
+			}
 		}
-	}
+	})
+	b.Run("table", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if routeSink = Hamiltonian(spec.From, spec.To, blk.freePos); routeSink == 0 {
+				b.Fatal("path vanished")
+			}
+		}
+	})
 }

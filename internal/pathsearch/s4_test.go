@@ -42,7 +42,7 @@ func TestCanonStructure(t *testing.T) {
 // TestLaceability: S4 is Hamiltonian laceable — between EVERY pair of
 // vertices in different partite sets there is a Hamiltonian path. The
 // block router's healthy-block step relies on this; verified
-// exhaustively (276 ordered pairs).
+// exhaustively (552 ordered pairs, 288 of them of opposite parity).
 func TestLaceability(t *testing.T) {
 	for u := 0; u < BlockOrder; u++ {
 		for v := 0; v < BlockOrder; v++ {

@@ -162,8 +162,8 @@ func (s *Server) HTTPServer() *http.Server {
 // tests).
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
-// Warm primes every pool's shared caches with one fault-free
-// embedding per dimension. /readyz reports 503 until it returns.
+// Warm runs one fault-free embedding per dimension (Embedder.Warm).
+// /readyz reports 503 until it returns.
 func (s *Server) Warm() error {
 	s.warming.Set(1)
 	defer s.warming.Set(0)

@@ -500,8 +500,12 @@ leg "perf gate" go run ./cmd/starbench || exit 1
 # that shares no code with the permutation kernel, FuzzVertexIndex
 # holds the verifier's index steps to its from-scratch recomputation,
 # FuzzPatternOps holds the word-packed substar pattern to its
-# per-position reference, and FuzzBlockSteps holds a routed block's
-# step-word replay to the canonical search's path, memoized or not.
+# per-position reference, FuzzBlockSteps holds a routed block's
+# step-word replay to the canonical search's path, memoized or not,
+# and the fault-free table read to the same search, and
+# FuzzRepairSequence repairs a plan through an arbitrary fault-arrival
+# order, verifying the ring after every call (rebuilds route through
+# the static table, splices through the memo).
 fuzz_smoke() {
     local pkg="$1" target="$2"
     go test -run '^$' -fuzz "^${target}\$" -fuzztime "$FUZZTIME" "$pkg"
@@ -514,6 +518,7 @@ leg "fuzz ringio/FuzzReadBinary" fuzz_smoke ./internal/ringio FuzzReadBinary || 
 leg "fuzz ringio/FuzzReadBinaryStream" fuzz_smoke ./internal/ringio FuzzReadBinaryStream || exit 1
 leg "fuzz ringio/FuzzWriteBinaryStream" fuzz_smoke ./internal/ringio FuzzWriteBinaryStream || exit 1
 leg "fuzz core/FuzzEmbedRing" fuzz_smoke ./internal/core FuzzEmbedRing || exit 1
+leg "fuzz core/FuzzRepairSequence" fuzz_smoke ./internal/core FuzzRepairSequence || exit 1
 leg "fuzz check/FuzzRingStreamReference" fuzz_smoke ./internal/check FuzzRingStreamReference || exit 1
 leg "fuzz check/FuzzVertexIndex" fuzz_smoke ./internal/check FuzzVertexIndex || exit 1
 leg "fuzz pathsearch/FuzzBlockSteps" fuzz_smoke ./internal/pathsearch FuzzBlockSteps || exit 1
