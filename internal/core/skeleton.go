@@ -51,6 +51,10 @@ type skeleton struct {
 	faultVBlock []int32        // the block of each faultV entry, nondecreasing
 	faultE      [][2]perm.Code // faulty edges interior to a routed block, by block
 	faultEBlock []int32        // the block of each faultE entry, nondecreasing
+	// faultMask has bit k%64 set for every block k in the side table: a
+	// one-word filter that clears most fault-free blocks with one bit
+	// test, before holdsFault searches the side table.
+	faultMask uint64
 }
 
 // newSkeleton allocates the routing arrays for a sequence of order-4
@@ -144,6 +148,7 @@ func (sk *skeleton) mapFaults(fs *faults.Set) {
 			_, at := run(sk.faultEBlock, k)
 			sk.faultE = slices.Insert(sk.faultE, at, [2]perm.Code{e.U, e.V})
 			sk.faultEBlock = slices.Insert(sk.faultEBlock, at, int32(k))
+			sk.faultMask |= 1 << (k & 63)
 		}
 	}
 }
@@ -154,6 +159,7 @@ func (sk *skeleton) addVertexFault(k int, v perm.Code) {
 	_, at := run(sk.faultVBlock, k)
 	sk.faultV = slices.Insert(sk.faultV, at, v)
 	sk.faultVBlock = slices.Insert(sk.faultVBlock, at, int32(k))
+	sk.faultMask |= 1 << (k & 63)
 }
 
 // run returns the bounds [lo, hi) of block k's entries in a side-table
@@ -174,9 +180,18 @@ func (sk *skeleton) faults(k int) ([]perm.Code, [][2]perm.Code) {
 }
 
 // holdsFault reports whether block k holds a vertex or edge fault.
+// The junction search asks it at every route test and of both blocks
+// of every superedge, and a repair's splice test of the struck block
+// and its two neighbors. A block whose faultMask bit is clear holds
+// none; otherwise one binary search per side-table column finds block
+// k's first entry if it has one.
 func (sk *skeleton) holdsFault(k int) bool {
-	avoidV, avoidE := sk.faults(k)
-	return len(avoidV)+len(avoidE) > 0
+	if sk.faultMask&(1<<(k&63)) == 0 {
+		return false
+	}
+	_, v := slices.BinarySearch(sk.faultVBlock, int32(k))
+	_, e := slices.BinarySearch(sk.faultEBlock, int32(k))
+	return v || e
 }
 
 // vertexFaultBlocks counts the blocks holding at least one faulty

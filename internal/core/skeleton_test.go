@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -138,6 +139,38 @@ func TestBlockOfAgreesWithBlocks(t *testing.T) {
 			t.Fatalf("index assigns block %d %d vertices, want %d", k, c, blockOrder)
 		}
 	}
+}
+
+// TestHoldsFaultMatchesSideTable: the faultMask filter never hides a
+// faulty block and never makes a fault-free one faulty. On an S_7
+// skeleton (210 blocks, so blocks 64 apart share a filter bit) with
+// vertex faults added as a splice adds them and an interior edge fault
+// mapped as an embed maps it, holdsFault(k) is true exactly for the
+// blocks whose avoid lists are nonempty.
+func TestHoldsFaultMatchesSideTable(t *testing.T) {
+	p := planOn(t, 7, Config{})
+	sk := p.sk
+	check := func(stage string) {
+		t.Helper()
+		for k := 0; k < sk.blocks(); k++ {
+			avoidV, avoidE := sk.faults(k)
+			if got, want := sk.holdsFault(k), len(avoidV)+len(avoidE) > 0; got != want {
+				t.Fatalf("%s: holdsFault(%d) = %v, side table says %v", stage, k, got, want)
+			}
+		}
+	}
+	check("fault-free")
+	for _, k := range []int{3, 67, 131, 200} {
+		sk.addVertexFault(k, interiorOf(t, p, k))
+		check(fmt.Sprintf("vertex fault in block %d", k))
+	}
+	fs := faults.NewSet(7)
+	u := sk.entry[70]
+	if err := fs.AddEdge(u, u.SwapFirst(int(sk.free[1]))); err != nil {
+		t.Fatal(err)
+	}
+	sk.mapFaults(fs)
+	check("edge fault in block 70")
 }
 
 // TestCrossingMatchesCrossEdges: the junction search recomputes a
