@@ -32,12 +32,14 @@ import (
 // each block a route test takes to the memo (pathsearch.BlockAt) and
 // the step-word replay of every block read back (skeleton.replay and
 // pathsearch.Steps.Replay) — and the per-vertex steps of the ring
-// pipeline: the cursor's emit (RingCursor.nextFast), the
-// canonical-to-ambient vertex map (Block.FromCanon), the ring
-// writer's one-pass validity and rank (perm.Code.RankValid), the
-// verifier's adjacency test (perm.DimOf, which the compiler inlines)
-// and its index's table step and recomputation (check.vertexIndex's
-// step and locate); see ROADMAP.md. perm.UnrankCode, the
+// pipeline: the cursor's emit (RingCursor.nextFast) and per-segment
+// run read (RingCursor.rest), the canonical-to-ambient vertex map
+// (Block.FromCanon), the ring writer's one-pass validity and rank
+// (perm.Code.RankValid), the verifier's adjacency test (perm.DimOf,
+// which the compiler inlines), its index's table step and
+// recomputation (check.vertexIndex's step and locate) and its run loop
+// over the in-P steps of a fed segment (check.StreamVerifier.run); see
+// ROADMAP.md. perm.UnrankCode, the
 // ring reader's per-vertex decode, cannot carry the marker — its
 // precondition panics box their arguments — so TestUnrankCodeAllocs
 // pins it allocation-free instead. The analyzer keeps them honest

@@ -19,32 +19,26 @@ var ErrInvalidRing = errors.New("check: invalid ring")
 // least minLen: consecutive vertices (including the wraparound) must be
 // adjacent, no vertex may repeat, no vertex may be faulty, and no used
 // edge may be faulty. fs may be nil for the fault-free case. A slice is
-// just a stream: this is RingStream over the slice, so every caller
-// runs the one verifier.
+// just a stream fed in one run: this is the stream verifier's FeedRun
+// over the slice, so every caller runs the one verifier.
 func Ring(g star.Graph, cycle []perm.Code, fs *faults.Set, minLen int) error {
-	_, err := RingStream(g, sliceNext(cycle), fs, minLen)
-	return err
-}
-
-// sliceNext walks vs in the iterator shape the stream verifiers read.
-func sliceNext(vs []perm.Code) func() (perm.Code, bool) {
-	i := 0
-	return func() (perm.Code, bool) {
-		if i == len(vs) {
-			return 0, false
-		}
-		i++
-		return vs[i-1], true
-	}
+	return feedAll(NewStreamVerifier(g, fs), cycle, minLen)
 }
 
 // Path verifies that path is a healthy simple path of S_n from s to t
 // with at least minLen vertices: consecutive adjacency without the
-// wraparound, distinctness, healthiness. It is PathStream over the
-// slice.
+// wraparound, distinctness, healthiness. It is the open form's FeedRun
+// over the slice.
 func Path(g star.Graph, path []perm.Code, fs *faults.Set, s, t perm.Code, minLen int) error {
-	_, err := PathStream(g, sliceNext(path), fs, s, t, minLen)
-	return err
+	return feedAll(NewPathVerifier(g, fs, s, t), path, minLen)
+}
+
+// feedAll feeds sv every vertex of vs in one run and closes it.
+func feedAll(sv *StreamVerifier, vs []perm.Code, minLen int) error {
+	if err := sv.FeedRun(vs); err != nil {
+		return err
+	}
+	return sv.Close(minLen)
 }
 
 // BipartiteUpperBound returns the largest possible length of any healthy

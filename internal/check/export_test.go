@@ -24,13 +24,28 @@ var AllocBytes = allocBytes
 // AdmissibleDims lists every P of S_n (see admissibleDims).
 var AdmissibleDims = admissibleDims
 
-// StreamAt runs the stream verifier with its index's P forced to dims
-// (see newVertexIndex): RingStream's checks when ends is nil,
-// PathStream's from ends[0] to ends[1] otherwise.
-func StreamAt(g star.Graph, next func() (perm.Code, bool), fs *faults.Set, ends *[2]perm.Code, minLen int, dims uint32) (int, error) {
+// VerifierAt returns a verifier whose index's P is forced to dims (see
+// newVertexIndex): a ring's when ends is nil, the open form's from
+// ends[0] to ends[1] otherwise.
+func VerifierAt(g star.Graph, fs *faults.Set, ends *[2]perm.Code, dims uint32) *StreamVerifier {
 	sv := newStreamVerifierAt(g, fs, dims)
 	sv.ends = ends
-	return stream(sv, next, minLen)
+	return sv
+}
+
+// StreamAt runs the stream verifier with its index's P forced to dims:
+// RingStream's checks when ends is nil, PathStream's from ends[0] to
+// ends[1] otherwise.
+func StreamAt(g star.Graph, next func() (perm.Code, bool), fs *faults.Set, ends *[2]perm.Code, minLen int, dims uint32) (int, error) {
+	return stream(VerifierAt(g, fs, ends, dims), next, minLen)
+}
+
+// IndexOf returns v's bit in the bitset of a verifier of S_n whose P
+// dims names: A(v)·k! + L(v), so v's block run is IndexOf/24 and its
+// page IndexOf/PageBits.
+func IndexOf(n int, dims uint32, v perm.Code) int {
+	x := newVertexIndex(n, dims)
+	return x.index(v)
 }
 
 // LearnedDims feeds ring to a fresh verifier of S_n and returns the

@@ -1,6 +1,7 @@
 package check_test
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
@@ -159,9 +160,10 @@ func refVerify(ring []perm.Code, n int, fs *faults.Set, minLen int, ends *[2]per
 
 // streamVerdict runs check.RingStream, or check.PathStream when ends
 // is non-nil, and classifies its error. A non-nil dims forces the
-// index's P to it instead of the one the verifier learns.
-func streamVerdict(t *testing.T, ring []perm.Code, n int, fs *faults.Set, minLen int, ends *[2]perm.Code, dims *uint32) verdict {
-	t.Helper()
+// index's P to it instead of the one the verifier learns. Like the
+// other helpers the exhaustive test calls once per case, it does not
+// call t.Helper, whose stack walk would cost more than the case.
+func streamVerdict(t *testing.T, ring []perm.Code, n int, fs *faults.Set, minLen int, ends *[2]perm.Code, dims *uint32) (verdict, error) {
 	i := 0
 	next := func() (perm.Code, bool) {
 		if i == len(ring) {
@@ -180,6 +182,38 @@ func streamVerdict(t *testing.T, ring []perm.Code, n int, fs *faults.Set, minLen
 	default:
 		count, err = check.PathStream(star.New(n), next, fs, ends[0], ends[1], minLen)
 	}
+	return classify(t, count, err), err
+}
+
+// runVerdict feeds ring to a fresh verifier through FeedRun in runs of
+// size vertices (the whole slice in one run when size is 0), closes it
+// and classifies its error; the position is the verifier's Count. ends
+// and dims are streamVerdict's.
+func runVerdict(t *testing.T, ring []perm.Code, n int, fs *faults.Set, minLen int, ends *[2]perm.Code, dims *uint32, size int) (verdict, error) {
+	var sv *check.StreamVerifier
+	switch {
+	case dims != nil:
+		sv = check.VerifierAt(star.New(n), fs, ends, *dims)
+	case ends == nil:
+		sv = check.NewStreamVerifier(star.New(n), fs)
+	default:
+		sv = check.NewPathVerifier(star.New(n), fs, ends[0], ends[1])
+	}
+	if size <= 0 {
+		size = max(len(ring), 1)
+	}
+	var err error
+	for vs := ring; len(vs) > 0 && err == nil; vs = vs[min(size, len(vs)):] {
+		err = sv.FeedRun(vs[:min(size, len(vs))])
+	}
+	if err == nil {
+		err = sv.Close(minLen)
+	}
+	return classify(t, sv.Count(), err), err
+}
+
+// classify turns a verifier's count and error into a verdict.
+func classify(t *testing.T, count int, err error) verdict {
 	if err == nil {
 		return verdict{"", count}
 	}
@@ -191,6 +225,29 @@ func streamVerdict(t *testing.T, ring []perm.Code, n int, fs *faults.Set, minLen
 	}
 	t.Fatalf("unclassified verifier error: %v", err)
 	return verdict{}
+}
+
+// agree runs ring through the iterator form of the verifier, then
+// through FeedRun in runs of each of sizes (0 for the whole slice, see
+// runVerdict), and returns a description of the first that disagrees
+// with want, or "" when all reach want's verdict, reason and position.
+// The runs must also word their rejection exactly as the iterator form
+// does.
+func agree(t *testing.T, want verdict, ring []perm.Code, n int, fs *faults.Set, minLen int, ends *[2]perm.Code, dims *uint32, sizes ...int) string {
+	got, serr := streamVerdict(t, ring, n, fs, minLen, ends, dims)
+	if got != want {
+		return fmt.Sprintf("stream verifier %+v, reference %+v", got, want)
+	}
+	for _, size := range sizes {
+		got, rerr := runVerdict(t, ring, n, fs, minLen, ends, dims, size)
+		if got != want {
+			return fmt.Sprintf("FeedRun in runs of %d: %+v, reference %+v", size, got, want)
+		}
+		if (rerr == nil) != (serr == nil) || rerr != nil && rerr.Error() != serr.Error() {
+			return fmt.Sprintf("FeedRun in runs of %d: error %v, stream verifier %v", size, rerr, serr)
+		}
+	}
+	return ""
 }
 
 // Corruptions applied to a valid ring.
@@ -213,7 +270,9 @@ const (
 // embedded around random vertex faults drawn from seed — or, when
 // path, a longest path between two random healthy vertices — one
 // corruption of it chosen by kind and placed by a, b and x, and the
-// minimum length (the paper bound when useMin, else 0).
+// minimum length (the paper bound when useMin, else 0). Besides the
+// iterator form, the case is fed through FeedRun in one run, in
+// block-sized runs of 24 and in runs of 1+stride vertices.
 type refInput struct {
 	nSel    uint8
 	seed    int64
@@ -222,6 +281,7 @@ type refInput struct {
 	x       uint8
 	useMin  bool
 	path    bool
+	stride  uint8
 	wantWhy string // the seed's intended reason class; fuzzed inputs leave it unset
 }
 
@@ -233,22 +293,22 @@ type refInput struct {
 // verifier learns a different P, and is still accepted.
 var referenceSeeds = []refInput{
 	{nSel: 0, seed: 1, kind: corruptNone, wantWhy: ""},
-	{nSel: 1, seed: 2, kind: corruptHighNibble, a: 7, b: 3, x: 4, wantWhy: reasonInvalid},
-	{nSel: 1, seed: 3, kind: corruptFaultyVertex, a: 40, wantWhy: reasonFaulty},
-	{nSel: 0, seed: 4, kind: corruptDuplicate, a: 3, b: 10, wantWhy: reasonRepeat},
-	{nSel: 1, seed: 5, kind: corruptSwap, a: 3, b: 10, wantWhy: reasonNotAdjacent},
-	{nSel: 0, seed: 6, kind: corruptFaultyEdge, a: 11, wantWhy: reasonFaultyEdge},
-	{nSel: 1, seed: 7, kind: corruptTruncate, a: 50, useMin: true, wantWhy: reasonShort},
-	{nSel: 0, seed: 8, kind: corruptTruncate, a: 2, wantWhy: reasonTooFew},
-	{nSel: 1, seed: 9, kind: corruptFlipNibble, a: 17, b: 2, x: 1, wantWhy: reasonInvalid},
-	{nSel: 0, seed: 11, kind: corruptNone, path: true, wantWhy: ""},
-	{nSel: 1, seed: 12, kind: corruptReverse, path: true, wantWhy: reasonStart},
-	{nSel: 0, seed: 13, kind: corruptTruncate, a: 50, path: true, wantWhy: reasonEnd},
-	{nSel: 1, seed: 14, kind: corruptTruncate, a: 50, useMin: true, path: true, wantWhy: reasonShort},
-	{nSel: 0, seed: 15, kind: corruptTruncate, a: 0, path: true, wantWhy: reasonEmpty},
-	{nSel: 1, seed: 16, kind: corruptFaultyEdge, a: 30, path: true, wantWhy: reasonFaultyEdge},
-	{nSel: 0, seed: 17, kind: corruptBacktrack, a: 30, b: 3, wantWhy: reasonRepeat},
-	{nSel: 1, seed: 18, kind: corruptRotate, a: 22, wantWhy: ""},
+	{nSel: 1, seed: 2, kind: corruptHighNibble, a: 7, b: 3, x: 4, stride: 4, wantWhy: reasonInvalid},
+	{nSel: 1, seed: 3, kind: corruptFaultyVertex, a: 40, stride: 23, wantWhy: reasonFaulty},
+	{nSel: 0, seed: 4, kind: corruptDuplicate, a: 3, b: 10, stride: 24, wantWhy: reasonRepeat},
+	{nSel: 1, seed: 5, kind: corruptSwap, a: 3, b: 10, stride: 22, wantWhy: reasonNotAdjacent},
+	{nSel: 0, seed: 6, kind: corruptFaultyEdge, a: 11, stride: 1, wantWhy: reasonFaultyEdge},
+	{nSel: 1, seed: 7, kind: corruptTruncate, a: 50, useMin: true, stride: 6, wantWhy: reasonShort},
+	{nSel: 0, seed: 8, kind: corruptTruncate, a: 2, stride: 47, wantWhy: reasonTooFew},
+	{nSel: 1, seed: 9, kind: corruptFlipNibble, a: 17, b: 2, x: 1, stride: 5, wantWhy: reasonInvalid},
+	{nSel: 0, seed: 11, kind: corruptNone, path: true, stride: 9, wantWhy: ""},
+	{nSel: 1, seed: 12, kind: corruptReverse, path: true, stride: 25, wantWhy: reasonStart},
+	{nSel: 0, seed: 13, kind: corruptTruncate, a: 50, path: true, stride: 2, wantWhy: reasonEnd},
+	{nSel: 1, seed: 14, kind: corruptTruncate, a: 50, useMin: true, path: true, stride: 30, wantWhy: reasonShort},
+	{nSel: 0, seed: 15, kind: corruptTruncate, a: 0, path: true, stride: 13, wantWhy: reasonEmpty},
+	{nSel: 1, seed: 16, kind: corruptFaultyEdge, a: 30, path: true, stride: 3, wantWhy: reasonFaultyEdge},
+	{nSel: 0, seed: 17, kind: corruptBacktrack, a: 30, b: 3, stride: 11, wantWhy: reasonRepeat},
+	{nSel: 1, seed: 18, kind: corruptRotate, a: 22, stride: 70, wantWhy: ""},
 }
 
 // corrupted builds in's corrupted ring or path and returns it with its
@@ -318,10 +378,11 @@ func corrupted(t *testing.T, in refInput) (ring []perm.Code, n int, fs *faults.S
 	return ring, n, fs, minLen, ends, true
 }
 
-// differential builds in's corrupted ring or path, runs both
-// verifiers on it and fails unless they reach the same verdict, which
-// it returns. It reports false, having verified nothing, for a path
-// EmbedPath cannot embed.
+// differential builds in's corrupted ring or path, runs the reference
+// and every entry point of the stream verifier on it (see agree) and
+// fails unless they reach the same verdict, which it returns. It
+// reports false, having verified nothing, for a path EmbedPath cannot
+// embed.
 func differential(t *testing.T, in refInput) (verdict, bool) {
 	t.Helper()
 	ring, n, fs, minLen, ends, ok := corrupted(t, in)
@@ -329,8 +390,8 @@ func differential(t *testing.T, in refInput) (verdict, bool) {
 		return verdict{}, false
 	}
 	want := refVerify(ring, n, fs, minLen, ends)
-	if got := streamVerdict(t, ring, n, fs, minLen, ends, nil); got != want {
-		t.Fatalf("S_%d, path %v, corruption %d: check stream verifier %+v, reference %+v", n, in.path, in.kind%corruptKinds, got, want)
+	if why := agree(t, want, ring, n, fs, minLen, ends, nil, 0, 24, 1+int(in.stride)); why != "" {
+		t.Fatalf("S_%d, path %v, corruption %d: %s", n, in.path, in.kind%corruptKinds, why)
 	}
 	return want, true
 }
@@ -366,8 +427,9 @@ func TestRotationSeedMovesP(t *testing.T) {
 
 // TestReferenceSeedsEveryP replays every corpus seed with the
 // verifier's P forced to each admissible choice at the seed's n (4 at
-// S_5, 10 at S_6): the index is a bijection for every P, so every
-// verdict, reason and position must match the reference's.
+// S_5, 10 at S_6), through the iterator form and FeedRun alike: the
+// index is a bijection for every P, so every verdict, reason and
+// position must match the reference's.
 func TestReferenceSeedsEveryP(t *testing.T) {
 	for _, in := range referenceSeeds {
 		ring, n, fs, minLen, ends, ok := corrupted(t, in)
@@ -376,8 +438,8 @@ func TestReferenceSeedsEveryP(t *testing.T) {
 		}
 		want := refVerify(ring, n, fs, minLen, ends)
 		for _, dims := range check.AdmissibleDims(n) {
-			if got := streamVerdict(t, ring, n, fs, minLen, ends, &dims); got != want {
-				t.Errorf("seed %+v, P %#x: verdict %+v, reference %+v", in, dims, got, want)
+			if why := agree(t, want, ring, n, fs, minLen, ends, &dims, 0, 24, 1+int(in.stride)); why != "" {
+				t.Errorf("seed %+v, P %#x: %s", in, dims, why)
 			}
 		}
 	}
@@ -387,15 +449,16 @@ func TestReferenceSeedsEveryP(t *testing.T) {
 // core.Embed and paths from core.EmbedPath — swap, duplicate, faulty
 // vertex, flipped nibble, high nibble, truncation, faulty edge,
 // reversal, backtrack, rotation — and demands that check.RingStream
-// (check.PathStream for a path) and the reference verifier agree: both
-// accept, or both reject at the same position for the same reason
-// class.
+// (check.PathStream for a path), FeedRun over the slice in one run, in
+// 24-vertex runs and in runs of a fuzzed stride, and the reference
+// verifier agree: all accept, or all reject at the same position for
+// the same reason class.
 func FuzzRingStreamReference(f *testing.F) {
 	for _, in := range referenceSeeds {
-		f.Add(in.nSel, in.seed, in.kind, in.a, in.b, in.x, in.useMin, in.path)
+		f.Add(in.nSel, in.seed, in.kind, in.a, in.b, in.x, in.useMin, in.path, in.stride)
 	}
-	f.Fuzz(func(t *testing.T, nSel uint8, seed int64, kind uint8, a, b uint16, x uint8, useMin, path bool) {
-		if _, ok := differential(t, refInput{nSel: nSel, seed: seed, kind: kind, a: a, b: b, x: x, useMin: useMin, path: path}); !ok {
+	f.Fuzz(func(t *testing.T, nSel uint8, seed int64, kind uint8, a, b uint16, x uint8, useMin, path bool, stride uint8) {
+		if _, ok := differential(t, refInput{nSel: nSel, seed: seed, kind: kind, a: a, b: b, x: x, useMin: useMin, path: path, stride: stride}); !ok {
 			t.Skip("no path to corrupt")
 		}
 	})

@@ -10,15 +10,17 @@ import (
 	"repro/internal/star"
 )
 
-// StreamVerifier validates a ring incrementally, one vertex at a time,
-// without ever holding the cycle: Feed checks each vertex as it
-// arrives (validity, healthiness, distinctness, adjacency to its
-// predecessor), Close checks the wraparound edge and the length
-// bounds. It is the package's one verifier: Ring feeds it from a
-// slice, RingStream from any iterator, so rings too large to
-// materialize — n = 10 is 3.6M vertices, n = 12 is 479M — are checked
-// by the same code as small ones. Its open form, behind PathStream and
-// Path, checks an s-t path with the same Feed; only Close differs.
+// StreamVerifier validates a ring incrementally, without ever holding
+// the cycle: Feed checks one vertex as it arrives (validity,
+// healthiness, distinctness, adjacency to its predecessor), FeedRun a
+// run of consecutive vertices — a replayed block segment, or a whole
+// slice — with the same checks, and Close checks the wraparound edge
+// and the length bounds. It is the package's one verifier: Ring feeds
+// it a slice in one run, RingStream an iterator vertex by vertex, so
+// rings too large to materialize — n = 10 is 3.6M vertices, n = 12 is
+// 479M — are checked by the same code as small ones. Its open form,
+// from NewPathVerifier and behind PathStream and Path, checks an s-t
+// path with the same feeds; only Close differs.
 //
 // Feed tests adjacency first (perm.DimOf). A vertex adjacent to a
 // valid predecessor is itself valid, so validity is tested only on the
@@ -37,6 +39,16 @@ import (
 // seventh vertex, since two dimensions confine a path to an S_3). The
 // 25th vertex fixes the index and marks the 24 before it. The index is
 // a bijection for every P, so P changes the speed, never the verdict.
+//
+// FeedRun is Feed over a slice with one hot loop for the in-P steps
+// that make up 23 of a routed block's 24 vertices: once the index is
+// fixed, and while the fault set holds no edge, such a vertex costs a
+// DimOf, the step's two table reads and one bit test-and-set, with the
+// predecessor, L, the page and the base held in locals. Every other
+// vertex — the first, the 24-vertex scan, a step outside P, any vertex
+// of a set with faulty edges, and every rejection — goes through Feed,
+// so a run and its vertices fed one by one reach the same verdict,
+// reason, position and Count.
 //
 // The bitset is paged: a page holds 1024 blocks' runs of k! = 24 bits
 // (3 KiB) and is allocated on first touch, and the page directory
@@ -85,8 +97,8 @@ type StreamVerifier struct {
 	ends *[2]perm.Code
 }
 
-// NewStreamVerifier returns a verifier for rings of S_n streamed
-// vertex by vertex. fs may be nil for the fault-free case.
+// NewStreamVerifier returns a verifier for a ring of S_n fed in
+// cycle order. fs may be nil for the fault-free case.
 func NewStreamVerifier(g star.Graph, fs *faults.Set) *StreamVerifier {
 	n := g.N()
 	s := &StreamVerifier{g: g, fs: fs, n: n, seen: pagedBits{size: perm.Factorial(n)}}
@@ -94,6 +106,15 @@ func NewStreamVerifier(g star.Graph, fs *faults.Set) *StreamVerifier {
 		s.edgeFaults = fs.NumEdges() > 0
 	}
 	return s
+}
+
+// NewPathVerifier returns the open form of NewStreamVerifier: a
+// verifier for an s-t path of S_n fed from s, whose Close checks that
+// the path runs from s to t in place of a ring's closing edge.
+func NewPathVerifier(g star.Graph, fs *faults.Set, s, t perm.Code) *StreamVerifier {
+	sv := NewStreamVerifier(g, fs)
+	sv.ends = &[2]perm.Code{s, t}
+	return sv
 }
 
 // fix fixes the index's P from dims, lists the faults' indices for the
@@ -120,8 +141,10 @@ func (s *StreamVerifier) fail(format string, args ...interface{}) error {
 	return s.err
 }
 
-// Feed validates the next ring vertex. The first error is terminal and
-// re-returned by Close.
+// Feed validates the next ring vertex, the per-vertex entry: an
+// iterator's consumer calls it once per vertex, and FeedRun hands it
+// every vertex its hot loop does not take. The first error is terminal
+// and re-returned by Close.
 func (s *StreamVerifier) Feed(v perm.Code) error {
 	if s.err != nil {
 		return s.err
@@ -158,6 +181,58 @@ func (s *StreamVerifier) Feed(v perm.Code) error {
 	s.prev = v
 	s.count++
 	return nil
+}
+
+// FeedRun validates vs as the next vertices of the stream, in order:
+// it is Feed on each of them — the same verdict, reason, position,
+// Count, stickiness and Feed after Close — with the in-P steps taken by
+// one hot loop (run) and every other vertex by Feed.
+func (s *StreamVerifier) FeedRun(vs []perm.Code) error {
+	for {
+		vs = vs[s.run(vs):]
+		if len(vs) == 0 {
+			return nil
+		}
+		if err := s.Feed(vs[0]); err != nil {
+			return err
+		}
+		vs = vs[1:]
+	}
+}
+
+// run feeds the longest prefix of vs whose vertices each sit one step
+// along a dimension in P from their predecessor, healthy and not seen
+// before, and returns its length. It takes nothing until the index is
+// fixed and the first vertex fed, and nothing while the fault set holds
+// edges or after the verifier has stopped; it stops before the first
+// vertex Feed must decide, without touching the verifier's state for
+// it, so Feed repeats that vertex's checks from where run left off.
+//
+//starlint:hotpath
+func (s *StreamVerifier) run(vs []perm.Code) int {
+	if !s.fixed || s.count == 0 || s.edgeFaults || s.err != nil || s.closed {
+		return 0
+	}
+	x, n := &s.ix, s.n
+	prev, l, page, base := s.prev, s.l, s.page, s.base
+	i := 0
+	for ; i < len(vs); i++ {
+		v := vs[i]
+		j := x.slot[perm.DimOf(prev, v, n)]
+		if j == 0 {
+			break
+		}
+		next := int(x.next[l][j-1])
+		off := uint(base + next)
+		w, mask := off/64, uint64(1)<<(off%64)
+		if page[w]&mask != 0 {
+			break
+		}
+		page[w] |= mask
+		prev, l = v, next
+	}
+	s.prev, s.l, s.count = prev, l, s.count+i
+	return i
 }
 
 // enter marks v, reached from its predecessor by a step along
@@ -290,9 +365,7 @@ func RingStream(g star.Graph, next func() (perm.Code, bool), fs *faults.Set, min
 // per-vertex checks as RingStream, then, in place of the closing edge,
 // that the path runs from s to t and holds at least minLen vertices.
 func PathStream(g star.Graph, next func() (perm.Code, bool), fs *faults.Set, s, t perm.Code, minLen int) (int, error) {
-	sv := NewStreamVerifier(g, fs)
-	sv.ends = &[2]perm.Code{s, t}
-	return stream(sv, next, minLen)
+	return stream(NewPathVerifier(g, fs, s, t), next, minLen)
 }
 
 // stream feeds sv every vertex next yields and closes it.

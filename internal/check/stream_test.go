@@ -2,7 +2,9 @@ package check
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,6 +12,18 @@ import (
 	"repro/internal/perm"
 	"repro/internal/star"
 )
+
+// sliceNext walks vs in the iterator shape the stream verifiers read.
+func sliceNext(vs []perm.Code) func() (perm.Code, bool) {
+	i := 0
+	return func() (perm.Code, bool) {
+		if i == len(vs) {
+			return 0, false
+		}
+		i++
+		return vs[i-1], true
+	}
+}
 
 func TestRingStreamAcceptsValidCycle(t *testing.T) {
 	g := star.New(3)
@@ -157,6 +171,143 @@ func TestStreamVerifierStopsAtFirstError(t *testing.T) {
 	}
 	if sv.Count() != 6 {
 		t.Fatalf("count %d", sv.Count())
+	}
+}
+
+// twoBlocks returns two S4 blocks of S_5 in a row, each a Hamiltonian
+// cycle of the substar spanned by positions 1..4 opened into a path,
+// the second entered from the first's last vertex by a step along
+// dimension 5: 48 vertices, 46 of them one step in P = {1, 2, 3, 4}
+// from their predecessor.
+func twoBlocks() []perm.Code {
+	first := s4Cycle(perm.IdentityCode(5), 2, 3, 4)
+	return append(first, s4Cycle(first[23].SwapFirst(5), 2, 3, 4)...)
+}
+
+// TestFeedRunTakesInPSteps pins where FeedRun's hot loop runs: nothing
+// before the 25th vertex fixes the index, then every in-P step of the
+// second block — its 23 vertices after the one the step along
+// dimension 5 enters — and nothing while the fault set holds an edge.
+func TestFeedRunTakesInPSteps(t *testing.T) {
+	g := star.New(5)
+	vs := twoBlocks()
+	sv := NewStreamVerifier(g, nil)
+	if got := sv.run(vs); got != 0 {
+		t.Fatalf("run took %d vertices before the first was fed", got)
+	}
+	for i, v := range vs[:25] {
+		if got := sv.run(vs[i:]); got != 0 {
+			t.Fatalf("run took %d vertices at %d, before the index is fixed", got, i)
+		}
+		if err := sv.Feed(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := sv.run(vs[25:]); got != 23 {
+		t.Fatalf("run took %d of the second block's 23 in-P steps", got)
+	}
+	if sv.Count() != 48 {
+		t.Fatalf("count %d after the hot loop, want 48", sv.Count())
+	}
+	if err := sv.Close(48); err == nil || !strings.Contains(err.Error(), "are not adjacent") {
+		t.Fatalf("two blocks do not close, got %v", err)
+	}
+
+	// A faulty edge off the two blocks: the hot loop stands aside for
+	// any edge fault, on the ring or not.
+	fs := faults.NewSet(5)
+	for r := 0; fs.NumEdges() == 0; r++ {
+		u := perm.UnrankCode(5, r)
+		if w := u.SwapFirst(2); !slices.Contains(vs, u) && !slices.Contains(vs, w) {
+			if err := fs.AddEdge(u, w); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	sv = NewStreamVerifier(g, fs)
+	for _, v := range vs[:25] {
+		if err := sv.Feed(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := sv.run(vs[25:]); got != 0 {
+		t.Fatalf("run took %d vertices although the set holds an edge fault", got)
+	}
+}
+
+// TestFeedRunMatchesFeed feeds the same vertices through FeedRun in
+// runs of every size from 1 to 50 and through Feed one by one — valid,
+// with a backtrack and with a faulty vertex, both of which the hot
+// loop's bit test meets on an in-P step — and demands the same error,
+// Count and stickiness: a rejected verifier re-returns its error from
+// FeedRun and Close. Then FeedRun after Close.
+func TestFeedRunMatchesFeed(t *testing.T) {
+	g := star.New(5)
+	valid := twoBlocks()
+	faulty := faults.NewSet(5)
+	if err := faulty.AddVertex(valid[44]); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		vs     []perm.Code
+		fs     *faults.Set
+		reason string
+	}{
+		{valid, nil, ""},
+		{slices.Insert(slices.Clone(valid), 41, valid[39]), nil, "repeats at position 41"},
+		{valid, faulty, "faulty vertex"},
+	} {
+		one := NewStreamVerifier(g, c.fs)
+		var want error
+		for _, v := range c.vs {
+			if want = one.Feed(v); want != nil {
+				break
+			}
+		}
+		if (want == nil) != (c.reason == "") || want != nil && !strings.Contains(want.Error(), c.reason) {
+			t.Fatalf("Feed: %v, want reason %q", want, c.reason)
+		}
+		for size := 1; size <= len(c.vs)+1; size++ {
+			sv := NewStreamVerifier(g, c.fs)
+			var err error
+			for rest := c.vs; len(rest) > 0 && err == nil; rest = rest[min(size, len(rest)):] {
+				err = sv.FeedRun(rest[:min(size, len(rest))])
+			}
+			if fmt.Sprint(err) != fmt.Sprint(want) || sv.Count() != one.Count() {
+				t.Fatalf("runs of %d: error %v at count %d, Feed %v at %d", size, err, sv.Count(), want, one.Count())
+			}
+			if err == nil {
+				continue
+			}
+			if again := sv.FeedRun(c.vs[:1]); again != err {
+				t.Fatalf("runs of %d: error not sticky across FeedRun: %v", size, again)
+			}
+			if again := sv.Close(0); again != err {
+				t.Fatalf("runs of %d: error not sticky across Close: %v", size, again)
+			}
+		}
+	}
+
+	sv := NewStreamVerifier(g, nil)
+	if err := sv.FeedRun(valid); err != nil {
+		t.Fatal(err)
+	}
+	closing := sv.Close(0) // two blocks do not close
+	if err := sv.FeedRun(valid[:1]); closing == nil || err != closing || sv.Count() != 48 {
+		t.Fatalf("FeedRun after a failed Close: %v, count %d; want the sticky %v", err, sv.Count(), closing)
+	}
+	sv = NewStreamVerifier(star.New(3), nil)
+	if err := sv.FeedRun(hexagon()); err != nil {
+		t.Fatal(err)
+	}
+	if err := sv.Close(6); err != nil {
+		t.Fatal(err)
+	}
+	if err := sv.FeedRun(nil); err != nil {
+		t.Fatalf("an empty run after Close: %v", err)
+	}
+	if err := sv.FeedRun(hexagon()[:1]); err == nil || !strings.Contains(err.Error(), "Feed after Close") {
+		t.Fatalf("FeedRun after Close: %v", err)
 	}
 }
 

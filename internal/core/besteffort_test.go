@@ -1,11 +1,15 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/check"
 	"repro/internal/faults"
+	"repro/internal/pathsearch"
 	"repro/internal/perm"
 	"repro/internal/star"
 )
@@ -103,5 +107,54 @@ func TestChainSingleBlockDirect(t *testing.T) {
 	// Adjacent endpoints, fault-free: a Hamiltonian path.
 	if plan.RingLen() != perm.Factorial(n) {
 		t.Fatalf("path %d", plan.RingLen())
+	}
+}
+
+// TestRouteSkipsParityInfeasibleTargets pins the router's parity
+// short-circuit. A path of t vertices joins ends of one parity exactly
+// when t is odd, so a target the ends' parities rule out never reaches
+// the S4 memo: asked for best effort's even targets between two ends of
+// one parity, every block of a best-effort S_7 ring fails without a
+// query — a faulty block skips them all, a fault-free one after the
+// table refuses its 24. End to end the embed routes the ring it routed
+// before the short-circuit (its digest is pinned) and asks the memo at
+// most once per faulty block, where it asked 1,205 times before: every
+// even target of every failed test.
+func TestRouteSkipsParityInfeasibleTargets(t *testing.T) {
+	const want = "fd793f9deab7465f17deda21f5cbe056da9cdd9c4fb8cb756ccd1319f9bd7407"
+	queries := func() int64 {
+		h, m, b := pathsearch.Canon.CacheStats()
+		return h + m + b
+	}
+	fs := faults.RandomVertices(7, 6, rand.New(rand.NewSource(1)))
+	q0 := queries()
+	p, err := Embed(7, fs, Config{BestEffort: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	asked := queries() - q0
+	h := sha256.New()
+	for _, v := range p.Ring() {
+		fmt.Fprintln(h, v.StringN(7))
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("best-effort ring has SHA-256 %s, want %s", got, want)
+	}
+	res := p.Result()
+	t.Logf("%d faulty blocks, %d memo queries", res.FaultyBlocks, asked)
+	if res.Guaranteed || asked > int64(res.FaultyBlocks) {
+		t.Errorf("guaranteed %v, %d memo queries for %d faulty blocks", res.Guaranteed, asked, res.FaultyBlocks)
+	}
+
+	rt := &router{sk: p.sk, targets: func(_, vf int) []int { return paperTargets(true)(vf) }}
+	for k := 0; k < p.sk.blocks(); k++ {
+		seg := p.segment(k)
+		q0 := queries()
+		if rt.route(k, seg[0], seg[2]) {
+			t.Fatalf("block %d: an even target joined two ends of one parity", k)
+		}
+		if d := queries() - q0; d != 0 {
+			t.Fatalf("block %d (faulty %v): %d memo queries for targets the ends' parity rules out", k, p.sk.holdsFault(k), d)
+		}
 	}
 }

@@ -232,24 +232,31 @@ func newPlan(e *Embedder, res *Result, fs *faults.Set, sk *skeleton, ends *[2]pe
 }
 
 // verify runs the independent stream verifier over a fresh cursor,
-// against the paper bound when the plan is within budget, and demands
-// that the cursor emit exactly the Result's length. A ring must close;
-// a path must run from its source to its target. It is the plan's one
-// verification pass; the starring CLI reports its verdict.
+// one replayed block segment per FeedRun, against the paper bound when
+// the plan is within budget, and demands that the cursor emit exactly
+// the Result's length. A ring must close; a path must run from its
+// source to its target. It is the plan's one verification pass; the
+// starring CLI reports its verdict.
 func (p *Plan) verify() error {
 	minLen := 0
 	if p.res.Guaranteed {
 		minLen = p.res.Guarantee
 	}
-	var count int
-	var err error
+	var sv *check.StreamVerifier
 	if p.ends == nil {
-		count, err = check.RingStream(p.e.g, p.Cursor().Next, p.fs, minLen)
+		sv = check.NewStreamVerifier(p.e.g, p.fs)
 	} else {
-		count, err = check.PathStream(p.e.g, p.Cursor().Next, p.fs, p.ends[0], p.ends[1], minLen)
+		sv = check.NewPathVerifier(p.e.g, p.fs, p.ends[0], p.ends[1])
 	}
-	if err == nil && count != p.res.Length {
-		err = fmt.Errorf("%w: emitted %d vertices, embedding reports %d", check.ErrInvalidRing, count, p.res.Length)
+	c := p.Cursor()
+	for run := c.NextRun(); run != nil; run = c.NextRun() {
+		if err := sv.FeedRun(run); err != nil {
+			return err
+		}
+	}
+	err := sv.Close(minLen)
+	if err == nil && sv.Count() != p.res.Length {
+		err = fmt.Errorf("%w: emitted %d vertices, embedding reports %d", check.ErrInvalidRing, sv.Count(), p.res.Length)
 	}
 	return err
 }

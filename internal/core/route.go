@@ -140,8 +140,13 @@ func holds(vs []perm.Code, v perm.Code) bool {
 // the ends' canonical indices. Any other target, and every target of a
 // faulty block, asks Block.Route, which answers from the S4 memo
 // through the isomorphism of the entry's block computed on the stack.
-// A feasibility test allocates nothing once the memo holds its search,
-// and the word it returns is all a replay of the block needs.
+// A target the ends' parities rule out is skipped before any query: a
+// path of t vertices takes t−1 steps across the bipartition, so it
+// joins ends of one parity exactly when t is odd. (A healthy S4 refuses
+// the 24 only to ends of one parity, so best effort's even targets
+// behind it never reach the memo.) A feasibility test allocates
+// nothing once the memo holds its search, and the word it returns is
+// all a replay of the block needs.
 func (rt *router) route(k int, entry, exit perm.Code) bool {
 	sk := rt.sk
 	spec := pathsearch.PathSpec{From: entry, To: exit}
@@ -160,8 +165,13 @@ func (rt *router) route(k int, entry, exit perm.Code) bool {
 	if len(ts) == 0 {
 		return false
 	}
+	n := sk.shape.N()
+	sameSide := entry.Parity(n) == exit.Parity(n)
 	b := pathsearch.BlockAt(entry, sk.free)
 	for _, t := range ts {
+		if (t%2 == 1) != sameSide {
+			continue
+		}
 		spec.Target = t
 		if steps, ok := b.Route(spec); ok {
 			sk.entry[k], sk.steps[k] = entry, steps

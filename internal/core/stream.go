@@ -73,27 +73,62 @@ func (c *RingCursor) nextFast() perm.Code {
 	return v
 }
 
+// NextRun returns the vertices Next would return up to the end of the
+// current block segment, replaying the next block first when the
+// current one is spent, and nil when the cycle has been fully emitted
+// (or the cursor went stale — check Err). It is how a consumer that
+// takes a segment per call, such as the plan's self-verification,
+// reads the ring; runs and Next calls may be mixed, and each vertex
+// comes out once, in cycle order. The run aliases the cursor's buffer
+// and is valid until the next Next or NextRun.
+func (c *RingCursor) NextRun() []perm.Code {
+	if c.i == c.n && !c.advance() {
+		return nil
+	}
+	return c.rest()
+}
+
+// rest is the per-segment run read: the unemitted tail of the current
+// segment, which it marks emitted. Like nextFast it sits in a loop over
+// every block of the ring, so hotalloc holds it allocation-free.
+//
+//starlint:hotpath
+func (c *RingCursor) rest() []perm.Code {
+	run := c.seg[c.i:c.n]
+	c.i = c.n
+	return run
+}
+
 // refill replays the next block segment (the cold path, hit once per
-// <= 24 vertices). It is also where exhaustion and staleness are
-// decided.
+// <= 24 vertices) and emits its first vertex.
 func (c *RingCursor) refill() (perm.Code, bool) {
-	var zero perm.Code
+	if !c.advance() {
+		return 0, false
+	}
+	return c.nextFast(), true
+}
+
+// advance replays the next block segment into the buffer. It is also
+// where exhaustion and staleness are decided: it reports false, and
+// replays nothing, at the end of the cycle or once the plan has moved
+// on.
+func (c *RingCursor) advance() bool {
 	if c.done || c.err != nil {
-		return zero, false
+		return false
 	}
 	p := c.p
 	if c.gen != p.gen {
 		c.fail(ErrStaleCursor)
-		return zero, false
+		return false
 	}
 	if c.k >= p.sk.blocks() {
 		c.finish()
-		return zero, false
+		return false
 	}
 	c.n, c.i = p.sk.replay(c.k, &c.seg), 0
 	c.blocks.Inc()
 	c.k++
-	return c.nextFast(), true
+	return true
 }
 
 func (c *RingCursor) fail(err error) {

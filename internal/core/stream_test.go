@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/check"
@@ -159,9 +161,69 @@ func TestCursorRegistryAllocs(t *testing.T) {
 	}
 }
 
+// TestCursorNextRun holds NextRun to Next: runs and single vertices
+// mixed in any pattern emit the ring Next emits, each run ends at a
+// block boundary and starts one when the previous run emptied its
+// block, every block is replayed once (core.stream.blocks), and the
+// end is nil, repeatedly. A run on a cursor that a repair outdated is
+// nil with ErrStaleCursor.
+func TestCursorNextRun(t *testing.T) {
+	fs := faults.RandomVertices(7, 4, rand.New(rand.NewSource(5)))
+	reg := obs.NewRegistry()
+	p, err := Embed(7, fs, Config{Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := drain(t, p.Cursor())
+	blocks0 := reg.Counter("core.stream.blocks").Value()
+	for _, pattern := range []string{"r", "n", "nr", "rnn", "nnnnnr"} {
+		c := p.Cursor()
+		var got []perm.Code
+		for i := 0; ; i++ {
+			if pattern[i%len(pattern)] == 'n' {
+				v, ok := c.Next()
+				if !ok {
+					break
+				}
+				got = append(got, v)
+				continue
+			}
+			run := c.NextRun()
+			if run == nil {
+				break
+			}
+			if end := len(got) + len(run); !slices.Contains(p.sk.offsets, end) {
+				t.Fatalf("pattern %q: a run ends at %d, inside a block", pattern, end)
+			}
+			got = append(got, run...)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("pattern %q: %d vertices, differing from Next's %d", pattern, len(got), len(want))
+		}
+		if c.NextRun() != nil || c.Err() != nil {
+			t.Fatalf("pattern %q: a drained cursor gave a run or %v", pattern, c.Err())
+		}
+	}
+	if got := reg.Counter("core.stream.blocks").Value() - blocks0; got != 5*int64(p.sk.blocks()) {
+		t.Errorf("core.stream.blocks rose by %d over 5 drains of %d blocks", got, p.sk.blocks())
+	}
+
+	q := planOn(t, 6, Config{})
+	c := q.Cursor()
+	if run := c.NextRun(); len(run) == 0 {
+		t.Fatal("no first run")
+	}
+	if _, err := q.Repair(interiorOf(t, q, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if run := c.NextRun(); run != nil || !errors.Is(c.Err(), ErrStaleCursor) {
+		t.Fatalf("stale cursor: run of %d, error %v; want nil and ErrStaleCursor", len(run), c.Err())
+	}
+}
+
 // BenchmarkRingCursor measures the cursor's emit rate: one op is a
-// full drain of the S_7 ring (5040 vertices, 210 block replays through
-// the memo cache).
+// full drain of the S_7 ring (5040 vertices, 210 block replays, each
+// from its block's entry and step word).
 func BenchmarkRingCursor(b *testing.B) {
 	e, err := NewEmbedder(7, Config{})
 	if err != nil {
@@ -187,4 +249,28 @@ func BenchmarkRingCursor(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(ringLen*b.N)/b.Elapsed().Seconds(), "vertices/s")
+}
+
+// BenchmarkSelfVerify measures the plan's self-verification, the cost
+// every embed pays after construction: one op is one Plan.verify of an
+// S_n ring with n−3 random vertex faults, the cursor replaying each
+// block into the stream verifier one segment per FeedRun, reported per
+// ring vertex.
+func BenchmarkSelfVerify(b *testing.B) {
+	for _, n := range []int{8, 9} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			fs := faults.RandomVertices(n, faults.MaxTolerated(n), rand.New(rand.NewSource(1)))
+			p, err := Embed(n, fs, Config{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := p.verify(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(p.RingLen()), "ns/vertex")
+		})
+	}
 }

@@ -496,8 +496,10 @@ leg "perf gate" go run ./cmd/starbench || exit 1
 # Fuzz smoke: one target per invocation (the go tool's -fuzz accepts a
 # single match), a few seconds each. These catch regressions in input
 # handling and, for FuzzEmbedRing, in the embedding pipeline itself;
-# FuzzRingStreamReference pits the ring verifier against a reference
-# that shares no code with the permutation kernel, FuzzVertexIndex
+# FuzzRingStreamReference pits the ring verifier — its per-vertex
+# iterator form and its run path, FeedRun over the slice in one run,
+# in 24-vertex runs and in runs of a fuzzed stride — against a
+# reference that shares no code with the permutation kernel, FuzzVertexIndex
 # holds the verifier's index steps to its from-scratch recomputation,
 # FuzzPatternOps holds the word-packed substar pattern to its
 # per-position reference, FuzzBlockSteps holds a routed block's
