@@ -364,17 +364,21 @@ func BenchmarkEmbedPath(b *testing.B) {
 }
 
 // BenchmarkRepair (F7): the incremental repair engine. The splice
-// sub-benchmarks, n = 6..10, time Plan.Repair on a fault that the fast
-// path can absorb (one 24-vertex block re-routed and spliced in place);
-// the cold sub-benchmarks, n = 6..8, time a from-scratch Embed of a
+// sub-benchmarks, n = 6..11, time Plan.Repair on a fault that the fast
+// path can absorb (one 24-vertex block re-routed and spliced in place,
+// its length change one Fenwick update of the offset checkpoints); the
+// cold sub-benchmarks, n = 6..8, time a from-scratch Embed of a
 // single-fault set at the same dimension. Nothing here asserts a ratio
 // between the two; F7 (starsweep -exp F7) reports it as its "splice
 // speedup" column. Every n−3 splices use up the fault budget, and a
-// fresh plan is embedded outside the timer (about 0.05 s at n = 9 and
-// 0.4 s at n = 10), so time the n ≥ 9 legs with a fixed count, e.g.
-// -benchtime 200x, rather than for a duration.
+// fresh plan is embedded outside the timer (about 0.05 s at n = 9,
+// 0.4 s at n = 10 and 1.5 s at n = 11), so time the n ≥ 9 legs with a
+// fixed count, e.g. -benchtime 200x, rather than for a duration.
+// internal/core's BenchmarkRepairSplice runs the same loop in that
+// package's test binary, so that a move of one leg can be told from
+// where the linker placed the code.
 func BenchmarkRepair(b *testing.B) {
-	for n := 6; n <= 10; n++ {
+	for n := 6; n <= 11; n++ {
 		b.Run(fmt.Sprintf("splice/n=%d", n), func(b *testing.B) {
 			e, err := core.NewEmbedder(n, core.Config{})
 			if err != nil {

@@ -23,15 +23,20 @@ import (
 // math/bits, math, mutex lock/unlock). Dynamic calls through
 // interfaces or function values cannot be proven and are flagged.
 //
-// The enforced sites are the per-step ring surgery in Plan.Repair,
-// the S4 memo hit that every route test of a faulty block takes
+// The enforced sites are the per-step ring surgery in Plan.Repair
+// (Plan.applySplice, whose whole change to the ring positions is one
+// Fenwick update of O(log(#blocks/64)) words, skeleton.resize), the S4
+// memo hit that every route test of a faulty block takes
 // (pathsearch.(*S4).lookup), the static-table read that routes every
 // fault-free block (pathsearch.Hamiltonian), the
 // disabled-observability fast path, the skeleton's per-block steps —
-// its block lookup (skeleton.blockOf), the isomorphism computed for
-// each block a route test takes to the memo (pathsearch.BlockAt) and
-// the step-word replay of every block read back (skeleton.replay and
-// pathsearch.Steps.Replay) — and the per-vertex steps of the ring
+// its block lookup (skeleton.blockOf, the walk of the R4's refinement
+// record superring.(*Tree).Locate), its offset lookup and position
+// search over the Fenwick checkpoints (skeleton.offset and
+// skeleton.find), the isomorphism computed for each block a route test
+// takes to the memo (pathsearch.BlockAt) and the step-word replay of
+// every block read back (skeleton.replay and pathsearch.Steps.Replay)
+// — and the per-vertex steps of the ring
 // pipeline: the cursor's emit (RingCursor.nextFast) and per-segment
 // run read (RingCursor.rest), the canonical-to-ambient vertex map
 // (Block.FromCanon), the ring writer's one-pass validity and rank

@@ -156,10 +156,10 @@ func embedLarge(res *Result, fs *faults.Set, cfg Config, in *instr) (*skeleton, 
 	}
 	res.Blocks = r4.Len()
 
-	// Block set-up: the skeleton's arrays, its pattern-rank index and
-	// the side table of faulty blocks.
+	// Block set-up: the skeleton's arrays, the R4's refinement record as
+	// its block lookup and the side table of faulty blocks.
 	bspan = in.span("core.phase.blocks")
-	sk, err := newSkeleton(r4.Vertices(), fs)
+	sk, err := newSkeleton(r4, fs)
 	bspan.End()
 	if err != nil {
 		return nil, err

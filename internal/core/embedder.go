@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/check"
 	"repro/internal/faults"
@@ -191,24 +190,25 @@ func (e *Embedder) embed(op *obs.Op, fs *faults.Set, ends *[2]perm.Code) (*Plan,
 
 // Plan is a live embedding: the verified Result plus the skeleton that
 // produced it — every block's routed entry and the step word of its
-// path, the faults it avoids, the block-to-ring-segment offsets and the
-// index from a vertex to its block. A plan from EmbedPath holds an open
-// ring, a longest s-t path, read through the same views; only rings
-// repair. The skeleton is the ring's only representation:
-// every view of the cycle (Cursor, Ring, RingAt, OnRing) replays block
-// segments from it on demand, so a plan holds O(#blocks) memory
-// whatever n is — 28 bytes per block plus a side table for the faulty
-// blocks. It is also what makes Repair incremental: a new fault that
-// lands in a previously healthy block invalidates exactly one 24-vertex
-// segment, which is re-routed and spliced by shifting the downstream
-// offsets, without touching the other n!/24-1 blocks.
+// path, the faults it avoids, one ring-position checkpoint per 64
+// blocks and the R4's refinement record, which locates a vertex's
+// block. A plan from EmbedPath holds an open ring, a longest s-t path,
+// read through the same views; only rings repair. The skeleton is the
+// ring's only representation: every view of the cycle (Cursor, Ring,
+// RingAt, OnRing) replays block segments from it on demand, so a plan
+// holds O(#blocks) memory whatever n is — 17 bytes per block plus a
+// side table for the faulty blocks. It is also what makes Repair
+// incremental: a new fault that lands in a previously healthy block
+// invalidates exactly one 24-vertex segment, which is re-routed and
+// spliced by one update of the checkpoints, without touching the other
+// n!/24-1 blocks.
 type Plan struct {
 	e   *Embedder
 	res *Result
 	fs  *faults.Set // owned; Repair mutates it
 
-	// sk.index nil marks the small-n direct embeddings (n <= 4): one
-	// block, no block index, every repair is a rebuild.
+	// sk.tree nil marks the small-n direct embeddings (n <= 4): one
+	// block, no block lookup, every repair is a rebuild.
 	sk *skeleton
 	// ends holds a path plan's source and target; nil for a ring.
 	ends *[2]perm.Code
@@ -219,16 +219,18 @@ type Plan struct {
 	gen int
 	// seg[:segLen] caches the most recently replayed block segment,
 	// block segBlock, for the random-access paths (RingAt, OnRing);
-	// segBlock is -1 when the cache is empty or invalidated.
+	// segBlock is -1 when the cache is empty or invalidated. segStart is
+	// the block's first ring position, or -1 until RingAt has found it.
 	seg      [blockOrder]perm.Code
 	segLen   int
 	segBlock int
+	segStart int
 
 	broken bool // a failed rebuild poisons the plan
 }
 
 func newPlan(e *Embedder, res *Result, fs *faults.Set, sk *skeleton, ends *[2]perm.Code) *Plan {
-	return &Plan{e: e, res: res, fs: fs, sk: sk, ends: ends, segBlock: -1}
+	return &Plan{e: e, res: res, fs: fs, sk: sk, ends: ends, segBlock: -1, segStart: -1}
 }
 
 // verify runs the independent stream verifier over a fresh cursor,
@@ -271,14 +273,19 @@ func (p *Plan) N() int { return p.e.n }
 // RingLen returns the current ring length.
 func (p *Plan) RingLen() int { return p.res.Len() }
 
-// RingAt returns the i-th ring vertex (0 <= i < RingLen): the owning
-// block is found by binary search over the segment offsets and just
-// that block's <= 24-vertex path is replayed (cached, so sequential or
-// block-local access patterns stay cheap).
+// RingAt returns the i-th ring vertex (0 <= i < RingLen). A position
+// inside the cached segment is read straight from it, so sequential or
+// block-local access needs no search; otherwise the owning block is
+// found by a descent of the offset checkpoints and a scan of at most
+// 64 block lengths, and just that block's <= 24-vertex path is
+// replayed.
 func (p *Plan) RingAt(i int) perm.Code {
-	offsets := p.sk.offsets
-	k := sort.Search(len(offsets)-1, func(k int) bool { return offsets[k+1] > i })
-	return p.segment(k)[i-offsets[k]]
+	if p.segStart < 0 || i < p.segStart || i >= p.segStart+p.segLen {
+		k, start := p.sk.find(i)
+		p.segment(k)
+		p.segStart = start
+	}
+	return p.seg[i-p.segStart]
 }
 
 // Ring returns a copy of the current ring, built by draining a fresh
@@ -302,7 +309,7 @@ func (p *Plan) Ring() []perm.Code {
 // the skeleton (one-entry cache).
 func (p *Plan) segment(k int) []perm.Code {
 	if p.segBlock != k {
-		p.segLen, p.segBlock = p.sk.replay(k, &p.seg), k
+		p.segLen, p.segBlock, p.segStart = p.sk.replay(k, &p.seg), k, -1
 	}
 	return p.seg[:p.segLen]
 }
@@ -316,16 +323,17 @@ func (p *Plan) Faults() *faults.Set { return p.fs.Clone() }
 // Blocks returns the number of R4 blocks (zero for n <= 4).
 func (p *Plan) Blocks() int { return p.res.Blocks }
 
-// OnRing reports whether v currently sits on the ring: an O(1) block
-// lookup plus a scan of that block's replayed <= 24-vertex segment
-// (for n <= 4, the one stored segment is the whole ring). A code that
-// is not a vertex of S_n is never on the ring.
+// OnRing reports whether v currently sits on the ring: a block lookup
+// of one digit per partition (the walk of the R4's refinement record,
+// n−4 levels) plus a scan of that block's replayed <= 24-vertex
+// segment (for n <= 4, the one stored segment is the whole ring). A
+// code that is not a vertex of S_n is never on the ring.
 func (p *Plan) OnRing(v perm.Code) bool {
 	if !v.Valid(p.e.n) {
 		return false
 	}
 	k := 0
-	if p.sk.index != nil {
+	if p.sk.tree != nil {
 		if k = p.sk.blockOf(v); k < 0 {
 			return false
 		}
@@ -476,8 +484,8 @@ func (p *Plan) RepairOp(op *obs.Op, v perm.Code) (RepairReport, error) {
 			in.repair("splices")
 			rep.Outcome = RepairSplice
 			rep.Block = k
-			rep.SegmentStart = p.sk.offsets[k]
-			rep.SegmentOldLen = p.sk.offsets[k+1] - p.sk.offsets[k] + 2
+			rep.SegmentStart = p.sk.offset(k)
+			rep.SegmentOldLen = p.sk.steps[k].Len() + 2
 			rep.NewLen = p.res.Len()
 			rep.BlocksRerouted = 1
 			p.repaired(in, op, owned, v, rep)
@@ -548,7 +556,7 @@ func (p *Plan) CanSplice(v perm.Code) bool {
 //   - the block's current path is long enough to shed two vertices.
 func (p *Plan) spliceTarget(v perm.Code) (int, bool) {
 	sk := p.sk
-	if sk.index == nil {
+	if sk.tree == nil {
 		return -1, false
 	}
 	k := sk.blockOf(v)
@@ -595,8 +603,7 @@ func (p *Plan) splice(k int, v perm.Code) error {
 	}
 
 	sk.addVertexFault(k, v)
-	sk.steps[k] = steps
-	p.applySplice(k, target)
+	p.applySplice(k, steps)
 	p.res.FaultyBlocks++
 
 	if p.e.cfg.VerifyRepairs {
@@ -609,25 +616,24 @@ func (p *Plan) splice(k int, v perm.Code) error {
 	return nil
 }
 
-// applySplice commits block k's re-routed path, already recorded in
-// the skeleton as a new step word and a side-table entry, by shifting the
-// downstream segment offsets and the ring length; the path itself stays
-// implicit and is replayed on the next read. The generation counter
-// advances, expiring open cursors, and the one-entry segment cache is
-// dropped. This is the repair fast path's whole per-step ring surgery —
-// O(#blocks) integer shifts and no allocation, which hotalloc enforces
+// applySplice commits block k's re-routed path, whose side-table entry
+// is already recorded: it stores the new step word and takes the
+// length it shed off the offset checkpoints (skeleton.resize) and the
+// ring length; the path itself stays implicit and is replayed on the
+// next read. The generation counter advances, expiring open cursors,
+// and the one-entry segment cache is dropped. This is the repair fast
+// path's whole per-step ring surgery — one Fenwick update of
+// O(log(#blocks/64)) words and no allocation, which hotalloc enforces
 // against refactors.
 //
 //starlint:hotpath
-func (p *Plan) applySplice(k, newLen int) {
-	offsets := p.sk.offsets
-	delta := (offsets[k+1] - offsets[k]) - newLen
-	for j := k + 1; j < len(offsets); j++ {
-		offsets[j] -= delta
-	}
+func (p *Plan) applySplice(k int, steps pathsearch.Steps) {
+	delta := p.sk.steps[k].Len() - steps.Len()
+	p.sk.steps[k] = steps
+	p.sk.resize(k, delta)
 	p.res.Length -= delta
 	p.gen++
-	p.segBlock = -1
+	p.segBlock, p.segStart = -1, -1
 }
 
 // rebuild replaces the plan with a cold embedding of the accumulated

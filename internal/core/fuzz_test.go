@@ -66,7 +66,9 @@ func FuzzEmbedRing(f *testing.F) {
 // most 2n of them. Every arrival goes to Plan.Repair. After the cold
 // embed and after every call the ring must pass check.RingStream
 // against the plan's faults, emit exactly the plan's length, and meet
-// n!-2|Fv| while the set is within budget. Within budget no call may
+// n!-2|Fv| while the set is within budget; and at 64 sampled positions
+// and the 64 after them RingAt must return the cursor's vertex, which
+// OnRing must report on the ring. Within budget no call may
 // fail; past it, strict mode must refuse with ErrBudget and leave the
 // plan as it was, and a best-effort rebuild may fail, which ends the
 // sequence. Rebuilds route their fault-free blocks through the static
@@ -107,6 +109,18 @@ func FuzzRepairSequence(f *testing.F) {
 			}
 			if count != plan.RingLen() {
 				t.Fatalf("step %d: cursor emitted %d vertices, plan reports %d", step, count, plan.RingLen())
+			}
+			ring := plan.Ring()
+			for j := 0; j < 64; j++ {
+				i := rng.Intn(len(ring))
+				for _, i := range [2]int{i, (i + 1) % len(ring)} {
+					if v := plan.RingAt(i); v != ring[i] {
+						t.Fatalf("step %d: RingAt(%d) = %s, the cursor emits %s", step, i, v.StringN(n), ring[i].StringN(n))
+					}
+					if !plan.OnRing(ring[i]) {
+						t.Fatalf("step %d: OnRing(%s) = false at ring position %d", step, ring[i].StringN(n), i)
+					}
+				}
 			}
 		}
 		verify(0)

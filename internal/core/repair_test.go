@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -325,5 +326,54 @@ func TestRepairEquivalence(t *testing.T) {
 		if splices == 0 {
 			t.Errorf("n=%d: campaigns never exercised the splice fast path", n)
 		}
+	}
+}
+
+// BenchmarkRepairSplice is the root package's BenchmarkRepair splice
+// loop in this package's test binary: Plan.Repair at n = 6..11 on an
+// on-ring vertex the fast path accepts, with a fresh plan embedded
+// outside the timer whenever n−3 splices use up the fault budget (time
+// the n >= 9 legs with a fixed count, e.g. -benchtime 200x). The two
+// binaries lay the splice out differently, so a leg that moves in one
+// only measured the layout.
+func BenchmarkRepairSplice(b *testing.B) {
+	for n := 6; n <= 11; n++ {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			e, err := NewEmbedder(n, Config{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			var p *Plan
+			used, budget := 0, faults.MaxTolerated(n)
+			rng := rand.New(rand.NewSource(int64(n) * 41))
+			// next returns an on-ring vertex the fast path accepts,
+			// embedding a fresh plan when the budget is used up; fresh
+			// plans always have spliceable blocks.
+			next := func() perm.Code {
+				b.StopTimer()
+				defer b.StartTimer()
+				if p == nil || used == budget {
+					if p, err = e.Embed(nil); err != nil {
+						b.Fatal(err)
+					}
+					used = 0
+				}
+				for {
+					if v := p.RingAt(rng.Intn(p.RingLen())); p.CanSplice(v) {
+						return v
+					}
+				}
+			}
+			v := next()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rep, err := p.Repair(v)
+				if err != nil || rep.Outcome != RepairSplice {
+					b.Fatalf("iteration %d: outcome %v, %v; want a splice", i, rep.Outcome, err)
+				}
+				used++
+				v = next()
+			}
+		})
 	}
 }

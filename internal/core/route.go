@@ -165,7 +165,7 @@ func (rt *router) route(k int, entry, exit perm.Code) bool {
 	if len(ts) == 0 {
 		return false
 	}
-	n := sk.shape.N()
+	n := sk.n
 	sameSide := entry.Parity(n) == exit.Parity(n)
 	b := pathsearch.BlockAt(entry, sk.free)
 	for _, t := range ts {
@@ -272,7 +272,7 @@ func RouteR4(r4 *superring.Ring, fs *faults.Set, targetsFor func(int) []int, cfg
 
 // routeR4x builds the skeleton of r4 and routes it; see routeRing.
 func routeR4x(r4 *superring.Ring, fs *faults.Set, targetsFor func(k, vf int) []int, exitParity []int, in *instr) (*skeleton, error) {
-	sk, err := newSkeleton(r4.Vertices(), fs)
+	sk, err := newSkeleton(r4, fs)
 	if err != nil {
 		return nil, err
 	}
@@ -284,7 +284,7 @@ func routeR4x(r4 *superring.Ring, fs *faults.Set, targetsFor func(k, vf int) []i
 // per-block-index target policies and, when exitParity is non-nil, a
 // forced partite side for every block's exit vertex (which pins the
 // global parity chain that odd-length block paths require). On success
-// the skeleton holds the routed ring, offsets included.
+// the skeleton holds the routed ring, offset checkpoints included.
 func (sk *skeleton) routeRing(r4 *superring.Ring, fs *faults.Set, targetsFor func(k, vf int) []int, exitParity []int, in *instr) error {
 	m := r4.Len()
 	n := r4.N()

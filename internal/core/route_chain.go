@@ -20,7 +20,7 @@ func routeChain(chain *superring.Ring, fs *faults.Set, s, t perm.Code, cfg Confi
 	n := chain.N()
 	pats := chain.Vertices()
 	bspan := in.span("core.phase.blocks")
-	sk, err := newSkeleton(pats, fs)
+	sk, err := newSkeleton(chain, fs)
 	bspan.End()
 	if err != nil {
 		return nil, err

@@ -240,7 +240,7 @@ func TestPlanUpgradesP1Violation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sk, err := newSkeleton(r4.Vertices(), fs)
+	sk, err := newSkeleton(r4, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestSuperRingReuseAcrossRouters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sk, err := newSkeleton(r4.Vertices(), fs)
+	sk, err := newSkeleton(r4, fs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,13 +3,14 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"unsafe"
 
 	"repro/internal/faults"
 	"repro/internal/pathsearch"
 	"repro/internal/perm"
-	"repro/internal/substar"
+	"repro/internal/superring"
 )
 
 // blockOrder is the number of vertices per S4 block.
@@ -26,26 +27,30 @@ const blockOrder = pathsearch.BlockOrder
 // isomorphism, and no per-block object is kept; the exit is the
 // replay's last vertex.
 //
-// The retained arrays cost 28 bytes per block: the entry and the step
-// word (8 + 8), the segment offset (8) and one int32 of the
-// pattern-rank index. The few blocks holding a fault keep their avoid
-// lists in a side table: the faulty vertices and the faulty intra-block
-// edges, each sorted by block with the block of every entry alongside,
-// so a block's lists are two runs found by binary search. The small-n
-// direct embeddings (n <= 4) are one block over the free positions
-// 1..4 with no index: every repair of them rebuilds.
+// The entry and the step word (8 + 8 bytes) are all a skeleton keeps
+// per block. Ring positions come from one Fenwick checkpoint per 64
+// blocks (an eighth of a byte per block), and a vertex's block from
+// the R4's refinement record (superring.Tree, about 0.6 bytes per
+// block): 17 bytes per block in all. The few blocks holding a fault
+// keep their avoid lists in a side table: the faulty vertices and the
+// faulty intra-block edges, each sorted by block with the block of
+// every entry alongside, so a block's lists are two runs found by
+// binary search. The small-n direct embeddings (n <= 4) are one block
+// over the free positions 1..4 with no refinement record: every repair
+// of them rebuilds.
 type skeleton struct {
-	free  [4]uint8        // the free positions every block shares, position 1 first
-	shape substar.Pattern // the first block; its RankOf ranks any block at the fixed positions all share
+	n    int      // the dimension of a routed ring
+	free [4]uint8 // the free positions every block shares, position 1 first
+	// tree locates the block of a vertex; nil for a direct embedding.
+	tree *superring.Tree
 
-	entry   []perm.Code
-	steps   []pathsearch.Steps
-	offsets []int // block k occupies ring positions [offsets[k], offsets[k+1])
-	// index maps the rank of a block's fixed symbols (shape.RankOf), an
-	// arrangement of n-4 of the n symbols, to the block's ring position;
-	// -1 marks a block the ring does not route. nil for a direct
-	// embedding.
-	index []int32
+	entry []perm.Code
+	steps []pathsearch.Steps
+	// fen is a Fenwick tree over the vertex counts of the 64-block
+	// chunks: fen[j], for 1 <= j <= chunks, sums chunks j−(j&−j) to j−1.
+	// offset and find read it, and a splice updates it.
+	fen    []int
+	length int // the ring length: every block's vertex count summed
 
 	faultV      []perm.Code    // faulty vertices inside routed blocks, by block
 	faultVBlock []int32        // the block of each faultV entry, nondecreasing
@@ -57,57 +62,56 @@ type skeleton struct {
 	faultMask uint64
 }
 
-// newSkeleton allocates the routing arrays for a sequence of order-4
-// blocks of S_n (an R4 or an anchored chain), at their exact lengths,
-// builds the pattern-rank index over them and maps every fault to its
-// block's side-table entry. Entry and steps are left for the junction
-// search, and offsets for layout.
-func newSkeleton(pats []substar.Pattern, fs *faults.Set) (*skeleton, error) {
+// chunkBits sets the Fenwick checkpoint spacing: one per 1<<chunkBits
+// blocks.
+const chunkBits = 6
+
+// newSkeleton allocates the routing arrays for the order-4 blocks of a
+// ring built by refinement (an R4 or an anchored chain), at their exact
+// lengths, keeps the ring's refinement record as the block lookup and
+// maps every fault to its block's side-table entry. Entry and steps are
+// left for the junction search, and the checkpoints for layout. A ring
+// with no record, which only superring.New builds, is refused.
+func newSkeleton(r *superring.Ring, fs *faults.Set) (*skeleton, error) {
+	pats := r.Vertices()
 	m := len(pats)
-	if m == 0 || pats[0].R() != 4 {
+	if m == 0 || r.Order() != 4 {
 		return nil, fmt.Errorf("core: internal: routing needs order-4 blocks")
 	}
-	n := pats[0].N()
-	total := perm.Factorial(n) / blockOrder
-	if total > math.MaxInt32 {
-		return nil, fmt.Errorf("core: S_%d has %d blocks, more than the skeleton index holds", n, total)
+	if r.Tree() == nil {
+		return nil, fmt.Errorf("core: internal: the ring carries no refinement record to locate its blocks")
+	}
+	if m > math.MaxInt32 {
+		return nil, fmt.Errorf("core: S_%d has %d blocks, more than the side table's block numbers hold", r.N(), m)
 	}
 	sk := &skeleton{
-		shape: pats[0],
+		n:     r.N(),
+		tree:  r.Tree(),
 		entry: make([]perm.Code, m),
 		steps: make([]pathsearch.Steps, m),
-		index: make([]int32, total),
 	}
 	var free [4]int
 	for j, pos := range pats[0].FreePositions(free[:0]) {
 		sk.free[j] = uint8(pos)
-	}
-	if m < total {
-		for r := range sk.index {
-			sk.index[r] = -1
-		}
-	}
-	for k, pat := range pats {
-		sk.index[sk.shape.RankOf(pat.Fixed())] = int32(k)
 	}
 	sk.mapFaults(fs)
 	return sk, nil
 }
 
 // blockOf returns the ring position of the block holding v, or -1 when
-// the ring does not route that block: one rank over the fixed
-// positions and one index read. v must be a vertex of S_n, which keeps
-// the rank inside the index. OnRing and the repair path look up every
-// probed vertex through it; hotalloc keeps it allocation-free.
+// the ring does not route that block: the walk of the refinement
+// record, one digit per partition. v must be a vertex of S_n. OnRing,
+// the repair path, the fault mapping and the chain's anchor check look
+// up every vertex through it; hotalloc keeps it allocation-free.
 //
 //starlint:hotpath
 func (sk *skeleton) blockOf(v perm.Code) int {
-	return int(sk.index[sk.shape.RankOf(v)])
+	return sk.tree.Locate(v)
 }
 
 // oneBlock holds a direct embedding (n <= 4), a cycle or a path of at
 // most 24 vertices, as a skeleton of one block over the free positions
-// 1..4: its first vertex and its step word, with no index.
+// 1..4: its first vertex and its step word, with no refinement record.
 func oneBlock(walk []perm.Code) (*skeleton, error) {
 	free := [4]uint8{1, 2, 3, 4}
 	steps, ok := pathsearch.StepsOf(walk, free)
@@ -123,18 +127,80 @@ func oneBlock(walk []perm.Code) (*skeleton, error) {
 func (sk *skeleton) blocks() int { return len(sk.steps) }
 
 // ringLen returns the total ring length implied by the block lengths.
-func (sk *skeleton) ringLen() int { return sk.offsets[len(sk.offsets)-1] }
+func (sk *skeleton) ringLen() int { return sk.length }
 
-// layout computes the segment offsets from the routed block lengths.
+// layout builds the offset checkpoints from the routed block lengths:
+// each chunk's vertex count, then the Fenwick sums in one pass.
 func (sk *skeleton) layout() {
-	sk.offsets = make([]int, len(sk.steps)+1)
+	chunks := (len(sk.steps) + 1<<chunkBits - 1) >> chunkBits
+	sk.fen = make([]int, chunks+1)
+	sk.length = 0
 	for k, s := range sk.steps {
-		sk.offsets[k+1] = sk.offsets[k] + s.Len()
+		sk.fen[k>>chunkBits+1] += s.Len()
+		sk.length += s.Len()
+	}
+	for j := 1; j <= chunks; j++ {
+		if up := j + j&-j; up <= chunks {
+			sk.fen[up] += sk.fen[j]
+		}
 	}
 }
 
+// offset returns block k's first ring position: the Fenwick prefix of
+// the chunks before k's, plus the lengths of the at most 63 blocks
+// before k in its chunk. RepairReport.SegmentStart reads it.
+//
+//starlint:hotpath
+func (sk *skeleton) offset(k int) int {
+	c := k >> chunkBits
+	off := 0
+	for j := c; j > 0; j &= j - 1 {
+		off += sk.fen[j]
+	}
+	for _, s := range sk.steps[c<<chunkBits : k] {
+		off += s.Len()
+	}
+	return off
+}
+
+// find returns the block holding ring position i (0 <= i < ringLen)
+// and that block's first ring position: a descent of the Fenwick tree
+// to i's chunk, then a scan of at most 64 block lengths. RingAt reads
+// it on every miss of its segment cache.
+//
+//starlint:hotpath
+func (sk *skeleton) find(i int) (k, start int) {
+	c, rest := 0, i
+	chunks := len(sk.fen) - 1
+	for step := 1 << (bits.Len(uint(chunks)) - 1); step > 0; step >>= 1 {
+		if j := c + step; j <= chunks && sk.fen[j] <= rest {
+			c = j
+			rest -= sk.fen[j]
+		}
+	}
+	k = c << chunkBits
+	for l := sk.steps[k].Len(); rest >= l; l = sk.steps[k].Len() {
+		rest -= l
+		k++
+	}
+	return k, i - rest
+}
+
+// resize records that block k's vertex count fell by delta: one
+// Fenwick update over the checkpoints of k's chunk and the chunks whose
+// sums cover it, O(log(#blocks/64)) words. A splice's whole change to
+// the ring positions is this.
+//
+//starlint:hotpath
+func (sk *skeleton) resize(k, delta int) {
+	for j := k>>chunkBits + 1; j < len(sk.fen); j += j & -j {
+		sk.fen[j] -= delta
+	}
+	sk.length -= delta
+}
+
 // mapFaults fills the side table: each faulty vertex goes to the block
-// its rank names, and each faulty edge with both endpoints in one block
+// blockOf names, and each faulty edge with both endpoints in one block
 // to that block, in fault-set order within a block. Faults in blocks
 // the ring does not route are dropped, as they constrain no path.
 func (sk *skeleton) mapFaults(fs *faults.Set) {
@@ -234,16 +300,19 @@ func (sk *skeleton) drain() []perm.Code {
 }
 
 // bytesPerBlock returns the skeleton's retained bytes — every array at
-// its capacity times its element size, plus the side table — divided by
-// its segment count and rounded up: the core.skeleton.bytes_per_block
-// gauge.
+// its capacity times its element size, the checkpoints, the refinement
+// record and the side table — divided by its segment count and rounded
+// up: the core.skeleton.bytes_per_block gauge.
 func (sk *skeleton) bytesPerBlock() int64 {
 	const code = int(unsafe.Sizeof(perm.Code(0)))
 	const i32 = int(unsafe.Sizeof(int32(0)))
 	const steps = int(unsafe.Sizeof(pathsearch.Steps(0)))
 	b := (cap(sk.entry)+cap(sk.faultV)+2*cap(sk.faultE))*code + cap(sk.steps)*steps +
-		cap(sk.offsets)*int(unsafe.Sizeof(int(0))) +
-		(cap(sk.index)+cap(sk.faultVBlock)+cap(sk.faultEBlock))*i32
+		cap(sk.fen)*int(unsafe.Sizeof(int(0))) +
+		(cap(sk.faultVBlock)+cap(sk.faultEBlock))*i32
+	if sk.tree != nil {
+		b += sk.tree.Bytes()
+	}
 	blocks := sk.blocks()
 	return int64((b + blocks - 1) / blocks)
 }

@@ -34,6 +34,9 @@ type Ring struct {
 	verts []substar.Pattern
 	open  bool
 	s, t  perm.Code // an open ring's anchors
+	// tree records the partitions that built the ring; nil for a ring
+	// from New.
+	tree *Tree
 }
 
 // ErrUnsatisfiable reports that no arrangement satisfying the requested
@@ -97,6 +100,10 @@ func (r *Ring) At(i int) substar.Pattern {
 // Vertices returns the underlying slice; callers must not modify it.
 func (r *Ring) Vertices() []substar.Pattern { return r.verts }
 
+// Tree returns the record of the partitions that built the ring, which
+// locates the supervertex of any vertex, or nil for a ring from New.
+func (r *Ring) Tree() *Tree { return r.tree }
+
 // Options direct a refinement or initial arrangement.
 type Options struct {
 	// FaultCount reports the number of fault witnesses inside a pattern;
@@ -151,7 +158,20 @@ func Initial(n, pos int, opts Options) (*Ring, error) {
 	if err != nil {
 		return nil, err
 	}
-	return New(n, arranged)
+	return newRing(&Ring{n: n, verts: arranged, tree: rootTree(n, pos, arranged)})
+}
+
+// rootTree returns the one-level record of an initial ring: S_n
+// partitioned at pos into the children verts, in ring order.
+func rootTree(n, pos int, verts []substar.Pattern) *Tree {
+	t, _ := new(Tree).extend(pos, 1, n) // at most 16 symbols: it cannot overflow
+	for d, c := range verts {
+		t.set(0, d, c.SymbolAt(pos))
+	}
+	if len(verts) < n {
+		t.setStarts([]int32{0, int32(len(verts))})
+	}
+	return t
 }
 
 // InitialChain builds the first open ring from the pos-partition of
@@ -180,7 +200,7 @@ func InitialChain(n, pos int, s, t perm.Code, opts Options) (*Ring, error) {
 	interior, _ = interleave(interior, opts)
 	verts := append(make([]substar.Pattern, 0, len(children)), first)
 	verts = append(append(verts, interior...), last)
-	return newRing(&Ring{n: n, verts: verts, open: true, s: s, t: t})
+	return newRing(&Ring{n: n, verts: verts, open: true, s: s, t: t, tree: rootTree(n, pos, verts)})
 }
 
 // arrangeCycle orders patterns into a cyclic sequence with no two
@@ -345,7 +365,13 @@ func (r *Ring) Refine(pos int, opts Options) (*Ring, error) {
 
 	// Thread the clique paths. Each path orders exactly its clique's
 	// children, so it replaces them in place and the children array
-	// becomes the refined ring.
+	// becomes the refined ring. The tree's new level records each path
+	// as the symbols its children fix at pos, and the clique bounds
+	// when Exclude dropped a child.
+	tree, err := r.tree.extend(pos, m, r.order)
+	if err != nil {
+		return nil, err
+	}
 	for k := 0; k < m; k++ {
 		var buf [perm.MaxN]substar.Pattern
 		path, ok := f.thread(buf[:0], k)
@@ -353,8 +379,16 @@ func (r *Ring) Refine(pos int, opts Options) (*Ring, error) {
 			return nil, fmt.Errorf("%w: clique %d admits no path between its junction children", ErrUnsatisfiable, k)
 		}
 		copy(f.clique(k), path)
+		if tree != nil {
+			for d, c := range path {
+				tree.set(k, d, c.SymbolAt(pos))
+			}
+		}
 	}
-	return newRing(&Ring{n: r.n, verts: f.kids, open: r.open, s: r.s, t: r.t})
+	if tree != nil && len(f.kids) < m*r.order {
+		tree.setStarts(f.bounds)
+	}
+	return newRing(&Ring{n: r.n, verts: f.kids, open: r.open, s: r.s, t: r.t, tree: tree})
 }
 
 // refinement is one Refine call's state: the cliques' children back to

@@ -504,10 +504,14 @@ leg "perf gate" go run ./cmd/starbench || exit 1
 # FuzzPatternOps holds the word-packed substar pattern to its
 # per-position reference, FuzzBlockSteps holds a routed block's
 # step-word replay to the canonical search's path, memoized or not,
-# and the fault-free table read to the same search, and
+# and the fault-free table read to the same search,
 # FuzzRepairSequence repairs a plan through an arbitrary fault-arrival
 # order, verifying the ring after every call (rebuilds route through
-# the static table, splices through the memo).
+# the static table, splices through the memo) and holding RingAt and
+# OnRing at sampled positions to the cursor, and FuzzLocate holds the
+# block lookup through a ring's refinement record (superring.Tree) to a
+# scan of the flat ring, over random dimensions, partition positions,
+# fault sets, chains and Exclude.
 fuzz_smoke() {
     local pkg="$1" target="$2"
     go test -run '^$' -fuzz "^${target}\$" -fuzztime "$FUZZTIME" "$pkg"
@@ -521,6 +525,7 @@ leg "fuzz ringio/FuzzReadBinaryStream" fuzz_smoke ./internal/ringio FuzzReadBina
 leg "fuzz ringio/FuzzWriteBinaryStream" fuzz_smoke ./internal/ringio FuzzWriteBinaryStream || exit 1
 leg "fuzz core/FuzzEmbedRing" fuzz_smoke ./internal/core FuzzEmbedRing || exit 1
 leg "fuzz core/FuzzRepairSequence" fuzz_smoke ./internal/core FuzzRepairSequence || exit 1
+leg "fuzz superring/FuzzLocate" fuzz_smoke ./internal/superring FuzzLocate || exit 1
 leg "fuzz check/FuzzRingStreamReference" fuzz_smoke ./internal/check FuzzRingStreamReference || exit 1
 leg "fuzz check/FuzzVertexIndex" fuzz_smoke ./internal/check FuzzVertexIndex || exit 1
 leg "fuzz pathsearch/FuzzBlockSteps" fuzz_smoke ./internal/pathsearch FuzzBlockSteps || exit 1
