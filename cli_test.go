@@ -224,8 +224,8 @@ func TestCLIStarverify(t *testing.T) {
 }
 
 // TestCLIStarringMetrics exercises the observability flags end to end:
-// -metrics-json must leave a parseable dump with the phase, cache,
-// backtrack and block metrics, and -debug-addr must announce a live
+// -metrics-json must leave a parseable dump with the phase, backtrack
+// and block metrics, and -debug-addr must announce a live
 // expvar/pprof endpoint.
 func TestCLIStarringMetrics(t *testing.T) {
 	if testing.Short() {
@@ -260,8 +260,7 @@ func TestCLIStarringMetrics(t *testing.T) {
 			t.Errorf("missing phase histogram %s", h)
 		}
 	}
-	for _, c := range []string{"core.s4.cache_hits", "core.s4.cache_misses",
-		"core.junction.backtracks", "core.route.blocks", "core.stream.blocks"} {
+	for _, c := range []string{"core.junction.backtracks", "core.route.blocks", "core.stream.blocks"} {
 		if _, ok := snap.Counters[c]; !ok {
 			t.Errorf("missing counter %s", c)
 		}

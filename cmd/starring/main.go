@@ -18,7 +18,7 @@
 // -debug-addr serves expvar (/debug/vars, registry "starring"),
 // pprof (/debug/pprof/) and an OpenMetrics endpoint (/metrics) while
 // the run lasts; -metrics-json leaves a machine-readable record of
-// per-phase durations, S4 cache activity and junction backtracks (see
+// per-phase durations, junction backtracks and routed blocks (see
 // the README's Observability section).
 // Spans and log lines go to one flight recorder, a ring of the most
 // recent 1024 entries: the -metrics-json events are its spans, and

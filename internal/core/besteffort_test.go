@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/faults"
-	"repro/internal/pathsearch"
 	"repro/internal/perm"
 	"repro/internal/star"
 )
@@ -112,27 +111,23 @@ func TestChainSingleBlockDirect(t *testing.T) {
 
 // TestRouteSkipsParityInfeasibleTargets pins the router's parity
 // short-circuit. A path of t vertices joins ends of one parity exactly
-// when t is odd, so a target the ends' parities rule out never reaches
-// the S4 memo: asked for best effort's even targets between two ends of
+// when t is odd, so a target the ends' parities rule out is never
+// searched: asked for best effort's even targets between two ends of
 // one parity, every block of a best-effort S_7 ring fails without a
-// query — a faulty block skips them all, a fault-free one after the
+// search — a faulty block skips them all, a fault-free one after the
 // table refuses its 24. End to end the embed routes the ring it routed
-// before the short-circuit (its digest is pinned) and asks the memo at
-// most once per faulty block, where it asked 1,205 times before: every
-// even target of every failed test.
+// before the short-circuit (its digest is pinned) and searches at most
+// once per faulty block, where it asked the block engine 1,205 times
+// before: every even target of every failed test.
 func TestRouteSkipsParityInfeasibleTargets(t *testing.T) {
 	const want = "fd793f9deab7465f17deda21f5cbe056da9cdd9c4fb8cb756ccd1319f9bd7407"
-	queries := func() int64 {
-		h, m, b := pathsearch.Canon.CacheStats()
-		return h + m + b
-	}
 	fs := faults.RandomVertices(7, 6, rand.New(rand.NewSource(1)))
-	q0 := queries()
+	s0 := searches()
 	p, err := Embed(7, fs, Config{BestEffort: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	asked := queries() - q0
+	searched := searches() - s0
 	h := sha256.New()
 	for _, v := range p.Ring() {
 		fmt.Fprintln(h, v.StringN(7))
@@ -141,20 +136,20 @@ func TestRouteSkipsParityInfeasibleTargets(t *testing.T) {
 		t.Errorf("best-effort ring has SHA-256 %s, want %s", got, want)
 	}
 	res := p.Result()
-	t.Logf("%d faulty blocks, %d memo queries", res.FaultyBlocks, asked)
-	if res.Guaranteed || asked > int64(res.FaultyBlocks) {
-		t.Errorf("guaranteed %v, %d memo queries for %d faulty blocks", res.Guaranteed, asked, res.FaultyBlocks)
+	t.Logf("%d faulty blocks, %d searches", res.FaultyBlocks, searched)
+	if res.Guaranteed || searched > int64(res.FaultyBlocks) {
+		t.Errorf("guaranteed %v, %d searches for %d faulty blocks", res.Guaranteed, searched, res.FaultyBlocks)
 	}
 
 	rt := &router{sk: p.sk, targets: func(_, vf int) []int { return paperTargets(true)(vf) }}
 	for k := 0; k < p.sk.blocks(); k++ {
 		seg := p.segment(k)
-		q0 := queries()
+		s0 := searches()
 		if rt.route(k, seg[0], seg[2]) {
 			t.Fatalf("block %d: an even target joined two ends of one parity", k)
 		}
-		if d := queries() - q0; d != 0 {
-			t.Fatalf("block %d (faulty %v): %d memo queries for targets the ends' parity rules out", k, p.sk.holdsFault(k), d)
+		if d := searches() - s0; d != 0 {
+			t.Fatalf("block %d (faulty %v): %d searches for targets the ends' parity rules out", k, p.sk.holdsFault(k), d)
 		}
 	}
 }

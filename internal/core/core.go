@@ -66,8 +66,8 @@ type Config struct {
 	//
 	// Deprecated: skeleton form is the only ring representation.
 	Streaming bool
-	// Obs receives the run's telemetry: phase spans (core.phase.*), S4
-	// cache activity and junction backtracks — see the README's
+	// Obs receives the run's telemetry: phase spans (core.phase.*),
+	// junction backtracks and routed blocks — see the README's
 	// Observability section for the glossary. nil disables
 	// instrumentation at a cost of a few nanoseconds per hook.
 	Obs *obs.Registry

@@ -14,11 +14,12 @@ import (
 )
 
 // Embedder is a session-oriented handle on one star graph S_n: it owns
-// the substrate shared by every embedding of that dimension (the graph,
-// the configuration, and — transitively through internal/pathsearch —
-// the canonical S4 block cache) and turns fault sets into Plans. Create
-// one per dimension and reuse it across runs; the one-shot Embed
-// function remains as a convenience wrapper.
+// the substrate shared by every embedding of that dimension (the graph
+// and the configuration) and turns fault sets into Plans. It holds no
+// state that one embedding leaves for the next: the S4 block routes an
+// embed reads come from pathsearch's committed step-word tables or a
+// search on the call. Create one per dimension and reuse it across
+// runs; the one-shot Embed function remains as a convenience wrapper.
 type Embedder struct {
 	n   int
 	g   star.Graph
@@ -52,11 +53,10 @@ func (e *Embedder) Reuse(cfg Config) *Embedder {
 }
 
 // Warm runs one fault-free embedding and discards the plan. Pools call
-// it at startup so the first real request is not the process's first
-// embed. It fills nothing the fault-free route reads: a healthy
-// block's 24-vertex path is a read of pathsearch's static table. The
-// S4 memo fills as faulty blocks are first routed, each symmetry class
-// once per process.
+// it at startup, before they report ready, so the first real request
+// is not the process's first embed (whose code and data pages are not
+// yet touched). It fills no cache: no block route depends on what an
+// earlier embed asked.
 func (e *Embedder) Warm() error {
 	_, err := e.Embed(nil)
 	return err
@@ -172,7 +172,6 @@ func (e *Embedder) embed(op *obs.Op, fs *faults.Set, ends *[2]perm.Code) (*Plan,
 		}
 	})
 	total.End()
-	in.finish()
 	if err != nil {
 		in.fail(op, owned, "core.embed", err)
 		return nil, err
@@ -447,7 +446,6 @@ func (p *Plan) RepairOp(op *obs.Op, v perm.Code) (RepairReport, error) {
 		op = p.e.cfg.Obs.StartOp("core.op.repair")
 	}
 	in.bind(op)
-	defer in.finish()
 
 	n := p.e.n
 	nv, ne := p.fs.NumVertices(), p.fs.NumEdges()

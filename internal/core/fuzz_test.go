@@ -71,8 +71,8 @@ func FuzzEmbedRing(f *testing.F) {
 // OnRing must report on the ring. Within budget no call may
 // fail; past it, strict mode must refuse with ErrBudget and leave the
 // plan as it was, and a best-effort rebuild may fail, which ends the
-// sequence. Rebuilds route their fault-free blocks through the static
-// table and splices through the memo, so both are exercised.
+// sequence. Rebuilds route their blocks through the two step-word
+// tables and splices read the detour table, so both are exercised.
 func FuzzRepairSequence(f *testing.F) {
 	f.Add(uint8(0), int64(1), []byte{0, 7, 0, 9, 0, 7, 1, 2})
 	f.Add(uint8(1), int64(2), []byte{1, 0, 2, 0, 3, 0, 4, 0, 5, 0})

@@ -4,7 +4,6 @@ import (
 	"strconv"
 
 	"repro/internal/obs"
-	"repro/internal/pathsearch"
 )
 
 // instr is the resolved instrumentation handle of one embedding run:
@@ -25,8 +24,6 @@ type instr struct {
 	nLabel  string
 	embeds  *obs.CounterVec // core.embed.completed{n,mode}
 	repairs *obs.CounterVec // core.repair.outcome{n,outcome}
-
-	hits0, misses0, bypasses0 int64
 }
 
 // newInstr resolves the registry's core metrics for one run on S_n;
@@ -35,7 +32,7 @@ func newInstr(r *obs.Registry, n int) *instr {
 	if r == nil {
 		return nil
 	}
-	in := &instr{
+	return &instr{
 		reg:        r,
 		backtracks: r.Counter("core.junction.backtracks"),
 		blocks:     r.Counter("core.route.blocks"),
@@ -43,13 +40,6 @@ func newInstr(r *obs.Registry, n int) *instr {
 		embeds:     r.CounterVec("core.embed.completed", "n", "mode"),
 		repairs:    r.CounterVec("core.repair.outcome", "n", "outcome"),
 	}
-	// Materialize the cache counters up front so every snapshot carries
-	// them, then baseline against the process-global canonical cache.
-	r.Counter("core.s4.cache_hits")
-	r.Counter("core.s4.cache_misses")
-	r.Counter("core.s4.cache_bypasses")
-	in.hits0, in.misses0, in.bypasses0 = pathsearch.Canon.CacheStats()
-	return in
 }
 
 // bind attaches the run's operation context. Every phase span opened
@@ -94,21 +84,6 @@ func (in *instr) done(op *obs.Op, owned bool) {
 	if in != nil && owned {
 		op.Done()
 	}
-}
-
-// finish folds the S4 cache activity of this run into the registry.
-// The canonical cache is shared by every embedding in the process, so
-// deltas against the baseline taken at newInstr are recorded, not
-// absolutes.
-func (in *instr) finish() {
-	if in == nil {
-		return
-	}
-	h, m, b := pathsearch.Canon.CacheStats()
-	in.reg.Counter("core.s4.cache_hits").Add(h - in.hits0)
-	in.reg.Counter("core.s4.cache_misses").Add(m - in.misses0)
-	in.reg.Counter("core.s4.cache_bypasses").Add(b - in.bypasses0)
-	in.hits0, in.misses0, in.bypasses0 = h, m, b
 }
 
 // repair bumps one of the repair-outcome counters

@@ -8,13 +8,14 @@ import (
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/obs/prof"
+	"repro/internal/pathsearch"
 )
 
 // TestEmbedMetrics embeds a ring and a path, each with a live
 // registry, and checks that every advertised metric materializes:
-// per-phase durations, S4 cache activity, the junction backtrack
-// counter and the routed-block count. Each shape records the
-// superring's initial span once.
+// per-phase durations, the junction backtrack counter and the
+// routed-block count. Each shape records the superring's initial span
+// once.
 func TestEmbedMetrics(t *testing.T) {
 	for _, path := range []bool{false, true} {
 		reg := obs.NewRegistry()
@@ -48,7 +49,6 @@ func TestEmbedMetrics(t *testing.T) {
 			t.Errorf("path %v: superring.phase.initial recorded %d times, want 1", path, got)
 		}
 		for _, counter := range []string{
-			"core.s4.cache_hits", "core.s4.cache_misses", "core.s4.cache_bypasses",
 			"core.junction.backtracks", "core.route.blocks",
 			"superring.junction.backtracks",
 		} {
@@ -58,9 +58,6 @@ func TestEmbedMetrics(t *testing.T) {
 		}
 		if got := snap.Counters["core.route.blocks"]; got != int64(res.Blocks) {
 			t.Errorf("path %v: core.route.blocks = %d, want %d", path, got, res.Blocks)
-		}
-		if snap.Counters["core.s4.cache_hits"]+snap.Counters["core.s4.cache_misses"] == 0 {
-			t.Errorf("path %v: no S4 cache activity recorded", path)
 		}
 		if len(snap.Events) == 0 {
 			t.Errorf("path %v: no span events reached the flight recorder", path)
@@ -76,6 +73,75 @@ func TestEmbedMetrics(t *testing.T) {
 		if errs := reg.VecErrors(); len(errs) != 0 {
 			t.Errorf("path %v: registry errors: %v", path, errs)
 		}
+	}
+}
+
+// searches reads the process's count of S4 block searches, the
+// queries neither of pathsearch's step-word tables answers.
+func searches() int64 {
+	_, n, _ := pathsearch.Canon.CacheStats()
+	return n
+}
+
+// TestStrictRunsNoSearch pins that the paper's algorithm asks the
+// block engine only the two queries its committed tables answer — a
+// fault-free block's 24-vertex path and Lemma 4's 22-vertex detour
+// around a block's one faulty vertex — so it runs no search: not in a
+// ring embed at n = 5..9 with |Fv| = n−3 random vertex faults, nor in
+// any splice of a repair sequence from a fault-free plan up to the
+// budget. A path between ends of one parity, whose odd block target no
+// table holds, and a best-effort embed past the budget, whose blocks
+// with two faults no table holds, do search.
+func TestStrictRunsNoSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	for n := 5; n <= 9; n++ {
+		s0 := searches()
+		if _, err := Embed(n, faults.RandomVertices(n, n-3, rng), Config{}); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if d := searches() - s0; d != 0 {
+			t.Errorf("n=%d: strict embed with %d vertex faults ran %d searches", n, n-3, d)
+		}
+
+		p, err := Embed(n, nil, Config{})
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		for p.Result().VertexFaults < faults.MaxTolerated(n) {
+			v := p.RingAt(rng.Intn(p.RingLen()))
+			if !p.CanSplice(v) {
+				continue
+			}
+			s0 := searches()
+			rep, err := p.Repair(v)
+			if err != nil || rep.Outcome != RepairSplice {
+				t.Fatalf("n=%d: repair of %s: outcome %v, %v", n, v.StringN(n), rep.Outcome, err)
+			}
+			if d := searches() - s0; d != 0 {
+				t.Errorf("n=%d: splice of fault %d ran %d searches", n, p.Result().VertexFaults, d)
+			}
+		}
+	}
+
+	fs := faults.RandomVertices(7, 4, rng)
+	s, tt := randomHealthyPair(rng, 7, fs)
+	for s.Parity(7) != tt.Parity(7) {
+		s, tt = randomHealthyPair(rng, 7, fs)
+	}
+	s0 := searches()
+	if _, err := EmbedPath(7, fs, s, tt, Config{}); err != nil {
+		t.Fatal(err)
+	}
+	if searches() == s0 {
+		t.Error("a path between ends of one parity ran no search")
+	}
+	// Six faults among the five S4 blocks of S_5: one block holds two.
+	s0 = searches()
+	if _, err := Embed(5, faults.RandomVertices(5, 6, rng), Config{BestEffort: true}); err != nil {
+		t.Fatal(err)
+	}
+	if searches() == s0 {
+		t.Error("a best-effort embed past the budget ran no search")
 	}
 }
 

@@ -138,15 +138,16 @@ func holds(vs []perm.Code, v perm.Code) bool {
 // block's entry and step word. A fault-free block's 24-vertex target
 // is one read of the static table (pathsearch.Hamiltonian), keyed by
 // the ends' canonical indices. Any other target, and every target of a
-// faulty block, asks Block.Route, which answers from the S4 memo
-// through the isomorphism of the entry's block computed on the stack.
-// A target the ends' parities rule out is skipped before any query: a
-// path of t vertices takes t−1 steps across the bipartition, so it
-// joins ends of one parity exactly when t is odd. (A healthy S4 refuses
-// the 24 only to ends of one parity, so best effort's even targets
-// behind it never reach the memo.) A feasibility test allocates
-// nothing once the memo holds its search, and the word it returns is
-// all a replay of the block needs.
+// faulty block, asks Block.Route through the isomorphism of the
+// entry's block computed on the stack: Lemma 4's 22-vertex target
+// around a block's one faulty vertex is a read of the detour table,
+// and anything else a search on the call. A target the ends' parities
+// rule out is skipped before any query: a path of t vertices takes t−1
+// steps across the bipartition, so it joins ends of one parity exactly
+// when t is odd. (A healthy S4 refuses the 24 only to ends of one
+// parity, so best effort's even targets behind it are never searched.)
+// The paper's two targets allocate nothing, and the word a test
+// returns is all a replay of the block needs.
 func (rt *router) route(k int, entry, exit perm.Code) bool {
 	sk := rt.sk
 	spec := pathsearch.PathSpec{From: entry, To: exit}
@@ -255,8 +256,8 @@ func (rt *router) search(chain bool, in *instr) error {
 // healthy path of the per-block target length through every block,
 // producing the final ring. Junction selection is a sequential scan with
 // backtracking; (P2) guarantees (via Lemmas 1, 5 and 6) that a valid
-// combination exists, and the exact block search makes each feasibility
-// test cheap and memoized.
+// combination exists, and each feasibility test of the paper's targets
+// is a read of a step-word table the exact block search generated.
 //
 // targetsFor maps a block's vertex-fault count to the acceptable path
 // lengths, best first. RouteR4 is exported for internal/baseline, which

@@ -113,7 +113,7 @@ func TestOnRingAllocs(t *testing.T) {
 		vs[i] = perm.UnrankCode(8, rng.Intn(perm.Factorial(8)))
 	}
 	for _, v := range vs {
-		p.OnRing(v) // warm the memo for every probed block
+		p.OnRing(v) // touch every probed block once before counting
 	}
 	i := 0
 	if allocs := testing.AllocsPerRun(200, func() {

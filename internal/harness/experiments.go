@@ -610,16 +610,17 @@ func F5(cfg SweepConfig) ([]*Table, error) {
 	return []*Table{t}, nil
 }
 
-// A1 tabulates the ablations DESIGN.md calls out: the canonical-block
-// result cache, the Warnsdorff branch ordering in the block DFS, and
+// A1 tabulates the ablations DESIGN.md calls out: the committed table
+// of Lemma 4's one-fault detours against the block search it was
+// generated from, the Warnsdorff branch ordering in the block DFS, and
 // Lemma 2's greedy separation vs naive fixed positions. Timings are
 // wall-clock for a fixed workload; the structural column shows what the
 // greedy protects (zero (P1) violations).
 func A1(cfg SweepConfig) ([]*Table, error) {
 	t := &Table{
 		ID:    "A1",
-		Title: "Ablations: block-search cache, branch ordering, greedy separation",
-		Caption: "Workload for the first two rows: a full Lemma 4 sweep (every fault, every " +
+		Title: "Ablations: one-fault table, branch ordering, greedy separation",
+		Caption: "Workload for the first three rows: a full Lemma 4 sweep (every fault, every " +
 			"adjacent healthy pair, 22-vertex target). The separation rows embed one " +
 			"adversarially clustered instance in S_7; naive positions leave a multi-fault " +
 			"block, so the n!-2|Fv| GUARANTEE no longer applies even when the measured " +
@@ -628,39 +629,51 @@ func A1(cfg SweepConfig) ([]*Table, error) {
 	}
 
 	clock := cfg.clock()
-	sweep := func(noCache, noHeuristic bool) (time.Duration, error) {
+	canon := pathsearch.Canon
+	whole, err := pathsearch.NewBlock(substar.Whole(4))
+	if err != nil {
+		return nil, err
+	}
+	// Each variant answers one Lemma 4 query: is there a 22-vertex path
+	// from u to v around the faulty vertex f?
+	sweep := func(ask func(f, u, v uint8) bool) (time.Duration, error) {
 		start := clock.Now()
-		for f := 0; f < pathsearch.BlockOrder; f++ {
-			forb := uint32(1) << uint(f)
-			for u := 0; u < pathsearch.BlockOrder; u++ {
+		for f := uint8(0); f < pathsearch.BlockOrder; f++ {
+			for u := uint8(0); u < pathsearch.BlockOrder; u++ {
 				if u == f {
 					continue
 				}
-				for a := pathsearch.Canon.Adjacency(uint8(u)) &^ forb; a != 0; a &= a - 1 {
-					v := uint8(bits.TrailingZeros32(a))
-					q := pathsearch.Query{From: uint8(u), To: v, ForbidV: forb, Target: 22,
-						NoCache: noCache, NoHeuristic: noHeuristic}
-					if _, ok := pathsearch.Canon.FindPath(q); !ok {
-						return 0, fmt.Errorf("harness: Lemma 4 sweep found no 22-vertex path for %+v", q)
+				for a := canon.Adjacency(u) &^ (1 << f); a != 0; a &= a - 1 {
+					if v := uint8(bits.TrailingZeros32(a)); !ask(f, u, v) {
+						return 0, fmt.Errorf("harness: Lemma 4 sweep found no 22-vertex path from %d to %d around %d", u, v, f)
 					}
 				}
 			}
 		}
 		return obs.Since(clock, start), nil
 	}
-	if _, err := sweep(false, false); err != nil { // populate the cache
-		return nil, err
+	var avoid [1]perm.Code
+	table := func(f, u, v uint8) bool {
+		avoid[0] = canon.Code(f)
+		_, ok := whole.Route(pathsearch.PathSpec{From: canon.Code(u), To: canon.Code(v), AvoidV: avoid[:], Target: 22})
+		return ok
+	}
+	search := func(noHeuristic bool) func(f, u, v uint8) bool {
+		return func(f, u, v uint8) bool {
+			_, ok := canon.FindPath(pathsearch.Query{From: u, To: v, ForbidV: 1 << f, Target: 22, NoHeuristic: noHeuristic})
+			return ok
+		}
 	}
 	for _, variant := range []struct {
-		label                string
-		noCache, noHeuristic bool
-		note                 string
+		label string
+		ask   func(f, u, v uint8) bool
+		note  string
 	}{
-		{"full engine, warm cache", false, false, "steady state: map lookups only"},
-		{"no cache", true, false, "every query re-searched"},
-		{"no cache, no heuristic", true, true, "plain DFS ordering"},
+		{"one-fault table", table, "Block.Route: one read of the detour table"},
+		{"search", search(false), "every query searched"},
+		{"search, no heuristic", search(true), "plain DFS ordering"},
 	} {
-		d, err := sweep(variant.noCache, variant.noHeuristic)
+		d, err := sweep(variant.ask)
 		if err != nil {
 			return nil, err
 		}

@@ -247,7 +247,7 @@ func All() []Experiment {
 		{"F6", "Empirical edge-fault tolerance beyond the budget", F6},
 		{"F7", "Repair latency: splice fast path vs full rebuild", F7},
 		{"F8", "Streaming scaling: skeleton-form embed + stream verify", F8},
-		{"A1", "Ablations: cache, branch ordering, greedy separation", A1},
+		{"A1", "Ablations: one-fault table, branch ordering, greedy separation", A1},
 	}
 }
 

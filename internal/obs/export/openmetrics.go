@@ -14,8 +14,8 @@ import (
 )
 
 // The OpenMetrics text exposition (the format Prometheus scrapes).
-// Dotted obs names map to underscore families: "core.s4.cache_hits"
-// becomes counter core_s4_cache_hits (sample core_s4_cache_hits_total),
+// Dotted obs names map to underscore families: "core.route.blocks"
+// becomes counter core_route_blocks (sample core_route_blocks_total),
 // gauges keep their name, and each histogram is exposed as a summary —
 // p50/p95 quantiles plus _sum and _count, all in seconds — with the
 // tracked maximum as a companion <name>_max_seconds gauge.

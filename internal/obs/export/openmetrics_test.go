@@ -125,10 +125,10 @@ func TestValidateOpenMetricsRejects(t *testing.T) {
 
 func TestMetricName(t *testing.T) {
 	for in, want := range map[string]string{
-		"core.s4.cache_hits": "core_s4_cache_hits",
-		"harness.exp.F7":     "harness_exp_F7",
-		"9lead":              "_lead",
-		"a-b":                "a_b",
+		"core.phase.stream_emit": "core_phase_stream_emit",
+		"harness.exp.F7":         "harness_exp_F7",
+		"9lead":                  "_lead",
+		"a-b":                    "a_b",
 	} {
 		if got := MetricName(in); got != want {
 			t.Errorf("MetricName(%q) = %q, want %q", in, got, want)

@@ -2,9 +2,8 @@
 // atomic counters and gauges, log-bucketed timing histograms with
 // p50/p95/max, span-style phase tracing, structured log lines, and an
 // injectable clock. It exists so the embedding pipeline — an O(n!)
-// construction whose junction backtracks, S4 cache behavior and
-// per-phase costs are otherwise invisible — can be measured without
-// perturbing it.
+// construction whose junction backtracks and per-phase costs are
+// otherwise invisible — can be measured without perturbing it.
 //
 // A Registry keeps every metric in one store of named families. A
 // family is a kind (counter, gauge or histogram), a set of label keys
@@ -25,7 +24,7 @@
 // BenchmarkObsDisabled in internal/core and the benchmarks here).
 //
 // Metric names are dotted paths ("core.phase.separation",
-// "core.s4.cache_hits"); the glossary lives in the README's
+// "core.route.blocks"); the glossary lives in the README's
 // Observability section. Snapshots serialize to JSON via WriteJSON and
 // publish live through expvar (PublishExpvar, StartDebugServer).
 package obs

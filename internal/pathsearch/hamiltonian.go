@@ -2,7 +2,7 @@ package pathsearch
 
 import "repro/internal/perm"
 
-//go:generate go run ./gensteps -o hamiltonian_table.go
+//go:generate go run ./gensteps -o tables.go
 
 // Hamiltonian returns the step word of the 24-vertex path from one
 // vertex of a fault-free block to another, or 0 when none exists (the
@@ -12,9 +12,9 @@ import "repro/internal/perm"
 // first), and both ends must lie in the one block over them. A healthy
 // S4 is Hamiltonian-laceable, so such a path depends only on the ends'
 // canonical indices: the word is one read of the committed table that
-// the exhaustive search generated, with no isomorphism, memo key or
-// lock. The junction search asks it of every fault-free block, so
-// hotalloc keeps it allocation-free.
+// the exhaustive search generated, with no isomorphism or search. The
+// junction search asks it of every fault-free block, so hotalloc keeps
+// it allocation-free.
 //
 //starlint:hotpath
 func Hamiltonian(from, to perm.Code, free [4]uint8) Steps {

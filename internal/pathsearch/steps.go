@@ -9,8 +9,8 @@ import "repro/internal/perm"
 // bits. Every embedded S4 is the canonical one relabeled, and the
 // relabeling maps canonical position j to the block's j-th free
 // position, so one word serves every block that routes the same
-// canonical path: the memo computes it once per entry, and the ring
-// stores one per block in place of its exit and length.
+// canonical path: the step-word tables hold one per canonical query,
+// and the ring stores one per block in place of its exit and length.
 type Steps uint64
 
 // stepsLenBits is the width of the vertex count.
@@ -22,7 +22,7 @@ func (s Steps) Len() int { return int(s & (1<<stepsLenBits - 1)) }
 // Replay writes the path that starts at from, in a block whose free
 // positions are free (1-based, increasing, position 1 first), into dst
 // and returns its vertex count: each step swaps two nibbles of the
-// previous vertex, with no search, memo or isomorphism. Every view of
+// previous vertex, with no search or isomorphism. Every view of
 // a routed ring reads its blocks through it, so hotalloc keeps it
 // allocation-free.
 //

@@ -92,7 +92,7 @@ type Server struct {
 
 // New validates cfg, builds the pools and the pre-resolved metric
 // tables, and wires the mux. It does not warm the pools; call Warm (or
-// let the first requests pay the cache fill).
+// let the first requests pay for the first embeds).
 func New(cfg Config) (*Server, error) {
 	cfg.setDefaults()
 	if cfg.MinN < 3 || cfg.MaxN > perm.MaxN || cfg.MinN > cfg.MaxN {

@@ -503,15 +503,15 @@ leg "perf gate" go run ./cmd/starbench || exit 1
 # holds the verifier's index steps to its from-scratch recomputation,
 # FuzzPatternOps holds the word-packed substar pattern to its
 # per-position reference, FuzzBlockSteps holds a routed block's
-# step-word replay to the canonical search's path, memoized or not,
-# and the fault-free table read to the same search,
-# FuzzRepairSequence repairs a plan through an arbitrary fault-arrival
-# order, verifying the ring after every call (rebuilds route through
-# the static table, splices through the memo) and holding RingAt and
-# OnRing at sampled positions to the cursor, and FuzzLocate holds the
-# block lookup through a ring's refinement record (superring.Tree) to a
-# scan of the flat ring, over random dimensions, partition positions,
-# fault sets, chains and Exclude.
+# step-word replay to the canonical search's path, and both table
+# reads (the fault-free path and the one-fault detour) to the same
+# search, FuzzRepairSequence repairs a plan through an arbitrary
+# fault-arrival order, verifying the ring after every call (rebuilds
+# route through both tables, splices read the detour table) and
+# holding RingAt and OnRing at sampled positions to the cursor, and
+# FuzzLocate holds the block lookup through a ring's refinement record
+# (superring.Tree) to a scan of the flat ring, over random dimensions,
+# partition positions, fault sets, chains and Exclude.
 fuzz_smoke() {
     local pkg="$1" target="$2"
     go test -run '^$' -fuzz "^${target}\$" -fuzztime "$FUZZTIME" "$pkg"

@@ -57,10 +57,10 @@ func TestStarlintFindsSeededViolations(t *testing.T) {
 // TestStarlintCleanRepo asserts the repository's own tree lints clean
 // under all ten analyzers with strict config — the same gate
 // scripts/ci.sh enforces. Cleanliness under hotalloc is load-bearing:
-// it proves the annotated hot paths (Plan.applySplice, S4.lookup and
-// signature, the obs metric primitives, the core instr counters) are
-// transitively allocation-free on the real module, not just in
-// fixtures.
+// it proves the annotated hot paths (Plan.applySplice,
+// pathsearch.Hamiltonian, the obs metric primitives, the core instr
+// counters) are transitively allocation-free on the real module, not
+// just in fixtures.
 func TestStarlintCleanRepo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns the go tool")

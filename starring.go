@@ -106,7 +106,7 @@ func EmbedRing(n int, fs *FaultSet, opts Options) (*Plan, error) {
 }
 
 // Embedder is a reusable embedding engine for one S_n: it owns the
-// graph and the search caches so repeated embeddings and online repairs
+// graph and the configuration so repeated embeddings and online repairs
 // share their setup cost (see core.Embedder).
 type Embedder = core.Embedder
 
