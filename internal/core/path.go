@@ -91,15 +91,10 @@ func embedPathSmall(res *Result, fs *faults.Set, s, t perm.Code) (*skeleton, err
 		for _, e := range fs.Edges() {
 			avoidE = append(avoidE, [2]perm.Code{e.U, e.V})
 		}
-		spec := pathsearch.PathSpec{From: s, To: t, AvoidV: avoidV, AvoidE: avoidE}
-		best := block.MaxPathLen(spec)
-		if best == 0 {
-			return nil, fmt.Errorf("%w: no healthy path in S_4", ErrNoRing)
-		}
-		spec.Target = best
 		var ok bool
-		if path, ok = block.Path(spec); !ok {
-			return nil, errors.New("core: internal: max path vanished")
+		path, ok = block.MaxPath(pathsearch.PathSpec{From: s, To: t, AvoidV: avoidV, AvoidE: avoidE})
+		if !ok {
+			return nil, fmt.Errorf("%w: no healthy path in S_4", ErrNoRing)
 		}
 	}
 	// The 6-cycle's bound depends on the arc, and |Fe| > 0 can cost a

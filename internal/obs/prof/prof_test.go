@@ -110,7 +110,10 @@ func TestCPUProfileLabeled(t *testing.T) {
 		t.Fatal(err)
 	}
 	Do("embed", func() {
-		spinSink = spin(time.Now().Add(time.Second))
+		spinSink = spin(time.Now().Add(time.Second / 2))
+	})
+	NewLabel("search").Do(func() {
+		spinSink = spin(time.Now().Add(time.Second / 2))
 	})
 	if err := stop(); err != nil {
 		t.Fatal(err)
@@ -126,10 +129,23 @@ func TestCPUProfileLabeled(t *testing.T) {
 	if !ok {
 		t.Error("no sample carries phase=embed; labels are not reaching the profile")
 	}
+	if ok, err := CPUProfileHasLabel(data, "phase", "search"); err != nil || !ok {
+		t.Errorf("phase=search reported %v, %v; a prebuilt Label is not reaching the profile", ok, err)
+	}
 	// A label never set must not be found (guards the parser against
 	// trivially returning true).
 	if ok, err := CPUProfileHasLabel(data, "phase", "no-such-phase"); err != nil || ok {
 		t.Errorf("phase=no-such-phase reported %v, %v; want false, nil", ok, err)
+	}
+}
+
+// TestLabelDoAllocs holds a prebuilt Label to its purpose: entering
+// and leaving the phase allocates nothing, where Do allocates its
+// label set on every call.
+func TestLabelDoAllocs(t *testing.T) {
+	l := NewLabel("search")
+	if a := testing.AllocsPerRun(100, func() { l.Do(func() { spinSink++ }) }); a != 0 {
+		t.Errorf("Label.Do allocates %.0f objects per call, want 0", a)
 	}
 }
 
