@@ -102,7 +102,7 @@ func loadGoldens(t *testing.T, file string, keep func(n int) bool) []golden {
 		var plan *core.Plan
 		want := c.Ring
 		if c.From == "" {
-			plan, err = core.Embed(c.N, fs.Clone(), core.Config{Opportunistic: c.Opportunistic})
+			plan, err = core.Embed(c.N, fs.Clone(), core.Config{Opportunistic: c.Opportunistic, BestEffort: c.BestEffort})
 		} else {
 			g.ends = &[2]perm.Code{parse(c.N, c.From), parse(c.N, c.To)}
 			plan, err = core.EmbedPath(c.N, fs.Clone(), g.ends[0], g.ends[1], core.Config{BestEffort: c.BestEffort})

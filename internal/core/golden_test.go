@@ -56,6 +56,7 @@ type goldenCase struct {
 	Fv            []string       `json:"fv"`
 	Fe            [][2]string    `json:"fe,omitempty"`
 	Opportunistic bool           `json:"opportunistic,omitempty"`
+	BestEffort    bool           `json:"best_effort,omitempty"`
 	Ring          goldenRing     `json:"ring"`
 	Repairs       []goldenRepair `json:"repairs,omitempty"`
 }
@@ -75,19 +76,21 @@ func ringDigest(n int, next func() (perm.Code, bool)) goldenRing {
 	return goldenRing{Length: count, SHA256: hex.EncodeToString(h.Sum(nil))}
 }
 
-// goldenSpec is a generator input: a seeded fault set and a flag for
-// the opportunistic extension.
+// goldenSpec is a generator input: a seeded fault set and flags for
+// the opportunistic extension and for best effort.
 type goldenSpec struct {
 	name          string
 	n             int
 	fs            *faults.Set
 	opportunistic bool
+	bestEffort    bool
 	seed          int64
 }
 
 // goldenSpecs lists the pinned inputs: five seeded vertex-fault sets per
-// n = 3..8 with |Fv| spread over 0..n-3, one mixed vertex/edge set and
-// one opportunistic set whose faults straddle the bipartition.
+// n = 3..8 with |Fv| spread over 0..n-3, one mixed vertex/edge set, one
+// opportunistic set whose faults straddle the bipartition and four
+// best-effort sets past the budget.
 func goldenSpecs() []goldenSpec {
 	var specs []goldenSpec
 	for n := 3; n <= 8; n++ {
@@ -118,6 +121,19 @@ func goldenSpecs() []goldenSpec {
 			specs = append(specs, goldenSpec{name: "n7-opportunistic", n: 7, fs: fs, opportunistic: true, seed: seed})
 			break
 		}
+	}
+	// Past the budget, at seeds where the Lemma 3 discipline of the last
+	// level (spread faults, healthy junctions) is unsatisfiable, so the
+	// R4 is built with that level relaxed.
+	for _, be := range []struct {
+		n, k int
+		seed int64
+	}{{5, 3, 600}, {5, 4, 610}, {6, 5, 710}, {6, 6, 724}} {
+		rng := rand.New(rand.NewSource(be.seed))
+		specs = append(specs, goldenSpec{
+			name: fmt.Sprintf("n%d-v%d-besteffort-s%d", be.n, be.k, be.seed), n: be.n,
+			fs: faults.RandomVertices(be.n, be.k, rng), bestEffort: true, seed: be.seed,
+		})
 	}
 	return specs
 }
@@ -155,14 +171,14 @@ func generateGolden(t *testing.T) []goldenCase {
 	var out []goldenCase
 	for _, sp := range goldenSpecs() {
 		n := sp.n
-		gc := goldenCase{Name: sp.name, N: n, Opportunistic: sp.opportunistic}
+		gc := goldenCase{Name: sp.name, N: n, Opportunistic: sp.opportunistic, BestEffort: sp.bestEffort}
 		for _, v := range sp.fs.Vertices() {
 			gc.Fv = append(gc.Fv, v.StringN(n))
 		}
 		for _, e := range sp.fs.Edges() {
 			gc.Fe = append(gc.Fe, [2]string{e.U.StringN(n), e.V.StringN(n)})
 		}
-		e, err := core.NewEmbedder(n, core.Config{Opportunistic: sp.opportunistic})
+		e, err := core.NewEmbedder(n, core.Config{Opportunistic: sp.opportunistic, BestEffort: sp.bestEffort})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,7 +269,7 @@ func TestGoldenRings(t *testing.T) {
 		}
 		t.Run(gc.Name, func(t *testing.T) {
 			n := gc.N
-			e, err := core.NewEmbedder(n, core.Config{Opportunistic: gc.Opportunistic})
+			e, err := core.NewEmbedder(n, core.Config{Opportunistic: gc.Opportunistic, BestEffort: gc.BestEffort})
 			if err != nil {
 				t.Fatal(err)
 			}
