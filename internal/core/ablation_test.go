@@ -62,17 +62,14 @@ func embedWithPositions(b testing.TB, n int, fs *faults.Set, positions []int) in
 	if err != nil {
 		b.Fatal(err)
 	}
-	rt, err := routeR4x(r4, fs, func(_, vf int) []int {
-		var ts []int
-		for t := blockOrder - 2*vf; t >= 2; t -= 2 {
-			ts = append(ts, t)
-		}
-		return ts
-	}, nil, nil)
+	sk, err := newSkeleton(r4, fs)
 	if err != nil {
+		b.Fatal(err)
+	}
+	if sk.routeRing(r4, fs, func(_, vf int) []int { return blockTargets(vf, false, true) }, nil, nil) != nil {
 		return 0 // routing can fail outright without (P1)
 	}
-	return rt.ringLen()
+	return sk.ringLen()
 }
 
 func p1Violations(n int, fs *faults.Set, positions []int) int {

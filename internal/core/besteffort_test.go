@@ -141,7 +141,7 @@ func TestRouteSkipsParityInfeasibleTargets(t *testing.T) {
 		t.Errorf("guaranteed %v, %d searches for %d faulty blocks", res.Guaranteed, searched, res.FaultyBlocks)
 	}
 
-	rt := &router{sk: p.sk, targets: func(_, vf int) []int { return paperTargets(true)(vf) }}
+	rt := &router{sk: p.sk, targets: func(_, vf int) []int { return blockTargets(vf, false, true) }}
 	for k := 0; k < p.sk.blocks(); k++ {
 		seg := p.segment(k)
 		s0 := searches()

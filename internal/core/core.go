@@ -29,6 +29,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/obs"
+	"repro/internal/perm"
 	"repro/internal/substar"
 	"repro/internal/superring"
 )
@@ -132,24 +133,41 @@ func Embed(n int, fs *faults.Set, cfg Config) (*Plan, error) {
 	return e.Embed(fs)
 }
 
-// embedLarge handles n >= 5: Lemma 2 separation, Lemma 3 construction
-// of the R4 with (P1)(P2)(P3), and Lemma 7 block routing. Beyond
-// filling res it returns the skeleton — every block's routed entry and
-// step word plus the faults it avoids — which is the ring: Plan
-// replays it block by block and Plan.Repair re-routes single blocks of
-// it. The R4 itself is dropped once routed.
-func embedLarge(res *Result, fs *faults.Set, cfg Config, in *instr) (*skeleton, error) {
+// embedLarge handles n >= 5 for a ring (ends nil) or a longest path
+// from ends[0] to ends[1]: Lemma 2 separation, Lemma 3 construction of
+// the R4 — for a path an open one, anchored at the two ends — and
+// Lemma 7 block routing. Beyond filling res it returns the skeleton —
+// every block's routed entry and step word plus the faults it avoids —
+// which is the ring or path: Plan replays it block by block and
+// Plan.Repair re-routes single blocks of a ring. The R4 itself is
+// dropped once routed.
+func embedLarge(res *Result, fs *faults.Set, cfg Config, ends *[2]perm.Code, in *instr) (*skeleton, error) {
 	n := res.N
 	sspan := in.span("core.phase.separation")
-	positions, separated := fs.SeparatingPositions()
+	var positions []int
+	var separated bool
+	var err error
+	if ends == nil {
+		positions, separated = fs.SeparatingPositions()
+	} else {
+		// The first position must split s from t, so that their blocks
+		// can sit at the two ends of the chain.
+		positions, separated, err = fs.SeparatingPositionsSplitting(ends[0], ends[1])
+	}
 	sspan.End()
+	if err != nil {
+		return nil, err
+	}
 	if !separated && !cfg.BestEffort {
+		if ends != nil {
+			return nil, fmt.Errorf("core: the forced anchor position prevents Lemma 2 separation for %v; retry with BestEffort", fs)
+		}
 		return nil, fmt.Errorf("core: internal: Lemma 2 separation failed for %v", fs)
 	}
 	res.Positions = positions
 
 	bspan := in.span("core.phase.build_r4")
-	r4, err := buildR4(n, positions, fs, cfg)
+	r4, err := buildR4(n, positions, fs, cfg, ends)
 	bspan.End()
 	if err != nil {
 		return nil, err
@@ -165,6 +183,13 @@ func embedLarge(res *Result, fs *faults.Set, cfg Config, in *instr) (*skeleton, 
 		return nil, err
 	}
 	res.FaultyBlocks = sk.vertexFaultBlocks()
+
+	if ends != nil {
+		if err := sk.routeChain(r4, fs, ends[0], ends[1], cfg.BestEffort, in); err != nil {
+			return nil, err
+		}
+		return sk, nil
+	}
 
 	if cfg.Opportunistic && !cfg.BestEffort && fs.NumVertices() >= 2 && fs.NumEdges() == 0 {
 		upgraded, exitParity := planUpgrades(sk, n)
@@ -182,39 +207,56 @@ func embedLarge(res *Result, fs *faults.Set, cfg Config, in *instr) (*skeleton, 
 		}
 	}
 
-	targetsFor := paperTargets(cfg.BestEffort)
-	if err := sk.routeRing(r4, fs, func(_, vf int) []int { return targetsFor(vf) }, nil, in); err != nil {
+	if err := sk.routeRing(r4, fs, func(_, vf int) []int { return blockTargets(vf, false, cfg.BestEffort) }, nil, in); err != nil {
 		return nil, err
 	}
 	return sk, nil
 }
 
-// paperTargets is the paper's per-block length policy: a healthy block
-// contributes all 24 vertices, a block with one vertex fault contributes
+// targetTable holds every per-block length policy, indexed by
+// [odd][bestEffort][vertex faults] and shared read-only, since the
+// junction search asks for a list on every feasibility test. A healthy
+// block contributes all 24 vertices and a block with one vertex fault
 // 22 (Lemma 4); intra-block edge faults cost nothing (the exact search
-// routes around them). In best-effort mode blocks holding several faults
-// fall back through successively shorter paths. Blocks with the same
-// fault count share one read-only list, so the policy costs one small
-// allocation per distinct count rather than one per block.
-func paperTargets(bestEffort bool) func(numVertexFaults int) []int {
-	var memo [blockOrder/2 + 1][]int
-	return func(vf int) []int {
-		if vf < len(memo) && memo[vf] != nil {
-			return memo[vf]
-		}
+// routes around them). A chain whose ends share a partite set routes
+// exactly one block odd: one vertex more than the even yield when the
+// block can shed only its fault, one fewer otherwise (a healthy block
+// has no fault to shed, so only 23 is within the block order). In
+// best-effort mode blocks holding several faults fall back through
+// successively shorter paths of the same parity.
+var targetTable = func() (tt [2][2][blockOrder + 1][]int) {
+	for vf := 0; vf <= blockOrder; vf++ {
 		base := blockOrder - 2*vf
-		ts := []int{base}
-		if bestEffort {
-			ts = nil
-			for t := base; t >= 2; t -= 2 {
-				ts = append(ts, t)
-			}
+		odd := []int{base - 1}
+		if base+1 <= blockOrder {
+			odd = []int{base + 1, base - 1}
 		}
-		if vf < len(memo) {
-			memo[vf] = ts
+		tt[0][0][vf], tt[1][0][vf] = []int{base}, odd
+		var even []int
+		for t := base; t >= 2; t -= 2 {
+			even = append(even, t)
 		}
-		return ts
+		oddBE := append([]int(nil), odd...)
+		for t := base - 3; t >= 1; t -= 2 {
+			oddBE = append(oddBE, t)
+		}
+		tt[0][1][vf], tt[1][1][vf] = even, oddBE
 	}
+	return tt
+}()
+
+// blockTargets returns the acceptable path lengths, best first, of a
+// block holding vf faulty vertices: targetTable's list for an odd or
+// even block in strict or best-effort mode.
+func blockTargets(vf int, odd, bestEffort bool) []int {
+	i, j := 0, 0
+	if odd {
+		i = 1
+	}
+	if bestEffort {
+		j = 1
+	}
+	return targetTable[i][j][vf]
 }
 
 // weightOf returns the fault-count function used for (P3), fault
@@ -233,28 +275,22 @@ func weightOf(fs *faults.Set) func(substar.Pattern) int {
 }
 
 // buildR4 realizes Lemma 3 (and the n = 5 base case of Theorem 1's
-// proof): an R4 whose supervertices satisfy (P1), (P2) and (P3).
-func buildR4(n int, positions []int, fs *faults.Set, cfg Config) (*superring.Ring, error) {
-	spec := BuildSpec{
+// proof) for the paper's algorithm: an R4 whose supervertices satisfy
+// (P1), (P2) and (P3), or for a path the chain anchored at ends. Only a
+// ring within the budget is held to the three properties: (P2) and
+// (P3) are properties of a closed ring, and beyond the budget the
+// router degrades per block instead.
+func buildR4(n int, positions []int, fs *faults.Set, cfg Config, ends *[2]perm.Code) (*superring.Ring, error) {
+	verify := !cfg.BestEffort && ends == nil
+	return build(n, fs, BuildSpec{
 		Positions:      append([]int(nil), positions...),
 		SpreadFaults:   true,
 		HealthyBorders: true,
-		VerifyP1:       !cfg.BestEffort,
-		VerifyP2:       !cfg.BestEffort,
-		VerifyP3:       !cfg.BestEffort,
+		VerifyP1:       verify,
+		VerifyP2:       verify,
+		VerifyP3:       verify,
 		Obs:            cfg.Obs,
-	}
-	r4, err := BuildR4(n, fs, spec)
-	if err != nil && cfg.BestEffort {
-		// Beyond the budget the Lemma 3 discipline can become
-		// unsatisfiable (e.g. more faulty blocks than a cycle can keep
-		// apart); drop it and let the router degrade per block instead.
-		relaxed := spec
-		relaxed.SpreadFaults = false
-		relaxed.HealthyBorders = false
-		r4, err = BuildR4(n, fs, relaxed)
-	}
-	return r4, err
+	}, ends)
 }
 
 // BuildSpec parameterizes R4 construction. The paper's algorithm uses
@@ -286,45 +322,57 @@ type BuildSpec struct {
 // supervertices. It is exported for internal/baseline, which shares the
 // substrate; library users should call Embed.
 func BuildR4(n int, fs *faults.Set, spec BuildSpec) (*superring.Ring, error) {
+	return build(n, fs, spec, nil)
+}
+
+// build is the Lemma 3 construction of both shapes: a closed R4 (ends
+// nil) or an open one whose first block holds ends[0] and whose last
+// holds ends[1]. Level j partitions at spec.Positions[j]: the first
+// arranges the children of S_n, every later one refines the ring. Only
+// the last level applies the Lemma 3 discipline. Where that is
+// unsatisfiable — beyond the budget, or on a chain whose anchors pin
+// its ends — the last level is retried relaxed and the router degrades
+// per block instead; every earlier level runs the same options on
+// both tries. A relaxed level has no (P3), so a spec that verifies it
+// still fails.
+func build(n int, fs *faults.Set, spec BuildSpec, ends *[2]perm.Code) (*superring.Ring, error) {
 	if len(spec.Positions) != n-4 {
 		return nil, fmt.Errorf("core: need %d partition positions for S_%d, got %d", n-4, n, len(spec.Positions))
 	}
 	weight := weightOf(fs)
-	finalOpts := superring.Options{
-		FaultCount:       weight,
-		Exclude:          spec.Exclude,
-		SpreadFaults:     spec.SpreadFaults,
-		HealthyJunctions: spec.HealthyBorders,
-		Obs:              spec.Obs,
-	}
-	midOpts := superring.Options{FaultCount: weight, Exclude: spec.Exclude, Obs: spec.Obs}
+	relaxed := superring.Options{FaultCount: weight, Exclude: spec.Exclude, Obs: spec.Obs}
+	strict := relaxed
+	strict.SpreadFaults, strict.HealthyJunctions = spec.SpreadFaults, spec.HealthyBorders
 
 	var r *superring.Ring
-	var err error
-	if n == 5 {
-		// A single partition splits S_5 into five blocks forming a K_5;
-		// arranging the (at most two) faulty blocks apart yields the R4
-		// directly, with (P2) trivial because all superedges share the
-		// same dif position.
-		r, err = superring.Initial(n, spec.Positions[0], finalOpts)
+	level := func(j int, opts superring.Options) (*superring.Ring, error) {
+		pos := spec.Positions[j]
+		switch {
+		case j > 0:
+			return r.Refine(pos, opts)
+		case ends == nil:
+			return superring.Initial(n, pos, opts)
+		default:
+			return superring.InitialChain(n, pos, ends[0], ends[1], opts)
+		}
+	}
+	last := len(spec.Positions) - 1
+	for j := range spec.Positions {
+		opts := relaxed
+		if j == last {
+			opts = strict
+		}
+		next, err := level(j, opts)
+		if err != nil && j == last {
+			next, err = level(j, relaxed)
+		}
 		if err != nil {
-			return nil, fmt.Errorf("core: R4 construction (n=5): %w", err)
-		}
-	} else {
-		r, err = superring.Initial(n, spec.Positions[0], midOpts)
-		if err != nil {
-			return nil, fmt.Errorf("core: initial super-ring: %w", err)
-		}
-		for j := 1; j < len(spec.Positions); j++ {
-			opts := midOpts
-			if j == len(spec.Positions)-1 {
-				opts = finalOpts
+			if j == 0 {
+				return nil, fmt.Errorf("core: initial super-ring: %w", err)
 			}
-			r, err = r.Refine(spec.Positions[j], opts)
-			if err != nil {
-				return nil, fmt.Errorf("core: refinement %d at position %d: %w", j, spec.Positions[j], err)
-			}
+			return nil, fmt.Errorf("core: refinement %d at position %d: %w", j, spec.Positions[j], err)
 		}
+		r = next
 	}
 
 	if r.Order() != 4 {

@@ -149,12 +149,10 @@ func (e *Embedder) embed(op *obs.Op, fs *faults.Set, ends *[2]perm.Code) (*Plan,
 		switch {
 		case ends == nil && n <= 4:
 			sk, err = embedSmall(n, fs)
-		case ends == nil:
-			sk, err = embedLarge(res, fs, e.cfg, in)
 		case n <= 4:
 			sk, err = embedPathSmall(res, fs, ends[0], ends[1])
 		default:
-			sk, err = embedPathLarge(res, fs, ends[0], ends[1], e.cfg, in)
+			sk, err = embedLarge(res, fs, e.cfg, ends, in)
 		}
 		if err != nil {
 			return

@@ -92,19 +92,15 @@ func planUpgrades(sk *skeleton, n int) (upgraded []bool, exitParity []int) {
 }
 
 // opportunisticTargets returns the per-block target policy for the
-// upgraded routing: 24 for healthy blocks, 23 for upgraded faulty
-// blocks, 22 otherwise. The lists are shared read-only, since the
-// junction search asks for one on every feasibility test.
+// upgraded routing: 23 vertices for an upgraded faulty block, the
+// paper's 24 or 22 otherwise. The upgrade list is shared read-only,
+// since the junction search asks for one on every feasibility test.
 func opportunisticTargets(upgraded []bool) func(blockIdx, vf int) []int {
-	healthy, upgrade := []int{blockOrder}, []int{blockOrder - 1}
-	plain := paperTargets(false)
+	upgrade := []int{blockOrder - 1}
 	return func(blockIdx, vf int) []int {
-		if vf == 0 {
-			return healthy
-		}
-		if upgraded[blockIdx] {
+		if vf > 0 && upgraded[blockIdx] {
 			return upgrade
 		}
-		return plain(vf)
+		return blockTargets(vf, false, false)
 	}
 }

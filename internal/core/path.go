@@ -5,11 +5,9 @@ import (
 	"fmt"
 
 	"repro/internal/faults"
-	"repro/internal/obs"
 	"repro/internal/pathsearch"
 	"repro/internal/perm"
 	"repro/internal/substar"
-	"repro/internal/superring"
 )
 
 // Longest fault-free s-t paths (an extension beyond the paper; the
@@ -23,12 +21,15 @@ import (
 //     other partite set, because that block can then shed only its
 //     fault (the 23-vertex block paths verified in internal/pathsearch).
 //
-// The construction reuses the paper's machinery with the super-ring
-// cut open into a super-chain anchored at s and t (an open
-// superring.Ring): the first partition position must distinguish s
-// from t (SeparatingPositionsSplitting), so their blocks sit at
-// opposite ends, and every refinement keeps the s-descendant first and
-// the t-descendant last.
+// For n >= 5 the path is the ring's construction run on an open ring:
+// embedLarge and build take the two ends. The first partition position
+// must distinguish s from t (SeparatingPositionsSplitting), so their
+// blocks sit at opposite ends, every refinement keeps the s-descendant
+// first and the t-descendant last, and routeChain routes the skeleton
+// from s to t. When no splitting first position separates the faults
+// (Lemma 2), strict mode refuses the pair; this happens inside the
+// budget at S_5. Best effort then builds the path anyway and returns
+// it verified but unguaranteed.
 
 // ErrBadEndpoints reports invalid, equal or faulty endpoints.
 var ErrBadEndpoints = errors.New("core: invalid path endpoints")
@@ -104,79 +105,4 @@ func embedPathSmall(res *Result, fs *faults.Set, s, t perm.Code) (*skeleton, err
 		res.Guarantee = len(path)
 	}
 	return oneBlock(path)
-}
-
-// embedPathLarge runs the chain pipeline for n >= 5: Lemma 2
-// separation with a first position that splits s from t, the anchored
-// chain's refinement, and the routing that returns the skeleton.
-func embedPathLarge(res *Result, fs *faults.Set, s, t perm.Code, cfg Config, in *instr) (*skeleton, error) {
-	sspan := in.span("core.phase.separation")
-	positions, separated, err := fs.SeparatingPositionsSplitting(s, t)
-	sspan.End()
-	if err != nil {
-		return nil, err
-	}
-	if !separated && !cfg.BestEffort {
-		return nil, fmt.Errorf("core: the forced anchor position prevents Lemma 2 separation for %v; retry with BestEffort", fs)
-	}
-	res.Positions = positions
-
-	bspan := in.span("core.phase.build_r4")
-	chain, err := buildChain(res.N, positions, fs, s, t, cfg.Obs)
-	bspan.End()
-	if err != nil {
-		return nil, err
-	}
-	res.Blocks = chain.Len()
-
-	sk, err := routeChain(chain, fs, s, t, cfg, in)
-	if err != nil {
-		return nil, err
-	}
-	res.FaultyBlocks = sk.vertexFaultBlocks()
-	return sk, nil
-}
-
-// buildChain mirrors buildR4 for the anchored chain, an open ring.
-func buildChain(n int, positions []int, fs *faults.Set, s, t perm.Code, reg *obs.Registry) (*superring.Ring, error) {
-	weight := weightOf(fs)
-	finalOpts := superring.Options{
-		FaultCount:       weight,
-		SpreadFaults:     true,
-		HealthyJunctions: true,
-		Obs:              reg,
-	}
-	midOpts := superring.Options{FaultCount: weight, Obs: reg}
-
-	opts := midOpts
-	if n == 5 {
-		opts = finalOpts
-	}
-	chain, err := superring.InitialChain(n, positions[0], s, t, opts)
-	if err != nil {
-		return nil, fmt.Errorf("core: initial chain: %w", err)
-	}
-	for j := 1; j < len(positions); j++ {
-		final := j == len(positions)-1
-		opts := midOpts
-		if final {
-			opts = finalOpts
-		}
-		next, err := chain.Refine(positions[j], opts)
-		if err != nil && final {
-			// The strict discipline can fail on chains (the anchors
-			// constrain the ends); retry relaxed — the router degrades
-			// per block and the final verification still gates. Any
-			// other refinement already ran relaxed.
-			next, err = chain.Refine(positions[j], midOpts)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("core: chain refinement %d at position %d: %w", j, positions[j], err)
-		}
-		chain = next
-	}
-	if err := chain.Validate(); err != nil {
-		return nil, fmt.Errorf("core: internal: %w", err)
-	}
-	return chain, nil
 }

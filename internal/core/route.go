@@ -264,20 +264,14 @@ func (rt *router) search(chain bool, in *instr) error {
 // routes its own R4 variants through the same engine and wants the flat
 // ring; library users should call Embed.
 func RouteR4(r4 *superring.Ring, fs *faults.Set, targetsFor func(int) []int, cfg Config) ([]perm.Code, error) {
-	sk, err := routeR4x(r4, fs, func(_, vf int) []int { return targetsFor(vf) }, nil, newInstr(cfg.Obs, fs.N()))
-	if err != nil {
-		return nil, err
-	}
-	return sk.drain(), nil
-}
-
-// routeR4x builds the skeleton of r4 and routes it; see routeRing.
-func routeR4x(r4 *superring.Ring, fs *faults.Set, targetsFor func(k, vf int) []int, exitParity []int, in *instr) (*skeleton, error) {
 	sk, err := newSkeleton(r4, fs)
 	if err != nil {
 		return nil, err
 	}
-	return sk, sk.routeRing(r4, fs, targetsFor, exitParity, in)
+	if err := sk.routeRing(r4, fs, func(_, vf int) []int { return targetsFor(vf) }, nil, newInstr(cfg.Obs, fs.N())); err != nil {
+		return nil, err
+	}
+	return sk.drain(), nil
 }
 
 // routeRing runs the junction search of RouteR4 over the skeleton of

@@ -33,7 +33,7 @@ func TestRouteR4NoHealthyCrossing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, err = RouteR4(r4, fs, paperTargets(true), Config{})
+	_, err = RouteR4(r4, fs, func(vf int) []int { return blockTargets(vf, false, true) }, Config{})
 	if err == nil {
 		t.Fatal("poisoned superedge routed")
 	}
@@ -56,7 +56,7 @@ func TestRouteR4FaultyEdgeCrossing(t *testing.T) {
 	if err := fs.AddEdge(us[0], ws[0]); err != nil {
 		t.Fatal(err)
 	}
-	ring, err := RouteR4(r4, fs, paperTargets(false), Config{})
+	ring, err := RouteR4(r4, fs, func(vf int) []int { return blockTargets(vf, false, false) }, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestRouteR4FaultyEdgeCrossing(t *testing.T) {
 	}
 }
 
-// TestRouteR4ParityFilter drives routeR4x with an explicit exit-parity
+// TestRouteR4ParityFilter drives routeRing with an explicit exit-parity
 // plan and confirms every junction honors it.
 func TestRouteR4ParityFilter(t *testing.T) {
 	n := 6
@@ -90,11 +90,14 @@ func TestRouteR4ParityFilter(t *testing.T) {
 	// Derive a consistent plan: pick exits all parity 0; then entries
 	// are parity 1, and 24-vertex blocks connect parity-1 entries to
 	// parity-0 exits — consistent.
-	rt, err := routeR4x(r4, fs, func(_, vf int) []int { return []int{blockOrder - 2*vf} }, exitParity, nil)
+	sk, err := newSkeleton(r4, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring := rt.drain()
+	if err := sk.routeRing(r4, fs, func(_, vf int) []int { return []int{blockOrder - 2*vf} }, exitParity, nil); err != nil {
+		t.Fatal(err)
+	}
+	ring := sk.drain()
 	if len(ring) != perm.Factorial(n) {
 		t.Fatalf("ring %d", len(ring))
 	}
@@ -118,7 +121,7 @@ func TestRouteChainGapPoisoning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chain, err := buildChain(n, positions, fs, s, tt, nil)
+	chain, err := buildR4(n, positions, fs, Config{}, &[2]perm.Code{s, tt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,8 +132,11 @@ func TestRouteChainGapPoisoning(t *testing.T) {
 		}
 		fs.AddVertex(u)
 	}
-	_, err = routeChain(chain, fs, s, tt, Config{}, nil)
-	if err == nil {
+	sk, err := newSkeleton(chain, fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sk.routeChain(chain, fs, s, tt, false, nil) == nil {
 		t.Fatal("poisoned chain gap routed")
 	}
 }
@@ -277,7 +283,7 @@ func TestSuperRingReuseAcrossRouters(t *testing.T) {
 	}
 	snapshot := append([]substar.Pattern{}, r4.Vertices()...)
 
-	plain, err := RouteR4(r4, fs, paperTargets(false), Config{})
+	plain, err := RouteR4(r4, fs, func(vf int) []int { return blockTargets(vf, false, false) }, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,12 +295,11 @@ func TestSuperRingReuseAcrossRouters(t *testing.T) {
 	if exitParity == nil {
 		t.Fatal("balanced faults produced no upgrade plan")
 	}
-	opp, err := routeR4x(r4, fs, opportunisticTargets(upgraded), exitParity, nil)
-	if err != nil {
+	if err := sk.routeRing(r4, fs, opportunisticTargets(upgraded), exitParity, nil); err != nil {
 		t.Fatal(err)
 	}
-	if opp.ringLen() <= len(plain) {
-		t.Fatalf("opportunistic %d <= plain %d", opp.ringLen(), len(plain))
+	if sk.ringLen() <= len(plain) {
+		t.Fatalf("opportunistic %d <= plain %d", sk.ringLen(), len(plain))
 	}
 	for i, p := range r4.Vertices() {
 		if p != snapshot[i] {
