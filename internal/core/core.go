@@ -158,11 +158,17 @@ func embedLarge(res *Result, fs *faults.Set, cfg Config, ends *[2]perm.Code, in 
 	if err != nil {
 		return nil, err
 	}
-	if !separated && !cfg.BestEffort {
-		if ends != nil {
-			return nil, fmt.Errorf("core: the forced anchor position prevents Lemma 2 separation for %v; retry with BestEffort", fs)
+	if !separated {
+		if !cfg.BestEffort {
+			if ends != nil {
+				return nil, fmt.Errorf("core: the forced anchor position prevents Lemma 2 separation for %v; retry with BestEffort", fs)
+			}
+			return nil, fmt.Errorf("core: internal: Lemma 2 separation failed for %v", fs)
 		}
-		return nil, fmt.Errorf("core: internal: Lemma 2 separation failed for %v", fs)
+		// A block may now hold two faults, and nothing promises the
+		// length any more: like a ring past the budget, the result is
+		// verified but unguaranteed.
+		res.Guaranteed = false
 	}
 	res.Positions = positions
 

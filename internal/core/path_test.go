@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/check"
@@ -220,6 +221,34 @@ func TestEmbedPathExhaustiveS5Singles(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+	}
+}
+
+// TestEmbedPathUnseparated pins an S_5 input inside the budget whose
+// faults no s/t-splitting first position separates (Lemma 2): strict
+// mode refuses it with the separation error, and best effort returns
+// a verified path that promises nothing, 97 vertices where the
+// guarantee would be 115.
+func TestEmbedPathUnseparated(t *testing.T) {
+	n := 5
+	fs, err := faults.FromStrings(n, "12345", "31245")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, tt := perm.Pack(perm.MustParse("12354")), perm.Pack(perm.MustParse("42315"))
+	if _, err := EmbedPath(n, fs, s, tt, Config{}); err == nil || !strings.Contains(err.Error(), "prevents Lemma 2 separation") {
+		t.Fatalf("strict: %v, want the separation error", err)
+	}
+	plan, err := EmbedPath(n, fs, s, tt, Config{BestEffort: true})
+	if err != nil {
+		t.Fatalf("best effort: %v", err)
+	}
+	res := plan.Result()
+	if res.Guaranteed || res.Guarantee != 115 || res.Length != 97 {
+		t.Fatalf("best effort: guaranteed %v, guarantee %d, length %d; want false, 115, 97", res.Guaranteed, res.Guarantee, res.Length)
+	}
+	if err := check.Path(star.New(n), plan.Ring(), fs, s, tt, 0); err != nil {
+		t.Fatal(err)
 	}
 }
 
