@@ -2,7 +2,9 @@ package core_test
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/check"
@@ -14,15 +16,27 @@ import (
 
 // FuzzEmbedRing drives the full paper pipeline on randomized fault
 // sets: dimension n in [4,7], |Fv| <= n-3 distinct faulty vertices
-// derived from the fuzzed seed, then the embedding is independently
-// re-verified by internal/check (simple cycle, fault-free, adjacency
-// along every hop, length >= n! - 2|Fv|). This is the target the
-// scripts/ci.sh fuzz smoke leg exercises.
+// derived from the fuzzed seed. mode bit 0 asks for a longest path
+// instead of a ring, between the healthy vertices at or after ranks
+// sRank and tRank (mod n!), distinct; mode bit 1 turns on best effort.
+// Every plan is independently re-verified by internal/check (simple,
+// fault-free, adjacent along every hop, the right ends for a path). A
+// ring must meet n! - 2|Fv| in either mode. A strict path must meet its
+// guarantee, or refuse with the separation error: at S_5 some inputs
+// inside the budget leave no s/t-splitting first position that
+// separates the faults. Best effort must return a path anyway, verified
+// against its guarantee only when it claims one. This is the target
+// the scripts/ci.sh fuzz smoke leg exercises.
 func FuzzEmbedRing(f *testing.F) {
-	f.Add(uint8(0), uint8(0), int64(1))  // n=4, no faults
-	f.Add(uint8(2), uint8(3), int64(7))  // n=6, 3 faults (paper budget)
-	f.Add(uint8(3), uint8(9), int64(42)) // n=7, 4 faults
-	f.Fuzz(func(t *testing.T, nRaw, kRaw uint8, seed int64) {
+	f.Add(uint8(0), uint8(0), int64(1), uint8(0), uint16(0), uint16(0))     // n=4, no faults
+	f.Add(uint8(2), uint8(3), int64(7), uint8(0), uint16(0), uint16(0))     // n=6, 3 faults (paper budget)
+	f.Add(uint8(3), uint8(9), int64(42), uint8(0), uint16(0), uint16(0))    // n=7, 4 faults
+	f.Add(uint8(3), uint8(9), int64(42), uint8(2), uint16(0), uint16(0))    // the same, best effort
+	f.Add(uint8(2), uint8(3), int64(7), uint8(1), uint16(100), uint16(500)) // n=6 path, 3 faults
+	f.Add(uint8(1), uint8(2), int64(3460), uint8(3), uint16(1), uint16(80)) // S_5 path from 12354 to 42315 around 12345 and 31245, best effort
+	f.Add(uint8(1), uint8(2), int64(3460), uint8(1), uint16(1), uint16(80)) // the same, strict
+	f.Add(uint8(0), uint8(1), int64(5), uint8(3), uint16(17), uint16(17))   // n=4 path, equal ranks
+	f.Fuzz(func(t *testing.T, nRaw, kRaw uint8, seed int64, mode uint8, sRank, tRank uint16) {
 		n := 4 + int(nRaw)%4     // S_4 .. S_7
 		k := int(kRaw) % (n - 2) // 0 .. n-3 vertex faults
 		rng := rand.New(rand.NewSource(seed))
@@ -38,8 +52,13 @@ func FuzzEmbedRing(f *testing.F) {
 				t.Fatalf("AddVertex(%s): %v", v.StringN(n), err)
 			}
 		}
+		cfg := core.Config{BestEffort: mode&2 != 0}
+		if mode&1 != 0 {
+			fuzzPath(t, fs, int(sRank), int(tRank), cfg)
+			return
+		}
 
-		plan, err := core.Embed(n, fs, core.Config{})
+		plan, err := core.Embed(n, fs, cfg)
 		if err != nil {
 			t.Fatalf("Embed(n=%d, |Fv|=%d, seed=%d): %v", n, k, seed, err)
 		}
@@ -57,6 +76,57 @@ func FuzzEmbedRing(f *testing.F) {
 			t.Fatalf("independent verification failed (n=%d |Fv|=%d seed=%d): %v", n, k, seed, err)
 		}
 	})
+}
+
+// fuzzPath embeds a longest path of FuzzEmbedRing's fault set between
+// the first healthy vertices at or after ranks sRank and tRank, the
+// second distinct from the first, and checks it.
+func fuzzPath(t *testing.T, fs *faults.Set, sRank, tRank int, cfg core.Config) {
+	t.Helper()
+	n, k := fs.N(), fs.NumVertices()
+	order := perm.Factorial(n)
+	s := perm.UnrankCode(n, sRank%order)
+	for fs.HasVertex(s) {
+		s = perm.UnrankCode(n, (s.Rank(n)+1)%order)
+	}
+	tt := perm.UnrankCode(n, tRank%order)
+	for tt == s || fs.HasVertex(tt) {
+		tt = perm.UnrankCode(n, (tt.Rank(n)+1)%order)
+	}
+	var fv []string
+	for _, v := range fs.Vertices() {
+		fv = append(fv, v.StringN(n))
+	}
+	what := fmt.Sprintf("EmbedPath(n=%d, Fv=%v, %s -> %s, best effort %v)", n, fv, s.StringN(n), tt.StringN(n), cfg.BestEffort)
+	plan, err := core.EmbedPath(n, fs, s, tt, cfg)
+	if err != nil {
+		if !cfg.BestEffort && strings.Contains(err.Error(), "prevents Lemma 2 separation") {
+			return
+		}
+		t.Fatalf("%s: %v", what, err)
+	}
+	res := plan.Result()
+	minLen := 0
+	switch {
+	case res.Guaranteed:
+		minLen = res.Guarantee
+	case !cfg.BestEffort:
+		t.Fatalf("%s: within budget but Guaranteed=false", what)
+	}
+	want := order - 2*k
+	if s.Parity(n) == tt.Parity(n) {
+		want--
+	}
+	if n >= 5 && res.Guarantee != want {
+		t.Fatalf("%s: guarantee %d, want %d", what, res.Guarantee, want)
+	}
+	path := plan.Ring()
+	if len(path) != res.Length {
+		t.Fatalf("%s: %d vertices emitted, result says %d", what, len(path), res.Length)
+	}
+	if err := check.Path(star.New(n), path, fs, s, tt, minLen); err != nil {
+		t.Fatalf("%s: independent verification failed: %v", what, err)
+	}
 }
 
 // FuzzRepairSequence drives a plan through an arbitrary fault-arrival
