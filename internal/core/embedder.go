@@ -142,7 +142,8 @@ func (e *Embedder) embed(op *obs.Op, fs *faults.Set, ends *[2]perm.Code) (*Plan,
 	// The whole construction (and its self-verification) runs under the
 	// phase=embed pprof label, so CPU profiles captured while embedding —
 	// -cpuprofile or a live /debug/pprof/profile scrape — attribute their
-	// samples to it. The parallel routing workers inherit the label.
+	// samples to it. Nothing inside sets a label of its own: prof.Do
+	// leaves the goroutine unlabeled on return.
 	var p *Plan
 	prof.Do("embed", func() {
 		var sk *skeleton
@@ -491,11 +492,9 @@ func (p *Plan) RepairOp(op *obs.Op, v perm.Code) (RepairReport, error) {
 		// only happen under BestEffort degradation; fall through.
 	}
 
+	// The rebuild is one EmbedOp, whose phase=embed label covers it.
 	span := in.span("core.phase.repair_rebuild")
-	var err error
-	// The nested Embed re-labels its own extent phase=embed; samples in
-	// the rebuild bookkeeping around it stay phase=rebuild.
-	prof.Do("rebuild", func() { err = p.rebuild(op) })
+	err := p.rebuild(op)
 	span.End()
 	if err != nil {
 		// The nested EmbedOp already noted the failure against this trace

@@ -30,31 +30,14 @@ import (
 
 // Do runs fn with the pprof goroutine label phase=<phase> set, so CPU
 // samples taken inside are attributable to that phase of the pipeline.
-// Labels are inherited by goroutines started inside fn (the parallel
-// block-routing pool, for one) and the previous label set is restored
-// when fn returns, so nested phases shadow correctly.
+// Goroutines started inside fn inherit the label. When fn returns, Do
+// leaves the goroutine unlabeled, not with the label set it found, so
+// phases must not nest: a Do inside another unlabels the rest of the
+// outer phase.
 func Do(phase string, fn func()) {
 	pprof.Do(context.Background(), pprof.Labels("phase", phase), func(context.Context) {
 		fn()
 	})
-}
-
-// Label is a phase label built once, for a phase entered too often to
-// pay Do's per-call cost: Do builds its label set, a map and a context
-// on every call, Label.Do allocates nothing of its own.
-type Label struct{ ctx context.Context }
-
-// NewLabel returns the label phase=<phase>.
-func NewLabel(phase string) Label {
-	return Label{pprof.WithLabels(context.Background(), pprof.Labels("phase", phase))}
-}
-
-// Do runs fn with the label set. Like Do, it leaves the goroutine's
-// label set empty when fn returns.
-func (l Label) Do(fn func()) {
-	defer pprof.SetGoroutineLabels(context.Background())
-	pprof.SetGoroutineLabels(l.ctx)
-	fn()
 }
 
 // StartCPUProfile starts a CPU profile into path and returns the stop

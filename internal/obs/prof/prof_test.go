@@ -112,9 +112,6 @@ func TestCPUProfileLabeled(t *testing.T) {
 	Do("embed", func() {
 		spinSink = spin(time.Now().Add(time.Second / 2))
 	})
-	NewLabel("search").Do(func() {
-		spinSink = spin(time.Now().Add(time.Second / 2))
-	})
 	if err := stop(); err != nil {
 		t.Fatal(err)
 	}
@@ -129,23 +126,10 @@ func TestCPUProfileLabeled(t *testing.T) {
 	if !ok {
 		t.Error("no sample carries phase=embed; labels are not reaching the profile")
 	}
-	if ok, err := CPUProfileHasLabel(data, "phase", "search"); err != nil || !ok {
-		t.Errorf("phase=search reported %v, %v; a prebuilt Label is not reaching the profile", ok, err)
-	}
 	// A label never set must not be found (guards the parser against
 	// trivially returning true).
 	if ok, err := CPUProfileHasLabel(data, "phase", "no-such-phase"); err != nil || ok {
 		t.Errorf("phase=no-such-phase reported %v, %v; want false, nil", ok, err)
-	}
-}
-
-// TestLabelDoAllocs holds a prebuilt Label to its purpose: entering
-// and leaving the phase allocates nothing, where Do allocates its
-// label set on every call.
-func TestLabelDoAllocs(t *testing.T) {
-	l := NewLabel("search")
-	if a := testing.AllocsPerRun(100, func() { l.Do(func() { spinSink++ }) }); a != 0 {
-		t.Errorf("Label.Do allocates %.0f objects per call, want 0", a)
 	}
 }
 

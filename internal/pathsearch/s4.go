@@ -24,7 +24,6 @@ import (
 	"math/bits"
 
 	"repro/internal/obs"
-	"repro/internal/obs/prof"
 	"repro/internal/perm"
 	"repro/internal/star"
 )
@@ -162,10 +161,6 @@ func tableRoute(q Query) (w Steps, ok bool) {
 	return 0, false
 }
 
-// searchLabel is the pprof label phase=s4-search every search runs
-// under.
-var searchLabel = prof.NewLabel("s4-search")
-
 // find searches q and returns the path found, or nil when there is
 // none.
 func (s *S4) find(q Query) []uint8 {
@@ -200,13 +195,7 @@ func (s *S4) find(q Query) []uint8 {
 		d.adj[e.B] &^= 1 << uint(e.A)
 	}
 	d.path = append(make([]uint8, 0, q.Target), q.From)
-	// Searches are where a block query's CPU goes, so they run under
-	// their own pprof label, made once.
-	var found bool
-	searchLabel.Do(func() {
-		found = d.run(q.From, q.ForbidV|1<<uint(q.From))
-	})
-	if !found {
+	if !d.run(q.From, q.ForbidV|1<<uint(q.From)) {
 		return nil
 	}
 	return d.path
