@@ -313,7 +313,8 @@ type BuildSpec struct {
 	Exclude func(substar.Pattern) bool
 	// SpreadFaults and HealthyBorders enable the Lemma 3 discipline at
 	// the final refinement: fault-bearing blocks pairwise non-adjacent
-	// and every junction block fault-free.
+	// and every junction block fault-free. Where it is unsatisfiable,
+	// the final refinement is built without it.
 	SpreadFaults   bool
 	HealthyBorders bool
 	// VerifyP1/P2/P3 assert the corresponding property on the result.
@@ -335,12 +336,11 @@ func BuildR4(n int, fs *faults.Set, spec BuildSpec) (*superring.Ring, error) {
 // nil) or an open one whose first block holds ends[0] and whose last
 // holds ends[1]. Level j partitions at spec.Positions[j]: the first
 // arranges the children of S_n, every later one refines the ring. Only
-// the last level applies the Lemma 3 discipline. Where that is
-// unsatisfiable — beyond the budget, or on a chain whose anchors pin
-// its ends — the last level is retried relaxed and the router degrades
-// per block instead; every earlier level runs the same options on
-// both tries. A relaxed level has no (P3), so a spec that verifies it
-// still fails.
+// the last level applies the Lemma 3 discipline, so only it is retried
+// relaxed where the discipline is unsatisfiable (beyond the budget, or
+// on a chain whose anchors pin its ends); the router then degrades per
+// block instead. A relaxed level promises no (P3), which a spec that
+// verifies (P3) still checks.
 func build(n int, fs *faults.Set, spec BuildSpec, ends *[2]perm.Code) (*superring.Ring, error) {
 	if len(spec.Positions) != n-4 {
 		return nil, fmt.Errorf("core: need %d partition positions for S_%d, got %d", n-4, n, len(spec.Positions))
