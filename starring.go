@@ -155,6 +155,12 @@ var ErrStaleCursor = core.ErrStaleCursor
 // lie in different partite sets, n! - 2|Fv| - 1 otherwise (an extension
 // beyond the paper; see DESIGN.md §4b), as a Plan whose Cursor streams
 // it from s to t. A path plan cannot be repaired.
+//
+// At S_5 some inputs inside the fault budget leave no first partition
+// position that splits s from t and separates the faults: strict mode
+// refuses them with an error that advises best effort, and with
+// opts.BestEffort the path comes back verified but unguaranteed
+// (Result.Guaranteed false), possibly shorter than the bound.
 func EmbedLongestPath(n int, fs *FaultSet, s, t Vertex, opts Options) (*Plan, error) {
 	return core.EmbedPath(n, fs, s, t, opts)
 }
