@@ -383,7 +383,7 @@ func tracedRegistry(t *testing.T) (*obs.Registry, *obs.FlightRecorder, *strings.
 	sp.End()
 	op.Log(obs.LevelInfo, "t.milestone", obs.F("k", 1))
 	clock.Advance(time.Millisecond)
-	op.Done()
+	op.End()
 	return reg, rec, &log, op.Trace()
 }
 
@@ -496,7 +496,7 @@ func TestRunPostmortem(t *testing.T) {
 	reg, flight, _, first := tracedRegistry(t)
 	op := reg.StartOp("t.op.again")
 	op.Log(obs.LevelInfo, "t.milestone", obs.F("k", 2))
-	op.Done()
+	op.End()
 
 	dir := filepath.Join(t.TempDir(), "flight")
 	if err := export.WriteFlightBundle(dir, flight); err != nil {

@@ -70,16 +70,16 @@ func (e *Embedder) Warm() error {
 // Embed runs as its own traced operation (a fresh core.op.embed trace);
 // callers that already hold an operation context use EmbedOp.
 func (e *Embedder) Embed(fs *faults.Set) (*Plan, error) {
-	return e.EmbedOp(nil, fs)
+	return e.EmbedOp(obs.Span{}, fs)
 }
 
-// EmbedOp is Embed under an existing operation context: every phase
-// span and event-log record of the run carries op's trace id, so a
-// caller spanning several engine calls (the simulator, a repair's
-// rebuild) gets one causal timeline. A nil op opens a fresh
-// core.op.embed operation, owned by the call: ended on success, failed
-// into the flight recorder on error.
-func (e *Embedder) EmbedOp(op *obs.Op, fs *faults.Set) (*Plan, error) {
+// EmbedOp is Embed under an existing operation, given as its root span:
+// every phase span and event-log record of the run carries op's trace
+// id, so a caller spanning several engine calls (the simulator, a
+// repair's rebuild, a served request) gets one causal timeline. The
+// zero Span opens a fresh core.op.embed operation, owned by the call:
+// ended on success, ended and noted to the flight recorder on error.
+func (e *Embedder) EmbedOp(op obs.Span, fs *faults.Set) (*Plan, error) {
 	return e.embed(op, fs, nil)
 }
 
@@ -87,7 +87,7 @@ func (e *Embedder) EmbedOp(op *obs.Op, fs *faults.Set) (*Plan, error) {
 // instruments a ring (ends nil) or a longest path from ends[0] to
 // ends[1]. The two shapes differ only in the endpoint checks, the
 // guarantee, the construction step and the verifier's close.
-func (e *Embedder) embed(op *obs.Op, fs *faults.Set, ends *[2]perm.Code) (*Plan, error) {
+func (e *Embedder) embed(op obs.Span, fs *faults.Set, ends *[2]perm.Code) (*Plan, error) {
 	n := e.n
 	if fs == nil {
 		fs = faults.NewSet(n)
@@ -98,7 +98,7 @@ func (e *Embedder) embed(op *obs.Op, fs *faults.Set, ends *[2]perm.Code) (*Plan,
 		fs = fs.Clone()
 	}
 	in := newInstr(e.cfg.Obs, n)
-	owned := op == nil
+	owned := op == (obs.Span{})
 	if owned {
 		op = e.cfg.Obs.StartOp("core.op.embed")
 	}
@@ -120,7 +120,7 @@ func (e *Embedder) embed(op *obs.Op, fs *faults.Set, ends *[2]perm.Code) (*Plan,
 		err = fmt.Errorf("%w: |Fv|=%d, |Fe|=%d, n=%d", ErrBudget, nv, ne, n)
 	}
 	if err != nil {
-		in.fail(op, owned, "core.embed", err)
+		in.fail(owned, "core.embed", err)
 		return nil, err
 	}
 
@@ -172,7 +172,7 @@ func (e *Embedder) embed(op *obs.Op, fs *faults.Set, ends *[2]perm.Code) (*Plan,
 	})
 	total.End()
 	if err != nil {
-		in.fail(op, owned, "core.embed", err)
+		in.fail(owned, "core.embed", err)
 		return nil, err
 	}
 	in.embedCompleted(res.Guaranteed)
@@ -182,7 +182,7 @@ func (e *Embedder) embed(op *obs.Op, fs *faults.Set, ends *[2]perm.Code) (*Plan,
 			obs.F("n", n), obs.F("vertex_faults", nv), obs.F("edge_faults", ne),
 			obs.F("ring", res.Len()), obs.F("guarantee", res.Guarantee))
 	}
-	in.done(op, owned)
+	in.done(owned)
 	return p, nil
 }
 
@@ -419,13 +419,13 @@ var ErrPlanBroken = errors.New("core: plan is broken (a previous rebuild failed)
 // guarantee. A path plan is never repaired: Repair returns an error and
 // leaves it as it is.
 func (p *Plan) Repair(v perm.Code) (RepairReport, error) {
-	return p.RepairOp(nil, v)
+	return p.RepairOp(obs.Span{}, v)
 }
 
-// RepairOp is Repair under an existing operation context (see EmbedOp
-// for the contract). A nil op opens a fresh core.op.repair operation
-// owned by the call.
-func (p *Plan) RepairOp(op *obs.Op, v perm.Code) (RepairReport, error) {
+// RepairOp is Repair under an existing operation (see EmbedOp for the
+// contract). The zero Span opens a fresh core.op.repair operation owned
+// by the call.
+func (p *Plan) RepairOp(op obs.Span, v perm.Code) (RepairReport, error) {
 	rep := RepairReport{Block: -1, OldLen: p.res.Len()}
 	if p.ends != nil {
 		return rep, errors.New("core: a path plan cannot be repaired")
@@ -440,7 +440,7 @@ func (p *Plan) RepairOp(op *obs.Op, v perm.Code) (RepairReport, error) {
 	}
 
 	in := newInstr(p.e.cfg.Obs, p.e.n)
-	owned := op == nil
+	owned := op == (obs.Span{})
 	if owned {
 		op = p.e.cfg.Obs.StartOp("core.op.repair")
 	}
@@ -450,11 +450,11 @@ func (p *Plan) RepairOp(op *obs.Op, v perm.Code) (RepairReport, error) {
 	nv, ne := p.fs.NumVertices(), p.fs.NumEdges()
 	if nv+1+ne > faults.MaxTolerated(n) && !p.e.cfg.BestEffort {
 		err := fmt.Errorf("%w: |Fv|=%d, |Fe|=%d, n=%d", ErrBudget, nv+1, ne, n)
-		in.fail(op, owned, "core.repair", err)
+		in.fail(owned, "core.repair", err)
 		return rep, err
 	}
 	if err := p.fs.AddVertex(v); err != nil {
-		in.fail(op, owned, "core.repair", err)
+		in.fail(owned, "core.repair", err)
 		return rep, err
 	}
 	p.res.VertexFaults++
@@ -468,7 +468,7 @@ func (p *Plan) RepairOp(op *obs.Op, v perm.Code) (RepairReport, error) {
 		in.repair("avoided")
 		rep.Outcome = RepairAvoided
 		rep.NewLen = rep.OldLen
-		p.repaired(in, op, owned, v, rep)
+		p.repaired(in, owned, v, rep)
 		return rep, nil
 	}
 
@@ -485,7 +485,7 @@ func (p *Plan) RepairOp(op *obs.Op, v perm.Code) (RepairReport, error) {
 			rep.SegmentOldLen = p.sk.steps[k].Len() + 2
 			rep.NewLen = p.res.Len()
 			rep.BlocksRerouted = 1
-			p.repaired(in, op, owned, v, rep)
+			p.repaired(in, owned, v, rep)
 			return rep, nil
 		}
 		// Lemma 4 covers the strict regime, so a failed splice should
@@ -499,14 +499,14 @@ func (p *Plan) RepairOp(op *obs.Op, v perm.Code) (RepairReport, error) {
 	if err != nil {
 		// The nested EmbedOp already noted the failure against this trace
 		// (or the plan is poisoned); just close an owned root span.
-		in.done(op, owned)
+		in.done(owned)
 		return rep, err
 	}
 	in.repair("rebuilds")
 	rep.Outcome = RepairRebuild
 	rep.NewLen = p.res.Len()
 	rep.BlocksRerouted = p.res.Blocks
-	p.repaired(in, op, owned, v, rep)
+	p.repaired(in, owned, v, rep)
 	return rep, nil
 }
 
@@ -514,7 +514,7 @@ func (p *Plan) RepairOp(op *obs.Op, v perm.Code) (RepairReport, error) {
 // emits the structured core.repair event when an event log is attached
 // — which vertex failed, what Repair did, and what it cost, under the
 // bound operation's trace id — and ends an owned operation.
-func (p *Plan) repaired(in *instr, op *obs.Op, owned bool, v perm.Code, rep RepairReport) {
+func (p *Plan) repaired(in *instr, owned bool, v perm.Code, rep RepairReport) {
 	in.skeleton(p.sk.bytesPerBlock())
 	if in != nil && in.op.Enabled(obs.LevelInfo) {
 		in.op.Log(obs.LevelInfo, "core.repair",
@@ -524,7 +524,7 @@ func (p *Plan) repaired(in *instr, op *obs.Op, owned bool, v perm.Code, rep Repa
 			obs.F("old_len", rep.OldLen),
 			obs.F("new_len", rep.NewLen))
 	}
-	in.done(op, owned)
+	in.done(owned)
 }
 
 // CanSplice reports whether a failure of v would take the splice fast
@@ -635,7 +635,7 @@ func (p *Plan) applySplice(k int, steps pathsearch.Steps) {
 // fault set, joined to the repair's operation context so the whole
 // fallback shows up under one trace. On failure the plan is poisoned:
 // its ring predates the fault that triggered the rebuild.
-func (p *Plan) rebuild(op *obs.Op) error {
+func (p *Plan) rebuild(op obs.Span) error {
 	np, err := p.e.EmbedOp(op, p.fs)
 	if err != nil {
 		p.broken = true

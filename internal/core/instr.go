@@ -13,7 +13,7 @@ import (
 // TestObsDisabledAllocs and BenchmarkObsDisabled).
 type instr struct {
 	reg *obs.Registry
-	op  *obs.Op // the run's operation context; set by bind, never nil there
+	op  obs.Span // the run's operation, its root span; zero until bind
 
 	backtracks *obs.Counter
 	blocks     *obs.Counter
@@ -42,47 +42,47 @@ func newInstr(r *obs.Registry, n int) *instr {
 	}
 }
 
-// bind attaches the run's operation context. Every phase span opened
-// through in.span afterwards is a child of the operation's root, and
+// bind attaches the run's operation. Every phase span opened through
+// in.span afterwards is a child of the operation's root span, and
 // event-log records carry its trace id.
-func (in *instr) bind(op *obs.Op) {
+func (in *instr) bind(op obs.Span) {
 	if in == nil {
 		return
 	}
 	in.op = op
 }
 
-// span opens a phase span ("core.phase.*") under the bound operation;
-// zero Span when disabled.
+// span opens a phase span ("core.phase.*") under the bound operation,
+// or an untraced registry span when none is bound (RouteR4, which the
+// baselines call outside any operation); zero Span when disabled.
 func (in *instr) span(name string) obs.Span {
 	if in == nil {
 		return obs.Span{}
 	}
-	if in.op != nil {
-		return in.op.Span(name)
+	if in.op == (obs.Span{}) {
+		return in.reg.Span(name)
 	}
-	return in.reg.Span(name)
+	return in.op.Span(name)
 }
 
-// fail ends a failed operation. Owned ops (created by this layer) end
-// through Op.Fail, which closes the root span and fires the flight
-// recorder; caller-owned ops only get the error noted — the owner
-// decides when the root span closes.
-func (in *instr) fail(op *obs.Op, owned bool, source string, err error) {
+// fail notes a failed operation on the flight recorder. An owned op
+// (created by this layer) ends its root span first, so an auto-dumped
+// bundle holds it; a caller-owned op only gets the error noted — the
+// owner decides when the root span closes.
+func (in *instr) fail(owned bool, source string, err error) {
 	if in == nil {
 		return
 	}
 	if owned {
-		op.Fail(source, err)
-		return
+		in.op.End()
 	}
-	in.reg.NoteError(op.Trace(), op.SpanID(), source, err)
+	in.op.NoteError(source, err)
 }
 
 // done ends a successful owned operation; caller-owned ops pass through.
-func (in *instr) done(op *obs.Op, owned bool) {
+func (in *instr) done(owned bool) {
 	if in != nil && owned {
-		op.Done()
+		in.op.End()
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/faults"
+	"repro/internal/obs"
 	"repro/internal/pathsearch"
 	"repro/internal/perm"
 	"repro/internal/substar"
@@ -44,7 +45,7 @@ func EmbedPath(n int, fs *faults.Set, s, t perm.Code, cfg Config) (*Plan, error)
 	if err != nil {
 		return nil, err
 	}
-	return e.embed(nil, fs, &[2]perm.Code{s, t})
+	return e.embed(obs.Span{}, fs, &[2]perm.Code{s, t})
 }
 
 // embedPathSmall solves n = 3, 4 by direct search on the (canonical)

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/faults"
+	"repro/internal/obs"
 	"repro/internal/perm"
 	"repro/internal/star"
 )
@@ -271,7 +272,7 @@ func TestPathPlanNotRepairable(t *testing.T) {
 		if _, err := plan.Repair(v); err == nil {
 			t.Errorf("Repair(%s) on a path plan succeeded", v.StringN(n))
 		}
-		if _, err := plan.RepairOp(nil, v); err == nil {
+		if _, err := plan.RepairOp(obs.NewRegistry().StartOp("t.op.repair"), v); err == nil {
 			t.Errorf("RepairOp(%s) on a path plan succeeded", v.StringN(n))
 		}
 	}

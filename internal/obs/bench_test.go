@@ -74,7 +74,7 @@ func BenchmarkSpanRecorded(b *testing.B) {
 func BenchmarkSpanEnabledWithOp(b *testing.B) {
 	r := NewRegistry()
 	op := r.StartOp("op")
-	defer op.Done()
+	defer op.End()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		op.Span("phase").End()

@@ -30,7 +30,7 @@ func flightFixture(t *testing.T) (*obs.FlightRecorder, obs.TraceID) {
 	sp.End()
 	op.Log(obs.LevelInfo, "t.milestone", obs.F("k", 1))
 	clock.Advance(time.Millisecond)
-	op.Done()
+	op.End()
 	return f, op.Trace()
 }
 
@@ -149,10 +149,9 @@ func TestFlightBundleKeepsFailingTrace(t *testing.T) {
 			sp.End()
 		}
 		op.Log(obs.LevelInfo, "t.milestone")
+		op.End()
 		if fail {
-			op.Fail("t.run", errors.New("boom"))
-		} else {
-			op.Done()
+			op.NoteError("t.run", errors.New("boom"))
 		}
 		return op.Trace()
 	}

@@ -145,7 +145,7 @@ func TestOpenMetricsExemplars(t *testing.T) {
 	reg.SetClock(clock)
 	op := reg.StartOp("t.op.run")
 	clock.Advance(time.Millisecond)
-	op.Done()
+	op.End()
 	reg.Histogram("t.phase.plain").Observe(time.Millisecond) // untraced
 
 	var buf bytes.Buffer

@@ -112,7 +112,7 @@ func TestWriteTraceCausality(t *testing.T) {
 	clock.Advance(2 * time.Millisecond)
 	child.End()
 	clock.Advance(time.Millisecond)
-	op.Done()
+	op.End()
 	plain := reg.Span("t.phase.plain")
 	clock.Advance(time.Millisecond)
 	plain.End()
@@ -151,8 +151,8 @@ func TestWriteTraceCausality(t *testing.T) {
 	if root.Args["trace_id"] != op.Trace().String() || a.Args["trace_id"] != op.Trace().String() {
 		t.Errorf("traced spans missing trace_id args: root=%v a=%v", root.Args, a.Args)
 	}
-	if a.Args["parent_span_id"] != op.SpanID().String() {
-		t.Errorf("child parent_span_id = %q, want %q", a.Args["parent_span_id"], op.SpanID())
+	if a.Args["parent_span_id"] != op.ID().String() {
+		t.Errorf("child parent_span_id = %q, want %q", a.Args["parent_span_id"], op.ID())
 	}
 	if root.TID != a.TID {
 		t.Errorf("contained child on tid %d, parent on %d — should nest in one lane", a.TID, root.TID)
@@ -185,9 +185,9 @@ func TestWriteTraceCausality(t *testing.T) {
 		t.Errorf("flow finish bp = %q, want \"e\" (bind to enclosing slice)", flowF[0].BP)
 	}
 
-	if root.Args["span_id"] != op.SpanID().String() || a.Args["span_id"] != child.ID().String() {
+	if root.Args["span_id"] != op.ID().String() || a.Args["span_id"] != child.ID().String() {
 		t.Errorf("span_id args root=%q child=%q, want %q and %q",
-			root.Args["span_id"], a.Args["span_id"], op.SpanID(), child.ID())
+			root.Args["span_id"], a.Args["span_id"], op.ID(), child.ID())
 	}
 }
 

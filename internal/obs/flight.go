@@ -14,9 +14,9 @@ import (
 // reconstructed after it.
 //
 // Once installed by NewFlightRecorder it is fed under one lock by
-// Span.End (every completed span), Registry.Log and Op.Log (log lines
-// at or above the recorder's level) and Registry.NoteError (failures,
-// which also trigger the armed auto-dump). The ring overwrites oldest
+// Span.End (every completed span), Registry.Log and Span.Log (log
+// lines at or above the recorder's level) and Span.NoteError
+// (failures, which also trigger the armed auto-dump). The ring overwrites oldest
 // first whatever an entry's kind, so memory is bounded by the capacity
 // chosen at construction. The Perfetto export reads its spans
 // (SpanEvents), the NDJSON views read its log lines (Events); an
@@ -26,7 +26,7 @@ import (
 //
 // Metrics (see the README glossary): obs.flight.events and
 // obs.flight.spans count log lines and spans appended,
-// obs.flight.errors counts NoteError calls, obs.flight.dumps counts
+// obs.flight.errors counts Span.NoteError calls, obs.flight.dumps counts
 // bundles written.
 type FlightRecorder struct {
 	reg *Registry
@@ -205,21 +205,24 @@ func (f *FlightRecorder) SetAutoDump(dir string, dump func(dir string) error) {
 	f.mu.Unlock()
 }
 
-// NoteError records an operation failure on the installed flight
-// recorder: it bumps obs.flight.errors, appends an obs.flight.error
-// log line carrying the failing identity, and, when armed, writes the
-// post-mortem bundle. err == nil, a nil registry and a registry
-// without a recorder are no-ops.
-func (r *Registry) NoteError(trace TraceID, span SpanID, source string, err error) {
-	if r == nil || err == nil {
+// NoteError records a failure of the operation s belongs to on its
+// registry's flight recorder: it bumps obs.flight.errors, appends an
+// obs.flight.error log line stamped with s's trace and span ids, and,
+// when armed, writes the post-mortem bundle. source names the failing
+// subsystem ("core.embed", "serve.chaos", ...). An owner that ends a
+// failed operation ends its span first, so the bundle holds it.
+// err == nil, the zero Span and a registry without a recorder are
+// no-ops.
+func (s Span) NoteError(source string, err error) {
+	if s.r == nil || err == nil {
 		return
 	}
-	f := r.flight.Load()
+	f := s.r.flight.Load()
 	if f == nil {
 		return
 	}
 	f.cErrors.Inc()
-	f.log(r, trace, span, LevelError, "obs.flight.error",
+	f.log(s.r, s.trace, s.id, LevelError, "obs.flight.error",
 		[]Field{F("source", source), F("error", err.Error())})
 	f.mu.Lock()
 	dir, dump := f.autoDir, f.dump

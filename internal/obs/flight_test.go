@@ -20,9 +20,8 @@ func TestFlightNilSafe(t *testing.T) {
 	if err := f.Dump("x", func(string) error { return errors.New("no") }); err != nil {
 		t.Error("nil recorder Dump errored")
 	}
-	var reg *Registry
-	reg.NoteError(1, 2, "t.source", errors.New("boom"))
-	NewRegistry().NoteError(1, 2, "t.source", errors.New("boom")) // no recorder: a no-op
+	Span{}.NoteError("t.source", errors.New("boom"))
+	Span{r: NewRegistry(), trace: 1, id: 2}.NoteError("t.source", errors.New("boom")) // no recorder: a no-op
 }
 
 // The ring must be bounded and oldest-first: after overfilling, only
@@ -137,8 +136,9 @@ func TestFlightRingEvictsOldestWhateverKind(t *testing.T) {
 func TestFlightNoteErrorWithoutLog(t *testing.T) {
 	reg := NewRegistry()
 	f := NewFlightRecorder(reg, 8, nil, LevelError)
-	reg.NoteError(7, 9, "t.source", errors.New("boom"))
-	reg.NoteError(7, 9, "t.source", nil) // nil error is a no-op
+	op := Span{r: reg, trace: 7, id: 9}
+	op.NoteError("t.source", errors.New("boom"))
+	op.NoteError("t.source", nil) // nil error is a no-op
 
 	events := f.Events()
 	if len(events) != 1 {
@@ -159,6 +159,7 @@ func TestFlightNoteErrorWithoutLog(t *testing.T) {
 func TestFlightAutoDump(t *testing.T) {
 	reg := NewRegistry()
 	f := NewFlightRecorder(reg, 8, nil, LevelDebug)
+	op := Span{r: reg, trace: 1, id: 2}
 
 	dumps := 0
 	var gotDir string
@@ -167,21 +168,21 @@ func TestFlightAutoDump(t *testing.T) {
 		gotDir = dir
 		return nil
 	})
-	reg.NoteError(1, 2, "t.source", errors.New("boom"))
+	op.NoteError("t.source", errors.New("boom"))
 	if dumps != 1 || gotDir != "post" {
 		t.Fatalf("auto-dump ran %d times into %q, want once into post", dumps, gotDir)
 	}
 
 	// A failing dump must not count.
 	f.SetAutoDump("post", func(string) error { return errors.New("disk full") })
-	reg.NoteError(1, 2, "t.source", errors.New("boom"))
+	op.NoteError("t.source", errors.New("boom"))
 	if got := reg.Snapshot().Counters["obs.flight.dumps"]; got != 1 {
 		t.Errorf("obs.flight.dumps = %d, want 1", got)
 	}
 
 	// Disarmed: no dump on error.
 	f.SetAutoDump("", nil)
-	reg.NoteError(1, 2, "t.source", errors.New("boom"))
+	op.NoteError("t.source", errors.New("boom"))
 	if dumps != 1 {
 		t.Errorf("disarmed recorder still dumped")
 	}

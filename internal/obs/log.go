@@ -138,7 +138,7 @@ func (r *Registry) Enabled(level Level) bool {
 // Log records one log line outside any operation context on the
 // installed flight recorder (and its NDJSON writer, if any). Without a
 // recorder, or on a nil registry, it is a no-op. Events belonging to
-// an operation go through Op.Log, which also stamps the trace
+// an operation go through Span.Log, which also stamps the trace
 // identity.
 func (r *Registry) Log(level Level, event string, fields ...Field) {
 	if r == nil {
@@ -146,3 +146,17 @@ func (r *Registry) Log(level Level, event string, fields ...Field) {
 	}
 	r.flight.Load().log(r, 0, 0, level, event, fields)
 }
+
+// Log records one log line stamped with the span's trace and span ids —
+// for an operation's root span, the operation's identity. On the zero
+// Span, or with no flight recorder installed, it is a no-op; guard
+// expensive field construction with Enabled.
+func (s Span) Log(level Level, event string, fields ...Field) {
+	if s.r == nil {
+		return
+	}
+	s.r.flight.Load().log(s.r, s.trace, s.id, level, event, fields)
+}
+
+// Enabled reports whether Log at level would record anything.
+func (s Span) Enabled(level Level) bool { return s.r.Enabled(level) }

@@ -12,12 +12,16 @@
 // the store: the export Sampler, Snapshot and every exporter built on
 // it read the registry through it.
 //
-// Completed spans and log lines have one destination: the optional
-// FlightRecorder, a bounded ring that the Perfetto export, the NDJSON
-// event stream, metrics snapshots and post-mortem bundles all read.
+// A traced operation is its root span (Registry.StartOp): one Span
+// value carries every traced scope, from an HTTP request through the
+// engine, and opens children (Span.Span), logs under its identity
+// (Span.Log) and notes a failure (Span.NoteError). Completed spans and
+// log lines have one destination: the optional FlightRecorder, a
+// bounded ring that the Perfetto export, the NDJSON event stream,
+// metrics snapshots and post-mortem bundles all read.
 //
 // Every API is nil-safe: methods on a nil *Registry, *Counter, *Gauge
-// or *Histogram, and End on a zero Span, are no-ops costing a pointer
+// or *Histogram, and on a zero Span, are no-ops costing a pointer
 // test and a return. Instrumented hot paths therefore carry no
 // configuration branches of their own; they call through unconditionally
 // and pay a few nanoseconds when observation is disabled (verified by

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"sync/atomic"
-	"time"
 )
 
 // TraceID identifies one operation (an embed, a repair, a simulator
@@ -106,24 +105,16 @@ func nextID() uint64 {
 	return x
 }
 
-// Op is one traced operation: a root span plus the trace identity that
-// child spans and log lines inherit. Ops are created by
-// Registry.StartOp and threaded explicitly (an *Op parameter) through
-// the layers an operation crosses — embedder, router workers,
-// simulator — so causality needs no context.Context plumbing.
-//
-// A nil *Op is the disabled operation: every method is a no-op or
-// returns a zero value, so call sites never branch.
-type Op struct {
-	r    *Registry
-	root Span
-}
-
-// StartOp opens a traced operation: a fresh TraceID and a root span
-// named name (its duration lands in the histogram of the same name,
-// like any span). The caller must end it with Done or Fail. On a nil
-// registry StartOp returns nil, the disabled operation.
-func (r *Registry) StartOp(name string) *Op {
+// StartOp opens a traced operation: its root span, named name, under a
+// fresh TraceID (its duration lands in the histogram of the same name,
+// like any span). The operation is threaded explicitly, as a Span
+// parameter, through the layers it crosses — embedder, repair,
+// simulator, request handler — so causality needs no context.Context
+// plumbing: child spans come from Span.Span, log lines from Span.Log,
+// a failure is noted with Span.NoteError, and the caller ends the
+// operation with End. On a nil registry StartOp returns the zero Span,
+// the disabled operation, whose every method is a no-op.
+func (r *Registry) StartOp(name string) Span {
 	return r.StartOpTrace(name, 0)
 }
 
@@ -134,76 +125,12 @@ func (r *Registry) StartOp(name string) *Op {
 // client-reported id reconstructs the server-side timeline end to end.
 // A zero trace falls back to a fresh id, making StartOpTrace(name, 0)
 // identical to StartOp(name).
-func (r *Registry) StartOpTrace(name string, trace TraceID) *Op {
+func (r *Registry) StartOpTrace(name string, trace TraceID) Span {
 	if r == nil {
-		return nil
+		return Span{}
 	}
 	if trace == 0 {
 		trace = TraceID(nextID())
 	}
-	op := &Op{r: r}
-	op.root = r.span(name, trace, SpanID(nextID()), 0)
-	return op
-}
-
-// Trace returns the operation's trace id (zero for a nil Op).
-func (o *Op) Trace() TraceID {
-	if o == nil {
-		return 0
-	}
-	return o.root.trace
-}
-
-// SpanID returns the root span's id (zero for a nil Op).
-func (o *Op) SpanID() SpanID {
-	if o == nil {
-		return 0
-	}
-	return o.root.id
-}
-
-// Span starts a child of the operation's root span. The child carries
-// the operation's trace id and the root as its parent; grandchildren
-// come from Span.Span on the returned value.
-func (o *Op) Span(name string) Span {
-	if o == nil {
-		return Span{}
-	}
-	return o.root.Span(name)
-}
-
-// Log records one log line stamped with the operation's trace and root
-// span ids. With no flight recorder installed (or a nil Op) it is a
-// no-op; guard expensive field construction with Enabled.
-func (o *Op) Log(level Level, event string, fields ...Field) {
-	if o == nil {
-		return
-	}
-	o.r.flight.Load().log(o.r, o.root.trace, o.root.id, level, event, fields)
-}
-
-// Enabled reports whether Log at level would record anything.
-func (o *Op) Enabled(level Level) bool {
-	return o != nil && o.r.Enabled(level)
-}
-
-// Done ends the operation's root span and returns its duration. Exactly
-// one of Done or Fail must be called, by the layer that created the Op.
-func (o *Op) Done() time.Duration {
-	if o == nil {
-		return 0
-	}
-	return o.root.End()
-}
-
-// Fail ends the operation's root span and reports err to the flight
-// recorder (which logs obs.flight.error and, when armed, dumps the
-// post-mortem bundle). source names the failing subsystem
-// ("core.embed", "core.repair", ...).
-func (o *Op) Fail(source string, err error) {
-	if o == nil {
-		return
-	}
-	o.root.End()
-	o.r.NoteError(o.root.trace, o.root.id, source, err)
+	return r.span(name, trace, SpanID(nextID()), 0)
 }

@@ -60,15 +60,15 @@ func TestStartOpLinkage(t *testing.T) {
 	rec := NewFlightRecorder(reg, 16, nil, LevelDebug)
 
 	op := reg.StartOp("t.op.run")
-	if op.Trace() == 0 || op.SpanID() == 0 {
-		t.Fatalf("op has zero identity: trace=%v span=%v", op.Trace(), op.SpanID())
+	if op.Trace() == 0 || op.ID() == 0 {
+		t.Fatalf("op has zero identity: trace=%v span=%v", op.Trace(), op.ID())
 	}
 	child := op.Span("t.phase.a")
 	grand := child.Span("t.phase.b")
 	clock.Advance(time.Millisecond)
 	grand.End()
 	child.End()
-	if d := op.Done(); d != time.Millisecond {
+	if d := op.End(); d != time.Millisecond {
 		t.Errorf("op duration = %v, want 1ms", d)
 	}
 
@@ -105,8 +105,8 @@ func TestStartOpDistinctTraces(t *testing.T) {
 	if a.Trace() == b.Trace() {
 		t.Errorf("two ops share trace %v", a.Trace())
 	}
-	a.Done()
-	b.Done()
+	a.End()
+	b.End()
 }
 
 // Spans started outside any op keep the legacy untraced behavior, even
@@ -133,7 +133,7 @@ func TestOpLogStampsIdentity(t *testing.T) {
 	op := reg.StartOp("t.op.run")
 	op.Log(LevelInfo, "t.milestone", F("k", 1))
 	reg.Log(LevelInfo, "t.plain")
-	op.Done()
+	op.End()
 
 	recs, err := ReadLog(strings.NewReader(buf.String()))
 	if err != nil {
@@ -142,9 +142,9 @@ func TestOpLogStampsIdentity(t *testing.T) {
 	if len(recs) != 2 {
 		t.Fatalf("got %d records, want 2", len(recs))
 	}
-	if recs[0].Trace != op.Trace() || recs[0].Span != op.SpanID() {
+	if recs[0].Trace != op.Trace() || recs[0].Span != op.ID() {
 		t.Errorf("op record identity %v/%v, want %v/%v",
-			recs[0].Trace, recs[0].Span, op.Trace(), op.SpanID())
+			recs[0].Trace, recs[0].Span, op.Trace(), op.ID())
 	}
 	if recs[1].Trace != 0 || recs[1].Span != 0 {
 		t.Errorf("plain record carries identity: %+v", recs[1])
@@ -156,15 +156,15 @@ func TestOpLogStampsIdentity(t *testing.T) {
 	}
 }
 
-// The disabled operation: every method on a nil *Op (and StartOp on a
-// nil registry) is safe and inert.
+// The disabled operation: StartOp on a nil registry returns the zero
+// Span, and every method on it is safe and inert.
 func TestOpNilSafety(t *testing.T) {
 	var reg *Registry
 	op := reg.StartOp("t.op.run")
-	if op != nil {
+	if op != (Span{}) {
 		t.Fatal("nil registry produced a live op")
 	}
-	if op.Trace() != 0 || op.SpanID() != 0 {
+	if op.Trace() != 0 || op.ID() != 0 {
 		t.Error("nil op has identity")
 	}
 	op.Span("t.phase.a").End()
@@ -172,19 +172,21 @@ func TestOpNilSafety(t *testing.T) {
 	if op.Enabled(LevelError) {
 		t.Error("nil op claims logging is enabled")
 	}
-	if op.Done() != 0 {
+	if op.End() != 0 {
 		t.Error("nil op reports a duration")
 	}
-	op.Fail("t.source", errors.New("boom"))
+	op.NoteError("t.source", errors.New("boom"))
 }
 
-// Op.Fail routes the error to the flight recorder and still completes
-// the root span's histogram observation.
+// A failed operation ends its root span and notes the error: the error
+// reaches the flight recorder stamped with the root's identity, and the
+// root span's histogram observation still completes.
 func TestOpFail(t *testing.T) {
 	reg := NewRegistry()
 	f := NewFlightRecorder(reg, 8, nil, LevelDebug)
 	op := reg.StartOp("t.op.run")
-	op.Fail("t.source", errors.New("boom"))
+	op.End()
+	op.NoteError("t.source", errors.New("boom"))
 
 	snap := reg.Snapshot()
 	if got := snap.Counters["obs.flight.errors"]; got != 1 {
@@ -200,9 +202,9 @@ func TestOpFail(t *testing.T) {
 	if len(events) != 1 || events[0].Event != "obs.flight.error" {
 		t.Fatalf("flight ring = %+v, want one obs.flight.error", events)
 	}
-	if events[0].Trace != op.Trace() || events[0].Span != op.SpanID() {
+	if events[0].Trace != op.Trace() || events[0].Span != op.ID() {
 		t.Errorf("error record identity %v/%v, want %v/%v",
-			events[0].Trace, events[0].Span, op.Trace(), op.SpanID())
+			events[0].Trace, events[0].Span, op.Trace(), op.ID())
 	}
 }
 
@@ -244,7 +246,7 @@ func TestHistogramExemplars(t *testing.T) {
 	}
 	reg := NewRegistry()
 	op := reg.StartOp("t.op.run")
-	op.Done()
+	op.End()
 	if ex := reg.Snapshot().Histograms["t.op.run"].Exemplars; len(ex) != 1 {
 		t.Errorf("snapshot exemplars = %+v, want 1", ex)
 	}
@@ -264,7 +266,7 @@ func TestStartOpTrace(t *testing.T) {
 	}
 	child := op.Span("t.phase.a")
 	child.End()
-	op.Done()
+	op.End()
 	for _, e := range rec.SpanEvents() {
 		if e.Trace != want {
 			t.Errorf("%s trace = %v, want the supplied id %v", e.Name, e.Trace, want)
@@ -275,11 +277,11 @@ func TestStartOpTrace(t *testing.T) {
 	if fresh.Trace() == 0 {
 		t.Error("zero supplied trace did not fall back to a fresh id")
 	}
-	fresh.Done()
+	fresh.End()
 
 	var nilReg *Registry
-	if nilReg.StartOpTrace("t.op.nil", want) != nil {
-		t.Error("nil registry should return the nil op")
+	if nilReg.StartOpTrace("t.op.nil", want) != (Span{}) {
+		t.Error("nil registry should return the zero Span")
 	}
 }
 

@@ -3,7 +3,7 @@ package obs
 import "time"
 
 // Event is one completed span: a named phase with its start instant and
-// duration in nanoseconds. Spans started under an Op also carry the
+// duration in nanoseconds. Spans of an operation also carry the
 // trace identity — Trace/Span/Parent are zero ("", omitted from JSON)
 // for registry-level spans outside any operation.
 type Event struct {
@@ -17,9 +17,10 @@ type Event struct {
 
 // Span measures one named phase. It is a plain value — starting a span
 // on a nil registry yields the zero Span, whose End is a no-op — so
-// disabled tracing allocates nothing. Spans opened under an Op (or via
-// Span.Span) additionally carry the trace id and their parent's span
-// id, which End stamps onto the emitted Event.
+// disabled tracing allocates nothing. An operation is its root span
+// (Registry.StartOp); its descendants, opened through Span.Span, carry
+// its trace id and their parent's span id, which End stamps onto the
+// emitted Event.
 type Span struct {
 	r      *Registry
 	h      *Histogram
@@ -34,7 +35,7 @@ type Span struct {
 // the histogram of the same name, and an Event goes to the flight
 // recorder when one is installed. The
 // span is untraced (no trace/span ids); use Registry.StartOp and
-// Op.Span for causal telemetry.
+// Span.Span for causal telemetry.
 func (r *Registry) Span(name string) Span {
 	return r.span(name, 0, 0, 0)
 }

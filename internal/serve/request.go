@@ -2,10 +2,10 @@
 // cmd/starserve: a stdlib HTTP surface over the sessionful
 // core.Embedder/Plan API with a bounded pool per dimension, admission
 // control with load shedding, and a request-scoped observability
-// pipeline — every request runs under an obs.Op whose trace id is
-// accepted from and echoed via the X-Star-Trace header, is measured
-// into labeled serve.* RED families, and auto-dumps the flight
-// recorder on any 5xx.
+// pipeline — every request runs as one operation, its
+// serve.op.request root span, whose trace id is accepted from and
+// echoed via the X-Star-Trace header, is measured into labeled serve.*
+// RED families, and auto-dumps the flight recorder on any 5xx.
 package serve
 
 import (

@@ -197,7 +197,7 @@ func (s *Server) nIndex(n int) int {
 // the dimension it served (0 when rejected before parsing), the status
 // code it wrote, and the error behind a non-2xx (recorded to the event
 // log, and to the flight recorder on 5xx).
-type handlerFunc func(w http.ResponseWriter, r *http.Request, op *obs.Op) (n, code int, err error)
+type handlerFunc func(w http.ResponseWriter, r *http.Request, op obs.Span) (n, code int, err error)
 
 // wrap is the observability middleware. Per request it:
 //
@@ -233,16 +233,16 @@ func (s *Server) wrap(ri int, h handlerFunc) http.Handler {
 			n, code, err = h(w, r, op)
 		}
 
-		d := op.Done()
+		d := op.End()
 		if op.Enabled(obs.LevelInfo) {
 			op.Log(obs.LevelInfo, "serve.request",
 				obs.F("route", routeNames[ri]), obs.F("code", code),
 				obs.F("n", n), obs.F("dur_ns", d.Nanoseconds()))
 		}
 		if code >= 500 {
-			// After Done and the event record, so an auto-dumped bundle
+			// After End and the event record, so an auto-dumped bundle
 			// already contains this request's full timeline.
-			s.reg.NoteError(op.Trace(), op.SpanID(), "serve."+routeNames[ri], err)
+			op.NoteError("serve."+routeNames[ri], err)
 		}
 		s.red.observe(ri, codeIndex(code), s.nIndex(n), code, d, op.Trace())
 	})
@@ -270,7 +270,7 @@ func statusFor(err error) int {
 // It handles the unserved-dimension 400, the queue-shed 429, and the
 // embed-error mapping; fn only sees a healthy plan, and runs before
 // the slot is released.
-func (s *Server) session(w http.ResponseWriter, req *Request, op *obs.Op,
+func (s *Server) session(w http.ResponseWriter, req *Request, op obs.Span,
 	fn func(plan *core.Plan) (int, error)) (int, int, error) {
 	p := s.pool(req.N)
 	if p == nil {
@@ -325,7 +325,7 @@ func writeJSON(w http.ResponseWriter, v interface{}) (int, error) {
 
 // handleEmbed answers GET /embed?n=6&fv=...&fe=...[&best_effort=1]
 // with the embedding summary.
-func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request, op *obs.Op) (int, int, error) {
+func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request, op obs.Span) (int, int, error) {
 	req, err := ParseRequest(r.URL.Query())
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -345,7 +345,7 @@ func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request, op *obs.Op)
 // handleRepair answers GET /repair?n=6&fv=...&v=NEWFAULT: it embeds
 // around the prior faults, folds the new one in through the plan's
 // repair path, and reports what the repair did.
-func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request, op *obs.Op) (int, int, error) {
+func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request, op obs.Span) (int, int, error) {
 	req, err := ParseRequest(r.URL.Query())
 	if err == nil && !req.HasV {
 		err = errors.New("serve: /repair needs v=<vertex> (the new fault)")
@@ -383,7 +383,7 @@ const ringBatchBytes = 4 << 10
 // plan's cursor in ringBatchBytes writes. The stream runs after
 // session releases its pool slot, so a slow reader holds only its own
 // plan, never the shard.
-func (s *Server) handleRing(w http.ResponseWriter, r *http.Request, op *obs.Op) (int, int, error) {
+func (s *Server) handleRing(w http.ResponseWriter, r *http.Request, op obs.Span) (int, int, error) {
 	req, err := ParseRequest(r.URL.Query())
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -422,7 +422,7 @@ func (s *Server) handleRing(w http.ResponseWriter, r *http.Request, op *obs.Op) 
 // handleChaos (only routed under Config.Chaos) fails deterministically
 // with a 500, exercising the flight-recorder auto-dump path end to end
 // — the overload drill's 5xx source.
-func (s *Server) handleChaos(w http.ResponseWriter, _ *http.Request, _ *obs.Op) (int, int, error) {
+func (s *Server) handleChaos(w http.ResponseWriter, _ *http.Request, _ obs.Span) (int, int, error) {
 	http.Error(w, s.errChaos.Error(), http.StatusInternalServerError)
 	return 0, http.StatusInternalServerError, s.errChaos
 }

@@ -106,7 +106,7 @@ func New(cfg Config) (*Machine, error) {
 	span := op.Span("sim.phase.reembed")
 	plan, err := eng.EmbedOp(op, nil)
 	span.End()
-	op.Done()
+	op.End()
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrHalted, err)
 	}
@@ -243,7 +243,7 @@ func (m *Machine) FailVertex(v perm.Code) error {
 	// One trace covers the whole failure handling: the fault event, the
 	// repair phase with the engine's spans under it, and the outcome.
 	op := m.cfg.Obs.StartOp("sim.op.fail")
-	defer op.Done()
+	defer op.End()
 	if op.Enabled(obs.LevelInfo) {
 		op.Log(obs.LevelInfo, "sim.fault",
 			obs.F("vertex", v.StringN(m.cfg.N)),
