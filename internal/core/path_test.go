@@ -227,9 +227,9 @@ func TestEmbedPathExhaustiveS5Singles(t *testing.T) {
 
 // TestEmbedPathUnseparated pins an S_5 input inside the budget whose
 // faults no s/t-splitting first position separates (Lemma 2): strict
-// mode refuses it with the separation error, and best effort returns
-// a verified path that promises nothing, 97 vertices where the
-// guarantee would be 115.
+// mode refuses it with the separation error, which names both faults,
+// and best effort returns a verified path that promises nothing, 97
+// vertices where the guarantee would be 115.
 func TestEmbedPathUnseparated(t *testing.T) {
 	n := 5
 	fs, err := faults.FromStrings(n, "12345", "31245")
@@ -237,8 +237,14 @@ func TestEmbedPathUnseparated(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, tt := perm.Pack(perm.MustParse("12354")), perm.Pack(perm.MustParse("42315"))
-	if _, err := EmbedPath(n, fs, s, tt, Config{}); err == nil || !strings.Contains(err.Error(), "prevents Lemma 2 separation") {
+	_, err = EmbedPath(n, fs, s, tt, Config{})
+	if err == nil || !strings.Contains(err.Error(), "prevents Lemma 2 separation") {
 		t.Fatalf("strict: %v, want the separation error", err)
+	}
+	for _, v := range []string{"12345", "31245"} {
+		if !strings.Contains(err.Error(), v) {
+			t.Errorf("strict: %v does not name the fault %s", err, v)
+		}
 	}
 	plan, err := EmbedPath(n, fs, s, tt, Config{BestEffort: true})
 	if err != nil {

@@ -184,9 +184,28 @@ func (s *Set) IntraEdgesIn(p substar.Pattern, dst []Edge) []Edge {
 	return dst
 }
 
-// String summarizes the set for diagnostics.
+// String names the set's faults for diagnostics, in insertion order and
+// in the notation AddVertexString and AddEdgeString read, so an error
+// that prints a set reproduces it: faults.Set{n=5, Fv=[12345 31245],
+// Fe=[]}.
 func (s *Set) String() string {
-	return fmt.Sprintf("faults.Set{n=%d, |Fv|=%d, |Fe|=%d}", s.n, len(s.vlist), len(s.elist))
+	var b strings.Builder
+	fmt.Fprintf(&b, "faults.Set{n=%d, Fv=[", s.n)
+	for i, v := range s.vlist {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		b.WriteString(v.StringN(s.n))
+	}
+	b.WriteString("], Fe=[")
+	for i, e := range s.elist {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		b.WriteString(e.U.StringN(s.n) + "-" + e.V.StringN(s.n))
+	}
+	b.WriteString("]}")
+	return b.String()
 }
 
 // SeparatingPositions implements Lemma 2. It returns a sequence of

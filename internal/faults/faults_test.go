@@ -85,6 +85,13 @@ func TestAddEdgeString(t *testing.T) {
 	if s.NumEdges() != 1 || !s.HasEdge(perm.Pack(perm.MustParse("213456")), perm.IdentityCode(6)) {
 		t.Fatalf("edge not recorded once: %v", s.Edges())
 	}
+	// String spells the faults the way the parsers read them.
+	if err := s.AddVertexString("654321"); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := s.String(), "faults.Set{n=6, Fv=[654321], Fe=[213456-123456]}"; got != want {
+		t.Errorf("String() = %q, want %q", got, want)
+	}
 }
 
 func TestCloneIndependence(t *testing.T) {
