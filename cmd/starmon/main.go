@@ -66,7 +66,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		postmortem   = fs.String("postmortem", "", "render a flight-recorder bundle (directory or tar) as per-trace timelines")
 		watch        = fs.Bool("watch", false, "evaluate -rules against -attach (live) or -series (replay); exit 0 ok, 1 SLO violated, 2 unreachable")
 		rules        = fs.String("rules", "", "with -watch: SLO policy file (JSON; see internal/obs/slo)")
-		series       = fs.String("series", "", "with -watch: replay a recorded series file instead of scraping")
+		series       = fs.String("series", "", "with -watch: replay a -series-json dump instead of scraping")
 		wantLabel    = fs.String("want-label", "", "with -check-metrics: additionally require at least one sample carrying this label key")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/obs"
@@ -122,9 +121,9 @@ func (w *watcher) live(o watchOpts) error {
 	})
 }
 
-// replay drives the engine from a recorded series file: either an
-// export.SeriesDump JSON document (starring -series-json) or NDJSON
-// point lines {"t_unix_ns":..., "samples":{...}}.
+// replay drives the engine from a recorded series file: the
+// export.SeriesDump JSON document the sampler writes (starring
+// -series-json).
 func (w *watcher) replay(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -149,49 +148,22 @@ type instant struct {
 	samples map[string]float64
 }
 
-// parseSeriesPoints normalizes both replay formats into a time-ordered
+// parseSeriesPoints turns a SeriesDump document into a time-ordered
 // instant list.
 func parseSeriesPoints(data []byte) ([]instant, error) {
-	byT := map[int64]map[string]float64{}
-
 	var dump export.SeriesDump
-	if err := json.Unmarshal(data, &dump); err == nil && len(dump.Series) > 0 {
-		for _, s := range dump.Series {
-			for _, p := range s.Samples {
-				m := byT[p.T]
-				if m == nil {
-					m = map[string]float64{}
-					byT[p.T] = m
-				}
-				m[s.Name] = float64(p.V)
-			}
-		}
-	} else {
-		// NDJSON point lines.
-		type pointLine struct {
-			T       int64              `json:"t_unix_ns"`
-			Samples map[string]float64 `json:"samples"`
-		}
-		for i, line := range strings.Split(string(data), "\n") {
-			line = strings.TrimSpace(line)
-			if line == "" {
-				continue
-			}
-			var pl pointLine
-			if err := json.Unmarshal([]byte(line), &pl); err != nil {
-				return nil, fmt.Errorf("line %d: %w", i+1, err)
-			}
-			if pl.Samples == nil {
-				return nil, fmt.Errorf("line %d: no samples object", i+1)
-			}
-			m := byT[pl.T]
+	if err := json.Unmarshal(data, &dump); err != nil {
+		return nil, fmt.Errorf("not a -series-json document: %w", err)
+	}
+	byT := map[int64]map[string]float64{}
+	for _, s := range dump.Series {
+		for _, p := range s.Samples {
+			m := byT[p.T]
 			if m == nil {
 				m = map[string]float64{}
-				byT[pl.T] = m
+				byT[p.T] = m
 			}
-			for k, v := range pl.Samples {
-				m[k] = v
-			}
+			m[s.Name] = float64(p.V)
 		}
 	}
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"os"
@@ -21,21 +22,39 @@ func writeFile(t *testing.T, name, content string) string {
 	return path
 }
 
-// ringSeries is a replayable NDJSON series: the ring length dips below
+// writeSeries writes a -series-json document holding one gauge series
+// per name, sampled at the seconds in ts with the values in vs[name].
+func writeSeries(t *testing.T, file string, ts []int64, vs map[string][]int64) string {
+	t.Helper()
+	dump := export.SeriesDump{PeriodNS: 1e9}
+	for name, values := range vs {
+		s := export.Series{Name: name, Kind: "gauge"}
+		for i, v := range values {
+			s.Samples = append(s.Samples, export.Sample{T: ts[i] * 1e9, V: v})
+		}
+		dump.Series = append(dump.Series, s)
+	}
+	data, err := json.Marshal(dump)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return writeFile(t, file, string(data))
+}
+
+// ringSeries writes a replayable series: the ring length dips below
 // 100 at t=3s and recovers by t=5s.
-const ringSeries = `{"t_unix_ns":1000000000,"samples":{"sim.ring_length":120,"sim.failures":0}}
-{"t_unix_ns":2000000000,"samples":{"sim.ring_length":118,"sim.failures":1}}
-{"t_unix_ns":3000000000,"samples":{"sim.ring_length":80,"sim.failures":2}}
-{"t_unix_ns":4000000000,"samples":{"sim.ring_length":80,"sim.failures":2}}
-{"t_unix_ns":5000000000,"samples":{"sim.ring_length":116,"sim.failures":2}}
-{"t_unix_ns":8000000000,"samples":{"sim.ring_length":116,"sim.failures":2}}
-`
+func ringSeries(t *testing.T) string {
+	return writeSeries(t, "series.json", []int64{1, 2, 3, 4, 5, 8}, map[string][]int64{
+		"sim.ring_length": {120, 118, 80, 80, 116, 116},
+		"sim.failures":    {0, 1, 2, 2, 2, 2},
+	})
+}
 
 // TestWatchReplayExitCodes pins the -watch exit-code contract on a
 // replayed series: a rule that fires mid-run exits 1 even though the
 // curve recovers; a rule the series never violates exits 0.
 func TestWatchReplayExitCodes(t *testing.T) {
-	series := writeFile(t, "series.ndjson", ringSeries)
+	series := ringSeries(t)
 
 	firing := writeFile(t, "firing.json", `{"rules": [
 		{"name": "ring-floor", "kind": "threshold",
@@ -73,9 +92,10 @@ func TestWatchReplayExitCodes(t *testing.T) {
 // bare-family rule must see every machine="m<i>" series, so m1's dip
 // fires it even though m0 stays healthy.
 func TestWatchReplayLabeledFamily(t *testing.T) {
-	series := writeFile(t, "fleet.ndjson", `{"t_unix_ns":1000000000,"samples":{"sim.ring_length{machine=\"m0\"}":120,"sim.ring_length{machine=\"m1\"}":118}}
-{"t_unix_ns":2000000000,"samples":{"sim.ring_length{machine=\"m0\"}":120,"sim.ring_length{machine=\"m1\"}":80}}
-`)
+	series := writeSeries(t, "fleet.json", []int64{1, 2}, map[string][]int64{
+		`sim.ring_length{machine="m0"}`: {120, 120},
+		`sim.ring_length{machine="m1"}`: {118, 80},
+	})
 	rules := writeFile(t, "rules.json", `{"rules": [
 		{"name": "fleet-floor", "kind": "threshold",
 		 "metric": "sim.ring_length", "window_s": 5, "min": 100}
@@ -89,9 +109,10 @@ func TestWatchReplayLabeledFamily(t *testing.T) {
 	}
 }
 
-// TestWatchConfigErrors pins exit 2 for every unusable configuration.
+// TestWatchConfigErrors pins exit 2 for every unusable configuration,
+// a series file in any format but the sampler's -series-json included.
 func TestWatchConfigErrors(t *testing.T) {
-	series := writeFile(t, "series.ndjson", ringSeries)
+	series := ringSeries(t)
 	rules := writeFile(t, "rules.json", `{"rules": [
 		{"name": "r", "kind": "threshold", "metric": "m", "window_s": 1, "max": 1}
 	]}`)
@@ -101,10 +122,13 @@ func TestWatchConfigErrors(t *testing.T) {
 		"invalid policy":    {"-watch", "-series", series, "-rules", writeFile(t, "bad.json", `{"rules": []}`)},
 		"no source":         {"-watch", "-rules", rules},
 		"two sources":       {"-watch", "-rules", rules, "-series", series, "-attach", "localhost:1"},
-		"missing series":    {"-watch", "-rules", rules, "-series", filepath.Join(t.TempDir(), "nope.ndjson")},
-		"malformed series":  {"-watch", "-rules", rules, "-series", writeFile(t, "garbage.ndjson", "not json\n")},
-		"empty series":      {"-watch", "-rules", rules, "-series", writeFile(t, "empty.ndjson", "")},
-		"mode collision":    {"-watch", "-rules", rules, "-series", series, "-replay", "x"},
+		"missing series":    {"-watch", "-rules", rules, "-series", filepath.Join(t.TempDir(), "nope.json")},
+		"malformed series":  {"-watch", "-rules", rules, "-series", writeFile(t, "garbage.json", "not json\n")},
+		"empty series":      {"-watch", "-rules", rules, "-series", writeFile(t, "empty.json", "")},
+		"ndjson series": {"-watch", "-rules", rules, "-series", writeFile(t, "points.ndjson",
+			`{"t_unix_ns":1000000000,"samples":{"sim.ring_length":120}}`+"\n"+
+				`{"t_unix_ns":2000000000,"samples":{"sim.ring_length":80}}`+"\n")},
+		"mode collision": {"-watch", "-rules", rules, "-series", series, "-replay", "x"},
 	}
 	for label, args := range cases {
 		var out, errOut strings.Builder
@@ -153,8 +177,8 @@ func TestWatchLive(t *testing.T) {
 	}
 }
 
-// TestWatchReplaySeriesDump feeds the engine a -series-json SeriesDump
-// document (the sampler's native format) instead of NDJSON points.
+// TestWatchReplaySeriesDump feeds the engine a hand-written
+// -series-json SeriesDump document, with no period or kind fields.
 func TestWatchReplaySeriesDump(t *testing.T) {
 	dump := export.SeriesDump{Series: []export.Series{{
 		Name: "sim.ring_length",

@@ -166,19 +166,24 @@ obs_smoke() {
 leg "obs smoke" obs_smoke || exit 1
 
 # SLO smoke: the starmon -watch exit-code contract over a replayed
-# series. The ring dips to 80 mid-series: a floor of 100 must fire
-# (exit 1, sticky even though the curve recovers), a floor of 50 plus a
-# generous failure-rate rule must hold (exit 0).
+# series, written in the -series-json format the sampler writes. The
+# ring dips to 80 mid-series: a floor of 100 must fire (exit 1, sticky
+# even though the curve recovers), a floor of 50 plus a generous
+# failure-rate rule must hold (exit 0).
 slo_smoke() {
     local tmp
     tmp=$(mktemp -d)
     go build -o "$tmp/starmon" ./cmd/starmon || return 1
 
-    cat >"$tmp/series.ndjson" <<'EOF'
-{"t_unix_ns":1000000000,"samples":{"sim.ring_length":120,"sim.failures":0}}
-{"t_unix_ns":2000000000,"samples":{"sim.ring_length":118,"sim.failures":1}}
-{"t_unix_ns":3000000000,"samples":{"sim.ring_length":80,"sim.failures":2}}
-{"t_unix_ns":4000000000,"samples":{"sim.ring_length":116,"sim.failures":2}}
+    cat >"$tmp/series.json" <<'EOF'
+{"period_ns": 1000000000, "series": [
+  {"name": "sim.ring_length", "kind": "gauge", "samples": [
+    {"t_unix_ns": 1000000000, "v": 120}, {"t_unix_ns": 2000000000, "v": 118},
+    {"t_unix_ns": 3000000000, "v": 80}, {"t_unix_ns": 4000000000, "v": 116}]},
+  {"name": "sim.failures", "kind": "counter", "samples": [
+    {"t_unix_ns": 1000000000, "v": 0}, {"t_unix_ns": 2000000000, "v": 1},
+    {"t_unix_ns": 3000000000, "v": 2}, {"t_unix_ns": 4000000000, "v": 2}]}
+]}
 EOF
     cat >"$tmp/firing.json" <<'EOF'
 {"rules": [
@@ -195,7 +200,7 @@ EOF
 ]}
 EOF
 
-    "$tmp/starmon" -watch -series "$tmp/series.ndjson" -rules "$tmp/firing.json" >"$tmp/firing.log"
+    "$tmp/starmon" -watch -series "$tmp/series.json" -rules "$tmp/firing.json" >"$tmp/firing.log"
     if [ "$?" -ne 1 ]; then
         echo "firing policy should exit 1:" >&2
         cat "$tmp/firing.log" >&2
@@ -206,7 +211,7 @@ EOF
         cat "$tmp/firing.log" >&2
         return 1
     }
-    "$tmp/starmon" -watch -series "$tmp/series.ndjson" -rules "$tmp/passing.json" >"$tmp/passing.log" || {
+    "$tmp/starmon" -watch -series "$tmp/series.json" -rules "$tmp/passing.json" >"$tmp/passing.log" || {
         echo "passing policy should exit 0:" >&2
         cat "$tmp/passing.log" >&2
         return 1
