@@ -30,12 +30,12 @@
 // module root, if present):
 //
 //	allow <analyzer> <symbol>
-//	hotpath <symbol>
 //
-// where a hotpath line opts the symbol into hotalloc enforcement, like
-// a //starlint:hotpath doc directive. Suppressions and config entries
-// that no longer suppress anything are reported as stale — warnings by
-// default, findings (exit 1) under -strict-config.
+// Suppressions and config entries that no longer suppress anything are
+// reported as stale — warnings by default, findings (exit 1) under
+// -strict-config. A hot path is marked in its source only: a
+// //starlint:hotpath doc directive opts a function into hotalloc
+// enforcement.
 package main
 
 import (

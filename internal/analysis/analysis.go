@@ -107,12 +107,11 @@ func (d Diagnostic) String() string {
 }
 
 // A Pass carries one analyzer's view of one package, plus the
-// run-wide facts and driver config shared by every pass.
+// run-wide facts shared by every pass.
 type Pass struct {
 	Analyzer *Analyzer
 	Pkg      *Package
-	Facts    *Facts  // per-function facts over every loaded package; may be nil
-	Cfg      *Config // driver config (hotpath entries); may be nil
+	Facts    *Facts // per-function facts over every loaded package; may be nil
 
 	diags *[]Diagnostic
 }
@@ -226,7 +225,7 @@ func Analyze(pkgs []*Package, analyzers []*Analyzer, cfg *Config) ([]Diagnostic,
 		sup := collectSuppressions(pkg, &diags)
 		var raw []Diagnostic
 		for _, a := range analyzers {
-			pass := &Pass{Analyzer: a, Pkg: pkg, Facts: facts, Cfg: cfg, diags: &raw}
+			pass := &Pass{Analyzer: a, Pkg: pkg, Facts: facts, diags: &raw}
 			a.Run(pass)
 		}
 		for _, d := range raw {

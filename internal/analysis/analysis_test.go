@@ -202,6 +202,7 @@ func TestConfigParseErrors(t *testing.T) {
 		"deny nakedpanic x\n",
 		"allow nakedpanic\n",
 		"allow nosuch repro/internal/perm.Factorial\n",
+		"hotpath repro/internal/perm.Factorial\n", // hot paths are marked in source
 	} {
 		if _, err := ParseConfig(strings.NewReader(bad), "test"); err == nil {
 			t.Errorf("ParseConfig(%q): want error, got nil", bad)
@@ -267,8 +268,8 @@ func AlsoQuiet() int {
 }
 
 // TestStaleConfig checks stale detection over driver-config entries:
-// allow entries that suppress nothing and hotpath entries that match no
-// function are reported with the config file's position.
+// allow entries that suppress nothing are reported with the config
+// file's position.
 func TestStaleConfig(t *testing.T) {
 	pkg := parseTestPackage(t, `package fixture
 
@@ -279,7 +280,6 @@ func Explode() {
 	cfg, err := ParseConfig(strings.NewReader(`# header comment
 allow nakedpanic repro/internal/fixture.Explode
 allow nakedpanic repro/internal/fixture.Gone
-hotpath repro/internal/fixture.Removed
 `), ".starlint")
 	if err != nil {
 		t.Fatalf("ParseConfig: %v", err)
@@ -292,7 +292,6 @@ hotpath repro/internal/fixture.Removed
 	}
 	want := []string{
 		`.starlint:3: stale allow entry: no nakedpanic finding is attributed to "repro/internal/fixture.Gone"`,
-		`.starlint:4: stale hotpath entry: no analyzed function matches "repro/internal/fixture.Removed"`,
 	}
 	var got []string
 	for _, s := range stale {
@@ -300,28 +299,6 @@ hotpath repro/internal/fixture.Removed
 	}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("stale config entries differ\n got: %v\nwant: %v", got, want)
-	}
-}
-
-// TestConfigHotpath checks that a config hotpath entry subjects the
-// symbol to hotalloc without a source annotation.
-func TestConfigHotpath(t *testing.T) {
-	pkg := parseTestPackage(t, `package fixture
-
-func Hot(n int) []int {
-	return make([]int, n)
-}
-`)
-	cfg, err := ParseConfig(strings.NewReader("hotpath repro/internal/fixture.Hot\n"), ".starlint")
-	if err != nil {
-		t.Fatalf("ParseConfig: %v", err)
-	}
-	diags, stale := Analyze([]*Package{pkg}, []*Analyzer{HotAlloc}, cfg)
-	if len(diags) != 1 || !strings.Contains(diags[0].Message, "make allocates") {
-		t.Errorf("want one make-allocates finding, got %v", diagStrings(diags))
-	}
-	if len(stale) != 0 {
-		t.Errorf("a matching hotpath entry must not be stale, got %v", stale)
 	}
 }
 

@@ -14,26 +14,22 @@ import (
 //
 //	# comment
 //	allow <analyzer> <symbol>
-//	hotpath <symbol>
 //
 // An allow entry drops findings attributed to the symbol without a
-// per-site suppression comment; <analyzer> may be "all". A hotpath
-// entry marks the symbol for hotalloc enforcement without touching its
-// source — equivalent to a //starlint:hotpath doc directive. <symbol>
-// is the qualified form a diagnostic reports (e.g. "fmt.Fprintf" or
+// per-site suppression comment; <analyzer> may be "all". <symbol> is
+// the qualified form a diagnostic reports (e.g. "fmt.Fprintf" or
 // "repro/internal/faults.(*Set).AddVertex"); a trailing '*' matches
-// any suffix.
+// any suffix. A hot path is marked in its source only, by a
+// //starlint:hotpath doc directive.
 //
 // Every entry tracks whether it did anything during a run, so the
 // driver can report entries that have gone stale (see Analyze).
 type Config struct {
-	name     string
-	allows   []*configEntry
-	hotpaths []*configEntry
+	name   string
+	allows []*configEntry
 }
 
-// configEntry is one config line; analyzer is empty for hotpath
-// entries.
+// configEntry is one config line.
 type configEntry struct {
 	line     int
 	analyzer string
@@ -61,10 +57,8 @@ func ParseConfig(r io.Reader, name string) (*Config, error) {
 				return nil, fmt.Errorf("%s:%d: unknown analyzer %q", name, lineNo, analyzer)
 			}
 			cfg.allows = append(cfg.allows, &configEntry{line: lineNo, analyzer: analyzer, symbol: symbol})
-		case len(fields) == 2 && fields[0] == "hotpath":
-			cfg.hotpaths = append(cfg.hotpaths, &configEntry{line: lineNo, symbol: fields[1]})
 		default:
-			return nil, fmt.Errorf("%s:%d: want \"allow <analyzer> <symbol>\" or \"hotpath <symbol>\", got %q", name, lineNo, line)
+			return nil, fmt.Errorf("%s:%d: want \"allow <analyzer> <symbol>\", got %q", name, lineNo, line)
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -102,22 +96,6 @@ func (c *Config) Allowed(analyzer, symbol string) bool {
 	return false
 }
 
-// Hotpath reports whether symbol is marked for hotalloc enforcement by
-// a config entry; a match marks the entry used. A nil Config marks
-// nothing.
-func (c *Config) Hotpath(symbol string) bool {
-	if c == nil || symbol == "" {
-		return false
-	}
-	for _, e := range c.hotpaths {
-		if matchSymbol(e.symbol, symbol) {
-			e.used = true
-			return true
-		}
-	}
-	return false
-}
-
 // resetUsage clears per-run usage marks so one Config can serve
 // repeated Analyze calls.
 func (c *Config) resetUsage() {
@@ -127,15 +105,11 @@ func (c *Config) resetUsage() {
 	for _, e := range c.allows {
 		e.used = false
 	}
-	for _, e := range c.hotpaths {
-		e.used = false
-	}
 }
 
-// stale returns the config entries that did nothing this run: allow
-// entries that suppressed no finding (judged only when their analyzer
-// ran; "all" entries only under the full suite) and hotpath entries
-// that matched no function (judged only when hotalloc ran).
+// stale returns the allow entries that suppressed no finding this run
+// (judged only when their analyzer ran; "all" entries only under the
+// full suite).
 func (c *Config) stale(runset map[string]bool) []Stale {
 	if c == nil {
 		return nil
@@ -155,15 +129,6 @@ func (c *Config) stale(runset map[string]bool) []Stale {
 		out = append(out, Stale{
 			Pos:     token.Position{Filename: c.name, Line: e.line},
 			Message: fmt.Sprintf("stale allow entry: no %s finding is attributed to %q", e.analyzer, e.symbol),
-		})
-	}
-	for _, e := range c.hotpaths {
-		if e.used || !runset[HotAlloc.Name] {
-			continue
-		}
-		out = append(out, Stale{
-			Pos:     token.Position{Filename: c.name, Line: e.line},
-			Message: fmt.Sprintf("stale hotpath entry: no analyzed function matches %q", e.symbol),
 		})
 	}
 	return out

@@ -12,8 +12,8 @@ import (
 //
 //	//starlint:hotpath
 //
-// directive in its doc comment, or by being listed in the driver
-// config as "hotpath <symbol>". A marked function must be
+// directive in its doc comment, the only place a hot path is marked.
+// A marked function must be
 // *transitively* allocation-free under the facts engine's conservative
 // model: no make/new/append, no escaping composite literals, no
 // interface boxing, no capturing closures, no string building, no
@@ -68,7 +68,7 @@ func runHotAlloc(pass *Pass) {
 			return
 		}
 		name, symbol := pass.EnclosingFuncName(fd.Name.Pos())
-		if !hotpathMarked(pass, fd, symbol) {
+		if !hotpathMarked(fd) {
 			return
 		}
 		scanAllocs(pass.Pkg, fd.Body, func(pos token.Pos, what string, callee *types.Func) {
@@ -93,14 +93,15 @@ func runHotAlloc(pass *Pass) {
 }
 
 // hotpathMarked reports whether fd opts into hotalloc enforcement via
-// its doc comment or the driver config.
-func hotpathMarked(pass *Pass, fd *ast.FuncDecl, symbol string) bool {
-	if fd.Doc != nil {
-		for _, c := range fd.Doc.List {
-			if c.Text == hotpathDirective || strings.HasPrefix(c.Text, hotpathDirective+" ") {
-				return true
-			}
+// its doc comment.
+func hotpathMarked(fd *ast.FuncDecl) bool {
+	if fd.Doc == nil {
+		return false
+	}
+	for _, c := range fd.Doc.List {
+		if c.Text == hotpathDirective || strings.HasPrefix(c.Text, hotpathDirective+" ") {
+			return true
 		}
 	}
-	return pass.Cfg.Hotpath(symbol)
+	return false
 }

@@ -65,8 +65,9 @@ func (c *RingCursor) Next() (perm.Code, bool) {
 // nextFast is the per-vertex emit step: a bounds-checked read out of
 // the current segment buffer. It sits inside every ring consumer's
 // innermost loop (3.6M iterations at n = 10), so it must stay
-// allocation-free; the .starlint hotpath entry has hotalloc enforce
-// that against refactors.
+// allocation-free; hotalloc enforces that against refactors.
+//
+//starlint:hotpath
 func (c *RingCursor) nextFast() perm.Code {
 	v := c.seg[c.i]
 	c.i++

@@ -47,6 +47,8 @@ type Exemplar struct {
 }
 
 // Observe records one duration. Negative durations clamp to zero.
+//
+//starlint:hotpath
 func (h *Histogram) Observe(d time.Duration) {
 	if h == nil {
 		return

@@ -45,14 +45,24 @@ import (
 
 // Counter is a monotonically increasing atomic counter. The zero value
 // is ready to use; a nil *Counter discards all operations.
+//
+// Counter.Inc and Add, Gauge.Set and Add and Histogram.Observe are the
+// allocation-free observability fast path: instrumented hot loops call
+// them unconditionally, so the disabled (nil receiver) and enabled
+// (single atomic op) paths must both stay off the heap, which hotalloc
+// enforces through their //starlint:hotpath directives.
 type Counter struct {
 	v int64
 }
 
 // Inc adds one.
+//
+//starlint:hotpath
 func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds delta.
+//
+//starlint:hotpath
 func (c *Counter) Add(delta int64) {
 	if c == nil {
 		return
@@ -75,6 +85,8 @@ type Gauge struct {
 }
 
 // Set stores v.
+//
+//starlint:hotpath
 func (g *Gauge) Set(v int64) {
 	if g == nil {
 		return
@@ -83,6 +95,8 @@ func (g *Gauge) Set(v int64) {
 }
 
 // Add adjusts the gauge by delta.
+//
+//starlint:hotpath
 func (g *Gauge) Add(delta int64) {
 	if g == nil {
 		return

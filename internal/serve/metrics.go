@@ -41,7 +41,7 @@ func codeIndex(code int) int {
 // resolved at construction, so the per-request path is pure array
 // indexing plus atomic updates — no map lookups, no label encoding,
 // no allocation. The hotalloc analyzer enforces that on observe via
-// the .starlint hotpath entry.
+// its //starlint:hotpath directive.
 //
 // Families (see the README glossary):
 //
@@ -88,8 +88,12 @@ func newRED(reg *obs.Registry, minN, maxN int) *red {
 // after the response is written. ri/ci/ni are pre-clamped indexes into
 // the handle tables (routeIndex, codeIndex, Server.nIndex); code is
 // the actual response status; trace rides into the latency exemplar
-// reservoir so a slow quantile links to its request trace. Kept
-// allocation-free by the hotalloc analyzer (.starlint hotpath entry).
+// reservoir so a slow quantile links to its request trace. Every
+// admitted and shed request funnels through it, so it must not
+// allocate — request throughput would otherwise pay GC for its own
+// metrics — and the hotalloc analyzer keeps it so.
+//
+//starlint:hotpath
 func (m *red) observe(ri, ci, ni, code int, d time.Duration, trace obs.TraceID) {
 	m.requests[ri][ci][ni].Inc()
 	if code >= 400 {

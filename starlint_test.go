@@ -71,11 +71,10 @@ func TestStarlintCleanRepo(t *testing.T) {
 	}
 }
 
-// TestStarlintHotpathsEnforced asserts the real module actually has
-// hotalloc-enforced functions: the hotalloc-only run must consume the
-// .starlint hotpath entries (none may go stale) and still pass. A
-// refactor that renamed or deleted an annotated hot path without
-// updating the config would fail here.
+// TestStarlintHotpathsEnforced runs hotalloc alone over the real
+// module: every function marked //starlint:hotpath must be proven
+// allocation-free, and the config must hold no stale entry for the
+// subset run.
 func TestStarlintHotpathsEnforced(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns the go tool")
@@ -83,9 +82,6 @@ func TestStarlintHotpathsEnforced(t *testing.T) {
 	out, code := runStarlint(t, "-strict-config", "-analyzers", "hotalloc", "./...")
 	if code != 0 {
 		t.Fatalf("hotalloc gate failed (exit %d):\n%s", code, out)
-	}
-	if strings.Contains(out, "stale hotpath entry") {
-		t.Fatalf("stale hotpath entries:\n%s", out)
 	}
 }
 
