@@ -10,8 +10,9 @@ import (
 )
 
 // MetricName flags metric-name arguments to obs.Registry's Counter,
-// Gauge, Histogram and Span methods that break the repository's naming
-// convention: a lowercase dotted path of at least two segments,
+// Gauge, Histogram, Span, StartOp and StartOpTrace methods and to
+// Span.Span (every child span's name) that break the repository's
+// naming convention: a lowercase dotted path of at least two segments,
 // "pkg.group.name" (segments are [a-z][a-z0-9_]*). The README's
 // Observability glossary, the OpenMetrics exporter and the expvar
 // bridge all assume this shape, and a one-off name silently falls out
@@ -46,12 +47,15 @@ var metricPrefixRE = regexp.MustCompile(`^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)*$`)
 var labelKeyRE = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
 
 // metricMethods are the obs.Registry methods whose first argument is a
-// metric name.
+// metric name; an operation's and a span's name is the name of the
+// histogram its duration lands in.
 var metricMethods = map[string]bool{
 	"Counter":      true,
 	"Gauge":        true,
 	"Histogram":    true,
 	"Span":         true,
+	"StartOp":      true,
+	"StartOpTrace": true,
 	"CounterVec":   true,
 	"GaugeVec":     true,
 	"HistogramVec": true,
@@ -98,6 +102,8 @@ func runMetricName(pass *Pass) {
 			if vecMethods[fn.Name()] {
 				checkLabelKeys(pass, fn.Name(), call, call.Args[1:], false)
 			}
+		case recv == "Span" && fn.Name() == "Span":
+			checkMetricName(pass, "Span", call.Args[0], consts)
 		case vecTypes[recv] && fn.Name() == "With":
 			checkLabelKeys(pass, "With", call, call.Args, true)
 		}

@@ -51,3 +51,12 @@ func Labeled(reg *obs.Registry, machine string, key string) {
 	kv := []string{"n", "6"}
 	clean.With(kv...) // clean: slice spread is out of scope
 }
+
+// Traced names an operation and a child span, one of each badly.
+func Traced(reg *obs.Registry) {
+	op := reg.StartOp("FixtureOp")                    // op name off convention
+	op.Span("fixture.Phase").End()                    // child span name off convention
+	op.Span("fixture.phase.step").End()               // clean: dotted lowercase path
+	reg.StartOpTrace("fixture.op.continued", 0).End() // clean
+	op.End()
+}
