@@ -16,9 +16,9 @@ import (
 // Once installed by NewFlightRecorder it is fed under one lock by
 // Span.End (every completed span), Registry.Log and Span.Log (log
 // lines at or above the recorder's level) and Span.NoteError
-// (failures, which also trigger the armed auto-dump). The ring overwrites oldest
-// first whatever an entry's kind, so memory is bounded by the capacity
-// chosen at construction. The Perfetto export reads its spans
+// (failures, which also trigger the armed auto-dump). The ring
+// overwrites oldest first whatever an entry's kind, so memory is
+// bounded by the capacity chosen at construction. The Perfetto export reads its spans
 // (SpanEvents), the NDJSON views read its log lines (Events); an
 // optional writer additionally receives every log line as NDJSON the
 // moment it is appended — the -events-out stream — and a recorder
