@@ -18,16 +18,16 @@ import (
 // lines at or above the recorder's level) and Span.NoteError
 // (failures, which also trigger the armed auto-dump). The ring
 // overwrites oldest first whatever an entry's kind, so memory is
-// bounded by the capacity chosen at construction. The Perfetto export reads its spans
-// (SpanEvents), the NDJSON views read its log lines (Events); an
-// optional writer additionally receives every log line as NDJSON the
-// moment it is appended — the -events-out stream — and a recorder
-// without one never encodes JSON.
+// bounded by the capacity chosen at construction. The Perfetto export
+// reads its spans (SpanEvents), the NDJSON views read its log lines
+// (Events); an optional writer additionally receives every log line as
+// NDJSON the moment it is appended — the -events-out stream — and a
+// recorder without one never encodes JSON.
 //
 // Metrics (see the README glossary): obs.flight.events and
 // obs.flight.spans count log lines and spans appended,
-// obs.flight.errors counts Span.NoteError calls, obs.flight.dumps counts
-// bundles written.
+// obs.flight.errors counts Span.NoteError calls, obs.flight.dumps
+// counts bundles written.
 type FlightRecorder struct {
 	reg *Registry
 	min Level

@@ -133,14 +133,17 @@ func TestOpLogStampsIdentity(t *testing.T) {
 	op := reg.StartOp("t.op.run")
 	op.Log(LevelInfo, "t.milestone", F("k", 1))
 	reg.Log(LevelInfo, "t.plain")
+	child := op.Span("t.phase.a")
+	child.Log(LevelInfo, "t.step")
+	child.End()
 	op.End()
 
 	recs, err := ReadLog(strings.NewReader(buf.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 2 {
-		t.Fatalf("got %d records, want 2", len(recs))
+	if len(recs) != 3 {
+		t.Fatalf("got %d records, want 3", len(recs))
 	}
 	if recs[0].Trace != op.Trace() || recs[0].Span != op.ID() {
 		t.Errorf("op record identity %v/%v, want %v/%v",
@@ -148,6 +151,11 @@ func TestOpLogStampsIdentity(t *testing.T) {
 	}
 	if recs[1].Trace != 0 || recs[1].Span != 0 {
 		t.Errorf("plain record carries identity: %+v", recs[1])
+	}
+	// A child span logs under its own id, in the operation's trace.
+	if recs[2].Trace != op.Trace() || recs[2].Span != child.ID() {
+		t.Errorf("child record identity %v/%v, want %v/%v",
+			recs[2].Trace, recs[2].Span, op.Trace(), child.ID())
 	}
 	// Untraced records must omit the id keys entirely on the wire.
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")

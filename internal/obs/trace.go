@@ -33,9 +33,8 @@ type Span struct {
 
 // Span starts a span on the registry's clock; its duration lands in
 // the histogram of the same name, and an Event goes to the flight
-// recorder when one is installed. The
-// span is untraced (no trace/span ids); use Registry.StartOp and
-// Span.Span for causal telemetry.
+// recorder when one is installed. The span is untraced (no trace/span
+// ids); use Registry.StartOp and Span.Span for causal telemetry.
 func (r *Registry) Span(name string) Span {
 	return r.span(name, 0, 0, 0)
 }
